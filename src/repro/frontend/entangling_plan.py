@@ -51,14 +51,13 @@ equivalence story, selected by ``REPRO_ENTANGLING_PLAN``:
   entries separately so they can never be mistaken for exact ones).
 * ``off`` — the pre-plan behaviour: every entangling run is live.
 
-Plans are cached like FrontendPlans: in-process memo, then
-``<workload>.<fingerprint>.ent.npz`` under the plan cache dir, plus an
-uncompressed ``.mmap/`` sidecar served via ``np.load(mmap_mode="r")``
-so resident sweep workers share one page cache.  The fingerprint covers
-the trace content digest, the *whole* machine configuration (recorded
-timing depends on all of it), the reference scheme name, the entangling
-table geometry and the branch-stack geometry; any mismatch discards and
-rebuilds the entry.
+Plans are cached by :data:`ENTANGLING_STORE` (see
+:mod:`repro.common.artifacts`) as ``<workload>.<fingerprint>.ent.npz``
+in the plan cache directory.  The fingerprint covers the trace content
+digest, the *whole* machine configuration (recorded timing depends on
+all of it), the reference scheme name, the entangling table geometry
+and the branch-stack geometry; any mismatch discards and rebuilds the
+entry.
 """
 
 from __future__ import annotations
@@ -67,9 +66,6 @@ import hashlib
 import inspect
 import json
 import os
-import re
-import shutil
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -77,17 +73,13 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.common.artifacts import ArtifactStore, entry_name
 from repro.frontend.entangling import EntanglingPrefetcher
 from repro.frontend.plan import (
     FrontendPlan,
-    _mmap_enabled,
     _stack_geometry,
     build_plan,
     cached_plan,
-    mmap_sidecar_path,
-    plan_cache_dir,
-    read_sidecar_dir,
-    write_sidecar_dir,
 )
 from repro.frontend.stack import BranchStack
 from repro.uarch.params import MachineParams
@@ -101,7 +93,7 @@ ENTANGLING_PLAN_FORMAT = 1
 #: the paper's baseline and the scheme every figure normalises against.
 ENTANGLING_REFERENCE_SCHEME = "lru"
 
-#: The plan's bulk arrays, in the order the mmap sidecar stores them.
+#: The plan's bulk arrays, as the cache stores them.
 ENTANGLING_ARRAY_FIELDS = (
     "cand_blocks",
     "cand_lo",
@@ -298,9 +290,9 @@ class EntanglingPlan:
             base=self.base.slice(lo, hi),
         )
 
-    # -- persistence --------------------------------------------------------
+    # -- persistence: the codec entry points ENTANGLING_STORE calls ---------
 
-    def _meta(self) -> Dict[str, object]:
+    def meta(self) -> Dict[str, object]:
         return {
             "format": ENTANGLING_PLAN_FORMAT,
             "fingerprint": self.fingerprint,
@@ -313,39 +305,8 @@ class EntanglingPlan:
             "ref_scalars": self.ref_scalars,
         }
 
-    def save(self, path: Path) -> None:
-        """Write the ``.ent.npz`` plus its mmap sidecar (write-then-rename).
-
-        The finally-unlink reaps the temp file if the write (or rename)
-        raises; after a successful rename it no longer exists.
-        """
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(f"{path.stem}.{os.getpid()}.tmp.npz")
-        try:
-            np.savez_compressed(
-                tmp,
-                meta=np.bytes_(
-                    json.dumps(self._meta(), sort_keys=True).encode()
-                ),
-                **{
-                    name: getattr(self, name)
-                    for name in ENTANGLING_ARRAY_FIELDS
-                },
-            )
-            os.replace(tmp, path)
-        finally:
-            tmp.unlink(missing_ok=True)
-        self.write_mmap_sidecar(mmap_sidecar_path(path))
-
-    def write_mmap_sidecar(self, dirpath: Path) -> None:
-        write_sidecar_dir(
-            dirpath,
-            {name: getattr(self, name) for name in ENTANGLING_ARRAY_FIELDS},
-            self._meta(),
-        )
-
     @classmethod
-    def _from_parts(
+    def from_parts(
         cls,
         meta: Dict[str, object],
         arrays: Dict[str, np.ndarray],
@@ -380,21 +341,16 @@ class EntanglingPlan:
             **arrays,
         )
 
+    def save(self, path: Path) -> None:
+        ENTANGLING_STORE.save(self, path)
+
     @classmethod
     def load(cls, path: Path, base: FrontendPlan) -> "EntanglingPlan":
-        """Load from the ``.ent.npz``; raises on any corruption."""
-        with np.load(path) as data:
-            meta = json.loads(bytes(data["meta"]).decode())
-            arrays = {
-                name: data[name] for name in ENTANGLING_ARRAY_FIELDS
-            }
-        return cls._from_parts(meta, arrays, base)
+        return ENTANGLING_STORE.read_npz(path, base)
 
     @classmethod
     def load_mmap(cls, dirpath: Path, base: FrontendPlan) -> "EntanglingPlan":
-        """Load from the mmap sidecar; bulk arrays stay memory-mapped."""
-        meta, arrays = read_sidecar_dir(dirpath, ENTANGLING_ARRAY_FIELDS)
-        return cls._from_parts(meta, arrays, base)
+        return ENTANGLING_STORE.read_sidecar(dirpath, base)
 
 
 # -- fingerprinting ------------------------------------------------------------
@@ -508,20 +464,18 @@ def build_entangling_plan(
 # -- caching -------------------------------------------------------------------
 
 
-def _entangling_plan_path(trace: Trace, fingerprint: str) -> Path:
-    safe = re.sub(r"[^A-Za-z0-9._-]", "_", trace.name)[:64]
-    return plan_cache_dir() / f"{safe}.{fingerprint}.ent.npz"
-
-
 #: Entangling plans are per-scheme, so a sweep touches more of them
 #: than FrontendPlans; still small — one workload's schemes at a time.
-_MEMO_CAP = 4
-_memo: "OrderedDict[str, EntanglingPlan]" = OrderedDict()
+ENTANGLING_STORE = ArtifactStore(
+    "entangling plan",
+    EntanglingPlan,
+    ENTANGLING_ARRAY_FIELDS,
+    memo_cap=4,
+    cache_env="REPRO_PLAN_CACHE",
+    cache_subdir="plans",
+)
 
-
-def clear_entangling_plan_memo() -> None:
-    """Drop the in-process entangling-plan memo (tests)."""
-    _memo.clear()
+clear_entangling_plan_memo = ENTANGLING_STORE.clear_memo
 
 
 def cached_entangling_plan(
@@ -541,47 +495,31 @@ def cached_entangling_plan(
     for ``scheme_name`` (the harness passes a registry factory — the
     frontend layer deliberately does not import the scheme registry).
 
-    Lookup order and staleness handling mirror
-    :func:`repro.frontend.plan.cached_plan`: memo, mmap sidecar, npz,
-    then build; corrupt or fingerprint-stale entries are discarded and
-    rebuilt.
+    Served by :data:`ENTANGLING_STORE`, like
+    :func:`repro.frontend.plan.cached_plan`.  A memo hit skips even the
+    base-plan lookup.
     """
     fingerprint = entangling_fingerprint(trace, machine, scheme_name)
-    plan = _memo.get(fingerprint)
+    name = entry_name(trace.name, f"{fingerprint}.ent")
+    plan = ENTANGLING_STORE.recall(name)
     if plan is not None:
-        _memo.move_to_end(fingerprint)
         return plan, None
-    if use_disk is None:
-        use_disk = os.environ.get("REPRO_NO_DISK_CACHE", "") != "1"
-    path = _entangling_plan_path(trace, fingerprint)
-    sidecar = mmap_sidecar_path(path)
     base = cached_plan(trace, machine, "none", use_disk=use_disk)
-    if use_disk and _mmap_enabled() and sidecar.exists():
-        try:
-            plan = EntanglingPlan.load_mmap(sidecar, base)
-            if plan.fingerprint != fingerprint or len(plan) != len(trace):
-                raise ValueError("stale entangling plan mmap sidecar")
-        except Exception:
-            shutil.rmtree(sidecar, ignore_errors=True)  # corrupt/stale
-            plan = None
-    if plan is None and use_disk and path.exists():
-        try:
-            plan = EntanglingPlan.load(path, base)
-            if plan.fingerprint != fingerprint or len(plan) != len(trace):
-                raise ValueError("stale entangling plan cache entry")
-        except Exception:
-            path.unlink(missing_ok=True)  # corrupt/stale: rebuild
-            plan = None
-        if plan is not None and _mmap_enabled() and not sidecar.exists():
-            plan.write_mmap_sidecar(sidecar)  # repair for future workers
     run = None
-    if plan is None:
+
+    def build() -> EntanglingPlan:
+        nonlocal run
         plan, run = build_entangling_plan(
             trace, machine, scheme_builder(), scheme_name, base=base
         )
-        if use_disk:
-            plan.save(path)
-    _memo[fingerprint] = plan
-    while len(_memo) > _MEMO_CAP:
-        _memo.popitem(last=False)
+        return plan
+
+    plan = ENTANGLING_STORE.get(
+        name,
+        build,
+        base,
+        fingerprint=fingerprint,
+        records=len(trace),
+        use_disk=use_disk,
+    )
     return plan, run

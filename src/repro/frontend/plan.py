@@ -44,40 +44,26 @@ scheme.  It gets a two-pass, scheme-*coupled* plan instead — one live
 reference run records the training stream, every later run replays it —
 see :mod:`repro.frontend.entangling_plan`.
 
-Plans are cached on disk as ``.npz`` beside the trace cache (see
-:func:`plan_cache_dir`), keyed by a frontend-only fingerprint: trace
+Plans are cached by :data:`PLAN_STORE` (see :mod:`repro.common.artifacts`)
+in the plan cache directory, keyed by a frontend-only fingerprint: trace
 content digest, prefetcher kind, run-ahead depth, warmup split and the
 (fixed) BTB/TAGE geometry.  A sweep builds each workload's plan once in
-the parent process; workers load the ``.npz`` instead of redoing the
+the parent process; workers memory-map it instead of redoing the
 frontend work per (workload, scheme) pair.
-
-Because npz members live inside a zip archive they cannot be
-memory-mapped, so each saved plan also gets an uncompressed *mmap
-sidecar* — a ``<plan>.mmap/`` directory of raw ``.npy`` files plus a
-``meta.json`` carrying the fingerprint (written last, as the commit
-marker).  ``cached_plan`` serves sidecars through
-``np.load(mmap_mode="r")`` behind the same fingerprint check as the
-npz, so many sweep workers loading the same workload share one page
-cache instead of each inflating its own copy; any stale or corrupt
-sidecar is discarded and rebuilt from the npz.  Sidecar reads are on by
-default; set ``REPRO_PLAN_MMAP=0`` to force full npz loads.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
-import re
-import shutil
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.common.artifacts import ArtifactStore, entry_name, sidecar_path
 from repro.frontend.stack import BranchStack, BranchStackStats
 from repro.uarch.params import MachineParams
 from repro.workloads.trace import BranchKind, Trace
@@ -90,7 +76,7 @@ PLANNABLE_PREFETCHERS = ("fdp", "none")
 #: entries then miss on fingerprint and are rebuilt.
 PLAN_FORMAT = 1
 
-#: The plan's bulk arrays, in the order the mmap sidecar stores them.
+#: The plan's bulk arrays, as the cache stores them.
 PLAN_ARRAY_FIELDS = (
     "mispredict",
     "cum_mispredict",
@@ -143,69 +129,6 @@ def plannable(prefetcher: str) -> bool:
     :mod:`repro.frontend.entangling_plan`.
     """
     return prefetcher in PLANNABLE_PREFETCHERS
-
-
-# -- mmap sidecar primitives (shared with the entangling plan) -----------------
-
-
-def write_sidecar_dir(
-    dirpath: Path,
-    arrays: Mapping[str, np.ndarray],
-    meta: Mapping[str, object],
-) -> None:
-    """Write an uncompressed ``.npy``-per-array sidecar directory.
-
-    Built in a temp directory and committed by a single rename;
-    ``meta.json`` (the commit marker, carrying the owner's fingerprint)
-    is written last inside the temp dir, so a directory without
-    readable meta is never trusted.  Best effort: a lost race against a
-    concurrent writer leaves the winner's sidecar in place.
-    """
-    from repro.common.faults import fire
-
-    tmp = dirpath.with_name(f"{dirpath.name}.{os.getpid()}.tmp")
-    shutil.rmtree(tmp, ignore_errors=True)
-    tmp.mkdir(parents=True)
-    try:
-        for name, array in arrays.items():
-            np.save(tmp / f"{name}.npy", np.asarray(array))
-        (tmp / "meta.json").write_text(json.dumps(meta, sort_keys=True))
-        shutil.rmtree(dirpath, ignore_errors=True)
-        os.replace(tmp, dirpath)
-    except OSError:
-        shutil.rmtree(tmp, ignore_errors=True)
-        return
-    # Fault hook fires after the commit so injected damage (truncated
-    # meta, stale fingerprint) lands on the file readers will trust.
-    fire("sidecar", str(dirpath / "meta.json"))
-
-
-def read_sidecar_dir(
-    dirpath: Path, fields: Sequence[str]
-) -> Tuple[Dict[str, object], Dict[str, np.ndarray]]:
-    """Read a sidecar directory: ``(meta, memory-mapped arrays)``.
-
-    Raises on any unreadable piece (missing/truncated arrays, bad
-    meta); callers treat that as corruption, discard the sidecar and
-    fall back to the ``.npz``.  The two classic torn-write shapes — a
-    zero-byte ``meta.json`` (the commit marker made it to the directory
-    but not to disk) and a directory missing one of its arrays — are
-    detected up front and raised as ``ValueError`` so the discard path
-    never depends on which exception a particular numpy/json version
-    throws.
-    """
-    meta_path = dirpath / "meta.json"
-    if not meta_path.exists() or meta_path.stat().st_size == 0:
-        raise ValueError(f"sidecar {dirpath} has empty or missing meta.json")
-    missing = [name for name in fields if not (dirpath / f"{name}.npy").exists()]
-    if missing:
-        raise ValueError(f"sidecar {dirpath} is missing arrays: {missing}")
-    meta = json.loads(meta_path.read_text())
-    arrays = {
-        name: np.load(dirpath / f"{name}.npy", mmap_mode="r")
-        for name in fields
-    }
-    return meta, arrays
 
 
 @dataclass
@@ -330,69 +253,32 @@ class FrontendPlan:
             final_stats=self.final_stats.copy(),
         )
 
-    # -- persistence --------------------------------------------------------
+    # -- persistence: the codec entry points PLAN_STORE calls ---------------
 
-    def save(self, path: Path) -> None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        # Write-then-rename so a concurrent reader (another sweep
-        # process warming the same workload) never loads a partial npz.
-        # The temp name keeps the .npz suffix: np.savez would otherwise
-        # append one and the rename source would not exist.
-        tmp = path.with_name(f"{path.stem}.{os.getpid()}.tmp.npz")
-        self._write(tmp)
-        os.replace(tmp, path)
-        self.write_mmap_sidecar(mmap_sidecar_path(path))
-
-    # -- mmap sidecar -------------------------------------------------------
-
-    def write_mmap_sidecar(self, dirpath: Path) -> None:
-        """Write the uncompressed ``.npy``-per-array sidecar for ``dirpath``.
-
-        Built in a temp directory and committed by rename; ``meta.json``
-        (carrying the fingerprint) is written last inside the temp dir,
-        so a directory without readable meta is never trusted.  Best
-        effort: a lost race against another writer leaves the winner's
-        sidecar in place.
-        """
-        meta = {
+    def meta(self) -> Dict[str, object]:
+        return {
             "format": PLAN_FORMAT,
-            "fingerprint": self.fingerprint,
             "trace_name": self.trace_name,
             "trace_digest": self.trace_digest,
             "prefetcher": self.prefetcher,
             "depth": self.depth,
             "warmup_end": self.warmup_end,
-            "records": len(self),
+            "fingerprint": self.fingerprint,
         }
-        write_sidecar_dir(
-            dirpath,
-            {name: getattr(self, name) for name in PLAN_ARRAY_FIELDS},
-            meta,
-        )
 
     @classmethod
-    def load_mmap(cls, dirpath: Path) -> "FrontendPlan":
-        """Load a plan from its mmap sidecar; arrays are memory-mapped.
-
-        Raises on any corruption (missing/truncated arrays, bad meta,
-        format drift, inconsistent lengths) — callers discard the
-        sidecar and fall back to the npz.
-        """
-        meta, arrays = read_sidecar_dir(dirpath, PLAN_ARRAY_FIELDS)
+    def from_parts(cls, meta, arrays) -> "FrontendPlan":
         if int(meta["format"]) != PLAN_FORMAT:
-            raise ValueError(
-                f"plan format {meta['format']} != {PLAN_FORMAT}"
-            )
-        n = int(meta["records"])
+            raise ValueError(f"plan format {meta['format']} != {PLAN_FORMAT}")
+        n = len(arrays["mispredict"])
         if (
-            len(arrays["mispredict"]) != n
-            or len(arrays["cum_mispredict"]) != n + 1
+            len(arrays["cum_mispredict"]) != n + 1
             or len(arrays["cand_lo"]) != n
             or len(arrays["cand_hi"]) != n
             or len(arrays["warmup_stats"]) != len(STATS_FIELDS)
             or len(arrays["final_stats"]) != len(STATS_FIELDS)
         ):
-            raise ValueError(f"inconsistent sidecar array lengths in {dirpath}")
+            raise ValueError("inconsistent plan array lengths")
         return cls(
             trace_name=str(meta["trace_name"]),
             trace_digest=str(meta["trace_digest"]),
@@ -403,45 +289,16 @@ class FrontendPlan:
             **arrays,
         )
 
-    def _write(self, path: Path) -> None:
-        np.savez_compressed(
-            path,
-            format=np.int64(PLAN_FORMAT),
-            trace_name=np.bytes_(self.trace_name.encode()),
-            trace_digest=np.bytes_(self.trace_digest.encode()),
-            prefetcher=np.bytes_(self.prefetcher.encode()),
-            depth=np.int64(self.depth),
-            warmup_end=np.int64(self.warmup_end),
-            fingerprint=np.bytes_(self.fingerprint.encode()),
-            mispredict=self.mispredict,
-            cum_mispredict=self.cum_mispredict,
-            cand_lo=self.cand_lo,
-            cand_hi=self.cand_hi,
-            warmup_stats=self.warmup_stats,
-            final_stats=self.final_stats,
-        )
+    def save(self, path: Path) -> None:
+        PLAN_STORE.save(self, path)
 
     @classmethod
     def load(cls, path: Path) -> "FrontendPlan":
-        with np.load(path) as data:
-            if int(data["format"]) != PLAN_FORMAT:
-                raise ValueError(
-                    f"plan format {int(data['format'])} != {PLAN_FORMAT}"
-                )
-            return cls(
-                trace_name=bytes(data["trace_name"]).decode(),
-                trace_digest=bytes(data["trace_digest"]).decode(),
-                prefetcher=bytes(data["prefetcher"]).decode(),
-                depth=int(data["depth"]),
-                warmup_end=int(data["warmup_end"]),
-                fingerprint=bytes(data["fingerprint"]).decode(),
-                mispredict=data["mispredict"],
-                cum_mispredict=data["cum_mispredict"],
-                cand_lo=data["cand_lo"],
-                cand_hi=data["cand_hi"],
-                warmup_stats=data["warmup_stats"],
-                final_stats=data["final_stats"],
-            )
+        return PLAN_STORE.read_npz(path)
+
+    @classmethod
+    def load_mmap(cls, dirpath: Path) -> "FrontendPlan":
+        return PLAN_STORE.read_sidecar(dirpath)
 
 
 # -- fingerprinting ------------------------------------------------------------
@@ -707,38 +564,21 @@ def build_plan(
 # -- caching -------------------------------------------------------------------
 
 
-def plan_cache_dir() -> Path:
-    """Directory for cached plans (override with REPRO_PLAN_CACHE)."""
-    env = os.environ.get("REPRO_PLAN_CACHE")
-    if env:
-        return Path(env)
-    return Path(__file__).resolve().parents[3] / ".cache" / "plans"
+#: Full-length plans are tens of MB; a sweep only ever needs a handful
+#: of workloads at once.
+PLAN_STORE = ArtifactStore(
+    "plan",
+    FrontendPlan,
+    PLAN_ARRAY_FIELDS,
+    memo_cap=8,
+    cache_env="REPRO_PLAN_CACHE",
+    cache_subdir="plans",
+    scalar_meta=True,
+)
 
-
-def _plan_path(trace: Trace, fingerprint: str) -> Path:
-    safe = re.sub(r"[^A-Za-z0-9._-]", "_", trace.name)[:64]
-    return plan_cache_dir() / f"{safe}.{fingerprint}.npz"
-
-
-def mmap_sidecar_path(plan_path: Path) -> Path:
-    """The mmap sidecar directory belonging to a plan ``.npz`` path."""
-    return plan_path.with_name(f"{plan_path.stem}.mmap")
-
-
-def _mmap_enabled() -> bool:
-    """Sidecar mmap reads are on unless REPRO_PLAN_MMAP=0."""
-    return os.environ.get("REPRO_PLAN_MMAP", "") != "0"
-
-
-#: Small in-process memo (full-length plans are tens of MB; a sweep
-#: only ever needs a handful of workloads at once).
-_MEMO_CAP = 8
-_memo: "OrderedDict[str, FrontendPlan]" = OrderedDict()
-
-
-def clear_plan_memo() -> None:
-    """Drop the in-process plan memo (tests)."""
-    _memo.clear()
+plan_cache_dir = PLAN_STORE.cache_dir
+mmap_sidecar_path = sidecar_path
+clear_plan_memo = PLAN_STORE.clear_memo
 
 
 def cached_plan(
@@ -749,46 +589,16 @@ def cached_plan(
 ) -> FrontendPlan:
     """Memoised + disk-cached plan for (trace, frontend config).
 
-    Lookup order: in-process memo, then the ``.npz`` cache (unless
-    disabled via ``use_disk=False`` or ``REPRO_NO_DISK_CACHE=1``), then
-    a fresh :func:`build_plan`.  Corrupt or stale entries (fingerprint
-    mismatch, e.g. after a PLAN_FORMAT bump or trace regeneration) are
-    unlinked and rebuilt, mirroring the trace cache's behaviour.
+    Served by :data:`PLAN_STORE`; ``use_disk=False`` (or
+    ``REPRO_NO_DISK_CACHE=1``) keeps it in memory.  An entry whose
+    fingerprint mismatches (a PLAN_FORMAT bump, a regenerated trace) is
+    discarded and rebuilt.
     """
     fingerprint = frontend_fingerprint(trace, machine, prefetcher)
-    plan = _memo.get(fingerprint)
-    if plan is not None:
-        _memo.move_to_end(fingerprint)
-        return plan
-    if use_disk is None:
-        use_disk = os.environ.get("REPRO_NO_DISK_CACHE", "") != "1"
-    path = _plan_path(trace, fingerprint)
-    sidecar = mmap_sidecar_path(path)
-    if use_disk and _mmap_enabled() and sidecar.exists():
-        # Sweep workers land here: zero-copy load of the parent-built
-        # plan, behind the same fingerprint check as the npz layer.
-        try:
-            plan = FrontendPlan.load_mmap(sidecar)
-            if plan.fingerprint != fingerprint or len(plan) != len(trace):
-                raise ValueError("stale plan mmap sidecar")
-        except Exception:
-            shutil.rmtree(sidecar, ignore_errors=True)  # corrupt/stale
-            plan = None
-    if plan is None and use_disk and path.exists():
-        try:
-            plan = FrontendPlan.load(path)
-            if plan.fingerprint != fingerprint or len(plan) != len(trace):
-                raise ValueError("stale plan cache entry")
-        except Exception:
-            path.unlink(missing_ok=True)  # corrupt/stale: rebuild
-            plan = None
-        if plan is not None and _mmap_enabled() and not sidecar.exists():
-            plan.write_mmap_sidecar(sidecar)  # repair for future workers
-    if plan is None:
-        plan = build_plan(trace, machine, prefetcher)
-        if use_disk:
-            plan.save(path)
-    _memo[fingerprint] = plan
-    while len(_memo) > _MEMO_CAP:
-        _memo.popitem(last=False)
-    return plan
+    return PLAN_STORE.get(
+        entry_name(trace.name, fingerprint),
+        lambda: build_plan(trace, machine, prefetcher),
+        fingerprint=fingerprint,
+        records=len(trace),
+        use_disk=use_disk,
+    )

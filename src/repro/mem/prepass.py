@@ -9,19 +9,17 @@ is a pure function of the *trace*, so one vectorized numpy pass
 precomputes it per workload and every (scheme, record) pair simply
 indexes by ``t`` instead of hashing per access.
 
-The result is cached like frontend plans: fingerprinted ``.pre.npz``
-plus an mmap ``.pre.mmap/`` sidecar in the plan cache directory
-(reusing :func:`repro.frontend.plan.write_sidecar_dir` /
-:func:`~repro.frontend.plan.read_sidecar_dir`), so sweep workers map
-the parent-built arrays instead of recomputing them N times.  Corrupt
-or stale entries are discarded and rebuilt, mirroring the plan cache.
+The result is cached by :data:`PREPASS_STORE` (see
+:mod:`repro.common.artifacts`) as ``<trace>.pre<hash>.npz`` in the plan
+cache directory, so sweep workers map the parent-built arrays instead
+of recomputing them N times.
 
 The arrays are only valid for the *demand* stream (record ``t``
 accesses ``trace.blocks[t]``); prefetch fills carry arbitrary blocks
 and keep the policies' memo-hash fallback.  ``REPRO_REPLACEMENT_PREPASS=0``
 disables the pre-pass entirely (the twins hash per access, scalars
-identical); ``REPRO_NO_DISK_CACHE=1`` and ``REPRO_PLAN_MMAP=0`` apply
-exactly as they do to plans.
+identical); ``REPRO_NO_DISK_CACHE=1`` applies exactly as it does to
+plans.
 """
 
 from __future__ import annotations
@@ -29,8 +27,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import shutil
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -38,6 +34,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from repro.common.artifacts import ArtifactStore, entry_name
 from repro.common.bitops import _GOLDEN64, L1I_SET_BITS, mask
 from repro.workloads.trace import Trace
 
@@ -101,9 +98,9 @@ class ReplacementPrepass:
     def hawkeye_sig_list(self) -> List[int]:
         return self.hawkeye_sig.tolist()
 
-    # -- persistence ---------------------------------------------------------
+    # -- persistence: the codec entry points PREPASS_STORE calls -------------
 
-    def _meta(self) -> dict:
+    def meta(self) -> dict:
         return {
             "format": PREPASS_FORMAT,
             "fingerprint": self.fingerprint,
@@ -116,33 +113,8 @@ class ReplacementPrepass:
             "records": len(self),
         }
 
-    def save(self, path: Path) -> None:
-        """Write the ``.npz`` (write-then-rename) and its mmap sidecar."""
-        from repro.frontend.plan import mmap_sidecar_path
-
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(f"{path.stem}.{os.getpid()}.tmp.npz")
-        np.savez_compressed(
-            tmp,
-            meta=np.bytes_(json.dumps(self._meta(), sort_keys=True).encode()),
-            set_index=self.set_index,
-            ghrp_sig=self.ghrp_sig,
-            hawkeye_sig=self.hawkeye_sig,
-        )
-        os.replace(tmp, path)
-        self.write_mmap_sidecar(mmap_sidecar_path(path))
-
-    def write_mmap_sidecar(self, dirpath: Path) -> None:
-        from repro.frontend.plan import write_sidecar_dir
-
-        write_sidecar_dir(
-            dirpath,
-            {name: getattr(self, name) for name in PREPASS_ARRAY_FIELDS},
-            self._meta(),
-        )
-
     @classmethod
-    def _from_meta(cls, meta: dict, arrays: dict) -> "ReplacementPrepass":
+    def from_parts(cls, meta: dict, arrays: dict) -> "ReplacementPrepass":
         if int(meta["format"]) != PREPASS_FORMAT:
             raise ValueError(
                 f"prepass format {meta['format']} != {PREPASS_FORMAT}"
@@ -161,21 +133,16 @@ class ReplacementPrepass:
             **arrays,
         )
 
+    def save(self, path: Path) -> None:
+        PREPASS_STORE.save(self, path)
+
     @classmethod
     def load(cls, path: Path) -> "ReplacementPrepass":
-        with np.load(path) as data:
-            meta = json.loads(bytes(data["meta"]).decode())
-            arrays = {
-                name: np.asarray(data[name]) for name in PREPASS_ARRAY_FIELDS
-            }
-        return cls._from_meta(meta, arrays)
+        return PREPASS_STORE.read_npz(path)
 
     @classmethod
     def load_mmap(cls, dirpath: Path) -> "ReplacementPrepass":
-        from repro.frontend.plan import read_sidecar_dir
-
-        meta, arrays = read_sidecar_dir(dirpath, PREPASS_ARRAY_FIELDS)
-        return cls._from_meta(meta, arrays)
+        return PREPASS_STORE.read_sidecar(dirpath)
 
 
 def prepass_fingerprint(
@@ -226,23 +193,19 @@ def build_replacement_prepass(
     )
 
 
-def _prepass_path(trace: Trace, fingerprint: str) -> Path:
-    from repro.frontend.plan import _plan_path
+#: Lives beside the plans (``REPRO_PLAN_CACHE`` applies); the ``pre``
+#: fingerprint prefix keeps the names apart.  A sweep touches a handful
+#: of workloads at once.
+PREPASS_STORE = ArtifactStore(
+    "replacement pre-pass",
+    ReplacementPrepass,
+    PREPASS_ARRAY_FIELDS,
+    memo_cap=8,
+    cache_env="REPRO_PLAN_CACHE",
+    cache_subdir="plans",
+)
 
-    # Reuse the plan cache's directory and naming (``REPRO_PLAN_CACHE``
-    # redirection applies); the fingerprint prefix keeps the suffix
-    # distinct: <trace>.pre<hash>.npz + <trace>.pre<hash>.mmap/.
-    return _plan_path(trace, fingerprint)
-
-
-#: Small in-process memo (a sweep touches a handful of workloads).
-_MEMO_CAP = 8
-_memo: "OrderedDict[str, ReplacementPrepass]" = OrderedDict()
-
-
-def clear_prepass_memo() -> None:
-    """Drop the in-process pre-pass memo (tests)."""
-    _memo.clear()
+clear_prepass_memo = PREPASS_STORE.clear_memo
 
 
 def cached_replacement_prepass(
@@ -250,44 +213,14 @@ def cached_replacement_prepass(
 ) -> ReplacementPrepass:
     """Memoised + disk-cached pre-pass for ``trace`` (default geometry).
 
-    Lookup order mirrors :func:`repro.frontend.plan.cached_plan`: memo,
-    mmap sidecar, ``.npz``, fresh build.  Corrupt or stale entries are
-    discarded and rebuilt.
+    Served by :data:`PREPASS_STORE`, like
+    :func:`repro.frontend.plan.cached_plan`.
     """
-    from repro.frontend.plan import _mmap_enabled, mmap_sidecar_path
-
     fingerprint = prepass_fingerprint(trace)
-    pre = _memo.get(fingerprint)
-    if pre is not None:
-        _memo.move_to_end(fingerprint)
-        return pre
-    if use_disk is None:
-        use_disk = os.environ.get("REPRO_NO_DISK_CACHE", "") != "1"
-    path = _prepass_path(trace, fingerprint)
-    sidecar = mmap_sidecar_path(path)
-    if use_disk and _mmap_enabled() and sidecar.exists():
-        try:
-            pre = ReplacementPrepass.load_mmap(sidecar)
-            if pre.fingerprint != fingerprint or len(pre) != len(trace):
-                raise ValueError("stale prepass mmap sidecar")
-        except Exception:
-            shutil.rmtree(sidecar, ignore_errors=True)  # corrupt/stale
-            pre = None
-    if pre is None and use_disk and path.exists():
-        try:
-            pre = ReplacementPrepass.load(path)
-            if pre.fingerprint != fingerprint or len(pre) != len(trace):
-                raise ValueError("stale prepass cache entry")
-        except Exception:
-            path.unlink(missing_ok=True)  # corrupt/stale: rebuild
-            pre = None
-        if pre is not None and _mmap_enabled() and not sidecar.exists():
-            pre.write_mmap_sidecar(sidecar)  # repair for future workers
-    if pre is None:
-        pre = build_replacement_prepass(trace)
-        if use_disk:
-            pre.save(path)
-    _memo[fingerprint] = pre
-    while len(_memo) > _MEMO_CAP:
-        _memo.popitem(last=False)
-    return pre
+    return PREPASS_STORE.get(
+        entry_name(trace.name, fingerprint),
+        lambda: build_replacement_prepass(trace),
+        fingerprint=fingerprint,
+        records=len(trace),
+        use_disk=use_disk,
+    )

@@ -13,28 +13,16 @@ needs:
   caused a non-sequential transfer (-1 for sequential flow).
 
 Traces are deterministic functions of (profile, length, seed) and are
-cached on disk as ``.npz`` under ``.cache/traces`` so repeated bench
-runs do not regenerate them.
-
-Like frontend plans, npz members live inside a zip archive and cannot
-be memory-mapped, so each saved trace also gets an uncompressed *mmap
-sidecar* — a ``<key>.mmap/`` directory of raw ``.npy`` files plus a
-``meta.json`` (written last, the commit marker) recording the size and
-content hash of the ``.npz`` it was derived from.  ``cached_trace``
-serves sidecars through ``np.load(mmap_mode="r")`` behind that hash
-check, so N resident sweep workers loading the same workload share one
-page cache instead of each inflating its own copy; a sidecar whose
-recorded npz hash no longer matches the npz on disk (the trace was
-regenerated) is discarded and rebuilt.  Set ``REPRO_TRACE_MMAP=0`` to
-force full npz loads.
+cached on disk under ``.cache/traces`` by :data:`TRACE_STORE` (see
+:mod:`repro.common.artifacts`): an ``.npz`` per key plus an mmap
+sidecar, so repeated bench runs do not regenerate them and resident
+sweep workers share one page cache per workload.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import os
-import shutil
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -42,11 +30,9 @@ from typing import List, Optional
 
 import numpy as np
 
-#: Bump when the sidecar layout changes; stale sidecars then miss on
-#: format and are rebuilt from the npz.
-TRACE_FORMAT = 1
+from repro.common.artifacts import ArtifactStore, sidecar_path
 
-#: The trace's bulk arrays, in the order the mmap sidecar stores them.
+#: The trace's bulk arrays, as the cache stores them.
 TRACE_ARRAY_FIELDS = ("blocks", "instrs", "branch_kind", "branch_site")
 
 
@@ -163,8 +149,8 @@ class Trace:
         Unlike :meth:`slice` (a view over the parent's arrays, which
         pins a mmap'd parent's sidecar open and cannot be saved while
         the parent lives elsewhere) this *materializes* the window:
-        contiguous copies suitable for :meth:`save` /
-        ``write_mmap_sidecar`` as an independent cache entry — the unit
+        contiguous copies suitable for :meth:`save` as an
+        independent cache entry — the unit
         the sharded runner ships when a window must travel to another
         machine.  Bounds are validated; window identity is carried in
         the name (and thus the digest).
@@ -186,155 +172,42 @@ class Trace:
             seed=self.seed,
         )
 
-    # -- persistence ---------------------------------------------------------
+    # -- persistence: the codec entry points TRACE_STORE calls --------------
+
+    def meta(self) -> dict:
+        return {"name": self.name, "seed": self.seed}
+
+    @classmethod
+    def from_parts(cls, meta: dict, arrays: dict) -> "Trace":
+        return cls(name=str(meta["name"]), seed=int(meta["seed"]), **arrays)
 
     def save(self, path: Path) -> None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        # Write-then-rename so a concurrent reader (another sweep worker
-        # warming the same workload) never loads a partial npz; the
-        # finally-unlink reaps the temp file if the write raises.
-        tmp = path.with_name(f"{path.stem}.{os.getpid()}.tmp.npz")
-        try:
-            np.savez_compressed(
-                tmp,
-                blocks=self.blocks,
-                instrs=self.instrs,
-                branch_kind=self.branch_kind,
-                branch_site=self.branch_site,
-                seed=np.int64(self.seed),
-                name=np.bytes_(self.name.encode()),
-            )
-            os.replace(tmp, path)
-        finally:
-            tmp.unlink(missing_ok=True)
-        from repro.common.faults import fire
-
-        # After the rename: injected damage lands on the committed npz,
-        # which is exactly what cached_trace must discard and rebuild.
-        fire("trace-npz", str(path))
-        self.write_mmap_sidecar(mmap_sidecar_path(path), path)
+        TRACE_STORE.save(self, path)
 
     @classmethod
     def load(cls, path: Path) -> "Trace":
-        with np.load(path) as data:
-            return cls(
-                name=bytes(data["name"]).decode(),
-                blocks=data["blocks"],
-                instrs=data["instrs"],
-                branch_kind=data["branch_kind"],
-                branch_site=data["branch_site"],
-                seed=int(data["seed"]),
-            )
-
-    # -- mmap sidecar --------------------------------------------------------
-
-    def write_mmap_sidecar(self, dirpath: Path, npz_path: Path) -> None:
-        """Write the uncompressed ``.npy``-per-array sidecar for ``dirpath``.
-
-        Built in a temp directory and committed by rename; ``meta.json``
-        (recording the npz file's size and sha1 so staleness is
-        detectable) is written last inside the temp dir, so a directory
-        without readable meta is never trusted.  Best effort: a lost
-        race against another writer leaves the winner's sidecar in
-        place.
-        """
-        tmp = dirpath.with_name(f"{dirpath.name}.{os.getpid()}.tmp")
-        shutil.rmtree(tmp, ignore_errors=True)
-        tmp.mkdir(parents=True)
-        try:
-            for field in TRACE_ARRAY_FIELDS:
-                np.save(tmp / f"{field}.npy", getattr(self, field))
-            meta = {
-                "format": TRACE_FORMAT,
-                "name": self.name,
-                "seed": self.seed,
-                "records": len(self),
-                "npz_size": npz_path.stat().st_size,
-                "npz_sha1": _file_sha1(npz_path),
-            }
-            (tmp / "meta.json").write_text(json.dumps(meta, sort_keys=True))
-            shutil.rmtree(dirpath, ignore_errors=True)
-            os.replace(tmp, dirpath)
-        except OSError:
-            shutil.rmtree(tmp, ignore_errors=True)
-            return
-        from repro.common.faults import fire
-
-        fire("sidecar", str(dirpath / "meta.json"))
+        return TRACE_STORE.read_npz(path)
 
     @classmethod
-    def load_mmap(cls, dirpath: Path, npz_path: Path) -> "Trace":
-        """Load a trace from its mmap sidecar; arrays are memory-mapped.
-
-        Raises on any corruption or staleness (missing/truncated arrays,
-        bad meta, format drift, or an npz whose size/hash no longer
-        matches what the sidecar was derived from) — callers discard the
-        sidecar and fall back to the npz.
-        """
-        meta_path = dirpath / "meta.json"
-        if not meta_path.exists() or meta_path.stat().st_size == 0:
-            raise ValueError(f"trace sidecar {dirpath} has empty or missing meta.json")
-        missing = [
-            field
-            for field in TRACE_ARRAY_FIELDS
-            if not (dirpath / f"{field}.npy").exists()
-        ]
-        if missing:
-            raise ValueError(f"trace sidecar {dirpath} is missing arrays: {missing}")
-        meta = json.loads(meta_path.read_text())
-        if int(meta["format"]) != TRACE_FORMAT:
-            raise ValueError(f"trace sidecar format {meta['format']} != {TRACE_FORMAT}")
-        if npz_path.stat().st_size != int(meta["npz_size"]):
-            raise ValueError(f"stale trace sidecar (npz size changed) in {dirpath}")
-        if _file_sha1(npz_path) != str(meta["npz_sha1"]):
-            raise ValueError(f"stale trace sidecar (npz content changed) in {dirpath}")
-        arrays = {
-            field: np.load(dirpath / f"{field}.npy", mmap_mode="r")
-            for field in TRACE_ARRAY_FIELDS
-        }
-        n = int(meta["records"])
-        if any(len(arrays[field]) != n for field in TRACE_ARRAY_FIELDS):
-            raise ValueError(f"inconsistent sidecar array lengths in {dirpath}")
-        return cls(name=str(meta["name"]), seed=int(meta["seed"]), **arrays)
+    def load_mmap(cls, dirpath: Path) -> "Trace":
+        return TRACE_STORE.read_sidecar(dirpath)
 
 
-#: Per-process memo of npz content hashes, keyed by (path, size,
-#: mtime_ns): the staleness check then hashes each npz at most once per
-#: process instead of on every sidecar open.
-_sha1_memo: dict = {}
+#: Traces stay on disk even under ``REPRO_NO_DISK_CACHE`` and are not
+#: memoised here: the harness keeps its own per-workload contexts.
+TRACE_STORE = ArtifactStore(
+    "trace",
+    Trace,
+    TRACE_ARRAY_FIELDS,
+    memo_cap=0,
+    cache_env="REPRO_TRACE_CACHE",
+    cache_subdir="traces",
+    scalar_meta=True,
+    npz_fault_site="trace-npz",
+)
 
-
-def _file_sha1(path: Path) -> str:
-    stat = path.stat()
-    key = (str(path), stat.st_size, stat.st_mtime_ns)
-    cached = _sha1_memo.get(key)
-    if cached is not None:
-        return cached
-    h = hashlib.sha1()
-    with path.open("rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-    digest = h.hexdigest()
-    _sha1_memo[key] = digest
-    return digest
-
-
-def trace_cache_dir() -> Path:
-    """Directory for cached traces (override with REPRO_TRACE_CACHE)."""
-    env = os.environ.get("REPRO_TRACE_CACHE")
-    if env:
-        return Path(env)
-    return Path(__file__).resolve().parents[3] / ".cache" / "traces"
-
-
-def mmap_sidecar_path(npz_path: Path) -> Path:
-    """The mmap sidecar directory belonging to a trace ``.npz`` path."""
-    return npz_path.with_name(f"{npz_path.stem}.mmap")
-
-
-def _trace_mmap_enabled() -> bool:
-    """Sidecar mmap reads are on unless REPRO_TRACE_MMAP=0."""
-    return os.environ.get("REPRO_TRACE_MMAP", "") != "0"
+trace_cache_dir = TRACE_STORE.cache_dir
+mmap_sidecar_path = sidecar_path
 
 
 def _note_deserialization(key: str) -> None:
@@ -351,36 +224,8 @@ def _note_deserialization(key: str) -> None:
 
 
 def cached_trace(key: str, builder) -> Trace:
-    """Load trace ``key`` from the cache, building and saving on miss.
-
-    Lookup order: the mmap sidecar (zero-copy, shared page cache across
-    sweep workers; validated against the npz's recorded hash), then the
-    ``.npz``, then a fresh build.  Corrupt or stale entries are
-    discarded and rebuilt; a valid npz missing its sidecar has the
-    sidecar repaired for future workers.
-    """
-    path = trace_cache_dir() / f"{key}.npz"
-    sidecar = mmap_sidecar_path(path)
-    use_mmap = _trace_mmap_enabled()
-    if use_mmap and path.exists() and sidecar.is_dir():
-        try:
-            trace = Trace.load_mmap(sidecar, path)
-            _note_deserialization(key)
-            return trace
-        except Exception:
-            shutil.rmtree(sidecar, ignore_errors=True)  # corrupt/stale
-    if path.exists():
-        try:
-            trace = Trace.load(path)
-        except Exception:
-            path.unlink(missing_ok=True)  # corrupt cache entry: rebuild
-        else:
-            if use_mmap and not sidecar.is_dir():
-                trace.write_mmap_sidecar(sidecar, path)  # repair
-            _note_deserialization(key)
-            return trace
-    trace = builder()
-    trace.save(path)
+    """Trace ``key`` from :data:`TRACE_STORE`, built and saved on a miss."""
+    trace = TRACE_STORE.get(key, builder, use_disk=True)
     _note_deserialization(key)
     return trace
 

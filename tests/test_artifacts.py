@@ -1,0 +1,159 @@
+"""The shared artifact store under concurrency and failure.
+
+Every cached numpy artifact (traces, frontend plans, entangling plans,
+replacement pre-passes) goes through
+:class:`repro.common.artifacts.ArtifactStore`.  These tests pin what the
+store owes a multi-threaded caller: concurrent cold writers of one key
+never collide on a temp name, the memo survives threads racing lookups
+against evictions, and a failed write leaves no temp file behind.
+"""
+
+from __future__ import annotations
+
+import sys
+import threading
+
+import numpy as np
+import pytest
+
+from repro.common.artifacts import ArtifactStore, sidecar_path
+from repro.frontend.plan import (
+    PLAN_ARRAY_FIELDS,
+    FrontendPlan,
+    build_plan,
+    cached_plan,
+    clear_plan_memo,
+)
+from repro.mem.prepass import build_replacement_prepass
+from repro.uarch.params import DEFAULT_MACHINE
+from repro.workloads.trace import TRACE_ARRAY_FIELDS, Trace
+
+from test_frontend_plan import random_trace
+
+THREADS = 8
+
+
+def _hammer(fn, switch_interval=None):
+    """Run ``fn`` on ``THREADS`` threads released together.
+
+    Returns ``(results, errors)``; a shortened ``switch_interval``
+    makes the interpreter interleave the threads more finely.
+    """
+    barrier = threading.Barrier(THREADS)
+    results, errors = [], []
+
+    def worker():
+        barrier.wait()
+        try:
+            results.append(fn())
+        except Exception as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=worker) for _ in range(THREADS)]
+    old = sys.getswitchinterval()
+    if switch_interval is not None:
+        sys.setswitchinterval(switch_interval)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    return results, errors
+
+
+def _temps(directory):
+    return sorted(p.name for p in directory.iterdir() if ".tmp" in p.name)
+
+
+def _fail(*args, **kwargs):
+    raise RuntimeError("injected write failure")
+
+
+@pytest.fixture()
+def plan_cache(tmp_path, monkeypatch):
+    monkeypatch.setenv("REPRO_PLAN_CACHE", str(tmp_path))
+    monkeypatch.delenv("REPRO_NO_DISK_CACHE", raising=False)
+    clear_plan_memo()
+    yield tmp_path
+    clear_plan_memo()
+
+
+class TestConcurrentWriters:
+    def test_cold_cached_plan_from_many_threads(self, plan_cache):
+        trace = random_trace(40, n=2000)
+        plans, errors = _hammer(lambda: cached_plan(trace, DEFAULT_MACHINE, "fdp"))
+        assert errors == []
+        assert len(plans) == THREADS
+        reference = build_plan(trace, DEFAULT_MACHINE, "fdp")
+        for plan in plans:
+            for name in PLAN_ARRAY_FIELDS:
+                assert np.array_equal(getattr(plan, name), getattr(reference, name))
+        assert _temps(plan_cache) == []
+
+    def test_trace_saves_to_one_path_from_many_threads(self, tmp_path):
+        trace = random_trace(41, n=2000)
+        path = tmp_path / "trace.npz"
+        _, errors = _hammer(lambda: trace.save(path))
+        assert errors == []
+        loaded = Trace.load(path)
+        for name in TRACE_ARRAY_FIELDS:
+            assert np.array_equal(getattr(loaded, name), getattr(trace, name))
+        assert sidecar_path(path).is_dir()
+        assert _temps(tmp_path) == []
+
+
+class TestMemo:
+    def test_lookups_racing_evictions_at_cap_one(self):
+        store = ArtifactStore(
+            "toy", object, (), memo_cap=1,
+            cache_env="REPRO_PLAN_CACHE", cache_subdir="plans",
+        )
+        keys = ("a", "b", "c")
+
+        def churn():
+            for i in range(3000):
+                key = keys[i % len(keys)]
+                assert store.get(key, lambda: key, use_disk=False) == key
+                assert store.memo_size() <= 1
+            return True
+
+        results, errors = _hammer(churn, switch_interval=1e-6)
+        assert errors == []
+        assert results == [True] * THREADS
+
+
+class TestFailedWrites:
+    @pytest.mark.parametrize("kind", ["trace", "plan", "prepass"])
+    def test_failed_npz_write_reaps_its_temp(self, kind, tmp_path, monkeypatch):
+        trace = random_trace(42, n=500)
+        artifact = {
+            "trace": lambda: trace,
+            "plan": lambda: build_plan(trace, DEFAULT_MACHINE, "fdp"),
+            "prepass": lambda: build_replacement_prepass(trace),
+        }[kind]()
+        monkeypatch.setattr(np, "savez_compressed", _fail)
+        with pytest.raises(RuntimeError, match="injected write failure"):
+            artifact.save(tmp_path / "entry.npz")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_cold_cached_plan_propagates(self, plan_cache, monkeypatch):
+        monkeypatch.setattr(np, "savez_compressed", _fail)
+        with pytest.raises(RuntimeError, match="injected write failure"):
+            cached_plan(random_trace(43, n=500), DEFAULT_MACHINE, "fdp")
+        assert list(plan_cache.iterdir()) == []
+
+    def test_failed_sidecar_write_keeps_the_npz(self, tmp_path, monkeypatch):
+        plan = build_plan(random_trace(44, n=500), DEFAULT_MACHINE, "fdp")
+        path = tmp_path / "entry.npz"
+
+        def disk_full(*args, **kwargs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "save", disk_full)
+        plan.save(path)  # the sidecar is best effort
+        monkeypatch.undo()
+        assert [p.name for p in tmp_path.iterdir()] == ["entry.npz"]
+        assert FrontendPlan.load(path).fingerprint == plan.fingerprint

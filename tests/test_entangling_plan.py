@@ -259,7 +259,6 @@ def isolated_caches(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_PLAN_CACHE", str(tmp_path))
     monkeypatch.delenv("REPRO_NO_DISK_CACHE", raising=False)
     monkeypatch.delenv("REPRO_ENTANGLING_PLAN", raising=False)
-    monkeypatch.delenv("REPRO_PLAN_MMAP", raising=False)
     clear_plan_memo()
     clear_entangling_plan_memo()
     yield tmp_path

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import os
 import pickle
+import shutil
 
 import numpy as np
 import pytest
@@ -311,7 +312,6 @@ class TestFileMangleFaults:
 
     def test_trace_sidecar_stale_rebuilt(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path))
-        monkeypatch.delenv("REPRO_TRACE_MMAP", raising=False)
         monkeypatch.setenv("REPRO_FAULT", "sidecar:stale@1")
         monkeypatch.delenv("REPRO_FAULT_ONCE", raising=False)
         faults.reset()
@@ -328,13 +328,13 @@ class TestFileMangleFaults:
 
     def test_trace_npz_truncate_rebuilt(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path))
-        monkeypatch.setenv("REPRO_TRACE_MMAP", "0")
         monkeypatch.setenv("REPRO_FAULT", "trace-npz:truncate@1")
         monkeypatch.delenv("REPRO_FAULT_ONCE", raising=False)
         faults.reset()
         fresh = get_workload("x264").trace(records=RECORDS)
         (npz,) = tmp_path.glob("*.npz")
         truncated_size = npz.stat().st_size
+        shutil.rmtree(mmap_sidecar_path(npz))  # make the reload read the npz
 
         monkeypatch.delenv("REPRO_FAULT")
         faults.reset()

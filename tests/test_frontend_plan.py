@@ -13,6 +13,7 @@ plan analogue of ``tests/test_runner_cache.py``.
 from __future__ import annotations
 
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -305,22 +306,26 @@ class TestSimulateArgumentValidation:
 def plan_cache(tmp_path, monkeypatch):
     """Isolated plan cache on disk, empty in-process memo.
 
-    mmap sidecar reads are disabled so these tests exercise the npz
-    layer in isolation; ``TestPlanMmapSidecar`` covers the sidecar.
+    Tests that reload drop the sidecars first (:func:`_drop_sidecars`)
+    so they exercise the npz layer in isolation;
+    ``TestPlanMmapSidecar`` covers the sidecar.
     """
     monkeypatch.setenv("REPRO_PLAN_CACHE", str(tmp_path))
-    monkeypatch.setenv("REPRO_PLAN_MMAP", "0")
     monkeypatch.delenv("REPRO_NO_DISK_CACHE", raising=False)
     clear_plan_memo()
     yield tmp_path
     clear_plan_memo()
 
 
+def _drop_sidecars(cache):
+    for sidecar in cache.glob("*.mmap"):
+        shutil.rmtree(sidecar)
+
+
 @pytest.fixture()
 def mmap_plan_cache(tmp_path, monkeypatch):
-    """Isolated plan cache with mmap sidecar reads enabled."""
+    """Isolated plan cache, sidecars left in place."""
     monkeypatch.setenv("REPRO_PLAN_CACHE", str(tmp_path))
-    monkeypatch.setenv("REPRO_PLAN_MMAP", "1")
     monkeypatch.delenv("REPRO_NO_DISK_CACHE", raising=False)
     clear_plan_memo()
     yield tmp_path
@@ -336,6 +341,7 @@ class TestPlanCache:
         (entry,) = plan_cache.glob("*.npz")
 
         clear_plan_memo()  # force the disk layer
+        _drop_sidecars(plan_cache)
         loaded = cached_plan(trace, DEFAULT_MACHINE, "fdp")
         for name in PLAN_ARRAYS:
             assert np.array_equal(getattr(loaded, name), getattr(fresh, name))
@@ -356,6 +362,7 @@ class TestPlanCache:
         entry.write_text("{not an npz")
 
         clear_plan_memo()
+        _drop_sidecars(plan_cache)
         rebuilt = cached_plan(trace, DEFAULT_MACHINE, "fdp")
         for name in PLAN_ARRAYS:
             assert np.array_equal(getattr(rebuilt, name), getattr(fresh, name))
@@ -380,6 +387,7 @@ class TestPlanCache:
         stale.save(entry)
 
         clear_plan_memo()
+        _drop_sidecars(plan_cache)
         rebuilt = cached_plan(trace, DEFAULT_MACHINE, "fdp")
         assert rebuilt.fingerprint == fresh.fingerprint
         assert np.array_equal(rebuilt.mispredict, fresh.mispredict)
@@ -536,11 +544,3 @@ class TestPlanMmapSidecar:
         for name in PLAN_ARRAYS:
             assert np.array_equal(getattr(loaded, name), getattr(fresh, name))
         assert (sidecar / "mispredict.npy").exists(), "sidecar was repaired"
-
-    def test_env_opt_out_loads_plain_arrays(self, mmap_plan_cache, monkeypatch):
-        trace = random_trace(6, n=800)
-        cached_plan(trace, DEFAULT_MACHINE, "fdp")
-        monkeypatch.setenv("REPRO_PLAN_MMAP", "0")
-        clear_plan_memo()
-        loaded = cached_plan(trace, DEFAULT_MACHINE, "fdp")
-        assert not isinstance(loaded.mispredict, np.memmap)

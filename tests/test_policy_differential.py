@@ -27,10 +27,12 @@ from __future__ import annotations
 
 import pickle
 import random
+import shutil
 
 import numpy as np
 import pytest
 
+from repro.common.artifacts import entry_name, sidecar_path
 from repro.harness.experiment import run_experiment
 from repro.harness.schemes import PlainCacheScheme, SchemeContext, make_scheme
 from repro.mem import prepass as prepass_mod
@@ -525,13 +527,17 @@ class TestBoundedMemos:
 
     def test_prepass_memo_bounded(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_PLAN_CACHE", str(tmp_path))
-        monkeypatch.setattr(prepass_mod, "_MEMO_CAP", 2)
+        monkeypatch.setattr(prepass_mod.PREPASS_STORE, "memo_cap", 2)
         prepass_mod.clear_prepass_memo()
         for records in (500, 600, 700, 800):
             trace = get_workload(WORKLOAD).trace(records=records)
             prepass_mod.cached_replacement_prepass(trace)
-            assert len(prepass_mod._memo) <= 2
+            assert prepass_mod.PREPASS_STORE.memo_size() <= 2
         prepass_mod.clear_prepass_memo()
+
+
+def _prepass_path(trace, fingerprint):
+    return prepass_mod.PREPASS_STORE.path(entry_name(trace.name, fingerprint))
 
 
 class TestPrepassCache:
@@ -567,25 +573,21 @@ class TestPrepassCache:
         np.testing.assert_array_equal(again.ghrp_sig, first.ghrp_sig)
         np.testing.assert_array_equal(again.hawkeye_sig, first.hawkeye_sig)
 
-    def test_corrupt_npz_discarded_and_rebuilt(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PLAN_MMAP", "0")  # exercise .npz path
+    def test_corrupt_npz_discarded_and_rebuilt(self):
         trace = get_workload(WORKLOAD).trace(records=700)
         built = prepass_mod.cached_replacement_prepass(trace)
-        path = prepass_mod._prepass_path(trace, built.fingerprint)
+        path = _prepass_path(trace, built.fingerprint)
         assert path.exists()
+        shutil.rmtree(sidecar_path(path))  # exercise .npz path
         path.write_bytes(b"not an npz")
         prepass_mod.clear_prepass_memo()
         rebuilt = prepass_mod.cached_replacement_prepass(trace)
         np.testing.assert_array_equal(rebuilt.ghrp_sig, built.ghrp_sig)
 
     def test_corrupt_mmap_sidecar_discarded(self):
-        from repro.frontend.plan import mmap_sidecar_path
-
         trace = get_workload(WORKLOAD).trace(records=700)
         built = prepass_mod.cached_replacement_prepass(trace)
-        sidecar = mmap_sidecar_path(
-            prepass_mod._prepass_path(trace, built.fingerprint)
-        )
+        sidecar = sidecar_path(_prepass_path(trace, built.fingerprint))
         if sidecar.exists():  # mmap may be disabled in this environment
             (sidecar / "meta.json").write_text("{broken")
             prepass_mod.clear_prepass_memo()
@@ -610,4 +612,4 @@ class TestPrepassCache:
         twin = FlatGHRPScheme(CONFIG)
         twin.prepare_trace(trace)
         assert twin._sig_of_t is None
-        assert not prepass_mod._memo
+        assert prepass_mod.PREPASS_STORE.memo_size() == 0

@@ -6,7 +6,7 @@ so resident sweep workers share one page cache per workload.  A sidecar
 is only trusted while the ``.npz`` it was derived from still matches
 the size/sha1 recorded in its ``meta.json``; anything corrupt, stale or
 truncated is discarded and rebuilt from the npz without ever producing
-wrong arrays.  ``REPRO_TRACE_MMAP=0`` opts out (plain npz loads).
+wrong arrays.
 """
 
 from __future__ import annotations
@@ -31,9 +31,8 @@ WORKLOAD = "x264"
 
 @pytest.fixture()
 def trace_cache(tmp_path, monkeypatch):
-    """Isolated trace cache with mmap sidecar reads enabled."""
+    """Isolated trace cache."""
     monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path))
-    monkeypatch.delenv("REPRO_TRACE_MMAP", raising=False)
     return tmp_path
 
 
@@ -143,13 +142,6 @@ class TestTraceMmapSidecar:
         assert np.array_equal(loaded.blocks, fresh.blocks)
         assert sidecar.is_dir()
         assert isinstance(_build().blocks, np.memmap)
-
-    def test_env_opt_out_loads_plain_arrays(self, trace_cache, monkeypatch):
-        fresh = _build()
-        monkeypatch.setenv("REPRO_TRACE_MMAP", "0")
-        loaded = _build()
-        assert not isinstance(loaded.blocks, np.memmap)
-        assert np.array_equal(loaded.blocks, fresh.blocks)
 
     def test_cache_dir_override_honoured(self, trace_cache):
         _build()
