@@ -11,10 +11,10 @@ and one :class:`ArtifactStore` per kind owns how:
 * the cache directory (relocated by the kind's ``REPRO_*_CACHE``
   variable) and entry naming: ``<name>.npz`` plus ``<name>.mmap/``;
 * the lookup ladder: memo, then mmap sidecar, then npz, then build;
-* writes: the compressed ``.npz`` goes through a temp file unique to
-  the writer and one rename, so concurrent readers never see a partial
-  entry and concurrent writers never share a temp name; a failed write
-  leaves no temp file behind;
+* writes: the ``.npz`` is deflated at zlib level 1 (:func:`write_npz`)
+  and goes through a temp file unique to the writer and one rename, so
+  concurrent readers never see a partial entry and concurrent writers
+  never share a temp name; a failed write leaves no temp file behind;
 * the *mmap sidecar*: npz members live in a zip archive and cannot be
   memory-mapped, so every saved entry also gets an uncompressed
   ``<name>.mmap/`` directory of raw ``.npy`` files plus a ``meta.json``
@@ -44,6 +44,7 @@ import re
 import shutil
 import tempfile
 import threading
+import zipfile
 from collections import OrderedDict
 from pathlib import Path
 from typing import Callable, Dict, Optional, Sequence, Tuple
@@ -89,6 +90,25 @@ def file_sha1(path: Path) -> str:
                 h.update(chunk)
         digest = _sha1_memo[key] = h.hexdigest()
     return digest
+
+
+def write_npz(path: str | Path, members: Dict[str, object]) -> None:
+    """Write ``members`` to ``path`` as an npz, deflated at zlib level 1.
+
+    The archive is what ``np.savez_compressed`` writes (one ``.npy``
+    member per key, so ``np.load`` reads it) except for the level:
+    ``savez_compressed`` uses zlib's default 6, which on 160k-record
+    artifacts takes 2-5x as long for a file 10-65% smaller, and a cold
+    sweep pays every write serially before its workers start.
+    """
+    with zipfile.ZipFile(
+        path, "w", compression=zipfile.ZIP_DEFLATED, compresslevel=1
+    ) as archive:
+        for key, value in members.items():
+            with archive.open(f"{key}.npy", "w", force_zip64=True) as member:
+                np.lib.format.write_array(
+                    member, np.asanyarray(value), allow_pickle=False
+                )
 
 
 def _scalar(value: np.ndarray):
@@ -251,7 +271,7 @@ class ArtifactStore:
         )
         os.close(fd)
         try:
-            np.savez_compressed(tmp, **members)
+            write_npz(tmp, members)
             os.replace(tmp, path)
         finally:
             Path(tmp).unlink(missing_ok=True)  # only still there on failure

@@ -6,7 +6,9 @@ admission predictor (Figure 17 replaces the two-level structure with a
 bimodal / global-history predictor) and as test baselines.
 
 All predictors share one interface: ``predict(site) -> bool`` then
-``update(site, taken)``.
+``update(site, taken) -> bool``, which trains on the resolved outcome
+and returns the prediction it trained (what ``predict`` answered just
+before), so a caller counting accuracy looks up once.
 """
 
 from __future__ import annotations
@@ -14,7 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.common.bitops import fold_hash, mask
+from repro.common.bitops import _GOLDEN64, _MASK64, fold_hash, mask
+
+#: TAGE's global history register width; no table reaches further back.
+_GHR_BITS = 1024
+_GHR_MASK = mask(_GHR_BITS)
 
 
 @dataclass
@@ -40,7 +46,7 @@ class BimodalPredictor:
     def predict(self, site: int) -> bool:
         return self.table[fold_hash(site, self.table_bits)] >= self.threshold
 
-    def update(self, site: int, taken: bool) -> None:
+    def update(self, site: int, taken: bool) -> bool:
         idx = fold_hash(site, self.table_bits)
         prediction = self.table[idx] >= self.threshold
         self.stats.predictions += 1
@@ -51,6 +57,7 @@ class BimodalPredictor:
                 self.table[idx] += 1
         elif self.table[idx] > 0:
             self.table[idx] -= 1
+        return prediction
 
     # -- checkpoint/resume --------------------------------------------------
 
@@ -88,7 +95,7 @@ class GsharePredictor:
     def predict(self, site: int) -> bool:
         return self.table[self._index(site)] >= self.threshold
 
-    def update(self, site: int, taken: bool) -> None:
+    def update(self, site: int, taken: bool) -> bool:
         idx = self._index(site)
         prediction = self.table[idx] >= self.threshold
         self.stats.predictions += 1
@@ -100,6 +107,7 @@ class GsharePredictor:
         elif self.table[idx] > 0:
             self.table[idx] -= 1
         self.ghr = ((self.ghr << 1) | int(taken)) & mask(self.history_bits)
+        return prediction
 
     # -- checkpoint/resume --------------------------------------------------
 
@@ -117,6 +125,35 @@ class GsharePredictor:
         load_stats(self.stats, state["stats"])
 
 
+def _fold_by_age(history: int, width: int, span: int) -> int:
+    """The last ``span`` outcomes of ``history`` folded to ``width`` bits.
+
+    The outcome of age ``a`` (bit ``a`` of ``history``) is XORed in at
+    bit ``a mod width``: the invariant every folded-history register
+    keeps.
+    """
+    folded = 0
+    for age in range(span):
+        if (history >> age) & 1:
+            folded ^= 1 << (age % width)
+    return folded
+
+
+def _push_folds(folds: List[int], geometry, old_history: int, bit: int) -> List[int]:
+    """The registers after ``bit`` is pushed onto ``old_history``.
+
+    Each rotates left by one (every outcome ages by one), takes the new
+    outcome in at bit 0 and drops the one leaving its span, which the
+    rotation just moved to bit ``span mod width``.
+    """
+    return [
+        (((f << 1) & width_mask) | (f >> top))
+        ^ bit
+        ^ (((old_history >> oldest) & 1) << out)
+        for f, (top, width_mask, oldest, out) in zip(folds, geometry)
+    ]
+
+
 class _TageEntry:
     __slots__ = ("tag", "counter", "useful")
 
@@ -132,6 +169,16 @@ class TagePredictor:
     Faithful to the TAGE structure (geometric history lengths, tagged
     components, provider/altpred selection, useful counters, allocation
     on mispredict) while staying small enough for a Python hot loop.
+
+    Each table hashes its history through two *folded-history
+    registers*, one ``table_bits`` wide for the index and one
+    ``tag_bits`` wide for the tag, kept as TAGE hardware keeps them:
+    circular shift registers updated at every history push, never
+    re-folded per lookup.  Register ``w`` bits wide over the last ``L``
+    outcomes holds the outcome of age ``a < L`` XORed in at bit
+    ``a mod w`` — the same value as XOR-ing the ``L``-bit history
+    together in ``w``-bit chunks.  ``ghr`` stays the architectural
+    history (and the saved state); the registers are derived from it.
     """
 
     def __init__(
@@ -160,30 +207,73 @@ class TagePredictor:
         self.ghr = 0
         self.stats = PredictorStats()
         self._alloc_seed = 0x9E37
+        # Lookup order: longest history first.
+        self._tables_desc = tuple(range(num_tables - 1, -1, -1))
+        self._index_shift = 64 - table_bits
+        self._tag_shift = 64 - tag_bits
+        # Per table and register width: (width - 1, width mask, age of
+        # the oldest outcome in the span, bit where the outcome leaving
+        # the span sits after a push).
+        spans = [min(length, _GHR_BITS) for length in self.history_lengths]
+        self._index_geometry = self._fold_geometry(table_bits, spans)
+        self._tag_geometry = self._fold_geometry(tag_bits, spans)
+        self._rebuild_folds()
 
-    def _fold_history(self, length: int, bits: int) -> int:
-        """Fold the most recent ``length`` history bits down to ``bits``."""
-        h = self.ghr & mask(length)
-        folded = 0
-        while h:
-            folded ^= h & mask(bits)
-            h >>= bits
-        return folded
+    @staticmethod
+    def _fold_geometry(width: int, spans: List[int]):
+        return tuple(
+            (width - 1, mask(width), span - 1, span % width) for span in spans
+        )
+
+    def _rebuild_folds(self) -> None:
+        """Derive every folded-history register from ``ghr``."""
+        ghr = self.ghr
+        self._index_folds = [
+            _fold_by_age(ghr, top + 1, oldest + 1)
+            for top, _, oldest, _ in self._index_geometry
+        ]
+        self._tag_folds = [
+            _fold_by_age(ghr, top + 1, oldest + 1)
+            for top, _, oldest, _ in self._tag_geometry
+        ]
+
+    def _push_history(self, taken: bool) -> None:
+        """Shift one outcome into ``ghr`` and every folded register."""
+        old = self.ghr
+        bit = 1 if taken else 0
+        self.ghr = ((old << 1) | bit) & _GHR_MASK
+        self._index_folds = _push_folds(
+            self._index_folds, self._index_geometry, old, bit
+        )
+        self._tag_folds = _push_folds(self._tag_folds, self._tag_geometry, old, bit)
 
     def _index(self, table: int, site: int) -> int:
-        folded = self._fold_history(self.history_lengths[table], self.table_bits)
-        return fold_hash(site ^ (folded << 1) ^ table, self.table_bits)
+        v = site ^ (self._index_folds[table] << 1) ^ table
+        return ((v * _GOLDEN64) & _MASK64) >> self._index_shift
 
     def _tag(self, table: int, site: int) -> int:
-        folded = self._fold_history(self.history_lengths[table], self.tag_bits)
-        return fold_hash(site ^ (folded << 3) ^ (table << 7), self.tag_bits)
+        v = site ^ (self._tag_folds[table] << 3) ^ (table << 7)
+        return ((v * _GOLDEN64) & _MASK64) >> self._tag_shift
 
     def _provider(self, site: int):
-        """Longest-history matching component, or None."""
-        for table in range(self.num_tables - 1, -1, -1):
-            idx = self._index(table, site)
-            entry = self.tables[table][idx]
-            if entry is not None and entry.tag == self._tag(table, site):
+        """Longest-history matching component, or None.
+
+        :meth:`_index` and :meth:`_tag` inlined: this runs once per
+        verdict and once per training step.
+        """
+        tables = self.tables
+        index_folds = self._index_folds
+        tag_folds = self._tag_folds
+        index_shift = self._index_shift
+        for table in self._tables_desc:
+            idx = (
+                ((site ^ (index_folds[table] << 1) ^ table) * _GOLDEN64) & _MASK64
+            ) >> index_shift
+            entry = tables[table][idx]
+            if entry is not None and entry.tag == (
+                ((site ^ (tag_folds[table] << 3) ^ (table << 7)) * _GOLDEN64)
+                & _MASK64
+            ) >> self._tag_shift:
                 return table, idx, entry
         return None
 
@@ -193,7 +283,7 @@ class TagePredictor:
             return provider[2].counter >= self.threshold
         return self.base.predict(site)
 
-    def update(self, site: int, taken: bool) -> None:
+    def update(self, site: int, taken: bool) -> bool:
         provider = self._provider(site)
         if provider is not None:
             table, idx, entry = provider
@@ -222,7 +312,8 @@ class TagePredictor:
         if not correct:
             self._allocate(site, taken, from_table=table + 1)
 
-        self.ghr = ((self.ghr << 1) | int(taken)) & mask(1024)
+        self._push_history(taken)
+        return prediction
 
     def _allocate(self, site: int, taken: bool, from_table: int) -> None:
         """On mispredict, claim an entry in a longer-history table."""
@@ -242,6 +333,7 @@ class TagePredictor:
         self.base = BimodalPredictor(table_bits=12, counter_bits=2)
         self.ghr = 0
         self.stats = PredictorStats()
+        self._rebuild_folds()
 
     # -- checkpoint/resume --------------------------------------------------
     #
@@ -262,3 +354,4 @@ class TagePredictor:
         load_attrs(self, state, ("tables", "ghr", "_alloc_seed"))
         self.base.load_state(state["base"])
         load_stats(self.stats, state["stats"])
+        self._rebuild_folds()

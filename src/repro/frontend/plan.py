@@ -56,6 +56,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -470,13 +471,17 @@ def build_plan(
     ra = 1          # next record the run-ahead will examine
     ev_idx = 0      # next training record awaiting retirement
     i = 0
+    # Tracking stretches [lo, hi): the frontier sits at i + depth and
+    # every span is the single record there.  Filled in one pass below.
+    track_lo: List[int] = []
+    track_hi: List[int] = []
 
     def advance_one(i: int, ra: int) -> Tuple[int, int, int, bool]:
         """Frontier advance for one record; returns (ra, lo, hi, stalled).
 
         Mirrors ``FetchDirectedPrefetcher.candidates`` exactly, but
-        jumps over non-training records (always predictable) with
-        searchsorted instead of walking them.
+        jumps from one training record to the next instead of walking
+        the always-predictable records between them.
         """
         start = ra if ra > i else i + 1
         limit = i + depth
@@ -484,21 +489,14 @@ def build_plan(
             limit = last
         if start > limit:
             return start, 0, 0, False
-        p = start
-        stalled = False
+        k = bisect_left(events_list, start)
         while True:
-            k = int(np.searchsorted(events, p))
             q = events_list[k] if k < n_events else n
             if q > limit:
-                p = limit + 1
-                break
-            if predictable(q):
-                p = q + 1
-            else:
-                p = q
-                stalled = True
-                break
-        return p, start, p, stalled
+                return limit + 1, start, limit + 1, False
+            if not predictable(q):
+                return q, start, q, True
+            k += 1
 
     while i < n:
         next_ev = events_list[ev_idx] if ev_idx < n_events else n
@@ -519,7 +517,7 @@ def build_plan(
         # All-sequential stretch [i, seg_end): no retirements, so stack
         # state is frozen and the frontier dynamics are closed-form
         # between verdict queries.
-        seg_end = next_ev if next_ev < n else n
+        seg_end = next_ev
         while i < seg_end:
             new_ra, lo, hi, stalled = advance_one(i, ra)
             if hi > lo:
@@ -536,22 +534,29 @@ def build_plan(
                 break
             # Next training record at/after the frontier; until the
             # window reaches it the frontier tracks i + depth exactly.
-            k = int(np.searchsorted(events, ra))
+            k = bisect_left(events_list, ra)
             q = events_list[k] if k < n_events else n
             j_end = seg_end if q >= n else min(seg_end, q - depth)
             if j_end > i:
-                ks = np.arange(i, j_end, dtype=np.int64)
-                lo_arr = ks + depth
-                sel = lo_arr <= last
-                live_ks = ks[sel]
-                cand_lo[live_ks] = lo_arr[sel]
-                cand_hi[live_ks] = lo_arr[sel] + 1
+                track_lo.append(i)
+                track_hi.append(j_end)
                 tail = (j_end - 1) + depth
                 if tail > last:
                     tail = last
                 if tail + 1 > ra:
                     ra = tail + 1
                 i = j_end
+
+    if track_lo:
+        # Stretches are disjoint, so the running sum is 1 exactly inside
+        # them; spans whose record lies past the trace stay empty.
+        edges = np.zeros(n + 1, dtype=np.int8)
+        edges[track_lo] += 1
+        edges[track_hi] -= 1
+        ks = np.flatnonzero(np.cumsum(edges[:n], dtype=np.int8))
+        ks = ks[ks + depth <= last]
+        cand_lo[ks] = ks + depth
+        cand_hi[ks] = ks + depth + 1
 
     if warm is None:
         warm = _snapshot(stack.stats)

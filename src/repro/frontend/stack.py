@@ -99,15 +99,13 @@ class BranchStack:
         target = self._blocks[i]
         if kind == BranchKind.COND_TAKEN:
             self.stats.conditional_branches += 1
-            if self.predictor.predict(site):
+            if self.predictor.update(site, True):
                 self.stats.conditional_correct += 1
-            self.predictor.update(site, True)
             self.btb.update(site, target)
         elif kind == BranchKind.COND_NOT_TAKEN:
             self.stats.conditional_branches += 1
-            if not self.predictor.predict(site):
+            if not self.predictor.update(site, False):
                 self.stats.conditional_correct += 1
-            self.predictor.update(site, False)
         elif kind in (BranchKind.CALL, BranchKind.INDIRECT):
             self.stats.btb_transfers += 1
             if self.btb.predict(site) == target:

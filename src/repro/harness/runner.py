@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import json
 import os
+import tempfile
 import threading
 import time
 import uuid
@@ -386,14 +387,19 @@ class Runner:
         payload = {k: getattr(run, k) for k in _SCALAR_FIELDS}
         # Write-then-rename so concurrent readers never observe a
         # partial entry (and never mistake one for corruption).  The
+        # temp name is unique per writer, so threads or Runners of one
+        # process storing the same pair never share it.  The
         # finally-unlink reaps the temp file if the write (or rename)
         # raises; after a successful rename it no longer exists.
-        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+        fd, tmp = tempfile.mkstemp(
+            prefix=f"{path.name}.", suffix=".tmp", dir=path.parent
+        )
         try:
-            tmp.write_text(json.dumps(payload))
+            with os.fdopen(fd, "w") as fh:
+                fh.write(json.dumps(payload))
             os.replace(tmp, path)
         finally:
-            tmp.unlink(missing_ok=True)
+            Path(tmp).unlink(missing_ok=True)
 
     def _cached(
         self, workload: str, scheme: str, *, allow_disk: bool = True

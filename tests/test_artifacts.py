@@ -5,18 +5,21 @@ replacement pre-passes) goes through
 :class:`repro.common.artifacts.ArtifactStore`.  These tests pin what the
 store owes a multi-threaded caller: concurrent cold writers of one key
 never collide on a temp name, the memo survives threads racing lookups
-against evictions, and a failed write leaves no temp file behind.
+against evictions, a failed write leaves no temp file behind, and the
+npz it writes (deflated at level 1) is a plain ``np.load`` archive.
 """
 
 from __future__ import annotations
 
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.common.artifacts import ArtifactStore, sidecar_path
+from repro.common import artifacts
+from repro.common.artifacts import ArtifactStore, sidecar_path, write_npz
 from repro.frontend.plan import (
     PLAN_ARRAY_FIELDS,
     FrontendPlan,
@@ -31,6 +34,7 @@ from repro.workloads.trace import TRACE_ARRAY_FIELDS, Trace
 from test_frontend_plan import random_trace
 
 THREADS = 8
+REPO = Path(__file__).resolve().parents[1]
 
 
 def _hammer(fn, switch_interval=None):
@@ -134,13 +138,13 @@ class TestFailedWrites:
             "plan": lambda: build_plan(trace, DEFAULT_MACHINE, "fdp"),
             "prepass": lambda: build_replacement_prepass(trace),
         }[kind]()
-        monkeypatch.setattr(np, "savez_compressed", _fail)
+        monkeypatch.setattr(artifacts, "write_npz", _fail)
         with pytest.raises(RuntimeError, match="injected write failure"):
             artifact.save(tmp_path / "entry.npz")
         assert list(tmp_path.iterdir()) == []
 
     def test_failed_cold_cached_plan_propagates(self, plan_cache, monkeypatch):
-        monkeypatch.setattr(np, "savez_compressed", _fail)
+        monkeypatch.setattr(artifacts, "write_npz", _fail)
         with pytest.raises(RuntimeError, match="injected write failure"):
             cached_plan(random_trace(43, n=500), DEFAULT_MACHINE, "fdp")
         assert list(plan_cache.iterdir()) == []
@@ -157,3 +161,63 @@ class TestFailedWrites:
         monkeypatch.undo()
         assert [p.name for p in tmp_path.iterdir()] == ["entry.npz"]
         assert FrontendPlan.load(path).fingerprint == plan.fingerprint
+
+
+class TestNpzFormat:
+    def test_store_written_npz_is_a_plain_npz(self, tmp_path):
+        trace = random_trace(45, n=2000)
+        plan = build_plan(trace, DEFAULT_MACHINE, "fdp")
+        path = tmp_path / "entry.npz"
+        plan.save(path)
+        with np.load(path) as data:
+            for name in PLAN_ARRAY_FIELDS:
+                assert np.array_equal(data[name], getattr(plan, name))
+                assert data[name].dtype == getattr(plan, name).dtype
+            assert bytes(data["fingerprint"]).decode() == plan.fingerprint
+            assert int(data["format"]) == plan.meta()["format"]
+
+    def test_write_npz_round_trips_every_member(self, tmp_path):
+        members = {
+            "ints": np.arange(1000, dtype=np.int64),
+            "bytes": np.frombuffer(b"\x00\xff" * 64, dtype=np.uint8),
+            "scalar": np.int64(7),
+            "label": np.bytes_(b"media-streaming"),
+            "empty": np.zeros(0, dtype=np.int32),
+        }
+        path = tmp_path / "members.npz"
+        write_npz(path, members)
+        with np.load(path) as data:
+            assert sorted(data.files) == sorted(members)
+            for key, value in members.items():
+                assert np.array_equal(data[key], np.asarray(value))
+                assert data[key].dtype == np.asarray(value).dtype
+
+    def test_level6_npz_still_reads(self, tmp_path):
+        """An entry ``np.savez_compressed`` wrote (zlib level 6, how every
+        committed ``.cache`` npz was written) loads unchanged."""
+        plan = build_plan(random_trace(46, n=2000), DEFAULT_MACHINE, "fdp")
+        members = {
+            k: np.bytes_(v.encode()) if isinstance(v, str) else np.int64(v)
+            for k, v in plan.meta().items()
+        }
+        members.update((f, getattr(plan, f)) for f in PLAN_ARRAY_FIELDS)
+        path = tmp_path / "entry.npz"
+        np.savez_compressed(path, **members)
+        loaded = FrontendPlan.load(path)
+        assert loaded.meta() == plan.meta()
+        for name in PLAN_ARRAY_FIELDS:
+            assert np.array_equal(getattr(loaded, name), getattr(plan, name))
+
+    def test_committed_npz_still_reads(self):
+        committed = sorted(
+            p for p in (REPO / ".cache" / "plans").glob("*.npz")
+            if ".pre" not in p.name and ".ent" not in p.name
+        )
+        if not committed:
+            pytest.skip("no committed plan cache")
+        for path in committed[:3]:
+            plan = FrontendPlan.load(path)
+            with np.load(path) as data:
+                assert bytes(data["fingerprint"]).decode() == plan.fingerprint
+                for name in PLAN_ARRAY_FIELDS:
+                    assert np.array_equal(data[name], getattr(plan, name))

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import json
 import os
+import sys
+import threading
 from collections import Counter
 
 import pytest
@@ -113,6 +115,42 @@ class TestDiskCacheRoundTrip:
         with pytest.raises(TypeError):
             runner._store_disk(WORKLOAD, "broken", broken)
         assert not list(cache_dir.glob("*.tmp"))
+
+    def test_threads_storing_one_pair_never_share_a_temp(self, cache_dir):
+        """Eight threads (over two Runners) storing the same pair at once:
+        no writer trips over another's temp file, the entry is valid
+        JSON with the run's scalars, and no temp file survives."""
+        run = Runner(records=RECORDS, use_disk_cache=False).run(WORKLOAD, "lru")
+        runners = [Runner(records=RECORDS, use_disk_cache=True) for _ in range(2)]
+        barrier = threading.Barrier(8)
+        errors = []
+
+        def store(runner):
+            barrier.wait()
+            try:
+                for _ in range(50):
+                    runner._store_disk(WORKLOAD, "lru", run)
+            except Exception as exc:
+                errors.append(exc)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=store, args=(runners[k % 2],))
+                for k in range(8)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        (entry,) = cache_dir.glob("*.json")
+        assert json.loads(entry.read_text()) == _scalars(run)
+        assert [p.name for p in cache_dir.iterdir()] == [entry.name]
 
 
 class TestSweep:
