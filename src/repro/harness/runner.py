@@ -30,12 +30,19 @@ Pending pairs are dispatched workload-major (sorted by workload, then
 scheme) so consecutive tasks land on whatever worker already has that
 workload resident.
 
-Prewarming: before forking, the parent builds (and disk-caches) every
-pending workload's trace and frontend plan, so workers mmap sidecars
-instead of racing to redo the same work N times.  In approx entangling
-mode the parent also records each workload's *reference* entangling
-stream once — that single training run is what every scheme in the
-sweep then replays.
+Warming: the parent builds nothing.  The first round of a parallel
+sweep pipelines a *warm* task one workload ahead of that workload's
+pairs: a worker builds (and disk-caches) the workload's trace, frontend
+plan and, when a pending pair consumes it, replacement pre-pass, and
+keeps the context resident.  When ``warm(w_k)`` completes the parent
+submits ``warm(w_k+1)`` and then ``w_k``'s pairs, so one CPU builds the
+next workload while the others simulate the current one, and every
+other worker mmaps the sidecars the warm wrote instead of redoing the
+work.  In approx entangling mode the warm also records the workload's
+*reference* entangling stream once — that single training run is what
+every scheme in the sweep then replays.  :meth:`Runner.context_for`
+warms through the same helper, so the serial and parallel paths build
+artifacts through one code path.
 """
 
 from __future__ import annotations
@@ -47,10 +54,10 @@ import threading
 import time
 import uuid
 from collections import OrderedDict
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.common import faults
 from repro.frontend.entangling_plan import (
@@ -231,11 +238,14 @@ class _SweepJournal:
 #: worker deserializes each workload's trace/plan/oracle at most once.
 _WORKER_STATE: Dict[str, object] = {}
 
-#: Resident contexts kept per worker.  Workload-major dispatch means a
-#: worker is almost always on one workload with occasional overlap at
-#: boundaries; a small LRU bound keeps traces/oracles of long-finished
-#: workloads from pinning memory for the pool's lifetime.
-_WORKER_CONTEXT_CAP = 2
+#: Resident contexts kept per worker.  The pipelined first round runs
+#: warms one workload ahead of the pairs, so one worker can hold
+#: ``w_k-1`` (pairs still draining), ``w_k`` (its pairs now running) and
+#: ``w_k+1`` (just warmed) at once; a cap below 3 would evict one of
+#: them and deserialize that trace a second time.  Beyond that, the LRU
+#: bound keeps traces/oracles of long-finished workloads from pinning
+#: memory for the pool's lifetime.
+_WORKER_CONTEXT_CAP = 3
 
 
 def _sweep_worker_init(
@@ -270,6 +280,47 @@ def _worker_context(workload: str) -> SchemeContext:
     else:
         contexts.move_to_end(workload)
     return ctx
+
+
+def _warm_artifacts(
+    ctx: SchemeContext, prefetcher: str, machine: MachineParams, prepass: bool
+) -> None:
+    """Build (memo + disk cache) the artifacts ``ctx``'s pairs share.
+
+    The frontend plan, so every scheme replays one branch-stack/FDP
+    pass; in approx entangling mode the reference scheme's training
+    stream (in exact mode plans are per-scheme, recorded as pairs come
+    up); and with ``prepass`` the replacement pre-pass the flat
+    GHRP/Harmony twins consume.
+    """
+    if _plans_enabled():
+        if plannable(prefetcher):
+            cached_plan(ctx.trace, machine, prefetcher)
+        elif prefetcher == "entangling" and entangling_plan_mode() == "approx":
+            cached_entangling_plan(
+                ctx.trace,
+                machine,
+                ENTANGLING_REFERENCE_SCHEME,
+                lambda: make_scheme(ENTANGLING_REFERENCE_SCHEME, ctx),
+            )
+    if prepass:
+        cached_replacement_prepass(ctx.trace)
+
+
+def _warm_worker(workload: str, prepass: bool) -> None:
+    """Warm ``workload`` in a resident worker.
+
+    Builds the trace and the shared artifacts once, writes them to the
+    disk caches for the other workers to mmap, and keeps the context
+    resident for the pairs this worker picks up next.  Deliberately
+    does not fire the ``worker`` fault site: its ordinals count pairs.
+    """
+    _warm_artifacts(
+        _worker_context(workload),
+        _WORKER_STATE["prefetcher"],
+        _WORKER_STATE["machine"],
+        prepass,
+    )
 
 
 def _sweep_worker(pair: Tuple[str, str]) -> Tuple[str, str, Dict[str, object]]:
@@ -433,14 +484,12 @@ class Runner:
     def context_for(self, workload: str) -> SchemeContext:
         """Shared trace/oracle context per workload, LRU-bounded.
 
-        Building a context also prewarms the workload's frontend plan
-        (memo + ``.npz`` cache), so every scheme simulated against this
-        workload — in this process or in sweep workers — shares one
-        branch-stack/FDP replay instead of redoing it per pair.  In
-        approx entangling mode the reference scheme's training stream
-        is recorded here too (one live run per workload), for the same
-        reason; in exact mode plans are per-scheme, so workers record
-        their own as pairs come up.
+        Building a context also warms the workload's shared artifacts
+        through :func:`_warm_artifacts` — the helper parallel sweeps'
+        warm tasks use — so every scheme simulated against this
+        workload shares one frontend plan (and, in approx entangling
+        mode, one reference training stream) instead of redoing it per
+        pair.
 
         At most ``REPRO_CONTEXT_CACHE`` contexts stay resident; the
         least-recently-used one is dropped beyond that.  Eviction is
@@ -456,19 +505,7 @@ class Runner:
                 return ctx
             trace = get_workload(workload).trace(records=self.records)
             ctx = SchemeContext(trace=trace, machine=self.machine)
-            if _plans_enabled():
-                if plannable(self.prefetcher):
-                    cached_plan(trace, self.machine, self.prefetcher)
-                elif (
-                    self.prefetcher == "entangling"
-                    and entangling_plan_mode() == "approx"
-                ):
-                    cached_entangling_plan(
-                        trace,
-                        self.machine,
-                        ENTANGLING_REFERENCE_SCHEME,
-                        lambda: make_scheme(ENTANGLING_REFERENCE_SCHEME, ctx),
-                    )
+            _warm_artifacts(ctx, self.prefetcher, self.machine, prepass=False)
             self._contexts[workload] = ctx
             cap = _context_cache_cap()
             while len(self._contexts) > cap:
@@ -625,11 +662,15 @@ class Runner:
         the sweep configuration once per process, each worker keeps a
         per-workload :class:`SchemeContext` alive across pairs, and
         pending pairs are dispatched workload-major so consecutive
-        tasks reuse whatever a worker already has resident.  Cache hits
-        never fork a worker.  Results are identical to the serial
-        sweep: the engine is deterministic and workers only return
-        scalar measurements, which the parent installs in both cache
-        layers.
+        tasks reuse whatever a worker already has resident.  The parent
+        builds no artifact: each workload's trace, plan and pre-pass
+        are warmed by a task in the pool, submitted one workload ahead
+        of that workload's pairs (see :meth:`_sweep_parallel`), so the
+        first results arrive after one workload's warm rather than
+        after all of them.  Cache hits never fork a worker.  Results
+        are identical to the serial sweep: the engine is deterministic
+        and workers only return scalar measurements, which the parent
+        installs in both cache layers.
 
         ``on_result`` is called in the sweeping thread after each
         *freshly simulated* pair has been admitted to the caches and
@@ -694,22 +735,6 @@ class Runner:
         # workers keep reusing the trace/plan/oracle they already hold
         # instead of faulting a new workload in per pair.
         if jobs > 1 and len(pending) > 1:
-            # Build (and disk-cache) each pending workload's trace and
-            # frontend plan in the parent first: workers then mmap the
-            # sidecars instead of racing to redo the same trace
-            # generation and branch-stack/FDP replay N times.  Same for
-            # the replacement pre-pass of workloads with pending
-            # pre-pass-consuming pairs (ghrp/harmony flat twins).
-            if flat_policies_enabled() and prepass_enabled():
-                prepass_workloads = {
-                    w for w, s in pending if s in PREPASS_SCHEMES
-                }
-            else:
-                prepass_workloads = set()
-            for workload in sorted({w for w, _ in pending}):
-                ctx = self.context_for(workload)
-                if workload in prepass_workloads:
-                    cached_replacement_prepass(ctx.trace)
             self._sweep_parallel(pending, jobs, journal, on_result)
         else:
             for workload, scheme in pending:
@@ -734,16 +759,23 @@ class Runner:
     ) -> None:
         """Supervised parallel execution of ``pending`` pairs.
 
-        Each round submits the work queue to a fresh pool and collects
-        completions as they arrive.  Three *transient* failure classes
-        are retried:
+        The first round pipelines warm tasks (:func:`_warm_worker`) one
+        workload ahead of the pairs: it submits ``warm(w_1)``, and when
+        ``warm(w_k)`` completes it submits ``warm(w_k+1)`` and then
+        ``w_k``'s pairs, still workload-major.  Each later round
+        submits its requeued pairs directly; a worker rebuilds whatever
+        artifact is missing on its own (concurrent builds of one entry
+        are safe: every writer commits through its own temp file).
+        Completions are collected as they arrive.  Three *transient*
+        failure classes are retried:
 
         * an *injected fault* (:class:`~repro.common.faults.FaultInjected`
           — the crash-safety harness standing in for a flaky job) —
-          requeue just that pair;
+          requeue just that pair, or for a warm task that workload's
+          pairs (the next warm still goes out);
         * a *dead worker* (``BrokenProcessPool``: someone was killed,
           e.g. OOM) — the executor is unusable, requeue all unfinished;
-        * a *hung pool* (nothing completed within the
+        * a *hung pool* (no pair or warm completed within the
           ``REPRO_SWEEP_TIMEOUT`` progress deadline) — SIGKILL the
           workers (they are non-daemonic and would otherwise keep the
           interpreter alive), requeue all unfinished.
@@ -752,8 +784,9 @@ class Runner:
         simulation error — the engine is deterministic, so re-running
         the pair would reproduce the same crash ``REPRO_SWEEP_RETRIES``
         times and then lose the traceback.  Those fail fast: the pool
-        is killed and a ``RuntimeError`` naming the pair raises with
-        the worker's original exception chained as ``__cause__``.
+        is killed and a ``RuntimeError`` naming the pair (or the
+        workload, for a warm task) raises with the worker's original
+        exception chained as ``__cause__``.
 
         Requeued pairs retry in a rebuilt pool after exponential
         backoff; a pair that fails more than ``REPRO_SWEEP_RETRIES``
@@ -762,6 +795,10 @@ class Runner:
         """
         timeout = _sweep_timeout()
         retries = _sweep_retries()
+        if flat_policies_enabled() and prepass_enabled():
+            prepass_workloads = {w for w, s in pending if s in PREPASS_SCHEMES}
+        else:
+            prepass_workloads = set()
         attempts: Dict[Tuple[str, str], int] = {}
         last_exc: Dict[Tuple[str, str], BaseException] = {}
         queue = list(pending)
@@ -775,15 +812,60 @@ class Runner:
                 initializer=_sweep_worker_init,
                 initargs=(self.prefetcher, self.records, self.machine),
             )
-            futures = {pool.submit(_sweep_worker, p): p for p in queue}
+            futures: Dict[Future, Tuple[str, str]] = {}
+            warms: Dict[Future, str] = {}
+            remaining: Set[Future] = set()
+            broken = False
+
+            def submit(fn, *args) -> Optional[Future]:
+                """Submit to the pool; None once it is broken or dead."""
+                nonlocal broken
+                if broken:
+                    return None
+                try:
+                    future = pool.submit(fn, *args)
+                except BrokenProcessPool:
+                    broken = True
+                    return None
+                remaining.add(future)
+                return future
+
+            def warm_next() -> None:
+                workload = next(to_warm, None)
+                if workload is not None:
+                    prepass = workload in prepass_workloads
+                    future = submit(_warm_worker, workload, prepass)
+                    if future is not None:
+                        warms[future] = workload
+
+            def release(workload: str) -> None:
+                """Submit ``workload``'s held pairs; leftovers stay held."""
+                pairs = held[workload]
+                while pairs:
+                    future = submit(_sweep_worker, pairs[0])
+                    if future is None:
+                        return
+                    futures[future] = pairs.pop(0)
+                del held[workload]
+
+            # Pairs held back until their workload's warm completes, in
+            # workload-major order.  Only the first round warms; retry
+            # rounds submit their pairs directly.
+            held: Dict[str, List[Tuple[str, str]]] = {}
+            for pair in queue:
+                held.setdefault(pair[0], []).append(pair)
+            if round_number == 1:
+                to_warm = iter(list(held))
+                warm_next()
+            else:
+                for workload in list(held):
+                    release(workload)
             queue = []
             failed: List[Tuple[str, str]] = []
-            broken = False
-            fatal: Optional[Tuple[Tuple[str, str], BaseException]] = None
-            remaining = set(futures)
+            fatal: Optional[Tuple[str, BaseException]] = None
             try:
-                while remaining:
-                    done, remaining = wait(
+                while remaining and not broken:
+                    done, _ = wait(
                         remaining,
                         timeout=timeout if timeout > 0 else None,
                         return_when=FIRST_COMPLETED,
@@ -791,41 +873,61 @@ class Runner:
                     if not done:
                         broken = True  # progress deadline exceeded
                         break
+                    remaining.difference_update(done)
                     for future in done:
-                        pair = futures[future]
-                        try:
-                            workload, scheme, scalars = future.result()
-                        except BrokenProcessPool as exc:
-                            broken = True
-                            last_exc[pair] = exc
-                            failed.append(pair)
-                        except faults.FaultInjected as exc:
-                            last_exc[pair] = exc
-                            failed.append(pair)
-                        except Exception as exc:
-                            fatal = (pair, exc)
-                            broken = True  # kill the pool, don't drain it
+                        if future in warms:
+                            workload = warms[future]
+                            try:
+                                future.result()
+                            except BrokenProcessPool as exc:
+                                broken = True  # held pairs requeue below
+                                for pair in held[workload]:
+                                    last_exc[pair] = exc
+                            except faults.FaultInjected as exc:
+                                for pair in held.pop(workload):
+                                    last_exc[pair] = exc
+                                    failed.append(pair)
+                                warm_next()
+                            except Exception as exc:
+                                fatal = (f"warm-up of workload {workload!r}", exc)
+                                broken = True  # kill the pool, don't drain it
+                            else:
+                                warm_next()
+                                release(workload)
                         else:
-                            result = RunResult(**scalars)
-                            self._admit(workload, scheme, result)
-                            journal.record(workload, scheme, result)
-                            if on_result is not None:
-                                on_result(workload, scheme, result)
+                            pair = futures[future]
+                            try:
+                                workload, scheme, scalars = future.result()
+                            except BrokenProcessPool as exc:
+                                broken = True
+                                last_exc[pair] = exc
+                                failed.append(pair)
+                            except faults.FaultInjected as exc:
+                                last_exc[pair] = exc
+                                failed.append(pair)
+                            except Exception as exc:
+                                fatal = (f"pair {pair}", exc)
+                                broken = True  # kill the pool, don't drain it
+                            else:
+                                result = RunResult(**scalars)
+                                self._admit(workload, scheme, result)
+                                journal.record(workload, scheme, result)
+                                if on_result is not None:
+                                    on_result(workload, scheme, result)
                         if fatal is not None:
                             break
-                    if broken:
-                        break
             finally:
                 if broken:
                     _kill_pool_workers(pool)
                 pool.shutdown(wait=not broken, cancel_futures=True)
             if fatal is not None:
-                pair, exc = fatal
+                what, exc = fatal
                 raise RuntimeError(
-                    f"sweep pair {pair} failed deterministically "
+                    f"sweep {what} failed deterministically "
                     f"({type(exc).__name__}); not retrying"
                 ) from exc
-            requeue = failed + [futures[f] for f in remaining]
+            requeue = failed + [futures[f] for f in remaining if f in futures]
+            requeue += [pair for pairs in held.values() for pair in pairs]
             for pair in requeue:
                 count = attempts.get(pair, 0) + 1
                 attempts[pair] = count

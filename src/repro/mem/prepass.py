@@ -44,7 +44,7 @@ PREPASS_FORMAT = 1
 #: Array fields persisted per record.
 PREPASS_ARRAY_FIELDS = ("set_index", "ghrp_sig", "hawkeye_sig")
 
-#: Registered schemes that consume the pre-pass (parent prewarm hook).
+#: Registered schemes that consume the pre-pass (sweep warm-task hook).
 PREPASS_SCHEMES = ("ghrp", "harmony")
 
 #: Default geometry — must match the policies the registry builds.

@@ -11,9 +11,11 @@ never buy approximate answers.
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import pickle
 import shutil
+import time
 
 import numpy as np
 import pytest
@@ -151,6 +153,66 @@ class TestSupervisedSweepRecovery:
             runner.sweep(WORKLOADS, SCHEMES, jobs=2)
         # The last per-pair exception is chained, not swallowed.
         assert isinstance(excinfo.value.__cause__, FaultInjected)
+
+
+class TestWarmTaskFaults:
+    """Faults in the pool's warm tasks, where cold trace npz writes happen.
+
+    Each sweep runs against an empty trace cache of its own, so the
+    first warm task generates and commits the first trace npz.
+    """
+
+    @pytest.fixture()
+    def cold_traces(self, tmp_path, monkeypatch):
+        def use(name):
+            monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path / name))
+
+        return use
+
+    def test_warm_kill_rebuilds_pool(self, fault_env, cold_traces, tmp_path):
+        cold_traces("serial")
+        expected = _expected()
+        cold_traces("swept")
+        fault_env("trace-npz:kill@1")
+        runner = Runner(records=RECORDS, use_disk_cache=False)
+        results = runner.sweep(WORKLOADS, SCHEMES, jobs=2)
+        assert (tmp_path / "latch").exists(), "the fault never fired"
+        assert {k: _scalars(v) for k, v in results.items()} == expected
+
+    def test_warm_raise_requeues_and_later_warms_flow(
+        self, fault_env, cold_traces, tmp_path
+    ):
+        cold_traces("serial")
+        expected = _expected()
+        cold_traces("swept")
+        fault_env("trace-npz:raise@1")
+        order = []
+        runner = Runner(records=RECORDS, use_disk_cache=False)
+        results = runner.sweep(
+            WORKLOADS, SCHEMES, jobs=2, on_result=lambda w, s, r: order.append(w)
+        )
+        assert (tmp_path / "latch").exists(), "the fault never fired"
+        assert {k: _scalars(v) for k, v in results.items()} == expected
+        # The first warm ("gcc") failed: its pairs were requeued to the
+        # retry round while the next warm and its pairs went ahead.
+        first, second = sorted(WORKLOADS)
+        assert order == [second] * len(SCHEMES) + [first] * len(SCHEMES)
+
+    def test_deterministic_warm_error_fails_fast(self, fault_env, monkeypatch):
+        def broken_plan(*args, **kwargs):
+            raise ValueError("plan builder exploded")
+
+        monkeypatch.setattr("repro.harness.runner.cached_plan", broken_plan)
+        before = {p.pid for p in multiprocessing.active_children()}
+        runner = Runner(records=RECORDS, use_disk_cache=False)
+        first = sorted(WORKLOADS)[0]
+        with pytest.raises(RuntimeError, match=repr(first)) as excinfo:
+            runner.sweep(WORKLOADS, SCHEMES, jobs=2)
+        assert isinstance(excinfo.value.__cause__, ValueError)
+        deadline = time.monotonic() + 10
+        while {p.pid for p in multiprocessing.active_children()} - before:
+            assert time.monotonic() < deadline, "pool workers left behind"
+            time.sleep(0.05)
 
 
 class TestJournalResume:

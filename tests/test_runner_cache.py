@@ -17,7 +17,10 @@ from collections import Counter
 
 import pytest
 
+from repro.frontend.plan import PLAN_STORE, clear_plan_memo
 from repro.harness.runner import _SCALAR_FIELDS, Runner
+from repro.mem.prepass import PREPASS_STORE, clear_prepass_memo
+from repro.workloads.trace import TRACE_STORE
 
 RECORDS = 4_000
 WORKLOAD = "x264"
@@ -201,8 +204,10 @@ class TestSweep:
         The pool initializer makes workers resident: one SchemeContext
         per workload per process, traces served from mmap sidecars.
         REPRO_TRACE_LOAD_LOG records one (pid, key) line per actual
-        trace deserialization; with 3 schemes per workload a per-pair
-        loader would log each workload up to 3x per worker.
+        trace deserialization; with 5 schemes per workload a per-pair
+        loader would log each workload up to 5x per worker.  Five
+        workloads make the warm-one-ahead pipeline hold three contexts
+        in one worker at a time, which the worker LRU must keep.
         """
         trace_cache = tmp_path / "traces"
         monkeypatch.setenv("REPRO_TRACE_CACHE", str(trace_cache))
@@ -210,23 +215,84 @@ class TestSweep:
         log = tmp_path / "trace-loads.log"
         monkeypatch.setenv("REPRO_TRACE_LOAD_LOG", str(log))
 
-        workloads = (WORKLOAD, "gcc")
-        schemes = ("lru", "srrip", "acic")
+        workloads = (WORKLOAD, "gcc", "data-caching", "web-search", "tpcc")
+        schemes = ("lru", "srrip", "acic", "opt", "ghrp")
         runner = Runner(records=RECORDS, use_disk_cache=True)
         results = runner.sweep(workloads, schemes, jobs=2)
-        assert len(results) == 6
+        assert len(results) == 25
 
         loads = Counter()
         for line in log.read_text().splitlines():
             pid, key = line.split(" ", 1)
             loads[(int(pid), key)] += 1
         assert loads, "no trace loads were logged"
-        # Every process — parent and each worker — deserialized each
-        # workload's trace at most once (parent: prewarm; workers:
-        # resident context built on first pair of that workload).
+        # Every worker deserialized each workload's trace at most once
+        # (its resident context, built by the workload's warm task or
+        # by the first pair of that workload it picked up); the parent
+        # built none.
         assert max(loads.values()) == 1
-        worker_pids = {pid for pid, _ in loads} - {os.getpid()}
+        worker_pids = {pid for pid, _ in loads}
+        assert os.getpid() not in worker_pids, "the parent loaded a trace"
         assert worker_pids, "sweep did not fan out to worker processes"
+
+    def test_parallel_sweep_builds_nothing_in_parent(
+        self, cache_dir, tmp_path, monkeypatch
+    ):
+        """Warm tasks run in the pool: the parent holds no artifact.
+
+        A cold jobs=2 sweep with the disk cache on leaves the parent
+        with no resident context and empty trace/plan/pre-pass memos,
+        and its results equal a serial sweep's bit-for-bit.
+        """
+        monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path / "traces"))
+        monkeypatch.setenv("REPRO_PLAN_CACHE", str(tmp_path / "plans"))
+        clear_plan_memo()
+        clear_prepass_memo()
+        workloads = (WORKLOAD, "gcc", "data-caching")
+        schemes = ("lru", "acic", "ghrp")
+        runner = Runner(records=RECORDS, use_disk_cache=True)
+        results = runner.sweep(workloads, schemes, jobs=2)
+
+        assert not runner._contexts
+        for store in (TRACE_STORE, PLAN_STORE, PREPASS_STORE):
+            assert store.memo_size() == 0, store.kind
+
+        monkeypatch.setenv("REPRO_RESULT_CACHE", str(tmp_path / "serial"))
+        serial = Runner(records=RECORDS, use_disk_cache=True)
+        expected = serial.sweep(workloads, schemes, jobs=1)
+        assert {k: _scalars(v) for k, v in results.items()} == {
+            k: _scalars(v) for k, v in expected.items()
+        }
+
+    def test_first_result_arrives_before_later_workloads_are_warmed(
+        self, cache_dir, tmp_path, monkeypatch
+    ):
+        """Warms run one workload ahead of the pairs, not all up front.
+
+        ``warm(w_k+1)`` is only submitted once ``warm(w_k)`` has
+        completed, and ``w1``'s first pair starts beside ``warm(w2)``:
+        for the last of five workloads to be written before the first
+        result, that one pair would have to outlast three more warms
+        run back to back on the other worker.
+        """
+        trace_cache = tmp_path / "traces"
+        monkeypatch.setenv("REPRO_TRACE_CACHE", str(trace_cache))
+        monkeypatch.setenv("REPRO_PLAN_CACHE", str(tmp_path / "plans"))
+        workloads = ("data-caching", "gcc", "tpcc", "web-search", WORKLOAD)
+        written_at_first_result = []
+
+        def on_result(workload, scheme, result):
+            if not written_at_first_result:
+                written_at_first_result.append(
+                    {p.name for p in trace_cache.glob("*.npz")}
+                )
+
+        runner = Runner(records=RECORDS, use_disk_cache=True)
+        results = runner.sweep(workloads, self.SCHEMES, jobs=2, on_result=on_result)
+        assert len(results) == len(workloads) * len(self.SCHEMES)
+        (written,) = written_at_first_result
+        assert not any(name.startswith(f"{WORKLOAD}-") for name in written)
+        assert any(p.name.startswith(f"{WORKLOAD}-") for p in trace_cache.glob("*.npz"))
 
     def test_jobs_env_default(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "2")
