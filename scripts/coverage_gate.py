@@ -17,7 +17,7 @@ aggregate executed-line fraction of any target directory — by default
 floor.  CI runs this after the
 tier-1 suite so a PR cannot silently orphan the MSHR/hierarchy/policy,
 i-Filter/CSHR/predictor/controller, branch-stack/FDP/entangling/plan,
-or runner/checkpoint/fault-recovery code paths the differential
+or runner/shard-ledger/fault-recovery code paths the differential
 harnesses exist to pin.  (Sweep-worker bodies run in forked pool
 processes the stdlib tracer cannot see; their lines are the main
 untraced remainder in ``harness``.)
@@ -74,6 +74,7 @@ DEFAULT_PYTEST_ARGS = [
     "tests/test_workloads.py",
     "tests/test_trace_sidecar.py",
     "tests/test_artifacts.py",
+    "tests/test_durable.py",
     "tests/test_generator_properties.py",
     "tests/test_search_strategies.py",
     "tests/test_search_harness.py",
@@ -92,9 +93,10 @@ DEFAULT_TARGETS = [
     "src/repro/harness",
     "src/repro/service",
     "src/repro/workloads",
-    # A file, not src/repro/common: that directory's counters.py and
+    # Files, not src/repro/common: that directory's counters.py and
     # stats.py are exercised by the benchmarks, not this selection.
     "src/repro/common/artifacts.py",
+    "src/repro/common/durable.py",
 ]
 
 

@@ -9,8 +9,8 @@ grammar is::
     REPRO_FAULT="site:kind@n[,site:kind@n...]"
 
 where ``site`` names an instrumented hook point (``worker``,
-``checkpoint``, ``sidecar``, ``trace-npz``, ``shard`` — the last fires
-after a shard-ledger boundary commit, path = the boundary state file),
+``sidecar``, ``trace-npz``, ``shard`` — the last fires after a
+shard-ledger boundary commit, path = the boundary state file),
 ``kind`` is one of
 
 * ``kill``      — SIGKILL the current process (a crashed worker),
@@ -47,7 +47,7 @@ from typing import Dict, Optional, Tuple
 HANG_SECONDS = 60.0
 
 KINDS = ("kill", "raise", "hang", "truncate", "stale")
-SITES = ("worker", "checkpoint", "sidecar", "trace-npz", "shard")
+SITES = ("worker", "sidecar", "trace-npz", "shard")
 
 #: Bytes ``stale`` faults plant: valid-looking JSON with a fingerprint
 #: no live run can produce, so staleness checks must reject it.

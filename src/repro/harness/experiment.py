@@ -19,7 +19,6 @@ from repro.frontend.entangling_plan import (
 from repro.frontend.fdp import FetchDirectedPrefetcher, NullPrefetcher
 from repro.frontend.plan import cached_plan, plannable
 from repro.frontend.stack import BranchStack
-from repro.harness.checkpoint import checkpoint_every, store_for
 from repro.harness.schemes import SchemeContext, make_scheme
 from repro.harness import shards
 from repro.uarch.params import DEFAULT_MACHINE, MachineParams
@@ -102,12 +101,11 @@ def run_experiment(
     (:mod:`repro.harness.shards`): the engine checkpoints at every
     window boundary, each boundary persists before the next window
     starts, and an interrupted run resumes from the last verified
-    boundary.  When a window is set it takes precedence over
-    ``REPRO_CHECKPOINT_EVERY``.  ``on_shard(shard, done, total)`` fires
-    after each boundary commits; ``should_stop()`` is polled at each
-    boundary and, when true, stops the run with
-    :class:`~repro.harness.shards.DrainRequested` (ledger kept — the
-    graceful-drain path).
+    boundary; the shard ledger is the only way a run resumes.
+    ``on_shard(shard, done, total)`` fires after each boundary commits;
+    ``should_stop()`` is polled at each boundary and, when true, stops
+    the run with :class:`~repro.harness.shards.DrainRequested` (ledger
+    kept — the graceful-drain path).
 
     Plannable prefetchers (fdp/none) run against a precomputed, cached
     :class:`~repro.frontend.plan.FrontendPlan` — the scheme-independent
@@ -136,52 +134,19 @@ def run_experiment(
         use_plan = _plans_enabled()
 
     window = shards.shard_window() if shard_window is None else int(shard_window)
-    every = checkpoint_every()
 
     def _sim(mode: str, **kwargs):
-        """Run ``simulate``, windowed through a ledger/store when on.
+        """Run ``simulate``, windowed through a shard ledger when on.
 
-        Sharding (``window > 0``) wins over plain checkpointing: the
-        run executes window-by-window through a shard ledger that
-        persists every boundary (see :mod:`repro.harness.shards`) and
-        honours ``on_shard``/``should_stop``.  Otherwise, with
-        REPRO_CHECKPOINT_EVERY set, the engine resumes from the newest
-        valid checkpoint for this exact run identity, snapshots every
-        ``every`` records, and drops the file once the run completes.
-        Both paths are pinned bit-identical to a single pass
-        (``tests/test_shards.py``, ``tests/test_checkpoint.py``).
+        With ``window > 0`` the run executes window-by-window through a
+        shard ledger that persists every boundary (see
+        :mod:`repro.harness.shards`) and honours
+        ``on_shard``/``should_stop``; otherwise it is one plain pass.
+        Both are pinned bit-identical (``tests/test_shards.py``).
         """
-        if window > 0:
-            ledger = shards.ledger_for(
-                workload,
-                scheme,
-                prefetcher,
-                records,
-                machine.fingerprint(),
-                trace.digest,
-                mode,
-                window,
-            )
-            return shards.run_windowed(
-                lambda state, on_ckpt: simulate(
-                    trace,
-                    scheme_obj,
-                    machine=machine,
-                    resume=state,
-                    checkpoint_every=window,
-                    on_checkpoint=on_ckpt,
-                    **kwargs,
-                ),
-                ledger=ledger,
-                window=window,
-                total=len(trace),
-                label=f"{workload}/{scheme}",
-                on_shard=on_shard,
-                should_stop=should_stop,
-            )
-        if every <= 0:
+        if window <= 0:
             return simulate(trace, scheme_obj, machine=machine, **kwargs)
-        store = store_for(
+        ledger = shards.ledger_for(
             workload,
             scheme,
             prefetcher,
@@ -189,18 +154,24 @@ def run_experiment(
             machine.fingerprint(),
             trace.digest,
             mode,
+            window,
         )
-        run = simulate(
-            trace,
-            scheme_obj,
-            machine=machine,
-            resume=store.load(),
-            checkpoint_every=every,
-            on_checkpoint=store.write,
-            **kwargs,
+        return shards.run_windowed(
+            lambda state, on_ckpt: simulate(
+                trace,
+                scheme_obj,
+                machine=machine,
+                resume=state,
+                checkpoint_every=window,
+                on_checkpoint=on_ckpt,
+                **kwargs,
+            ),
+            ledger=ledger,
+            total=len(trace),
+            label=f"{workload}/{scheme}",
+            on_shard=on_shard,
+            should_stop=should_stop,
         )
-        store.clear()
-        return run
 
     if use_plan and plannable(prefetcher):
         plan = cached_plan(trace, machine, prefetcher)
@@ -226,7 +197,7 @@ def run_experiment(
         if fresh is not None and reference == scheme:
             # Pass 1 doubles as this run.  The recording pass is driven
             # by the plan builder, not by us, so it is never windowed —
-            # checkpointing covers its replays.
+            # sharding covers its replays.
             run = fresh
         else:
             run = _sim(f"planned-{entangling_plan_mode()}", plan=plan)

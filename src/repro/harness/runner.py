@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import threading
 import time
 import uuid
@@ -60,6 +59,7 @@ from pathlib import Path
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.common import faults
+from repro.common.durable import AppendLog, results_dir, write_atomic
 from repro.frontend.entangling_plan import (
     ENTANGLING_REFERENCE_SCHEME,
     cached_entangling_plan,
@@ -76,13 +76,6 @@ from repro.mem.prepass import (
 from repro.uarch.params import DEFAULT_MACHINE, MachineParams
 from repro.uarch.timing import RunResult
 from repro.workloads.profiles import get_workload
-
-
-def _results_dir() -> Path:
-    env = os.environ.get("REPRO_RESULT_CACHE")
-    if env:
-        return Path(env)
-    return Path(__file__).resolve().parents[3] / ".cache" / "results"
 
 
 _SCALAR_FIELDS = (
@@ -183,54 +176,37 @@ def _kill_pool_workers(pool: ProcessPoolExecutor) -> None:
             pass
 
 
-class _SweepJournal:
-    """Append-only JSON-lines log of completed sweep pairs.
+class _SweepJournal(AppendLog):
+    """Fsync'd log of completed sweep pairs, one line per completion.
 
-    One line per (workload, scheme) completion, flushed and fsynced at
-    write time so entries survive a SIGKILLed parent.  ``replay``
-    tolerates a torn final line (a kill mid-append) and foreign junk by
-    skipping anything unparsable — the worst case is re-simulating one
-    pair.  The file is deleted when its sweep call completes; a
-    surviving journal therefore means a crashed sweep, which
+    Entries survive a SIGKILLed parent; replay skips torn and foreign
+    lines, so the worst case is re-simulating one pair.  The file is
+    deleted when its sweep call completes; a surviving journal
+    therefore means a crashed sweep, which
     ``Runner.sweep(resume=True)`` picks up.
     """
 
-    def __init__(self, path: Path) -> None:
-        self.path = path
-        self._fh = None
-
     def record(self, workload: str, scheme: str, result: RunResult) -> None:
-        if self._fh is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._fh = open(self.path, "a")
-        entry = {
-            "workload": workload,
-            "scheme": scheme,
-            "scalars": {k: getattr(result, k) for k in _SCALAR_FIELDS},
-        }
-        self._fh.write(json.dumps(entry) + "\n")
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
+        self.append(
+            {
+                "workload": workload,
+                "scheme": scheme,
+                "scalars": {k: getattr(result, k) for k in _SCALAR_FIELDS},
+            }
+        )
 
     def replay(self) -> Iterator[Tuple[str, str, Dict[str, object]]]:
-        try:
-            lines = self.path.read_text().splitlines()
-        except OSError:
-            return
-        for line in lines:
+        for entry in self.entries():
             try:
-                entry = json.loads(line)
                 scalars = {k: entry["scalars"][k] for k in _SCALAR_FIELDS}
-            except (json.JSONDecodeError, KeyError, TypeError):
+                item = (entry["workload"], entry["scheme"], scalars)
+            except (KeyError, TypeError):
                 continue
-            yield entry["workload"], entry["scheme"], scalars
+            yield item
 
     def finish(self) -> None:
         """Close and delete: every pair of this sweep call is accounted for."""
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-        self.path.unlink(missing_ok=True)
+        self.remove()
 
 
 #: Per-process resident sweep state: the configuration the pool
@@ -410,7 +386,7 @@ class Runner:
             f"{workload}.{scheme}.{self._prefetcher_cache_key()}"
             f".r{self.records}.{fingerprint}.json"
         )
-        return _results_dir() / name
+        return results_dir() / name
 
     def _load_disk(self, workload: str, scheme: str) -> Optional[RunResult]:
         path = self._disk_path(workload, scheme)
@@ -433,24 +409,12 @@ class Runner:
             return None
 
     def _store_disk(self, workload: str, scheme: str, run: RunResult) -> None:
-        path = self._disk_path(workload, scheme)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        payload = {k: getattr(run, k) for k in _SCALAR_FIELDS}
         # Write-then-rename so concurrent readers never observe a
-        # partial entry (and never mistake one for corruption).  The
-        # temp name is unique per writer, so threads or Runners of one
-        # process storing the same pair never share it.  The
-        # finally-unlink reaps the temp file if the write (or rename)
-        # raises; after a successful rename it no longer exists.
-        fd, tmp = tempfile.mkstemp(
-            prefix=f"{path.name}.", suffix=".tmp", dir=path.parent
+        # partial entry (and never mistake one for corruption).
+        payload = {k: getattr(run, k) for k in _SCALAR_FIELDS}
+        write_atomic(
+            self._disk_path(workload, scheme), json.dumps(payload).encode()
         )
-        try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(json.dumps(payload))
-            os.replace(tmp, path)
-        finally:
-            Path(tmp).unlink(missing_ok=True)
 
     def _cached(
         self, workload: str, scheme: str, *, allow_disk: bool = True
@@ -605,7 +569,7 @@ class Runner:
         interleaving records in one file — and from the first
         ``finish()`` deleting the other sweep's crash record.
         """
-        return _results_dir() / (
+        return results_dir() / (
             f"{self._journal_prefix()}.{os.getpid()}-{uuid.uuid4().hex[:8]}"
             ".journal"
         )
@@ -619,7 +583,7 @@ class Runner:
         The glob also matches the pre-suffix name format, so journals
         written before the per-instance rename still resume.
         """
-        return sorted(_results_dir().glob(f"{self._journal_prefix()}*.journal"))
+        return sorted(results_dir().glob(f"{self._journal_prefix()}*.journal"))
 
     def sweep(
         self,
@@ -694,9 +658,9 @@ class Runner:
         configuration, replays them all into the caches first, and
         deletes them once this sweep completes, so only genuinely
         unfinished pairs are resimulated — combined with
-        ``REPRO_CHECKPOINT_EVERY``, even a pair that died mid-run
-        restarts from its last engine checkpoint.  This call's own
-        journal is deleted when it completes.
+        ``REPRO_SHARD_WINDOW``, even a pair that died mid-run restarts
+        from its last shard-ledger boundary.  This call's own journal
+        is deleted when it completes.
 
         With sharded execution on (``REPRO_SHARD_WINDOW``), the serial
         path additionally honours ``on_shard`` (per-boundary progress,

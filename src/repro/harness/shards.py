@@ -1,4 +1,4 @@
-"""Windowed shard execution: ledgered, resumable, drainable runs.
+"""Windowed shard execution: the one way a run resumes.
 
 A *shard* is one fixed-size window of records out of a long run.  With
 ``REPRO_SHARD_WINDOW=<records>`` set (or ``shard_window=`` passed to
@@ -14,11 +14,12 @@ every registered scheme anyway.
 
 The ledger is two kinds of file under ``<results cache>/shards/``:
 
-* ``<workload>.<scheme>.<fp>.ledger`` — append-only JSON lines, one per
-  completed window: shard index, next record, the partial counters, and
-  the sha1 of the boundary-state file.  Appended, flushed and fsynced at
-  every boundary, so entries survive a SIGKILL; replay tolerates a torn
-  final line and foreign junk by skipping anything unparsable.
+* ``<workload>.<scheme>.<fp>.ledger`` — the index, an
+  :class:`~repro.common.durable.AppendLog` with one line per completed
+  window: shard index, next record, the partial counters, and the sha1
+  of the boundary-state file.  Each line is fsynced at its boundary,
+  so entries survive a SIGKILL; replay skips a torn final line and
+  foreign junk.
 * ``<workload>.<scheme>.<fp>.s<k>.state`` — the pickled engine state at
   boundary ``k`` (write-then-rename, fsynced before the rename).  Only
   the two newest survive: a mangled newest state (crash mid-write, or
@@ -27,12 +28,10 @@ The ledger is two kinds of file under ``<results cache>/shards/``:
   correctness.
 
 :func:`ShardLedger.latest` walks the ledger backwards past anything
-corrupt, stale, or carrying a foreign fingerprint — like engine
-checkpoints, a ledger entry is a shortcut, never a correctness
-dependency.  The fingerprint reuses the checkpoint identity
-(:func:`repro.harness.checkpoint.run_fingerprint`) with the window size
-folded in, so a ledger can never resume a run it does not exactly
-describe.
+corrupt, stale, or carrying a foreign fingerprint — a ledger entry is a
+shortcut, never a correctness dependency.  The fingerprint is
+:func:`run_fingerprint` with the window size folded in, so a ledger can
+never resume a run it does not exactly describe.
 
 **Drain**: ``should_stop`` is polled at each boundary *after* the
 ledger write; when it reports true, :func:`run_windowed` raises
@@ -51,14 +50,13 @@ fallback to the previous boundary does too.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import pickle
 from pathlib import Path
 from typing import Callable, Optional
 
+from repro.common.durable import AppendLog, results_dir, write_atomic
 from repro.common.faults import fire
-from repro.harness.checkpoint import run_fingerprint
 
 #: Bump when the ledger entry or state layout changes; older files are
 #: discarded (the run restarts from record 0 — a cost, not a bug).
@@ -95,12 +93,7 @@ class DrainRequested(RuntimeError):
 
 
 def shard_window() -> int:
-    """Records per shard window (REPRO_SHARD_WINDOW, 0 = off).
-
-    When positive it takes precedence over ``REPRO_CHECKPOINT_EVERY``:
-    sharding *is* windowed checkpointing, with the ledger replacing the
-    single-file checkpoint store.
-    """
+    """Records per shard window (REPRO_SHARD_WINDOW, 0 = off)."""
     env = os.environ.get("REPRO_SHARD_WINDOW", "").strip()
     if not env:
         return 0
@@ -111,14 +104,40 @@ def shard_window() -> int:
 
 
 def shards_dir() -> Path:
-    """Shard-ledger directory, beside the results cache.
+    """Shard-ledger directory, beside the results cache."""
+    return results_dir() / "shards"
 
-    Honours ``REPRO_RESULT_CACHE`` exactly as the checkpoint store does.
+
+def run_fingerprint(
+    workload: str,
+    scheme: str,
+    prefetcher_key: str,
+    records: int,
+    machine_fingerprint: str,
+    trace_digest: str,
+    mode: str,
+) -> str:
+    """Identity of one resumable run; any ingredient change invalidates.
+
+    ``mode`` distinguishes the live and planned engine paths (their
+    states are not interchangeable) and, for entangling runs, the plan
+    mode.  The trace digest ties a boundary state to the exact record
+    stream it was captured from.  The ``ckpt1`` prefix predates the
+    ledger and stays, so ledgers already on disk still resume.
     """
-    env = os.environ.get("REPRO_RESULT_CACHE")
-    if env:
-        return Path(env) / "shards"
-    return Path(__file__).resolve().parents[3] / ".cache" / "results" / "shards"
+    text = "|".join(
+        (
+            "ckpt1",
+            workload,
+            scheme,
+            prefetcher_key,
+            str(records),
+            machine_fingerprint,
+            trace_digest,
+            mode,
+        )
+    )
+    return hashlib.sha1(text.encode()).hexdigest()[:16]
 
 
 def window_spans(total: int, window: int) -> list:
@@ -142,13 +161,13 @@ class ShardLedger:
         self.stem = stem
         self.fingerprint = fingerprint
         self.window = window
-        self._fh = None
+        self.index = AppendLog(directory / f"{stem}.ledger")
         #: Last boundary recorded by *this* process (progress reporting).
         self.last_next_record = 0
 
     @property
     def ledger_path(self) -> Path:
-        return self.dir / f"{self.stem}.ledger"
+        return self.index.path
 
     def _state_path(self, shard: int) -> Path:
         return self.dir / f"{self.stem}.s{shard}.state"
@@ -160,15 +179,14 @@ class ShardLedger:
 
         Durability order matters: the state file is written, fsynced and
         renamed into place first, then the ledger line naming it (with
-        its content sha1) is appended, flushed and fsynced — so a ledger
-        entry never points at a state that might not be on disk.  The
+        its content sha1) is appended and fsynced — so a ledger entry
+        never points at a state that might not be on disk.  The
         fault hook fires last, after the commit, so an injected ``kill``
         loses nothing and injected ``truncate``/``stale`` mangle exactly
         the file :meth:`latest` must fall back from.
         """
         next_record = int(state["next_record"])
         shard = next_record // self.window
-        self.dir.mkdir(parents=True, exist_ok=True)
         state_path = self._state_path(shard)
         blob = pickle.dumps(
             {
@@ -177,28 +195,17 @@ class ShardLedger:
                 "state": state,
             }
         )
-        tmp = state_path.with_name(f"{state_path.name}.{os.getpid()}.tmp")
-        try:
-            with open(tmp, "wb") as fh:
-                fh.write(blob)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, state_path)
-        finally:
-            tmp.unlink(missing_ok=True)
-        if self._fh is None:
-            self._fh = open(self.ledger_path, "a")
-        entry = {
-            "format": SHARD_FORMAT,
-            "shard": shard,
-            "next_record": next_record,
-            "window": self.window,
-            "sha1": hashlib.sha1(blob).hexdigest(),
-            "counters": state.get("counters", {}),
-        }
-        self._fh.write(json.dumps(entry) + "\n")
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
+        write_atomic(state_path, blob, fsync=True)
+        self.index.append(
+            {
+                "format": SHARD_FORMAT,
+                "shard": shard,
+                "next_record": next_record,
+                "window": self.window,
+                "sha1": hashlib.sha1(blob).hexdigest(),
+                "counters": state.get("counters", {}),
+            }
+        )
         self.last_next_record = next_record
         self._prune(keep_from=shard - (KEEP_STATES - 1))
         fire("shard", str(state_path))
@@ -217,23 +224,8 @@ class ShardLedger:
     # -- reading ------------------------------------------------------------
 
     def entries(self) -> list:
-        """Parsed ledger lines, oldest first; unparsable lines skipped."""
-        try:
-            lines = self.ledger_path.read_text().splitlines()
-        except OSError:
-            return []
-        out = []
-        for line in lines:
-            try:
-                entry = json.loads(line)
-                entry["shard"], entry["next_record"] = (
-                    int(entry["shard"]),
-                    int(entry["next_record"]),
-                )
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-                continue
-            out.append(entry)
-        return out
+        """Parsed index entries, oldest first."""
+        return self.index.entries()
 
     def latest(self) -> Optional[dict]:
         """The newest boundary state that verifies, else None.
@@ -250,7 +242,7 @@ class ShardLedger:
             if entry.get("window") != self.window:
                 continue
             try:
-                blob = self._state_path(entry["shard"]).read_bytes()
+                blob = self._state_path(int(entry["shard"])).read_bytes()
                 if hashlib.sha1(blob).hexdigest() != entry["sha1"]:
                     continue
                 payload = pickle.loads(blob)
@@ -268,20 +260,17 @@ class ShardLedger:
 
     def close(self) -> None:
         """Close the ledger handle, keeping every file (drain path)."""
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+        self.index.close()
 
     def finish(self) -> None:
         """Close and delete everything: the run completed.
 
         The glob deliberately matches ``.state*``, not just
         ``.state``: a SIGKILLed worker can die between opening its
-        ``.state.<pid>.tmp`` and the rename, and that orphan is this
+        ``.state.<random>.tmp`` and the rename, and that orphan is this
         run's debris to reap once the run has actually completed.
         """
-        self.close()
-        self.ledger_path.unlink(missing_ok=True)
+        self.index.remove()
         for path in self.dir.glob(f"{self.stem}.s*.state*"):
             path.unlink(missing_ok=True)
 
@@ -298,7 +287,7 @@ def ledger_for(
 ) -> ShardLedger:
     """The shard ledger for one windowed run identity.
 
-    Identity is the checkpoint fingerprint with the window size folded
+    Identity is :func:`run_fingerprint` with the window size folded
     into the mode component: a boundary state is mathematically valid
     for any cadence, but tying it to the window keeps resume behaviour
     (which boundary you land on) reproducible across crashes.
@@ -321,17 +310,16 @@ def run_windowed(
     sim: Callable[[Optional[dict], Callable[[dict], bool]], object],
     *,
     ledger: ShardLedger,
-    window: int,
     total: int,
     label: str = "",
     on_shard: Optional[ShardCallback] = None,
     should_stop: Optional[Callable[[], bool]] = None,
-    resume: bool = True,
 ) -> object:
     """Drive one engine run window-by-window through a shard ledger.
 
     ``sim(state, on_checkpoint)`` must call the engine with
-    ``resume=state, checkpoint_every=window, on_checkpoint=on_checkpoint``
+    ``resume=state, checkpoint_every=ledger.window,
+    on_checkpoint=on_checkpoint``
     and return its RunResult (or None when ``on_checkpoint`` stopped
     it).  Execution is one ``simulate`` call over the full mmap-backed
     trace — windows are checkpoint cadences, not re-invocations — which
@@ -339,13 +327,13 @@ def run_windowed(
     pass while shard N still starts from shard N-1's serialized state
     after any interruption.
 
-    ``resume=True`` consults :meth:`ShardLedger.latest` first, so a
-    killed process (or a drained service) continues from the last
-    verified boundary.  ``on_shard`` fires after each boundary commits;
-    ``should_stop`` is polled right after it and, when true, the run
-    stops with :class:`DrainRequested` — ledger already on disk.
+    The run starts from :meth:`ShardLedger.latest`, so a killed process
+    (or a drained service) continues from the last verified boundary.
+    ``on_shard`` fires after each boundary commits; ``should_stop`` is
+    polled right after it and, when true, the run stops with
+    :class:`DrainRequested` — ledger already on disk.
     """
-    state = ledger.latest() if resume else None
+    state = ledger.latest()
 
     def on_checkpoint(s: dict) -> bool:
         shard = ledger.record(s)

@@ -105,6 +105,8 @@ class RunResult:
 
 
 #: Loop counters serialized into an engine checkpoint, in capture order.
+#: The planned loop has no ``base_mispred`` (its plan counts
+#: mispredictions), so its counter tuples stop one field short.
 _COUNTER_FIELDS = (
     "cycles",
     "queue",
@@ -117,7 +119,45 @@ _COUNTER_FIELDS = (
     "base_late",
     "base_issued",
     "base_instr",
+    "base_mispred",
 )
+
+#: Counter values of a run that starts at record 0.
+_FRESH_COUNTERS = (0.0, 0.0, 0, 0, 0, 0, 0.0, 0, 0, 0, 0, 0)
+
+
+def _restore(resume: Optional[dict], mode: str, parts: dict) -> tuple:
+    """``(start, counters)`` for a run, loading ``resume`` into ``parts``.
+
+    ``parts`` maps each state key to its collaborator (scheme, MSHRs,
+    hierarchy, and for live runs the stack and prefetcher); without a
+    resume state the run starts fresh at record 0.  Planned states
+    carry no ``base_mispred``, which therefore stays at its fresh 0.
+    """
+    if resume is None:
+        return 0, _FRESH_COUNTERS
+    if resume.get("mode") != mode:
+        raise ValueError(
+            f"resume state is {resume.get('mode')!r}, this is a {mode} run"
+        )
+    for key, part in parts.items():
+        part.load_state(resume[key])
+    counters = resume["counters"]
+    fields = _COUNTER_FIELDS if mode == "live" else _COUNTER_FIELDS[:-1]
+    values = tuple(counters[k] for k in fields)
+    return resume["next_record"], values + _FRESH_COUNTERS[len(values):]
+
+
+def _capture(mode: str, i: int, counters: tuple, parts: dict) -> dict:
+    """The engine state before record ``i``: what ``_restore`` takes."""
+    state = {
+        "mode": mode,
+        "next_record": i,
+        "counters": dict(zip(_COUNTER_FIELDS, counters)),
+    }
+    for key, part in parts.items():
+        state[key] = part.save_state()
+    return state
 
 
 def simulate(
@@ -159,16 +199,25 @@ def simulate(
     file's running *next-ready cycle* instead of probing its occupancy
     every record.
 
+    The two modes share one scaffold (setup, resume, boundary capture,
+    result assembly) around two separate record loops, each free of
+    mode tests.  The planned loop takes branch flushes from
+    ``plan.mispredict`` and the prefetch candidate stream from
+    ``plan.cand_lo/cand_hi`` spans over
+    ``plan.candidate_blocks_list(trace)`` — the trace's own blocks for
+    FDP run-ahead, the recorded issue stream for an entangling plan.
+
     Checkpoint/resume (``tests/test_checkpoint.py`` pins chunked runs
-    bit-identical to single-pass): with ``checkpoint_every > 0`` the
-    engine captures its full warm state — loop counters plus the
-    ``save_state()`` of every stateful collaborator — at the top of each
-    iteration whose absolute index is a multiple of ``checkpoint_every``
-    (state == completion of records ``0..i-1``), *before* the warmup
-    snapshot branch so a resume landing exactly on ``warmup_end``
-    re-derives the base counters identically.  ``on_checkpoint(state)``
-    receives each capture; returning truthy stops the run early and
-    ``simulate`` returns None.  ``resume`` takes such a state and
+    bit-identical to single-pass; the shard ledger in
+    :mod:`repro.harness.shards` persists the captures): with
+    ``checkpoint_every > 0`` the engine captures its full warm state —
+    loop counters plus the ``save_state()`` of every stateful
+    collaborator — at the top of each iteration whose absolute index is
+    a multiple of ``checkpoint_every`` (state == completion of records
+    ``0..i-1``), *before* the warmup snapshot branch so a resume landing
+    exactly on ``warmup_end`` re-derives the base counters identically.
+    ``on_checkpoint(state)`` receives each capture; returning truthy
+    stops the run early and ``simulate`` returns None.  ``resume`` takes such a state and
     continues from its ``next_record``; the engine restores its own
     collaborators (it constructs the MSHR/hierarchy), so callers only
     rebuild the scheme/stack/prefetcher fresh from their factories.
@@ -177,34 +226,47 @@ def simulate(
     """
     if machine is None:
         raise TypeError("simulate() requires machine parameters")
-    if plan is not None:
+    n = len(trace)
+    warmup_end = int(n * machine.warmup_fraction)
+    hierarchy = hierarchy or MemoryHierarchy(machine.hierarchy)
+    mshr = MSHRFile(machine.mshr_entries)
+    parts = {"scheme": scheme, "mshr": mshr, "hierarchy": hierarchy}
+    if plan is None:
+        if prefetcher is None or stack is None:
+            raise TypeError(
+                "simulate() needs a prefetcher and a stack when no plan is given"
+            )
+        mode = "live"
+        parts.update(stack=stack, prefetcher=prefetcher)
+        kinds = trace.branch_kind_list
+        stack_retire = stack.retire
+        pf_candidates = prefetcher.candidates
+        pf_observe_fetch = prefetcher.observe_fetch
+        pf_on_demand_miss = prefetcher.on_demand_miss
+    else:
         if prefetcher is not None or stack is not None:
             raise ValueError(
                 "pass either a precomputed plan or a live prefetcher/stack, "
                 "not both"
             )
-        return _simulate_planned(
-            trace,
-            scheme,
-            machine,
-            hierarchy,
-            plan,
-            resume=resume,
-            checkpoint_every=checkpoint_every,
-            on_checkpoint=on_checkpoint,
-        )
-    if prefetcher is None or stack is None:
-        raise TypeError(
-            "simulate() needs a prefetcher and a stack when no plan is given"
-        )
-    hierarchy = hierarchy or MemoryHierarchy(machine.hierarchy)
-    mshr = MSHRFile(machine.mshr_entries)
+        if len(plan) != n:
+            raise ValueError(
+                f"plan covers {len(plan)} records, trace has {n}; "
+                "was the plan built for a different trace?"
+            )
+        if warmup_end != plan.warmup_end:
+            raise ValueError(
+                f"plan warmup split {plan.warmup_end} != machine's {warmup_end}; "
+                "rebuild the plan for this machine configuration"
+            )
+        mode = "planned"
+        mispredict = plan.mispredict_list
+        cand_lo = plan.cand_lo_list
+        cand_hi = plan.cand_hi_list
+        cand_blocks = plan.candidate_blocks_list(trace)
 
     blocks = trace.blocks_list
     instr_counts = trace.instrs_list
-    kinds = trace.branch_kind_list
-    n = len(blocks)
-    warmup_end = int(n * machine.warmup_fraction)
 
     backend_ipc = machine.backend_ipc
     queue_cap = float(machine.decode_queue_instrs)
@@ -216,10 +278,6 @@ def simulate(
     if prepare_trace is not None:
         prepare_trace(trace)
 
-    stack_retire = stack.retire
-    pf_candidates = prefetcher.candidates
-    pf_observe_fetch = prefetcher.observe_fetch
-    pf_on_demand_miss = prefetcher.on_demand_miss
     hierarchy_access = hierarchy.access
     mshr_drain = mshr.drain
     mshr_ready_cycle = mshr.ready_cycle
@@ -227,38 +285,11 @@ def simulate(
     mshr_allocate = mshr.allocate
     mshr_contains = mshr.__contains__
 
-    cycles = 0.0
-    queue = 0.0
-    demand_misses = 0
-    late_prefetch = 0
-    prefetches_issued = 0
-    instructions = 0
-
-    # Snapshots taken when warmup ends.
-    base_cycles = 0.0
-    base_misses = 0
-    base_late = 0
-    base_issued = 0
-    base_instr = 0
-    base_mispred = 0
-
-    start = 0
-    if resume is not None:
-        if resume.get("mode") != "live":
-            raise ValueError(
-                f"resume state is {resume.get('mode')!r}, this is a live run"
-            )
-        start = resume["next_record"]
-        counters = resume["counters"]
-        (cycles, queue, demand_misses, late_prefetch, prefetches_issued,
-         instructions, base_cycles, base_misses, base_late, base_issued,
-         base_instr) = (counters[k] for k in _COUNTER_FIELDS)
-        base_mispred = counters["base_mispred"]
-        scheme.load_state(resume["scheme"])
-        mshr.load_state(resume["mshr"])
-        hierarchy.load_state(resume["hierarchy"])
-        stack.load_state(resume["stack"])
-        prefetcher.load_state(resume["prefetcher"])
+    # Loop counters, plus the base_* snapshots taken when warmup ends.
+    start, counters = _restore(resume, mode, parts)
+    (cycles, queue, demand_misses, late_prefetch, prefetches_issued,
+     instructions, base_cycles, base_misses, base_late, base_issued,
+     base_instr, base_mispred) = counters
     next_ready = mshr.next_ready
 
     # Hoisted after the resume load on purpose: the flat policy twins
@@ -275,32 +306,20 @@ def simulate(
     else:
         next_ckpt = n + 1  # never taken: one dead int compare per record
 
-    for i in range(start, n):
+    # Exactly one of the two record loops runs (the other iterates
+    # nothing): the live loop, then its planned twin.  Any change to
+    # either must keep the scalars bit-identical to the other
+    # (``tests/test_frontend_plan.py`` and
+    # ``tests/test_entangling_plan.py`` pin this across schemes, branch
+    # kinds and workload profiles).
+    for i in range(start, n) if plan is None else ():
         if i == next_ckpt:
             next_ckpt += checkpoint_every
-            state = {
-                "mode": "live",
-                "next_record": i,
-                "counters": {
-                    "cycles": cycles,
-                    "queue": queue,
-                    "demand_misses": demand_misses,
-                    "late_prefetch": late_prefetch,
-                    "prefetches_issued": prefetches_issued,
-                    "instructions": instructions,
-                    "base_cycles": base_cycles,
-                    "base_misses": base_misses,
-                    "base_late": base_late,
-                    "base_issued": base_issued,
-                    "base_instr": base_instr,
-                    "base_mispred": base_mispred,
-                },
-                "scheme": scheme.save_state(),
-                "mshr": mshr.save_state(),
-                "hierarchy": hierarchy.save_state(),
-                "stack": stack.save_state(),
-                "prefetcher": prefetcher.save_state(),
-            }
+            state = _capture("live", i, (
+                cycles, queue, demand_misses, late_prefetch,
+                prefetches_issued, instructions, base_cycles, base_misses,
+                base_late, base_issued, base_instr, base_mispred,
+            ), parts)
             if on_checkpoint is not None and on_checkpoint(state):
                 return None
 
@@ -380,152 +399,14 @@ def simulate(
                 next_ready = ready
             prefetches_issued += 1
 
-    # Schemes that defer counter updates into their fused hot path flush
-    # them here (checkpoint captures flush inside save_state instead).
-    finish_trace = getattr(scheme, "finish_trace", None)
-    if finish_trace is not None:
-        finish_trace()
-
-    return RunResult(
-        workload=trace.name,
-        scheme_name=scheme.name,
-        prefetcher_name=prefetcher.name,
-        instructions=instructions - base_instr,
-        accesses=n - warmup_end,
-        cycles=cycles - base_cycles,
-        demand_misses=demand_misses - base_misses,
-        late_prefetch_misses=late_prefetch - base_late,
-        prefetches_issued=prefetches_issued - base_issued,
-        mispredicted_transitions=(
-            stack.stats.mispredicted_transitions - base_mispred
-        ),
-        scheme=scheme,
-    )
-
-
-def _simulate_planned(
-    trace: Trace,
-    scheme: L1IScheme,
-    machine: MachineParams,
-    hierarchy: Optional[MemoryHierarchy],
-    plan: "AnyPlan",
-    resume: Optional[dict] = None,
-    checkpoint_every: int = 0,
-    on_checkpoint=None,
-) -> Optional[RunResult]:
-    """The planned twin of the live loop in :func:`simulate`.
-
-    Branch flushes come from ``plan.mispredict`` and the prefetch
-    candidate stream from ``plan.cand_lo/cand_hi`` spans over
-    ``plan.candidate_blocks_list(trace)`` — the trace's own blocks for
-    FDP run-ahead, the recorded issue stream for an entangling plan; no
-    per-record frontend calls remain.  Any change here must keep the
-    scalars bit-identical to the live path
-    (``tests/test_frontend_plan.py`` and
-    ``tests/test_entangling_plan.py`` pin this across schemes, branch
-    kinds and workload profiles).
-    """
-    n = len(trace)
-    if len(plan) != n:
-        raise ValueError(
-            f"plan covers {len(plan)} records, trace has {n}; "
-            "was the plan built for a different trace?"
-        )
-    warmup_end = int(n * machine.warmup_fraction)
-    if warmup_end != plan.warmup_end:
-        raise ValueError(
-            f"plan warmup split {plan.warmup_end} != machine's {warmup_end}; "
-            "rebuild the plan for this machine configuration"
-        )
-    hierarchy = hierarchy or MemoryHierarchy(machine.hierarchy)
-    mshr = MSHRFile(machine.mshr_entries)
-
-    blocks = trace.blocks_list
-    instr_counts = trace.instrs_list
-    mispredict = plan.mispredict_list
-    cand_lo = plan.cand_lo_list
-    cand_hi = plan.cand_hi_list
-    cand_blocks = plan.candidate_blocks_list(trace)
-
-    backend_ipc = machine.backend_ipc
-    queue_cap = float(machine.decode_queue_instrs)
-    penalty = machine.branch_mispredict_penalty
-
-    # Shared replacement pre-pass binding, as in the live loop.
-    prepare_trace = getattr(scheme, "prepare_trace", None)
-    if prepare_trace is not None:
-        prepare_trace(trace)
-
-    hierarchy_access = hierarchy.access
-    mshr_drain = mshr.drain
-    mshr_ready_cycle = mshr.ready_cycle
-    mshr_cancel = mshr.cancel
-    mshr_allocate = mshr.allocate
-    mshr_contains = mshr.__contains__
-
-    cycles = 0.0
-    queue = 0.0
-    demand_misses = 0
-    late_prefetch = 0
-    prefetches_issued = 0
-    instructions = 0
-
-    base_cycles = 0.0
-    base_misses = 0
-    base_late = 0
-    base_issued = 0
-    base_instr = 0
-
-    start = 0
-    if resume is not None:
-        if resume.get("mode") != "planned":
-            raise ValueError(
-                f"resume state is {resume.get('mode')!r}, this is a planned run"
-            )
-        start = resume["next_record"]
-        counters = resume["counters"]
-        (cycles, queue, demand_misses, late_prefetch, prefetches_issued,
-         instructions, base_cycles, base_misses, base_late, base_issued,
-         base_instr) = (counters[k] for k in _COUNTER_FIELDS)
-        scheme.load_state(resume["scheme"])
-        mshr.load_state(resume["mshr"])
-        hierarchy.load_state(resume["hierarchy"])
-    next_ready = mshr.next_ready
-
-    # Hoisted after the resume load on purpose (see simulate()).
-    scheme_lookup = scheme.lookup
-    scheme_fill = scheme.fill
-    scheme_prefetch_fill = scheme.prefetch_fill
-    scheme_contains = scheme.contains
-
-    if checkpoint_every > 0:
-        next_ckpt = (start // checkpoint_every + 1) * checkpoint_every
-    else:
-        next_ckpt = n + 1
-
-    for i in range(start, n):
+    for i in range(start, n) if plan is not None else ():
         if i == next_ckpt:
             next_ckpt += checkpoint_every
-            state = {
-                "mode": "planned",
-                "next_record": i,
-                "counters": {
-                    "cycles": cycles,
-                    "queue": queue,
-                    "demand_misses": demand_misses,
-                    "late_prefetch": late_prefetch,
-                    "prefetches_issued": prefetches_issued,
-                    "instructions": instructions,
-                    "base_cycles": base_cycles,
-                    "base_misses": base_misses,
-                    "base_late": base_late,
-                    "base_issued": base_issued,
-                    "base_instr": base_instr,
-                },
-                "scheme": scheme.save_state(),
-                "mshr": mshr.save_state(),
-                "hierarchy": hierarchy.save_state(),
-            }
+            state = _capture("planned", i, (
+                cycles, queue, demand_misses, late_prefetch,
+                prefetches_issued, instructions, base_cycles, base_misses,
+                base_late, base_issued, base_instr,
+            ), parts)
             if on_checkpoint is not None and on_checkpoint(state):
                 return None
 
@@ -596,21 +477,28 @@ def _simulate_planned(
                     next_ready = ready
                 prefetches_issued += 1
 
-    # Deferred-counter flush, as in the live loop.
+    # Schemes that defer counter updates into their fused hot path flush
+    # them here (checkpoint captures flush inside save_state instead).
     finish_trace = getattr(scheme, "finish_trace", None)
     if finish_trace is not None:
         finish_trace()
 
+    if plan is None:
+        prefetcher_name = prefetcher.name
+        mispredicted = stack.stats.mispredicted_transitions - base_mispred
+    else:
+        prefetcher_name = plan.prefetcher
+        mispredicted = plan.mispredicted_after_warmup()
     return RunResult(
         workload=trace.name,
         scheme_name=scheme.name,
-        prefetcher_name=plan.prefetcher,
+        prefetcher_name=prefetcher_name,
         instructions=instructions - base_instr,
         accesses=n - warmup_end,
         cycles=cycles - base_cycles,
         demand_misses=demand_misses - base_misses,
         late_prefetch_misses=late_prefetch - base_late,
         prefetches_issued=prefetches_issued - base_issued,
-        mispredicted_transitions=plan.mispredicted_after_warmup(),
+        mispredicted_transitions=mispredicted,
         scheme=scheme,
     )

@@ -1,11 +1,11 @@
-"""Append-only JSON-lines journal making a search resumable after a kill.
+"""Fsync'd JSON-lines journal making a search resumable after a kill.
 
-Mirrors the sweep journals (:mod:`repro.harness.runner`): one line per
-scored spec, flushed and fsynced at write time so entries survive a
-SIGKILLed search process; ``replay`` tolerates a torn final line and
-foreign junk by skipping anything unparsable (worst case: one spec is
-re-scored — and even that is usually warm in the Runner's fingerprinted
-result cache).
+An :class:`~repro.common.durable.AppendLog`, like the sweep journals
+(:mod:`repro.harness.runner`): one line per scored spec, fsynced at
+write time so entries survive a SIGKILLed search process; replay skips
+a torn final line and foreign junk (worst case: one spec is re-scored —
+and even that is usually warm in the Runner's fingerprinted result
+cache).
 
 Unlike sweep journals the file is *kept* after a successful search:
 it doubles as the search log, and a re-run with a larger ``--budget``
@@ -14,58 +14,29 @@ resumes on top of it instead of re-scoring the shared prefix.
 
 from __future__ import annotations
 
-import json
 import os
 from pathlib import Path
-from typing import Dict, Iterator, Optional
+from typing import Dict
+
+from repro.common.durable import AppendLog
 
 
-class SearchJournal:
+class SearchJournal(AppendLog):
     """Fsync-per-line journal of scored specs, keyed by fingerprint."""
-
-    def __init__(self, path: Path) -> None:
-        self.path = Path(path)
-        self._fh = None
 
     def record(self, entry: Dict[str, object]) -> None:
         """Append one scored-spec entry; must contain ``fingerprint``."""
         if "fingerprint" not in entry:
             raise ValueError("journal entries must carry a fingerprint")
-        if self._fh is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._fh = open(self.path, "a")
-        self._fh.write(json.dumps(entry, sort_keys=True) + "\n")
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
-
-    def entries(self) -> Iterator[Dict[str, object]]:
-        """Every parsable entry, in write order (torn/junk lines skipped)."""
-        try:
-            lines = self.path.read_text().splitlines()
-        except OSError:
-            return
-        for line in lines:
-            try:
-                entry = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if isinstance(entry, dict) and "fingerprint" in entry:
-                yield entry
+        self.append(entry)
 
     def replay(self) -> Dict[str, Dict[str, object]]:
         """{fingerprint: entry}; later lines win on duplicates."""
-        return {str(entry["fingerprint"]): entry for entry in self.entries()}
-
-    def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-
-    def __enter__(self) -> "SearchJournal":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+        return {
+            str(entry["fingerprint"]): entry
+            for entry in self.entries()
+            if "fingerprint" in entry
+        }
 
 
 def default_journal_path(space: str, seed: int, records: int) -> Path:

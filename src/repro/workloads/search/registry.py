@@ -25,6 +25,7 @@ import os
 from pathlib import Path
 from typing import Dict, Optional, Tuple
 
+from repro.common.durable import write_atomic
 from repro.workloads.profiles import WorkloadProfile
 from repro.workloads.search.strategies import ProfileSpec
 
@@ -32,6 +33,11 @@ from repro.workloads.search.strategies import ProfileSpec
 REGISTRY_FORMAT = 1
 
 RATCHET_NAME = "RATCHET.json"
+
+
+def _json_bytes(payload: Dict[str, object]) -> bytes:
+    """The committed file format: indented, key-sorted, newline-ended."""
+    return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
 
 
 def found_profiles_dir() -> Path:
@@ -55,7 +61,6 @@ def save_found_profile(
     concurrent readers from seeing a partial file.
     """
     directory = Path(directory) if directory else found_profiles_dir()
-    directory.mkdir(parents=True, exist_ok=True)
     payload = {
         "format": REGISTRY_FORMAT,
         "name": spec.workload_name,
@@ -64,12 +69,7 @@ def save_found_profile(
         "provenance": dict(provenance or {}),
     }
     path = directory / f"{spec.workload_name}.json"
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    try:
-        tmp.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+    write_atomic(path, _json_bytes(payload))
     return path
 
 
@@ -138,11 +138,5 @@ def write_ratchet(
 ) -> Path:
     """Commit a new ratchet state (write-then-rename)."""
     path = ratchet_path(directory)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    try:
-        tmp.write_text(json.dumps(ratchet, indent=2, sort_keys=True) + "\n")
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+    write_atomic(path, _json_bytes(ratchet))
     return path

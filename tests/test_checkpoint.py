@@ -1,6 +1,6 @@
 """Windowed (checkpoint/resume) simulation is bit-identical to single-pass.
 
-Three layers are pinned here:
+Two layers are pinned here:
 
 * the **engine** — ``simulate(resume=..., checkpoint_every=...,
   on_checkpoint=...)`` chunks stitched across simulated process
@@ -8,13 +8,10 @@ Three layers are pinned here:
   rebuilt fresh each chunk) equal one undisturbed pass, on both the
   live and the planned paths, across scheme families (plain policies,
   RNG-carrying bypass schemes, oracle-backed OPT, ACIC);
-* the **store** — ``CheckpointStore`` round-trips engine states and
-  discards corrupt, truncated, stale-fingerprint and wrong-format
-  files rather than trusting them;
-* the **harness** — ``run_experiment`` under ``REPRO_CHECKPOINT_EVERY``
-  resumes a half-finished run from its checkpoint file and still
+* the **harness** — ``run_experiment(shard_window=...)`` resumes a
+  half-finished run from a boundary in its shard ledger and still
   reports scalars identical to an unwindowed run, then deletes the
-  file.
+  ledger.  The ledger itself is pinned in ``tests/test_shards.py``.
 """
 
 from __future__ import annotations
@@ -26,15 +23,9 @@ import pytest
 from repro.frontend.fdp import FetchDirectedPrefetcher
 from repro.frontend.plan import cached_plan
 from repro.frontend.stack import BranchStack
-from repro.harness.checkpoint import (
-    CHECKPOINT_FORMAT,
-    CheckpointStore,
-    checkpoint_every,
-    run_fingerprint,
-    store_for,
-)
 from repro.harness.experiment import run_experiment
 from repro.harness.schemes import SchemeContext, make_scheme
+from repro.harness.shards import ledger_for, shards_dir
 from repro.uarch.params import DEFAULT_MACHINE
 from repro.uarch.timing import simulate
 from repro.workloads.profiles import get_workload
@@ -224,112 +215,33 @@ class TestEngineChunking:
             )
 
 
-class TestCheckpointEveryEnv:
-    def test_default_off(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CHECKPOINT_EVERY", raising=False)
-        assert checkpoint_every() == 0
-
-    def test_parses(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHECKPOINT_EVERY", "2500")
-        assert checkpoint_every() == 2500
-
-    def test_negative_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHECKPOINT_EVERY", "-1")
-        with pytest.raises(ValueError):
-            checkpoint_every()
-
-
-class TestCheckpointStore:
-    FP_ARGS = (WORKLOAD, "lru", "fdp", RECORDS, "mfp", "digest", "planned")
-
-    def _store(self, tmp_path):
-        fp = run_fingerprint(*self.FP_ARGS)
-        return CheckpointStore(tmp_path / "run.ckpt", fp)
-
-    def test_roundtrip_and_clear(self, tmp_path):
-        store = self._store(tmp_path)
-        assert store.load() is None  # no file yet
-        state = {"mode": "planned", "next_record": 42, "counters": {}}
-        assert store.write(state) is False  # hook says: keep running
-        assert store.load() == state
-        store.clear()
-        assert store.load() is None
-        store.clear()  # idempotent
-
-    def test_corrupt_file_discarded(self, tmp_path):
-        store = self._store(tmp_path)
-        store.write({"mode": "planned"})
-        store.path.write_bytes(b"\x80\x05 definitely not a checkpoint")
-        assert store.load() is None
-        assert not store.path.exists(), "corrupt checkpoint must be unlinked"
-
-    def test_truncated_file_discarded(self, tmp_path):
-        store = self._store(tmp_path)
-        store.write({"mode": "planned", "bulk": list(range(1000))})
-        raw = store.path.read_bytes()
-        store.path.write_bytes(raw[: len(raw) // 2])
-        assert store.load() is None
-        assert not store.path.exists()
-
-    def test_foreign_fingerprint_discarded(self, tmp_path):
-        store = self._store(tmp_path)
-        store.write({"mode": "planned"})
-        other = CheckpointStore(
-            store.path, run_fingerprint(WORKLOAD, "srrip", *self.FP_ARGS[2:])
-        )
-        assert other.load() is None
-        assert not store.path.exists()
-
-    def test_format_bump_discards(self, tmp_path):
-        store = self._store(tmp_path)
-        payload = {
-            "format": CHECKPOINT_FORMAT + 1,
-            "fingerprint": store.fingerprint,
-            "state": {"mode": "planned"},
-        }
-        store.path.write_bytes(pickle.dumps(payload))
-        assert store.load() is None
-
-    def test_fingerprint_sensitivity(self):
-        base = run_fingerprint(*self.FP_ARGS)
-        for i in range(len(self.FP_ARGS)):
-            changed = list(self.FP_ARGS)
-            changed[i] = "other" if isinstance(changed[i], str) else 999
-            assert run_fingerprint(*changed) != base, f"ingredient {i} ignored"
-
-    def test_write_leaves_no_tmp(self, tmp_path):
-        store = self._store(tmp_path)
-        store.write({"mode": "planned"})
-        assert not list(tmp_path.glob("*.tmp"))
-
-
 class TestRunExperimentWindowed:
     @pytest.fixture()
     def result_cache(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_RESULT_CACHE", str(tmp_path))
+        monkeypatch.delenv("REPRO_SHARD_WINDOW", raising=False)
         return tmp_path
 
-    def test_windowed_run_matches_and_cleans_up(self, result_cache, monkeypatch):
-        monkeypatch.delenv("REPRO_CHECKPOINT_EVERY", raising=False)
+    def test_windowed_run_matches_and_cleans_up(self, result_cache):
         plain = run_experiment(WORKLOAD, "lru", records=RECORDS)
-        monkeypatch.setenv("REPRO_CHECKPOINT_EVERY", "2000")
-        windowed = run_experiment(WORKLOAD, "lru", records=RECORDS)
+        windowed = run_experiment(
+            WORKLOAD, "lru", records=RECORDS, shard_window=2_000
+        )
         assert _scalars(windowed.run) == _scalars(plain.run)
-        assert not list((result_cache / "checkpoints").glob("*.ckpt")), (
-            "completed run must delete its checkpoint"
+        assert not list(shards_dir().glob("*")), (
+            "completed run must delete its ledger"
         )
 
-    def test_resume_from_planted_checkpoint(self, result_cache, monkeypatch):
-        """A half-finished run's checkpoint is picked up and finished."""
-        monkeypatch.delenv("REPRO_CHECKPOINT_EVERY", raising=False)
+    def test_resume_from_planted_checkpoint(self, result_cache):
+        """A half-finished run's boundary is picked up and finished."""
         plain = run_experiment(WORKLOAD, "lru", records=RECORDS)
 
-        # Produce the mid-run state exactly as a killed windowed run
+        # Produce the mid-run boundary exactly as a killed windowed run
         # would have left it: same trace, machine and mode ingredients.
         trace = get_workload(WORKLOAD).trace(records=RECORDS)
         context = SchemeContext(trace=trace, machine=DEFAULT_MACHINE)
         plan = cached_plan(trace, DEFAULT_MACHINE, "fdp")
-        store = store_for(
+        ledger = ledger_for(
             WORKLOAD,
             "lru",
             "fdp",
@@ -337,6 +249,7 @@ class TestRunExperimentWindowed:
             DEFAULT_MACHINE.fingerprint(),
             trace.digest,
             "planned",
+            2_000,
         )
         halted = simulate(
             trace,
@@ -344,15 +257,23 @@ class TestRunExperimentWindowed:
             machine=DEFAULT_MACHINE,
             plan=plan,
             checkpoint_every=2_000,
-            on_checkpoint=lambda s: store.write(s) or True,
+            on_checkpoint=lambda s: ledger.record(s) or True,
         )
+        ledger.close()
         assert halted is None
-        assert store.path.exists()
+        assert ledger.ledger_path.exists()
 
-        monkeypatch.setenv("REPRO_CHECKPOINT_EVERY", "2000")
-        resumed = run_experiment(WORKLOAD, "lru", records=RECORDS)
+        boundaries = []
+        resumed = run_experiment(
+            WORKLOAD,
+            "lru",
+            records=RECORDS,
+            shard_window=2_000,
+            on_shard=lambda shard, done, total: boundaries.append(shard),
+        )
+        assert boundaries[0] == 2, "resume must start past the planted boundary"
         assert _scalars(resumed.run) == _scalars(plain.run)
-        assert not store.path.exists()
+        assert not ledger.ledger_path.exists()
 
 
 class TestCadenceEdgeCases:
@@ -483,12 +404,13 @@ class TestCadenceEdgeCases:
         assert _scalars(run) == _scalars(single)
 
     def test_run_experiment_cadence_of_one(self, monkeypatch, tmp_path):
-        """``REPRO_CHECKPOINT_EVERY=1``: a store write at every record."""
+        """``shard_window=1``: a ledgered boundary at every record."""
         records = 500
-        monkeypatch.delenv("REPRO_CHECKPOINT_EVERY", raising=False)
         monkeypatch.setenv("REPRO_RESULT_CACHE", str(tmp_path))
+        monkeypatch.delenv("REPRO_SHARD_WINDOW", raising=False)
         plain = run_experiment(WORKLOAD, "lru", records=records)
-        monkeypatch.setenv("REPRO_CHECKPOINT_EVERY", "1")
-        windowed = run_experiment(WORKLOAD, "lru", records=records)
+        windowed = run_experiment(
+            WORKLOAD, "lru", records=records, shard_window=1
+        )
         assert _scalars(windowed.run) == _scalars(plain.run)
-        assert not list((tmp_path / "checkpoints").glob("*.ckpt"))
+        assert not list(shards_dir().glob("*"))

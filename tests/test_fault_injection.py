@@ -21,7 +21,6 @@ import numpy as np
 import pytest
 
 from repro.common import faults
-from repro.harness.checkpoint import CheckpointStore, run_fingerprint
 from repro.harness.faults import (
     FaultInjected,
     FaultPlan,
@@ -77,10 +76,10 @@ def _expected():
 
 class TestSpecParsing:
     def test_grammar(self):
-        plan = FaultPlan("worker:kill@3, checkpoint:truncate")
+        plan = FaultPlan("worker:kill@3, shard:truncate")
         assert plan.faults == {
             "worker": ("kill", 3),
-            "checkpoint": ("truncate", 1),
+            "shard": ("truncate", 1),
         }
 
     @pytest.mark.parametrize(
@@ -350,27 +349,6 @@ class TestJournalResume:
 
 class TestFileMangleFaults:
     """truncate/stale faults at the write hooks; readers must recover."""
-
-    def test_checkpoint_truncate_discarded(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULT", "checkpoint:truncate@1")
-        monkeypatch.delenv("REPRO_FAULT_ONCE", raising=False)
-        faults.reset()
-        fp = run_fingerprint("w", "s", "fdp", 100, "m", "d", "planned")
-        store = CheckpointStore(tmp_path / "run.ckpt", fp)
-        store.write({"mode": "planned", "bulk": list(range(2000))})
-        # The fault chopped the committed file in half behind the rename.
-        assert store.load() is None
-        assert not store.path.exists()
-
-    def test_checkpoint_stale_discarded(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULT", "checkpoint:stale@1")
-        monkeypatch.delenv("REPRO_FAULT_ONCE", raising=False)
-        faults.reset()
-        fp = run_fingerprint("w", "s", "fdp", 100, "m", "d", "planned")
-        store = CheckpointStore(tmp_path / "run.ckpt", fp)
-        store.write({"mode": "planned"})
-        assert store.path.read_bytes() == STALE_BYTES
-        assert store.load() is None
 
     def test_trace_sidecar_stale_rebuilt(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path))

@@ -354,9 +354,10 @@ class TestEngineChunked:
     ):
         monkeypatch.setenv("REPRO_RESULT_CACHE", str(tmp_path))
         plain = run_experiment(WORKLOAD, kind, records=RECORDS)
-        monkeypatch.setenv("REPRO_CHECKPOINT_EVERY", "2000")
+        monkeypatch.setenv("REPRO_SHARD_WINDOW", "2000")
         windowed = run_experiment(WORKLOAD, kind, records=RECORDS)
         assert _scalars(windowed.run) == _scalars(plain.run)
+        assert not list((tmp_path / "shards").glob("*"))
 
 
 class TestFlatReadableGrid:

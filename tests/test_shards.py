@@ -36,6 +36,7 @@ from repro.harness.shards import (
     DrainRequested,
     ShardLedger,
     ledger_for,
+    run_fingerprint,
     shard_window,
     shards_dir,
     window_spans,
@@ -65,10 +66,9 @@ def _scalars(run):
 
 @pytest.fixture(autouse=True)
 def shard_env(tmp_path, monkeypatch):
-    """Isolated ledger/result dirs; no ambient shard/checkpoint config."""
+    """Isolated ledger/result dirs; no ambient shard config."""
     monkeypatch.setenv("REPRO_RESULT_CACHE", str(tmp_path))
     monkeypatch.delenv("REPRO_SHARD_WINDOW", raising=False)
-    monkeypatch.delenv("REPRO_CHECKPOINT_EVERY", raising=False)
     monkeypatch.delenv("REPRO_FAULT", raising=False)
     monkeypatch.delenv("REPRO_FAULT_ONCE", raising=False)
     faults.reset()
@@ -269,6 +269,27 @@ class TestShardLedger:
         assert len({a.fingerprint, b.fingerprint, c.fingerprint}) == 3
         assert a.stem != b.stem
 
+    FP_ARGS = (WORKLOAD, "lru", "fdp", 6_000, "mfp", "digest", "planned")
+
+    def test_run_fingerprint_sensitivity(self):
+        base = run_fingerprint(*self.FP_ARGS)
+        for i in range(len(self.FP_ARGS)):
+            changed = list(self.FP_ARGS)
+            changed[i] = "other" if isinstance(changed[i], str) else 999
+            assert run_fingerprint(*changed) != base, f"ingredient {i} ignored"
+
+    def test_run_fingerprint_is_stable(self):
+        """Ledgers already on disk must keep resuming: the identity
+        string (``ckpt1|...``) may never change silently."""
+        args = self.FP_ARGS[:-1] + ("planned+w2000",)
+        assert run_fingerprint(*args) == "2cad6daae4258a64"
+
+    def test_record_leaves_no_tmp(self, tmp_path):
+        ledger = self._ledger(tmp_path)
+        ledger.record(_state(100))
+        ledger.close()
+        assert not [p for p in ledger.dir.iterdir() if ".tmp" in p.name]
+
 
 class TestShardedStitching:
     @pytest.mark.parametrize("scheme", sorted(available_schemes()))
@@ -292,8 +313,6 @@ class TestShardedStitching:
         self, context, plain_runs, monkeypatch
     ):
         monkeypatch.setenv("REPRO_SHARD_WINDOW", str(WINDOW))
-        # Env sharding must also win over plain checkpointing.
-        monkeypatch.setenv("REPRO_CHECKPOINT_EVERY", "777")
         run = run_experiment(
             WORKLOAD, "lru", records=RECORDS, context=context
         ).run

@@ -1,7 +1,7 @@
 """save_state/load_state identity for every registered scheme.
 
-The checkpoint machinery (``repro/harness/checkpoint.py``) only works if
-every stateful component can be serialized mid-run and restored into a
+Resumable runs (the shard ledger, ``repro/harness/shards.py``) only work
+if every stateful component can be serialized mid-run and restored into a
 *fresh* object with no behavioural drift.  These tests pin that
 contract property-style: drive a scheme through a randomized schedule
 (tiny block space, capacity pressure everywhere — the idiom of
@@ -120,7 +120,7 @@ def _roundtrip(name: str, context: SchemeContext, seed: int):
     original = make_scheme(name, context)
     _drive(original, ops, 0, cut)
 
-    # Across a simulated process boundary: the checkpoint store pickles
+    # Across a simulated process boundary: the shard ledger pickles
     # exactly this payload.
     state = pickle.loads(pickle.dumps(original.save_state()))
 
