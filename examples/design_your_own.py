@@ -9,7 +9,7 @@ the baseline — all without touching library internals.
 
 from __future__ import annotations
 
-from repro.core.controller import ACICScheme
+from repro.core.flat import FlatACICScheme
 from repro.core.predictor import TwoLevelAdmissionPredictor
 from repro.frontend.stack import BranchStack
 from repro.harness.experiment import build_prefetcher
@@ -49,7 +49,7 @@ def main() -> None:
 
     # 2. A custom ACIC: 32-slot i-Filter, 8-bit history, instant updates.
     def my_acic():
-        return ACICScheme(
+        return FlatACICScheme(
             ifilter_slots=32,
             predictor=TwoLevelAdmissionPredictor(
                 hrt_entries=2048, history_bits=8, update_mode="instant"

@@ -17,6 +17,12 @@ satisfy the gate, so deleting a table row fails CI even while the
 variable is still discussed elsewhere.  Table rows naming a variable
 that no longer appears anywhere in ``src/`` fail the gate as well, so
 stale rows can't linger after a knob is removed.
+
+The gate also fails when ``tests/``, ``benchmarks/``, ``scripts/`` or
+``examples/`` name a ``REPRO_*`` variable that ``src/`` no longer
+reads: a leftover ``monkeypatch.setenv`` of a deleted switch sets
+nothing, so a differential test built on it would silently compare an
+implementation with itself and still pass.
 """
 
 from __future__ import annotations
@@ -34,13 +40,18 @@ ENV_RE = re.compile(r"\bREPRO_[A-Z0-9_]+\b")
 TABLE_ROW_RE = re.compile(r"^\|\s*`(REPRO_[A-Z0-9_]+)[^`]*`\s*\|", re.MULTILINE)
 
 
-def vars_in_source() -> dict[str, list[str]]:
-    """{variable: [files mentioning it]} over src/**/*.py."""
+#: Trees whose ``REPRO_*`` mentions must name a variable src/ reads.
+CONSUMER_DIRS = ("tests", "benchmarks", "scripts", "examples")
+
+
+def vars_in_source(*dirs: str) -> dict[str, list[str]]:
+    """{variable: [files mentioning it]} over ``<dir>/**/*.py`` (default src)."""
     found: dict[str, list[str]] = defaultdict(list)
-    for path in sorted((REPO / "src").rglob("*.py")):
-        rel = str(path.relative_to(REPO))
-        for name in set(ENV_RE.findall(path.read_text())):
-            found[name].append(rel)
+    for top in dirs or ("src",):
+        for path in sorted((REPO / top).rglob("*.py")):
+            rel = str(path.relative_to(REPO))
+            for name in set(ENV_RE.findall(path.read_text())):
+                found[name].append(rel)
     return dict(found)
 
 
@@ -81,6 +92,12 @@ def main(argv: list[str] | None = None) -> int:
             f"{name} has a README.md reference-table row but no longer "
             "appears anywhere under src/"
         )
+    consumers = vars_in_source(*CONSUMER_DIRS)
+    for name in sorted(set(consumers) - set(source)):
+        problems.append(
+            f"{name} is named in {', '.join(consumers[name])} "
+            "but src/ no longer reads it"
+        )
 
     if problems:
         for problem in problems:
@@ -88,7 +105,8 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     print(
         f"env docs fresh: {len(source)} REPRO_* variables in src/ "
-        "all documented in README.md (and none stale)"
+        "all documented in README.md (and none stale or named "
+        "only outside src/)"
     )
     return 0
 

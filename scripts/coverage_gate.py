@@ -16,11 +16,13 @@ aggregate executed-line fraction of any target directory — by default
 ``src/repro/harness`` and ``src/repro/service`` — drops below the
 floor.  CI runs this after the
 tier-1 suite so a PR cannot silently orphan the MSHR/hierarchy/policy,
-i-Filter/CSHR/predictor/controller, branch-stack/FDP/entangling/plan,
+i-Filter/CSHR/predictor/flat-controller, branch-stack/FDP/entangling/plan,
 or runner/shard-ledger/fault-recovery code paths the differential
-harnesses exist to pin.  (Sweep-worker bodies run in forked pool
-processes the stdlib tracer cannot see; their lines are the main
-untraced remainder in ``harness``.)
+harnesses exist to pin.  The readable twins those harnesses compare
+against live under ``tests/reference/`` and are not measured.
+(Sweep-worker bodies run in forked pool processes the stdlib tracer
+cannot see; their lines are the main untraced remainder in
+``harness``.)
 
 The default test selection deliberately excludes the large
 whole-engine grids (they add minutes under ``sys.settrace`` and no

@@ -9,7 +9,7 @@ Three paper artifacts live here:
   comparison resolves, i.e. the CSHR capacity that comparison needs;
   justifies the 256-entry CSHR.
 * The random-vs-ACIC accuracy framing of Figure 12 reuses the audit
-  machinery in :mod:`repro.core.controller`.
+  machinery in :mod:`repro.core.flat` (:class:`~repro.core.flat.AdmissionAudit`).
 """
 
 from __future__ import annotations

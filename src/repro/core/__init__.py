@@ -1,19 +1,17 @@
 """The paper's contribution: the Admission-Controlled Instruction Cache.
 
 * :class:`IFilter` — the 16-entry burst-absorbing buffer (Section II).
-* :class:`CSHR` — comparison status holding registers (Section III-B/C).
+* :class:`FlatCSHR` — comparison status holding registers (Section III-B/C).
 * :class:`TwoLevelAdmissionPredictor` — the HRT + PT predictor
   (Section III-A), with global-history and bimodal ablation variants.
-* :class:`ACICScheme` — the assembled mechanism (Figures 2-8), the
-  readable reference implementation.
-* :class:`FlatACICScheme` / :class:`FlatCSHR` — the array-backed fast
-  twins the scheme registry builds, locked bit-for-bit to the reference
-  by ``tests/test_acic_differential.py``.
+* :class:`FlatACICScheme` — the assembled mechanism (Figures 2-8) on
+  array-backed structures, the controller the scheme registry builds.
+  Its readable twin lives test-side in ``tests/reference/acic.py``,
+  locked bit-for-bit by ``tests/test_acic_differential.py``.
 """
 
-from repro.core.controller import ACICScheme, ACICStats, AdmissionAudit
-from repro.core.cshr import CSHR, CSHREntry, FlatCSHR
-from repro.core.flat import FlatACICScheme
+from repro.core.cshr import CSHRStats, FlatCSHR
+from repro.core.flat import ACICStats, AdmissionAudit, FlatACICScheme
 from repro.core.ifilter import IFilter
 from repro.core.predictor import (
     AdmissionPredictor,
@@ -24,11 +22,9 @@ from repro.core.predictor import (
 )
 
 __all__ = [
-    "ACICScheme",
     "ACICStats",
     "AdmissionAudit",
-    "CSHR",
-    "CSHREntry",
+    "CSHRStats",
     "FlatCSHR",
     "FlatACICScheme",
     "IFilter",

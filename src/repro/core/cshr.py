@@ -34,146 +34,21 @@ class CSHRStats:
         return self.victim_resolutions + self.contender_resolutions
 
 
-@dataclass
-class CSHREntry:
-    """One outstanding comparison (partial tags only, as in hardware)."""
-
-    victim_tag: int
-    contender_tag: int
-
-
-class CSHR:
-    """Set-associative comparison tracker with per-set LRU."""
-
-    def __init__(
-        self,
-        entries: int = 256,
-        sets: int = 8,
-        tag_bits: int = 12,
-        icache_set_bits: int = 6,
-    ) -> None:
-        if entries % sets:
-            raise ValueError(f"{entries} entries not divisible into {sets} sets")
-        if sets.bit_length() - 1 > icache_set_bits:
-            raise ValueError(
-                f"{sets} CSHR sets need more selector bits than the "
-                f"{icache_set_bits}-bit i-cache set index provides"
-            )
-        self.entries = entries
-        self.sets = sets
-        self.ways = entries // sets
-        self.tag_bits = tag_bits
-        self._set_shift = icache_set_bits - (sets.bit_length() - 1)
-        # Each set is a recency-ordered list of CSHREntry (index 0 = LRU).
-        self._sets: List[List[CSHREntry]] = [[] for _ in range(sets)]
-        self.stats = CSHRStats()
-
-    # -- indexing ----------------------------------------------------------------
-
-    def set_for(self, icache_set: int) -> int:
-        """CSHR set = the m most-significant bits of the i-cache set index."""
-        return icache_set >> self._set_shift
-
-    def tag_of(self, block: int) -> int:
-        return partial_tag(block, self.tag_bits)
-
-    # -- operations ----------------------------------------------------------------
-
-    def insert(
-        self, victim_block: int, contender_block: int, icache_set: int
-    ) -> Optional[CSHREntry]:
-        """Open a comparison; returns an evicted *unresolved* entry, if any.
-
-        The caller must apply the benefit-of-the-doubt training for the
-        returned entry.
-        """
-        self.stats.inserts += 1
-        entries = self._sets[self.set_for(icache_set)]
-        evicted = None
-        if len(entries) >= self.ways:
-            evicted = entries.pop(0)
-            self.stats.unresolved_evictions += 1
-        entries.append(
-            CSHREntry(
-                victim_tag=self.tag_of(victim_block),
-                contender_tag=self.tag_of(contender_block),
-            )
-        )
-        return evicted
-
-    def search(
-        self, block: int, icache_set: int
-    ) -> Tuple[Optional[CSHREntry], List[CSHREntry]]:
-        """Resolve comparisons for a fetched block.
-
-        Returns ``(victim_match, contender_matches)``: the fetched block
-        can match the victim field of at most one entry (Section III-C2)
-        but the contender field of several.  All matched entries are
-        invalidated (removed).
-        """
-        entries = self._sets[self.set_for(icache_set)]
-        if not entries:
-            return None, []
-        tag = self.tag_of(block)
-        victim_match: Optional[CSHREntry] = None
-        contender_matches: List[CSHREntry] = []
-        survivors: List[CSHREntry] = []
-        for entry in entries:
-            if victim_match is None and entry.victim_tag == tag:
-                victim_match = entry
-                self.stats.victim_resolutions += 1
-            elif entry.contender_tag == tag:
-                contender_matches.append(entry)
-                self.stats.contender_resolutions += 1
-            else:
-                survivors.append(entry)
-        if victim_match is not None or contender_matches:
-            self._sets[self.set_for(icache_set)] = survivors
-        return victim_match, contender_matches
-
-    def occupancy(self) -> int:
-        return sum(len(s) for s in self._sets)
-
-    def reset(self) -> None:
-        for s in self._sets:
-            s.clear()
-        self.stats = CSHRStats()
-
-    # -- checkpoint/resume --------------------------------------------------
-
-    def save_state(self) -> dict:
-        from repro.common.state import save_stats, snapshot
-
-        return {
-            "sets": snapshot(self._sets),
-            "stats": save_stats(self.stats),
-        }
-
-    def load_state(self, state: dict) -> None:
-        from repro.common.state import load_list_inplace, load_stats
-
-        for live, saved in zip(self._sets, state["sets"]):
-            load_list_inplace(live, saved)
-        load_stats(self.stats, state["stats"])
-
-
 class FlatCSHR:
-    """Array-backed CSHR: parallel per-set tag lists instead of entries.
+    """Set-associative comparison tracker with per-set FIFO replacement.
 
-    Same geometry and semantics as :class:`CSHR`, but each set is a pair
-    of parallel flat lists (victim tags, contender tags) kept in FIFO
-    order — no per-entry dataclass allocation, no attribute walks during
-    the search.  The flattened ACIC controller
+    Each set is a pair of parallel flat lists (victim tags, contender
+    tags) kept in insertion order — no per-entry object allocation, no
+    attribute walks during the search.  The ACIC controller
     (:class:`repro.core.flat.FlatACICScheme`) additionally inlines the
     search over these lists; the methods here keep the structure usable
-    (and differentially testable) on its own.
+    (and differentially testable) on its own.  The readable
+    one-object-per-entry twin lives in ``tests/reference/acic.py``.
 
-    API difference: where :class:`CSHR` traffics in :class:`CSHREntry`
-    objects, this class traffics in bare victim tags — ``insert``
-    returns the evicted entry's victim tag (or None) and ``search``
-    returns ``(victim_tag_match, [victim tags of contender matches])``.
-    The controller only ever consumed ``entry.victim_tag``, so the flat
-    forms carry exactly the information the naive ones did.
+    The controller only consumes a resolved entry's victim tag, so
+    ``insert`` returns the evicted entry's victim tag (or None) and
+    ``search`` returns ``(victim_tag_match, [victim tags of contender
+    matches])``.
     """
 
     def __init__(
@@ -232,9 +107,10 @@ class FlatCSHR:
     ) -> Tuple[Optional[int], List[int]]:
         """Resolve comparisons for a fetched block (flat-tag form).
 
+        The fetched block can match the victim field of at most one
+        entry (Section III-C2) but the contender field of several.
         Returns ``(victim_match_tag, [victim tags of contender-matched
-        entries])`` with exactly the matching/invalidation semantics of
-        :meth:`CSHR.search`.
+        entries])``; all matched entries are invalidated (removed).
         """
         si = icache_set >> self._set_shift
         vt = self._victim_tags[si]

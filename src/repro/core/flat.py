@@ -1,10 +1,22 @@
-"""Array-backed ACIC hot path: the registry's production controller.
+"""The ACIC controller: i-Filter + CSHR + admission predictor (Figures 2-8).
 
-:class:`FlatACICScheme` is behaviourally identical to
-:class:`repro.core.controller.ACICScheme` — same constructor flags, same
-observable statistics, same admission decisions — but the per-record
-work is fused into one ``lookup`` body with no intermediate method
-dispatch:
+:class:`FlatACICScheme` implements the L1I-scheme protocol the timing
+engine drives (``lookup`` / ``fill`` / ``prefetch_fill`` /
+``contains``): demand fetches resolve the CSHR comparisons they settle
+and probe the i-Filter and i-cache in parallel; misses fill the
+i-Filter only; an i-Filter victim is admitted into the i-cache (or
+dropped) by the predictor against its set's LRU contender, and a CSHR
+entry records the comparison so its outcome can train the predictor.
+
+Constructor flags expose every ablation in the paper: ``use_ifilter``
+(Figure 17's "no i-Filter"), ``always_insert`` (Figure 3a / "i-Filter
+only"), the predictor variants (global-history / bimodal), the
+unresolved-entry training policy, and the parallel-vs-instant PT update
+mode (Figure 14).  An optional ``audit_oracle`` records decision ground
+truth for Figures 12a/13 in an :class:`AdmissionAudit`.
+
+The per-record work is fused into one ``lookup`` body with no
+intermediate method dispatch:
 
 * CSHR comparisons resolve against :class:`~repro.core.cshr.FlatCSHR`'s
   parallel tag lists, guarded by a C-speed membership test so the common
@@ -12,28 +24,27 @@ dispatch:
 * the i-Filter probe is the backing dict's pop/reinsert, inlined;
 * the i-cache probe reaches the per-set line dicts directly (the i-cache
   policy is LRU, whose on-hit callback is a declared no-op);
-* repeat-block fetch groups skip the comparison search entirely, as the
-  naive controller already did — here the check is the first branch of
-  the fused body.
+* repeat-block fetch groups skip the comparison search entirely (the
+  hardware compares once per block transition) — here the check is the
+  first branch of the fused body.
 
 The miss path (i-Filter fills, admission decisions, predictor training)
 keeps ordinary method calls: it runs orders of magnitude less often, and
 dynamic dispatch is what lets ablations swap predictors — including the
 registry's frozen-``train`` variant — without touching this module.
 
-``controller.py`` remains the readable reference;
-``tests/test_acic_differential.py`` locks this implementation to it over
-randomized schedules and the full registered-variant grid.  Set
-``REPRO_FLAT_ACIC=0`` to make the scheme registry build the naive
-controller instead (debugging; scalars are identical either way).
+The readable one-method-per-step controller lives test-side, in
+``tests/reference/acic.py``; ``tests/test_acic_differential.py`` locks
+this implementation to it over randomized schedules and the full
+registered-variant grid.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import List, Optional
 
 from repro.common.bitops import L1I_SET_BITS, mask
-from repro.core.controller import ACICStats, AdmissionAudit
 from repro.core.cshr import FlatCSHR
 from repro.core.ifilter import IFilter
 from repro.core.predictor import AdmissionPredictor, TwoLevelAdmissionPredictor
@@ -45,11 +56,67 @@ from repro.mem.policies.lru import LRUPolicy
 _ABSENT = object()
 
 
+@dataclass
+class AdmissionAudit:
+    """Ground-truth log of admission decisions (Figure 12a/13).
+
+    Each decision records whether ACIC admitted the victim, and the
+    oracle reuse distances (in trace records) of the victim and the
+    contender at decision time.
+    """
+
+    admitted: List[bool] = field(default_factory=list)
+    victim_distance: List[int] = field(default_factory=list)
+    contender_distance: List[int] = field(default_factory=list)
+
+    def accuracy(self, distance_cap: Optional[int] = None) -> float:
+        """Fraction of correct decisions among decisions that *matter*.
+
+        A decision matters when the two reuse distances differ and, if
+        ``distance_cap`` is given, when ``min(d_v, d_c) < distance_cap``
+        (Figure 12a's bucketing: accuracy only counts when at least one
+        block would plausibly be re-accessed while cached).
+        """
+        correct = considered = 0
+        for admit, d_v, d_c in zip(
+            self.admitted, self.victim_distance, self.contender_distance
+        ):
+            if d_v == d_c:
+                continue
+            if distance_cap is not None and min(d_v, d_c) >= distance_cap:
+                continue
+            considered += 1
+            if admit == (d_v < d_c):
+                correct += 1
+        return correct / considered if considered else 0.0
+
+    def __len__(self) -> int:
+        return len(self.admitted)
+
+
+@dataclass
+class ACICStats:
+    victims_considered: int = 0
+    victims_admitted: int = 0
+    free_way_fills: int = 0
+    benefit_of_doubt_trainings: int = 0
+
+    @property
+    def admission_rate(self) -> float:
+        """Figure 13's metric: fraction of i-Filter victims admitted."""
+        if not self.victims_considered:
+            return 0.0
+        return self.victims_admitted / self.victims_considered
+
+
 class FlatACICScheme:
-    """Admission-controlled i-cache on flat structures (fast twin)."""
+    """Admission-controlled instruction cache (the paper's contribution)."""
 
     name = "acic"
 
+    #: How CSHR entries evicted before resolution train the predictor:
+    #: "victim" = the paper's benefit of the doubt (treated as if the
+    #: victim won), "contender" = the opposite, "none" = no training.
     UNRESOLVED_POLICIES = ("victim", "contender", "none")
 
     def __init__(
@@ -119,7 +186,7 @@ class FlatACICScheme:
     def _resolve_matches(self, vt, ct, tag: int, cycle: int) -> None:
         """Settle the matched entries of one CSHR set (tag is known present).
 
-        Training order matches the naive controller: the victim match
+        Training order matches the readable reference: the victim match
         (at most one) first, then contender matches in entry order.
         """
         victim_found = False
@@ -307,9 +374,10 @@ class FlatACICScheme:
 
     # -- checkpoint/resume --------------------------------------------------
     #
-    # State shape matches ACICScheme exactly (the two twins are
-    # interchangeable at a checkpoint boundary for same-variant runs up
-    # to the CSHR layout, which each twin serializes via its own class).
+    # State shape matches the readable reference controller's exactly
+    # (the two twins are interchangeable at a checkpoint boundary for
+    # same-variant runs up to the CSHR layout, which each twin
+    # serializes via its own class).
     # Children restore their containers in place, so the references
     # captured by ``_rebind`` stay valid; we still re-run it afterwards
     # as the single post-load hook, matching ``reset``.

@@ -33,23 +33,13 @@ This module closes that gap with a *scheme-coupled* two-pass plan:
   with the cached ``"none"`` FrontendPlan rather than duplicating its
   arrays.
 
-Because the recorded stream is scheme-coupled, the plan has an explicit
-equivalence story, selected by ``REPRO_ENTANGLING_PLAN``:
-
-* ``exact`` (default) — a plan is only replayed for the scheme it was
-  recorded under.  The replay is **bit-identical** to the live path
-  (the engine filters the same raw candidate stream against identical
-  scheme/MSHR state; pinned by ``tests/test_entangling_plan.py``), and
-  the recording run itself *is* the first result — so a cold run costs
-  one live simulation, exactly as before, and every warm run is a fast
-  flat-array replay.
-* ``approx`` — cross-scheme sweeps share one training run: every
-  scheme replays the stream recorded under
-  :data:`ENTANGLING_REFERENCE_SCHEME`.  Miss timing under the consumer
-  scheme differs from the reference, so scalars are *approximate*
-  (drift is bounded by tests; the sweep-result cache keys approx
-  entries separately so they can never be mistaken for exact ones).
-* ``off`` — the pre-plan behaviour: every entangling run is live.
+Because the recorded stream is scheme-coupled, a plan is only replayed
+for the scheme it was recorded under.  The replay is **bit-identical**
+to the live path (the engine filters the same raw candidate stream
+against identical scheme/MSHR state; pinned by
+``tests/test_entangling_plan.py``), and the recording run itself *is*
+the first result — so a cold run costs one live simulation, exactly as
+before, and every warm run is a fast flat-array replay.
 
 Plans are cached by :data:`ENTANGLING_STORE` (see
 :mod:`repro.common.artifacts`) as ``<workload>.<fingerprint>.ent.npz``
@@ -65,7 +55,6 @@ from __future__ import annotations
 import hashlib
 import inspect
 import json
-import os
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -89,10 +78,6 @@ from repro.workloads.trace import Trace
 #: entries then miss on fingerprint and are rebuilt.
 ENTANGLING_PLAN_FORMAT = 1
 
-#: The scheme whose training stream approx-mode sweeps share.  LRU is
-#: the paper's baseline and the scheme every figure normalises against.
-ENTANGLING_REFERENCE_SCHEME = "lru"
-
 #: The plan's bulk arrays, as the cache stores them.
 ENTANGLING_ARRAY_FIELDS = (
     "cand_blocks",
@@ -104,8 +89,8 @@ ENTANGLING_ARRAY_FIELDS = (
     "ent_dst",
 )
 
-#: Reference-run scalars embedded in the plan (drift measurement and
-#: equivalence tests read these without re-running pass 1).
+#: Reference-run scalars embedded in the plan (equivalence tests read
+#: these without re-running pass 1).
 REF_SCALAR_FIELDS = (
     "instructions",
     "accesses",
@@ -115,27 +100,6 @@ REF_SCALAR_FIELDS = (
     "prefetches_issued",
     "mispredicted_transitions",
 )
-
-_MODES = ("exact", "approx", "off")
-_MODE_ALIASES = {"": "exact", "1": "exact", "0": "off"}
-
-
-def entangling_plan_mode() -> str:
-    """The entangling-plan mode from ``REPRO_ENTANGLING_PLAN``.
-
-    ``exact`` (default) | ``approx`` | ``off``; ``1``/``0`` alias
-    exact/off.  Unknown values raise rather than silently running a
-    different equivalence contract than the caller asked for.
-    """
-    raw = os.environ.get("REPRO_ENTANGLING_PLAN", "exact").strip().lower()
-    mode = _MODE_ALIASES.get(raw, raw)
-    if mode not in _MODES:
-        raise ValueError(
-            f"REPRO_ENTANGLING_PLAN={raw!r} not understood; "
-            f"expected one of {_MODES}"
-        )
-    return mode
-
 
 class RecordingEntanglingPrefetcher(EntanglingPrefetcher):
     """An :class:`EntanglingPrefetcher` that logs its training stream.
@@ -426,7 +390,7 @@ def build_entangling_plan(
     pure observation, so it is bit-identical to an unrecorded live run
     and callers building a plan for the scheme they are about to
     measure should use it directly instead of replaying (that is how
-    exact mode keeps cold runs as cheap as the pre-plan live path).
+    cold runs stay as cheap as the pre-plan live path).
 
     ``base`` is the trace's ``"none"`` FrontendPlan (the mispredict
     stream provider); when omitted it is built in memory.  Callers
@@ -488,12 +452,12 @@ def cached_entangling_plan(
     """Memoised + disk-cached plan; returns ``(plan, reference RunResult)``.
 
     The RunResult is non-None only when pass 1 actually ran in this
-    call (memo/disk misses): exact-mode callers whose consumer scheme
-    *is* the reference scheme return it directly, so building a plan
-    never costs more than the live run it replaces.  ``scheme_builder``
-    is only invoked on a miss; it must return a *fresh* scheme instance
-    for ``scheme_name`` (the harness passes a registry factory — the
-    frontend layer deliberately does not import the scheme registry).
+    call (memo/disk misses): the harness returns it as the run itself,
+    so building a plan never costs more than the live run it replaces.
+    ``scheme_builder`` is only invoked on a miss; it must return a
+    *fresh* scheme instance for ``scheme_name`` (the harness passes a
+    registry factory — the frontend layer deliberately does not import
+    the scheme registry).
 
     Served by :data:`ENTANGLING_STORE`, like
     :func:`repro.frontend.plan.cached_plan`.  A memo hit skips even the

@@ -6,16 +6,12 @@ machinery in :mod:`repro.harness.runner` builds on it with caching.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.common.env import env_number
 from repro.frontend.entangling import EntanglingPrefetcher
-from repro.frontend.entangling_plan import (
-    ENTANGLING_REFERENCE_SCHEME,
-    cached_entangling_plan,
-    entangling_plan_mode,
-)
+from repro.frontend.entangling_plan import cached_entangling_plan
 from repro.frontend.fdp import FetchDirectedPrefetcher, NullPrefetcher
 from repro.frontend.plan import cached_plan, plannable
 from repro.frontend.stack import BranchStack
@@ -29,20 +25,13 @@ from repro.workloads.trace import Trace
 PREFETCHERS = ("fdp", "entangling", "none")
 
 
-def _plans_enabled() -> bool:
-    """Plan-driven simulation is on unless REPRO_NO_PLAN=1 (debugging)."""
-    return os.environ.get("REPRO_NO_PLAN", "") != "1"
-
-
 def scaled_records(records: Optional[int] = None) -> int:
     """Resolve the trace length: explicit > REPRO_SCALE * default."""
     from repro.workloads.profiles import DEFAULT_RECORDS
 
     if records is not None:
         return records
-    scale = float(os.environ.get("REPRO_SCALE", "1.0"))
-    if scale <= 0:
-        raise ValueError(f"REPRO_SCALE must be positive, got {scale}")
+    scale = env_number("REPRO_SCALE", 1.0, 0.0, float, exclusive=True)
     return max(1000, int(DEFAULT_RECORDS * scale))
 
 
@@ -86,7 +75,7 @@ def run_experiment(
     records: Optional[int] = None,
     machine: Optional[MachineParams] = None,
     context: Optional[SchemeContext] = None,
-    use_plan: Optional[bool] = None,
+    use_plan: bool = True,
     shard_window: Optional[int] = None,
     on_shard=None,
     should_stop=None,
@@ -112,16 +101,12 @@ def run_experiment(
     frontend work is done once per (workload, frontend config) and
     shared by every scheme; the result is bit-identical to the live
     path.  Entangling runs consume a *scheme-coupled*
-    :class:`~repro.frontend.entangling_plan.EntanglingPlan` instead:
-    in ``exact`` mode (the default) the plan is recorded under the very
-    scheme being run — a cold run is the recording pass itself (one
-    live simulation, exactly the pre-plan cost) and warm runs replay it
-    bit-identically; ``REPRO_ENTANGLING_PLAN=approx`` replays one
-    reference-scheme stream for every scheme (documented approximation,
-    cached under separate result keys); ``REPRO_ENTANGLING_PLAN=off``
-    restores the always-live behaviour.  ``use_plan=False`` (or
-    ``REPRO_NO_PLAN=1``) forces the live stack/prefetcher path for
-    every prefetcher.
+    :class:`~repro.frontend.entangling_plan.EntanglingPlan` instead,
+    recorded under the very scheme being run: a cold run is the
+    recording pass itself (one live simulation, exactly the pre-plan
+    cost) and warm runs replay it bit-identically.  ``use_plan=False``
+    forces the live stack/prefetcher path for every prefetcher (the
+    equivalence tests' reference).
     """
     machine = machine or DEFAULT_MACHINE
     records = scaled_records(records)
@@ -130,8 +115,6 @@ def run_experiment(
         context = SchemeContext(trace=trace, machine=machine)
     trace = context.trace
     scheme_obj = make_scheme(scheme, context)
-    if use_plan is None:
-        use_plan = _plans_enabled()
 
     window = shards.shard_window() if shard_window is None else int(shard_window)
 
@@ -176,31 +159,17 @@ def run_experiment(
     if use_plan and plannable(prefetcher):
         plan = cached_plan(trace, machine, prefetcher)
         run = _sim("planned", plan=plan)
-    elif (
-        use_plan
-        and prefetcher == "entangling"
-        and entangling_plan_mode() != "off"
-    ):
-        reference = (
-            scheme
-            if entangling_plan_mode() == "exact"
-            else ENTANGLING_REFERENCE_SCHEME
-        )
+    elif use_plan and prefetcher == "entangling":
         plan, fresh = cached_entangling_plan(
-            trace,
-            machine,
-            reference,
-            (lambda: scheme_obj)
-            if reference == scheme
-            else (lambda: make_scheme(reference, context)),
+            trace, machine, scheme, lambda: scheme_obj
         )
-        if fresh is not None and reference == scheme:
+        if fresh is not None:
             # Pass 1 doubles as this run.  The recording pass is driven
             # by the plan builder, not by us, so it is never windowed —
             # sharding covers its replays.
             run = fresh
         else:
-            run = _sim(f"planned-{entangling_plan_mode()}", plan=plan)
+            run = _sim("planned-exact", plan=plan)
     else:
         stack = BranchStack(trace)
         prefetcher_obj = build_prefetcher(prefetcher, trace, stack, machine)

@@ -8,9 +8,6 @@ the LRU/OPT baselines.  The runner caches:
 * **on disk** — the scalar measurements as JSON under
   ``.cache/results``, keyed by (workload, scheme, prefetcher, records,
   machine fingerprint), so separate pytest invocations don't resimulate.
-  Approximate entangling-plan runs (``REPRO_ENTANGLING_PLAN=approx``)
-  key their entries under ``entangling-approx`` so they can never be
-  mistaken for exact results.
 
 Set ``REPRO_NO_DISK_CACHE=1`` to disable the disk layer (tests do).
 
@@ -38,11 +35,8 @@ keeps the context resident.  When ``warm(w_k)`` completes the parent
 submits ``warm(w_k+1)`` and then ``w_k``'s pairs, so one CPU builds the
 next workload while the others simulate the current one, and every
 other worker mmaps the sidecars the warm wrote instead of redoing the
-work.  In approx entangling mode the warm also records the workload's
-*reference* entangling stream once — that single training run is what
-every scheme in the sweep then replays.  :meth:`Runner.context_for`
-warms through the same helper, so the serial and parallel paths build
-artifacts through one code path.
+work.  :meth:`Runner.context_for` warms through the same helper, so the
+serial and parallel paths build artifacts through one code path.
 """
 
 from __future__ import annotations
@@ -60,19 +54,11 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set, Tupl
 
 from repro.common import faults
 from repro.common.durable import AppendLog, results_dir, write_atomic
-from repro.frontend.entangling_plan import (
-    ENTANGLING_REFERENCE_SCHEME,
-    cached_entangling_plan,
-    entangling_plan_mode,
-)
+from repro.common.env import env_number
 from repro.frontend.plan import cached_plan, plannable
-from repro.harness.experiment import _plans_enabled, run_experiment, scaled_records
-from repro.harness.schemes import SchemeContext, flat_policies_enabled, make_scheme
-from repro.mem.prepass import (
-    PREPASS_SCHEMES,
-    cached_replacement_prepass,
-    prepass_enabled,
-)
+from repro.harness.experiment import run_experiment, scaled_records
+from repro.harness.schemes import SchemeContext
+from repro.mem.prepass import PREPASS_SCHEMES, cached_replacement_prepass
 from repro.uarch.params import DEFAULT_MACHINE, MachineParams
 from repro.uarch.timing import RunResult
 from repro.workloads.profiles import get_workload
@@ -93,13 +79,7 @@ _SCALAR_FIELDS = (
 
 
 def _default_jobs() -> int:
-    env = os.environ.get("REPRO_JOBS", "").strip()
-    if env:
-        jobs = int(env)
-        if jobs <= 0:
-            raise ValueError(f"REPRO_JOBS must be positive, got {jobs}")
-        return jobs
-    return 1
+    return env_number("REPRO_JOBS", 1, 1)
 
 
 def _sweep_timeout() -> float:
@@ -109,24 +89,12 @@ def _sweep_timeout() -> float:
     this window — a per-progress deadline, not a per-job one, so slow
     workloads don't trip it as long as the pool keeps finishing work.
     """
-    env = os.environ.get("REPRO_SWEEP_TIMEOUT", "").strip()
-    if not env:
-        return 0.0
-    seconds = float(env)
-    if seconds < 0:
-        raise ValueError(f"REPRO_SWEEP_TIMEOUT must be >= 0, got {seconds}")
-    return seconds
+    return env_number("REPRO_SWEEP_TIMEOUT", 0.0, 0.0, float)
 
 
 def _sweep_retries() -> int:
     """Requeue budget per pair after a crash/stall (REPRO_SWEEP_RETRIES)."""
-    env = os.environ.get("REPRO_SWEEP_RETRIES", "").strip()
-    if not env:
-        return 3
-    retries = int(env)
-    if retries < 0:
-        raise ValueError(f"REPRO_SWEEP_RETRIES must be >= 0, got {retries}")
-    return retries
+    return env_number("REPRO_SWEEP_RETRIES", 3, 0)
 
 
 def _context_cache_cap() -> int:
@@ -139,13 +107,7 @@ def _context_cache_cap() -> int:
     enough that a server that has seen every workload holds a handful of
     traces, not all of them.
     """
-    env = os.environ.get("REPRO_CONTEXT_CACHE", "").strip()
-    if not env:
-        return 4
-    cap = int(env)
-    if cap < 1:
-        raise ValueError(f"REPRO_CONTEXT_CACHE must be >= 1, got {cap}")
-    return cap
+    return env_number("REPRO_CONTEXT_CACHE", 4, 1)
 
 
 #: Callback invoked by :meth:`Runner.sweep_pairs` after each *freshly
@@ -264,21 +226,12 @@ def _warm_artifacts(
     """Build (memo + disk cache) the artifacts ``ctx``'s pairs share.
 
     The frontend plan, so every scheme replays one branch-stack/FDP
-    pass; in approx entangling mode the reference scheme's training
-    stream (in exact mode plans are per-scheme, recorded as pairs come
-    up); and with ``prepass`` the replacement pre-pass the flat
-    GHRP/Harmony twins consume.
+    pass (entangling plans are per-scheme, recorded as pairs come up);
+    and with ``prepass`` the replacement pre-pass the flat GHRP/Harmony
+    twins consume.
     """
-    if _plans_enabled():
-        if plannable(prefetcher):
-            cached_plan(ctx.trace, machine, prefetcher)
-        elif prefetcher == "entangling" and entangling_plan_mode() == "approx":
-            cached_entangling_plan(
-                ctx.trace,
-                machine,
-                ENTANGLING_REFERENCE_SCHEME,
-                lambda: make_scheme(ENTANGLING_REFERENCE_SCHEME, ctx),
-            )
+    if plannable(prefetcher):
+        cached_plan(ctx.trace, machine, prefetcher)
     if prepass:
         cached_replacement_prepass(ctx.trace)
 
@@ -361,29 +314,12 @@ class Runner:
     # -- caching ------------------------------------------------------------
 
     def _key(self, workload: str, scheme: str) -> Tuple[str, str, str]:
-        # The prefetcher key participates so a mode flip mid-process
-        # (REPRO_ENTANGLING_PLAN toggled between calls) can never serve
-        # an approx result as exact from the in-memory layer either.
-        return (workload, scheme, self._prefetcher_cache_key())
-
-    def _prefetcher_cache_key(self) -> str:
-        """The prefetcher component of result cache keys (both layers).
-
-        Approximate entangling replays produce *different* scalars than
-        exact/live runs of the same pair, so they get their own key —
-        an approx sweep can never poison (or be served) exact entries.
-        """
-        if (
-            self.prefetcher == "entangling"
-            and entangling_plan_mode() == "approx"
-        ):
-            return "entangling-approx"
-        return self.prefetcher
+        return (workload, scheme, self.prefetcher)
 
     def _disk_path(self, workload: str, scheme: str) -> Path:
         fingerprint = self.machine.fingerprint()
         name = (
-            f"{workload}.{scheme}.{self._prefetcher_cache_key()}"
+            f"{workload}.{scheme}.{self.prefetcher}"
             f".r{self.records}.{fingerprint}.json"
         )
         return results_dir() / name
@@ -557,7 +493,7 @@ class Runner:
     def _journal_prefix(self) -> str:
         """Journal filename prefix shared by every sweep of this config."""
         return (
-            f"sweep.{self._prefetcher_cache_key()}.r{self.records}"
+            f"sweep.{self.prefetcher}.r{self.records}"
             f".{self.machine.fingerprint()}"
         )
 
@@ -759,10 +695,7 @@ class Runner:
         """
         timeout = _sweep_timeout()
         retries = _sweep_retries()
-        if flat_policies_enabled() and prepass_enabled():
-            prepass_workloads = {w for w, s in pending if s in PREPASS_SCHEMES}
-        else:
-            prepass_workloads = set()
+        prepass_workloads = {w for w, s in pending if s in PREPASS_SCHEMES}
         attempts: Dict[Tuple[str, str], int] = {}
         last_exc: Dict[Tuple[str, str], BaseException] = {}
         queue = list(pending)

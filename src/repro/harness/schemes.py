@@ -9,7 +9,6 @@ schemes through :func:`make_scheme`.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional
 
@@ -23,7 +22,6 @@ from repro.baselines.bypass import (
 )
 from repro.baselines.plain import PlainCacheScheme
 from repro.baselines.victim import VictimCacheScheme, VVCScheme
-from repro.core.controller import ACICScheme
 from repro.core.flat import FlatACICScheme
 from repro.core.predictor import (
     BimodalAdmissionPredictor,
@@ -36,8 +34,6 @@ from repro.mem.policies import (
     BeladyOPTPolicy,
     FlatGHRPScheme,
     FlatHawkeyeScheme,
-    GHRPPolicy,
-    HawkeyePolicy,
     LRUPolicy,
     SHiPPolicy,
     SRRIPPolicy,
@@ -134,31 +130,14 @@ def _ship(ctx: SchemeContext):
     return PlainCacheScheme(ctx.l1i_config, SHiPPolicy())
 
 
-def flat_policies_enabled() -> bool:
-    """The registry builds the fused replacement twins unless opted out.
-
-    ``REPRO_FLAT_POLICIES=0`` swaps in the readable
-    ``PlainCacheScheme``-wrapped policies — scalars are bit-identical
-    either way (pinned by ``tests/test_policy_differential.py``); the
-    env hook exists for debugging and for the differential tests.
-    """
-    return os.environ.get("REPRO_FLAT_POLICIES", "") != "0"
-
-
 @register("harmony", "Hawkeye/Harmony OPT-learning replacement")
 def _harmony(ctx: SchemeContext):
-    if flat_policies_enabled():
-        return FlatHawkeyeScheme(ctx.l1i_config)
-    return PlainCacheScheme(
-        ctx.l1i_config, HawkeyePolicy(ways=ctx.l1i_config.ways)
-    )
+    return FlatHawkeyeScheme(ctx.l1i_config)
 
 
 @register("ghrp", "GHRP dead-block-predicting replacement")
 def _ghrp(ctx: SchemeContext):
-    if flat_policies_enabled():
-        return FlatGHRPScheme(ctx.l1i_config)
-    return PlainCacheScheme(ctx.l1i_config, GHRPPolicy())
+    return FlatGHRPScheme(ctx.l1i_config)
 
 
 @register("opt", "Belady OPT oracle replacement", needs_oracle=True)
@@ -228,34 +207,20 @@ def _random_bypass(ctx: SchemeContext):
 
 # -- ACIC and its ablations ---------------------------------------------------------
 
-def _acic_class():
-    """The ACIC implementation the registry builds.
-
-    Default: the array-backed fast controller
-    (:class:`~repro.core.flat.FlatACICScheme`).  ``REPRO_FLAT_ACIC=0``
-    swaps in the naive readable controller — scalars are bit-identical
-    either way (pinned by ``tests/test_acic_differential.py``); the env
-    hook exists for debugging and for the differential tests themselves.
-    """
-    if os.environ.get("REPRO_FLAT_ACIC", "") == "0":
-        return ACICScheme
-    return FlatACICScheme
-
-
 @register("acic", "ACIC: i-Filter + CSHR + two-level admission predictor")
 def _acic(ctx: SchemeContext):
-    return _acic_class()(ctx.l1i_config)
+    return FlatACICScheme(ctx.l1i_config)
 
 
 @register("acic-audit", "ACIC with oracle decision auditing (Fig 12a/13)",
           needs_oracle=True)
 def _acic_audit(ctx: SchemeContext):
-    return _acic_class()(ctx.l1i_config, audit_oracle=ctx.oracle)
+    return FlatACICScheme(ctx.l1i_config, audit_oracle=ctx.oracle)
 
 
 @register("acic-instant", "ACIC with instant predictor updates (Fig 14)")
 def _acic_instant(ctx: SchemeContext):
-    return _acic_class()(
+    return FlatACICScheme(
         ctx.l1i_config,
         predictor=TwoLevelAdmissionPredictor(update_mode="instant"),
     )
@@ -263,19 +228,19 @@ def _acic_instant(ctx: SchemeContext):
 
 @register("acic-nofilter", "ACIC admission on raw misses, no i-Filter (Fig 17)")
 def _acic_nofilter(ctx: SchemeContext):
-    return _acic_class()(ctx.l1i_config, use_ifilter=False)
+    return FlatACICScheme(ctx.l1i_config, use_ifilter=False)
 
 
 @register("acic-global", "ACIC with a global-history predictor (Fig 17)")
 def _acic_global(ctx: SchemeContext):
-    return _acic_class()(
+    return FlatACICScheme(
         ctx.l1i_config, predictor=GlobalHistoryAdmissionPredictor()
     )
 
 
 @register("acic-bimodal", "ACIC with a bimodal predictor (Fig 17)")
 def _acic_bimodal(ctx: SchemeContext):
-    return _acic_class()(ctx.l1i_config, predictor=BimodalAdmissionPredictor())
+    return FlatACICScheme(ctx.l1i_config, predictor=BimodalAdmissionPredictor())
 
 
 def _acic_variant(**kwargs) -> SchemeFactory:
@@ -293,7 +258,7 @@ def _acic_variant(**kwargs) -> SchemeFactory:
         )
         if "tag_bits" in kwargs:
             scheme_kwargs["tag_bits"] = kwargs["tag_bits"]
-        return _acic_class()(
+        return FlatACICScheme(
             ctx.l1i_config, predictor=predictor, **scheme_kwargs
         )
 
@@ -302,17 +267,17 @@ def _acic_variant(**kwargs) -> SchemeFactory:
 
 @register("acic-bod-none", "ACIC, unresolved CSHR entries train nothing")
 def _acic_bod_none(ctx: SchemeContext):
-    return _acic_class()(ctx.l1i_config, unresolved_policy="none")
+    return FlatACICScheme(ctx.l1i_config, unresolved_policy="none")
 
 
 @register("acic-bod-contender", "ACIC, benefit of the doubt to the contender")
 def _acic_bod_contender(ctx: SchemeContext):
-    return _acic_class()(ctx.l1i_config, unresolved_policy="contender")
+    return FlatACICScheme(ctx.l1i_config, unresolved_policy="contender")
 
 
 @register("acic-mru-cshr-off", "ACIC without CSHR training (static predictor)")
 def _acic_untrained(ctx: SchemeContext):
-    scheme = _acic_class()(ctx.l1i_config, unresolved_policy="none")
+    scheme = FlatACICScheme(ctx.l1i_config, unresolved_policy="none")
     scheme.predictor.train = lambda *a, **k: None  # freeze learning
     return scheme
 

@@ -50,12 +50,12 @@ fallback to the previous boundary does too.
 from __future__ import annotations
 
 import hashlib
-import os
 import pickle
 from pathlib import Path
 from typing import Callable, Optional
 
 from repro.common.durable import AppendLog, results_dir, write_atomic
+from repro.common.env import env_number
 from repro.common.faults import fire
 
 #: Bump when the ledger entry or state layout changes; older files are
@@ -94,13 +94,7 @@ class DrainRequested(RuntimeError):
 
 def shard_window() -> int:
     """Records per shard window (REPRO_SHARD_WINDOW, 0 = off)."""
-    env = os.environ.get("REPRO_SHARD_WINDOW", "").strip()
-    if not env:
-        return 0
-    window = int(env)
-    if window < 0:
-        raise ValueError(f"REPRO_SHARD_WINDOW must be >= 0, got {window}")
-    return window
+    return env_number("REPRO_SHARD_WINDOW", 0, 0)
 
 
 def shards_dir() -> Path:

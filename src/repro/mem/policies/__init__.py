@@ -15,7 +15,7 @@ Everything the paper compares against lives here:
 The two slowest policies also have fused hot-path twins following the
 ``FlatACICScheme`` pattern — :class:`FlatGHRPScheme` and
 :class:`FlatHawkeyeScheme` implement the L1I scheme protocol directly
-(the registry builds them unless ``REPRO_FLAT_POLICIES=0``), pinned
+(the registry builds them for ``ghrp``/``harmony``), pinned
 bit-identical to the readable policies above by
 ``tests/test_policy_differential.py``.
 """

@@ -33,9 +33,8 @@ snapshot keeps the exact ``PlainCacheScheme`` shape (line payloads
 ``None``, ``_line_indices`` populated, counters flushed) so checkpoints
 interchange between the twins.  ``ghrp.py`` stays the readable
 reference; ``tests/test_policy_differential.py`` locks this
-implementation to it op-by-op and on the 20k grid.
-``REPRO_FLAT_POLICIES=0`` makes the registry build the readable scheme
-instead (scalars identical).
+implementation to it op-by-op and, through the registry-level twin
+swap in ``tests/reference``, on the 20k grid.
 """
 
 from __future__ import annotations
@@ -81,13 +80,11 @@ class FlatGHRPScheme:
 
         Pure binding — no simulated state changes — so calling it again
         (every chunk of a checkpointed run) is idempotent.  Skipped when
-        the pre-pass is disabled or its geometry doesn't match this
-        instance; the memo-hash fallback then computes identical values.
+        the pre-pass geometry doesn't match this instance; the memo-hash
+        fallback then computes identical values.
         """
-        from repro.mem.prepass import cached_replacement_prepass, prepass_enabled
+        from repro.mem.prepass import cached_replacement_prepass
 
-        if not prepass_enabled():
-            return
         pre = cached_replacement_prepass(trace)
         pol = self.policy
         if (

@@ -38,9 +38,8 @@ exact ``PlainCacheScheme`` shape (line payloads ``None``, ``_rrpv`` and
 ``_optgen`` populated with reference objects, counters flushed), so
 checkpoints interchange between the twins.  ``hawkeye.py`` stays the
 readable reference; ``tests/test_policy_differential.py`` locks this
-implementation to it op-by-op and on the 20k grid.
-``REPRO_FLAT_POLICIES=0`` makes the registry build the readable scheme
-instead (scalars identical).
+implementation to it op-by-op and, through the registry-level twin
+swap in ``tests/reference``, on the 20k grid.
 """
 
 from __future__ import annotations
@@ -139,13 +138,11 @@ class FlatHawkeyeScheme:
 
         Pure binding — no simulated state changes — so calling it again
         (every chunk of a checkpointed run) is idempotent.  Skipped when
-        the pre-pass is disabled or its geometry doesn't match this
-        instance; the memo-hash fallback then computes identical values.
+        the pre-pass geometry doesn't match this instance; the memo-hash
+        fallback then computes identical values.
         """
-        from repro.mem.prepass import cached_replacement_prepass, prepass_enabled
+        from repro.mem.prepass import cached_replacement_prepass
 
-        if not prepass_enabled():
-            return
         pre = cached_replacement_prepass(trace)
         if (
             pre.hawkeye_sig_bits == self.policy.predictor_bits

@@ -16,17 +16,15 @@ of recomputing them N times.
 
 The arrays are only valid for the *demand* stream (record ``t``
 accesses ``trace.blocks[t]``); prefetch fills carry arbitrary blocks
-and keep the policies' memo-hash fallback.  ``REPRO_REPLACEMENT_PREPASS=0``
-disables the pre-pass entirely (the twins hash per access, scalars
-identical); ``REPRO_NO_DISK_CACHE=1`` applies exactly as it does to
-plans.
+and keep the policies' memo-hash fallback, as does a twin whose cache
+geometry differs from the pre-pass's.  ``REPRO_NO_DISK_CACHE=1``
+applies exactly as it does to plans.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -52,11 +50,6 @@ DEFAULT_SET_BITS = L1I_SET_BITS
 DEFAULT_GHRP_REGION_SHIFT = 4
 DEFAULT_GHRP_SIG_BITS = 16
 DEFAULT_HAWKEYE_SIG_BITS = 13
-
-
-def prepass_enabled() -> bool:
-    """Pre-pass consumption is on unless ``REPRO_REPLACEMENT_PREPASS=0``."""
-    return os.environ.get("REPRO_REPLACEMENT_PREPASS", "") != "0"
 
 
 def _fold_hash_array(values: np.ndarray, bits: int) -> np.ndarray:

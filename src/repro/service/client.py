@@ -34,11 +34,12 @@ server restart mid-run.
 from __future__ import annotations
 
 import json
-import os
 import random
 import time
 from http.client import HTTPConnection, HTTPResponse
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+
+from repro.common.env import env_number
 
 #: Cold sweeps simulate; give them room before declaring the server dead.
 DEFAULT_TIMEOUT = 600.0
@@ -53,13 +54,7 @@ RETRY_SLEEP_CAP = 5.0
 
 def _client_retries() -> int:
     """Default retry budget (REPRO_CLIENT_RETRIES, 0 = off)."""
-    env = os.environ.get("REPRO_CLIENT_RETRIES", "").strip()
-    if not env:
-        return 0
-    retries = int(env)
-    if retries < 0:
-        raise ValueError(f"REPRO_CLIENT_RETRIES must be >= 0, got {retries}")
-    return retries
+    return env_number("REPRO_CLIENT_RETRIES", 0, 0)
 
 
 class ServiceError(RuntimeError):

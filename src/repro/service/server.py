@@ -42,13 +42,13 @@ from __future__ import annotations
 
 import asyncio
 import json
-import os
 import signal
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from threading import Event as ThreadEvent, Thread
 from typing import Dict, List, Optional, Tuple
 
+from repro.common.env import env_number
 from repro.harness.experiment import scaled_records
 from repro.harness.runner import Runner
 from repro.harness.schemes import available_schemes
@@ -86,15 +86,7 @@ def _service_concurrency() -> int:
     worker processes); two slots let a short request overtake a long
     one without oversubscribing the machine by default.
     """
-    env = os.environ.get("REPRO_SERVICE_CONCURRENCY", "").strip()
-    if not env:
-        return 2
-    slots = int(env)
-    if slots < 1:
-        raise ValueError(
-            f"REPRO_SERVICE_CONCURRENCY must be >= 1, got {slots}"
-        )
-    return slots
+    return env_number("REPRO_SERVICE_CONCURRENCY", 2, 1)
 
 
 @dataclass

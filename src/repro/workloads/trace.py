@@ -22,7 +22,6 @@ sweep workers share one page cache per workload.
 from __future__ import annotations
 
 import hashlib
-import os
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -210,24 +209,9 @@ trace_cache_dir = TRACE_STORE.cache_dir
 mmap_sidecar_path = sidecar_path
 
 
-def _note_deserialization(key: str) -> None:
-    """Append a (pid, key) line to REPRO_TRACE_LOAD_LOG, when set.
-
-    Test instrumentation: the resident-sweep-worker tests count how many
-    times each worker process actually materialised a trace from disk.
-    A single O_APPEND write keeps concurrent workers from interleaving.
-    """
-    log = os.environ.get("REPRO_TRACE_LOAD_LOG")
-    if log:
-        with open(log, "a") as fh:
-            fh.write(f"{os.getpid()} {key}\n")
-
-
 def cached_trace(key: str, builder) -> Trace:
     """Trace ``key`` from :data:`TRACE_STORE`, built and saved on a miss."""
-    trace = TRACE_STORE.get(key, builder, use_disk=True)
-    _note_deserialization(key)
-    return trace
+    return TRACE_STORE.get(key, builder, use_disk=True)
 
 
 def cached_trace_window(key: str, lo: int, hi: int, parent: Trace) -> Trace:

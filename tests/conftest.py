@@ -6,6 +6,8 @@ whole suite stays fast; the benchmarks exercise full-length runs.
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.harness.runner import Runner
@@ -13,6 +15,7 @@ from repro.harness.schemes import SchemeContext
 from repro.workloads.generator import WalkParams, generate_trace
 from repro.workloads.program import ProgramShape, build_program
 from repro.workloads.profiles import get_workload
+from repro.workloads.trace import TRACE_STORE
 
 #: Trace length used by integration-level tests.
 SMALL_RECORDS = 15_000
@@ -52,3 +55,28 @@ def tiny_trace():
 def runner():
     """In-memory-only runner over short traces."""
     return Runner(records=SMALL_RECORDS, use_disk_cache=False)
+
+
+@pytest.fixture()
+def trace_load_log(tmp_path, monkeypatch):
+    """Log one ``<pid> <key>`` line per trace the trace store serves.
+
+    The wrapper over ``TRACE_STORE.get`` is installed before any sweep
+    pool starts, so forked workers inherit it; each line is a single
+    O_APPEND write, so concurrent workers never interleave.  Under a
+    non-fork start method the workers log nothing and the tests'
+    "no trace loads were logged" assertion fails loudly.  Returns the
+    log path.
+    """
+    log = tmp_path / "trace-loads.log"
+    log.touch()
+    real_get = TRACE_STORE.get
+
+    def logged_get(key, *args, **kwargs):
+        trace = real_get(key, *args, **kwargs)
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {key}\n")
+        return trace
+
+    monkeypatch.setattr(TRACE_STORE, "get", logged_get)
+    return log

@@ -1,7 +1,8 @@
-"""The ACIC scheme: i-Filter + CSHR + admission predictor (Figures 2-8).
+"""The readable ACIC: the executable reference for the production controller.
 
-``ACICScheme`` implements the L1I-scheme protocol the timing engine
-drives (``lookup`` / ``fill`` / ``prefetch_fill`` / ``contains``):
+The scheme registry builds :class:`repro.core.flat.FlatACICScheme`, the
+fused, array-backed controller.  This module keeps the same mechanism
+written plainly, one method per step of Figures 2-8:
 
 1. every demand fetch first resolves any CSHR comparisons the fetched
    block settles, training the admission predictor;
@@ -14,27 +15,25 @@ drives (``lookup`` / ``fill`` / ``prefetch_fill`` / ``contains``):
 5. CSHR entries evicted unresolved give the victim the benefit of the
    doubt (trained as if it won).
 
-Constructor flags expose every ablation in the paper: ``use_ifilter``
-(Figure 17's "no i-Filter"), ``always_insert`` (Figure 3a / "i-Filter
-only"), the predictor variants (global-history / bimodal), and the
-parallel-vs-instant PT update mode (Figure 14).  An optional
-``audit_oracle`` records decision ground truth for Figures 12a/13.
+:class:`CSHR` is the readable twin of :class:`repro.core.cshr.FlatCSHR`:
+one :class:`CSHREntry` object per outstanding comparison instead of
+parallel tag lists.
 
-This module is the *readable reference*: the scheme registry builds the
-array-backed twin (:class:`repro.core.flat.FlatACICScheme`), which
-``tests/test_acic_differential.py`` locks bit-for-bit against this
-implementation over randomized schedules and the full variant grid.
-Keep the two in sync — a behavioural change lands here first, then in
-the flat controller, with the differential suite arbitrating.
+The differential suites (``tests/test_acic_differential.py`` and the
+registry-level ones through :func:`reference.readable_registry`) lock
+the production controller to this one bit for bit.  A behavioural
+change lands here first, then in the flat controller, with the
+differential suite arbitrating.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.common.bitops import partial_tag
-from repro.core.cshr import CSHR
+from repro.core.cshr import CSHRStats
+from repro.core.flat import ACICStats, AdmissionAudit
 from repro.core.ifilter import IFilter
 from repro.core.predictor import AdmissionPredictor, TwoLevelAdmissionPredictor
 from repro.mem.cache import CacheConfig, SetAssociativeCache
@@ -43,56 +42,126 @@ from repro.mem.policies.lru import LRUPolicy
 
 
 @dataclass
-class AdmissionAudit:
-    """Ground-truth log of admission decisions (Figure 12a/13).
+class CSHREntry:
+    """One outstanding comparison (partial tags only, as in hardware)."""
 
-    Each decision records whether ACIC admitted the victim, and the
-    oracle reuse distances (in trace records) of the victim and the
-    contender at decision time.
-    """
+    victim_tag: int
+    contender_tag: int
 
-    admitted: List[bool] = field(default_factory=list)
-    victim_distance: List[int] = field(default_factory=list)
-    contender_distance: List[int] = field(default_factory=list)
 
-    def accuracy(self, distance_cap: Optional[int] = None) -> float:
-        """Fraction of correct decisions among decisions that *matter*.
+class CSHR:
+    """Set-associative comparison tracker with per-set LRU."""
 
-        A decision matters when the two reuse distances differ and, if
-        ``distance_cap`` is given, when ``min(d_v, d_c) < distance_cap``
-        (Figure 12a's bucketing: accuracy only counts when at least one
-        block would plausibly be re-accessed while cached).
+    def __init__(
+        self,
+        entries: int = 256,
+        sets: int = 8,
+        tag_bits: int = 12,
+        icache_set_bits: int = 6,
+    ) -> None:
+        if entries % sets:
+            raise ValueError(f"{entries} entries not divisible into {sets} sets")
+        if sets.bit_length() - 1 > icache_set_bits:
+            raise ValueError(
+                f"{sets} CSHR sets need more selector bits than the "
+                f"{icache_set_bits}-bit i-cache set index provides"
+            )
+        self.entries = entries
+        self.sets = sets
+        self.ways = entries // sets
+        self.tag_bits = tag_bits
+        self._set_shift = icache_set_bits - (sets.bit_length() - 1)
+        # Each set is a recency-ordered list of CSHREntry (index 0 = LRU).
+        self._sets: List[List[CSHREntry]] = [[] for _ in range(sets)]
+        self.stats = CSHRStats()
+
+    # -- indexing ----------------------------------------------------------------
+
+    def set_for(self, icache_set: int) -> int:
+        """CSHR set = the m most-significant bits of the i-cache set index."""
+        return icache_set >> self._set_shift
+
+    def tag_of(self, block: int) -> int:
+        return partial_tag(block, self.tag_bits)
+
+    # -- operations ----------------------------------------------------------------
+
+    def insert(
+        self, victim_block: int, contender_block: int, icache_set: int
+    ) -> Optional[CSHREntry]:
+        """Open a comparison; returns an evicted *unresolved* entry, if any.
+
+        The caller must apply the benefit-of-the-doubt training for the
+        returned entry.
         """
-        correct = considered = 0
-        for admit, d_v, d_c in zip(
-            self.admitted, self.victim_distance, self.contender_distance
-        ):
-            if d_v == d_c:
-                continue
-            if distance_cap is not None and min(d_v, d_c) >= distance_cap:
-                continue
-            considered += 1
-            if admit == (d_v < d_c):
-                correct += 1
-        return correct / considered if considered else 0.0
+        self.stats.inserts += 1
+        entries = self._sets[self.set_for(icache_set)]
+        evicted = None
+        if len(entries) >= self.ways:
+            evicted = entries.pop(0)
+            self.stats.unresolved_evictions += 1
+        entries.append(
+            CSHREntry(
+                victim_tag=self.tag_of(victim_block),
+                contender_tag=self.tag_of(contender_block),
+            )
+        )
+        return evicted
 
-    def __len__(self) -> int:
-        return len(self.admitted)
+    def search(
+        self, block: int, icache_set: int
+    ) -> Tuple[Optional[CSHREntry], List[CSHREntry]]:
+        """Resolve comparisons for a fetched block.
 
+        Returns ``(victim_match, contender_matches)``: the fetched block
+        can match the victim field of at most one entry (Section III-C2)
+        but the contender field of several.  All matched entries are
+        invalidated (removed).
+        """
+        entries = self._sets[self.set_for(icache_set)]
+        if not entries:
+            return None, []
+        tag = self.tag_of(block)
+        victim_match: Optional[CSHREntry] = None
+        contender_matches: List[CSHREntry] = []
+        survivors: List[CSHREntry] = []
+        for entry in entries:
+            if victim_match is None and entry.victim_tag == tag:
+                victim_match = entry
+                self.stats.victim_resolutions += 1
+            elif entry.contender_tag == tag:
+                contender_matches.append(entry)
+                self.stats.contender_resolutions += 1
+            else:
+                survivors.append(entry)
+        if victim_match is not None or contender_matches:
+            self._sets[self.set_for(icache_set)] = survivors
+        return victim_match, contender_matches
 
-@dataclass
-class ACICStats:
-    victims_considered: int = 0
-    victims_admitted: int = 0
-    free_way_fills: int = 0
-    benefit_of_doubt_trainings: int = 0
+    def occupancy(self) -> int:
+        return sum(len(s) for s in self._sets)
 
-    @property
-    def admission_rate(self) -> float:
-        """Figure 13's metric: fraction of i-Filter victims admitted."""
-        if not self.victims_considered:
-            return 0.0
-        return self.victims_admitted / self.victims_considered
+    def reset(self) -> None:
+        for s in self._sets:
+            s.clear()
+        self.stats = CSHRStats()
+
+    # -- checkpoint/resume --------------------------------------------------
+
+    def save_state(self) -> dict:
+        from repro.common.state import save_stats, snapshot
+
+        return {
+            "sets": snapshot(self._sets),
+            "stats": save_stats(self.stats),
+        }
+
+    def load_state(self, state: dict) -> None:
+        from repro.common.state import load_list_inplace, load_stats
+
+        for live, saved in zip(self._sets, state["sets"]):
+            load_list_inplace(live, saved)
+        load_stats(self.stats, state["stats"])
 
 
 class ACICScheme:

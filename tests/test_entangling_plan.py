@@ -1,15 +1,12 @@
-"""Entangling-plan equivalence, approximation-bound and cache tests.
+"""Entangling-plan equivalence and cache tests.
 
 The two-pass entangling plan promises:
 
 * **recording is pure observation** — a live run with the recorder
   riding along is bit-identical to an unrecorded live run;
-* **exact mode is bit-identical** — replaying a plan for the scheme it
-  was recorded under reproduces the live run scalar for scalar, for
-  every registered scheme (the 20k grid below is the acceptance gate);
-* **approx mode is boundedly wrong** — replaying a reference-scheme
-  stream under a different scheme drifts by small, asserted margins
-  and never silently shares cache keys with exact results;
+* **replay is bit-identical** — replaying a plan for the scheme it was
+  recorded under reproduces the live run scalar for scalar, for every
+  registered scheme (the 20k grid below is the acceptance gate);
 * the disk cache (npz + mmap sidecar) discards corrupt or stale
   entries instead of serving them, like ``tests/test_frontend_plan.py``
   pins for FrontendPlans.
@@ -25,14 +22,12 @@ import pytest
 from repro.frontend.entangling import EntanglingPrefetcher
 from repro.frontend.entangling_plan import (
     ENTANGLING_PLAN_FORMAT,
-    ENTANGLING_REFERENCE_SCHEME,
     EntanglingPlan,
     RecordingEntanglingPrefetcher,
     build_entangling_plan,
     cached_entangling_plan,
     clear_entangling_plan_memo,
     entangling_fingerprint,
-    entangling_plan_mode,
 )
 from repro.frontend.plan import clear_plan_memo, mmap_sidecar_path
 from repro.frontend.stack import BranchStack
@@ -218,47 +213,22 @@ class TestExactReplayEquivalence:
 
 
 class TestApproxMode:
-    """Cross-scheme replay: documented approximation, bounded drift."""
-
-    #: Measured on the media-streaming grid the drift is <0.1% for
-    #: cycles and ~1% for the miss-path scalars; 5%/10% leaves margin
-    #: for other trace shapes while still catching a broken replay
-    #: (which would be off by far more or crash outright).
-    CYCLES_TOL = 0.05
-    MISS_TOL = 0.10
-
-    @pytest.mark.parametrize("scheme", ["acic", "srrip"])
-    def test_drift_is_bounded(self, scheme):
-        trace = get_workload("media-streaming").trace(records=10_000)
-        live, _ = live_run(trace, scheme)
-        plan, _ = record_plan(trace, ENTANGLING_REFERENCE_SCHEME)
-        approx = replay_run(trace, scheme, plan)
-        # Structure-independent scalars are exact by construction.
-        assert approx.instructions == live.instructions
-        assert approx.accesses == live.accesses
-        assert approx.mispredicted_transitions == live.mispredicted_transitions
-        # Timing-coupled scalars drift, but stay within the bound.
-        assert approx.cycles == pytest.approx(
-            live.cycles, rel=self.CYCLES_TOL
-        )
-        assert approx.demand_misses == pytest.approx(
-            live.demand_misses, rel=self.MISS_TOL
-        )
+    """No approximate cross-scheme replay exists: a plan recorded under
+    the baseline scheme replays exactly under that scheme."""
 
     def test_reference_scheme_replay_is_exact_even_under_approx(self):
         trace = random_trace(11)
-        live, _ = live_run(trace, ENTANGLING_REFERENCE_SCHEME)
-        plan, _ = record_plan(trace, ENTANGLING_REFERENCE_SCHEME)
-        replayed = replay_run(trace, ENTANGLING_REFERENCE_SCHEME, plan)
+        live, _ = live_run(trace, "lru")
+        plan, _ = record_plan(trace, "lru")
+        replayed = replay_run(trace, "lru", plan)
         assert _scalars(replayed) == _scalars(live)
 
 
 @pytest.fixture()
 def isolated_caches(tmp_path, monkeypatch):
-    """Isolated plan cache on disk; clean memos; exact mode."""
+    """Isolated plan cache on disk; clean memos."""
     monkeypatch.setenv("REPRO_PLAN_CACHE", str(tmp_path))
     monkeypatch.delenv("REPRO_NO_DISK_CACHE", raising=False)
-    monkeypatch.delenv("REPRO_ENTANGLING_PLAN", raising=False)
     clear_plan_memo()
     clear_entangling_plan_memo()
     yield tmp_path
@@ -275,28 +245,8 @@ def _cached(trace, scheme="lru", machine=DEFAULT_MACHINE):
     )
 
 
-class TestModeSelection:
-    def test_default_is_exact(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ENTANGLING_PLAN", raising=False)
-        assert entangling_plan_mode() == "exact"
-
-    @pytest.mark.parametrize(
-        "raw,mode",
-        [("exact", "exact"), ("approx", "approx"), ("off", "off"),
-         ("1", "exact"), ("0", "off"), ("", "exact"), ("EXACT", "exact")],
-    )
-    def test_aliases(self, monkeypatch, raw, mode):
-        monkeypatch.setenv("REPRO_ENTANGLING_PLAN", raw)
-        assert entangling_plan_mode() == mode
-
-    def test_unknown_value_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENTANGLING_PLAN", "fuzzy")
-        with pytest.raises(ValueError, match="REPRO_ENTANGLING_PLAN"):
-            entangling_plan_mode()
-
-
 class TestRunExperimentIntegration:
-    """The harness path: exact replays, approx keys, off reverts."""
+    """The harness path: cold runs record, warm runs replay, live opts out."""
 
     def test_exact_cold_and_warm_match_live(self, isolated_caches):
         live = run_experiment(
@@ -314,58 +264,18 @@ class TestRunExperimentIntegration:
         assert warm.run.prefetcher_name == "entangling"
         assert list(isolated_caches.glob("*.ent.npz"))
 
-    def test_off_mode_never_touches_the_plan_cache(
-        self, isolated_caches, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_ENTANGLING_PLAN", "off")
+    def test_off_mode_never_touches_the_plan_cache(self, isolated_caches):
+        """With plans off (``use_plan=False``) the run is live."""
         run_experiment(
-            "x264", "lru", prefetcher="entangling", records=2000
+            "x264", "lru", prefetcher="entangling", records=2000,
+            use_plan=False,
         )
         assert not list(isolated_caches.glob("*.ent.npz"))
-
-    def test_approx_mode_shares_the_reference_stream(
-        self, isolated_caches, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_ENTANGLING_PLAN", "approx")
-        run_experiment("x264", "acic", prefetcher="entangling", records=3000)
-        run_experiment("x264", "srrip", prefetcher="entangling", records=3000)
-        # Both schemes replayed the single reference-scheme plan.
-        assert len(list(isolated_caches.glob("*.ent.npz"))) == 1
 
     def test_exact_mode_records_one_plan_per_scheme(self, isolated_caches):
         run_experiment("x264", "acic", prefetcher="entangling", records=3000)
         run_experiment("x264", "srrip", prefetcher="entangling", records=3000)
         assert len(list(isolated_caches.glob("*.ent.npz"))) == 2
-
-
-class TestRunnerCacheKeys:
-    def test_approx_results_key_separately(self, monkeypatch):
-        from repro.harness.runner import Runner
-
-        runner = Runner(records=2000, prefetcher="entangling")
-        monkeypatch.delenv("REPRO_ENTANGLING_PLAN", raising=False)
-        exact_path = runner._disk_path("x264", "acic")
-        monkeypatch.setenv("REPRO_ENTANGLING_PLAN", "approx")
-        approx_path = runner._disk_path("x264", "acic")
-        assert exact_path != approx_path
-        assert "entangling-approx" in approx_path.name
-        # Other prefetchers are unaffected by the mode.
-        fdp = Runner(records=2000, prefetcher="fdp")
-        assert "approx" not in fdp._disk_path("x264", "acic").name
-
-    def test_in_memory_layer_respects_mode_too(self, monkeypatch):
-        """A mode flip mid-process must also miss the memory layer —
-        an approx result cached in ``_memory`` can never be served as
-        an exact one (regression: the key once omitted the mode)."""
-        from repro.harness.runner import Runner
-
-        runner = Runner(
-            records=2000, prefetcher="entangling", use_disk_cache=False
-        )
-        monkeypatch.delenv("REPRO_ENTANGLING_PLAN", raising=False)
-        exact_key = runner._key("x264", "acic")
-        monkeypatch.setenv("REPRO_ENTANGLING_PLAN", "approx")
-        assert runner._key("x264", "acic") != exact_key
 
 
 class TestPlanCache:

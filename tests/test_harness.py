@@ -144,17 +144,6 @@ class TestScaledRecords:
         monkeypatch.setenv("REPRO_SCALE", "0.5")
         assert scaled_records(1234) == 1234
 
-    def test_scale_env(self, monkeypatch):
-        from repro.workloads.profiles import DEFAULT_RECORDS
-
-        monkeypatch.setenv("REPRO_SCALE", "0.5")
-        assert scaled_records() == int(DEFAULT_RECORDS * 0.5)
-
-    def test_invalid_scale(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCALE", "-1")
-        with pytest.raises(ValueError):
-            scaled_records()
-
 
 class TestRunner:
     def test_memory_cache_hits(self, monkeypatch):

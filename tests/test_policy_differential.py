@@ -16,11 +16,12 @@ pins them to the readable references four ways:
 * **whole-engine** — chunked (checkpoint/resume) runs equal one
   undisturbed pass, chunks alternating between the flat and readable
   implementations, and the 20k benchmark grid's scalars are identical
-  with ``REPRO_FLAT_POLICIES`` on and off;
+  between the registry's flat build and its readable one
+  (:func:`reference.readable_registry`);
 * **packed sampler mechanics** — the 8-bit-lane occupancy vector
   (pack/unpack round-trip, lane tables, the one-add "any quantum
   full?" test) against the reference ``_OPTgen``, plus the bounded
-  hash memos and the pre-pass cache (corrupt/stale/disabled paths).
+  hash memos and the pre-pass cache (corrupt/stale/geometry paths).
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from repro.mem.policies.ghrp import GHRPPolicy
 from repro.mem.policies.hawkeye import HawkeyePolicy, _OPTgen
 from repro.uarch.params import DEFAULT_MACHINE
 from repro.workloads.profiles import get_workload
+from reference import readable_ghrp, readable_hawkeye, readable_registry
 
 #: Tiny geometry (8 sets x 4 ways) so sets fill, evict and prune hard.
 CONFIG = CacheConfig(4 * 64 * 8, 4, name="L1i")
@@ -66,14 +68,8 @@ STATS_FIELDS = (
 def _make_pair(kind):
     """(flat twin, readable reference) with identical construction."""
     if kind == "ghrp":
-        return (
-            FlatGHRPScheme(CONFIG),
-            PlainCacheScheme(CONFIG, GHRPPolicy()),
-        )
-    return (
-        FlatHawkeyeScheme(CONFIG),
-        PlainCacheScheme(CONFIG, HawkeyePolicy(ways=CONFIG.ways)),
-    )
+        return FlatGHRPScheme(CONFIG), readable_ghrp(CONFIG)
+    return FlatHawkeyeScheme(CONFIG), readable_hawkeye(CONFIG)
 
 
 def _schedule(seed, length=9000, blocks=160):
@@ -199,13 +195,10 @@ class TestLockstep:
         )
 
     @pytest.mark.parametrize("kind", KINDS)
-    def test_lockstep_without_prepass(self, kind, monkeypatch):
+    def test_lockstep_without_prepass(self, kind):
         """The memo-hash fallback path is the same machine."""
-        monkeypatch.setenv("REPRO_REPLACEMENT_PREPASS", "0")
         ops = _schedule(3)
-        flat, ref = _make_pair(kind)
-        trace = get_workload("media-streaming").trace(records=2000)
-        flat.prepare_trace(trace)  # must be a no-op binding
+        flat, ref = _make_pair(kind)  # prepare_trace never called
         assert flat._sig_of_t is None
         assert _drive(flat, ops, 0, len(ops)) == _drive(ref, ops, 0, len(ops))
 
@@ -310,12 +303,8 @@ class TestEngineChunked:
         )
 
         def readable():
-            if kind == "ghrp":
-                return PlainCacheScheme(context.l1i_config, GHRPPolicy())
-            return PlainCacheScheme(
-                context.l1i_config,
-                HawkeyePolicy(ways=context.l1i_config.ways),
-            )
+            build = readable_ghrp if kind == "ghrp" else readable_hawkeye
+            return build(context.l1i_config)
 
         def flat():
             if kind == "ghrp":
@@ -364,10 +353,9 @@ class TestFlatReadableGrid:
     """Registry-level equivalence on the benchmark grid."""
 
     @pytest.mark.parametrize("kind", KINDS)
-    def test_env_opt_out_builds_readable(self, kind, context, monkeypatch):
-        monkeypatch.setenv("REPRO_FLAT_POLICIES", "0")
-        assert isinstance(make_scheme(kind, context), PlainCacheScheme)
-        monkeypatch.delenv("REPRO_FLAT_POLICIES")
+    def test_readable_registry_builds_readable(self, kind, context):
+        with readable_registry():
+            assert isinstance(make_scheme(kind, context), PlainCacheScheme)
         flat_cls = FlatGHRPScheme if kind == "ghrp" else FlatHawkeyeScheme
         assert isinstance(make_scheme(kind, context), flat_cls)
 
@@ -378,14 +366,14 @@ class TestFlatReadableGrid:
     ):
         """The bench grid itself: 20k records, flat vs readable."""
         monkeypatch.setenv("REPRO_RESULT_CACHE", str(tmp_path))
-        monkeypatch.delenv("REPRO_FLAT_POLICIES", raising=False)
         flat = run_experiment(
             WORKLOAD, kind, prefetcher=prefetcher, records=20_000
         )
-        monkeypatch.setenv("REPRO_FLAT_POLICIES", "0")
-        readable = run_experiment(
-            WORKLOAD, kind, prefetcher=prefetcher, records=20_000
-        )
+        with readable_registry():
+            readable = run_experiment(
+                WORKLOAD, kind, prefetcher=prefetcher, records=20_000
+            )
+        assert isinstance(readable.run.scheme, PlainCacheScheme)
         assert _scalars(flat.run) == _scalars(readable.run)
 
 
@@ -606,11 +594,3 @@ class TestPrepassCache:
         harmony = FlatHawkeyeScheme(small, HawkeyePolicy(ways=small.ways))
         harmony.prepare_trace(trace)
         assert harmony._sig_of_t is None
-
-    def test_disabled_env_skips_disk_and_binding(self, monkeypatch):
-        monkeypatch.setenv("REPRO_REPLACEMENT_PREPASS", "0")
-        trace = get_workload(WORKLOAD).trace(records=700)
-        twin = FlatGHRPScheme(CONFIG)
-        twin.prepare_trace(trace)
-        assert twin._sig_of_t is None
-        assert prepass_mod.PREPASS_STORE.memo_size() == 0

@@ -197,13 +197,13 @@ class TestSweep:
             assert _scalars(warm[key]) == _scalars(expected[key])
 
     def test_resident_workers_deserialize_each_trace_once(
-        self, cache_dir, tmp_path, monkeypatch
+        self, cache_dir, tmp_path, monkeypatch, trace_load_log
     ):
         """Sweep workers load each workload's trace at most once.
 
         The pool initializer makes workers resident: one SchemeContext
         per workload per process, traces served from mmap sidecars.
-        REPRO_TRACE_LOAD_LOG records one (pid, key) line per actual
+        ``trace_load_log`` records one (pid, key) line per actual
         trace deserialization; with 5 schemes per workload a per-pair
         loader would log each workload up to 5x per worker.  Five
         workloads make the warm-one-ahead pipeline hold three contexts
@@ -212,8 +212,6 @@ class TestSweep:
         trace_cache = tmp_path / "traces"
         monkeypatch.setenv("REPRO_TRACE_CACHE", str(trace_cache))
         monkeypatch.setenv("REPRO_PLAN_CACHE", str(tmp_path / "plans"))
-        log = tmp_path / "trace-loads.log"
-        monkeypatch.setenv("REPRO_TRACE_LOAD_LOG", str(log))
 
         workloads = (WORKLOAD, "gcc", "data-caching", "web-search", "tpcc")
         schemes = ("lru", "srrip", "acic", "opt", "ghrp")
@@ -222,7 +220,7 @@ class TestSweep:
         assert len(results) == 25
 
         loads = Counter()
-        for line in log.read_text().splitlines():
+        for line in trace_load_log.read_text().splitlines():
             pid, key = line.split(" ", 1)
             loads[(int(pid), key)] += 1
         assert loads, "no trace loads were logged"

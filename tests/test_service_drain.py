@@ -19,8 +19,9 @@ Three layers:
   mid-sweep exits 0 with a drain message, and its restarted successor
   (reached through client retries) finishes the job identically;
 * **client** — retry-with-backoff unit behaviour: transient
-  classification, full-jitter bound growth, default-off budget,
-  ``REPRO_CLIENT_RETRIES`` parsing.
+  classification, full-jitter bound growth, default-off budget, the
+  ``REPRO_CLIENT_RETRIES`` default (its parsing is pinned with the other
+  numeric knobs in ``tests/test_env.py``).
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from repro.service.client import (
     RETRY_SLEEP_CAP,
     ServiceClient,
     ServiceError,
-    _client_retries,
     _transient,
 )
 from repro.service.protocol import pair_token
@@ -256,19 +256,17 @@ class TestForegroundServerSigterm:
 class TestClientRetries:
     def test_default_budget_is_zero(self, monkeypatch):
         monkeypatch.delenv("REPRO_CLIENT_RETRIES", raising=False)
-        assert _client_retries() == 0
         assert ServiceClient().retries == 0
 
     def test_env_budget(self, monkeypatch):
         monkeypatch.setenv("REPRO_CLIENT_RETRIES", "5")
-        assert _client_retries() == 5
         assert ServiceClient().retries == 5
         assert ServiceClient(retries=2).retries == 2  # explicit wins
 
     def test_negative_budget_rejected(self, monkeypatch):
         monkeypatch.setenv("REPRO_CLIENT_RETRIES", "-1")
-        with pytest.raises(ValueError):
-            _client_retries()
+        with pytest.raises(ValueError, match="REPRO_CLIENT_RETRIES"):
+            ServiceClient()
         with pytest.raises(ValueError):
             ServiceClient(retries=-3)
 

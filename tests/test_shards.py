@@ -138,21 +138,6 @@ class TestWindowSpans:
             window_spans(0, 100)
 
 
-class TestShardWindowEnv:
-    def test_default_off(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SHARD_WINDOW", raising=False)
-        assert shard_window() == 0
-
-    def test_parses(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHARD_WINDOW", "2500")
-        assert shard_window() == 2_500
-
-    def test_negative_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHARD_WINDOW", "-1")
-        with pytest.raises(ValueError):
-            shard_window()
-
-
 def _state(next_record, tag="x"):
     """A plausible boundary-state stand-in (the ledger is payload-agnostic)."""
     return {

@@ -20,7 +20,6 @@ import random
 import numpy as np
 import pytest
 
-from repro.core.controller import ACICScheme
 from repro.harness.schemes import (
     SchemeContext,
     available_schemes,
@@ -29,6 +28,8 @@ from repro.harness.schemes import (
 )
 from repro.uarch.params import DEFAULT_MACHINE
 from repro.workloads.profiles import get_workload
+from reference import readable_registry
+from reference.acic import ACICScheme
 
 RECORDS = 2_000
 WORKLOAD = "x264"
@@ -150,12 +151,11 @@ def test_randomized_cut_points(name, context, seed):
     _roundtrip(name, context, seed=seed * 31 + 5)
 
 
-def test_naive_acic_controller_roundtrips(context, monkeypatch):
+def test_naive_acic_controller_roundtrips(context):
     """The readable reference controller honours the same contract."""
-    monkeypatch.setenv("REPRO_FLAT_ACIC", "0")
-    scheme = make_scheme("acic", context)
-    assert isinstance(scheme, ACICScheme)
-    _roundtrip("acic", context, seed=3)
+    with readable_registry():
+        assert isinstance(make_scheme("acic", context), ACICScheme)
+        _roundtrip("acic", context, seed=3)
 
 
 def test_load_state_is_in_place_for_flat_acic(context):

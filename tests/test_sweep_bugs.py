@@ -137,15 +137,6 @@ class TestContextCacheBound:
         rebuilt = thrashing.run("x264", "srrip")
         assert _scalars(rebuilt) == _scalars(reference.run("x264", "srrip"))
 
-    def test_default_cap_and_validation(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CONTEXT_CACHE", raising=False)
-        from repro.harness.runner import _context_cache_cap
-
-        assert _context_cache_cap() == 4
-        monkeypatch.setenv("REPRO_CONTEXT_CACHE", "0")
-        with pytest.raises(ValueError, match="REPRO_CONTEXT_CACHE"):
-            _context_cache_cap()
-
 
 class TestPerSweepJournals:
     def test_journal_paths_are_unique_per_sweep_call(self):

@@ -148,11 +148,9 @@ class TestTraceMmapSidecar:
         assert trace_cache_dir() == trace_cache
         assert any(trace_cache.iterdir())
 
-    def test_load_log_counts_deserializations(self, trace_cache, monkeypatch):
-        log = trace_cache / "loads.log"
-        monkeypatch.setenv("REPRO_TRACE_LOAD_LOG", str(log))
+    def test_load_log_counts_deserializations(self, trace_cache, trace_load_log):
         _build()  # fresh build
         _build()  # sidecar load
-        lines = log.read_text().strip().splitlines()
+        lines = trace_load_log.read_text().strip().splitlines()
         assert len(lines) == 2
         assert all(f"{WORKLOAD}-r{RECORDS}" in line for line in lines)
