@@ -12,12 +12,9 @@ stop it *gracefully* at the next boundary (exit 3, ledger kept), a
 SIGKILL or crash loses at most one window, and re-running the same
 command resumes from the last completed boundary — the stitched result
 is bit-identical to an uninterrupted single pass
-(``tests/test_shards.py``).
-
-``--materialize-windows`` additionally writes each window of the trace
-into the trace cache as its own ``.npz`` + ``.mmap/`` entry
-(:func:`repro.workloads.trace.cached_trace_window`) — the shippable
-per-shard artifacts for running windows on other machines.
+(``tests/test_shards.py`` pins the ledger, ``tests/test_run_sharded.py``
+this command).  Windows are checkpoint cadences over one run, not
+separate runs: nothing is written per window except the ledger.
 """
 
 from __future__ import annotations
@@ -30,9 +27,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from repro.harness.experiment import run_experiment, scaled_records  # noqa: E402
-from repro.harness.shards import DrainRequested, window_spans  # noqa: E402
-from repro.workloads.profiles import get_workload  # noqa: E402
-from repro.workloads.trace import cached_trace_window  # noqa: E402
+from repro.harness.shards import DrainRequested  # noqa: E402
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -51,11 +46,6 @@ def main(argv: list[str] | None = None) -> int:
         type=int,
         default=20000,
         help="records per shard window (boundary state persists per window)",
-    )
-    parser.add_argument(
-        "--materialize-windows",
-        action="store_true",
-        help="also write each trace window as its own cached npz+mmap entry",
     )
     args = parser.parse_args(argv)
     if args.window < 1:
@@ -77,14 +67,6 @@ def main(argv: list[str] | None = None) -> int:
 
     for sig in (signal.SIGINT, signal.SIGTERM):
         signal.signal(sig, request_stop)
-
-    if args.materialize_windows:
-        profile = get_workload(args.workload)
-        trace = profile.trace(records=records)
-        key = f"{args.workload}.r{records}.shards"
-        for lo, hi in window_spans(len(trace), args.window):
-            cached_trace_window(key, lo, hi, trace)
-            print(f"materialized window [{lo}, {hi})", flush=True)
 
     def on_shard(shard: int, done: int, total: int) -> None:
         print(

@@ -95,10 +95,6 @@ class ReuseHistogram:
             label: 100.0 * count / total for label, count in self.counts.items()
         }
 
-    def intermediate_share(self) -> float:
-        """Mass just beyond i-cache reach, (512, 1024] — ACIC's target."""
-        return self.percentages()["512-1024"]
-
 
 def reuse_histogram(
     blocks: Sequence[int], workload: str = "trace"

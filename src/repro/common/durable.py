@@ -2,18 +2,19 @@
 
 Three small primitives every crash-safe writer in the harness shares:
 
-* :func:`results_dir` — where results, sweep journals and shard
-  ledgers live (``REPRO_RESULT_CACHE``, default ``.cache/results``);
+* :func:`results_dir` — where results and shard ledgers live
+  (``REPRO_RESULT_CACHE``, default ``.cache/results``);
 * :func:`write_atomic` — write-then-rename through a temp name unique
   to the writer (``tempfile.mkstemp``), so readers never observe a
   partial file, concurrent writers never share a temp file, and a
-  failed write leaves no temp file behind;
+  failed write leaves no temp file behind; ``fsync=True`` adds one
+  fsync before the rename (result-cache entries, shard-ledger states);
 * :class:`AppendLog` — an append-only JSON-lines log.  Each entry is
   written, flushed and fsynced before :meth:`AppendLog.append`
   returns, so it survives a SIGKILL; :meth:`AppendLog.entries` skips a
   torn last line (a kill mid-append), junk and non-dict lines.  The
-  sweep journal, the search journal and the shard-ledger index are
-  thin users that add their own entry validation and lifecycle.
+  search journal and the shard-ledger index are thin users that add
+  their own entry validation and lifecycle.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ def results_dir() -> Path:
 def write_atomic(path: Path, data: bytes, fsync: bool = False) -> None:
     """Replace ``path`` with ``data`` in one rename, creating its directory.
 
-    ``fsync=True`` flushes the bytes to disk before the rename, for
-    files a later fsync'd log entry will point at.
+    ``fsync=True`` flushes the bytes to disk before the rename, so a
+    crash can never leave ``path`` naming unwritten data.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(prefix=f"{path.name}.", suffix=".tmp", dir=path.parent)

@@ -89,16 +89,3 @@ def load_dict_inplace(live: Dict, saved: Dict) -> None:
 def load_list_inplace(live: List, saved: Sequence) -> None:
     """Replace ``live``'s contents with a detached copy of ``saved``."""
     live[:] = copy.deepcopy(saved)
-
-
-def map_dict_values(live: Dict, convert) -> None:
-    """Apply ``convert`` to every value of ``live``, in place.
-
-    For representation conversion at the save/load boundary: a flat twin
-    that keeps an accelerated stand-in for a reference object (e.g. the
-    packed OPT-gen) normalizes snapshots to the reference shape so
-    checkpoints interchange with the readable scheme.  Keys and
-    insertion order are untouched.
-    """
-    for key, value in live.items():
-        live[key] = convert(value)

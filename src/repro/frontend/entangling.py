@@ -121,9 +121,6 @@ class EntanglingPrefetcher:
         self.stats.issued += len(dests)
         return list(dests)
 
-    def on_retire(self, i: int) -> None:
-        pass  # no branch stack to train
-
     # -- training steps (overridable; the plan recorder hooks these) -----------
 
     def _select_source(self, block: int, cycle: int) -> Optional[int]:

@@ -210,50 +210,6 @@ class EntanglingPlan:
     def mispredicted_after_warmup(self) -> int:
         return self.base.mispredicted_after_warmup()
 
-    # -- shard windows ------------------------------------------------------
-
-    def slice(self, lo: int, hi: int) -> "EntanglingPlan":
-        """The recorded stream restricted to shard window ``[lo, hi)``.
-
-        Mirrors :meth:`FrontendPlan.slice
-        <repro.frontend.plan.FrontendPlan.slice>`: everything indexed by
-        record or by candidate position is re-based to the window
-        origin, so the slice round-trips through
-        :meth:`save`/:meth:`load`/:meth:`load_mmap` unchanged.  The
-        recorder appends one span per record, so spans tile
-        ``cand_blocks`` contiguously (``cand_lo[i] == cand_hi[i-1]``) —
-        slicing the block stream is a single cut at the window's span
-        boundaries.  Reference miss events are filtered to the window
-        and re-based; the entangled-pair log (``ent_src``/``ent_dst``)
-        is formation-ordered with no record index, so it travels whole.
-        ``ref_scalars`` describe the full reference run and travel
-        as-is (provenance, like the parent ``trace_digest``).
-        """
-        if not (0 <= lo < hi <= len(self)):
-            raise ValueError(
-                f"window [{lo}, {hi}) out of range for plan of {len(self)} records"
-            )
-        blk_lo = int(self.cand_lo[lo])
-        blk_hi = int(self.cand_hi[hi - 1])
-        in_window = (self.miss_rec >= lo) & (self.miss_rec < hi)
-        return EntanglingPlan(
-            trace_name=f"{self.trace_name}@w[{lo}:{hi}]",
-            trace_digest=self.trace_digest,
-            scheme=self.scheme,
-            machine_fingerprint=self.machine_fingerprint,
-            warmup_end=min(max(self.warmup_end - lo, 0), hi - lo),
-            fingerprint=f"{self.fingerprint}-w{lo}-{hi}",
-            ref_scalars=dict(self.ref_scalars),
-            cand_blocks=np.ascontiguousarray(self.cand_blocks[blk_lo:blk_hi]),
-            cand_lo=(self.cand_lo[lo:hi] - blk_lo).astype(np.int64),
-            cand_hi=(self.cand_hi[lo:hi] - blk_lo).astype(np.int64),
-            miss_rec=(self.miss_rec[in_window] - lo).astype(np.int64),
-            miss_cycle=np.ascontiguousarray(self.miss_cycle[in_window]),
-            ent_src=np.ascontiguousarray(self.ent_src),
-            ent_dst=np.ascontiguousarray(self.ent_dst),
-            base=self.base.slice(lo, hi),
-        )
-
     # -- persistence: the codec entry points ENTANGLING_STORE calls ---------
 
     def meta(self) -> Dict[str, object]:

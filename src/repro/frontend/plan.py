@@ -47,9 +47,10 @@ see :mod:`repro.frontend.entangling_plan`.
 Plans are cached by :data:`PLAN_STORE` (see :mod:`repro.common.artifacts`)
 in the plan cache directory, keyed by a frontend-only fingerprint: trace
 content digest, prefetcher kind, run-ahead depth, warmup split and the
-(fixed) BTB/TAGE geometry.  A sweep builds each workload's plan once in
-the parent process; workers memory-map it instead of redoing the
-frontend work per (workload, scheme) pair.
+(fixed) BTB/TAGE geometry.  A sweep builds each workload's plan once (a
+parallel sweep in the pool task that warms the workload); workers
+memory-map it instead of redoing the frontend work per (workload,
+scheme) pair.
 """
 
 from __future__ import annotations
@@ -191,68 +192,8 @@ class FrontendPlan:
         })
 
     @property
-    def warmup_stack_stats(self) -> BranchStackStats:
-        return self._stats_of(self.warmup_stats)
-
-    @property
     def final_stack_stats(self) -> BranchStackStats:
         return self._stats_of(self.final_stats)
-
-    # -- shard windows ------------------------------------------------------
-
-    def slice(self, lo: int, hi: int) -> "FrontendPlan":
-        """The plan restricted to shard window ``[lo, hi)``, re-based.
-
-        The materialized counterpart of
-        :meth:`~repro.workloads.trace.Trace.window`: record indices,
-        candidate spans, and misprediction prefix sums are all re-based
-        to the window origin, so the slice round-trips through
-        :meth:`save`/:meth:`load`/:meth:`load_mmap` as an independent
-        cache entry and its spans index the windowed trace's blocks.
-        Candidate spans always start in the future of their record
-        (``cand_lo[i] > i``), so re-basing never goes negative; spans
-        running past the window are clipped at ``hi``, and empty spans
-        stay the ``(0, 0)`` sentinel.  ``warmup_end`` clips into the
-        window (0 for any window past warmup).  Stack-stats snapshots
-        are process-wide observability, not replay inputs — the slice
-        carries the parent's.  The fingerprint gains a ``-w<lo>-<hi>``
-        suffix and ``trace_digest`` stays the *parent's* digest: a
-        sliced plan advertises the full-trace run it was cut from, it
-        does not impersonate a cold plan of the windowed trace (which
-        would differ — its predictors would start untrained).
-
-        ``tests/test_shards.py`` pins the re-basing invariants.
-        """
-        if not (0 <= lo < hi <= len(self)):
-            raise ValueError(
-                f"window [{lo}, {hi}) out of range for plan of {len(self)} records"
-            )
-        span = hi - lo
-        # Clip spans at the window edge, then collapse anything left
-        # empty (including spans that started wholly beyond ``hi``)
-        # back to the (0, 0) sentinel.
-        clip_lo = np.minimum(self.cand_lo[lo:hi], hi) - lo
-        clip_hi = np.minimum(self.cand_hi[lo:hi], hi) - lo
-        nonempty = clip_hi > clip_lo
-        cand_lo = np.where(nonempty, clip_lo, 0).astype(np.int64)
-        cand_hi = np.where(nonempty, clip_hi, 0).astype(np.int64)
-        cum = (self.cum_mispredict[lo : hi + 1] - self.cum_mispredict[lo]).astype(
-            np.int64
-        )
-        return FrontendPlan(
-            trace_name=f"{self.trace_name}@w[{lo}:{hi}]",
-            trace_digest=self.trace_digest,
-            prefetcher=self.prefetcher,
-            depth=self.depth,
-            warmup_end=min(max(self.warmup_end - lo, 0), span),
-            fingerprint=f"{self.fingerprint}-w{lo}-{hi}",
-            mispredict=np.ascontiguousarray(self.mispredict[lo:hi]),
-            cum_mispredict=np.ascontiguousarray(cum),
-            cand_lo=cand_lo,
-            cand_hi=cand_hi,
-            warmup_stats=self.warmup_stats.copy(),
-            final_stats=self.final_stats.copy(),
-        )
 
     # -- persistence: the codec entry points PLAN_STORE calls ---------------
 
@@ -372,52 +313,6 @@ def _finish(
 
 
 # -- builders ------------------------------------------------------------------
-
-
-def build_plan_reference(
-    trace: Trace, machine: MachineParams, prefetcher: str = "fdp"
-) -> FrontendPlan:
-    """Naive per-record replay through the live stack/FDP objects.
-
-    The oracle the equivalence tests compare :func:`build_plan` against:
-    it drives a real :class:`BranchStack` and
-    :class:`~repro.frontend.fdp.FetchDirectedPrefetcher` exactly as the
-    live engine does, one record at a time.
-    """
-    from repro.frontend.fdp import FetchDirectedPrefetcher
-
-    if not plannable(prefetcher):
-        raise ValueError(f"prefetcher {prefetcher!r} cannot be planned")
-    n = len(trace)
-    warmup_end = int(n * machine.warmup_fraction)
-    depth = machine.ftq_depth_records if prefetcher == "fdp" else 0
-    stack = BranchStack(trace)
-    fdp = (
-        FetchDirectedPrefetcher(trace, stack, depth=depth)
-        if prefetcher == "fdp"
-        else None
-    )
-    kinds = trace.branch_kind_list
-    mispredict = np.zeros(n, dtype=np.uint8)
-    cand_lo = np.zeros(n, dtype=np.int64)
-    cand_hi = np.zeros(n, dtype=np.int64)
-    warm: Optional[np.ndarray] = None
-    for i in range(n):
-        if i == warmup_end:
-            warm = _snapshot(stack.stats)
-        if kinds[i] and stack.retire(i):
-            mispredict[i] = 1
-        if fdp is not None:
-            out = fdp.candidates(i)
-            if out:
-                cand_hi[i] = fdp._ra
-                cand_lo[i] = fdp._ra - len(out)
-    if warm is None:
-        warm = _snapshot(stack.stats)
-    return _finish(
-        trace, machine, prefetcher, depth, warmup_end,
-        mispredict, cand_lo, cand_hi, warm, _snapshot(stack.stats),
-    )
 
 
 def build_plan(

@@ -26,12 +26,6 @@ class BranchStackStats:
     btb_correct: int = 0
     mispredicted_transitions: int = 0
 
-    @property
-    def conditional_accuracy(self) -> float:
-        if not self.conditional_branches:
-            return 1.0
-        return self.conditional_correct / self.conditional_branches
-
 
 class BranchStack:
     """Trace-driven BTB + TAGE with per-transition verdict memoisation."""

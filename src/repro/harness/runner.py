@@ -45,15 +45,14 @@ import json
 import os
 import threading
 import time
-import uuid
 from collections import OrderedDict
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.common import faults
-from repro.common.durable import AppendLog, results_dir, write_atomic
+from repro.common.durable import results_dir, write_atomic
 from repro.common.env import env_number
 from repro.frontend.plan import cached_plan, plannable
 from repro.harness.experiment import run_experiment, scaled_records
@@ -112,7 +111,7 @@ def _context_cache_cap() -> int:
 
 #: Callback invoked by :meth:`Runner.sweep_pairs` after each *freshly
 #: simulated* pair lands in the caches: ``(workload, scheme, result)``.
-#: Cache hits and journal replays never fire it.
+#: Cache hits never fire it.
 ResultCallback = Callable[[str, str, RunResult], None]
 
 #: Per-shard progress callback for windowed (``REPRO_SHARD_WINDOW``)
@@ -136,39 +135,6 @@ def _kill_pool_workers(pool: ProcessPoolExecutor) -> None:
             proc.kill()
         except Exception:
             pass
-
-
-class _SweepJournal(AppendLog):
-    """Fsync'd log of completed sweep pairs, one line per completion.
-
-    Entries survive a SIGKILLed parent; replay skips torn and foreign
-    lines, so the worst case is re-simulating one pair.  The file is
-    deleted when its sweep call completes; a surviving journal
-    therefore means a crashed sweep, which
-    ``Runner.sweep(resume=True)`` picks up.
-    """
-
-    def record(self, workload: str, scheme: str, result: RunResult) -> None:
-        self.append(
-            {
-                "workload": workload,
-                "scheme": scheme,
-                "scalars": {k: getattr(result, k) for k in _SCALAR_FIELDS},
-            }
-        )
-
-    def replay(self) -> Iterator[Tuple[str, str, Dict[str, object]]]:
-        for entry in self.entries():
-            try:
-                scalars = {k: entry["scalars"][k] for k in _SCALAR_FIELDS}
-                item = (entry["workload"], entry["scheme"], scalars)
-            except (KeyError, TypeError):
-                continue
-            yield item
-
-    def finish(self) -> None:
-        """Close and delete: every pair of this sweep call is accounted for."""
-        self.remove()
 
 
 #: Per-process resident sweep state: the configuration the pool
@@ -346,10 +312,14 @@ class Runner:
 
     def _store_disk(self, workload: str, scheme: str, run: RunResult) -> None:
         # Write-then-rename so concurrent readers never observe a
-        # partial entry (and never mistake one for corruption).
+        # partial entry (and never mistake one for corruption), fsynced
+        # before the rename: the entry is the sweep's durable record
+        # that this pair is done.
         payload = {k: getattr(run, k) for k in _SCALAR_FIELDS}
         write_atomic(
-            self._disk_path(workload, scheme), json.dumps(payload).encode()
+            self._disk_path(workload, scheme),
+            json.dumps(payload).encode(),
+            fsync=True,
         )
 
     def _cached(
@@ -387,8 +357,7 @@ class Runner:
         Building a context also warms the workload's shared artifacts
         through :func:`_warm_artifacts` — the helper parallel sweeps'
         warm tasks use — so every scheme simulated against this
-        workload shares one frontend plan (and, in approx entangling
-        mode, one reference training stream) instead of redoing it per
+        workload shares one frontend plan instead of redoing it per
         pair.
 
         At most ``REPRO_CONTEXT_CACHE`` contexts stay resident; the
@@ -490,43 +459,11 @@ class Runner:
             self.run(workload, baseline)
         )
 
-    def _journal_prefix(self) -> str:
-        """Journal filename prefix shared by every sweep of this config."""
-        return (
-            f"sweep.{self.prefetcher}.r{self.records}"
-            f".{self.machine.fingerprint()}"
-        )
-
-    def _new_journal_path(self) -> Path:
-        """A journal path unique to one ``sweep_pairs`` call.
-
-        The pid/uuid suffix keeps concurrent sweeps of the *same*
-        configuration (two server requests, two processes) from
-        interleaving records in one file — and from the first
-        ``finish()`` deleting the other sweep's crash record.
-        """
-        return results_dir() / (
-            f"{self._journal_prefix()}.{os.getpid()}-{uuid.uuid4().hex[:8]}"
-            ".journal"
-        )
-
-    def _stale_journal_paths(self) -> List[Path]:
-        """Every surviving journal for this configuration, oldest first.
-
-        A journal that still exists belongs to a sweep call that never
-        finished — a crashed parent (or a sweep that is live right now
-        in another process; ``resume=True`` callers own that trade-off).
-        The glob also matches the pre-suffix name format, so journals
-        written before the per-instance rename still resume.
-        """
-        return sorted(results_dir().glob(f"{self._journal_prefix()}*.journal"))
-
     def sweep(
         self,
         workloads: Iterable[str],
         schemes: Iterable[str],
         jobs: Optional[int] = None,
-        resume: bool = False,
         on_result: Optional[ResultCallback] = None,
     ) -> Dict[Tuple[str, str], RunResult]:
         """Run the full cross product; returns {(workload, scheme): result}.
@@ -537,15 +474,12 @@ class Runner:
         workloads = list(workloads)
         schemes = list(schemes)
         pairs = [(w, s) for w in workloads for s in schemes]
-        return self.sweep_pairs(
-            pairs, jobs=jobs, resume=resume, on_result=on_result
-        )
+        return self.sweep_pairs(pairs, jobs=jobs, on_result=on_result)
 
     def sweep_pairs(
         self,
         pairs: Iterable[Tuple[str, str]],
         jobs: Optional[int] = None,
-        resume: bool = False,
         on_result: Optional[ResultCallback] = None,
         on_shard: Optional[ShardCallback] = None,
         should_stop: Optional[Callable[[], bool]] = None,
@@ -573,30 +507,25 @@ class Runner:
         installs in both cache layers.
 
         ``on_result`` is called in the sweeping thread after each
-        *freshly simulated* pair has been admitted to the caches and
-        journalled — the sweep service uses it to stream per-pair
-        progress and resolve in-flight dedup futures; cache hits never
-        fire it.
+        *freshly simulated* pair has been admitted to the caches — the
+        sweep service uses it to stream per-pair progress and resolve
+        in-flight dedup futures; cache hits never fire it.
 
         Crash safety (``tests/test_fault_injection.py`` pins recovered
-        sweeps scalar-identical to undisturbed ones): every completed
-        pair is appended to a journal beside the results cache, named
-        per sweep *call* (pid/uuid suffix) so concurrent sweeps of one
-        configuration never share a file; dead workers (the pool
-        breaks) and hung pools (no completion within
+        sweeps scalar-identical to undisturbed ones): dead workers (the
+        pool breaks) and hung pools (no completion within
         ``REPRO_SWEEP_TIMEOUT`` seconds) are killed and their
         unfinished pairs requeued into a rebuilt pool with exponential
         backoff, each pair at most ``REPRO_SWEEP_RETRIES`` times — but
         a pair that fails with a *deterministic* error (anything other
         than a dead pool or an injected fault) raises immediately, with
         the worker's original exception chained as ``__cause__``.
-        ``resume=True`` discovers every surviving journal of this
-        configuration, replays them all into the caches first, and
-        deletes them once this sweep completes, so only genuinely
-        unfinished pairs are resimulated — combined with
-        ``REPRO_SHARD_WINDOW``, even a pair that died mid-run restarts
-        from its last shard-ledger boundary.  This call's own journal
-        is deleted when it completes.
+        Every finished pair is in the result cache (fsynced) before
+        ``on_result`` fires, so recovering from a crashed sweep
+        is rerunning it: finished pairs are served from disk and only
+        the rest are simulated — with ``REPRO_SHARD_WINDOW``, a pair
+        that died mid-run restarts from its last shard-ledger boundary.
+        Without the disk cache nothing survives the process.
 
         With sharded execution on (``REPRO_SHARD_WINDOW``), the serial
         path additionally honours ``on_shard`` (per-boundary progress,
@@ -604,10 +533,9 @@ class Runner:
         (the graceful-drain poll: when it reports true at a boundary,
         the sweep stops with
         :class:`~repro.harness.shards.DrainRequested`, the pair's shard
-        ledger and this sweep's journal both persisted, so a
-        ``resume=True`` re-sweep continues from exactly there).  Pool
-        workers run in other processes, so the parallel path ignores
-        both hooks — shards there still ledger and resume via the
+        ledger persisted, so a re-sweep continues from exactly there).
+        Pool workers run in other processes, so the parallel path
+        ignores both hooks — shards there still ledger and resume via the
         environment, they just don't report into this process.
         """
         pairs = list(pairs)
@@ -615,15 +543,6 @@ class Runner:
             jobs = _default_jobs()
         elif jobs <= 0:
             raise ValueError(f"jobs must be positive, got {jobs}")
-
-        journal = _SweepJournal(self._new_journal_path())
-        stale_journals: List[Path] = []
-        if resume:
-            for path in self._stale_journal_paths():
-                stale_journals.append(path)
-                for workload, scheme, scalars in _SweepJournal(path).replay():
-                    if self._cached(workload, scheme) is None:
-                        self._admit(workload, scheme, RunResult(**scalars))
 
         pending = sorted(
             (w, s)
@@ -635,26 +554,20 @@ class Runner:
         # workers keep reusing the trace/plan/oracle they already hold
         # instead of faulting a new workload in per pair.
         if jobs > 1 and len(pending) > 1:
-            self._sweep_parallel(pending, jobs, journal, on_result)
+            self._sweep_parallel(pending, jobs, on_result)
         else:
             for workload, scheme in pending:
                 result = self.run(
                     workload, scheme, on_shard=on_shard, should_stop=should_stop
                 )
-                journal.record(workload, scheme, result)
                 if on_result is not None:
                     on_result(workload, scheme, result)
-        results = {(w, s): self.run(w, s) for w, s in pairs}
-        journal.finish()
-        for path in stale_journals:
-            path.unlink(missing_ok=True)
-        return results
+        return {(w, s): self.run(w, s) for w, s in pairs}
 
     def _sweep_parallel(
         self,
         pending: List[Tuple[str, str]],
         jobs: int,
-        journal: _SweepJournal,
         on_result: Optional[ResultCallback] = None,
     ) -> None:
         """Supervised parallel execution of ``pending`` pairs.
@@ -808,7 +721,6 @@ class Runner:
                             else:
                                 result = RunResult(**scalars)
                                 self._admit(workload, scheme, result)
-                                journal.record(workload, scheme, result)
                                 if on_result is not None:
                                     on_result(workload, scheme, result)
                         if fatal is not None:

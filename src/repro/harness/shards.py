@@ -134,19 +134,6 @@ def run_fingerprint(
     return hashlib.sha1(text.encode()).hexdigest()[:16]
 
 
-def window_spans(total: int, window: int) -> list:
-    """The ``[lo, hi)`` record spans a run of ``total`` records shards into.
-
-    The last span is short when ``window`` does not divide ``total``;
-    a window of zero (sharding off) or >= ``total`` yields one span.
-    """
-    if total < 1:
-        raise ValueError(f"total must be >= 1, got {total}")
-    if window <= 0 or window >= total:
-        return [(0, total)]
-    return [(lo, min(lo + window, total)) for lo in range(0, total, window)]
-
-
 class ShardLedger:
     """One run's shard ledger: boundary states plus an fsync'd index."""
 

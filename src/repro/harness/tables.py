@@ -6,7 +6,7 @@ or figure so EXPERIMENTS.md can juxtapose paper-vs-measured directly.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Iterable, List, Mapping, Optional, Sequence
 
 
 def format_table(
@@ -74,16 +74,3 @@ def reduction_table(
     if averages is not None:
         rows.append(["avg"] + [f"{averages[s]:+.2f}%" for s in schemes])
     return format_table(headers, rows, title=title)
-
-
-def paper_vs_measured(
-    rows: Iterable[Sequence],
-    title: str,
-    value_name: str = "value",
-) -> str:
-    """Three-column comparison: label, paper value, measured value."""
-    return format_table(
-        ["item", f"paper {value_name}", f"measured {value_name}"],
-        rows,
-        title=title,
-    )

@@ -184,8 +184,8 @@ def simulate(
       :class:`~repro.frontend.plan.FrontendPlan` (fdp/none, always
       bit-identical to live) or
       :class:`~repro.frontend.entangling_plan.EntanglingPlan`
-      (bit-identical when replayed for its reference scheme; documented
-      approximation across schemes) and the engine reads mispredict
+      (scheme-coupled: replayed only for the scheme it was recorded
+      under, and bit-identical there) and the engine reads mispredict
       flags and candidate spans from flat arrays, touching no
       branch-stack or prefetcher code at all.
 

@@ -53,18 +53,10 @@ _FULL_BLOCK_GROUPS = (6, 6, 4)
 #: far above the ``fid << 12`` space used by function-local sites.
 _PHASE_SITE_BASE = 1 << 30
 
-#: Site-id namespace for early-exit conditionals, one per block.
-_EXIT_SITE_BASE = 1 << 34
-
 #: The single interpreter-style dispatch-loop site: one static indirect
 #: branch fanning out over the whole hot-function pool (BTB-hostile,
 #: the bytecode-interpreter / virtual-call pattern of managed runtimes).
 _INTERP_SITE = 1 << 35
-
-
-def _exit_site(block: int) -> int:
-    """Static site id of a block's early-exit conditional branch."""
-    return _EXIT_SITE_BASE | block
 
 
 class _WalkBudgetExhausted(Exception):

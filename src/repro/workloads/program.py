@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 # Op kinds attached to blocks of a function (at most one per block).
 OP_CALL = 0    # descend into a callee function
@@ -83,13 +83,6 @@ class SyntheticProgram:
     @property
     def total_blocks(self) -> int:
         return sum(f.n_blocks for f in self.functions)
-
-    def function_of_block(self, block: int) -> Optional[Function]:
-        """Slow lookup used only by tests and analyses."""
-        for f in self.functions:
-            if f.base_block <= block < f.base_block + f.n_blocks:
-                return f
-        return None
 
 
 @dataclass(frozen=True)

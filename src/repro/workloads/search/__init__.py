@@ -17,7 +17,7 @@ searches it:
 * :mod:`shrink` — a terminating greedy shrinker that reduces a winning
   spec to a *minimal* profile still reproducing its score direction;
 * :mod:`journal` — an fsync'd JSON-lines journal making a search
-  resumable after a kill (mirrors the sweep journals);
+  resumable after a kill;
 * :mod:`registry` — the scenario registry: found profiles persist as
   first-class tracked workloads under ``profiles/found/`` (loaded by
   :func:`repro.workloads.profiles.get_workload`) plus the ratchet file

@@ -1,13 +1,13 @@
 """Fsync'd JSON-lines journal making a search resumable after a kill.
 
-An :class:`~repro.common.durable.AppendLog`, like the sweep journals
-(:mod:`repro.harness.runner`): one line per scored spec, fsynced at
-write time so entries survive a SIGKILLed search process; replay skips
-a torn final line and foreign junk (worst case: one spec is re-scored —
-and even that is usually warm in the Runner's fingerprinted result
-cache).
+An :class:`~repro.common.durable.AppendLog`, like the shard-ledger
+index (:mod:`repro.harness.shards`): one line per scored spec, fsynced
+at write time so entries survive a SIGKILLed search process; replay
+skips a torn final line and foreign junk (worst case: one spec is
+re-scored — and even that is usually warm in the Runner's
+fingerprinted result cache).
 
-Unlike sweep journals the file is *kept* after a successful search:
+Unlike a shard ledger the file is *kept* after a successful search:
 it doubles as the search log, and a re-run with a larger ``--budget``
 resumes on top of it instead of re-scoring the shared prefix.
 """

@@ -142,35 +142,6 @@ class Trace:
             seed=self.seed,
         )
 
-    def window(self, lo: int, hi: int) -> "Trace":
-        """One shard window ``[lo, hi)`` as an owned, contiguous trace.
-
-        Unlike :meth:`slice` (a view over the parent's arrays, which
-        pins a mmap'd parent's sidecar open and cannot be saved while
-        the parent lives elsewhere) this *materializes* the window:
-        contiguous copies suitable for :meth:`save` as an
-        independent cache entry — the unit
-        the sharded runner ships when a window must travel to another
-        machine.  Bounds are validated; window identity is carried in
-        the name (and thus the digest).
-        """
-        if not (0 <= lo < hi <= len(self)):
-            raise ValueError(
-                f"window [{lo}, {hi}) out of range for trace "
-                f"'{self.name}' of {len(self)} records"
-            )
-        # .copy() (not ascontiguousarray, which returns the input view
-        # when the slice is already contiguous): the window must own its
-        # memory so it outlives — and never pins — a mmap'd parent.
-        return Trace(
-            name=f"{self.name}@w[{lo}:{hi}]",
-            blocks=np.array(self.blocks[lo:hi], copy=True),
-            instrs=np.array(self.instrs[lo:hi], copy=True),
-            branch_kind=np.array(self.branch_kind[lo:hi], copy=True),
-            branch_site=np.array(self.branch_site[lo:hi], copy=True),
-            seed=self.seed,
-        )
-
     # -- persistence: the codec entry points TRACE_STORE calls --------------
 
     def meta(self) -> dict:
@@ -212,19 +183,6 @@ mmap_sidecar_path = sidecar_path
 def cached_trace(key: str, builder) -> Trace:
     """Trace ``key`` from :data:`TRACE_STORE`, built and saved on a miss."""
     return TRACE_STORE.get(key, builder, use_disk=True)
-
-
-def cached_trace_window(key: str, lo: int, hi: int, parent: Trace) -> Trace:
-    """A shard window of ``parent``, cached like a first-class trace.
-
-    Materializes ``parent.window(lo, hi)`` through :func:`cached_trace`
-    under ``<key>.w<lo>-<hi>``, so the window gets the same ``.npz`` +
-    ``.mmap/`` sidecar treatment as a full trace: built once, then
-    mmap-shared by every worker that simulates this shard.  ``key``
-    must be the parent's cache key (windows of different parents never
-    collide because the file key embeds it).
-    """
-    return cached_trace(f"{key}.w{lo}-{hi}", lambda: parent.window(lo, hi))
 
 
 #: Expected array dtypes (the generator's contract with the simulator).

@@ -1,0 +1,67 @@
+"""The naive frontend-plan builder: the executable reference for ``build_plan``.
+
+:func:`repro.frontend.plan.build_plan` is event-driven and fills the
+all-sequential stretches between training records with numpy.  This
+module keeps the plain version: one record at a time through a live
+:class:`~repro.frontend.stack.BranchStack` and
+:class:`~repro.frontend.fdp.FetchDirectedPrefetcher`, exactly as the
+live engine drives them.  ``tests/test_frontend_plan.py`` locks the
+production builder to it array for array.
+"""
+
+from __future__ import annotations
+
+from typing import Optional
+
+import numpy as np
+
+from repro.frontend.fdp import FetchDirectedPrefetcher
+from repro.frontend.plan import FrontendPlan, _finish, _snapshot, plannable
+from repro.frontend.stack import BranchStack
+from repro.uarch.params import MachineParams
+from repro.workloads.trace import Trace
+
+
+def build_plan_reference(
+    trace: Trace, machine: MachineParams, prefetcher: str = "fdp"
+) -> FrontendPlan:
+    """Naive per-record replay through the live stack/FDP objects.
+
+    The oracle the equivalence tests compare
+    :func:`~repro.frontend.plan.build_plan` against:
+    it drives a real :class:`BranchStack` and
+    :class:`~repro.frontend.fdp.FetchDirectedPrefetcher` exactly as the
+    live engine does, one record at a time.
+    """
+    if not plannable(prefetcher):
+        raise ValueError(f"prefetcher {prefetcher!r} cannot be planned")
+    n = len(trace)
+    warmup_end = int(n * machine.warmup_fraction)
+    depth = machine.ftq_depth_records if prefetcher == "fdp" else 0
+    stack = BranchStack(trace)
+    fdp = (
+        FetchDirectedPrefetcher(trace, stack, depth=depth)
+        if prefetcher == "fdp"
+        else None
+    )
+    kinds = trace.branch_kind_list
+    mispredict = np.zeros(n, dtype=np.uint8)
+    cand_lo = np.zeros(n, dtype=np.int64)
+    cand_hi = np.zeros(n, dtype=np.int64)
+    warm: Optional[np.ndarray] = None
+    for i in range(n):
+        if i == warmup_end:
+            warm = _snapshot(stack.stats)
+        if kinds[i] and stack.retire(i):
+            mispredict[i] = 1
+        if fdp is not None:
+            out = fdp.candidates(i)
+            if out:
+                cand_hi[i] = fdp._ra
+                cand_lo[i] = fdp._ra - len(out)
+    if warm is None:
+        warm = _snapshot(stack.stats)
+    return _finish(
+        trace, machine, prefetcher, depth, warmup_end,
+        mispredict, cand_lo, cand_hi, warm, _snapshot(stack.stats),
+    )

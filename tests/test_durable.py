@@ -1,10 +1,12 @@
-"""The durable-file primitives under the sweep journal, the search
+"""The durable-file primitives under the result cache, the search
 journal and the shard ledger (``repro.common.durable``).
 
 ``AppendLog`` is pinned directly here: one fsync per append, replay
 that skips torn, junk and non-dict lines, appends after a reopen that
-keep what was there, and ``remove``.  The journal and ledger test files
-remain the integration check for its users.
+keep what was there, and ``remove``.  ``write_atomic`` is pinned for
+its rename and opt-in fsync, and the result cache for using it: one
+fsync per freshly simulated pair, none on a hit.  The search-journal
+and ledger test files remain the integration check for the logs.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import pytest
 
 from repro.common import durable
 from repro.common.durable import AppendLog, results_dir, write_atomic
+from repro.harness.runner import Runner
 
 
 @pytest.fixture()
@@ -110,6 +113,48 @@ class TestWriteAtomic:
         with pytest.raises(OSError):
             write_atomic(tmp_path / "a", b"x")
         assert list(tmp_path.iterdir()) == []
+
+
+class TestResultCacheFsync:
+    """The result cache is the durable record that a pair finished."""
+
+    PAIRS = (("x264", "lru"), ("x264", "srrip"), ("gcc", "lru"))
+
+    @pytest.fixture()
+    def inodes(self, monkeypatch):
+        """Inodes of the files ``os.fsync`` is called on."""
+        synced = []
+        real = os.fsync
+
+        def recording(fd):
+            synced.append(os.fstat(fd).st_ino)
+            real(fd)
+
+        monkeypatch.setattr(durable.os, "fsync", recording)
+        return synced
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_one_fsync_per_fresh_pair_none_on_hit(
+        self, tmp_path, monkeypatch, inodes, jobs
+    ):
+        monkeypatch.setenv("REPRO_RESULT_CACHE", str(tmp_path))
+        runner = Runner(records=2_000, use_disk_cache=True)
+        for workload in {w for w, _ in self.PAIRS}:
+            runner.context_for(workload)  # artifact writes happen first
+        del inodes[:]
+        runner.sweep_pairs(self.PAIRS, jobs=jobs)
+        entries = sorted(p.stat().st_ino for p in tmp_path.iterdir())
+        assert len(entries) == len(self.PAIRS)
+        assert sorted(inodes) == entries, (
+            "each fresh pair's result entry is fsynced exactly once, "
+            "and nothing else is"
+        )
+
+        del inodes[:]
+        warm = Runner(records=2_000, use_disk_cache=True)
+        warm.sweep_pairs(self.PAIRS, jobs=jobs)
+        warm.run(*self.PAIRS[0])
+        assert inodes == [], "cache hits write nothing"
 
 
 def test_results_dir_honours_env(tmp_path, monkeypatch):

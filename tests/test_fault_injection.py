@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import json
 import multiprocessing
-import os
-import pickle
 import shutil
 import time
 
@@ -27,8 +25,8 @@ from repro.harness.faults import (
     STALE_BYTES,
     fire,
 )
-from repro.harness.runner import _SCALAR_FIELDS, Runner, _SweepJournal
-from repro.uarch.timing import RunResult
+from repro.common.durable import results_dir
+from repro.harness.runner import _SCALAR_FIELDS, Runner
 from repro.workloads.profiles import get_workload
 from repro.workloads.trace import mmap_sidecar_path
 
@@ -214,17 +212,19 @@ class TestWarmTaskFaults:
             time.sleep(0.05)
 
 
-class TestJournalResume:
-    def test_crashed_sweep_resumes_bit_identical(self, fault_env, monkeypatch):
-        """Parent dies mid-sweep; ``resume=True`` finishes the job.
+class TestCrashedSweepRerun:
+    def test_crashed_sweep_reruns_bit_identical(self, fault_env, monkeypatch):
+        """Parent dies mid-sweep; rerunning the same sweep finishes it.
 
         A kill fault with a zero retry budget aborts the sweep partway
-        (standing in for a SIGKILLed parent: the journal survives with
-        only the completed pairs).  A fresh Runner resuming from that
-        journal must replay the survivors unsimulated and produce the
-        full undisturbed cross product.
+        (standing in for a SIGKILLed parent).  The pairs that finished
+        are in the disk result cache and nothing else is left behind.  A
+        fresh Runner rerunning the sweep serves them from disk, simulates
+        only the missing pairs, and produces the full undisturbed cross
+        product.
         """
         workloads, schemes = WORKLOADS, ("lru", "srrip", "acic")
+        pairs = {(w, s) for w in workloads for s in schemes}
         undisturbed = Runner(records=RECORDS, use_disk_cache=False)
         expected = {
             k: _scalars(v) for k, v in undisturbed.sweep(workloads, schemes).items()
@@ -232,119 +232,28 @@ class TestJournalResume:
 
         monkeypatch.setenv("REPRO_SWEEP_RETRIES", "0")
         fault_env("worker:kill@3", latch=False)
-        crashed = Runner(records=RECORDS, use_disk_cache=False)
+        crashed = Runner(records=RECORDS, use_disk_cache=True)
         with pytest.raises(RuntimeError):
             crashed.sweep(workloads, schemes, jobs=2)
-        journals = crashed._stale_journal_paths()
-        assert journals, "aborted sweep must leave its journal"
-        survivors = [
-            entry for path in journals for entry in _SweepJournal(path).replay()
-        ]
+        probe = Runner(records=RECORDS, use_disk_cache=True)
+        survivors = {pair for pair in pairs if probe.cached(*pair) is not None}
         assert survivors, "some pairs completed before the crash"
+        assert survivors != pairs, "the crash cut the sweep short"
+        leftovers = sorted(p.suffix for p in results_dir().iterdir())
+        assert leftovers == [".json"] * len(survivors), (
+            "only finished result entries may survive a crash"
+        )
 
         monkeypatch.delenv("REPRO_FAULT", raising=False)
         monkeypatch.delenv("REPRO_SWEEP_RETRIES", raising=False)
         faults.reset()
-        resumed = Runner(records=RECORDS, use_disk_cache=False)
-        results = resumed.sweep(workloads, schemes, jobs=2, resume=True)
+        fired = []
+        rerun = Runner(records=RECORDS, use_disk_cache=True)
+        results = rerun.sweep(
+            workloads, schemes, jobs=2, on_result=lambda w, s, r: fired.append((w, s))
+        )
         assert {k: _scalars(v) for k, v in results.items()} == expected
-        assert not resumed._stale_journal_paths(), (
-            "completed sweep must drop its own journal and the stale "
-            "ones it replayed"
-        )
-
-    def test_resume_replays_journal_without_simulating(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_RESULT_CACHE", str(tmp_path))
-        monkeypatch.setenv("REPRO_NO_DISK_CACHE", "1")
-        runner = Runner(records=RECORDS, use_disk_cache=False)
-        planted = RunResult(
-            workload=WORKLOADS[0],
-            scheme_name="lru",
-            prefetcher_name="fdp",
-            instructions=1,
-            accesses=2,
-            cycles=123456.0,
-            demand_misses=3,
-            late_prefetch_misses=4,
-            prefetches_issued=5,
-            mispredicted_transitions=6,
-        )
-        journal = _SweepJournal(runner._new_journal_path())
-        journal.record(WORKLOADS[0], "lru", planted)
-        journal._fh.close()
-
-        results = runner.sweep((WORKLOADS[0],), ("lru",), resume=True)
-        # The planted scalars came back: the pair was replayed, not rerun.
-        assert results[(WORKLOADS[0], "lru")].cycles == 123456.0
-        assert not runner._stale_journal_paths()
-
-    def test_without_resume_journal_is_ignored(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_RESULT_CACHE", str(tmp_path))
-        runner = Runner(records=RECORDS, use_disk_cache=False)
-        planted = RunResult(
-            workload=WORKLOADS[0],
-            scheme_name="lru",
-            prefetcher_name="fdp",
-            instructions=1,
-            accesses=2,
-            cycles=123456.0,
-            demand_misses=3,
-            late_prefetch_misses=4,
-            prefetches_issued=5,
-            mispredicted_transitions=6,
-        )
-        planted_path = runner._new_journal_path()
-        journal = _SweepJournal(planted_path)
-        journal.record(WORKLOADS[0], "lru", planted)
-        journal._fh.close()
-
-        results = runner.sweep((WORKLOADS[0],), ("lru",))
-        assert results[(WORKLOADS[0], "lru")].cycles != 123456.0
-        # Without resume the foreign journal is not consumed either: it
-        # still holds its crash record for a later resuming sweep.
-        assert planted_path.exists()
-
-    def test_replay_tolerates_torn_and_foreign_lines(self, tmp_path):
-        path = tmp_path / "sweep.journal"
-        journal = _SweepJournal(path)
-        good = {
-            "workload": "x264",
-            "scheme": "lru",
-            "scalars": {k: 1 for k in _SCALAR_FIELDS},
-        }
-        path.write_text(
-            "not json at all\n"
-            + json.dumps(good)
-            + "\n"
-            + json.dumps({"workload": "gcc"})  # missing fields
-            + "\n"
-            + json.dumps(good)[: 20]  # torn tail from a mid-append kill
-        )
-        entries = list(journal.replay())
-        assert entries == [("x264", "lru", {k: 1 for k in _SCALAR_FIELDS})]
-
-    def test_finish_unlinks(self, tmp_path):
-        path = tmp_path / "sweep.journal"
-        journal = _SweepJournal(path)
-        journal.record(
-            "x264",
-            "lru",
-            RunResult(
-                workload="x264",
-                scheme_name="lru",
-                prefetcher_name="fdp",
-                instructions=1,
-                accesses=1,
-                cycles=1.0,
-                demand_misses=0,
-                late_prefetch_misses=0,
-                prefetches_issued=0,
-                mispredicted_transitions=0,
-            ),
-        )
-        assert path.exists()
-        journal.finish()
-        assert not path.exists()
+        assert sorted(fired) == sorted(pairs - survivors)
 
 
 class TestFileMangleFaults:

@@ -23,7 +23,6 @@ from repro.frontend.plan import (
     PLAN_FORMAT,
     FrontendPlan,
     build_plan,
-    build_plan_reference,
     cached_plan,
     clear_plan_memo,
     frontend_fingerprint,
@@ -37,6 +36,7 @@ from repro.uarch.params import DEFAULT_MACHINE, MachineParams
 from repro.uarch.timing import simulate
 from repro.workloads.profiles import ALL_WORKLOADS, get_workload
 from repro.workloads.trace import BranchKind, Trace, validate_trace
+from reference.plan import build_plan_reference
 
 SCALARS = (
     "instructions",

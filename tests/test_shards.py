@@ -1,6 +1,6 @@
 """Sharded (windowed, ledgered) execution is pinned to single-pass runs.
 
-Four layers:
+Three layers:
 
 * the **ledger** — ``ShardLedger`` round-trips boundary states through
   fsync'd JSONL + state files, tolerates torn tails, falls back past
@@ -12,25 +12,22 @@ Four layers:
   ledger, and reports per-shard progress;
 * the **fault matrix** — ``shard:kill/truncate/stale`` faults at window
   boundaries (``REPRO_FAULT``) recover scalar-identical, including a
-  SIGKILL'd sweep worker whose replacement resumes mid-pair;
-* the **slices** — ``Trace.window`` / ``FrontendPlan.slice`` /
-  ``EntanglingPlan.slice`` materialize windows whose re-based arrays
-  agree with the parent and round-trip through npz + mmap sidecars.
+  SIGKILL'd sweep worker whose replacement resumes mid-pair.
+
+The command-line entry point, ``scripts/run_sharded.py``, is pinned in
+``tests/test_run_sharded.py``.
 """
 
 from __future__ import annotations
 
 import json
 
-import numpy as np
 import pytest
 
 from repro.common import faults
-from repro.frontend.entangling_plan import EntanglingPlan, build_entangling_plan
-from repro.frontend.plan import FrontendPlan, build_plan, mmap_sidecar_path
 from repro.harness.experiment import run_experiment
 from repro.harness.runner import Runner
-from repro.harness.schemes import SchemeContext, available_schemes, make_scheme
+from repro.harness.schemes import SchemeContext, available_schemes
 from repro.harness.shards import (
     SHARD_FORMAT,
     DrainRequested,
@@ -39,11 +36,9 @@ from repro.harness.shards import (
     run_fingerprint,
     shard_window,
     shards_dir,
-    window_spans,
 )
 from repro.uarch.params import DEFAULT_MACHINE
 from repro.workloads.profiles import get_workload
-from repro.workloads.trace import cached_trace_window
 
 SCALARS = (
     "instructions",
@@ -117,25 +112,6 @@ def _sharded(scheme, context, window, **kwargs):
         shard_window=window,
         **kwargs,
     ).run
-
-
-class TestWindowSpans:
-    def test_tiles_exactly(self):
-        spans = window_spans(4_000, 1_500)
-        assert spans == [(0, 1_500), (1_500, 3_000), (3_000, 4_000)]
-
-    def test_divisor_window(self):
-        assert window_spans(4_000, 1_000) == [
-            (0, 1_000), (1_000, 2_000), (2_000, 3_000), (3_000, 4_000)
-        ]
-
-    @pytest.mark.parametrize("window", (0, 4_000, 9_999))
-    def test_degenerate_single_span(self, window):
-        assert window_spans(4_000, window) == [(0, 4_000)]
-
-    def test_empty_total_rejected(self):
-        with pytest.raises(ValueError):
-            window_spans(0, 100)
 
 
 def _state(next_record, tag="x"):
@@ -425,132 +401,3 @@ class TestShardFaults:
         results = runner.sweep_pairs(list(expected), jobs=2)
         assert {k: _scalars(v) for k, v in results.items()} == expected
         assert not list(shards_dir().glob("*"))
-
-
-class TestTraceWindow:
-    def test_materializes_contiguous_copy(self, trace):
-        w = trace.window(500, 1_300)
-        assert len(w) == 800
-        assert w.blocks.flags["C_CONTIGUOUS"] and w.blocks.flags["OWNDATA"]
-        assert (w.blocks == trace.blocks[500:1_300]).all()
-        assert (w.branch_site == trace.branch_site[500:1_300]).all()
-        assert w.name == f"{trace.name}@w[500:1300]"
-        assert w.digest != trace.digest
-
-    @pytest.mark.parametrize("bounds", ((-1, 10), (10, 10), (0, 10**9)))
-    def test_bounds_validated(self, trace, bounds):
-        with pytest.raises(ValueError):
-            trace.window(*bounds)
-
-    def test_cached_trace_window_roundtrip(self, trace, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path))
-        built = cached_trace_window("k", 100, 900, trace)
-        again = cached_trace_window("k", 100, 900, trace)  # sidecar hit
-        assert again.digest == built.digest
-        assert (tmp_path / "k.w100-900.npz").exists()
-        assert (tmp_path / "k.w100-900.mmap").is_dir()
-        other = cached_trace_window("k", 900, 1_700, trace)
-        assert other.digest != built.digest
-
-
-class TestFrontendPlanSlice:
-    LO, HI = 500, 1_300
-
-    @pytest.fixture(scope="class")
-    def plan(self, trace):
-        return build_plan(trace, DEFAULT_MACHINE, "fdp")
-
-    def test_rebased_invariants(self, trace, plan):
-        s = plan.slice(self.LO, self.HI)
-        assert len(s) == self.HI - self.LO
-        assert (np.diff(s.cum_mispredict) == s.mispredict).all()
-        assert s.cum_mispredict[-1] == (
-            plan.cum_mispredict[self.HI] - plan.cum_mispredict[self.LO]
-        )
-        # Every re-based span names the same blocks as the parent span
-        # (clipped at the window edge), through the windowed trace.
-        wblocks = trace.window(self.LO, self.HI).blocks_list
-        pblocks = trace.blocks_list
-        for i in range(len(s)):
-            got = wblocks[s.cand_lo[i] : s.cand_hi[i]]
-            j = self.LO + i
-            want = (
-                pblocks[plan.cand_lo[j] : min(plan.cand_hi[j], self.HI)]
-                if plan.cand_hi[j] > plan.cand_lo[j]
-                else []
-            )
-            assert got == want
-
-    def test_identity_slice(self, plan):
-        s = plan.slice(0, len(plan))
-        assert (s.mispredict == plan.mispredict).all()
-        assert (s.cand_lo == plan.cand_lo).all()
-        assert (s.cand_hi == plan.cand_hi).all()
-        assert s.warmup_end == plan.warmup_end
-        assert s.fingerprint != plan.fingerprint  # window-marked
-
-    def test_warmup_clipping(self, plan):
-        assert plan.slice(0, self.HI).warmup_end == plan.warmup_end
-        assert plan.slice(self.LO + plan.warmup_end, self.HI).warmup_end == 0
-
-    def test_roundtrip_npz_and_mmap(self, plan, tmp_path):
-        s = plan.slice(self.LO, self.HI)
-        path = tmp_path / "w.npz"
-        s.save(path)
-        for loaded in (
-            FrontendPlan.load(path),
-            FrontendPlan.load_mmap(mmap_sidecar_path(path)),
-        ):
-            assert loaded.fingerprint == s.fingerprint
-            assert loaded.warmup_end == s.warmup_end
-            assert (loaded.cum_mispredict == s.cum_mispredict).all()
-            assert (loaded.cand_hi == s.cand_hi).all()
-
-    def test_bounds_validated(self, plan):
-        with pytest.raises(ValueError):
-            plan.slice(10, 10)
-
-
-class TestEntanglingPlanSlice:
-    LO, HI = 500, 1_300
-
-    @pytest.fixture(scope="class")
-    def eplan(self, trace, context):
-        plan, _run = build_entangling_plan(
-            trace, DEFAULT_MACHINE, make_scheme("lru", context), "lru"
-        )
-        return plan
-
-    def test_rebased_invariants(self, eplan):
-        s = eplan.slice(self.LO, self.HI)
-        assert len(s) == self.HI - self.LO
-        assert len(s.cand_blocks) == int(s.cand_hi[-1])
-        for i in range(len(s)):
-            assert (
-                s._cand_blocks_list[s.cand_lo[i] : s.cand_hi[i]]
-                == eplan._cand_blocks_list[
-                    eplan.cand_lo[self.LO + i] : eplan.cand_hi[self.LO + i]
-                ]
-            )
-        assert ((s.miss_rec >= 0) & (s.miss_rec < len(s))).all()
-        in_window = (eplan.miss_rec >= self.LO) & (eplan.miss_rec < self.HI)
-        assert (s.miss_rec == eplan.miss_rec[in_window] - self.LO).all()
-        assert (s.miss_cycle == eplan.miss_cycle[in_window]).all()
-        assert (s.ent_src == eplan.ent_src).all()
-        assert len(s.base) == len(s)
-
-    def test_roundtrip_npz_and_mmap(self, eplan, tmp_path):
-        s = eplan.slice(self.LO, self.HI)
-        path = tmp_path / "w.ent.npz"
-        s.save(path)
-        for loaded in (
-            EntanglingPlan.load(path, s.base),
-            EntanglingPlan.load_mmap(mmap_sidecar_path(path), s.base),
-        ):
-            assert (loaded.cand_blocks == s.cand_blocks).all()
-            assert (loaded.miss_rec == s.miss_rec).all()
-            assert loaded.fingerprint == s.fingerprint
-
-    def test_bounds_validated(self, eplan):
-        with pytest.raises(ValueError):
-            eplan.slice(-1, 10)

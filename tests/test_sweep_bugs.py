@@ -1,6 +1,6 @@
 """Regression tests for the sweep-path bugs a long-lived process exposes.
 
-Three bugs, found while building the sweep service, each pinned here:
+Three sweep-path bugs, each pinned here:
 
 * ``_sweep_parallel`` used to swallow per-pair exceptions and retry a
   deterministic crash ``REPRO_SWEEP_RETRIES`` times before raising a
@@ -11,51 +11,36 @@ Three bugs, found while building the sweep service, each pinned here:
   touched kept its trace/plan/oracle resident forever.  Now an LRU
   capped by ``REPRO_CONTEXT_CACHE`` (default 4), and eviction is
   correctness-free: a rebuilt context reproduces identical scalars.
-* The sweep journal was one shared path per configuration, so two
-  concurrent sweeps of the same config interleaved records and the
-  first ``finish()`` deleted the other's crash record.  Now each
-  ``sweep_pairs`` call journals to its own pid/uuid-suffixed file and
-  ``resume=True`` replays *all* surviving journals.
+* Every sweep wrote a per-call journal into the results directory,
+  even with the disk cache off, and only a resuming sweep that no
+  caller ever made removed one, so each interrupted sweep left a file
+  behind for good.  Now the result cache is the only per-pair record:
+  an interrupted sweep without the disk cache writes nothing there,
+  and ``on_result`` still fires only for fresh simulations.
 """
 
 from __future__ import annotations
 
 import os
-import threading
 import uuid
 
 import pytest
 
 from repro.harness import schemes as schemes_mod
-from repro.harness.runner import _SCALAR_FIELDS, Runner, _SweepJournal
-from repro.uarch.timing import RunResult
+from repro.common.durable import results_dir
+from repro.harness.runner import _SCALAR_FIELDS, Runner
 
 RECORDS = 2_000
 
 
 @pytest.fixture(autouse=True)
 def _isolated_result_cache(tmp_path, monkeypatch):
-    """Journals land beside the results cache; keep both in tmp."""
+    """Keep the results directory in tmp, where tests can inspect it."""
     monkeypatch.setenv("REPRO_RESULT_CACHE", str(tmp_path / "results"))
 
 
 def _scalars(result):
     return {k: getattr(result, k) for k in _SCALAR_FIELDS}
-
-
-def _planted(workload: str, scheme: str, cycles: float) -> RunResult:
-    return RunResult(
-        workload=workload,
-        scheme_name=scheme,
-        prefetcher_name="fdp",
-        instructions=1,
-        accesses=2,
-        cycles=cycles,
-        demand_misses=3,
-        late_prefetch_misses=4,
-        prefetches_issued=5,
-        mispredicted_transitions=6,
-    )
 
 
 @pytest.fixture()
@@ -138,71 +123,19 @@ class TestContextCacheBound:
         assert _scalars(rebuilt) == _scalars(reference.run("x264", "srrip"))
 
 
-class TestPerSweepJournals:
-    def test_journal_paths_are_unique_per_sweep_call(self):
+class TestSweepLeavesOnlyResults:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_interrupted_sweep_without_disk_cache_writes_nothing(self, jobs):
+        """Ctrl-C after the first finished pair: nothing lands on disk."""
         runner = Runner(records=RECORDS, use_disk_cache=False)
-        paths = {runner._new_journal_path() for _ in range(8)}
-        assert len(paths) == 8
-        prefix = runner._journal_prefix()
-        assert all(p.name.startswith(prefix) for p in paths)
 
-    def test_resume_replays_every_stale_journal(self):
-        """Two crashed sweeps of one config: resume recovers both."""
-        runner = Runner(records=RECORDS, use_disk_cache=False)
-        for workload, cycles in (("x264", 111.0), ("gcc", 222.0)):
-            journal = _SweepJournal(runner._new_journal_path())
-            journal.record(workload, "lru", _planted(workload, "lru", cycles))
-            journal._fh.close()
-        assert len(runner._stale_journal_paths()) == 2
+        def interrupt(workload, scheme, result):
+            raise KeyboardInterrupt
 
-        results = runner.sweep(("x264", "gcc"), ("lru",), resume=True)
-        assert results[("x264", "lru")].cycles == 111.0
-        assert results[("gcc", "lru")].cycles == 222.0
-        assert not runner._stale_journal_paths(), (
-            "a completed resume must clean up every journal it replayed"
-        )
-
-    def test_concurrent_sweeps_do_not_share_or_steal_journals(self):
-        """Sweep B finishing must not delete sweep A's live journal."""
-        runner_a = Runner(records=RECORDS, use_disk_cache=False)
-        runner_b = Runner(records=RECORDS, use_disk_cache=False)
-        recorded = threading.Event()
-        release = threading.Event()
-        failure = []
-
-        def hold(workload, scheme, result):
-            recorded.set()
-            if not release.wait(timeout=60):
-                failure.append("release never fired")
-
-        thread = threading.Thread(
-            target=lambda: runner_a.sweep_pairs(
-                [("x264", "lru")], on_result=hold
-            ),
-            daemon=True,
-        )
-        thread.start()
-        assert recorded.wait(timeout=120), "sweep A never completed a pair"
-        # A's journal exists (record happens before on_result) and is
-        # the only one: B has not started.
-        journals_a = runner_a._stale_journal_paths()
-        assert len(journals_a) == 1
-
-        # B: same configuration, different pair, runs start to finish
-        # while A is mid-sweep.  Its finish() must only remove its own
-        # journal.
-        runner_b.sweep_pairs([("gcc", "lru")])
-        assert runner_a._stale_journal_paths() == journals_a, (
-            "sweep B's completion deleted sweep A's live journal"
-        )
-
-        release.set()
-        thread.join(timeout=120)
-        assert not thread.is_alive()
-        assert not failure
-        assert not runner_a._stale_journal_paths(), (
-            "sweep A's own completion must remove its journal"
-        )
+        with pytest.raises(KeyboardInterrupt):
+            runner.sweep(("x264",), ("lru", "srrip"), jobs=jobs, on_result=interrupt)
+        leftovers = list(results_dir().iterdir()) if results_dir().exists() else []
+        assert leftovers == []
 
     def test_on_result_fires_only_for_fresh_simulations(self):
         runner = Runner(records=RECORDS, use_disk_cache=False)
