@@ -62,7 +62,6 @@ DEFAULT_PYTEST_ARGS = [
     "tests/test_frontend_plan.py",
     "tests/test_tage_differential.py",
     "tests/test_entangling_table.py",
-    "tests/test_entangling_plan.py",
     "tests/test_harness.py",
     "tests/test_runner_cache.py",
     "tests/test_state_roundtrip.py",

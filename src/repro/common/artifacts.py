@@ -1,7 +1,6 @@
 """One durable-artifact store for every cached numpy artifact.
 
-Traces, frontend plans, entangling plans and the replacement pre-pass
-are derived data: expensive to build, cheap to reload, safe to delete.
+Traces, frontend plans and the replacement pre-pass are derived data: expensive to build, cheap to reload, safe to delete.
 Each of those modules only *declares* what it persists — its array
 fields, its scalar metadata, a ``from_parts`` validator and a builder —
 and one :class:`ArtifactStore` per kind owns how:
@@ -120,16 +119,15 @@ class ArtifactStore:
     """Memo, disk layout and lookup ladder for one artifact kind.
 
     ``cls`` is the artifact class.  It provides ``meta()`` (the scalar
-    metadata saved beside the arrays), ``from_parts(meta, arrays,
-    *extra)`` (validate and construct; raise on anything inconsistent)
-    and the codec entry points ``save(path)``, ``load(path, *extra)``
-    and ``load_mmap(dirpath, *extra)``, which call :meth:`save`,
-    :meth:`read_npz` and :meth:`read_sidecar`.  ``extra`` is whatever a
-    load needs beyond the files (the entangling plan's base plan).
+    metadata saved beside the arrays), ``from_parts(meta, arrays)``
+    (validate and construct; raise on anything inconsistent) and the
+    codec entry points ``save(path)``, ``load(path)`` and
+    ``load_mmap(dirpath)``, which call :meth:`save`, :meth:`read_npz`
+    and :meth:`read_sidecar`.
 
     ``scalar_meta`` picks the npz layout for the metadata: one scalar
     member per key (traces, frontend plans) or a single JSON ``meta``
-    member.  ``npz_fault_site`` names a fault hook fired on each
+    member (the replacement pre-pass).  ``npz_fault_site`` names a fault hook fired on each
     committed npz.  ``memo_cap=0`` disables the memo.
     """
 
@@ -202,7 +200,6 @@ class ArtifactStore:
         self,
         name: str,
         build: Callable[[], object],
-        *extra,
         fingerprint: Optional[str] = None,
         records: Optional[int] = None,
         use_disk: Optional[bool] = None,
@@ -219,7 +216,7 @@ class ArtifactStore:
             return obj
         path = self.path(name) if disk_enabled(use_disk) else None
         if path is not None:
-            obj = self._load(path, extra, fingerprint, records)
+            obj = self._load(path, fingerprint, records)
         if obj is None:
             obj = build()
             if path is not None:
@@ -227,7 +224,7 @@ class ArtifactStore:
         self._remember(name, obj)
         return obj
 
-    def _load(self, path: Path, extra: tuple, fingerprint, records):
+    def _load(self, path: Path, fingerprint, records):
         def checked(obj):
             if fingerprint is not None and obj.fingerprint != fingerprint:
                 raise ValueError(f"stale {self.kind} entry {path.name}")
@@ -238,13 +235,13 @@ class ArtifactStore:
         sidecar = sidecar_path(path)
         if sidecar.is_dir():
             try:
-                return checked(self.cls.load_mmap(sidecar, *extra))
+                return checked(self.cls.load_mmap(sidecar))
             except Exception:
                 shutil.rmtree(sidecar, ignore_errors=True)  # corrupt or stale
         if not path.exists():
             return None
         try:
-            obj = checked(self.cls.load(path, *extra))
+            obj = checked(self.cls.load(path))
         except Exception:
             path.unlink(missing_ok=True)  # corrupt or stale: rebuild
             return None
@@ -281,7 +278,7 @@ class ArtifactStore:
             fire(self._npz_fault_site, str(path))
         self.write_sidecar(obj, path)
 
-    def read_npz(self, path: Path, *extra):
+    def read_npz(self, path: Path):
         """Load from the npz; raises on any corruption."""
         with np.load(path) as data:
             if self._scalar_meta:
@@ -291,7 +288,7 @@ class ArtifactStore:
             else:
                 meta = json.loads(bytes(data["meta"]).decode())
             arrays = {f: data[f] for f in self.fields}
-        return self.cls.from_parts(meta, arrays, *extra)
+        return self.cls.from_parts(meta, arrays)
 
     # -- mmap sidecar ----------------------------------------------------------
 
@@ -331,7 +328,7 @@ class ArtifactStore:
         # lands on the file readers will trust.
         fire("sidecar", str(dirpath / "meta.json"))
 
-    def read_sidecar(self, dirpath: Path, *extra):
+    def read_sidecar(self, dirpath: Path):
         """Load from a sidecar, arrays memory-mapped; raises if corrupt or stale.
 
         The two torn-write shapes, a zero-byte ``meta.json`` and a
@@ -349,7 +346,7 @@ class ArtifactStore:
         if npz.stat().st_size != meta["npz_size"] or file_sha1(npz) != meta["npz_sha1"]:
             raise ValueError(f"stale {self.kind} sidecar {dirpath}: its npz changed")
         arrays = {f: np.load(dirpath / f"{f}.npy", mmap_mode="r") for f in self.fields}
-        obj = self.cls.from_parts(meta, arrays, *extra)
+        obj = self.cls.from_parts(meta, arrays)
         if len(obj) != meta["records"]:
             raise ValueError(f"inconsistent {self.kind} sidecar lengths in {dirpath}")
         return obj

@@ -13,14 +13,12 @@ table (Section IV-H4; ~40 KB of state, larger than the L1i itself).
 
 Unlike FDP, the entangling table trains on *live miss timing*: which
 records miss, and at what cycle, depends on the L1i scheme under test,
-so its training stream cannot be precomputed scheme-independently the
-way a :class:`~repro.frontend.plan.FrontendPlan` is.  It can, however,
-be recorded once per reference scheme and replayed — see
-:mod:`repro.frontend.entangling_plan` for the two-pass plan that does
-this.  To keep that recorder honest, the two steps of training are
-exposed as overridable hooks (:meth:`EntanglingPrefetcher._select_source`
-and :meth:`EntanglingPrefetcher._entangle`) rather than inlined in
-:meth:`EntanglingPrefetcher.on_demand_miss`.
+so its training stream cannot be precomputed the way a
+:class:`~repro.frontend.plan.FrontendPlan` is, and entangling runs take
+the engine's live path.  The two steps of training are separate methods
+(:meth:`EntanglingPrefetcher._select_source` and
+:meth:`EntanglingPrefetcher._entangle`) so ``tests/test_entangling_table.py``
+can pin each one directly.
 """
 
 from __future__ import annotations
@@ -121,7 +119,7 @@ class EntanglingPrefetcher:
         self.stats.issued += len(dests)
         return list(dests)
 
-    # -- training steps (overridable; the plan recorder hooks these) -----------
+    # -- training steps ---------------------------------------------------------
 
     def _select_source(self, block: int, cycle: int) -> Optional[int]:
         """The timely source for a miss of ``block`` at ``cycle``, if any.

@@ -38,11 +38,9 @@ records between them retire — the memoisation the live stack performs).
 The sequential spans between those events — the vast majority of every
 trace — are filled with numpy arithmetic.
 
-Entangling prefetch cannot be planned *scheme-independently*: its table
-training consumes live fetch/miss cycle times, which depend on the
-scheme.  It gets a two-pass, scheme-*coupled* plan instead — one live
-reference run records the training stream, every later run replays it —
-see :mod:`repro.frontend.entangling_plan`.
+Entangling prefetch cannot be planned: its table training consumes
+live fetch/miss cycle times, which depend on the scheme, so entangling
+runs take the engine's live path.
 
 Plans are cached by :data:`PLAN_STORE` (see :mod:`repro.common.artifacts`)
 in the plan cache directory, keyed by a frontend-only fingerprint: trace
@@ -124,12 +122,7 @@ def _stack_geometry() -> str:
 
 
 def plannable(prefetcher: str) -> bool:
-    """True when ``prefetcher`` runs can consume a *scheme-independent* plan.
-
-    Entangling returns False here — its plan exists but is
-    scheme-coupled and handled separately by
-    :mod:`repro.frontend.entangling_plan`.
-    """
+    """True when ``prefetcher`` runs can consume a precomputed plan."""
     return prefetcher in PLANNABLE_PREFETCHERS
 
 
@@ -166,18 +159,6 @@ class FrontendPlan:
     @cached_property
     def cand_hi_list(self) -> List[int]:
         return self.cand_hi.tolist()
-
-    def candidate_blocks_list(self, trace: Trace) -> List[int]:
-        """The block array the plan's candidate spans index into.
-
-        FDP run-ahead only ever walks the future fetch path, so the
-        trace's own blocks back every span; the entangling plan
-        (:mod:`repro.frontend.entangling_plan`) overrides this with its
-        recorded candidate stream.  The engine's planned loop issues
-        ``candidate_blocks_list(trace)[cand_lo[i]:cand_hi[i]]`` at
-        record ``i``.
-        """
-        return trace.blocks_list
 
     # -- derived views ------------------------------------------------------
 

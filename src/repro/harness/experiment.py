@@ -11,7 +11,6 @@ from typing import Optional
 
 from repro.common.env import env_number
 from repro.frontend.entangling import EntanglingPrefetcher
-from repro.frontend.entangling_plan import cached_entangling_plan
 from repro.frontend.fdp import FetchDirectedPrefetcher, NullPrefetcher
 from repro.frontend.plan import cached_plan, plannable
 from repro.frontend.stack import BranchStack
@@ -100,13 +99,12 @@ def run_experiment(
     :class:`~repro.frontend.plan.FrontendPlan` — the scheme-independent
     frontend work is done once per (workload, frontend config) and
     shared by every scheme; the result is bit-identical to the live
-    path.  Entangling runs consume a *scheme-coupled*
-    :class:`~repro.frontend.entangling_plan.EntanglingPlan` instead,
-    recorded under the very scheme being run: a cold run is the
-    recording pass itself (one live simulation, exactly the pre-plan
-    cost) and warm runs replay it bit-identically.  ``use_plan=False``
-    forces the live stack/prefetcher path for every prefetcher (the
-    equivalence tests' reference).
+    path.  Entangling runs take the live path: the table trains on
+    scheme-dependent miss timing, so there is nothing scheme-independent
+    to precompute, and a repeat of the same pair is answered by the
+    result cache of :class:`~repro.harness.runner.Runner`.
+    ``use_plan=False`` forces the live stack/prefetcher path for every
+    prefetcher (the equivalence tests' reference).
     """
     machine = machine or DEFAULT_MACHINE
     records = scaled_records(records)
@@ -159,17 +157,6 @@ def run_experiment(
     if use_plan and plannable(prefetcher):
         plan = cached_plan(trace, machine, prefetcher)
         run = _sim("planned", plan=plan)
-    elif use_plan and prefetcher == "entangling":
-        plan, fresh = cached_entangling_plan(
-            trace, machine, scheme, lambda: scheme_obj
-        )
-        if fresh is not None:
-            # Pass 1 doubles as this run.  The recording pass is driven
-            # by the plan builder, not by us, so it is never windowed —
-            # sharding covers its replays.
-            run = fresh
-        else:
-            run = _sim("planned-exact", plan=plan)
     else:
         stack = BranchStack(trace)
         prefetcher_obj = build_prefetcher(prefetcher, trace, stack, machine)

@@ -192,9 +192,9 @@ def _warm_artifacts(
     """Build (memo + disk cache) the artifacts ``ctx``'s pairs share.
 
     The frontend plan, so every scheme replays one branch-stack/FDP
-    pass (entangling plans are per-scheme, recorded as pairs come up);
-    and with ``prepass`` the replacement pre-pass the flat GHRP/Harmony
-    twins consume.
+    pass (entangling runs are live and need none); and with
+    ``prepass`` the replacement pre-pass the flat GHRP/Harmony twins
+    consume.
     """
     if plannable(prefetcher):
         cached_plan(ctx.trace, machine, prefetcher)

@@ -114,10 +114,10 @@ def run_fingerprint(
     """Identity of one resumable run; any ingredient change invalidates.
 
     ``mode`` distinguishes the live and planned engine paths (their
-    states are not interchangeable) and, for entangling runs, the plan
-    mode.  The trace digest ties a boundary state to the exact record
-    stream it was captured from.  The ``ckpt1`` prefix predates the
-    ledger and stays, so ledgers already on disk still resume.
+    states are not interchangeable).  The trace digest ties a boundary
+    state to the exact record stream it was captured from.  The
+    ``ckpt1`` prefix predates the ledger and stays, so ledgers already
+    on disk still resume.
     """
     text = "|".join(
         (

@@ -21,10 +21,8 @@ grid (its one-off cost is reported as ``plan_seconds``) and every
 scheme's timed region is the plan-driven ``simulate`` alone.  Grid
 entries may override the grid's prefetcher with a ``scheme+prefetcher``
 spec: ``lru+entangling`` measures the lru scheme under the entangling
-prefetcher, replaying its exact-mode
-:class:`~repro.frontend.entangling_plan.EntanglingPlan` (the recording
-pass runs once per entry, outside the timed region, and its aggregate
-cost lands in ``entangling_plan_seconds``).
+prefetcher, which runs the engine's live loop (branch stack and
+prefetcher built fresh per repeat, outside the timed region).
 """
 
 from __future__ import annotations
@@ -36,7 +34,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.frontend.entangling_plan import build_entangling_plan
 from repro.frontend.plan import FrontendPlan, build_plan, plannable
 from repro.frontend.stack import BranchStack
 from repro.harness.experiment import build_prefetcher
@@ -50,8 +47,10 @@ from repro.workloads.trace import Trace
 #: scheme, the paper's contribution, the slowest policy competitors as
 #: canaries, two ACIC ablation variants so scheme-layer (admission
 #: pipeline) wins are tracked separately from engine wins, and two
-#: entangling-prefetcher entries (the Figs. 20-21 baseline family) so
-#: the entangling-plan replay path is throughput- and drift-tracked.
+#: entangling-prefetcher entries (the Figs. 20-21 baseline family), the
+#: only grid entries that time the engine's live loop, so it, the
+#: branch stack and the entangling prefetcher are throughput- and
+#: drift-tracked.
 DEFAULT_WORKLOAD = "media-streaming"
 DEFAULT_SCHEMES = (
     "lru",
@@ -109,18 +108,17 @@ def measure_scheme(
     prefetcher: str = "fdp",
     machine: Optional[MachineParams] = None,
     repeats: int = 3,
-    plan: Optional[object] = None,
+    plan: Optional[FrontendPlan] = None,
 ) -> ThroughputSample:
     """Time ``repeats`` fresh simulations of ``scheme_spec``; keep the best.
 
     ``scheme_spec`` may carry its own prefetcher (``"lru+entangling"``);
     otherwise ``prefetcher`` applies.  Every repeat rebuilds the scheme
     so no state leaks between rounds and the measured cost is a true
-    cold single run.  Planned prefetchers are plan-driven — the replay
-    (FrontendPlan for fdp/none, exact-mode EntanglingPlan for
-    entangling) is built once (pass ``plan`` to share it across a grid,
-    the way sweeps share it across schemes) and sits outside the timed
-    region.
+    cold single run.  Plannable prefetchers (fdp/none) are plan-driven —
+    the FrontendPlan is built once (pass ``plan`` to share it across a
+    grid, the way sweeps share it across schemes) and sits outside the
+    timed region; entangling runs time the live loop.
     """
     if repeats <= 0:
         raise ValueError(f"repeats must be positive, got {repeats}")
@@ -129,10 +127,6 @@ def measure_scheme(
     ctx = SchemeContext(trace=trace, machine=machine)
     if plan is None and plannable(prefetcher):
         plan = build_plan(trace, machine, prefetcher)
-    if plan is None and prefetcher == "entangling":
-        plan, _ = build_entangling_plan(
-            trace, machine, make_scheme(scheme_name, ctx), scheme_name
-        )
     best = None
     result = None
     for _ in range(repeats):
@@ -163,7 +157,7 @@ def profile_scheme(
     scheme_spec: str,
     prefetcher: str = "fdp",
     machine: Optional[MachineParams] = None,
-    plan: Optional[object] = None,
+    plan: Optional[FrontendPlan] = None,
     top: int = 20,
 ) -> str:
     """cProfile one simulation of ``scheme_spec``; returns the top-N table.
@@ -181,10 +175,6 @@ def profile_scheme(
     ctx = SchemeContext(trace=trace, machine=machine)
     if plan is None and plannable(prefetcher):
         plan = build_plan(trace, machine, prefetcher)
-    if plan is None and prefetcher == "entangling":
-        plan, _ = build_entangling_plan(
-            trace, machine, make_scheme(scheme_name, ctx), scheme_name
-        )
     scheme = make_scheme(scheme_name, ctx)
     profiler = cProfile.Profile()
     if plan is not None:
@@ -209,10 +199,7 @@ def measure_grid(
     """Measure every scheme spec on the fixed grid; returns the report dict.
 
     The grid's FrontendPlan is built once and shared by every spec that
-    inherits the grid prefetcher; ``+entangling`` specs each get an
-    exact-mode recording pass (reference scheme = the spec's own
-    scheme), timed into ``entangling_plan_seconds`` but excluded from
-    the per-scheme timed region, mirroring how warm sweeps replay them.
+    inherits the grid prefetcher; ``+entangling`` specs run live.
     """
     trace = get_workload(workload).trace(records=records)
     plan = None
@@ -221,21 +208,10 @@ def measure_grid(
         start = time.perf_counter()
         plan = build_plan(trace, DEFAULT_MACHINE, prefetcher)
         plan_seconds = time.perf_counter() - start
-    ctx = SchemeContext(trace=trace, machine=DEFAULT_MACHINE)
-    entangling_plan_seconds = 0.0
     samples = {}
     for spec in schemes:
-        scheme_name, spec_prefetcher = parse_scheme_spec(spec, prefetcher)
+        _, spec_prefetcher = parse_scheme_spec(spec, prefetcher)
         spec_plan = plan if spec_prefetcher == prefetcher else None
-        if spec_prefetcher == "entangling":
-            start = time.perf_counter()
-            spec_plan, _ = build_entangling_plan(
-                trace,
-                DEFAULT_MACHINE,
-                make_scheme(scheme_name, ctx),
-                scheme_name,
-            )
-            entangling_plan_seconds += time.perf_counter() - start
         samples[spec] = measure_scheme(
             trace, spec, prefetcher=prefetcher, repeats=repeats, plan=spec_plan
         )
@@ -246,7 +222,6 @@ def measure_grid(
         "prefetcher": prefetcher,
         "repeats": repeats,
         "plan_seconds": round(plan_seconds, 6),
-        "entangling_plan_seconds": round(entangling_plan_seconds, 6),
         "python": sys.version.split()[0],
         "schemes": {
             name: {

@@ -47,8 +47,7 @@ class MachineParams:
         """Content hash over every field, for cache keys.
 
         Used wherever derived data depends on the *whole* machine —
-        sweep-result cache entries and entangling plans (whose recorded
-        timing is machine-coupled).  Frontend plans deliberately use the
+        sweep-result cache entries and shard ledgers.  Frontend plans deliberately use the
         narrower :func:`repro.frontend.plan.frontend_fingerprint`
         instead.
         """

@@ -26,12 +26,7 @@ from repro.uarch.params import MachineParams
 from repro.workloads.trace import Trace
 
 if TYPE_CHECKING:  # avoid an import cycle at runtime
-    from typing import Union
-
-    from repro.frontend.entangling_plan import EntanglingPlan
     from repro.frontend.plan import FrontendPlan
-
-    AnyPlan = Union[FrontendPlan, EntanglingPlan]
 
 
 class L1IScheme(Protocol):
@@ -167,7 +162,7 @@ def simulate(
     stack: Optional[BranchStack] = None,
     machine: Optional[MachineParams] = None,
     hierarchy: Optional[MemoryHierarchy] = None,
-    plan: Optional["AnyPlan"] = None,
+    plan: Optional["FrontendPlan"] = None,
     resume: Optional[dict] = None,
     checkpoint_every: int = 0,
     on_checkpoint=None,
@@ -175,19 +170,17 @@ def simulate(
     """Run ``scheme`` over ``trace`` and return post-warmup measurements.
 
     Two frontend modes (pinned against each other by
-    ``tests/test_frontend_plan.py`` and ``tests/test_entangling_plan.py``):
+    ``tests/test_frontend_plan.py``):
 
     * **live** — ``prefetcher`` and ``stack`` drive branch training and
       the prefetch candidate stream per record (the reference path, and
-      the recording pass of the two-pass entangling plan);
+      the only path for the entangling prefetcher, whose table trains on
+      scheme-dependent miss timing);
     * **planned** — ``plan`` is a precomputed
       :class:`~repro.frontend.plan.FrontendPlan` (fdp/none, always
-      bit-identical to live) or
-      :class:`~repro.frontend.entangling_plan.EntanglingPlan`
-      (scheme-coupled: replayed only for the scheme it was recorded
-      under, and bit-identical there) and the engine reads mispredict
-      flags and candidate spans from flat arrays, touching no
-      branch-stack or prefetcher code at all.
+      bit-identical to live) and the engine reads mispredict flags and
+      candidate spans from flat arrays, touching no branch-stack or
+      prefetcher code at all.
 
     The loop body runs once per fetch record — two million times for a
     full-length sweep pair — so everything invariant is hoisted out of
@@ -203,9 +196,8 @@ def simulate(
     result assembly) around two separate record loops, each free of
     mode tests.  The planned loop takes branch flushes from
     ``plan.mispredict`` and the prefetch candidate stream from
-    ``plan.cand_lo/cand_hi`` spans over
-    ``plan.candidate_blocks_list(trace)`` — the trace's own blocks for
-    FDP run-ahead, the recorded issue stream for an entangling plan.
+    ``plan.cand_lo/cand_hi`` spans over the trace's own blocks (FDP
+    run-ahead only ever walks the future fetch path).
 
     Checkpoint/resume (``tests/test_checkpoint.py`` pins chunked runs
     bit-identical to single-pass; the shard ledger in
@@ -263,7 +255,6 @@ def simulate(
         mispredict = plan.mispredict_list
         cand_lo = plan.cand_lo_list
         cand_hi = plan.cand_hi_list
-        cand_blocks = plan.candidate_blocks_list(trace)
 
     blocks = trace.blocks_list
     instr_counts = trace.instrs_list
@@ -309,8 +300,7 @@ def simulate(
     # Exactly one of the two record loops runs (the other iterates
     # nothing): the live loop, then its planned twin.  Any change to
     # either must keep the scalars bit-identical to the other
-    # (``tests/test_frontend_plan.py`` and
-    # ``tests/test_entangling_plan.py`` pin this across schemes, branch
+    # (``tests/test_frontend_plan.py`` pins this across schemes, branch
     # kinds and workload profiles).
     for i in range(start, n) if plan is None else ():
         if i == next_ckpt:
@@ -468,7 +458,7 @@ def simulate(
         lo = cand_lo[i]
         hi = cand_hi[i]
         if lo < hi:
-            for candidate in cand_blocks[lo:hi]:
+            for candidate in blocks[lo:hi]:
                 if mshr_contains(candidate) or scheme_contains(candidate):
                     continue
                 latency = float(hierarchy_access(candidate, i))

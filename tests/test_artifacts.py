@@ -211,7 +211,7 @@ class TestNpzFormat:
     def test_committed_npz_still_reads(self):
         committed = sorted(
             p for p in (REPO / ".cache" / "plans").glob("*.npz")
-            if ".pre" not in p.name and ".ent" not in p.name
+            if ".pre" not in p.name
         )
         if not committed:
             pytest.skip("no committed plan cache")

@@ -240,10 +240,8 @@ class TestPlannedSimulateEquivalence:
         assert _scalars(planned.run) == _scalars(live.run)
 
     def test_entangling_is_not_frontend_plannable(self):
-        """Entangling never consumes a FrontendPlan: its plan family is
-        the scheme-coupled two-pass EntanglingPlan (see
-        tests/test_entangling_plan.py), not the scheme-independent one.
-        """
+        """Entangling never consumes a FrontendPlan: its table trains
+        on scheme-dependent miss timing, so it always runs live."""
         assert not plannable("entangling")
         result = run_experiment(
             "x264", "lru", prefetcher="entangling", records=2000, use_plan=True

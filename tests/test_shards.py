@@ -280,19 +280,42 @@ class TestShardedStitching:
         assert _scalars(run) == plain_runs("lru")
         assert not list(shards_dir().glob("*"))
 
-    def test_entangling_replay_shards_identical(self, context, plain_runs):
-        # Cold exact-mode run IS the recording pass (never windowed);
-        # the windowed run replays the recorded stream shard by shard.
-        plain = plain_runs("lru", prefetcher="entangling")
-        run = run_experiment(
-            WORKLOAD,
-            "lru",
-            prefetcher="entangling",
-            records=RECORDS,
-            context=context,
-            shard_window=WINDOW,
-        ).run
-        assert _scalars(run) == plain
+    def test_cold_entangling_run_windows_drains_and_resumes(
+        self, context, trace, plain_runs, tmp_path, monkeypatch
+    ):
+        """A cold entangling run is the live path, windowed like any
+        other: every boundary is reported, a drain keeps the ledger, the
+        rerun resumes to the unwindowed scalars, and no plan is cached."""
+        plans = tmp_path / "plans"
+        monkeypatch.setenv("REPRO_PLAN_CACHE", str(plans))
+        monkeypatch.delenv("REPRO_NO_DISK_CACHE", raising=False)
+
+        def run(**kwargs):
+            return run_experiment(
+                WORKLOAD,
+                "lru",
+                prefetcher="entangling",
+                records=RECORDS,
+                context=context,
+                shard_window=WINDOW,
+                on_shard=lambda s, d, t: boundaries.append((s, d, t)),
+                **kwargs,
+            ).run
+
+        boundaries = []
+        with pytest.raises(DrainRequested) as excinfo:
+            run(should_stop=lambda: len(boundaries) >= 1)
+        assert excinfo.value.records_done == WINDOW
+        assert list(shards_dir().glob("*.ledger")), "drain must keep the ledger"
+
+        resumed = run()
+        total = len(trace)
+        assert boundaries == [
+            (k, k * WINDOW, total) for k in range(1, total // WINDOW + 1)
+        ], "each boundary fires once, the resume skipping the done shard"
+        assert not list(shards_dir().glob("*"))
+        assert not plans.exists() or not any(plans.iterdir())
+        assert _scalars(resumed) == plain_runs("lru", prefetcher="entangling")
 
     def test_shard_progress_reported(self, context, trace):
         boundaries = []
