@@ -21,7 +21,7 @@ def bench_trace():
     return get_workload("media-streaming").trace(records=RECORDS)
 
 
-@pytest.mark.parametrize("scheme_name", ["lru", "acic", "ghrp", "harmony"])
+@pytest.mark.parametrize("scheme_name", ["lru", "acic", "opt", "ghrp", "harmony"])
 def test_simulation_throughput(benchmark, bench_trace, scheme_name):
     ctx = SchemeContext(trace=bench_trace)
 

@@ -1,8 +1,10 @@
 """Plain replacement-policy schemes: the L1i driven by one policy.
 
-Covers the baseline (LRU), the replacement-policy competitors (SRRIP,
-SHiP, Hawkeye/Harmony, GHRP), the oracle (Belady OPT), and the "just
-buy more SRAM" comparison points (36 KB / 40 KB i-caches).
+The registry's production path for ``plru``/``srrip``/``ship``, and
+the readable reference for the schemes that run on fused twins: LRU
+and the 36 KB / 40 KB i-caches (``FlatLRUScheme``), Belady OPT
+(``FlatOPTScheme``), GHRP and Hawkeye/Harmony.  Every twin keeps this
+class's checkpoint shape, so snapshots interchange in both directions.
 """
 
 from __future__ import annotations

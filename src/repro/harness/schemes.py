@@ -31,10 +31,10 @@ from repro.core.predictor import (
 from repro.mem.cache import CacheConfig
 from repro.mem.oracle import NextUseOracle
 from repro.mem.policies import (
-    BeladyOPTPolicy,
     FlatGHRPScheme,
     FlatHawkeyeScheme,
-    LRUPolicy,
+    FlatLRUScheme,
+    FlatOPTScheme,
     SHiPPolicy,
     SRRIPPolicy,
     TreePLRUPolicy,
@@ -112,7 +112,7 @@ def scheme_needs_oracle(name: str) -> bool:
 
 @register("lru", "baseline 32KB/8-way LRU i-cache")
 def _lru(ctx: SchemeContext):
-    return PlainCacheScheme(ctx.l1i_config, LRUPolicy())
+    return FlatLRUScheme(ctx.l1i_config)
 
 
 @register("plru", "tree pseudo-LRU i-cache (extra ablation)")
@@ -142,17 +142,17 @@ def _ghrp(ctx: SchemeContext):
 
 @register("opt", "Belady OPT oracle replacement", needs_oracle=True)
 def _opt(ctx: SchemeContext):
-    return PlainCacheScheme(ctx.l1i_config, BeladyOPTPolicy(ctx.oracle))
+    return FlatOPTScheme(ctx.l1i_config, ctx.oracle)
 
 
 @register("36kb-l1i", "36KB 9-way LRU i-cache (more SRAM instead)")
 def _l1i_36k(ctx: SchemeContext):
-    return PlainCacheScheme(LARGER_L1I_36K, LRUPolicy())
+    return FlatLRUScheme(LARGER_L1I_36K)
 
 
 @register("40kb-l1i", "40KB 10-way LRU i-cache (Table IV row)")
 def _l1i_40k(ctx: SchemeContext):
-    return PlainCacheScheme(LARGER_L1I_40K, LRUPolicy())
+    return FlatLRUScheme(LARGER_L1I_40K)
 
 
 # -- victim caches --------------------------------------------------------------

@@ -12,18 +12,20 @@ Everything the paper compares against lives here:
   state-of-the-art i-cache policy ACIC is measured against).
 * :class:`BeladyOPTPolicy` — the oracle upper bound.
 
-The two slowest policies also have fused hot-path twins following the
-``FlatACICScheme`` pattern — :class:`FlatGHRPScheme` and
-:class:`FlatHawkeyeScheme` implement the L1I scheme protocol directly
-(the registry builds them for ``ghrp``/``harmony``), pinned
-bit-identical to the readable policies above by
-``tests/test_policy_differential.py``.
+Four of them also have fused hot-path twins following the
+``FlatACICScheme`` pattern — :class:`FlatGHRPScheme`,
+:class:`FlatHawkeyeScheme`, :class:`FlatLRUScheme` and
+:class:`FlatOPTScheme` implement the L1I scheme protocol directly (the
+registry builds them for ``ghrp``/``harmony``/``lru``/``36kb-l1i``/
+``40kb-l1i``/``opt``), pinned bit-identical to the readable policies
+above by ``tests/test_policy_differential.py``.
 """
 
 from repro.mem.policies.base import ReplacementPolicy
 from repro.mem.policies.belady import BeladyOPTPolicy
 from repro.mem.policies.flat_ghrp import FlatGHRPScheme
 from repro.mem.policies.flat_hawkeye import FlatHawkeyeScheme
+from repro.mem.policies.flat_plain import FlatLRUScheme, FlatOPTScheme
 from repro.mem.policies.ghrp import GHRPPolicy
 from repro.mem.policies.hawkeye import HawkeyePolicy
 from repro.mem.policies.lru import LRUPolicy
@@ -37,6 +39,8 @@ __all__ = [
     "BeladyOPTPolicy",
     "FlatGHRPScheme",
     "FlatHawkeyeScheme",
+    "FlatLRUScheme",
+    "FlatOPTScheme",
     "GHRPPolicy",
     "HawkeyePolicy",
     "LRUPolicy",

@@ -8,7 +8,11 @@ registered variant:
 
 * every ``acic*`` variant builds :class:`reference.acic.ACICScheme`;
 * ``ghrp``/``harmony`` build ``PlainCacheScheme`` around the readable
-  ``GHRPPolicy``/``HawkeyePolicy``.
+  ``GHRPPolicy``/``HawkeyePolicy``;
+* ``lru``/``36kb-l1i``/``40kb-l1i``/``opt`` build ``PlainCacheScheme``
+  around ``LRUPolicy``/``BeladyOPTPolicy``.
+
+The readable next-use oracle lives in :mod:`reference.oracle`.
 """
 
 from __future__ import annotations
@@ -19,7 +23,12 @@ import pytest
 
 from repro.baselines.plain import PlainCacheScheme
 from repro.harness import schemes
-from repro.mem.policies import GHRPPolicy, HawkeyePolicy
+from repro.mem.policies import (
+    BeladyOPTPolicy,
+    GHRPPolicy,
+    HawkeyePolicy,
+    LRUPolicy,
+)
 from reference.acic import ACICScheme
 
 
@@ -31,6 +40,14 @@ def readable_hawkeye(config):
     return PlainCacheScheme(config, HawkeyePolicy(ways=config.ways))
 
 
+def readable_lru(config):
+    return PlainCacheScheme(config, LRUPolicy())
+
+
+def readable_opt(config, oracle):
+    return PlainCacheScheme(config, BeladyOPTPolicy(oracle))
+
+
 @contextmanager
 def readable_registry():
     """Make the registry build the readable twins inside the block."""
@@ -38,4 +55,6 @@ def readable_registry():
         patch.setattr(schemes, "FlatACICScheme", ACICScheme)
         patch.setattr(schemes, "FlatGHRPScheme", readable_ghrp)
         patch.setattr(schemes, "FlatHawkeyeScheme", readable_hawkeye)
+        patch.setattr(schemes, "FlatLRUScheme", readable_lru)
+        patch.setattr(schemes, "FlatOPTScheme", readable_opt)
         yield

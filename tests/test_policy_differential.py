@@ -1,15 +1,20 @@
 """The flat replacement twins are bit-identical to their references.
 
-``FlatGHRPScheme`` and ``FlatHawkeyeScheme`` (the registry's production
-``ghrp``/``harmony`` schemes) re-implement ``PlainCacheScheme`` around
-``GHRPPolicy``/``HawkeyePolicy`` as fused closures with merged line
-payloads, packed occupancy vectors and deferred counters.  This suite
-pins them to the readable references four ways:
+``FlatGHRPScheme``, ``FlatHawkeyeScheme``, ``FlatLRUScheme`` and
+``FlatOPTScheme`` (the registry's production ``ghrp``/``harmony``/
+``lru``/``opt`` schemes) re-implement ``PlainCacheScheme`` around
+``GHRPPolicy``/``HawkeyePolicy``/``LRUPolicy``/``BeladyOPTPolicy`` as
+fused closures with merged line payloads, packed occupancy vectors and
+deferred counters.  This suite pins them to the readable references
+four ways:
 
 * **op-by-op** — randomized lookup/fill/prefetch/contains schedules on
   a tiny geometry, verdict-for-verdict, with mid-run state comparison,
   cross-loading each twin's checkpoint into the other (both
-  directions, into pre-polluted instances) and reset replay;
+  directions, into pre-polluted instances) and reset replay; OPT also
+  runs with prefetch fills of blocks never used again, against an
+  oracle decoupled from the schedule (finite next-use ties), and
+  through directed tie and ``incoming == furthest`` bypass cases;
 * **deferred state** — the stats counters and GHRP's GHR accumulate in
   closure cells mid-run and must flush exactly at ``finish_trace`` and
   ``save_state``;
@@ -45,16 +50,30 @@ from repro.mem.policies.flat_hawkeye import (
     _pack_occ,
     _unpack_occ,
 )
+from repro.mem.policies.flat_plain import FlatLRUScheme, FlatOPTScheme
 from repro.mem.policies.ghrp import GHRPPolicy
 from repro.mem.policies.hawkeye import HawkeyePolicy, _OPTgen
+from repro.mem.oracle import NextUseOracle
 from repro.uarch.params import DEFAULT_MACHINE
 from repro.workloads.profiles import get_workload
-from reference import readable_ghrp, readable_hawkeye, readable_registry
+from reference import (
+    readable_ghrp,
+    readable_hawkeye,
+    readable_lru,
+    readable_opt,
+    readable_registry,
+)
 
 #: Tiny geometry (8 sets x 4 ways) so sets fill, evict and prune hard.
 CONFIG = CacheConfig(4 * 64 * 8, 4, name="L1i")
 
-KINDS = ("ghrp", "harmony")
+KINDS = ("ghrp", "harmony", "lru", "opt")
+
+#: The twins that bind the shared replacement pre-pass.
+PREPASS_KINDS = ("ghrp", "harmony")
+
+#: The plain-policy twins; their schedules add never-reused prefetches.
+PLAIN_KINDS = ("lru", "opt")
 
 STATS_FIELDS = (
     "demand_accesses",
@@ -62,18 +81,50 @@ STATS_FIELDS = (
     "demand_fills",
     "prefetch_fills",
     "evictions",
+    "bypasses",
 )
 
+FLAT_CLASSES = {
+    "ghrp": FlatGHRPScheme,
+    "harmony": FlatHawkeyeScheme,
+    "lru": FlatLRUScheme,
+    "opt": FlatOPTScheme,
+}
 
-def _make_pair(kind):
+
+def _flat(kind, config, oracle=None):
+    if kind == "opt":
+        return FlatOPTScheme(config, oracle)
+    return FLAT_CLASSES[kind](config)
+
+
+def _readable(kind, config, oracle=None):
+    if kind == "opt":
+        return readable_opt(config, oracle)
+    build = {
+        "ghrp": readable_ghrp,
+        "harmony": readable_hawkeye,
+        "lru": readable_lru,
+    }[kind]
+    return build(config)
+
+
+def _oracle_for(ops):
+    """Next-use oracle over the schedule's own block stream."""
+    return NextUseOracle([block for _, block in ops])
+
+
+def _make_pair(kind, oracle=None):
     """(flat twin, readable reference) with identical construction."""
-    if kind == "ghrp":
-        return FlatGHRPScheme(CONFIG), readable_ghrp(CONFIG)
-    return FlatHawkeyeScheme(CONFIG), readable_hawkeye(CONFIG)
+    return _flat(kind, CONFIG, oracle), _readable(kind, CONFIG, oracle)
 
 
-def _schedule(seed, length=9000, blocks=160):
-    """Seeded op soup with re-reference locality (hits and misses)."""
+def _schedule(seed, length=9000, blocks=160, ghosts=False):
+    """Seeded op soup with re-reference locality (hits and misses).
+
+    With ``ghosts`` a fifth of the prefetch fills name a fresh block id
+    that no other op uses: never accessed again, whatever the oracle.
+    """
     rng = random.Random(seed)
     ops = []
     last = 0
@@ -86,7 +137,10 @@ def _schedule(seed, length=9000, blocks=160):
         elif roll < 0.78:
             ops.append(("fill", rng.randrange(blocks)))
         elif roll < 0.92:
-            ops.append(("prefetch_fill", rng.randrange(blocks)))
+            block = rng.randrange(blocks)
+            if ghosts and rng.random() < 0.2:
+                block = blocks + len(ops)
+            ops.append(("prefetch_fill", block))
         else:
             ops.append(("contains", rng.randrange(blocks)))
     return ops
@@ -105,6 +159,19 @@ def _drive(scheme, ops, lo, hi):
             scheme.prefetch_fill(block, t, t)
         else:
             out.append(scheme.contains(block))
+    return out
+
+
+def _drive_ops(scheme, ops):
+    """Run explicit ``(t, op, block)`` steps; returns the verdicts."""
+    out = []
+    for t, op, block in ops:
+        if op == "lookup":
+            out.append(scheme.lookup(block, t, t))
+        elif op == "fill":
+            scheme.fill(block, t, t)
+        else:
+            scheme.prefetch_fill(block, t, t)
     return out
 
 
@@ -154,8 +221,9 @@ class TestLockstep:
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_lockstep_and_checkpoint_interchange(self, kind, seed):
-        ops = _schedule(seed)
-        flat, ref = _make_pair(kind)
+        ops = _schedule(seed, ghosts=kind in PLAIN_KINDS)
+        oracle = _oracle_for(ops)
+        flat, ref = _make_pair(kind, oracle)
         cut = random.Random(seed + 50).randrange(3000, 7000)
 
         assert _drive(flat, ops, 0, cut) == _drive(ref, ops, 0, cut)
@@ -173,7 +241,7 @@ class TestLockstep:
 
         # Cross-load: the readable snapshot into a dirty flat twin and
         # vice versa; all four caches then replay the tail identically.
-        flat2, ref2 = _make_pair(kind)
+        flat2, ref2 = _make_pair(kind, oracle)
         _drive(flat2, _schedule(seed + 7), 0, 400)
         _drive(ref2, _schedule(seed + 9), 0, 400)
         flat2.load_state(state_ref)
@@ -194,7 +262,7 @@ class TestLockstep:
             flat.save_state(), ref.save_state(), f"{kind} post-reset"
         )
 
-    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("kind", PREPASS_KINDS)
     def test_lockstep_without_prepass(self, kind):
         """The memo-hash fallback path is the same machine."""
         ops = _schedule(3)
@@ -203,13 +271,91 @@ class TestLockstep:
         assert _drive(flat, ops, 0, len(ops)) == _drive(ref, ops, 0, len(ops))
 
 
+class TestOPTTwin:
+    """OPT's victim ties, bypasses and oracle reads, against the reference."""
+
+    #: One set, two ways: every fill past the second contends.
+    PAIR = CacheConfig(2 * 64, 2, name="L1i")
+
+    def _pair(self, seq, config=None):
+        oracle = NextUseOracle(seq)
+        config = config or self.PAIR
+        return FlatOPTScheme(config, oracle), readable_opt(config, oracle)
+
+    @staticmethod
+    def _both(pair, ops):
+        outs = [_drive_ops(s, ops) for s in pair]
+        assert outs[0] == outs[1]
+        states = [s.save_state() for s in pair]
+        _assert_same_state(states[0], states[1], "opt directed")
+        _assert_same_sets(states[0], states[1], "opt directed")
+        return states[0]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_lockstep_with_decoupled_oracle(self, seed):
+        """An oracle over an unrelated stream makes finite next uses tie."""
+        ops = _schedule(seed, ghosts=True)
+        rng = random.Random(seed + 300)
+        oracle = NextUseOracle([rng.randrange(40) for _ in ops])
+        flat = FlatOPTScheme(CONFIG, oracle)
+        ref = readable_opt(CONFIG, oracle)
+        assert _drive(flat, ops, 0, len(ops)) == _drive(ref, ops, 0, len(ops))
+        flat.finish_trace()
+        stats = ref.icache.stats
+        assert stats.bypasses > 0
+        for field in STATS_FIELDS:
+            assert getattr(flat.icache.stats, field) == getattr(stats, field)
+        _assert_same_state(flat.save_state(), ref.save_state(), "decoupled")
+
+    def test_tie_evicts_lru_most_furthest_line(self):
+        # Blocks 1 and 2 are never used again (two NEVER payloads);
+        # block 3 comes back, so it is admitted and evicts LRU-most 1.
+        pair = self._pair([1, 2, 3, 3])
+        state = self._both(pair, [(0, "fill", 1), (1, "fill", 2), (2, "fill", 3)])
+        assert list(state["icache"]["sets"][0]) == [2, 3]
+        assert state["icache"]["stats"]["evictions"] == 1
+
+    def test_incoming_equal_to_furthest_bypasses(self):
+        # Line 1 is filled at t=0 and stores next_use_at(0) == 2 (the
+        # next access to block 5); the incoming 5 at t=1 is next used
+        # at 2 too: equal, so OPT keeps 1 and drops 5.
+        config = CacheConfig(64, 1, name="L1i")
+        pair = self._pair([5, 7, 5], config)
+        state = self._both(pair, [(0, "fill", 1), (1, "fill", 5)])
+        assert list(state["icache"]["sets"][0]) == [1]
+        assert state["icache"]["stats"]["bypasses"] == 1
+
+    def test_never_reused_prefetch_is_bypassed(self):
+        pair = self._pair([1, 2, 1, 2, 9, 1, 2])
+        state = self._both(
+            pair,
+            [(0, "fill", 1), (1, "fill", 2), (4, "prefetch_fill", 99)],
+        )
+        assert list(state["icache"]["sets"][0]) == [1, 2]
+        assert state["icache"]["stats"]["bypasses"] == 1
+        assert state["icache"]["stats"]["prefetch_fills"] == 0
+
+    def test_prefetch_fill_stores_next_use_of_block(self):
+        # A prefetch at t=0 stores next_use_of(4, 0) == 3, not
+        # next_use_at(0) == 2 (the record's own block 1); a demand fill
+        # at t=1 stores next_use_at(1) == 4.
+        seq = [1, 6, 1, 4, 6]
+        flat, ref = self._pair(seq)
+        ops = [(0, "prefetch_fill", 4), (1, "fill", 6)]
+        outs = [_drive_ops(s, ops) for s in (flat, ref)]
+        assert outs[0] == outs[1]
+        assert flat._lines_by_set[0] == {4: 3, 6: 4}
+        flat.save_state()
+        assert ref.icache.policy._next_use == flat.policy._next_use
+
+
 class TestDeferredCounters:
     """Stats (and GHRP's GHR) flush exactly at the state boundaries."""
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_finish_trace_flushes_stats(self, kind):
-        ops = _schedule(4, length=1500)
-        flat, ref = _make_pair(kind)
+        ops = _schedule(4, length=1500, ghosts=kind in PLAIN_KINDS)
+        flat, ref = _make_pair(kind, _oracle_for(ops))
         _drive(ref, ops, 0, len(ops))
         _drive(flat, ops, 0, len(ops))
         # Mid-run the authoritative stats object is stale by design...
@@ -241,7 +387,7 @@ class TestDeferredCounters:
     def test_load_state_discards_deferred_deltas(self, kind):
         """Counters deferred before a load must never leak after it."""
         ops = _schedule(6, length=1200)
-        flat, ref = _make_pair(kind)
+        flat, ref = _make_pair(kind, _oracle_for(ops))
         state = ref.save_state()
         _drive(flat, ops, 0, 600)  # deferred deltas now pending
         flat.load_state(pickle.loads(pickle.dumps(state)))
@@ -303,13 +449,10 @@ class TestEngineChunked:
         )
 
         def readable():
-            build = readable_ghrp if kind == "ghrp" else readable_hawkeye
-            return build(context.l1i_config)
+            return _readable(kind, context.l1i_config, context.oracle)
 
         def flat():
-            if kind == "ghrp":
-                return FlatGHRPScheme(context.l1i_config)
-            return FlatHawkeyeScheme(context.l1i_config)
+            return _flat(kind, context.l1i_config, context.oracle)
 
         state = None
         chunk = 0
@@ -356,10 +499,9 @@ class TestFlatReadableGrid:
     def test_readable_registry_builds_readable(self, kind, context):
         with readable_registry():
             assert isinstance(make_scheme(kind, context), PlainCacheScheme)
-        flat_cls = FlatGHRPScheme if kind == "ghrp" else FlatHawkeyeScheme
-        assert isinstance(make_scheme(kind, context), flat_cls)
+        assert isinstance(make_scheme(kind, context), FLAT_CLASSES[kind])
 
-    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("kind", KINDS + ("36kb-l1i", "40kb-l1i"))
     @pytest.mark.parametrize("prefetcher", ["fdp", "none"])
     def test_scalars_identical_on_20k_grid(
         self, kind, prefetcher, tmp_path, monkeypatch
