@@ -17,9 +17,15 @@ fails the bench.
 
 ``--check`` is the CI gate: one cold request (every pair simulated),
 one warm request (every pair served from cache, zero simulations), one
-streamed request (event-per-pair protocol), all verified, exit non-zero
-on any mismatch.  The timing numbers are printed for humans but never
-asserted — machine speed must not fail CI.
+streamed request (event-per-pair protocol), then two more cold requests
+that exercise the shared workload walk: one at ``records + 1`` (the
+same traces, cut from a walk the server now shares between lengths)
+and one at ``4 * records`` (the walk resumes).  Everything is verified,
+the traces also against each other (every length is the longest trace
+cut at its first request entry at or past that length); exit non-zero
+on any mismatch.  Traces and plans go to temporary caches too, so the
+repo's ``.cache`` is never written.  The timing numbers are printed for
+humans but never asserted — machine speed must not fail CI.
 """
 
 from __future__ import annotations
@@ -29,7 +35,10 @@ import os
 import sys
 import tempfile
 import time
+from dataclasses import replace
 from pathlib import Path
+
+import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
@@ -37,6 +46,8 @@ from repro.harness.runner import Runner, _SCALAR_FIELDS  # noqa: E402
 from repro.service.client import ServiceClient  # noqa: E402
 from repro.service.protocol import pair_token  # noqa: E402
 from repro.service.server import ServiceConfig, ServiceThread  # noqa: E402
+from repro.workloads.profiles import get_workload  # noqa: E402
+from repro.workloads.program import build_program  # noqa: E402
 
 DEFAULT_WORKLOADS = ("x264", "gcc")
 DEFAULT_SCHEMES = ("lru", "srrip")
@@ -64,6 +75,50 @@ def _verify(
     return problems
 
 
+def _verify_walk_cuts(
+    client: ServiceClient,
+    workloads: list[str],
+    schemes: list[str],
+    records: int,
+) -> list[str]:
+    """Cold requests at ``records + 1`` and ``4 * records``.
+
+    This process first asked each workload for ``records`` records (a
+    fresh single-length walk), so the ``records + 1`` request starts the
+    shared walk (mostly cutting the very same trace, since a walk stops
+    at a request entry) and the ``4 * records`` request resumes it.
+    Each response must match a direct sweep, and every length's trace
+    must be the longest one cut at its first request entry at or past
+    that length.
+    """
+    problems = []
+    counts = (records, records + 1, 4 * records)
+    for count in counts[1:]:
+        response = client.sweep(workloads, schemes, records=count)
+        expected = Runner(records=count, use_disk_cache=False).sweep(
+            workloads, schemes
+        )
+        problems += [
+            f"records={count} {p}"
+            for p in _verify(response, expected, want_source="simulated")
+        ]
+    for workload in workloads:
+        profile = get_workload(workload)
+        entry_site = build_program(profile.shape, seed=profile.seed).dispatch_site
+        longest = profile.trace(records=counts[-1])
+        for count in counts:
+            entries = np.flatnonzero(longest.branch_site[count:] == entry_site)
+            end = count + int(entries[0]) if len(entries) else len(longest)
+            cut = replace(longest.slice(0, end), name=profile.name)
+            trace = profile.trace(records=count)
+            if len(trace) < count or trace.digest != cut.digest:
+                problems.append(
+                    f"{workload}@{count}: not the r{counts[-1]} trace cut at "
+                    f"its first request entry at or past {count}"
+                )
+    return problems
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--records", type=int, default=DEFAULT_RECORDS)
@@ -81,8 +136,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--check", action="store_true",
-        help="CI smoke: one cold + one warm + one streamed request, "
-        "verified against a direct Runner.sweep; exit non-zero on mismatch",
+        help="CI smoke: one cold + one warm + one streamed request, then "
+        "cold requests at records+1 and 4*records, verified against a "
+        "direct Runner.sweep; exit non-zero on mismatch",
     )
     args = parser.parse_args(argv)
 
@@ -92,6 +148,9 @@ def main(argv: list[str] | None = None) -> int:
 
     with tempfile.TemporaryDirectory(prefix="bench_service.") as tmp:
         os.environ["REPRO_RESULT_CACHE"] = tmp
+        if args.check:
+            for var in ("REPRO_TRACE_CACHE", "REPRO_PLAN_CACHE"):
+                os.environ[var] = os.path.join(tmp, var.lower())
 
         expected = Runner(records=args.records, use_disk_cache=False).sweep(
             workloads, schemes
@@ -129,6 +188,11 @@ def main(argv: list[str] | None = None) -> int:
                         "scalars differ from direct sweep"
                     )
 
+            if args.check:
+                problems += _verify_walk_cuts(
+                    client, workloads, schemes, args.records
+                )
+
             print(
                 f"bench_service: records={args.records} "
                 f"grid={len(workloads)}x{len(schemes)} ({pairs} pairs)"
@@ -143,7 +207,9 @@ def main(argv: list[str] | None = None) -> int:
             if args.check:
                 print(
                     "service responses scalar-identical to direct "
-                    "Runner.sweep (cold, warm and streamed)"
+                    "Runner.sweep (cold, warm, streamed, and cold at "
+                    f"{args.records + 1} and {4 * args.records} records "
+                    "from the shared walk)"
                 )
                 return 0
 

@@ -69,6 +69,10 @@ class Admission:
         """Pairs currently being simulated on behalf of some request."""
         return len(self._inflight)
 
+    def owns(self, runner: Runner) -> bool:
+        """Whether any of ``runner``'s pairs are in flight."""
+        return any(key[0] == id(runner) for key in self._inflight)
+
     def partition(
         self,
         runner: Runner,

@@ -43,6 +43,7 @@ from __future__ import annotations
 import asyncio
 import json
 import signal
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from threading import Event as ThreadEvent, Thread
@@ -77,6 +78,9 @@ _REASONS = {
     500: "Internal Server Error",
     503: "Service Unavailable",
 }
+
+#: Resident runners (see :meth:`SweepService._runner_for`).
+RUNNER_POOL_CAP = 4
 
 
 def _service_concurrency() -> int:
@@ -135,11 +139,13 @@ class SweepService:
         #: the next ledgered window boundary.  Written only on the event
         #: loop thread; read (as a plain bool) from sim-pool threads.
         self.draining = False
-        #: One Runner per distinct (records, prefetcher, machine)
-        #: configuration, shared across requests so the in-memory
-        #: result cache and the context LRU are server-wide.  Only the
+        #: Runners by (records, prefetcher, machine) configuration, in
+        #: LRU order, shared across requests so the in-memory result
+        #: cache and the context LRU are server-wide.  Only the
         #: event-loop thread mutates this dict.
-        self._runners: Dict[Tuple[int, str, str], Runner] = {}
+        self._runners: "OrderedDict[Tuple[int, str, str], Runner]" = (
+            OrderedDict()
+        )
 
     def close(self) -> None:
         self._sim_pool.shutdown(wait=False, cancel_futures=True)
@@ -178,13 +184,25 @@ class SweepService:
     def _runner_for(
         self, records: int, prefetcher: str, machine: MachineParams
     ) -> Runner:
+        """The runner for one configuration, from a bounded LRU pool.
+
+        Each runner keeps its contexts and its simulated results in
+        memory, so a new configuration evicts the least recently used
+        runners beyond :data:`RUNNER_POOL_CAP` that have no pairs in
+        flight (so concurrent requests still dedupe).  Warm pairs of an
+        evicted configuration are then served from the disk result
+        cache (re-simulated under ``REPRO_NO_DISK_CACHE=1``).
+        """
         key = (records, prefetcher, machine.fingerprint())
         runner = self._runners.get(key)
         if runner is None:
-            runner = Runner(
+            runner = self._runners[key] = Runner(
                 records=records, prefetcher=prefetcher, machine=machine
             )
-            self._runners[key] = runner
+            for old, resident in list(self._runners.items())[:-RUNNER_POOL_CAP]:
+                if not self.admission.owns(resident):
+                    del self._runners[old]
+        self._runners.move_to_end(key)
         return runner
 
     # -- simulation ---------------------------------------------------------

@@ -26,13 +26,24 @@ Dynamic semantics:
 * intra-block re-fetch — with probability ``regroup_prob`` per block a
   short intra-block taken branch restarts fetch within the block,
   emitting extra same-block records (the distance-0 mass of Fig. 1a).
+
+Where a walk stops: the record budget (``target_records``) is checked
+only between requests, so a walk for ``T`` records ends at the first
+*request entry* at or past ``T`` — the record fetched through
+``program.dispatch_site``, a site nothing else uses.  Independently,
+emission stops hard at :func:`emission_limit` (``T + max(16384, T)``),
+possibly mid-request.  Nothing else depends on ``T``, so a trace of any
+length is a prefix of the program's one walk for that seed: :class:`Walk`
+keeps that walk, grows it request by request on demand (resuming from
+its last request entry) and serves each length as a cut of it.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -111,15 +122,46 @@ class WalkParams:
             raise ValueError("rpc_interleave_prob must be a probability")
 
 
-class _Walker:
-    """Single-use walk state; collects fetch records into lists."""
+#: Column dtypes, in ``TRACE_ARRAY_FIELDS`` order.
+_COLUMN_DTYPES = (np.int64, np.uint8, np.uint8, np.int64)
+
+
+def emission_limit(records: int) -> int:
+    """The hard emission cutoff of a walk for ``records`` records.
+
+    The record budget is otherwise checked only between requests, and an
+    adversarial parameter point (the workload search explores deep call
+    chains whose loops re-issue calls every iteration) can make a
+    *single* request emit combinatorially many records.  The slack sits
+    far above the worst between-request overshoot any calibrated profile
+    shows (~4.6k records), so their walks never trip it.
+    """
+    return records + max(16384, records)
+
+
+class Walk:
+    """One (program, params, seed) walk, grown on demand.
+
+    ``params.target_records`` is ignored: :meth:`trace` takes the length.
+    Walked records live in read-only typed arrays that every returned
+    trace views.  The walk grows one request at a time; before each
+    request it notes the request entry's index and the state that
+    request starts from (RNG state, current group, cold cursor, pending
+    branch kind/site), so a walk cut off mid-request by the emission
+    limit resumes from that entry.  Not thread-safe: callers sharing a
+    walk serialise access to it.
+    """
 
     def __init__(
         self, program: SyntheticProgram, params: WalkParams, seed: int
     ) -> None:
         self.program = program
         self.params = params
+        self.seed = seed
         self.rng = random.Random(seed)
+        #: Records walked before the growth in progress, as typed arrays.
+        self._columns = tuple(np.empty(0, dtype=d) for d in _COLUMN_DTYPES)
+        # The growth in progress collects into lists (cheap appends).
         self.blocks: List[int] = []
         self.instrs: List[int] = []
         self.kinds: List[int] = []
@@ -131,15 +173,84 @@ class _Walker:
         # a random stride, so each one recurs only after the whole pool
         # cycles (very long reuse distances).
         self._cold_cursor = 0
-        # Hard emission cutoff.  The record budget is otherwise checked
-        # only between requests, and an adversarial parameter point (the
-        # workload search explores deep call chains whose loops re-issue
-        # calls every iteration) can make a *single* request emit
-        # combinatorially many records.  The slack sits far above the
-        # worst between-request overshoot any calibrated profile shows
-        # (~4.6k records), so their walks never trip it and their cached
-        # traces stay bit-identical.
-        self._limit = params.target_records + max(16384, params.target_records)
+        self._group = self.rng.randrange(len(program.groups))
+        #: Index of every request entry walked so far, ascending.
+        self._entries: List[int] = []
+        #: State the last request entry starts from: RNG state, group,
+        #: cold cursor, pending branch kind and site.
+        self._entry_state: tuple = ()
+        #: True when the last growth hit the emission limit mid-request.
+        self._cut_off = False
+        # Emission cutoff, relative to the growth in progress.
+        self._limit = 0
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    # -- growth ---------------------------------------------------------------
+
+    def _grow(self, records: int) -> None:
+        """Walk on until the first request entry at or past ``records``,
+        or until its emission limit (the walk is then cut off)."""
+        if self._cut_off:
+            # Re-walk the cut-off request from its entry.
+            start = self._entries.pop()
+            self._columns = tuple(c[:start] for c in self._columns)
+            state, self._group, self._cold_cursor, kind, site = self._entry_state
+            self.rng.setstate(state)
+            self._pending_kind, self._pending_site = kind, site
+            self._cut_off = False
+        self._limit = emission_limit(records) - len(self)
+        try:
+            self._run(records)
+        except _WalkBudgetExhausted:
+            # A pathological parameter point blew the per-request
+            # budget; the walk holds ``emission_limit(records)`` records
+            # and is cut off mid-request.
+            self._cut_off = True
+        segment = (self.blocks, self.instrs, self.kinds, self.sites)
+        self._columns = tuple(
+            np.concatenate((column, np.asarray(values, dtype=column.dtype)))
+            if len(column)
+            else np.asarray(values, dtype=column.dtype)
+            for column, values in zip(self._columns, segment)
+        )
+        for column in self._columns:
+            column.flags.writeable = False
+        self.blocks, self.instrs, self.kinds, self.sites = [], [], [], []
+
+    def _end(self, records: int) -> Optional[int]:
+        """Where the trace of ``records`` records ends, or None when the
+        walk is too short to tell."""
+        limit = emission_limit(records)
+        entries = self._entries
+        i = bisect_left(entries, records)
+        if i < len(entries):
+            return min(entries[i], limit)
+        n = len(self)
+        if not self._cut_off:
+            # The walk stopped at a request entry: the next request
+            # would start at ``n``.
+            return min(n, limit) if n >= records else None
+        # The last request runs past ``n``, so past any limit <= n.
+        return limit if n >= limit else None
+
+    def trace(self, records: int, name: str = "synthetic") -> Trace:
+        """The trace of ``records`` records: a prefix of this walk,
+        grown first if it is too short."""
+        end = self._end(records)
+        if end is None:
+            self._grow(records)
+            end = self._end(records)
+        blocks, instrs, kinds, sites = (c[:end] for c in self._columns)
+        return Trace(
+            name=name,
+            blocks=blocks,
+            instrs=instrs,
+            branch_kind=kinds,
+            branch_site=sites,
+            seed=self.seed,
+        )
 
     # -- emission -------------------------------------------------------------
 
@@ -284,27 +395,30 @@ class _Walker:
 
     # -- top level --------------------------------------------------------------
 
-    def run(self) -> None:
-        try:
-            self._run()
-        except _WalkBudgetExhausted:
-            # A pathological parameter point blew the per-request
-            # budget; the trace already holds >= target_records records
-            # and is simply truncated mid-request.
-            pass
-
-    def _run(self) -> None:
+    def _run(self, records: int) -> None:
+        """Walk whole requests until at least ``records`` are out."""
         program = self.program
         params = self.params
         rng = self.rng
         n_groups = len(program.groups)
-        current_group = rng.randrange(n_groups)
         lo_phases, hi_phases = params.phases
-        while len(self.blocks) < params.target_records:
+        base = len(self)
+        while base + len(self.blocks) < records:
+            # Note each request entry and the state it starts from, so a
+            # walk cut off inside this request resumes from here.
+            self._entries.append(base + len(self.blocks))
+            self._entry_state = (
+                rng.getstate(),
+                self._group,
+                self._cold_cursor,
+                self._pending_kind,
+                self._pending_site,
+            )
             if n_groups > 1 and rng.random() >= params.request_self_transition:
                 # Leave the current type; pick uniformly among the others.
                 offset = rng.randrange(n_groups - 1)
-                current_group = (current_group + 1 + offset) % n_groups
+                self._group = (self._group + 1 + offset) % n_groups
+            current_group = self._group
             group = program.groups[current_group]
             # Request entry: the group root via the global dispatch site.
             root = group.roots[rng.randrange(len(group.roots))]
@@ -365,15 +479,14 @@ def generate_trace(
     params: WalkParams,
     seed: int = 0,
     name: str = "synthetic",
+    walk: Optional[Walk] = None,
 ) -> Trace:
-    """Walk ``program`` and return the resulting fetch-record trace."""
-    walker = _Walker(program, params, seed)
-    walker.run()
-    return Trace(
-        name=name,
-        blocks=np.asarray(walker.blocks, dtype=np.int64),
-        instrs=np.asarray(walker.instrs, dtype=np.uint8),
-        branch_kind=np.asarray(walker.kinds, dtype=np.uint8),
-        branch_site=np.asarray(walker.sites, dtype=np.int64),
-        seed=seed,
-    )
+    """Walk ``program`` and return the resulting fetch-record trace.
+
+    ``walk``, when given, is a :class:`Walk` of this same program, params
+    and seed, shared between calls: the trace is cut from it, and the
+    walk is resumed first only when it is too short.
+    """
+    if walk is None:
+        walk = Walk(program, params, seed)
+    return walk.trace(params.target_records, name)

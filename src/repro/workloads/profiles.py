@@ -25,10 +25,13 @@ profile so benches can print paper-vs-measured side by side.
 
 from __future__ import annotations
 
+import os
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, replace
-from typing import Dict, Optional
+from typing import Dict, Optional, Union
 
-from repro.workloads.generator import WalkParams, generate_trace
+from repro.workloads.generator import Walk, WalkParams, generate_trace
 from repro.workloads.program import ProgramShape, build_program
 from repro.workloads.trace import Trace, cached_trace
 
@@ -51,17 +54,71 @@ class WorkloadProfile:
     def trace(
         self, records: Optional[int] = None, seed: Optional[int] = None
     ) -> Trace:
-        """Build (or load from cache) this profile's trace."""
+        """Build (or load from cache) this profile's trace.
+
+        Every length is a prefix of one walk per (profile, seed): it
+        ends at the first request entry at or past ``records`` (or at
+        the walk's emission limit), see :mod:`repro.workloads.generator`.
+        A disk-cache miss builds the trace through :data:`_walks`, so a
+        process that asks for several lengths walks once and cuts, and
+        only grows the walk when a longer length needs it.
+        """
         records = records or self.walk.target_records
         seed = self.seed if seed is None else seed
         key = f"{self.name}-r{records}-s{seed}"
 
         def build() -> Trace:
-            program = build_program(self.shape, seed=seed)
             params = replace(self.walk, target_records=records)
-            return generate_trace(program, params, seed=seed + 1, name=self.name)
+            memo_key = (self, seed)
+            with _walks_lock:
+                walk = _walks.get(memo_key)
+                if isinstance(walk, Walk):
+                    _walks.move_to_end(memo_key)
+                    program = walk.program
+                else:
+                    # ``walk`` is the one length asked before, or None.
+                    # The first length keeps no walk; a second, different
+                    # one starts the shared walk.
+                    program = build_program(self.shape, seed=seed)
+                    if walk is None or walk == records:
+                        walk = None
+                        _remember_walk(memo_key, records)
+                    else:
+                        walk = Walk(program, params, seed + 1)
+                        _remember_walk(memo_key, walk)
+                return generate_trace(
+                    program, params, seed=seed + 1, name=self.name, walk=walk
+                )
 
         return cached_trace(key, build)
+
+
+#: Per-process walk memo, by (profile, seed), in LRU order: a
+#: :class:`Walk` for profiles asked for at two or more lengths, just the
+#: length for profiles asked for at one (a sweep worker asks each
+#: workload at one length, and keeps no walk).  A walk holds 18 bytes
+#: per walked record, which the traces cut from it view.
+_walks: "OrderedDict[tuple, Union[int, Walk]]" = OrderedDict()
+_WALKS_CAP = 16
+#: Sweep-service simulation threads build traces concurrently.
+_walks_lock = threading.Lock()
+
+
+def _remember_walk(key: tuple, entry: Union[int, Walk]) -> None:
+    _walks[key] = entry
+    _walks.move_to_end(key)
+    while len(_walks) > _WALKS_CAP:
+        _walks.popitem(last=False)
+
+
+def _new_walks_lock() -> None:
+    # A fork while another thread holds the lock would hand the child a
+    # lock nobody will release.
+    global _walks_lock
+    _walks_lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_new_walks_lock)
 
 
 def _dc(

@@ -39,7 +39,7 @@ from repro.service.protocol import (
     pair_token,
     parse_sweep_request,
 )
-from repro.service.server import ServiceConfig, ServiceThread
+from repro.service.server import RUNNER_POOL_CAP, ServiceConfig, ServiceThread
 from repro.uarch.params import DEFAULT_MACHINE
 
 RECORDS = 2_000
@@ -295,6 +295,24 @@ class TestServer:
             Runner(records=RECORDS).sweep(WORKLOADS, SCHEMES)
             warm = client.sweep(WORKLOADS, SCHEMES)
             assert set(warm["sources"].values()) == {"warm"}
+
+    def test_runner_pool_stays_bounded(self, service, tmp_path, monkeypatch):
+        """More distinct configurations than the pool holds: the pool
+        stays bounded, responses stay exact, and an evicted
+        configuration is served warm from the disk result cache."""
+        for var in ("REPRO_TRACE_CACHE", "REPRO_PLAN_CACHE"):
+            monkeypatch.setenv(var, str(tmp_path / var.lower()))
+        grid = (("x264",), ("lru",))
+        counts = [RECORDS + i for i in range(RUNNER_POOL_CAP + 2)]
+        for records in counts:
+            response = service.sweep(*grid, records=records)
+            assert response["results"] == _direct(*grid, records=records)
+            assert set(response["sources"].values()) == {"simulated"}
+            assert service.health()["runners"] <= RUNNER_POOL_CAP
+        evicted = counts[0]
+        again = service.sweep(*grid, records=evicted)
+        assert again["results"] == _direct(*grid, records=evicted)
+        assert set(again["sources"].values()) == {"warm"}
 
     def test_failed_sweep_returns_500_and_clears_inflight(self, service, monkeypatch):
         def poisoned(ctx):
