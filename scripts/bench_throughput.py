@@ -8,10 +8,12 @@ Usage::
         --schemes lru,acic --records 50000 --repeats 5
 
 Runs the fixed (workload, scheme, records, seed) grid from
-:mod:`repro.harness.throughput`, prints records/sec per scheme, writes
-the JSON snapshot at the repo root, and — when a previous snapshot on
-the same grid exists — prints the per-scheme speedup against it and
-whether the simulated scalars stayed bit-identical.
+:mod:`repro.harness.throughput`, prints records/sec and the calibrated
+rate (records per million iterations of a fixed calibration loop timed
+in the same process) per scheme, writes the JSON snapshot at the repo
+root, and — when a previous snapshot on the same grid exists — prints
+the per-scheme calibrated speedup against it and whether the simulated
+scalars stayed bit-identical.
 
 ``--check`` is the CI regression gate: it re-simulates the snapshot's
 own grid and exits non-zero on any scalar drift, without rewriting the
@@ -116,7 +118,10 @@ def main(argv: list[str] | None = None) -> int:
     delta = compare_reports(previous, report) if previous else {}
     for name in schemes:
         entry = report["schemes"][name]
-        line = f"  {name:12s} {entry['records_per_sec']:>12,.0f} records/sec"
+        line = (
+            f"  {name:15s} {entry['records_per_sec']:>10,.0f} records/sec"
+            f" {entry['records_per_mcal']:>8,.0f} records/Mcal"
+        )
         if name in delta:
             d = delta[name]
             tag = "identical" if d["scalars_identical"] else "CHANGED"

@@ -325,6 +325,24 @@ class FlatACICScheme:
         ic_stats.demand_hits += 1
         return True
 
+    def repeat_hits(self, block: int, count: int, last_t: int) -> None:
+        """``count`` more hits on the block the last lookup hit.
+
+        The block is already most recent where it sits and is already
+        ``_last_resolved_block``, so those lookups touch no CSHR entry
+        and move only the i-Filter or i-cache hit counters.
+        """
+        if_lines = self._if_lines
+        if if_lines is not None:
+            if_stats = self._if_stats
+            if_stats.lookups += count
+            if block in if_lines:
+                if_stats.hits += count
+                return
+        ic_stats = self._ic_stats
+        ic_stats.demand_accesses += count
+        ic_stats.demand_hits += count
+
     def fill(self, block: int, t: int, cycle: int) -> None:
         self._fill(block, t, cycle)
 

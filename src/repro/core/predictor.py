@@ -30,6 +30,8 @@ from typing import Deque, List, Tuple
 
 from repro.common.bitops import _GOLDEN64, _MASK64, fold_hash, mask
 
+_NEVER = float("inf")
+
 
 @dataclass
 class AdmissionStats:
@@ -119,10 +121,10 @@ class TwoLevelAdmissionPredictor(AdmissionPredictor):
             deque() for _ in range(1 << history_bits)
         ]
         # Hot-path precomputation: the fold_hash shift (inlined in
-        # predict/train) and a count of queued-but-unapplied PT updates
-        # so predict can skip the all-queues drain walk when idle.
+        # predict/train) and the earliest ready cycle among the queue
+        # heads, so predict walks the queues only once an update is due.
         self._hash_shift = 64 - self.hrt_bits
-        self._queued = 0
+        self._next_due = _NEVER
         self.stats = AdmissionStats()
 
     # -- indexing -------------------------------------------------------------
@@ -138,25 +140,28 @@ class TwoLevelAdmissionPredictor(AdmissionPredictor):
 
         One update per PT entry retires per cycle; our event-driven
         caller may advance many cycles between calls, so we drain every
-        ready update.
+        ready update.  Afterwards ``_next_due`` is the earliest head left.
         """
         pt = self.pt
         counter_max = self.counter_max
+        next_due = _NEVER
         for idx, queue in enumerate(self._queues):
             while queue and queue[0][0] <= now:
                 _, up = queue.popleft()
-                self._queued -= 1
                 value = pt[idx]
                 if up:
                     if value < counter_max:
                         pt[idx] = value + 1
                 elif value > 0:
                     pt[idx] = value - 1
+            if queue and queue[0][0] < next_due:
+                next_due = queue[0][0]
+        self._next_due = next_due
 
     # -- AdmissionPredictor interface -----------------------------------------------
 
     def predict(self, victim_ptag: int, now: int = 0) -> bool:
-        if self._queued and self.update_mode == "parallel":
+        if now >= self._next_due:
             self._drain(now)
         self.stats.predictions += 1
         history = self.hrt[
@@ -186,8 +191,9 @@ class TwoLevelAdmissionPredictor(AdmissionPredictor):
                 # Visibility delayed by the HRT-then-PT pipeline plus any
                 # queue backlog (one retire per cycle per entry).
                 ready = now + self.update_latency + len(queue)
+                if not queue and ready < self._next_due:
+                    self._next_due = ready  # a new queue head
                 queue.append((ready, victim_won))
-                self._queued += 1
         # History shifts after its value was handed to the PT updater.
         self.hrt[hrt_index] = (
             (history << 1) | (1 if victim_won else 0)
@@ -198,10 +204,16 @@ class TwoLevelAdmissionPredictor(AdmissionPredictor):
         self.pt = [self.threshold] * len(self.pt)
         for queue in self._queues:
             queue.clear()
-        self._queued = 0
+        self._next_due = _NEVER
         self.stats = AdmissionStats()
 
-    _STATE_ATTRS = ("hrt", "pt", "_queues", "_queued")
+    _STATE_ATTRS = ("hrt", "pt", "_queues")
+
+    def load_state(self, state: dict) -> None:
+        super().load_state(state)
+        self._next_due = min(
+            (queue[0][0] for queue in self._queues if queue), default=_NEVER
+        )
 
 
 class GlobalHistoryAdmissionPredictor(AdmissionPredictor):

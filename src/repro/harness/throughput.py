@@ -9,7 +9,13 @@ so the perf trajectory is comparable across PRs, and snapshots it to
 
 The measurement is deliberately simple — best-of-N wall-clock of a
 fresh, uncached simulation — because the quantity tracked is the
-engine's single-run throughput, not cache behaviour.  The per-scheme
+engine's single-run throughput, not cache behaviour.  A shared host's
+speed drifts between runs, so every row also times a fixed pure-Python
+calibration loop in the same process, between its repeats
+(``calibration_ns``, best per-iteration time), and reports
+``records_per_mcal``: records simulated in the time of one million
+calibration iterations.  A slower host slows both alike, so that
+calibrated rate is what :func:`compare_reports` compares.  The per-scheme
 ``scalars`` in the report double as a regression oracle: an engine
 change that alters them changed simulated behaviour, not just speed
 (``scripts/bench_throughput.py --check`` re-simulates the grid and
@@ -91,6 +97,33 @@ SCALAR_FIELDS = (
 )
 
 
+#: Iterations per timed calibration round (a few tens of milliseconds).
+CALIBRATION_ITERATIONS = 100_000
+
+
+def _calibration_loop(iterations: int) -> int:
+    """Fixed interpreter work shaped like the engine's loop body."""
+    table = list(range(64))
+    resident = dict.fromkeys(range(0, 64, 3))
+    acc = 0.0
+    hits = 0
+    for i in range(iterations):
+        key = i & 63
+        if key in resident:
+            hits += 1
+        acc += table[key] * 0.5
+        if acc > 1e6:
+            acc = 0.0
+    return hits
+
+
+def calibration_ns() -> float:
+    """Nanoseconds per calibration-loop iteration, one timed round."""
+    start = time.perf_counter()
+    _calibration_loop(CALIBRATION_ITERATIONS)
+    return 1e9 * (time.perf_counter() - start) / CALIBRATION_ITERATIONS
+
+
 @dataclass
 class ThroughputSample:
     """Best-of-N timing of one scheme over one trace."""
@@ -100,6 +133,12 @@ class ThroughputSample:
     seconds: float
     records_per_sec: float
     scalars: Dict[str, float] = field(default_factory=dict)
+    calibration_ns: float = 0.0
+
+    @property
+    def records_per_mcal(self) -> float:
+        """Records simulated in the time of 1e6 calibration iterations."""
+        return self.records_per_sec * self.calibration_ns / 1e3
 
 
 def measure_scheme(
@@ -111,6 +150,9 @@ def measure_scheme(
     plan: Optional[FrontendPlan] = None,
 ) -> ThroughputSample:
     """Time ``repeats`` fresh simulations of ``scheme_spec``; keep the best.
+
+    A calibration round runs before every repeat; the best of those is
+    the sample's ``calibration_ns``.
 
     ``scheme_spec`` may carry its own prefetcher (``"lru+entangling"``);
     otherwise ``prefetcher`` applies.  Every repeat rebuilds the scheme
@@ -128,8 +170,12 @@ def measure_scheme(
     if plan is None and plannable(prefetcher):
         plan = build_plan(trace, machine, prefetcher)
     best = None
+    calibration = None
     result = None
     for _ in range(repeats):
+        ns = calibration_ns()
+        if calibration is None or ns < calibration:
+            calibration = ns
         scheme = make_scheme(scheme_name, ctx)
         if plan is not None:
             start = time.perf_counter()
@@ -149,6 +195,7 @@ def measure_scheme(
         seconds=best,
         records_per_sec=len(trace) / best if best else 0.0,
         scalars=scalars,
+        calibration_ns=calibration,
     )
 
 
@@ -227,6 +274,8 @@ def measure_grid(
             name: {
                 "records_per_sec": round(s.records_per_sec, 1),
                 "seconds": round(s.seconds, 6),
+                "calibration_ns": round(s.calibration_ns, 3),
+                "records_per_mcal": round(s.records_per_mcal, 1),
                 "scalars": s.scalars,
             }
             for name, s in samples.items()
@@ -261,7 +310,9 @@ def compare_reports(
     """Per-scheme throughput ratio and scalar drift between two reports.
 
     Only schemes measured on the same (workload, records, prefetcher)
-    grid are comparable; mismatched grids return an empty dict.
+    grid are comparable; mismatched grids return an empty dict.  The
+    ratio compares calibrated rates (``records_per_mcal``); a row that
+    predates calibration on either side falls back to raw records/sec.
     """
     same_grid = all(
         old.get(k) == new.get(k) for k in ("workload", "records", "prefetcher")
@@ -273,11 +324,12 @@ def compare_reports(
         before = old["schemes"].get(name)
         if before is None:
             continue
-        ratio = (
-            entry["records_per_sec"] / before["records_per_sec"]
-            if before["records_per_sec"]
-            else 0.0
+        key = (
+            "records_per_mcal"
+            if "records_per_mcal" in entry and "records_per_mcal" in before
+            else "records_per_sec"
         )
+        ratio = entry[key] / before[key] if before[key] else 0.0
         out[name] = {
             "speedup": round(ratio, 3),
             "scalars_identical": entry["scalars"] == before["scalars"],

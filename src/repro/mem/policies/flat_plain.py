@@ -172,9 +172,15 @@ class FlatLRUScheme(_FlatPlainScheme):
             lines[block] = None
             pfills += 1
 
+        def repeat_hits(block, count, last_t):
+            # The block is already MRU: only the hit counter moves.
+            nonlocal hits
+            hits += count
+
         self.lookup = lookup
         self.fill = fill
         self.prefetch_fill = prefetch_fill
+        self.repeat_hits = repeat_hits
         self._flush = flush
 
 
@@ -258,9 +264,16 @@ class FlatOPTScheme(_FlatPlainScheme):
             lines[block] = when
             pfills += 1
 
+        def repeat_hits(block, count, last_t):
+            # The block is already MRU; only the last hit's next use sticks.
+            nonlocal hits
+            lines_by_set[block & set_mask][block] = next_use_at[last_t]
+            hits += count
+
         self.lookup = lookup
         self.fill = fill
         self.prefetch_fill = prefetch_fill
+        self.repeat_hits = repeat_hits
         self._flush = flush
 
     # -- checkpoint/resume ---------------------------------------------------

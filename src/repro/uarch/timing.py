@@ -30,7 +30,26 @@ if TYPE_CHECKING:  # avoid an import cycle at runtime
 
 
 class L1IScheme(Protocol):
-    """The instruction-supply scheme under test."""
+    """The instruction-supply scheme under test.
+
+    Beyond the four required methods, the engine looks up three
+    optional hooks with ``getattr`` and skips any a scheme lacks:
+
+    * ``prepare_trace(trace)`` — called once before the record loop of
+      every (possibly resumed) run; must be pure and idempotent.
+    * ``finish_trace()`` — called once after the record loop; flushes
+      any counters the scheme defers (``save_state`` flushes them at
+      checkpoints instead).
+    * ``repeat_hits(block, count, last_t)`` — stands in for ``count``
+      further ``lookup(block, t, cycle)`` calls, the last at record
+      ``last_t``.  The planned loop calls it only when ``block`` hit on
+      its latest real ``lookup`` and the scheme has seen no other call
+      since, so each of those lookups is a known hit on the block that
+      is already most recent.  The hook must leave the scheme exactly
+      as those lookups would (same ``save_state()``).  Define it only
+      where such a repeat is pure bookkeeping; a scheme that trains on
+      every hit leaves it out and keeps one lookup per record.
+    """
 
     name: str
 
@@ -199,6 +218,28 @@ def simulate(
     ``plan.cand_lo/cand_hi`` spans over the trace's own blocks (FDP
     run-ahead only ever walks the future fetch path).
 
+    The planned loop calls the scheme and the MSHR file only when their
+    answer can have changed.  Fetch is bursty: most records repeat the
+    previous record's block.  Two skip rules, each exact by
+    construction:
+
+    * **Repeat-hit batching** (schemes with a ``repeat_hits`` hook).
+      When record ``i`` fetches the block whose latest real ``lookup``
+      hit, and the engine has made no scheme call since (no drain
+      delivered a fill, so no ``prefetch_fill``; no miss, so no
+      ``fill``; candidate probes only call the pure ``contains``), the
+      lookup is a known hit on the most recent block.  The engine
+      skips it and hands the whole run to ``repeat_hits`` in one call
+      before the next scheme call, checkpoint capture or
+      ``finish_trace``.
+    * **Probe de-duplication.**  A probed candidate ends up in the MSHR
+      file or in the scheme.  Only a delivering drain, a miss (fill,
+      cancel) or a real ``lookup`` can take it out of both; allocating
+      other candidates never removes an entry.  So while records are
+      batched repeats with no delivering drain, a single-candidate span
+      equal to the last probed candidate would ``continue``, and the
+      engine skips it.
+
     Checkpoint/resume (``tests/test_checkpoint.py`` pins chunked runs
     bit-identical to single-pass; the shard ledger in
     :mod:`repro.harness.shards` persists the captures): with
@@ -290,6 +331,17 @@ def simulate(
     scheme_fill = scheme.fill
     scheme_prefetch_fill = scheme.prefetch_fill
     scheme_contains = scheme.contains
+    scheme_repeat_hits = getattr(scheme, "repeat_hits", None)
+    batching = scheme_repeat_hits is not None
+    # Planned-loop skip state: the block whose last real lookup hit with
+    # no scheme call since (-1: none), and the last single candidate
+    # probed with nothing removed since (-1: none; every real lookup
+    # resets it, and a record that drains a fill always makes one).
+    # Every record between two real lookups is a batched repeat, so the
+    # batch not yet handed to the scheme is always records
+    # ``run_from .. i-1``.
+    hit_block = probed = -1
+    run_from = start if plan is not None else n
 
     if checkpoint_every > 0:
         # Next absolute multiple strictly past the starting record.
@@ -392,6 +444,10 @@ def simulate(
     for i in range(start, n) if plan is not None else ():
         if i == next_ckpt:
             next_ckpt += checkpoint_every
+            if i > run_from:
+                scheme_repeat_hits(hit_block, i - run_from, i - 1)
+            run_from = i
+            hit_block = -1
             state = _capture("planned", i, (
                 cycles, queue, demand_misses, late_prefetch,
                 prefetches_issued, instructions, base_cycles, base_misses,
@@ -422,50 +478,78 @@ def simulate(
         elif queue < 0.0:
             queue = 0.0
 
-        icycles = int(cycles)
-
+        # ``int(cycles)`` only where a scheme call takes it: a batched
+        # repeat makes none.
         if next_ready <= cycles:
-            for done in mshr_drain(cycles):
-                scheme_prefetch_fill(done, i, icycles)
+            arrived = mshr_drain(cycles)
+            if arrived:
+                if i > run_from:
+                    scheme_repeat_hits(hit_block, i - run_from, i - 1)
+                run_from = i
+                hit_block = -1
+                icycles = int(cycles)
+                for done in arrived:
+                    scheme_prefetch_fill(done, i, icycles)
             next_ready = mshr.next_ready
 
-        if not scheme_lookup(block, i, icycles):
-            demand_misses += 1
-            ready = mshr_ready_cycle(block)
-            if ready is not None:
-                mshr_cancel(block)
-                latency = ready - cycles
-                if latency < 0.0:
-                    latency = 0.0
-                late_prefetch += 1
+        if block != hit_block:
+            if i > run_from:
+                scheme_repeat_hits(hit_block, i - run_from, i - 1)
+            run_from = i + 1
+            probed = -1
+            if scheme_lookup(block, i, int(cycles)):
+                if batching:
+                    hit_block = block
             else:
-                latency = float(hierarchy_access(block, i))
-            stall = latency - queue / backend_ipc
-            if stall > 0.0:
-                cycles += stall
-            queue -= latency * backend_ipc
-            if queue < 0.0:
-                queue = 0.0
-            icycles = int(cycles)
-            scheme_fill(block, i, icycles)
-            # Mirror of the live path: surface fills completed during the
-            # stall before the candidate loop can re-request their blocks.
-            if next_ready <= cycles:
-                for done in mshr_drain(cycles):
-                    scheme_prefetch_fill(done, i, icycles)
-                next_ready = mshr.next_ready
+                hit_block = -1
+                demand_misses += 1
+                ready = mshr_ready_cycle(block)
+                if ready is not None:
+                    mshr_cancel(block)
+                    latency = ready - cycles
+                    if latency < 0.0:
+                        latency = 0.0
+                    late_prefetch += 1
+                else:
+                    latency = float(hierarchy_access(block, i))
+                stall = latency - queue / backend_ipc
+                if stall > 0.0:
+                    cycles += stall
+                queue -= latency * backend_ipc
+                if queue < 0.0:
+                    queue = 0.0
+                icycles = int(cycles)
+                scheme_fill(block, i, icycles)
+                # Mirror of the live path: surface fills completed during
+                # the stall before the candidate loop can re-request them.
+                if next_ready <= cycles:
+                    for done in mshr_drain(cycles):
+                        scheme_prefetch_fill(done, i, icycles)
+                    next_ready = mshr.next_ready
 
         lo = cand_lo[i]
         hi = cand_hi[i]
         if lo < hi:
-            for candidate in blocks[lo:hi]:
-                if mshr_contains(candidate) or scheme_contains(candidate):
-                    continue
-                latency = float(hierarchy_access(candidate, i))
-                ready = mshr_allocate(candidate, cycles + latency, cycles)
-                if ready < next_ready:
-                    next_ready = ready
-                prefetches_issued += 1
+            if hi - lo > 1:
+                for candidate in blocks[lo:hi]:
+                    if mshr_contains(candidate) or scheme_contains(candidate):
+                        continue
+                    latency = float(hierarchy_access(candidate, i))
+                    ready = mshr_allocate(candidate, cycles + latency, cycles)
+                    if ready < next_ready:
+                        next_ready = ready
+                    prefetches_issued += 1
+            elif blocks[lo] != probed:
+                candidate = probed = blocks[lo]
+                if not (mshr_contains(candidate) or scheme_contains(candidate)):
+                    latency = float(hierarchy_access(candidate, i))
+                    ready = mshr_allocate(candidate, cycles + latency, cycles)
+                    if ready < next_ready:
+                        next_ready = ready
+                    prefetches_issued += 1
+
+    if run_from < n:
+        scheme_repeat_hits(hit_block, n - run_from, n - 1)
 
     # Schemes that defer counter updates into their fused hot path flush
     # them here (checkpoint captures flush inside save_state instead).

@@ -1,5 +1,7 @@
 """Tests for the ACIC core: i-Filter, CSHR, predictors, controller."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -209,6 +211,66 @@ class TestTwoLevelPredictor:
         for o in outcomes:
             p.train(0x1, o)
         assert all(0 <= v <= p.counter_max for v in p.pt)
+
+
+def _walk_all_queues(p, now):
+    """The ungated drain: walk every PT queue, apply what is due by ``now``."""
+    for idx, queue in enumerate(p._queues):
+        while queue and queue[0][0] <= now:
+            _, up = queue.popleft()
+            if up:
+                p.pt[idx] = min(p.pt[idx] + 1, p.counter_max)
+            else:
+                p.pt[idx] = max(p.pt[idx] - 1, 0)
+
+
+class TestGatedQueueDrain:
+    """``predict`` drains only once the earliest queue head is due, and
+    that matches walking all 16 queues on every prediction."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_full_walk_at_random_now(self, seed):
+        rng = random.Random(seed)
+        gated = TwoLevelAdmissionPredictor(queue_slots=4, update_latency=3)
+        full = TwoLevelAdmissionPredictor(queue_slots=4, update_latency=3)
+        refills = 0
+        now = 0
+        for step in range(3000):
+            # Bursts of training, quiet gaps and an occasional step back
+            # in time (callers need not be monotonic).
+            now = max(0, now + rng.choice((0, 1, 1, 2, 5, 40, -6)))
+            tag = rng.randrange(64)
+            if rng.random() < 0.5:
+                won = rng.random() < 0.6
+                emptied = [not q for q in full._queues]
+                gated.train(tag, won, now)
+                full.train(tag, won, now)
+                refills += sum(
+                    1 for was_empty, q in zip(emptied, full._queues)
+                    if was_empty and q
+                )
+            else:
+                _walk_all_queues(full, now)
+                want = full.pt[full.hrt[full._hrt_index(tag)]] >= full.threshold
+                assert gated.predict(tag, now) == want, step
+                assert gated.pt == full.pt, step
+                assert [list(q) for q in gated._queues] == [
+                    list(q) for q in full._queues
+                ], step
+        assert refills > 100, "queues never refilled after draining"
+
+    def test_next_due_survives_checkpoint(self):
+        p = TwoLevelAdmissionPredictor(update_latency=5)
+        for now, tag in enumerate((1, 2, 3, 1)):
+            p.train(tag, True, now)
+        state = p.save_state()
+        q = TwoLevelAdmissionPredictor(update_latency=5)
+        q.load_state(state)
+        assert q._next_due == p._next_due == 5
+        q.predict(9, now=4)
+        assert q.pt == p.pt  # nothing due yet
+        q.predict(9, now=100)
+        assert not any(q._queues) and q._next_due == float("inf")
 
 
 class TestPredictorVariants:

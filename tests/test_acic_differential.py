@@ -14,6 +14,9 @@ require bit-for-bit agreement —
   tiny geometries;
 * :class:`~repro.core.cshr.FlatCSHR` against the readable ``CSHR``
   directly;
+* ``repeat_hits`` against the per-record lookups it stands in for, with
+  the block in the i-Filter, in the i-cache and right after a CSHR
+  resolution, across the ablations that change where a hit lands;
 * full plan-driven ``simulate()`` runs of every registered ``acic-*``
   variant on a 20k-record grid, flat vs naive (the naive one built by
   the registry inside :func:`reference.readable_registry`), comparing
@@ -26,6 +29,7 @@ import random
 
 import pytest
 
+from repro.common.bitops import L1I_SET_BITS
 from repro.core.cshr import FlatCSHR
 from repro.core.flat import FlatACICScheme
 from repro.core.predictor import (
@@ -41,6 +45,7 @@ from repro.uarch.timing import simulate
 from repro.workloads.profiles import get_workload
 from reference import readable_registry
 from reference.acic import CSHR, ACICScheme
+from reference.batching import lockstep_batched
 
 SCALARS = (
     "instructions",
@@ -250,6 +255,123 @@ class TestScheduleDifferential:
                 naive.prefetch_fill(block, t, t)
                 flat.prefetch_fill(block, t, t)
         assert scheme_state(naive) == scheme_state(flat)
+
+
+#: Constructor kwargs of the variants whose hits land differently:
+#: default, no i-Filter, audited, instant predictor updates.
+REPEAT_VARIANTS = {
+    "acic": lambda oracle: dict(icache_config=TINY_ICACHE, ifilter_slots=4),
+    "acic-nofilter": lambda oracle: dict(
+        icache_config=TINY_ICACHE, use_ifilter=False
+    ),
+    "acic-audit": lambda oracle: dict(
+        icache_config=TINY_ICACHE, ifilter_slots=4, audit_oracle=oracle
+    ),
+    "acic-instant": lambda oracle: dict(
+        icache_config=TINY_ICACHE,
+        ifilter_slots=4,
+        predictor=TwoLevelAdmissionPredictor(update_mode="instant"),
+    ),
+}
+
+
+def _drive_schedule(scheme, schedule):
+    for op, block, t in schedule:
+        if op == "contains":
+            scheme.contains(block)
+        else:
+            getattr(scheme, op)(block, t, t)
+
+
+def _pending_in_cshr(scheme, block):
+    """True when ``block``'s tag waits in its CSHR set (a lookup resolves it)."""
+    si = (block & scheme._ic_set_mask) >> scheme._cshr_shift
+    tag = (block >> L1I_SET_BITS) & scheme._cshr_tag_mask
+    return tag in scheme._cshr_vt[si] or tag in scheme._cshr_ct[si]
+
+
+def _pick_block(scheme, where):
+    """A resident block sitting ``where``, other than the last looked up.
+
+    ``where`` is ``ifilter`` or ``icache`` (no comparison pending for
+    the block), or ``cshr`` (anywhere, with one pending).
+    """
+    last = scheme._last_resolved_block
+    if_lines = scheme._if_lines or {}
+    if where == "ifilter":
+        resident = list(if_lines)
+    elif where == "icache":
+        resident = [
+            b for lines in scheme._ic_lines for b in lines if b not in if_lines
+        ]
+    else:
+        resident = [b for b in range(96) if scheme.contains(b)]
+    for block in resident:
+        if block != last and _pending_in_cshr(scheme, block) == (where == "cshr"):
+            return block
+    return None
+
+
+class TestRepeatHits:
+    """``repeat_hits`` equals the per-record lookups it stands in for."""
+
+    @pytest.mark.parametrize("variant", sorted(REPEAT_VARIANTS))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_batched_lockstep(self, variant, seed):
+        schedule = random_schedule(seed, length=2400)
+        oracle = NextUseOracle([block for _, block, _ in schedule])
+        real, batched = (
+            FlatACICScheme(**REPEAT_VARIANTS[variant](oracle)) for _ in "ab"
+        )
+        where = set()
+
+        def check(a, b, block, count):
+            if_lines = b._if_lines
+            where.add("ifilter" if if_lines and block in if_lines else "icache")
+            assert scheme_state(a) == scheme_state(b), (block, count)
+            assert a.save_state() == b.save_state(), (block, count)
+
+        steps = ((op, block, t, t) for op, block, t in schedule)
+        runs = lockstep_batched(real, batched, steps, check)
+        assert len(runs) > 20
+        assert where == ({"icache"} if variant == "acic-nofilter" else {"ifilter", "icache"})
+
+    @pytest.mark.parametrize(
+        "variant,where",
+        [
+            (variant, where)
+            for variant in sorted(REPEAT_VARIANTS)
+            for where in ("ifilter", "icache", "cshr")
+            if (variant, where) != ("acic-nofilter", "ifilter")
+        ],
+    )
+    def test_repeat_after_first_lookup(self, variant, where):
+        """Directed: a real lookup that hits ``where`` (for ``cshr``:
+        resolving a pending comparison), then 9 more lookups vs one
+        ``repeat_hits``."""
+        for seed in range(40):
+            schedule = random_schedule(seed)
+            oracle = NextUseOracle([block for _, block, _ in schedule])
+            pair = [
+                FlatACICScheme(**REPEAT_VARIANTS[variant](oracle))
+                for _ in range(2)
+            ]
+            for scheme in pair:
+                _drive_schedule(scheme, schedule)
+            block = _pick_block(pair[0], where)
+            if block is not None:
+                break
+        assert block is not None, f"no schedule leaves a block in {where}"
+        t0 = schedule[-1][2] + 1
+        resolved = pair[0].cshr.stats.resolutions
+        for scheme in pair:
+            assert scheme.lookup(block, t0, t0)
+        assert (pair[0].cshr.stats.resolutions > resolved) == (where == "cshr")
+        for t in range(t0 + 1, t0 + 10):
+            assert pair[0].lookup(block, t, t)
+        pair[1].repeat_hits(block, 9, t0 + 9)
+        assert scheme_state(pair[0]) == scheme_state(pair[1])
+        assert pair[0].save_state() == pair[1].save_state()
 
 
 class TestFlatCSHRDifferential:

@@ -29,6 +29,7 @@ from repro.harness.shards import ledger_for, shards_dir
 from repro.uarch.params import DEFAULT_MACHINE
 from repro.uarch.timing import simulate
 from repro.workloads.profiles import get_workload
+from reference.batching import ordered
 
 RECORDS = 6_000
 WORKLOAD = "media-streaming"
@@ -414,3 +415,56 @@ class TestCadenceEdgeCases:
         )
         assert _scalars(windowed.run) == _scalars(plain.run)
         assert not list(shards_dir().glob("*"))
+
+
+class TestRepeatRunBoundaries:
+    """Checkpoints that land inside repeat-hit runs.
+
+    Most records fetch the previous record's block, so cadences of 7 and
+    13 put many captures in the middle of a run the planned loop is
+    batching into one ``repeat_hits`` call.  The batch must reach the
+    scheme before each capture: chunked and watched-but-unstopped runs
+    equal one undisturbed pass in scalars and in final scheme state.
+    """
+
+    RECORDS = 2_000
+
+    @pytest.fixture(scope="class")
+    def short(self):
+        trace = get_workload(WORKLOAD).trace(records=self.RECORDS)
+        return trace, SchemeContext(trace=trace, machine=DEFAULT_MACHINE)
+
+    @pytest.mark.parametrize("every", (7, 13))
+    @pytest.mark.parametrize("name", ("lru", "opt", "acic"))
+    def test_chunked_inside_repeat_runs(self, name, every, short):
+        trace, context = short
+        blocks = trace.blocks_list
+        inside = [
+            i for i in range(every, len(trace), every) if blocks[i] == blocks[i - 1]
+        ]
+        assert len(inside) > 20, "cadence never lands inside a repeat run"
+
+        plan = cached_plan(trace, DEFAULT_MACHINE, "fdp")
+        single = simulate(
+            trace, make_scheme(name, context), machine=DEFAULT_MACHINE, plan=plan
+        )
+        chunked = _run_chunked(
+            trace,
+            lambda: dict(plan=plan),
+            lambda: make_scheme(name, context),
+            every=every,
+        )
+        captures = []
+        watched = simulate(
+            trace,
+            make_scheme(name, context),
+            machine=DEFAULT_MACHINE,
+            plan=plan,
+            checkpoint_every=every,
+            on_checkpoint=lambda s: captures.append(s["next_record"]),
+        )
+        assert len(captures) == (len(trace) - 1) // every
+        want = ordered(single.scheme.save_state())
+        for run in (chunked, watched):
+            assert _scalars(run) == _scalars(single)
+            assert ordered(run.scheme.save_state()) == want

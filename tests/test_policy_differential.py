@@ -15,6 +15,9 @@ four ways:
   runs with prefetch fills of blocks never used again, against an
   oracle decoupled from the schedule (finite next-use ties), and
   through directed tie and ``incoming == furthest`` bypass cases;
+* **repeat hits** — ``repeat_hits`` on the LRU twin (all three
+  registered geometries) and the OPT twin leaves ``save_state()``
+  exactly as the per-record lookups it stands in for would;
 * **deferred state** — the stats counters and GHRP's GHR accumulate in
   closure cells mid-run and must flush exactly at ``finish_trace`` and
   ``save_state``;
@@ -54,7 +57,12 @@ from repro.mem.policies.flat_plain import FlatLRUScheme, FlatOPTScheme
 from repro.mem.policies.ghrp import GHRPPolicy
 from repro.mem.policies.hawkeye import HawkeyePolicy, _OPTgen
 from repro.mem.oracle import NextUseOracle
-from repro.uarch.params import DEFAULT_MACHINE
+from repro.uarch.params import (
+    BASELINE_L1I,
+    DEFAULT_MACHINE,
+    LARGER_L1I_36K,
+    LARGER_L1I_40K,
+)
 from repro.workloads.profiles import get_workload
 from reference import (
     readable_ghrp,
@@ -63,6 +71,7 @@ from reference import (
     readable_opt,
     readable_registry,
 )
+from reference.batching import lockstep_batched
 
 #: Tiny geometry (8 sets x 4 ways) so sets fill, evict and prune hard.
 CONFIG = CacheConfig(4 * 64 * 8, 4, name="L1i")
@@ -394,6 +403,49 @@ class TestDeferredCounters:
         flat.finish_trace()
         for field in STATS_FIELDS:
             assert getattr(flat.icache.stats, field) == 0, field
+
+
+#: The registered geometries of the LRU twin (lru, 36kb-l1i, 40kb-l1i)
+#: and the OPT twin's, plus the tiny one that evicts hardest.
+REPEAT_CASES = (
+    ("lru", BASELINE_L1I),
+    ("lru", LARGER_L1I_36K),
+    ("lru", LARGER_L1I_40K),
+    ("opt", BASELINE_L1I),
+    ("lru", CONFIG),
+    ("opt", CONFIG),
+)
+
+
+class TestRepeatHits:
+    """``repeat_hits`` equals the per-record lookups it stands in for."""
+
+    @pytest.mark.parametrize(
+        "kind,config", REPEAT_CASES,
+        ids=[f"{kind}-{config.name}-{config.ways}w" for kind, config in REPEAT_CASES],
+    )
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_batched_lockstep(self, kind, config, seed):
+        # Four blocks per line: every set fills, evicts and re-misses.
+        ops = _schedule(seed, blocks=4 * config.num_blocks, ghosts=True)
+        oracle = _oracle_for(ops)
+        real, batched = _flat(kind, config, oracle), _flat(kind, config, oracle)
+        checked = []
+
+        def check(a, b, block, count):
+            if len(checked) < 50:
+                label = f"{kind} after {count} repeats of {block}"
+                state_a, state_b = a.save_state(), b.save_state()
+                _assert_same_state(state_a, state_b, label)
+                _assert_same_sets(state_a, state_b, label)
+            checked.append(count)
+
+        steps = ((op, block, t, t) for t, (op, block) in enumerate(ops))
+        runs = lockstep_batched(real, batched, steps, check)
+        assert len(runs) > 100 and max(count for _, count in runs) > 2
+        state_a, state_b = real.save_state(), batched.save_state()
+        _assert_same_state(state_a, state_b, f"{kind} final")
+        _assert_same_sets(state_a, state_b, f"{kind} final")
 
 
 RECORDS = 6_000

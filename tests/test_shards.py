@@ -348,6 +348,33 @@ class TestShardedStitching:
         assert _scalars(run) == plain_runs("acic")
         assert not list(shards_dir().glob("*"))
 
+    @pytest.mark.parametrize("scheme", ("lru", "opt", "acic"))
+    def test_resume_inside_repeat_run(self, scheme, context, trace, plain_runs):
+        """A window boundary mid-run of repeat-block hits: the batched
+        hits reach the scheme before the ledgered capture, and the
+        drained run resumes to the single-pass scalars."""
+        blocks = trace.blocks_list
+        window = next(
+            w for w in range(1_000, len(trace))
+            if blocks[w] == blocks[w - 1] == blocks[w - 2]
+        )
+        boundaries = []
+        with pytest.raises(DrainRequested):
+            _sharded(
+                scheme, context, window,
+                on_shard=lambda s, d, t: boundaries.append(d),
+                should_stop=lambda: bool(boundaries),
+            )
+        assert boundaries == [window]
+        resumed = []
+        run = _sharded(
+            scheme, context, window,
+            on_shard=lambda s, d, t: resumed.append(s),
+        )
+        assert resumed[0] == 2, "resume must skip the done shard"
+        assert _scalars(run) == plain_runs(scheme)
+        assert not list(shards_dir().glob("*"))
+
 
 class TestShardFaults:
     """The shard fault site: crash/corruption at window boundaries."""

@@ -42,6 +42,10 @@ def test_measure_scheme_sample():
     assert sample.records == len(trace)
     assert sample.seconds > 0
     assert sample.records_per_sec > 0
+    assert sample.calibration_ns > 0
+    assert sample.records_per_mcal == pytest.approx(
+        sample.records_per_sec * sample.calibration_ns / 1e3
+    )
     assert set(sample.scalars) == set(SCALAR_FIELDS)
 
 
@@ -76,6 +80,8 @@ class TestGridAndSnapshot:
         assert report["plan_seconds"] > 0
         for entry in report["schemes"].values():
             assert entry["records_per_sec"] > 0
+            assert entry["calibration_ns"] > 0
+            assert entry["records_per_mcal"] > 0
             assert set(entry["scalars"]) == set(SCALAR_FIELDS)
 
     def test_snapshot_roundtrip(self, report, tmp_path):
@@ -96,6 +102,28 @@ class TestGridAndSnapshot:
         for entry in out.values():
             assert entry["speedup"] == 1.0
             assert entry["scalars_identical"] is True
+
+    def test_compare_reports_uses_calibrated_rate(self, report):
+        """A host twice as slow halves both rates: no speedup reported."""
+        slow = json.loads(json.dumps(report))
+        for entry in slow["schemes"].values():
+            entry["records_per_sec"] /= 2
+            entry["calibration_ns"] *= 2
+        for entry in compare_reports(report, slow).values():
+            assert entry["speedup"] == 1.0
+        faster = json.loads(json.dumps(report))
+        for entry in faster["schemes"].values():
+            entry["records_per_mcal"] *= 1.5
+        for entry in compare_reports(report, faster).values():
+            assert entry["speedup"] == 1.5
+
+    def test_compare_reports_falls_back_to_raw_rate(self, report):
+        legacy = json.loads(json.dumps(report))
+        for entry in legacy["schemes"].values():
+            del entry["records_per_mcal"]
+            entry["records_per_sec"] /= 2
+        for entry in compare_reports(legacy, report).values():
+            assert entry["speedup"] == 2.0
 
     def test_compare_reports_rejects_mismatched_grid(self, report):
         other = dict(report, records=report["records"] * 2)
