@@ -6,8 +6,7 @@ so regressions in the simulator itself are visible.
 
 import pytest
 
-from repro.frontend.stack import BranchStack
-from repro.harness.experiment import build_prefetcher
+from repro.frontend.plan import cached_plan
 from repro.harness.schemes import SchemeContext, make_scheme
 from repro.uarch.params import DEFAULT_MACHINE
 from repro.uarch.timing import simulate
@@ -24,12 +23,11 @@ def bench_trace():
 @pytest.mark.parametrize("scheme_name", ["lru", "acic", "opt", "ghrp", "harmony"])
 def test_simulation_throughput(benchmark, bench_trace, scheme_name):
     ctx = SchemeContext(trace=bench_trace)
+    plan = cached_plan(bench_trace, DEFAULT_MACHINE, "fdp")
 
     def run_once():
         scheme = make_scheme(scheme_name, ctx)
-        stack = BranchStack(bench_trace)
-        prefetcher = build_prefetcher("fdp", bench_trace, stack, DEFAULT_MACHINE)
-        return simulate(bench_trace, scheme, prefetcher, stack, DEFAULT_MACHINE)
+        return simulate(bench_trace, scheme, machine=DEFAULT_MACHINE, plan=plan)
 
     result = benchmark.pedantic(run_once, rounds=3, iterations=1)
     assert result.accesses > 0

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from repro.core.flat import FlatACICScheme
 from repro.core.predictor import TwoLevelAdmissionPredictor
-from repro.frontend.stack import BranchStack
-from repro.harness.experiment import build_prefetcher
+from repro.frontend.plan import cached_plan
 from repro.harness.schemes import SchemeContext, make_scheme
 from repro.uarch.params import DEFAULT_MACHINE
 from repro.uarch.timing import simulate
@@ -56,7 +55,10 @@ def main() -> None:
             ),
         )
 
+    # 3. One FDP frontend plan (branch verdicts + run-ahead candidates),
+    #    shared by every scheme measured on this trace.
     ctx = SchemeContext(trace=trace)
+    plan = cached_plan(trace, DEFAULT_MACHINE, "fdp")
     results = {}
     for name, factory in (
         ("lru", lambda: make_scheme("lru", ctx)),
@@ -64,10 +66,8 @@ def main() -> None:
         ("acic (custom)", my_acic),
         ("opt", lambda: make_scheme("opt", ctx)),
     ):
-        stack = BranchStack(trace)
-        prefetcher = build_prefetcher("fdp", trace, stack, DEFAULT_MACHINE)
         results[name] = simulate(
-            trace, factory(), prefetcher, stack, DEFAULT_MACHINE
+            trace, factory(), machine=DEFAULT_MACHINE, plan=plan
         )
 
     baseline = results["lru"]

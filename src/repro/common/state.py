@@ -21,8 +21,8 @@ with a shared contract (enforced by ``tests/test_state_roundtrip.py``):
   method).  Compound components delegate to their children's
   ``load_state`` rather than replacing the child objects, for the same
   reason.
-* Externally-owned collaborators (the trace, the next-use oracle, a
-  shared BranchStack) are *not* part of a component's state: they are
+* Externally-owned collaborators (the trace, the next-use oracle, the
+  frontend plan) are *not* part of a component's state: they are
   reconstructed by the harness from the run configuration and must be
   identical by construction.
 

@@ -2,27 +2,19 @@
 
 The evaluation baseline couples the L1i with a fetch-directed
 prefetcher (FDP) driven by a BTB + TAGE stack; Section IV-H4 swaps in
-the entangling prefetcher.  Both are modelled here, along with the
-bimodal/gshare predictors used by ACIC's ablation variants.
+the entangling prefetcher.  The stack (:mod:`repro.frontend.stack`)
+and the FDP run-ahead are replayed once per trace into a
+:mod:`repro.frontend.plan`; the entangling prefetcher runs live in the
+timing engine.
 """
 
-from repro.frontend.branch_predictors import (
-    BimodalPredictor,
-    GsharePredictor,
-    TagePredictor,
-)
+from repro.frontend.branch_predictors import BimodalPredictor, TagePredictor
 from repro.frontend.btb import BranchTargetBuffer
 from repro.frontend.entangling import EntanglingPrefetcher
-from repro.frontend.fdp import FetchDirectedPrefetcher, NullPrefetcher
-from repro.frontend.stack import BranchStack
 
 __all__ = [
     "BimodalPredictor",
-    "GsharePredictor",
     "TagePredictor",
     "BranchTargetBuffer",
     "EntanglingPrefetcher",
-    "FetchDirectedPrefetcher",
-    "NullPrefetcher",
-    "BranchStack",
 ]

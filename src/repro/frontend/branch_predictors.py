@@ -1,9 +1,7 @@
-"""Conditional branch direction predictors: bimodal, gshare, TAGE.
+"""Conditional branch direction predictors: bimodal and TAGE.
 
-Table II's machine uses TAGE [Seznec & Michaud].  The simpler bimodal
-and gshare predictors double as the ablation variants of ACIC's
-admission predictor (Figure 17 replaces the two-level structure with a
-bimodal / global-history predictor) and as test baselines.
+Table II's machine uses TAGE [Seznec & Michaud]; the bimodal predictor
+is its fallback base component.
 
 All predictors share one interface: ``predict(site) -> bool`` then
 ``update(site, taken) -> bool``, which trains on the resolved outcome
@@ -59,71 +57,6 @@ class BimodalPredictor:
             self.table[idx] -= 1
         return prediction
 
-    # -- checkpoint/resume --------------------------------------------------
-
-    def save_state(self) -> dict:
-        from repro.common.state import save_attrs, save_stats
-
-        state = save_attrs(self, ("table",))
-        state["stats"] = save_stats(self.stats)
-        return state
-
-    def load_state(self, state: dict) -> None:
-        from repro.common.state import load_attrs, load_stats
-
-        load_attrs(self, state, ("table",))
-        load_stats(self.stats, state["stats"])
-
-
-class GsharePredictor:
-    """Global-history XOR site indexing into one counter table."""
-
-    def __init__(
-        self, table_bits: int = 14, history_bits: int = 12, counter_bits: int = 2
-    ) -> None:
-        self.table_bits = table_bits
-        self.history_bits = history_bits
-        self.counter_max = mask(counter_bits)
-        self.threshold = (self.counter_max + 1) // 2
-        self.table = [self.threshold] * (1 << table_bits)
-        self.ghr = 0
-        self.stats = PredictorStats()
-
-    def _index(self, site: int) -> int:
-        return fold_hash(site ^ (self.ghr << 7), self.table_bits)
-
-    def predict(self, site: int) -> bool:
-        return self.table[self._index(site)] >= self.threshold
-
-    def update(self, site: int, taken: bool) -> bool:
-        idx = self._index(site)
-        prediction = self.table[idx] >= self.threshold
-        self.stats.predictions += 1
-        if prediction == taken:
-            self.stats.correct += 1
-        if taken:
-            if self.table[idx] < self.counter_max:
-                self.table[idx] += 1
-        elif self.table[idx] > 0:
-            self.table[idx] -= 1
-        self.ghr = ((self.ghr << 1) | int(taken)) & mask(self.history_bits)
-        return prediction
-
-    # -- checkpoint/resume --------------------------------------------------
-
-    def save_state(self) -> dict:
-        from repro.common.state import save_attrs, save_stats
-
-        state = save_attrs(self, ("table", "ghr"))
-        state["stats"] = save_stats(self.stats)
-        return state
-
-    def load_state(self, state: dict) -> None:
-        from repro.common.state import load_attrs, load_stats
-
-        load_attrs(self, state, ("table", "ghr"))
-        load_stats(self.stats, state["stats"])
-
 
 def _fold_by_age(history: int, width: int, span: int) -> int:
     """The last ``span`` outcomes of ``history`` folded to ``width`` bits.
@@ -178,7 +111,7 @@ class TagePredictor:
     outcomes holds the outcome of age ``a < L`` XORed in at bit
     ``a mod w`` — the same value as XOR-ing the ``L``-bit history
     together in ``w``-bit chunks.  ``ghr`` stays the architectural
-    history (and the saved state); the registers are derived from it.
+    history; the registers are derived from it.
     """
 
     def __init__(
@@ -333,25 +266,4 @@ class TagePredictor:
         self.base = BimodalPredictor(table_bits=12, counter_bits=2)
         self.ghr = 0
         self.stats = PredictorStats()
-        self._rebuild_folds()
-
-    # -- checkpoint/resume --------------------------------------------------
-    #
-    # ``_TageEntry`` is a module-level __slots__ class, so the tagged
-    # tables deepcopy and pickle cleanly; the bimodal base delegates.
-
-    def save_state(self) -> dict:
-        from repro.common.state import save_attrs, save_stats
-
-        state = save_attrs(self, ("tables", "ghr", "_alloc_seed"))
-        state["base"] = self.base.save_state()
-        state["stats"] = save_stats(self.stats)
-        return state
-
-    def load_state(self, state: dict) -> None:
-        from repro.common.state import load_attrs, load_stats
-
-        load_attrs(self, state, ("tables", "ghr", "_alloc_seed"))
-        self.base.load_state(state["base"])
-        load_stats(self.stats, state["stats"])
         self._rebuild_folds()

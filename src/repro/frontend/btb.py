@@ -60,25 +60,3 @@ class BranchTargetBuffer:
         for line_set in self._sets:
             line_set.clear()
         self.stats = BTBStats()
-
-    # -- checkpoint/resume --------------------------------------------------
-
-    def save_state(self) -> dict:
-        from repro.common.state import save_stats
-
-        return {
-            "sets": [s.save_state() for s in self._sets],
-            "stats": save_stats(self.stats),
-        }
-
-    def load_state(self, state: dict) -> None:
-        from repro.common.state import load_stats
-
-        if len(state["sets"]) != len(self._sets):
-            raise ValueError(
-                f"BTB state has {len(state['sets'])} sets, live BTB has "
-                f"{len(self._sets)}"
-            )
-        for live, saved in zip(self._sets, state["sets"]):
-            live.load_state(saved)
-        load_stats(self.stats, state["stats"])

@@ -14,11 +14,12 @@ table (Section IV-H4; ~40 KB of state, larger than the L1i itself).
 Unlike FDP, the entangling table trains on *live miss timing*: which
 records miss, and at what cycle, depends on the L1i scheme under test,
 so its training stream cannot be precomputed the way a
-:class:`~repro.frontend.plan.FrontendPlan` is, and entangling runs take
-the engine's live path.  The two steps of training are separate methods
-(:meth:`EntanglingPrefetcher._select_source` and
-:meth:`EntanglingPrefetcher._entangle`) so ``tests/test_entangling_table.py``
-can pin each one directly.
+:class:`~repro.frontend.plan.FrontendPlan` is.  Entangling runs take the
+``none`` plan (branch flushes only) and the engine drives this object
+live inside its one record loop.  The two steps of training are
+separate methods (:meth:`EntanglingPrefetcher._select_source` and
+:meth:`EntanglingPrefetcher._entangle`) so
+``tests/test_entangling_table.py`` can pin each one directly.
 """
 
 from __future__ import annotations
@@ -91,14 +92,16 @@ class EntanglingPrefetcher:
         self.table = FullyAssociativeLRU(table_entries)
         self.stats = EntanglingStats()
         self._recent: Deque[Tuple[int, int]] = deque(maxlen=history)
-        self._now = 0
         self._blocks = trace.blocks_list  # avoid per-record ndarray boxing
 
     # -- engine interface -------------------------------------------------------
 
     def observe_fetch(self, block: int, cycle: int) -> None:
-        """Record a fetch for future source selection."""
-        self._now = cycle
+        """Record a fetch for future source selection.
+
+        A repeat of the last recorded block is a no-op, so the engine
+        calls this only after a real ``lookup``.
+        """
         if self._recent and self._recent[-1][1] == block:
             return  # collapse same-block runs; sources are block visits
         self._recent.append((cycle, block))
@@ -168,7 +171,7 @@ class EntanglingPrefetcher:
     def save_state(self) -> dict:
         from repro.common.state import save_attrs, save_stats
 
-        state = save_attrs(self, ("_recent", "_now"))
+        state = save_attrs(self, ("_recent",))
         state["table"] = self.table.save_state()
         state["stats"] = save_stats(self.stats)
         return state
@@ -176,6 +179,6 @@ class EntanglingPrefetcher:
     def load_state(self, state: dict) -> None:
         from repro.common.state import load_attrs, load_stats
 
-        load_attrs(self, state, ("_recent", "_now"))
+        load_attrs(self, state, ("_recent",))
         self.table.load_state(state["table"])
         load_stats(self.stats, state["stats"])

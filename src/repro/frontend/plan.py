@@ -32,15 +32,18 @@ numpy arrays:
 
 The builder is event-driven: only records whose transition trains the
 predictor (conditional / call / indirect kinds) touch the Python
-BTB/TAGE machinery, in exactly the interleaving the live engine would
-produce (run-ahead queries evaluate verdicts *before* the training
-records between them retire — the memoisation the live stack performs).
+BTB/TAGE machinery, in exactly the interleaving of a per-record replay
+(run-ahead queries evaluate verdicts *before* the training records
+between them retire — the memoisation the stack performs).  That naive
+replay, and the run-ahead prefetcher it drives, live in
+``tests/reference/`` as the builder's executable reference.
 The sequential spans between those events — the vast majority of every
 trace — are filled with numpy arithmetic.
 
 Entangling prefetch cannot be planned: its table training consumes
-live fetch/miss cycle times, which depend on the scheme, so entangling
-runs take the engine's live path.
+live fetch/miss cycle times, which depend on the scheme.  Entangling
+runs take the ``none`` plan for their branch flushes and the engine
+drives the prefetcher object live in the same record loop.
 
 Plans are cached by :data:`PLAN_STORE` (see :mod:`repro.common.artifacts`)
 in the plan cache directory, keyed by a frontend-only fingerprint: trace
@@ -67,10 +70,6 @@ from repro.common.artifacts import ArtifactStore, entry_name, sidecar_path
 from repro.frontend.stack import BranchStack, BranchStackStats
 from repro.uarch.params import MachineParams
 from repro.workloads.trace import BranchKind, Trace
-
-#: Prefetchers whose engine interaction is scheme-independent and can
-#: therefore be precomputed ("entangling" trains on live miss timing).
-PLANNABLE_PREFETCHERS = ("fdp", "none")
 
 #: Bump when the array layout or replay semantics change; stale cache
 #: entries then miss on fingerprint and are rebuilt.
@@ -121,9 +120,18 @@ def _stack_geometry() -> str:
     return _stack_geometry_cache
 
 
-def plannable(prefetcher: str) -> bool:
-    """True when ``prefetcher`` runs can consume a precomputed plan."""
-    return prefetcher in PLANNABLE_PREFETCHERS
+def plan_kind(prefetcher: str) -> str:
+    """The plan a ``prefetcher`` run takes: ``none`` for entangling."""
+    return "none" if prefetcher == "entangling" else prefetcher
+
+
+def _check_kind(prefetcher: str) -> None:
+    """Plans come in two kinds; entangling runs take the ``none`` one."""
+    if prefetcher not in ("fdp", "none"):
+        raise ValueError(
+            f"no {prefetcher!r} frontend plan: plans are 'fdp' or 'none' "
+            "(entangling runs on the 'none' plan)"
+        )
 
 
 @dataclass
@@ -237,11 +245,7 @@ def frontend_fingerprint(
     scheme (and machine variant that only changes the backend/caches) a
     sweep throws at the workload.
     """
-    if not plannable(prefetcher):
-        raise ValueError(
-            f"prefetcher {prefetcher!r} cannot be planned; "
-            f"plannable: {PLANNABLE_PREFETCHERS}"
-        )
+    _check_kind(prefetcher)
     blob = json.dumps(
         {
             "format": PLAN_FORMAT,
@@ -304,14 +308,13 @@ def build_plan(
     Transitions that train nothing (sequential flow and RAS-perfect
     returns) are always predictable and never change BTB/TAGE state, so
     the replay only steps the Python machinery at *training* records
-    (conditional / call / indirect kinds), preserving the live
+    (conditional / call / indirect kinds), preserving the per-record
     interleaving of run-ahead verdict queries and retirement training.
     The all-sequential stretches in between — where the run-ahead
     frontier tracks ``i + depth`` with pure length-1 candidate spans, or
     sits parked at a mispredicted record — are filled with numpy.
     """
-    if not plannable(prefetcher):
-        raise ValueError(f"prefetcher {prefetcher!r} cannot be planned")
+    _check_kind(prefetcher)
     n = len(trace)
     warmup_end = int(n * machine.warmup_fraction)
     depth = machine.ftq_depth_records if prefetcher == "fdp" else 0
@@ -355,7 +358,8 @@ def build_plan(
     def advance_one(i: int, ra: int) -> Tuple[int, int, int, bool]:
         """Frontier advance for one record; returns (ra, lo, hi, stalled).
 
-        Mirrors ``FetchDirectedPrefetcher.candidates`` exactly, but
+        Mirrors the reference ``FetchDirectedPrefetcher.candidates``
+        (``tests/reference/fdp.py``) exactly, but
         jumps from one training record to the next instead of walking
         the always-predictable records between them.
         """

@@ -2,10 +2,11 @@
 
 The stack answers one question per trace transition: *would the front
 end have followed the path into record j?* — and trains itself as
-records retire.  Both the timing engine (misprediction penalties) and
-the fetch-directed prefetcher (run-ahead gating) consume the verdicts;
-each transition is evaluated exactly once, with the predictor state
-current at first query, and memoised until retirement.
+records retire.  The frontend-plan builder (:mod:`repro.frontend.plan`)
+replays it once per trace into the mispredict flags the timing engine
+charges and the FDP run-ahead spans it gates; each transition is
+evaluated exactly once, with the predictor state current at first
+query, and memoised until retirement.
 """
 
 from __future__ import annotations
@@ -108,28 +109,3 @@ class BranchStack:
         # RETURN needs no training.
         self._verdicts.pop(i, None)
         return mispredicted
-
-    # -- checkpoint/resume --------------------------------------------------
-    #
-    # The trace (and its cached list views) is externally owned and NOT
-    # part of the state; verdict memos ARE state — a verdict is evaluated
-    # with the predictor state current at first query, which a resumed
-    # run cannot re-create.
-
-    def save_state(self) -> dict:
-        from repro.common.state import save_stats, snapshot
-
-        return {
-            "btb": self.btb.save_state(),
-            "predictor": self.predictor.save_state(),
-            "stats": save_stats(self.stats),
-            "verdicts": snapshot(self._verdicts),
-        }
-
-    def load_state(self, state: dict) -> None:
-        from repro.common.state import load_dict_inplace, load_stats
-
-        self.btb.load_state(state["btb"])
-        self.predictor.load_state(state["predictor"])
-        load_stats(self.stats, state["stats"])
-        load_dict_inplace(self._verdicts, state["verdicts"])

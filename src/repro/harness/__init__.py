@@ -2,7 +2,6 @@
 
 from repro.harness.experiment import (
     ExperimentResult,
-    build_prefetcher,
     run_experiment,
     scaled_records,
 )
@@ -18,7 +17,6 @@ from repro.harness.tables import format_table, reduction_table, speedup_table
 
 __all__ = [
     "ExperimentResult",
-    "build_prefetcher",
     "run_experiment",
     "scaled_records",
     "Runner",

@@ -11,9 +11,7 @@ from typing import Optional
 
 from repro.common.env import env_number
 from repro.frontend.entangling import EntanglingPrefetcher
-from repro.frontend.fdp import FetchDirectedPrefetcher, NullPrefetcher
-from repro.frontend.plan import cached_plan, plannable
-from repro.frontend.stack import BranchStack
+from repro.frontend.plan import cached_plan, plan_kind
 from repro.harness.schemes import SchemeContext, make_scheme
 from repro.harness import shards
 from repro.uarch.params import DEFAULT_MACHINE, MachineParams
@@ -34,14 +32,14 @@ def scaled_records(records: Optional[int] = None) -> int:
     return max(1000, int(DEFAULT_RECORDS * scale))
 
 
-def build_prefetcher(name: str, trace: Trace, stack: BranchStack, machine: MachineParams):
-    if name == "fdp":
-        return FetchDirectedPrefetcher(trace, stack, depth=machine.ftq_depth_records)
-    if name == "entangling":
-        return EntanglingPrefetcher(trace)
-    if name == "none":
-        return NullPrefetcher(trace)
-    raise KeyError(f"unknown prefetcher {name!r}; known: {PREFETCHERS}")
+def live_prefetcher(prefetcher: str, trace: Trace) -> Optional[EntanglingPrefetcher]:
+    """The prefetcher object a run drives live: entangling only.
+
+    fdp and none runs read everything from their plan; entangling runs
+    pair this fresh object with the ``none`` plan (see
+    :func:`~repro.frontend.plan.plan_kind`).
+    """
+    return EntanglingPrefetcher(trace) if prefetcher == "entangling" else None
 
 
 @dataclass
@@ -74,7 +72,6 @@ def run_experiment(
     records: Optional[int] = None,
     machine: Optional[MachineParams] = None,
     context: Optional[SchemeContext] = None,
-    use_plan: bool = True,
     shard_window: Optional[int] = None,
     on_shard=None,
     should_stop=None,
@@ -95,17 +92,19 @@ def run_experiment(
     the run with :class:`~repro.harness.shards.DrainRequested` (ledger
     kept — the graceful-drain path).
 
-    Plannable prefetchers (fdp/none) run against a precomputed, cached
+    Every run takes a precomputed, cached
     :class:`~repro.frontend.plan.FrontendPlan` — the scheme-independent
     frontend work is done once per (workload, frontend config) and
-    shared by every scheme; the result is bit-identical to the live
-    path.  Entangling runs take the live path: the table trains on
-    scheme-dependent miss timing, so there is nothing scheme-independent
-    to precompute, and a repeat of the same pair is answered by the
-    result cache of :class:`~repro.harness.runner.Runner`.
-    ``use_plan=False`` forces the live stack/prefetcher path for every
-    prefetcher (the equivalence tests' reference).
+    shared by every scheme.  fdp and none runs take the plan of their
+    name.  Entangling runs take the ``none`` plan for their branch
+    flushes and drive a fresh
+    :class:`~repro.frontend.entangling.EntanglingPrefetcher` live: its
+    table trains on scheme-dependent miss timing, so a repeat of the
+    same pair is answered by the result cache of
+    :class:`~repro.harness.runner.Runner`.
     """
+    if prefetcher not in PREFETCHERS:
+        raise KeyError(f"unknown prefetcher {prefetcher!r}; known: {PREFETCHERS}")
     machine = machine or DEFAULT_MACHINE
     records = scaled_records(records)
     if context is None:
@@ -116,7 +115,7 @@ def run_experiment(
 
     window = shards.shard_window() if shard_window is None else int(shard_window)
 
-    def _sim(mode: str, **kwargs):
+    def _sim(**kwargs):
         """Run ``simulate``, windowed through a shard ledger when on.
 
         With ``window > 0`` the run executes window-by-window through a
@@ -134,7 +133,7 @@ def run_experiment(
             records,
             machine.fingerprint(),
             trace.digest,
-            mode,
+            "planned",
             window,
         )
         return shards.run_windowed(
@@ -154,13 +153,10 @@ def run_experiment(
             should_stop=should_stop,
         )
 
-    if use_plan and plannable(prefetcher):
-        plan = cached_plan(trace, machine, prefetcher)
-        run = _sim("planned", plan=plan)
-    else:
-        stack = BranchStack(trace)
-        prefetcher_obj = build_prefetcher(prefetcher, trace, stack, machine)
-        run = _sim("live", prefetcher=prefetcher_obj, stack=stack)
+    run = _sim(
+        plan=cached_plan(trace, machine, plan_kind(prefetcher)),
+        prefetcher=live_prefetcher(prefetcher, trace),
+    )
     run.workload = workload
     return ExperimentResult(
         run=run,

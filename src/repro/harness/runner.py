@@ -54,7 +54,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 from repro.common import faults
 from repro.common.durable import results_dir, write_atomic
 from repro.common.env import env_number
-from repro.frontend.plan import cached_plan, plannable
+from repro.frontend.plan import cached_plan, plan_kind
 from repro.harness.experiment import run_experiment, scaled_records
 from repro.harness.schemes import SchemeContext
 from repro.mem.prepass import PREPASS_SCHEMES, cached_replacement_prepass
@@ -192,12 +192,11 @@ def _warm_artifacts(
     """Build (memo + disk cache) the artifacts ``ctx``'s pairs share.
 
     The frontend plan, so every scheme replays one branch-stack/FDP
-    pass (entangling runs are live and need none); and with
-    ``prepass`` the replacement pre-pass the flat GHRP/Harmony twins
-    consume.
+    pass (entangling sweeps warm the ``none`` plan their runs take);
+    and with ``prepass`` the replacement pre-pass the flat GHRP/Harmony
+    twins consume.
     """
-    if plannable(prefetcher):
-        cached_plan(ctx.trace, machine, prefetcher)
+    cached_plan(ctx.trace, machine, plan_kind(prefetcher))
     if prepass:
         cached_replacement_prepass(ctx.trace)
 

@@ -113,11 +113,11 @@ def run_fingerprint(
 ) -> str:
     """Identity of one resumable run; any ingredient change invalidates.
 
-    ``mode`` distinguishes the live and planned engine paths (their
-    states are not interchangeable).  The trace digest ties a boundary
-    state to the exact record stream it was captured from.  The
-    ``ckpt1`` prefix predates the ledger and stays, so ledgers already
-    on disk still resume.
+    ``mode`` names the engine's state format (``"planned"``; ledgers
+    written for an older engine's ``"live"`` loop never match).  The
+    trace digest ties a boundary state to the exact record stream it
+    was captured from.  The ``ckpt1`` prefix predates the ledger and
+    stays, so ledgers already on disk still resume.
     """
     text = "|".join(
         (

@@ -21,14 +21,14 @@ change that alters them changed simulated behaviour, not just speed
 (``scripts/bench_throughput.py --check`` re-simulates the grid and
 fails on any drift without touching the snapshot).
 
-Plannable prefetchers are measured the way sweeps now run them: the
-workload's :class:`~repro.frontend.plan.FrontendPlan` is built once per
-grid (its one-off cost is reported as ``plan_seconds``) and every
-scheme's timed region is the plan-driven ``simulate`` alone.  Grid
-entries may override the grid's prefetcher with a ``scheme+prefetcher``
-spec: ``lru+entangling`` measures the lru scheme under the entangling
-prefetcher, which runs the engine's live loop (branch stack and
-prefetcher built fresh per repeat, outside the timed region).
+Schemes are measured the way sweeps run them: the workload's
+:class:`~repro.frontend.plan.FrontendPlan` is built once per grid (its
+one-off cost is reported as ``plan_seconds``) and every scheme's timed
+region is the plan-driven ``simulate`` alone.  Grid entries may
+override the grid's prefetcher with a ``scheme+prefetcher`` spec:
+``lru+entangling`` measures the lru scheme under the entangling
+prefetcher, which runs live on the ``none`` plan (plan and prefetcher
+built outside the timed region, the prefetcher fresh per repeat).
 """
 
 from __future__ import annotations
@@ -40,9 +40,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.frontend.plan import FrontendPlan, build_plan, plannable
-from repro.frontend.stack import BranchStack
-from repro.harness.experiment import build_prefetcher
+from repro.frontend.plan import FrontendPlan, build_plan, plan_kind
+from repro.harness.experiment import live_prefetcher
 from repro.harness.schemes import SchemeContext, make_scheme
 from repro.uarch.params import DEFAULT_MACHINE, MachineParams
 from repro.uarch.timing import simulate
@@ -54,9 +53,8 @@ from repro.workloads.trace import Trace
 #: canaries, two ACIC ablation variants so scheme-layer (admission
 #: pipeline) wins are tracked separately from engine wins, and two
 #: entangling-prefetcher entries (the Figs. 20-21 baseline family), the
-#: only grid entries that time the engine's live loop, so it, the
-#: branch stack and the entangling prefetcher are throughput- and
-#: drift-tracked.
+#: only grid entries that drive a live prefetcher, so the entangling
+#: path is throughput- and drift-tracked.
 DEFAULT_WORKLOAD = "media-streaming"
 DEFAULT_SCHEMES = (
     "lru",
@@ -157,18 +155,18 @@ def measure_scheme(
     ``scheme_spec`` may carry its own prefetcher (``"lru+entangling"``);
     otherwise ``prefetcher`` applies.  Every repeat rebuilds the scheme
     so no state leaks between rounds and the measured cost is a true
-    cold single run.  Plannable prefetchers (fdp/none) are plan-driven —
-    the FrontendPlan is built once (pass ``plan`` to share it across a
-    grid, the way sweeps share it across schemes) and sits outside the
-    timed region; entangling runs time the live loop.
+    cold single run.  The FrontendPlan is built once (pass ``plan`` to
+    share it across a grid, the way sweeps share it across schemes) and
+    sits outside the timed region; entangling specs take the ``none``
+    plan and a fresh prefetcher per repeat.
     """
     if repeats <= 0:
         raise ValueError(f"repeats must be positive, got {repeats}")
     machine = machine or DEFAULT_MACHINE
     scheme_name, prefetcher = parse_scheme_spec(scheme_spec, prefetcher)
     ctx = SchemeContext(trace=trace, machine=machine)
-    if plan is None and plannable(prefetcher):
-        plan = build_plan(trace, machine, prefetcher)
+    if plan is None:
+        plan = build_plan(trace, machine, plan_kind(prefetcher))
     best = None
     calibration = None
     result = None
@@ -177,14 +175,11 @@ def measure_scheme(
         if calibration is None or ns < calibration:
             calibration = ns
         scheme = make_scheme(scheme_name, ctx)
-        if plan is not None:
-            start = time.perf_counter()
-            result = simulate(trace, scheme, machine=machine, plan=plan)
-        else:
-            stack = BranchStack(trace)
-            pf = build_prefetcher(prefetcher, trace, stack, machine)
-            start = time.perf_counter()
-            result = simulate(trace, scheme, pf, stack, machine)
+        live = live_prefetcher(prefetcher, trace)
+        start = time.perf_counter()
+        result = simulate(
+            trace, scheme, machine=machine, plan=plan, prefetcher=live
+        )
         elapsed = time.perf_counter() - start
         if best is None or elapsed < best:
             best = elapsed
@@ -220,16 +215,14 @@ def profile_scheme(
     machine = machine or DEFAULT_MACHINE
     scheme_name, prefetcher = parse_scheme_spec(scheme_spec, prefetcher)
     ctx = SchemeContext(trace=trace, machine=machine)
-    if plan is None and plannable(prefetcher):
-        plan = build_plan(trace, machine, prefetcher)
+    if plan is None:
+        plan = build_plan(trace, machine, plan_kind(prefetcher))
     scheme = make_scheme(scheme_name, ctx)
+    live = live_prefetcher(prefetcher, trace)
     profiler = cProfile.Profile()
-    if plan is not None:
-        profiler.runcall(simulate, trace, scheme, machine=machine, plan=plan)
-    else:
-        stack = BranchStack(trace)
-        pf = build_prefetcher(prefetcher, trace, stack, machine)
-        profiler.runcall(simulate, trace, scheme, pf, stack, machine)
+    profiler.runcall(
+        simulate, trace, scheme, machine=machine, plan=plan, prefetcher=live
+    )
     buffer = io.StringIO()
     stats = pstats.Stats(profiler, stream=buffer)
     stats.sort_stats("tottime").print_stats(top)
@@ -246,15 +239,13 @@ def measure_grid(
     """Measure every scheme spec on the fixed grid; returns the report dict.
 
     The grid's FrontendPlan is built once and shared by every spec that
-    inherits the grid prefetcher; ``+entangling`` specs run live.
+    inherits the grid prefetcher; ``+entangling`` specs build the
+    ``none`` plan they run on.
     """
     trace = get_workload(workload).trace(records=records)
-    plan = None
-    plan_seconds = 0.0
-    if plannable(prefetcher):
-        start = time.perf_counter()
-        plan = build_plan(trace, DEFAULT_MACHINE, prefetcher)
-        plan_seconds = time.perf_counter() - start
+    start = time.perf_counter()
+    plan = build_plan(trace, DEFAULT_MACHINE, plan_kind(prefetcher))
+    plan_seconds = time.perf_counter() - start
     samples = {}
     for spec in schemes:
         _, spec_prefetcher = parse_scheme_spec(spec, prefetcher)

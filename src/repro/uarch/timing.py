@@ -5,7 +5,10 @@ one record per cycle into the decode queue; the backend drains
 ``backend_ipc`` instructions per cycle; i-cache misses stall fetch for
 the hierarchy latency minus what the queue backlog hides; mispredicted
 branches flush; prefetchers (FDP run-ahead or entangling) inject fills
-through the MSHR file.
+through the MSHR file.  One record loop serves every run: branch flushes
+and FDP candidates come from a precomputed frontend plan, and the
+entangling prefetcher, the one frontend part that depends on the
+scheme, runs live on the ``none`` plan.
 
 The engine is scheme-agnostic: anything implementing the L1I scheme
 protocol (``lookup`` / ``fill`` / ``prefetch_fill`` / ``contains``) can
@@ -19,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Protocol
 
-from repro.frontend.stack import BranchStack
 from repro.mem.hierarchy import MemoryHierarchy
 from repro.mem.mshr import MSHRFile
 from repro.uarch.params import MachineParams
@@ -42,7 +44,7 @@ class L1IScheme(Protocol):
       checkpoints instead).
     * ``repeat_hits(block, count, last_t)`` — stands in for ``count``
       further ``lookup(block, t, cycle)`` calls, the last at record
-      ``last_t``.  The planned loop calls it only when ``block`` hit on
+      ``last_t``.  The engine calls it only when ``block`` hit on
       its latest real ``lookup`` and the scheme has seen no other call
       since, so each of those lookups is a known hit on the block that
       is already most recent.  The hook must leave the scheme exactly
@@ -63,7 +65,12 @@ class L1IScheme(Protocol):
 
 
 class Prefetcher(Protocol):
-    """Prefetch engine driving fills through the MSHRs."""
+    """A live prefetch engine (entangling) driving fills through the MSHRs.
+
+    Runs on the ``none`` frontend plan; ``simulate`` documents when it
+    calls each hook.  Its ``save_state``/``load_state`` ride in engine
+    checkpoints.
+    """
 
     name: str
 
@@ -119,8 +126,6 @@ class RunResult:
 
 
 #: Loop counters serialized into an engine checkpoint, in capture order.
-#: The planned loop has no ``base_mispred`` (its plan counts
-#: mispredictions), so its counter tuples stop one field short.
 _COUNTER_FIELDS = (
     "cycles",
     "queue",
@@ -133,39 +138,42 @@ _COUNTER_FIELDS = (
     "base_late",
     "base_issued",
     "base_instr",
-    "base_mispred",
 )
 
 #: Counter values of a run that starts at record 0.
-_FRESH_COUNTERS = (0.0, 0.0, 0, 0, 0, 0, 0.0, 0, 0, 0, 0, 0)
+_FRESH_COUNTERS = (0.0, 0.0, 0, 0, 0, 0, 0.0, 0, 0, 0, 0)
+
+#: The ``mode`` tag of every engine checkpoint.  States an older engine
+#: saved from its stack-driven loop carry ``"live"`` and are rejected.
+_MODE = "planned"
 
 
-def _restore(resume: Optional[dict], mode: str, parts: dict) -> tuple:
+def _restore(resume: Optional[dict], parts: dict) -> tuple:
     """``(start, counters)`` for a run, loading ``resume`` into ``parts``.
 
     ``parts`` maps each state key to its collaborator (scheme, MSHRs,
-    hierarchy, and for live runs the stack and prefetcher); without a
-    resume state the run starts fresh at record 0.  Planned states
-    carry no ``base_mispred``, which therefore stays at its fresh 0.
+    hierarchy, and the prefetcher when one runs); without a resume
+    state the run starts fresh at record 0.
     """
     if resume is None:
         return 0, _FRESH_COUNTERS
-    if resume.get("mode") != mode:
+    if resume.get("mode") != _MODE:
         raise ValueError(
-            f"resume state is {resume.get('mode')!r}, this is a {mode} run"
+            f"resume state is {resume.get('mode')!r}; this engine resumes "
+            f"only {_MODE!r} states"
         )
+    if ("prefetcher" in resume) != ("prefetcher" in parts):
+        raise ValueError("resume state and run disagree on a live prefetcher")
     for key, part in parts.items():
         part.load_state(resume[key])
     counters = resume["counters"]
-    fields = _COUNTER_FIELDS if mode == "live" else _COUNTER_FIELDS[:-1]
-    values = tuple(counters[k] for k in fields)
-    return resume["next_record"], values + _FRESH_COUNTERS[len(values):]
+    return resume["next_record"], tuple(counters[k] for k in _COUNTER_FIELDS)
 
 
-def _capture(mode: str, i: int, counters: tuple, parts: dict) -> dict:
+def _capture(i: int, counters: tuple, parts: dict) -> dict:
     """The engine state before record ``i``: what ``_restore`` takes."""
     state = {
-        "mode": mode,
+        "mode": _MODE,
         "next_record": i,
         "counters": dict(zip(_COUNTER_FIELDS, counters)),
     }
@@ -177,49 +185,47 @@ def _capture(mode: str, i: int, counters: tuple, parts: dict) -> dict:
 def simulate(
     trace: Trace,
     scheme: L1IScheme,
-    prefetcher: Optional[Prefetcher] = None,
-    stack: Optional[BranchStack] = None,
+    *,
     machine: Optional[MachineParams] = None,
-    hierarchy: Optional[MemoryHierarchy] = None,
     plan: Optional["FrontendPlan"] = None,
+    prefetcher: Optional[Prefetcher] = None,
+    hierarchy: Optional[MemoryHierarchy] = None,
     resume: Optional[dict] = None,
     checkpoint_every: int = 0,
     on_checkpoint=None,
 ) -> Optional[RunResult]:
     """Run ``scheme`` over ``trace`` and return post-warmup measurements.
 
-    Two frontend modes (pinned against each other by
-    ``tests/test_frontend_plan.py``):
-
-    * **live** — ``prefetcher`` and ``stack`` drive branch training and
-      the prefetch candidate stream per record (the reference path, and
-      the only path for the entangling prefetcher, whose table trains on
-      scheme-dependent miss timing);
-    * **planned** — ``plan`` is a precomputed
-      :class:`~repro.frontend.plan.FrontendPlan` (fdp/none, always
-      bit-identical to live) and the engine reads mispredict flags and
-      candidate spans from flat arrays, touching no branch-stack or
-      prefetcher code at all.
+    The frontend comes from ``plan``, a precomputed
+    :class:`~repro.frontend.plan.FrontendPlan`: the engine reads the
+    per-record mispredict flags and the FDP candidate spans from flat
+    arrays and touches no branch-stack code at all.  The entangling
+    prefetcher trains on scheme-dependent miss timing, so it cannot be
+    planned; it runs as a live ``prefetcher`` object on the ``none``
+    plan (which supplies the mispredict flags and no spans).  The engine
+    calls its ``on_demand_miss`` on every demand miss, before the stall
+    is charged, its ``observe_fetch`` after every real ``lookup`` (on a
+    batched repeat it would be a no-op: the block is the one it last
+    saw), and its ``candidates`` on every record that has no plan span.
+    fdp and none runs pass no prefetcher and pay one ``is None`` test
+    per record without a span (plus one per demand miss).
+    ``tests/reference/engine.py`` is the readable reference: a branch
+    stack and a prefetcher object stepped on every record;
+    ``tests/test_frontend_plan.py`` pins the two bit-identical across
+    schemes, branch kinds, workload profiles and prefetchers.
 
     The loop body runs once per fetch record — two million times for a
     full-length sweep pair — so everything invariant is hoisted out of
-    it: trace arrays become plain Python lists (one bulk conversion
-    instead of per-record ndarray scalar boxing), scheme/prefetcher/MSHR
-    methods are bound to locals, ``int(cycles)`` is computed once per
-    program point that needs it, branch retirement is gated on the
-    precomputed branch-kind list, and the MSHR drain is gated on the
-    file's running *next-ready cycle* instead of probing its occupancy
-    every record.
-
-    The two modes share one scaffold (setup, resume, boundary capture,
-    result assembly) around two separate record loops, each free of
-    mode tests.  The planned loop takes branch flushes from
-    ``plan.mispredict`` and the prefetch candidate stream from
-    ``plan.cand_lo/cand_hi`` spans over the trace's own blocks (FDP
+    it: trace and plan arrays become plain Python lists (one bulk
+    conversion instead of per-record ndarray scalar boxing),
+    scheme/prefetcher/MSHR methods are bound to locals, and the MSHR
+    drain is gated on the file's running *next-ready cycle* instead of
+    probing its occupancy every record.  The prefetch candidate stream
+    is ``plan.cand_lo/cand_hi`` spans over the trace's own blocks (FDP
     run-ahead only ever walks the future fetch path).
 
-    The planned loop calls the scheme and the MSHR file only when their
-    answer can have changed.  Fetch is bursty: most records repeat the
+    The loop calls the scheme and the MSHR file only when their answer
+    can have changed.  Fetch is bursty: most records repeat the
     previous record's block.  Two skip rules, each exact by
     construction:
 
@@ -245,57 +251,55 @@ def simulate(
     :mod:`repro.harness.shards` persists the captures): with
     ``checkpoint_every > 0`` the engine captures its full warm state —
     loop counters plus the ``save_state()`` of every stateful
-    collaborator — at the top of each iteration whose absolute index is
-    a multiple of ``checkpoint_every`` (state == completion of records
-    ``0..i-1``), *before* the warmup snapshot branch so a resume landing
-    exactly on ``warmup_end`` re-derives the base counters identically.
-    ``on_checkpoint(state)`` receives each capture; returning truthy
-    stops the run early and ``simulate`` returns None.  ``resume`` takes such a state and
+    collaborator, the prefetcher included — at the top of each
+    iteration whose absolute index is a multiple of ``checkpoint_every``
+    (state == completion of records ``0..i-1``), *before* the warmup
+    snapshot branch so a resume landing exactly on ``warmup_end``
+    re-derives the base counters identically.  ``on_checkpoint(state)``
+    receives each capture; returning truthy stops the run early and
+    ``simulate`` returns None.  ``resume`` takes such a state and
     continues from its ``next_record``; the engine restores its own
     collaborators (it constructs the MSHR/hierarchy), so callers only
-    rebuild the scheme/stack/prefetcher fresh from their factories.
+    rebuild the scheme and prefetcher fresh from their factories.
     The default ``checkpoint_every=0`` keeps the hot loop at one extra
     integer compare per record.
     """
     if machine is None:
         raise TypeError("simulate() requires machine parameters")
+    if plan is None:
+        raise TypeError(
+            "simulate() requires a frontend plan "
+            "(repro.frontend.plan.cached_plan builds one)"
+        )
     n = len(trace)
     warmup_end = int(n * machine.warmup_fraction)
+    if len(plan) != n:
+        raise ValueError(
+            f"plan covers {len(plan)} records, trace has {n}; "
+            "was the plan built for a different trace?"
+        )
+    if warmup_end != plan.warmup_end:
+        raise ValueError(
+            f"plan warmup split {plan.warmup_end} != machine's {warmup_end}; "
+            "rebuild the plan for this machine configuration"
+        )
     hierarchy = hierarchy or MemoryHierarchy(machine.hierarchy)
     mshr = MSHRFile(machine.mshr_entries)
     parts = {"scheme": scheme, "mshr": mshr, "hierarchy": hierarchy}
-    if plan is None:
-        if prefetcher is None or stack is None:
-            raise TypeError(
-                "simulate() needs a prefetcher and a stack when no plan is given"
+    pf_candidates = pf_observe_fetch = pf_on_demand_miss = None
+    if prefetcher is not None:
+        if plan.prefetcher != "none":
+            raise ValueError(
+                f"a live prefetcher runs on the 'none' plan, not on a "
+                f"{plan.prefetcher!r} plan with its own candidate stream"
             )
-        mode = "live"
-        parts.update(stack=stack, prefetcher=prefetcher)
-        kinds = trace.branch_kind_list
-        stack_retire = stack.retire
+        parts["prefetcher"] = prefetcher
         pf_candidates = prefetcher.candidates
         pf_observe_fetch = prefetcher.observe_fetch
         pf_on_demand_miss = prefetcher.on_demand_miss
-    else:
-        if prefetcher is not None or stack is not None:
-            raise ValueError(
-                "pass either a precomputed plan or a live prefetcher/stack, "
-                "not both"
-            )
-        if len(plan) != n:
-            raise ValueError(
-                f"plan covers {len(plan)} records, trace has {n}; "
-                "was the plan built for a different trace?"
-            )
-        if warmup_end != plan.warmup_end:
-            raise ValueError(
-                f"plan warmup split {plan.warmup_end} != machine's {warmup_end}; "
-                "rebuild the plan for this machine configuration"
-            )
-        mode = "planned"
-        mispredict = plan.mispredict_list
-        cand_lo = plan.cand_lo_list
-        cand_hi = plan.cand_hi_list
+    mispredict = plan.mispredict_list
+    cand_lo = plan.cand_lo_list
+    cand_hi = plan.cand_hi_list
 
     blocks = trace.blocks_list
     instr_counts = trace.instrs_list
@@ -318,10 +322,10 @@ def simulate(
     mshr_contains = mshr.__contains__
 
     # Loop counters, plus the base_* snapshots taken when warmup ends.
-    start, counters = _restore(resume, mode, parts)
+    start, counters = _restore(resume, parts)
     (cycles, queue, demand_misses, late_prefetch, prefetches_issued,
      instructions, base_cycles, base_misses, base_late, base_issued,
-     base_instr, base_mispred) = counters
+     base_instr) = counters
     next_ready = mshr.next_ready
 
     # Hoisted after the resume load on purpose: the flat policy twins
@@ -333,15 +337,15 @@ def simulate(
     scheme_contains = scheme.contains
     scheme_repeat_hits = getattr(scheme, "repeat_hits", None)
     batching = scheme_repeat_hits is not None
-    # Planned-loop skip state: the block whose last real lookup hit with
-    # no scheme call since (-1: none), and the last single candidate
-    # probed with nothing removed since (-1: none; every real lookup
-    # resets it, and a record that drains a fill always makes one).
-    # Every record between two real lookups is a batched repeat, so the
-    # batch not yet handed to the scheme is always records
-    # ``run_from .. i-1``.
+    # Skip state: the block whose last real lookup hit with no scheme
+    # call since (-1: none), and the last single candidate probed with
+    # nothing removed since (-1: none; every real lookup resets it, and
+    # a record that drains a fill always makes one).  Every record
+    # between two real lookups is a batched repeat, so the batch not yet
+    # handed to the scheme is always records ``run_from .. i-1``, and
+    # ``run_from > i`` holds exactly when record ``i`` made a real lookup.
     hit_block = probed = -1
-    run_from = start if plan is not None else n
+    run_from = start
 
     if checkpoint_every > 0:
         # Next absolute multiple strictly past the starting record.
@@ -349,106 +353,14 @@ def simulate(
     else:
         next_ckpt = n + 1  # never taken: one dead int compare per record
 
-    # Exactly one of the two record loops runs (the other iterates
-    # nothing): the live loop, then its planned twin.  Any change to
-    # either must keep the scalars bit-identical to the other
-    # (``tests/test_frontend_plan.py`` pins this across schemes, branch
-    # kinds and workload profiles).
-    for i in range(start, n) if plan is None else ():
-        if i == next_ckpt:
-            next_ckpt += checkpoint_every
-            state = _capture("live", i, (
-                cycles, queue, demand_misses, late_prefetch,
-                prefetches_issued, instructions, base_cycles, base_misses,
-                base_late, base_issued, base_instr, base_mispred,
-            ), parts)
-            if on_checkpoint is not None and on_checkpoint(state):
-                return None
-
-        if i == warmup_end:
-            base_cycles = cycles
-            base_misses = demand_misses
-            base_late = late_prefetch
-            base_issued = prefetches_issued
-            base_instr = instructions
-            base_mispred = stack.stats.mispredicted_transitions
-
-        block = blocks[i]
-        n_instr = instr_counts[i]
-        instructions += n_instr
-
-        # Resolve and train the transition that led here; charge flushes.
-        # Sequential records (the vast majority) retire to nothing.
-        if kinds[i] and stack_retire(i):
-            cycles += penalty
-
-        # One front-end cycle per fetch record; the backend drains the
-        # queue meanwhile.  Overfull queues mean the backend is the
-        # bottleneck: charge the extra drain time.
-        cycles += 1.0
-        queue += n_instr - backend_ipc
-        if queue > queue_cap:
-            cycles += (queue - queue_cap) / backend_ipc
-            queue = queue_cap
-        elif queue < 0.0:
-            queue = 0.0
-
-        icycles = int(cycles)
-
-        # Prefetch fills that have arrived land in the scheme.
-        if next_ready <= cycles:
-            for done in mshr_drain(cycles):
-                scheme_prefetch_fill(done, i, icycles)
-            next_ready = mshr.next_ready
-
-        if not scheme_lookup(block, i, icycles):
-            demand_misses += 1
-            ready = mshr_ready_cycle(block)
-            if ready is not None:
-                # Late prefetch: pay only the remaining latency.
-                mshr_cancel(block)
-                latency = ready - cycles
-                if latency < 0.0:
-                    latency = 0.0
-                late_prefetch += 1
-            else:
-                latency = float(hierarchy_access(block, i))
-            pf_on_demand_miss(block, icycles)
-            # The decode-queue backlog hides part of the stall.
-            stall = latency - queue / backend_ipc
-            if stall > 0.0:
-                cycles += stall
-            queue -= latency * backend_ipc
-            if queue < 0.0:
-                queue = 0.0
-            icycles = int(cycles)
-            scheme_fill(block, i, icycles)
-            # The stall advanced ``cycles``: prefetch fills that completed
-            # meanwhile must reach the scheme before the candidate loop
-            # (the seed model let ``allocate`` silently drop them).
-            if next_ready <= cycles:
-                for done in mshr_drain(cycles):
-                    scheme_prefetch_fill(done, i, icycles)
-                next_ready = mshr.next_ready
-
-        pf_observe_fetch(block, icycles)
-        for candidate in pf_candidates(i):
-            if mshr_contains(candidate) or scheme_contains(candidate):
-                continue
-            latency = float(hierarchy_access(candidate, i))
-            ready = mshr_allocate(candidate, cycles + latency, cycles)
-            if ready < next_ready:
-                next_ready = ready
-            prefetches_issued += 1
-
-    for i in range(start, n) if plan is not None else ():
+    for i in range(start, n):
         if i == next_ckpt:
             next_ckpt += checkpoint_every
             if i > run_from:
                 scheme_repeat_hits(hit_block, i - run_from, i - 1)
             run_from = i
             hit_block = -1
-            state = _capture("planned", i, (
+            state = _capture(i, (
                 cycles, queue, demand_misses, late_prefetch,
                 prefetches_issued, instructions, base_cycles, base_misses,
                 base_late, base_issued, base_instr,
@@ -470,6 +382,9 @@ def simulate(
         if mispredict[i]:
             cycles += penalty
 
+        # One front-end cycle per fetch record; the backend drains the
+        # queue meanwhile.  Overfull queues mean the backend is the
+        # bottleneck: charge the extra drain time.
         cycles += 1.0
         queue += n_instr - backend_ipc
         if queue > queue_cap:
@@ -478,6 +393,7 @@ def simulate(
         elif queue < 0.0:
             queue = 0.0
 
+        # Prefetch fills that have arrived land in the scheme.
         # ``int(cycles)`` only where a scheme call takes it: a batched
         # repeat makes none.
         if next_ready <= cycles:
@@ -512,6 +428,9 @@ def simulate(
                     late_prefetch += 1
                 else:
                     latency = float(hierarchy_access(block, i))
+                if pf_on_demand_miss is not None:
+                    pf_on_demand_miss(block, int(cycles))
+                # The decode-queue backlog hides part of the stall.
                 stall = latency - queue / backend_ipc
                 if stall > 0.0:
                     cycles += stall
@@ -520,8 +439,9 @@ def simulate(
                     queue = 0.0
                 icycles = int(cycles)
                 scheme_fill(block, i, icycles)
-                # Mirror of the live path: surface fills completed during
-                # the stall before the candidate loop can re-request them.
+                # The stall advanced ``cycles``: prefetch fills that
+                # completed meanwhile must reach the scheme before the
+                # candidate loop can re-request them.
                 if next_ready <= cycles:
                     for done in mshr_drain(cycles):
                         scheme_prefetch_fill(done, i, icycles)
@@ -547,6 +467,17 @@ def simulate(
                     if ready < next_ready:
                         next_ready = ready
                     prefetches_issued += 1
+        elif pf_candidates is not None:
+            if run_from > i:
+                pf_observe_fetch(block, int(cycles))
+            for candidate in pf_candidates(i):
+                if mshr_contains(candidate) or scheme_contains(candidate):
+                    continue
+                latency = float(hierarchy_access(candidate, i))
+                ready = mshr_allocate(candidate, cycles + latency, cycles)
+                if ready < next_ready:
+                    next_ready = ready
+                prefetches_issued += 1
 
     if run_from < n:
         scheme_repeat_hits(hit_block, n - run_from, n - 1)
@@ -557,22 +488,18 @@ def simulate(
     if finish_trace is not None:
         finish_trace()
 
-    if plan is None:
-        prefetcher_name = prefetcher.name
-        mispredicted = stack.stats.mispredicted_transitions - base_mispred
-    else:
-        prefetcher_name = plan.prefetcher
-        mispredicted = plan.mispredicted_after_warmup()
     return RunResult(
         workload=trace.name,
         scheme_name=scheme.name,
-        prefetcher_name=prefetcher_name,
+        prefetcher_name=(
+            plan.prefetcher if prefetcher is None else prefetcher.name
+        ),
         instructions=instructions - base_instr,
         accesses=n - warmup_end,
         cycles=cycles - base_cycles,
         demand_misses=demand_misses - base_misses,
         late_prefetch_misses=late_prefetch - base_late,
         prefetches_issued=prefetches_issued - base_issued,
-        mispredicted_transitions=mispredicted,
+        mispredicted_transitions=plan.mispredicted_after_warmup(),
         scheme=scheme,
     )

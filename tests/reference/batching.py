@@ -1,8 +1,8 @@
-"""The planned engine loop's repeat-hit rule, replayed over op schedules.
+"""The engine loop's repeat-hit rule, replayed over op schedules.
 
 :func:`lockstep_batched` drives two identically built schemes through
 one schedule: ``real`` gets every op as written, ``batched`` the way
-``simulate``'s planned loop would call it.  A lookup of the block whose
+``simulate``'s record loop would call it.  A lookup of the block whose
 latest real lookup hit, with only ``contains`` probes since, is not
 made: it is counted and handed over in one ``repeat_hits`` call before
 the next lookup of another block, fill or prefetch fill, and at the

@@ -1,5 +1,11 @@
 """FDP: fetch-directed instruction prefetching (Ishii et al., ISPASS'21).
 
+The per-record prefetcher objects behind the frontend plan:
+:func:`repro.frontend.plan.build_plan` replays this run-ahead into flat
+candidate spans, and ``reference/plan.py`` (the naive builder) and
+``reference/engine.py`` (the stack-driven record loop) drive these
+objects one record at a time as the plan's executable reference.
+
 A decoupled front-end runs ahead of fetch: the branch-prediction stack
 (BTB + TAGE + RAS) generates future fetch targets into a fetch target
 queue, and the prefetcher issues L1i prefetches for those blocks.  The
@@ -85,22 +91,6 @@ class FetchDirectedPrefetcher:
     def on_demand_miss(self, block: int, cycle: int) -> None:
         pass
 
-    # -- checkpoint/resume --------------------------------------------------
-    #
-    # The trace and the shared branch stack are externally owned; the
-    # stack is serialized by the engine, not here.
-
-    def save_state(self) -> dict:
-        from repro.common.state import save_stats
-
-        return {"ra": self._ra, "stats": save_stats(self.stats)}
-
-    def load_state(self, state: dict) -> None:
-        from repro.common.state import load_stats
-
-        self._ra = state["ra"]
-        load_stats(self.stats, state["stats"])
-
 
 class NullPrefetcher:
     """No prefetching (unit tests and the no-prefetch ablation)."""
@@ -117,10 +107,4 @@ class NullPrefetcher:
         pass
 
     def on_demand_miss(self, block: int, cycle: int) -> None:
-        pass
-
-    def save_state(self) -> dict:
-        return {}
-
-    def load_state(self, state: dict) -> None:
         pass

@@ -4,8 +4,8 @@
 all-sequential stretches between training records with numpy.  This
 module keeps the plain version: one record at a time through a live
 :class:`~repro.frontend.stack.BranchStack` and
-:class:`~repro.frontend.fdp.FetchDirectedPrefetcher`, exactly as the
-live engine drives them.  ``tests/test_frontend_plan.py`` locks the
+:class:`reference.fdp.FetchDirectedPrefetcher`, exactly as the
+reference engine (``reference/engine.py``) drives them.  ``tests/test_frontend_plan.py`` locks the
 production builder to it array for array.
 """
 
@@ -15,11 +15,11 @@ from typing import Optional
 
 import numpy as np
 
-from repro.frontend.fdp import FetchDirectedPrefetcher
-from repro.frontend.plan import FrontendPlan, _finish, _snapshot, plannable
+from repro.frontend.plan import FrontendPlan, _check_kind, _finish, _snapshot
 from repro.frontend.stack import BranchStack
 from repro.uarch.params import MachineParams
 from repro.workloads.trace import Trace
+from reference.fdp import FetchDirectedPrefetcher
 
 
 def build_plan_reference(
@@ -30,11 +30,10 @@ def build_plan_reference(
     The oracle the equivalence tests compare
     :func:`~repro.frontend.plan.build_plan` against:
     it drives a real :class:`BranchStack` and
-    :class:`~repro.frontend.fdp.FetchDirectedPrefetcher` exactly as the
-    live engine does, one record at a time.
+    :class:`reference.fdp.FetchDirectedPrefetcher` exactly as the
+    reference engine does, one record at a time.
     """
-    if not plannable(prefetcher):
-        raise ValueError(f"prefetcher {prefetcher!r} cannot be planned")
+    _check_kind(prefetcher)
     n = len(trace)
     warmup_end = int(n * machine.warmup_fraction)
     depth = machine.ftq_depth_records if prefetcher == "fdp" else 0

@@ -4,10 +4,12 @@ Two layers are pinned here:
 
 * the **engine** — ``simulate(resume=..., checkpoint_every=...,
   on_checkpoint=...)`` chunks stitched across simulated process
-  boundaries (states pickled between chunks, scheme/stack/prefetcher
-  rebuilt fresh each chunk) equal one undisturbed pass, on both the
-  live and the planned paths, across scheme families (plain policies,
-  RNG-carrying bypass schemes, oracle-backed OPT, ACIC);
+  boundaries (states pickled between chunks, scheme/prefetcher rebuilt
+  fresh each chunk) equal one undisturbed pass, for fdp-planned runs
+  and for "live" runs (the entangling prefetcher driven live on the
+  ``none`` plan, its table riding in every checkpoint), across scheme
+  families (plain policies, RNG-carrying bypass schemes, oracle-backed
+  OPT, ACIC);
 * the **harness** — ``run_experiment(shard_window=...)`` resumes a
   half-finished run from a boundary in its shard ledger and still
   reports scalars identical to an unwindowed run, then deletes the
@@ -20,9 +22,8 @@ import pickle
 
 import pytest
 
-from repro.frontend.fdp import FetchDirectedPrefetcher
-from repro.frontend.plan import cached_plan
-from repro.frontend.stack import BranchStack
+from repro.frontend.entangling import EntanglingPrefetcher
+from repro.frontend.plan import build_plan, cached_plan
 from repro.harness.experiment import run_experiment
 from repro.harness.schemes import SchemeContext, make_scheme
 from repro.harness.shards import ledger_for, shards_dir
@@ -67,6 +68,17 @@ def _scalars(run):
 
 
 @pytest.fixture(scope="module")
+def none_plan(trace):
+    # Built, not cached: the ``none`` plan of this trace is not on disk.
+    return build_plan(trace, DEFAULT_MACHINE, "none")
+
+
+def _live_kwargs(trace, plan):
+    """A live run: a fresh entangling prefetcher on the ``none`` plan."""
+    return dict(plan=plan, prefetcher=EntanglingPrefetcher(trace))
+
+
+@pytest.fixture(scope="module")
 def trace():
     return get_workload(WORKLOAD).trace(records=RECORDS)
 
@@ -81,7 +93,7 @@ def _run_chunked(trace, make_kwargs, make_scheme_obj, every):
 
     Each chunk stops at its first capture (``on_checkpoint`` returning
     True), the state crosses a pickle boundary, and the next chunk gets
-    a *fresh* scheme/stack/prefetcher — exactly what a killed and
+    a *fresh* scheme/prefetcher — exactly what a killed and
     restarted process would do.
     """
     state = None
@@ -125,15 +137,11 @@ class TestEngineChunking:
         assert _scalars(chunked) == _scalars(single)
 
     @pytest.mark.parametrize("name", ("lru", "acic", "dsb"))
-    def test_live_chunked_equals_single_pass(self, name, trace, context):
+    def test_live_chunked_equals_single_pass(
+        self, name, trace, context, none_plan
+    ):
         def live_kwargs():
-            stack = BranchStack(trace)
-            return dict(
-                stack=stack,
-                prefetcher=FetchDirectedPrefetcher(
-                    trace, stack, depth=DEFAULT_MACHINE.ftq_depth_records
-                ),
-            )
+            return _live_kwargs(trace, none_plan)
 
         single = simulate(
             trace,
@@ -202,17 +210,35 @@ class TestEngineChunking:
         )
         state = captured[-1]
         assert state["mode"] == "planned"
-        stack = BranchStack(trace)
+        # A state an older engine saved from its stack-driven loop.
         with pytest.raises(ValueError, match="live"):
             simulate(
                 trace,
                 make_scheme("lru", context),
                 machine=DEFAULT_MACHINE,
-                stack=stack,
-                prefetcher=FetchDirectedPrefetcher(
-                    trace, stack, depth=DEFAULT_MACHINE.ftq_depth_records
-                ),
-                resume=state,
+                plan=plan,
+                resume={**state, "mode": "live"},
+            )
+
+
+    def test_live_prefetcher_mismatch_rejected(self, trace, context, none_plan):
+        """A state carrying a prefetcher resumes only with one, and back."""
+        captured = []
+        simulate(
+            trace,
+            make_scheme("lru", context),
+            machine=DEFAULT_MACHINE,
+            checkpoint_every=2_000,
+            on_checkpoint=lambda s: captured.append(s) or True,
+            **_live_kwargs(trace, none_plan),
+        )
+        with pytest.raises(ValueError, match="live prefetcher"):
+            simulate(
+                trace,
+                make_scheme("lru", context),
+                machine=DEFAULT_MACHINE,
+                plan=none_plan,
+                resume=captured[-1],
             )
 
 
@@ -284,18 +310,17 @@ class TestCadenceEdgeCases:
     inside the trace must not fire (and must not perturb the run), a
     cadence that lands *exactly* on the warmup boundary must re-derive
     the warm-baseline counters identically on resume, and the awkward
-    cadences (1, non-divisor, last-record) must stitch bit-identical on
-    the live path exactly as ``TestEngineChunking`` pins for planned.
+    cadences (1, non-divisor, last-record) must stitch bit-identical
+    with a live entangling prefetcher exactly as ``TestEngineChunking``
+    pins for fdp-planned runs.
     """
 
+    @pytest.fixture(autouse=True)
+    def _plans(self, trace, none_plan):
+        self._none_plan = none_plan
+
     def _live_kwargs(self, trace):
-        stack = BranchStack(trace)
-        return dict(
-            stack=stack,
-            prefetcher=FetchDirectedPrefetcher(
-                trace, stack, depth=DEFAULT_MACHINE.ftq_depth_records
-            ),
-        )
+        return _live_kwargs(trace, self._none_plan)
 
     def _planned_kwargs(self, trace):
         return dict(plan=cached_plan(trace, DEFAULT_MACHINE, "fdp"))
@@ -369,7 +394,7 @@ class TestCadenceEdgeCases:
 
     @pytest.mark.parametrize("every", (1, 1_999, RECORDS - 1))
     def test_live_awkward_cadences(self, every, trace, context):
-        """The live-path mirror of the planned awkward-cadence grid."""
+        """The live-prefetcher mirror of the planned awkward-cadence grid."""
         single = simulate(
             trace,
             make_scheme("lru", context),

@@ -1,4 +1,4 @@
-"""The planned loop's skip rules change no result.
+"""The record loop's skip rules change no result.
 
 ``simulate`` batches repeat-block hits into one ``repeat_hits`` call and
 skips candidate probes whose answer cannot have changed (see its

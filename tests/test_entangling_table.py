@@ -64,6 +64,17 @@ class TestSourceSelection:
         assert len(pf._recent) == 1  # one visit, at its first cycle
         assert pf._recent[0] == (0, 1)
 
+    def test_repeated_block_fetch_leaves_state_unchanged(self):
+        """The engine skips ``observe_fetch`` on batched repeat hits;
+        that is exact only while a repeat changes nothing."""
+        pf = make_pf()
+        pf.observe_fetch(1, 0)
+        pf.observe_fetch(2, 5)
+        pf.on_demand_miss(3, 60)
+        before = pf.save_state()
+        pf.observe_fetch(2, 70)
+        assert pf.save_state() == before
+
     def test_history_ring_is_bounded(self):
         pf = make_pf(history=4)
         for i in range(10):

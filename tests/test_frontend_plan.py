@@ -1,13 +1,15 @@
 """Frontend-plan equivalence and cache tests.
 
 The plan layer promises one thing above all: a plan-driven
-``simulate`` is *bit-identical* to the live stack/FDP path — same
-scalars, same verdicts, same candidate stream — for every scheme,
-every branch kind and every workload profile.  These tests pin that
-promise (property-style, over randomized traces), pin the vectorized
-builder against the naive per-record reference replay, and pin the
-disk-cache failure paths (corrupt and stale ``.npz`` entries), the
-plan analogue of ``tests/test_runner_cache.py``.
+``simulate`` is *bit-identical* to the stack-driven reference engine
+(``reference/engine.py``: a live branch stack and prefetcher object per
+record) — same scalars, same verdicts, same candidate stream — for
+every scheme, every branch kind and every workload profile, and for
+the entangling prefetcher running live on the ``none`` plan.  These
+tests pin that promise (property-style, over randomized traces), pin
+the vectorized builder against the naive per-record reference replay,
+and pin the disk-cache failure paths (corrupt and stale ``.npz``
+entries), the plan analogue of ``tests/test_runner_cache.py``.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import shutil
 import numpy as np
 import pytest
 
-from repro.frontend.fdp import NullPrefetcher
+from repro.frontend.entangling import EntanglingPrefetcher
 from repro.frontend.plan import (
     PLAN_FORMAT,
     FrontendPlan,
@@ -27,15 +29,14 @@ from repro.frontend.plan import (
     clear_plan_memo,
     frontend_fingerprint,
     mmap_sidecar_path,
-    plannable,
 )
-from repro.frontend.stack import BranchStack
-from repro.harness.experiment import build_prefetcher, run_experiment
+from repro.harness.experiment import run_experiment
 from repro.harness.schemes import SchemeContext, available_schemes, make_scheme
 from repro.uarch.params import DEFAULT_MACHINE, MachineParams
 from repro.uarch.timing import simulate
 from repro.workloads.profiles import ALL_WORKLOADS, get_workload
 from repro.workloads.trace import BranchKind, Trace, validate_trace
+import reference.engine as reference_engine
 from reference.plan import build_plan_reference
 
 SCALARS = (
@@ -104,16 +105,20 @@ def random_trace(seed: int, n: int = 3000, nonseq_prob: float = 0.25) -> Trace:
 
 
 def live_run(trace, scheme_name, prefetcher, machine=DEFAULT_MACHINE):
-    stack = BranchStack(trace)
-    pf = build_prefetcher(prefetcher, trace, stack, machine)
+    """The reference engine: a fresh stack and prefetcher object."""
     scheme = make_scheme(scheme_name, SchemeContext(trace=trace, machine=machine))
-    return simulate(trace, scheme, pf, stack, machine), stack
+    return reference_engine.live_run(trace, scheme, prefetcher, machine)
 
 
 def planned_run(trace, scheme_name, prefetcher, machine=DEFAULT_MACHINE):
+    """The production engine; entangling runs live on the ``none`` plan."""
+    live = None
+    if prefetcher == "entangling":
+        live, prefetcher = EntanglingPrefetcher(trace), "none"
     plan = build_plan(trace, machine, prefetcher)
     scheme = make_scheme(scheme_name, SchemeContext(trace=trace, machine=machine))
-    return simulate(trace, scheme, machine=machine, plan=plan), plan
+    run = simulate(trace, scheme, machine=machine, plan=plan, prefetcher=live)
+    return run, plan
 
 
 class TestBuilderEquivalence:
@@ -189,7 +194,7 @@ class TestBuilderEquivalence:
 class TestPlannedSimulateEquivalence:
     """Plan-driven simulate == live simulate, record for record."""
 
-    @pytest.mark.parametrize("prefetcher", ["fdp", "none"])
+    @pytest.mark.parametrize("prefetcher", ["fdp", "none", "entangling"])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_randomized_traces(self, seed, prefetcher):
         trace = random_trace(seed)
@@ -217,15 +222,7 @@ class TestPlannedSimulateEquivalence:
         trace = get_workload("media-streaming").trace(records=20_000)
         plan = build_plan(trace, DEFAULT_MACHINE, "fdp")
         for scheme_name in sorted(available_schemes()):
-            stack = BranchStack(trace)
-            pf = build_prefetcher("fdp", trace, stack, DEFAULT_MACHINE)
-            live = simulate(
-                trace,
-                make_scheme(scheme_name, SchemeContext(trace=trace)),
-                pf,
-                stack,
-                DEFAULT_MACHINE,
-            )
+            live, _ = live_run(trace, scheme_name, "fdp")
             planned = simulate(
                 trace,
                 make_scheme(scheme_name, SchemeContext(trace=trace)),
@@ -235,18 +232,35 @@ class TestPlannedSimulateEquivalence:
             assert _scalars(planned) == _scalars(live), scheme_name
 
     def test_run_experiment_plan_matches_live(self):
-        live = run_experiment("x264", "acic", records=4000, use_plan=False)
-        planned = run_experiment("x264", "acic", records=4000, use_plan=True)
-        assert _scalars(planned.run) == _scalars(live.run)
+        planned = run_experiment("x264", "acic", records=4000)
+        trace = get_workload("x264").trace(records=4000)
+        live, _ = live_run(trace, "acic", "fdp")
+        assert _scalars(planned.run) == _scalars(live)
 
-    def test_entangling_is_not_frontend_plannable(self):
-        """Entangling never consumes a FrontendPlan: its table trains
-        on scheme-dependent miss timing, so it always runs live."""
-        assert not plannable("entangling")
-        result = run_experiment(
-            "x264", "lru", prefetcher="entangling", records=2000, use_plan=True
-        )
+    def test_entangling_runs_live_on_the_none_plan(self, monkeypatch):
+        """Entangling has no plan of its own: its table trains on
+        scheme-dependent miss timing, so it runs live on the ``none``
+        plan, which supplies only the branch flushes."""
+        monkeypatch.setenv("REPRO_NO_DISK_CACHE", "1")
+        with pytest.raises(ValueError):
+            build_plan(random_trace(0, n=200), DEFAULT_MACHINE, "entangling")
+        result = run_experiment("x264", "lru", prefetcher="entangling", records=2000)
         assert result.run.prefetcher_name == "entangling"
+        trace = get_workload("x264").trace(records=2000)
+        live, _ = live_run(trace, "lru", "entangling")
+        assert _scalars(result.run) == _scalars(live)
+
+    @pytest.mark.parametrize("workload", ["media-streaming", "tpcc"])
+    def test_entangling_matches_reference_on_profiles(self, workload, monkeypatch):
+        """Schemes with (lru/opt/acic) and without (srrip/ghrp) the
+        repeat-hit hook: batched repeats skip ``observe_fetch``, which
+        the reference calls on every record."""
+        monkeypatch.setenv("REPRO_NO_DISK_CACHE", "1")
+        trace = get_workload(workload).trace(records=4000)
+        for scheme_name in ("lru", "opt", "acic", "srrip", "ghrp"):
+            live, _ = live_run(trace, scheme_name, "entangling")
+            planned, _ = planned_run(trace, scheme_name, "entangling")
+            assert _scalars(planned) == _scalars(live), scheme_name
 
     def test_warmup_split_honoured(self):
         trace = random_trace(5, n=1000)
@@ -262,20 +276,21 @@ class TestPlannedSimulateEquivalence:
 
 class TestSimulateArgumentValidation:
     def test_plan_and_live_frontend_are_exclusive(self):
+        """A live prefetcher runs only on the ``none`` plan: an fdp plan
+        brings its own candidate stream."""
         trace = random_trace(0, n=200)
         plan = build_plan(trace, DEFAULT_MACHINE, "fdp")
-        stack = BranchStack(trace)
         scheme = make_scheme("lru", SchemeContext(trace=trace))
-        with pytest.raises(ValueError, match="not both"):
+        with pytest.raises(ValueError, match="'none' plan"):
             simulate(
-                trace, scheme, NullPrefetcher(trace), stack,
-                DEFAULT_MACHINE, plan=plan,
+                trace, scheme, machine=DEFAULT_MACHINE, plan=plan,
+                prefetcher=EntanglingPrefetcher(trace),
             )
 
     def test_missing_frontend_raises(self):
         trace = random_trace(0, n=200)
         scheme = make_scheme("lru", SchemeContext(trace=trace))
-        with pytest.raises(TypeError, match="prefetcher and a stack"):
+        with pytest.raises(TypeError, match="frontend plan"):
             simulate(trace, scheme, machine=DEFAULT_MACHINE)
 
     def test_wrong_length_plan_rejected(self):

@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.frontend.fdp import NullPrefetcher
-from repro.frontend.stack import BranchStack
-from repro.harness.experiment import build_prefetcher, run_experiment, scaled_records
+from repro.frontend.plan import build_plan
+from repro.harness.experiment import PREFETCHERS, run_experiment, scaled_records
 from repro.harness.runner import Runner
 from repro.harness.schemes import (
     SchemeContext,
@@ -17,6 +16,7 @@ from repro.harness.tables import format_table, reduction_table, speedup_table
 from repro.uarch.params import DEFAULT_MACHINE, MachineParams
 from repro.uarch.timing import RunResult, simulate
 from repro.workloads.trace import Trace
+from reference.engine import live_run
 
 
 def straight_line_trace(n=2000, footprint=600):
@@ -31,15 +31,19 @@ def straight_line_trace(n=2000, footprint=600):
     )
 
 
+def no_prefetch_run(trace, scheme, machine):
+    """``simulate`` on the trace's ``none`` plan (no prefetching)."""
+    plan = build_plan(trace, machine, "none")
+    return simulate(trace, scheme, machine=machine, plan=plan)
+
+
 class TestTimingEngine:
     def test_counts_misses_and_instructions(self):
         trace = straight_line_trace()
         ctx = SchemeContext(trace=trace)
         scheme = make_scheme("lru", ctx)
         machine = MachineParams(warmup_fraction=0.0)
-        result = simulate(
-            trace, scheme, NullPrefetcher(trace), BranchStack(trace), machine
-        )
+        result = no_prefetch_run(trace, scheme, machine)
         assert result.accesses == len(trace)
         assert result.instructions == trace.total_instructions
         assert result.demand_misses > 0
@@ -49,26 +53,14 @@ class TestTimingEngine:
         trace = straight_line_trace()
         ctx = SchemeContext(trace=trace)
         machine = MachineParams(warmup_fraction=0.5)
-        result = simulate(
-            trace,
-            make_scheme("lru", ctx),
-            NullPrefetcher(trace),
-            BranchStack(trace),
-            machine,
-        )
+        result = no_prefetch_run(trace, make_scheme("lru", ctx), machine)
         assert result.accesses == len(trace) // 2
 
     def test_small_footprint_all_hits_after_warmup(self):
         trace = straight_line_trace(n=4000, footprint=64)
         ctx = SchemeContext(trace=trace)
         machine = MachineParams(warmup_fraction=0.1)
-        result = simulate(
-            trace,
-            make_scheme("lru", ctx),
-            NullPrefetcher(trace),
-            BranchStack(trace),
-            machine,
-        )
+        result = no_prefetch_run(trace, make_scheme("lru", ctx), machine)
         assert result.demand_misses == 0
         assert result.mpki == 0.0
 
@@ -116,27 +108,46 @@ class TestSchemeRegistry:
 
     @pytest.mark.parametrize("name", sorted(EXPECTED))
     def test_every_scheme_simulates(self, name, tiny_trace):
-        """Integration: each scheme runs end-to-end on a tiny trace."""
+        """Integration: each scheme runs end-to-end on a tiny trace, and
+        the plan-driven engine matches the stack-driven reference."""
         ctx = SchemeContext(trace=tiny_trace)
-        scheme = make_scheme(name, ctx)
-        stack = BranchStack(tiny_trace)
-        prefetcher = build_prefetcher("fdp", tiny_trace, stack, DEFAULT_MACHINE)
-        result = simulate(tiny_trace, scheme, prefetcher, stack, DEFAULT_MACHINE)
+        plan = build_plan(tiny_trace, DEFAULT_MACHINE, "fdp")
+        result = simulate(
+            tiny_trace, make_scheme(name, ctx), machine=DEFAULT_MACHINE, plan=plan
+        )
         assert result.cycles > 0
         assert 0 <= result.demand_misses <= result.accesses
+        reference, _ = live_run(
+            tiny_trace, make_scheme(name, ctx), "fdp", DEFAULT_MACHINE
+        )
+        assert result.cycles == reference.cycles
+        assert result.demand_misses == reference.demand_misses
 
 
 class TestPrefetcherFactory:
-    def test_known_prefetchers(self, tiny_trace):
-        stack = BranchStack(tiny_trace)
-        for name in ("fdp", "entangling", "none"):
-            pf = build_prefetcher(name, tiny_trace, stack, DEFAULT_MACHINE)
-            assert pf.name in (name, "none")
+    """``run_experiment`` maps each prefetcher name to its frontend."""
 
-    def test_unknown_raises(self, tiny_trace):
+    def test_known_prefetchers(self, tiny_trace, monkeypatch):
+        monkeypatch.setenv("REPRO_NO_DISK_CACHE", "1")
+        ctx = SchemeContext(trace=tiny_trace)
+        for name in PREFETCHERS:
+            result = run_experiment(
+                "tiny", "lru", prefetcher=name, context=ctx, shard_window=0
+            )
+            assert result.run.prefetcher_name == name
+            reference, _ = live_run(
+                tiny_trace, make_scheme("lru", ctx), name, DEFAULT_MACHINE
+            )
+            assert result.run.cycles == reference.cycles, name
+            assert result.run.prefetches_issued == reference.prefetches_issued
+
+    def test_unknown_raises(self, tiny_trace, monkeypatch):
+        monkeypatch.setenv("REPRO_NO_DISK_CACHE", "1")
         with pytest.raises(KeyError):
-            build_prefetcher("bogus", tiny_trace, BranchStack(tiny_trace),
-                             DEFAULT_MACHINE)
+            run_experiment(
+                "tiny", "lru", prefetcher="bogus",
+                context=SchemeContext(trace=tiny_trace),
+            )
 
 
 class TestScaledRecords:

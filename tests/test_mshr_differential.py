@@ -12,11 +12,12 @@ production implementation and must agree *bit for bit* —
   no dict tricks;
 * randomized allocate/drain/cancel schedules hit capacity pressure,
   duplicate blocks, same-cycle bursts and out-of-order ready cycles;
-* full ``simulate()`` runs (live and plan-driven) across every
-  registered scheme on a 20k-record grid must produce identical
-  RunResult scalars with the reference subsystem swapped in, including
-  under tiny MSHR files, tiny L2/L3 capacities and shifted warmup
-  boundaries.
+* full ``simulate()`` runs across every registered scheme on a
+  20k-record grid must produce identical RunResult scalars with the
+  reference subsystem swapped in; and the production engine must match
+  the stack-driven reference engine (``reference/engine.py``) running
+  on the reference subsystem, including under tiny MSHR files, tiny
+  L2/L3 capacities and shifted warmup boundaries.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ import numpy as np
 import pytest
 
 import repro.uarch.timing as timing
+from repro.frontend.plan import build_plan
 from repro.frontend.stack import BranchStack
-from repro.harness.experiment import build_prefetcher
 from repro.harness.schemes import SchemeContext, available_schemes, make_scheme
 from repro.mem.hierarchy import HierarchyConfig, MemoryHierarchy
 from repro.mem.mshr import MSHRFile
@@ -34,6 +35,7 @@ from repro.uarch.params import DEFAULT_MACHINE, MachineParams
 from repro.uarch.timing import simulate
 from repro.workloads.profiles import get_workload
 
+import reference.engine as reference_engine
 from test_frontend_plan import random_trace
 
 SCALARS = (
@@ -271,9 +273,14 @@ class TestHierarchySchedules:
 
 
 def _ref_run(trace, scheme_name, machine, context, monkeypatch, plan=None):
-    """simulate() with the naive MSHR + hierarchy swapped in."""
+    """The naive MSHR + hierarchy swapped in.
+
+    With a ``plan`` the production engine drives them; without one the
+    stack-driven reference engine does, with a fresh stack and FDP.
+    """
     with monkeypatch.context() as m:
         m.setattr(timing, "MSHRFile", NaiveMSHR)
+        m.setattr(reference_engine, "MSHRFile", NaiveMSHR)
         scheme = make_scheme(scheme_name, context)
         hierarchy = NaiveHierarchy(machine.hierarchy)
         if plan is not None:
@@ -281,17 +288,17 @@ def _ref_run(trace, scheme_name, machine, context, monkeypatch, plan=None):
                 trace, scheme, machine=machine, hierarchy=hierarchy, plan=plan
             )
         stack = BranchStack(trace)
-        pf = build_prefetcher("fdp", trace, stack, machine)
-        return simulate(trace, scheme, pf, stack, machine, hierarchy=hierarchy)
+        pf = reference_engine.build_prefetcher("fdp", trace, stack, machine)
+        return reference_engine.simulate_live(
+            trace, scheme, pf, stack, machine, hierarchy=hierarchy
+        )
 
 
 def _prod_run(trace, scheme_name, machine, context, plan=None):
+    """The production engine on ``plan`` (default: a fresh fdp plan)."""
+    plan = plan or build_plan(trace, machine, "fdp")
     scheme = make_scheme(scheme_name, context)
-    if plan is not None:
-        return simulate(trace, scheme, machine=machine, plan=plan)
-    stack = BranchStack(trace)
-    pf = build_prefetcher("fdp", trace, stack, machine)
-    return simulate(trace, scheme, pf, stack, machine)
+    return simulate(trace, scheme, machine=machine, plan=plan)
 
 
 class TestSimulateDifferential:
@@ -304,8 +311,6 @@ class TestSimulateDifferential:
         flat hierarchy must match the naive reference scalar for scalar
         on every registered scheme.
         """
-        from repro.frontend.plan import build_plan
-
         trace = get_workload("media-streaming").trace(records=20_000)
         machine = DEFAULT_MACHINE
         plan = build_plan(trace, machine, "fdp")
@@ -319,7 +324,8 @@ class TestSimulateDifferential:
 
     @pytest.mark.parametrize("scheme_name", ["lru", "acic", "opt"])
     def test_live_path_matches_reference(self, scheme_name, monkeypatch):
-        """The live (stack + FDP) path through the same differential."""
+        """Plan-driven production engine == stack + FDP reference engine,
+        each on its own subsystem."""
         trace = random_trace(21, n=4000)
         machine = DEFAULT_MACHINE
         context = SchemeContext(trace=trace, machine=machine)
@@ -412,9 +418,9 @@ class TestFillDeliveryInsideSimulate:
         scheme.prefetch_fill = lambda block, t, cycle: (
             deliveries.append(block), original_fill(block, t, cycle)
         )[1]
-        stack = BranchStack(trace)
-        pf = build_prefetcher("fdp", trace, stack, machine)
-        simulate(trace, scheme, pf, stack, machine)
+        simulate(
+            trace, scheme, machine=machine, plan=build_plan(trace, machine, "fdp")
+        )
         mshr = captured["mshr"]
         assert mshr.stats.allocations > 0
         # Every drained fill reached the scheme's prefetch_fill hook.

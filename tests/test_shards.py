@@ -25,6 +25,8 @@ import json
 import pytest
 
 from repro.common import faults
+from repro.common.artifacts import entry_name
+from repro.frontend.plan import clear_plan_memo, frontend_fingerprint
 from repro.harness.experiment import run_experiment
 from repro.harness.runner import Runner
 from repro.harness.schemes import SchemeContext, available_schemes
@@ -283,12 +285,15 @@ class TestShardedStitching:
     def test_cold_entangling_run_windows_drains_and_resumes(
         self, context, trace, plain_runs, tmp_path, monkeypatch
     ):
-        """A cold entangling run is the live path, windowed like any
-        other: every boundary is reported, a drain keeps the ledger, the
-        rerun resumes to the unwindowed scalars, and no plan is cached."""
+        """A cold entangling run, windowed like any other: every
+        boundary is reported, a drain keeps the ledger (the live
+        prefetcher's table rides in it), the rerun resumes to the
+        unwindowed scalars, and the only plan cached is the ``none``
+        plan the run takes its branch flushes from."""
         plans = tmp_path / "plans"
         monkeypatch.setenv("REPRO_PLAN_CACHE", str(plans))
         monkeypatch.delenv("REPRO_NO_DISK_CACHE", raising=False)
+        clear_plan_memo()  # a memoised plan would never reach the disk
 
         def run(**kwargs):
             return run_experiment(
@@ -314,7 +319,10 @@ class TestShardedStitching:
             (k, k * WINDOW, total) for k in range(1, total // WINDOW + 1)
         ], "each boundary fires once, the resume skipping the done shard"
         assert not list(shards_dir().glob("*"))
-        assert not plans.exists() or not any(plans.iterdir())
+        none_plan = entry_name(
+            trace.name, frontend_fingerprint(trace, DEFAULT_MACHINE, "none")
+        )
+        assert sorted(p.name for p in plans.glob("*.npz")) == [f"{none_plan}.npz"]
         assert _scalars(resumed) == plain_runs("lru", prefetcher="entangling")
 
     def test_shard_progress_reported(self, context, trace):
