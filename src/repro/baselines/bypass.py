@@ -17,7 +17,7 @@
 from __future__ import annotations
 
 import random
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.common.bitops import fold_hash, mask
 from repro.core.ifilter import IFilter
@@ -83,12 +83,6 @@ class IFilterAdmissionBase:
 
     def contains(self, block: int) -> bool:
         return block in self.ifilter or self.icache.contains(block)
-
-    def reset(self) -> None:
-        self.icache.reset()
-        self.ifilter.reset()
-        self.victims_considered = 0
-        self.victims_admitted = 0
 
     # -- checkpoint/resume --------------------------------------------------
     #
@@ -325,13 +319,6 @@ class DSBScheme:
             return True
         return self.icache.contains(block)
 
-    def reset(self) -> None:
-        self.icache.reset()
-        if self.ifilter is not None:
-            self.ifilter.reset()
-        self._duels.clear()
-        self._ladder_index = 3
-
     # -- checkpoint/resume --------------------------------------------------
 
     def save_state(self) -> dict:
@@ -378,7 +365,6 @@ class OBMScheme:
         bdct_bits: int = 10,
         counter_bits: int = 4,
         sample_period: int = 8,
-        seed: int = 0,
     ) -> None:
         self.config = config
         self.icache = SetAssociativeCache(config, LRUPolicy())
@@ -388,7 +374,6 @@ class OBMScheme:
         self.bdct = [self.threshold] * (1 << bdct_bits)
         self.rht_entries = rht_entries
         self.sample_period = sample_period
-        self._rng = random.Random(seed)
         # RHT: block -> ("incoming"/"victim" role marker, signature).
         self._rht: Dict[int, Tuple[bool, int]] = {}
         self._fills = 0
@@ -442,12 +427,6 @@ class OBMScheme:
     def contains(self, block: int) -> bool:
         return self.icache.contains(block)
 
-    def reset(self) -> None:
-        self.icache.reset()
-        self.bdct = [self.threshold] * len(self.bdct)
-        self._rht.clear()
-        self._fills = 0
-
     # -- checkpoint/resume --------------------------------------------------
 
     def save_state(self) -> dict:
@@ -455,7 +434,6 @@ class OBMScheme:
 
         state = save_attrs(self, ("bdct", "_rht", "_fills"))
         state["icache"] = self.icache.save_state()
-        state["rng"] = self._rng.getstate()
         return state
 
     def load_state(self, state: dict) -> None:
@@ -465,4 +443,3 @@ class OBMScheme:
         # load_attrs preserves it.
         load_attrs(self, state, ("bdct", "_rht", "_fills"))
         self.icache.load_state(state["icache"])
-        self._rng.setstate(state["rng"])

@@ -40,9 +40,6 @@ class PlainCacheScheme:
     def contains(self, block: int) -> bool:
         return self.icache.contains(block)
 
-    def reset(self) -> None:
-        self.icache.reset()
-
     # -- checkpoint/resume --------------------------------------------------
 
     def save_state(self) -> dict:

@@ -46,10 +46,6 @@ class VictimCacheScheme:
     def contains(self, block: int) -> bool:
         return self.icache.contains(block) or block in self.victim_cache
 
-    def reset(self) -> None:
-        self.icache.reset()
-        self.victim_cache.reset()
-
     # -- checkpoint/resume --------------------------------------------------
 
     def save_state(self) -> dict:
@@ -110,10 +106,6 @@ class VVCScheme:
 
     def contains(self, block: int) -> bool:
         return self.icache.contains(block) or self.vvc.is_parked(block)
-
-    def reset(self) -> None:
-        self.icache.reset()
-        self.vvc.reset()
 
     # -- checkpoint/resume --------------------------------------------------
 

@@ -111,9 +111,6 @@ class LRUSet:
                 return rank
         raise KeyError(block)
 
-    def clear(self) -> None:
-        self._lines.clear()
-
     # -- checkpoint/resume --------------------------------------------------
 
     def save_state(self) -> dict:
@@ -206,9 +203,6 @@ class FullyAssociativeLRU:
 
     def items(self):
         return self._lines.items()
-
-    def clear(self) -> None:
-        self._lines.clear()
 
     # -- checkpoint/resume --------------------------------------------------
 

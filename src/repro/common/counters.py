@@ -62,9 +62,6 @@ class SaturatingCounter:
             threshold = (self._max + 1) // 2
         return self.value >= threshold
 
-    def reset(self, value: int | None = None) -> None:
-        self.value = (self._max + 1) // 2 if value is None else value
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SaturatingCounter(bits={self.bits}, value={self.value})"
 

@@ -30,8 +30,7 @@ process that sees it existing skips injection entirely.  Without the
 latch, a pool rebuilt after a ``kill`` fault would re-fire it forever.
 
 This lives in ``repro.common`` so leaf modules (trace/plan writers) can
-hook it without layering violations; :mod:`repro.harness.faults`
-re-exports the public surface at the path the harness documents.
+hook it without layering violations.
 """
 
 from __future__ import annotations

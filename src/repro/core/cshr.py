@@ -143,13 +143,6 @@ class FlatCSHR:
     def occupancy(self) -> int:
         return sum(len(s) for s in self._victim_tags)
 
-    def reset(self) -> None:
-        for s in self._victim_tags:
-            s.clear()
-        for s in self._contender_tags:
-            s.clear()
-        self.stats = CSHRStats()
-
     # -- checkpoint/resume --------------------------------------------------
     #
     # The per-set tag lists are restored in place: the flat controller

@@ -158,8 +158,8 @@ class FlatACICScheme:
 
         Everything cached here is mutated in place by the owning objects
         (the i-cache policy is LRU, which never rebuilds a set's dict),
-        except the stats objects, which ``reset`` replaces — hence this
-        runs after construction and after every reset.
+        so this runs at construction and again as ``load_state``'s
+        post-load hook.
         """
         self._ic_stats = self.icache.stats
         self._ic_lines = self.icache.line_dicts()
@@ -379,17 +379,6 @@ class FlatACICScheme:
     def demand_stats(self):
         return self.icache.stats
 
-    def reset(self) -> None:
-        self.icache.reset()
-        if self.ifilter is not None:
-            self.ifilter.reset()
-        self.cshr.reset()
-        self.predictor.reset()
-        self.stats = ACICStats()
-        self.audit = AdmissionAudit() if self.audit_oracle is not None else None
-        self._last_resolved_block = -1
-        self._rebind()
-
     # -- checkpoint/resume --------------------------------------------------
     #
     # State shape matches the readable reference controller's exactly
@@ -398,7 +387,7 @@ class FlatACICScheme:
     # serializes via its own class).
     # Children restore their containers in place, so the references
     # captured by ``_rebind`` stay valid; we still re-run it afterwards
-    # as the single post-load hook, matching ``reset``.
+    # as the single post-load hook.
 
     def save_state(self) -> dict:
         from repro.common.state import save_stats, snapshot

@@ -71,10 +71,6 @@ class IFilter:
         except KeyError:
             return False
 
-    def reset(self) -> None:
-        self._buffer.clear()
-        self.stats = IFilterStats()
-
     # -- checkpoint/resume --------------------------------------------------
 
     def save_state(self) -> dict:

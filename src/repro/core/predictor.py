@@ -58,9 +58,6 @@ class AdmissionPredictor(ABC):
     def train(self, victim_ptag: int, victim_won: bool, now: int = 0) -> None:
         """Record a resolved comparison for the victim's history."""
 
-    def reset(self) -> None:  # pragma: no cover - trivial default
-        pass
-
     # -- checkpoint/resume --------------------------------------------------
     #
     # Subclasses list their mutable learned state in ``_STATE_ATTRS``
@@ -199,14 +196,6 @@ class TwoLevelAdmissionPredictor(AdmissionPredictor):
             (history << 1) | (1 if victim_won else 0)
         ) & self.history_mask
 
-    def reset(self) -> None:
-        self.hrt = [0] * len(self.hrt)
-        self.pt = [self.threshold] * len(self.pt)
-        for queue in self._queues:
-            queue.clear()
-        self._next_due = _NEVER
-        self.stats = AdmissionStats()
-
     _STATE_ATTRS = ("hrt", "pt", "_queues")
 
     def load_state(self, state: dict) -> None:
@@ -249,11 +238,6 @@ class GlobalHistoryAdmissionPredictor(AdmissionPredictor):
         elif value > 0:
             self.pt[self.history] = value - 1
         self.history = ((self.history << 1) | (1 if victim_won else 0)) & self.history_mask
-
-    def reset(self) -> None:
-        self.history = 0
-        self.pt = [self.threshold] * len(self.pt)
-        self.stats = AdmissionStats()
 
     _STATE_ATTRS = ("history", "pt")
 
@@ -298,10 +282,6 @@ class BimodalAdmissionPredictor(AdmissionPredictor):
                 self.table[idx] = value + 1
         elif value > 0:
             self.table[idx] = value - 1
-
-    def reset(self) -> None:
-        self.table = [self.threshold] * len(self.table)
-        self.stats = AdmissionStats()
 
     _STATE_ATTRS = ("table",)
 

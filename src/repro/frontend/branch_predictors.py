@@ -58,20 +58,6 @@ class BimodalPredictor:
         return prediction
 
 
-def _fold_by_age(history: int, width: int, span: int) -> int:
-    """The last ``span`` outcomes of ``history`` folded to ``width`` bits.
-
-    The outcome of age ``a`` (bit ``a`` of ``history``) is XORed in at
-    bit ``a mod width``: the invariant every folded-history register
-    keeps.
-    """
-    folded = 0
-    for age in range(span):
-        if (history >> age) & 1:
-            folded ^= 1 << (age % width)
-    return folded
-
-
 def _push_folds(folds: List[int], geometry, old_history: int, bit: int) -> List[int]:
     """The registers after ``bit`` is pushed onto ``old_history``.
 
@@ -139,7 +125,6 @@ class TagePredictor:
         self.base = BimodalPredictor(table_bits=12, counter_bits=2)
         self.ghr = 0
         self.stats = PredictorStats()
-        self._alloc_seed = 0x9E37
         # Lookup order: longest history first.
         self._tables_desc = tuple(range(num_tables - 1, -1, -1))
         self._index_shift = 64 - table_bits
@@ -150,25 +135,15 @@ class TagePredictor:
         spans = [min(length, _GHR_BITS) for length in self.history_lengths]
         self._index_geometry = self._fold_geometry(table_bits, spans)
         self._tag_geometry = self._fold_geometry(tag_bits, spans)
-        self._rebuild_folds()
+        # An empty history folds to zero in every register.
+        self._index_folds = [0] * num_tables
+        self._tag_folds = [0] * num_tables
 
     @staticmethod
     def _fold_geometry(width: int, spans: List[int]):
         return tuple(
             (width - 1, mask(width), span - 1, span % width) for span in spans
         )
-
-    def _rebuild_folds(self) -> None:
-        """Derive every folded-history register from ``ghr``."""
-        ghr = self.ghr
-        self._index_folds = [
-            _fold_by_age(ghr, top + 1, oldest + 1)
-            for top, _, oldest, _ in self._index_geometry
-        ]
-        self._tag_folds = [
-            _fold_by_age(ghr, top + 1, oldest + 1)
-            for top, _, oldest, _ in self._tag_geometry
-        ]
 
     def _push_history(self, taken: bool) -> None:
         """Shift one outcome into ``ghr`` and every folded register."""
@@ -258,12 +233,3 @@ class TagePredictor:
                 self.tables[table][idx] = _TageEntry(self._tag(table, site), counter)
                 return
             entry.useful -= 1  # age the blocker; try the next table
-
-    def reset(self) -> None:
-        for table in self.tables:
-            for i in range(len(table)):
-                table[i] = None
-        self.base = BimodalPredictor(table_bits=12, counter_bits=2)
-        self.ghr = 0
-        self.stats = PredictorStats()
-        self._rebuild_folds()

@@ -55,8 +55,3 @@ class BranchTargetBuffer:
         if was_correct:
             self.stats.correct_target += 1
         self._set_for(site).insert_mru(site, target)
-
-    def reset(self) -> None:
-        for line_set in self._sets:
-            line_set.clear()
-        self.stats = BTBStats()

@@ -133,7 +133,6 @@ def run_experiment(
             records,
             machine.fingerprint(),
             trace.digest,
-            "planned",
             window,
         )
         return shards.run_windowed(

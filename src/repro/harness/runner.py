@@ -96,17 +96,13 @@ def _sweep_retries() -> int:
     return env_number("REPRO_SWEEP_RETRIES", 3, 0)
 
 
-def _context_cache_cap() -> int:
-    """Resident :class:`SchemeContext` bound per Runner (REPRO_CONTEXT_CACHE).
-
-    Every workload a Runner touches used to keep its trace/plan/oracle
-    resident forever — fine for a bench process that exits, a leak in a
-    long-lived server.  Default 4: enough that workload-major sweeps and
-    the figure benches (outer loop over workloads) never thrash, small
-    enough that a server that has seen every workload holds a handful of
-    traces, not all of them.
-    """
-    return env_number("REPRO_CONTEXT_CACHE", 4, 1)
+#: Resident :class:`SchemeContext` bound per Runner.  Every workload a
+#: Runner touches used to keep its trace/plan/oracle resident forever —
+#: fine for a bench process that exits, a leak in a long-lived server.
+#: 4 is enough that workload-major sweeps and the figure benches (outer
+#: loop over workloads) never thrash, small enough that a server that
+#: has seen every workload holds a handful of traces, not all of them.
+CONTEXT_CACHE_CAP = 4
 
 
 #: Callback invoked by :meth:`Runner.sweep_pairs` after each *freshly
@@ -344,10 +340,12 @@ class Runner:
         """
         return self._cached(workload, scheme)
 
-    def _admit(self, workload: str, scheme: str, result: RunResult) -> None:
-        """Install a fresh result in both cache layers."""
+    def _admit(
+        self, workload: str, scheme: str, result: RunResult, *, allow_disk: bool = True
+    ) -> None:
+        """Install a fresh result in the memory layer and, if allowed, on disk."""
         self._memory[self._key(workload, scheme)] = result
-        if self.use_disk_cache:
+        if allow_disk and self.use_disk_cache:
             self._store_disk(workload, scheme, result)
 
     def context_for(self, workload: str) -> SchemeContext:
@@ -359,7 +357,7 @@ class Runner:
         workload shares one frontend plan instead of redoing it per
         pair.
 
-        At most ``REPRO_CONTEXT_CACHE`` contexts stay resident; the
+        At most :data:`CONTEXT_CACHE_CAP` contexts stay resident; the
         least-recently-used one is dropped beyond that.  Eviction is
         safe because everything a context holds is rebuilt bit-identical
         from the trace/plan disk caches (``tests/test_sweep_bugs.py``
@@ -375,8 +373,7 @@ class Runner:
             ctx = SchemeContext(trace=trace, machine=self.machine)
             _warm_artifacts(ctx, self.prefetcher, self.machine, prepass=False)
             self._contexts[workload] = ctx
-            cap = _context_cache_cap()
-            while len(self._contexts) > cap:
+            while len(self._contexts) > CONTEXT_CACHE_CAP:
                 self._contexts.popitem(last=False)
             return ctx
 
@@ -393,9 +390,9 @@ class Runner:
     ) -> RunResult:
         """Run one pair, consulting the caches first.
 
-        ``allow_disk=False`` skips the disk layer *and* rejects memory
-        entries without a live scheme object (disk-loaded scalars), for
-        callers that need scheme internals.
+        ``allow_disk=False`` neither reads nor writes the disk layer and
+        rejects memory entries without a live scheme object (disk-loaded
+        scalars), for callers that need scheme internals.
 
         ``on_shard``/``should_stop`` apply only when sharded execution
         is active (``REPRO_SHARD_WINDOW``, see
@@ -422,7 +419,7 @@ class Runner:
             ),
             should_stop=should_stop,
         ).run
-        self._admit(workload, scheme, result)
+        self._admit(workload, scheme, result, allow_disk=allow_disk)
         return result
 
     def run(
@@ -443,7 +440,7 @@ class Runner:
         )
 
     def run_live(self, workload: str, scheme: str) -> RunResult:
-        """Run bypassing the disk cache (when scheme internals are needed)."""
+        """Run without touching the disk cache (when scheme internals are needed)."""
         return self._run(workload, scheme, allow_disk=False)
 
     # -- derived metrics ------------------------------------------------------

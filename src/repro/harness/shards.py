@@ -30,8 +30,8 @@ The ledger is two kinds of file under ``<results cache>/shards/``:
 :func:`ShardLedger.latest` walks the ledger backwards past anything
 corrupt, stale, or carrying a foreign fingerprint — a ledger entry is a
 shortcut, never a correctness dependency.  The fingerprint is
-:func:`run_fingerprint` with the window size folded in, so a ledger can
-never resume a run it does not exactly describe.
+:func:`run_fingerprint`, window size included, so a ledger can never
+resume a run it does not exactly describe.
 
 **Drain**: ``should_stop`` is polled at each boundary *after* the
 ledger write; when it reports true, :func:`run_windowed` raises
@@ -109,15 +109,17 @@ def run_fingerprint(
     records: int,
     machine_fingerprint: str,
     trace_digest: str,
-    mode: str,
+    window: int,
 ) -> str:
-    """Identity of one resumable run; any ingredient change invalidates.
+    """Identity of one windowed run; any ingredient change invalidates.
 
-    ``mode`` names the engine's state format (``"planned"``; ledgers
-    written for an older engine's ``"live"`` loop never match).  The
-    trace digest ties a boundary state to the exact record stream it
-    was captured from.  The ``ckpt1`` prefix predates the ledger and
-    stays, so ledgers already on disk still resume.
+    The trace digest ties a boundary state to the exact record stream
+    it was captured from.  A boundary state is valid for any cadence,
+    but tying it to the window keeps resume behaviour (which boundary
+    you land on) reproducible across crashes.  The ``ckpt1`` prefix and
+    the ``planned`` engine-format tag predate the ledger and stay
+    literal, so ledgers already on disk still resume (ledgers of an
+    older engine's ``live`` loop never match).
     """
     text = "|".join(
         (
@@ -128,7 +130,7 @@ def run_fingerprint(
             str(records),
             machine_fingerprint,
             trace_digest,
-            mode,
+            f"planned+w{window}",
         )
     )
     return hashlib.sha1(text.encode()).hexdigest()[:16]
@@ -263,16 +265,9 @@ def ledger_for(
     records: int,
     machine_fingerprint: str,
     trace_digest: str,
-    mode: str,
     window: int,
 ) -> ShardLedger:
-    """The shard ledger for one windowed run identity.
-
-    Identity is :func:`run_fingerprint` with the window size folded
-    into the mode component: a boundary state is mathematically valid
-    for any cadence, but tying it to the window keeps resume behaviour
-    (which boundary you land on) reproducible across crashes.
-    """
+    """The shard ledger for one windowed run identity."""
     fingerprint = run_fingerprint(
         workload,
         scheme,
@@ -280,7 +275,7 @@ def ledger_for(
         records,
         machine_fingerprint,
         trace_digest,
-        f"{mode}+w{window}",
+        window,
     )
     return ShardLedger(
         shards_dir(), f"{workload}.{scheme}.{fingerprint}", fingerprint, window

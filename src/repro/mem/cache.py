@@ -9,7 +9,7 @@ recency as a secondary key.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, TYPE_CHECKING
 
 from repro.common.bitops import BLOCK_BYTES, is_power_of_two, log2_exact, mask
@@ -74,17 +74,6 @@ class CacheStats:
     def demand_misses(self) -> int:
         return self.demand_accesses - self.demand_hits
 
-    def reset(self) -> None:
-        for name in (
-            "demand_accesses",
-            "demand_hits",
-            "prefetch_fills",
-            "demand_fills",
-            "evictions",
-            "bypasses",
-        ):
-            setattr(self, name, 0)
-
 
 @dataclass
 class FillResult:
@@ -126,8 +115,8 @@ class SetAssociativeCache:
 
         Fast-path API for the flat scheme twins: they index these dicts
         directly in their fused lookup/fill bodies.  The dicts are the
-        live containers — mutated in place by ``reset``/``load_state``
-        — so a captured list stays valid across both.
+        live containers — mutated in place by ``load_state`` — so a
+        captured list stays valid across it.
         """
         return [s._lines for s in self._sets]
 
@@ -220,12 +209,6 @@ class SetAssociativeCache:
 
     def resident_blocks(self) -> int:
         return sum(len(s) for s in self._sets)
-
-    def reset(self) -> None:
-        for line_set in self._sets:
-            line_set.clear()
-        self.policy.reset()
-        self.stats.reset()
 
     # -- checkpoint/resume --------------------------------------------------
 

@@ -135,11 +135,6 @@ class MemoryHierarchy:
     def resident_blocks(self) -> int:
         return len(self._l2) + len(self._l3)
 
-    def reset(self) -> None:
-        self._l2.clear()
-        self._l3.clear()
-        self.stats = HierarchyStats()
-
     # -- checkpoint/resume --------------------------------------------------
 
     def save_state(self) -> dict:

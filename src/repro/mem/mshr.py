@@ -152,12 +152,6 @@ class MSHRFile:
         if not self._pending and not self._deferred:
             self._min_ready = _NEVER
 
-    def reset(self) -> None:
-        self._pending.clear()
-        self._deferred.clear()
-        self._min_ready = _NEVER
-        self.stats = MSHRStats()
-
     # -- checkpoint/resume --------------------------------------------------
 
     def save_state(self) -> dict:

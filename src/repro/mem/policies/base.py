@@ -65,9 +65,6 @@ class ReplacementPolicy(ABC):
     def on_evict(self, set_index: int, block: int, t: int) -> None:
         """Record that ``block`` was evicted.  Default: nothing."""
 
-    def reset(self) -> None:
-        """Drop all learned state.  Default: nothing."""
-
     # -- checkpoint/resume --------------------------------------------------
     #
     # Stateless policies (LRU: the cache's recency order is the state)

@@ -61,9 +61,6 @@ class BeladyOPTPolicy(ReplacementPolicy):
     def on_evict(self, set_index: int, block: int, t: int) -> None:
         self._next_use.pop(block, None)
 
-    def reset(self) -> None:
-        self._next_use.clear()
-
     # The oracle is externally owned (rebuilt from the trace by the
     # harness) and deliberately NOT part of the state.
     _STATE_ATTRS = ("_next_use",)

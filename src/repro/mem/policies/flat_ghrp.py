@@ -64,8 +64,8 @@ class FlatGHRPScheme:
         if len(self.policy.tables) != 3:
             raise ValueError("FlatGHRPScheme requires the 3-table GHRP")
         self.icache = SetAssociativeCache(self.config, self.policy)
-        # The live per-set dicts (mutated in place by reset/load_state,
-        # so this list stays valid for the scheme's lifetime).
+        # The live per-set dicts (mutated in place by load_state, so
+        # this list stays valid for the scheme's lifetime).
         self._lines_by_set = self.icache.line_dicts()
         # Pre-pass views (bound by prepare_trace, valid for demand
         # records only: record t accesses trace.blocks[t]).
@@ -103,8 +103,8 @@ class FlatGHRPScheme:
 
         ``GHRPPolicy.load_state`` *replaces* the table lists
         (``load_attrs`` semantics), which is why this runs after every
-        ``load_state`` and ``reset``.  Re-binding first flushes any
-        counters deferred by the previous closures.
+        ``load_state``.  Re-binding first flushes any counters deferred
+        by the previous closures.
         """
         flush_prev = self.__dict__.get("_flush")
         if flush_prev is not None:
@@ -147,8 +147,8 @@ class FlatGHRPScheme:
             acc = hits = evicts = dfills = pfills = 0
 
         def drop():
-            # Forget deferred deltas (reset/load replace the counters
-            # and the GHR): kill this binding's flush so the rebind
+            # Forget deferred deltas (load replaces the counters and
+            # the GHR): kill this binding's flush so the rebind
             # preamble cannot write stale values over the loaded state.
             nonlocal acc, hits, evicts, dfills, pfills
             acc = hits = evicts = dfills = pfills = 0
@@ -291,11 +291,6 @@ class FlatGHRPScheme:
     def finish_trace(self) -> None:
         """Engine end-of-run hook: flush deferred counters/GHR."""
         self._flush()
-
-    def reset(self) -> None:
-        self._drop()
-        self.icache.reset()
-        self._bind()
 
     # -- checkpoint/resume ---------------------------------------------------
     #

@@ -101,8 +101,8 @@ class FlatHawkeyeScheme:
                 "the packed occupancy vector requires 0 < policy.ways < 128"
             )
         self.icache = SetAssociativeCache(self.config, self.policy)
-        # The live per-set dicts (mutated in place by reset/load_state,
-        # so this list stays valid for the scheme's lifetime).
+        # The live per-set dicts (mutated in place by load_state, so
+        # this list stays valid for the scheme's lifetime).
         self._lines_by_set = self.icache.line_dicts()
         # Pre-pass views (bound by prepare_trace, valid for demand
         # records only: record t accesses trace.blocks[t]).
@@ -114,7 +114,7 @@ class FlatHawkeyeScheme:
     def _absorb(self) -> None:
         """Rebuild the flat per-set OPTgen/sampler views from the policy.
 
-        Called at construction and after ``reset``/``load_state`` —
+        Called at construction and after ``load_state`` —
         never mid-run, when the policy's ``_optgen``/``_rrpv`` are stale
         stand-ins for the flat lists and line payloads.
         """
@@ -157,9 +157,9 @@ class FlatHawkeyeScheme:
     def _bind(self) -> None:
         """Close the protocol methods over the hot containers.
 
-        ``HawkeyePolicy.reset``/``load_state`` replace the predictor
-        list and the per-set dicts, so this runs after both (after
-        :meth:`_absorb` has rebuilt the flat views).  Re-binding first
+        ``HawkeyePolicy.load_state`` replaces the predictor list and
+        the per-set dicts, so this runs after it (after :meth:`_absorb`
+        has rebuilt the flat views).  Re-binding first
         flushes any counters deferred by the previous closures.
         """
         flush_prev = self.__dict__.get("_flush")
@@ -206,7 +206,7 @@ class FlatHawkeyeScheme:
             acc = hits = evicts = dfills = pfills = 0
 
         def drop():
-            # Forget deferred deltas (reset/load replace the counters):
+            # Forget deferred deltas (load replaces the counters):
             # kill this binding's flush so the rebind preamble cannot
             # write stale values over the loaded state.
             nonlocal acc, hits, evicts, dfills, pfills
@@ -443,12 +443,6 @@ class FlatHawkeyeScheme:
     def finish_trace(self) -> None:
         """Engine end-of-run hook: flush deferred counters."""
         self._flush()
-
-    def reset(self) -> None:
-        self._drop()
-        self.icache.reset()
-        self._absorb()
-        self._bind()
 
     # -- checkpoint/resume ---------------------------------------------------
     #

@@ -55,8 +55,8 @@ class _FlatPlainScheme:
         self.policy = policy
         self.name = policy.name
         self.icache = SetAssociativeCache(config, policy)
-        # The live per-set dicts (mutated in place by reset/load_state,
-        # so this list stays valid for the scheme's lifetime).
+        # The live per-set dicts (mutated in place by load_state, so
+        # this list stays valid for the scheme's lifetime).
         self._lines_by_set = self.icache.line_dicts()
         self._bind()
 
@@ -79,7 +79,7 @@ class _FlatPlainScheme:
         self.contains = contains
 
     def _drop(self) -> None:
-        """Forget deferred deltas (reset/load replace the counters).
+        """Forget deferred deltas (``load_state`` replaces the counters).
 
         The next ``_bind`` starts fresh counter cells; dropping this
         binding's flush keeps its rebind preamble from writing stale
@@ -90,11 +90,6 @@ class _FlatPlainScheme:
     def finish_trace(self) -> None:
         """Engine end-of-run hook: flush deferred counters."""
         self._flush()
-
-    def reset(self) -> None:
-        self._drop()
-        self.icache.reset()
-        self._bind()
 
     # -- checkpoint/resume ---------------------------------------------------
 

@@ -156,15 +156,6 @@ class GHRPPolicy(ReplacementPolicy):
         if indices is not None:
             self._train(indices, dead=True)
 
-    def reset(self) -> None:
-        for table in self.tables:
-            for i in range(len(table)):
-                table[i] = 0
-        self.ghr = 0
-        self._line_indices.clear()
-        self._sig_memo.clear()
-        self._indices_memo.clear()
-
     # The hash memos are pure caches (recomputation is invisible), so
     # they stay out of the snapshot rather than bloating checkpoints.
     _STATE_ATTRS = ("tables", "ghr", "_line_indices")

@@ -197,14 +197,6 @@ class HawkeyePolicy(ReplacementPolicy):
         self._set_rrpvs(set_index).pop(block, None)
         self._sig_of_line.pop(block, None)
 
-    def reset(self) -> None:
-        self.predictor = [self.counter_mid] * len(self.predictor)
-        self._optgen.clear()
-        self._history.clear()
-        self._rrpv.clear()
-        self._sig_of_line.clear()
-        self._sig_memo.clear()
-
     # ``_sig_memo`` is a pure cache and stays out of the snapshot.  The
     # per-set ``_OPTgen`` objects are plain value objects (module-level
     # class, slots of ints/lists) so they deepcopy and pickle cleanly.

@@ -99,11 +99,6 @@ class TreePLRUPolicy(ReplacementPolicy):
         if way is not None and block_at.get(way) == block:
             del block_at[way]
 
-    def reset(self) -> None:
-        self._tree.clear()
-        self._way_of.clear()
-        self._block_at.clear()
-
     _STATE_ATTRS = ("_tree", "_way_of", "_block_at")
 
     def save_state(self) -> dict:

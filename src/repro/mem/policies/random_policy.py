@@ -15,7 +15,6 @@ class RandomPolicy(ReplacementPolicy):
     trivial_on_hit = True
 
     def __init__(self, seed: int = 0) -> None:
-        self._seed = seed
         self._rng = random.Random(seed)
 
     def on_hit(self, set_index: int, block: int, t: int) -> None:
@@ -33,9 +32,6 @@ class RandomPolicy(ReplacementPolicy):
 
     def on_fill(self, set_index: int, block: int, t: int, prefetch: bool) -> None:
         pass
-
-    def reset(self) -> None:
-        self._rng = random.Random(self._seed)
 
     def save_state(self) -> dict:
         return {"rng": self._rng.getstate()}

@@ -87,12 +87,6 @@ class SHiPPolicy(ReplacementPolicy):
         self._sig.pop(block, None)
         self._rrpv.pop(block, None)
 
-    def reset(self) -> None:
-        self.shct = [0] * len(self.shct)
-        self._rrpv.clear()
-        self._sig.clear()
-        self._outcome.clear()
-
     _STATE_ATTRS = ("shct", "_rrpv", "_sig", "_outcome")
 
     def save_state(self) -> dict:

@@ -64,9 +64,6 @@ class SRRIPPolicy(ReplacementPolicy):
     def on_evict(self, set_index: int, block: int, t: int) -> None:
         self._set_rrpvs(set_index).pop(block, None)
 
-    def reset(self) -> None:
-        self._rrpv.clear()
-
     _STATE_ATTRS = ("_rrpv",)
 
     def save_state(self) -> dict:

@@ -52,10 +52,6 @@ class VictimCache:
         self.stats.inserts += 1
         self._buffer.insert(block)
 
-    def reset(self) -> None:
-        self._buffer.clear()
-        self.stats = VictimCacheStats()
-
     # -- checkpoint/resume --------------------------------------------------
 
     def save_state(self) -> dict:

@@ -85,12 +85,6 @@ class DeadBlockPredictor:
         total = sum(table[idx] for table, idx in zip(self.tables, self._indices(trace)))
         return total >= self.dead_threshold
 
-    def reset(self) -> None:
-        for table in self.tables:
-            for i in range(len(table)):
-                table[i] = 0
-        self._trace.clear()
-
     _STATE_ATTRS = ("tables", "_trace")
 
     def save_state(self) -> dict:
@@ -167,11 +161,6 @@ class VirtualVictimCache:
 
     def is_parked(self, block: int) -> bool:
         return block in self._virtual_home
-
-    def reset(self) -> None:
-        self.predictor.reset()
-        self._virtual_home.clear()
-        self.stats = VVCStats()
 
     # The backing cache is owned by the scheme and serialized there.
 

@@ -16,10 +16,9 @@ the server's ``error`` message (400 = request rejected by validation,
 503 = admission refused the cold work *or* the server is draining for
 shutdown, 500 = the sweep itself failed).
 
-**Retries** (off by default): ``retries=N`` — or ``REPRO_CLIENT_RETRIES``
-when the parameter is left at None — makes every request survive up to
-``N`` transient failures: a refused/reset connection (server restarting)
-or a 503 (queue full, or draining for shutdown).  Attempts back off
+**Retries** (off by default): ``retries=N`` makes every request survive
+up to ``N`` transient failures: a refused/reset connection (server
+restarting) or a 503 (queue full, or draining for shutdown).  Attempts back off
 exponentially with *full jitter* — ``sleep ~ U(0, min(base * 2**k,
 RETRY_SLEEP_CAP))`` — the decorrelating shape that keeps a fleet of
 retrying clients from stampeding a server that just came back.  Any
@@ -39,8 +38,6 @@ import time
 from http.client import HTTPConnection, HTTPResponse
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-from repro.common.env import env_number
-
 #: Cold sweeps simulate; give them room before declaring the server dead.
 DEFAULT_TIMEOUT = 600.0
 
@@ -50,11 +47,6 @@ RETRY_BASE = 0.25
 
 #: Ceiling on any single retry sleep (seconds).
 RETRY_SLEEP_CAP = 5.0
-
-
-def _client_retries() -> int:
-    """Default retry budget (REPRO_CLIENT_RETRIES, 0 = off)."""
-    return env_number("REPRO_CLIENT_RETRIES", 0, 0)
 
 
 class ServiceError(RuntimeError):
@@ -98,14 +90,14 @@ class ServiceClient:
         host: str = "127.0.0.1",
         port: int = 8437,
         timeout: float = DEFAULT_TIMEOUT,
-        retries: Optional[int] = None,
+        retries: int = 0,
         retry_base: float = RETRY_BASE,
         _sleep=time.sleep,
     ) -> None:
         self.host = host
         self.port = port
         self.timeout = timeout
-        self.retries = _client_retries() if retries is None else int(retries)
+        self.retries = int(retries)
         if self.retries < 0:
             raise ValueError(f"retries must be >= 0, got {self.retries}")
         self.retry_base = retry_base

@@ -7,6 +7,7 @@ whole suite stays fast; the benchmarks exercise full-length runs.
 from __future__ import annotations
 
 import os
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +20,58 @@ from repro.workloads.trace import TRACE_STORE
 
 #: Trace length used by integration-level tests.
 SMALL_RECORDS = 15_000
+
+#: The committed artifact directories; a test run must leave them as it
+#: found them (tests redirect or disable the disk caches they write).
+_CACHE_ROOT = Path(__file__).resolve().parent.parent / ".cache"
+_GUARDED_DIRS = ("plans", "traces", "results")
+_CACHE_SNAPSHOT = pytest.StashKey[dict]()
+
+
+def _cache_snapshot() -> dict:
+    """``(size, st_mtime_ns)`` of every committed ``.npz``/``.json`` artifact.
+
+    Only the top level of each directory holds committed entries: the
+    ``*.mmap/`` sidecars and ``results/shards/`` ledgers below it, and
+    ``*.tmp*`` writes in flight, are gitignored working state.
+    """
+    snapshot = {}
+    for name in _GUARDED_DIRS:
+        directory = _CACHE_ROOT / name
+        if not directory.is_dir():
+            continue
+        for path in directory.iterdir():
+            if path.suffix in (".npz", ".json") and ".tmp" not in path.name:
+                st = path.stat()
+                snapshot[f".cache/{name}/{path.name}"] = (st.st_size, st.st_mtime_ns)
+    return snapshot
+
+
+def pytest_sessionstart(session):
+    # Before collection, so benches that run ahead of tests/ are covered.
+    session.config.stash[_CACHE_SNAPSHOT] = _cache_snapshot()
+
+
+@pytest.fixture(scope="session", autouse=True)
+def committed_cache_untouched(request):
+    """Fail the session if any test added, rewrote or removed a committed
+    cache artifact (same bytes rewritten still moves ``st_mtime_ns``)."""
+    stash = request.config.stash
+    if _CACHE_SNAPSHOT not in stash:
+        stash[_CACHE_SNAPSHOT] = _cache_snapshot()
+    yield
+    before, after = stash[_CACHE_SNAPSHOT], _cache_snapshot()
+    touched = sorted(
+        path
+        for path in before.keys() | after.keys()
+        if before.get(path) != after.get(path)
+    )
+    if touched:
+        pytest.fail(
+            "the test run wrote into the committed .cache/:\n  "
+            + "\n  ".join(touched),
+            pytrace=False,
+        )
 
 
 @pytest.fixture(scope="session")

@@ -141,11 +141,6 @@ class CSHR:
     def occupancy(self) -> int:
         return sum(len(s) for s in self._sets)
 
-    def reset(self) -> None:
-        for s in self._sets:
-            s.clear()
-        self.stats = CSHRStats()
-
     # -- checkpoint/resume --------------------------------------------------
 
     def save_state(self) -> dict:
@@ -309,16 +304,6 @@ class ACICScheme:
     @property
     def demand_stats(self):
         return self.icache.stats
-
-    def reset(self) -> None:
-        self.icache.reset()
-        if self.ifilter is not None:
-            self.ifilter.reset()
-        self.cshr.reset()
-        self.predictor.reset()
-        self.stats = ACICStats()
-        self.audit = AdmissionAudit() if self.audit_oracle is not None else None
-        self._last_resolved_block = -1
 
     # -- checkpoint/resume --------------------------------------------------
     #

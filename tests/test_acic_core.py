@@ -375,13 +375,6 @@ class TestACICController:
         assert acic.contains(2)
         assert not acic.contains(3)
 
-    def test_reset(self):
-        acic = ACICScheme(self.CFG)
-        acic.fill(1, 0, 0)
-        acic.reset()
-        assert not acic.contains(1)
-        assert acic.stats.victims_considered == 0
-
 
 class TestAdmissionAudit:
     def test_accuracy_excludes_ties_and_far_pairs(self):

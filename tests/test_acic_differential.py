@@ -235,27 +235,6 @@ class TestScheduleDifferential:
             seed,
         )
 
-    @pytest.mark.parametrize("seed", range(2))
-    def test_reset_matches(self, seed):
-        naive, flat = run_pair(
-            lambda: dict(icache_config=TINY_ICACHE, ifilter_slots=4), seed
-        )
-        naive.reset()
-        flat.reset()
-        assert scheme_state(naive) == scheme_state(flat)
-        # The flat scheme must have rebound its cached internals: replay
-        # a second schedule after reset and stay locked.
-        for op, block, t in random_schedule(seed + 1000):
-            if op == "lookup":
-                assert naive.lookup(block, t, t) == flat.lookup(block, t, t)
-            elif op == "fill":
-                naive.fill(block, t, t)
-                flat.fill(block, t, t)
-            elif op == "prefetch_fill":
-                naive.prefetch_fill(block, t, t)
-                flat.prefetch_fill(block, t, t)
-        assert scheme_state(naive) == scheme_state(flat)
-
 
 #: Constructor kwargs of the variants whose hits land differently:
 #: default, no i-Filter, audited, instant predictor updates.

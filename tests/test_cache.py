@@ -95,14 +95,6 @@ class TestLookupFill:
         assert c.stats.prefetch_fills == 1
         assert c.stats.demand_fills == 0
 
-    def test_reset(self):
-        c = make_cache()
-        c.fill(1)
-        c.lookup(1)
-        c.reset()
-        assert not c.contains(1)
-        assert c.stats.demand_accesses == 0
-
 
 class TestLRUSemantics:
     @settings(max_examples=40, deadline=None)

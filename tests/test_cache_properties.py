@@ -267,22 +267,3 @@ class TestPolicyLockstep:
             for s in range(CONFIG.num_sets):
                 assert twin.set_contents(s) == prod.set_contents(s)
         assert vars(twin.stats) == vars(prod.stats)
-
-    @pytest.mark.parametrize("policy_name", sorted(POLICY_FACTORIES))
-    def test_reset_restores_empty_lockstep(self, policy_name):
-        oracle = NextUseOracle(np.arange(64, dtype=np.int64))
-        prod, _ = _make_pair(policy_name, oracle)
-        for t in range(40):
-            prod.fill(t, t)
-        prod.reset()
-        assert prod.resident_blocks() == 0
-        assert prod.stats.demand_accesses == 0
-        # A reset cache replays identically to a fresh one.
-        fresh = SetAssociativeCache(CONFIG, POLICY_FACTORIES[policy_name](oracle))
-        for t in range(40):
-            assert _fill_outcome(prod.fill(t, t)) == _fill_outcome(
-                fresh.fill(t, t)
-            )
-            assert prod.lookup(t, t) == fresh.lookup(t, t)
-        for s in range(CONFIG.num_sets):
-            assert prod.set_contents(s) == fresh.set_contents(s)

@@ -264,7 +264,7 @@ class TestRunExperimentWindowed:
         plain = run_experiment(WORKLOAD, "lru", records=RECORDS)
 
         # Produce the mid-run boundary exactly as a killed windowed run
-        # would have left it: same trace, machine and mode ingredients.
+        # would have left it: same trace, machine and window ingredients.
         trace = get_workload(WORKLOAD).trace(records=RECORDS)
         context = SchemeContext(trace=trace, machine=DEFAULT_MACHINE)
         plan = cached_plan(trace, DEFAULT_MACHINE, "fdp")
@@ -275,7 +275,6 @@ class TestRunExperimentWindowed:
             RECORDS,
             DEFAULT_MACHINE.fingerprint(),
             trace.digest,
-            "planned",
             2_000,
         )
         halted = simulate(

@@ -39,13 +39,6 @@ class TestSaturatingCounter:
         assert c.is_set(threshold=10)
         assert not c.is_set(threshold=11)
 
-    def test_reset(self):
-        c = SaturatingCounter(3, initial=7)
-        c.reset()
-        assert c.value == 4
-        c.reset(1)
-        assert c.value == 1
-
     @pytest.mark.parametrize("bad", [0, -3])
     def test_invalid_width(self, bad):
         with pytest.raises(ValueError):

@@ -13,7 +13,7 @@ import pytest
 
 from repro.harness import runner, shards
 from repro.harness.experiment import scaled_records
-from repro.service import client, server
+from repro.service import server
 from repro.workloads.profiles import DEFAULT_RECORDS
 
 #: name -> (accessor, default, valid raw value, its parse, below bound)
@@ -21,10 +21,8 @@ KNOBS = {
     "REPRO_JOBS": (runner._default_jobs, 1, "3", 3, "0"),
     "REPRO_SWEEP_TIMEOUT": (runner._sweep_timeout, 0.0, "2.5", 2.5, "-1"),
     "REPRO_SWEEP_RETRIES": (runner._sweep_retries, 3, "5", 5, "-1"),
-    "REPRO_CONTEXT_CACHE": (runner._context_cache_cap, 4, "2", 2, "0"),
     "REPRO_SHARD_WINDOW": (shards.shard_window, 0, "2500", 2500, "-1"),
     "REPRO_SERVICE_CONCURRENCY": (server._service_concurrency, 2, "3", 3, "0"),
-    "REPRO_CLIENT_RETRIES": (client._client_retries, 0, "5", 5, "-1"),
     "REPRO_SCALE": (
         scaled_records,
         DEFAULT_RECORDS,

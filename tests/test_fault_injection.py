@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from repro.common import faults
-from repro.harness.faults import (
+from repro.common.faults import (
     FaultInjected,
     FaultPlan,
     STALE_BYTES,

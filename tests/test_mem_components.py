@@ -36,13 +36,6 @@ class TestHierarchy:
         with pytest.raises(ValueError):
             HierarchyConfig(l2_latency=50, l3_latency=35)
 
-    def test_reset(self):
-        h = MemoryHierarchy()
-        h.access(1)
-        h.reset()
-        assert h.stats.accesses == 0
-        assert h.access(1) == h.config.dram_latency
-
     def test_flat_levels_are_capacity_bounded(self):
         cfg = HierarchyConfig(
             l2_size_bytes=4 * 64, l3_size_bytes=8 * 64
@@ -162,14 +155,6 @@ class TestMSHR:
         assert m.next_ready <= 100
         assert m.drain(100) == [1]
         assert m.next_ready == 250  # block 2 delayed by the handover wait
-
-    def test_reset_clears_deferred(self):
-        m = MSHRFile(1)
-        m.allocate(1, 100, 0)
-        m.allocate(2, 150, 0)
-        m.reset()
-        assert len(m) == 0
-        assert m.drain(10_000) == []
 
 
 class TestVictimCache:

@@ -119,10 +119,6 @@ class NaiveMSHR:
         self.pending = [e for e in self.pending if e[0] != block]
         self.deferred = [e for e in self.deferred if e[0] != block]
 
-    def reset(self):
-        self.pending = []
-        self.deferred = []
-
 
 class NaiveHierarchy:
     """List-based LRU presence model: index 0 is LRU, append is MRU."""

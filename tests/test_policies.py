@@ -54,18 +54,6 @@ def test_policy_runs_and_respects_capacity(name, random_trace):
     assert cache.stats.demand_hits > 0
 
 
-@pytest.mark.parametrize("name", list(policy_factories()))
-def test_policy_reset_clears_state(name, random_trace):
-    factory = policy_factories(random_trace)[name]
-    cache = SetAssociativeCache(CONFIG, factory())
-    for t, block in enumerate(random_trace[:500]):
-        if not cache.lookup(block, t):
-            cache.fill(block, t)
-    cache.reset()
-    assert cache.resident_blocks() == 0
-    assert not cache.lookup(random_trace[0], 0)
-
-
 class TestSRRIP:
     def test_insert_rrpv_is_long(self):
         p = SRRIPPolicy(rrpv_bits=2)

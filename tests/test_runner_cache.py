@@ -100,10 +100,14 @@ class TestDiskCacheRoundTrip:
     def test_run_live_skips_disk_reads(self, cache_dir):
         writer = Runner(records=RECORDS, use_disk_cache=True)
         writer.run(WORKLOAD, "acic")
+        (entry,) = cache_dir.glob("*.json")
+        before = entry.stat().st_mtime_ns
 
         reader = Runner(records=RECORDS, use_disk_cache=True)
         live = reader.run_live(WORKLOAD, "acic")
         assert live.scheme is not None
+        # Nor does it write: the committed entry is left untouched.
+        assert entry.stat().st_mtime_ns == before
 
     def test_store_failure_leaves_no_tmp_file(self, cache_dir):
         """A failing write must not leak the write-then-rename temp file."""

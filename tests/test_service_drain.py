@@ -19,9 +19,7 @@ Three layers:
   mid-sweep exits 0 with a drain message, and its restarted successor
   (reached through client retries) finishes the job identically;
 * **client** — retry-with-backoff unit behaviour: transient
-  classification, full-jitter bound growth, default-off budget, the
-  ``REPRO_CLIENT_RETRIES`` default (its parsing is pinned with the other
-  numeric knobs in ``tests/test_env.py``).
+  classification, full-jitter bound growth, default-off budget.
 """
 
 from __future__ import annotations
@@ -254,19 +252,11 @@ class TestForegroundServerSigterm:
 
 
 class TestClientRetries:
-    def test_default_budget_is_zero(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CLIENT_RETRIES", raising=False)
+    def test_default_budget_is_zero(self):
         assert ServiceClient().retries == 0
+        assert ServiceClient(retries=2).retries == 2
 
-    def test_env_budget(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CLIENT_RETRIES", "5")
-        assert ServiceClient().retries == 5
-        assert ServiceClient(retries=2).retries == 2  # explicit wins
-
-    def test_negative_budget_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CLIENT_RETRIES", "-1")
-        with pytest.raises(ValueError, match="REPRO_CLIENT_RETRIES"):
-            ServiceClient()
+    def test_negative_budget_rejected(self):
         with pytest.raises(ValueError):
             ServiceClient(retries=-3)
 

@@ -224,7 +224,7 @@ class TestShardLedger:
     def test_ledger_for_fingerprint_sensitivity(self):
         base = dict(
             workload="w", scheme="s", prefetcher_key="fdp", records=1000,
-            machine_fingerprint="m", trace_digest="t", mode="planned",
+            machine_fingerprint="m", trace_digest="t",
         )
         a = ledger_for(window=100, **base)
         b = ledger_for(window=200, **base)
@@ -232,7 +232,7 @@ class TestShardLedger:
         assert len({a.fingerprint, b.fingerprint, c.fingerprint}) == 3
         assert a.stem != b.stem
 
-    FP_ARGS = (WORKLOAD, "lru", "fdp", 6_000, "mfp", "digest", "planned")
+    FP_ARGS = (WORKLOAD, "lru", "fdp", 6_000, "mfp", "digest", 2000)
 
     def test_run_fingerprint_sensitivity(self):
         base = run_fingerprint(*self.FP_ARGS)
@@ -243,9 +243,9 @@ class TestShardLedger:
 
     def test_run_fingerprint_is_stable(self):
         """Ledgers already on disk must keep resuming: the identity
-        string (``ckpt1|...``) may never change silently."""
-        args = self.FP_ARGS[:-1] + ("planned+w2000",)
-        assert run_fingerprint(*args) == "2cad6daae4258a64"
+        string (``ckpt1|...|planned+w<window>``) may never change
+        silently."""
+        assert run_fingerprint(*self.FP_ARGS) == "2cad6daae4258a64"
 
     def test_record_leaves_no_tmp(self, tmp_path):
         ledger = self._ledger(tmp_path)

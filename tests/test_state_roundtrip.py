@@ -126,7 +126,7 @@ def _roundtrip(name: str, context: SchemeContext, seed: int):
     state = pickle.loads(pickle.dumps(original.save_state()))
 
     # Pre-pollute the fresh instance with foreign history so a partial
-    # load (a forgotten attribute) cannot hide behind reset defaults.
+    # load (a forgotten attribute) cannot hide behind constructor defaults.
     restored = make_scheme(name, context)
     _drive(restored, _schedule(seed + 7), 0, 120)
     restored.load_state(state)

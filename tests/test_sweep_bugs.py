@@ -9,7 +9,7 @@ Three sweep-path bugs, each pinned here:
   exception chained as ``__cause__``.
 * ``Runner._contexts`` grew without bound: every workload a runner ever
   touched kept its trace/plan/oracle resident forever.  Now an LRU
-  capped by ``REPRO_CONTEXT_CACHE`` (default 4), and eviction is
+  capped by ``CONTEXT_CACHE_CAP`` (4), and eviction is
   correctness-free: a rebuilt context reproduces identical scalars.
 * Every sweep wrote a per-call journal into the results directory,
   even with the disk cache off, and only a resuming sweep that no
@@ -26,6 +26,7 @@ import uuid
 
 import pytest
 
+from repro.harness import runner as runner_module
 from repro.harness import schemes as schemes_mod
 from repro.common.durable import results_dir
 from repro.harness.runner import _SCALAR_FIELDS, Runner
@@ -87,7 +88,7 @@ class TestDeterministicFailuresFailFast:
 
 class TestContextCacheBound:
     def test_lru_keeps_at_most_cap_contexts(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CONTEXT_CACHE", "2")
+        monkeypatch.setattr(runner_module, "CONTEXT_CACHE_CAP", 2)
         runner = Runner(records=RECORDS, use_disk_cache=False)
         first = runner.context_for("x264")
         runner.context_for("gcc")
@@ -112,7 +113,7 @@ class TestContextCacheBound:
             for k, v in reference.sweep(workloads, ("lru",)).items()
         }
 
-        monkeypatch.setenv("REPRO_CONTEXT_CACHE", "1")
+        monkeypatch.setattr(runner_module, "CONTEXT_CACHE_CAP", 1)
         thrashing = Runner(records=RECORDS, use_disk_cache=False)
         results = thrashing.sweep(workloads, ("lru",))
         assert {k: _scalars(v) for k, v in results.items()} == expected

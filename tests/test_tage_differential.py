@@ -206,13 +206,6 @@ def test_lockstep_with_reference(geometry, updates, seed):
     _lockstep(fast, ref, _stream(seed, updates))
 
 
-def test_reset_clears_the_registers():
-    fast = TagePredictor()
-    _lockstep(fast, ReferenceTage(), _stream(3, 1200))
-    fast.reset()
-    _lockstep(fast, ReferenceTage(), _stream(4, 1200))
-
-
 @pytest.mark.parametrize("workload", ["media-streaming", "web-search"])
 def test_build_plan_reproduces_committed_160k_plan(workload):
     """The committed plans were built with the chunk-XOR fold; the
