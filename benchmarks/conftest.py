@@ -4,7 +4,8 @@ Every figure/table bench pulls runs from one session-scoped caching
 :class:`Runner` (plus a second one for the entangling-prefetcher
 baseline of Figures 20/21), so the expensive simulations are executed
 once per session and shared across benches — and persisted in the disk
-result cache across sessions.
+result cache across sessions.  The workload lists and bench helpers
+the modules import live in ``bench_support.py``.
 
 Trace length honours ``REPRO_SCALE`` (1.0 = the 160k-record default).
 Benches print paper-style tables; run with ``-s`` to see them, e.g.::
@@ -16,25 +17,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.common.stats import geomean
 from repro.harness.runner import Runner
-
-#: The ten datacenter workloads (Table III order).
-W10 = (
-    "media-streaming",
-    "data-caching",
-    "data-serving",
-    "web-serving",
-    "web-search",
-    "tpcc",
-    "wikipedia",
-    "sibench",
-    "finagle-http",
-    "neo4j-analytics",
-)
-
-#: SPEC2017 integer-speed workloads of Section IV-H3.
-SPEC5 = ("perlbench", "omnetpp", "xalancbmk", "x264", "gcc")
 
 
 @pytest.fixture(scope="session")
@@ -47,35 +30,3 @@ def runner() -> Runner:
 def runner_entangling() -> Runner:
     """Entangling-prefetcher baseline (Section IV-H4)."""
     return Runner(prefetcher="entangling")
-
-
-def once(benchmark, fn):
-    """Run ``fn`` exactly once under pytest-benchmark timing.
-
-    Simulations take seconds; pytest-benchmark's default calibration
-    would rerun them dozens of times.  All results are cached inside the
-    session runner anyway, so one round measures the real cost.
-    """
-    return benchmark.pedantic(fn, rounds=1, iterations=1)
-
-
-def speedups_for(runner: Runner, workloads, schemes, baseline="lru"):
-    """(speedup table, per-scheme geomeans) for a scheme sweep."""
-    table = {
-        w: {s: runner.speedup(w, s, baseline=baseline) for s in schemes}
-        for w in workloads
-    }
-    gmeans = {s: geomean([table[w][s] for w in workloads]) for s in schemes}
-    return table, gmeans
-
-
-def reductions_for(runner: Runner, workloads, schemes, baseline="lru"):
-    """(MPKI-reduction table, per-scheme averages)."""
-    table = {
-        w: {s: runner.mpki_reduction(w, s, baseline=baseline) for s in schemes}
-        for w in workloads
-    }
-    avgs = {
-        s: sum(table[w][s] for w in workloads) / len(workloads) for s in schemes
-    }
-    return table, avgs

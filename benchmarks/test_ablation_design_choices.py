@@ -10,7 +10,7 @@ These go beyond the paper's own ablation set (Figure 17); they document
 which unspecified details the mechanism is sensitive to.
 """
 
-from conftest import once, speedups_for
+from bench_support import once, speedups_for
 
 from repro.harness.tables import format_table
 

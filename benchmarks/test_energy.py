@@ -5,7 +5,7 @@ time) and miss reduction (less L2 traffic) produce a net saving (paper:
 0.63 % average chip energy).
 """
 
-from conftest import W10, once
+from bench_support import W10, once
 
 from repro.analysis.energy import acic_energy_saving_percent
 from repro.harness.tables import format_table

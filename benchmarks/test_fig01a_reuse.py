@@ -1,6 +1,6 @@
 """Figure 1a: reuse-distance distribution per datacenter application."""
 
-from conftest import W10, once
+from bench_support import W10, once
 
 from repro.analysis.reuse import FIG1A_BUCKETS, reuse_histogram
 from repro.harness.experiment import scaled_records

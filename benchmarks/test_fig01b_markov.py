@@ -1,6 +1,6 @@
 """Figure 1b: Markov chain of reuse distances (media streaming)."""
 
-from conftest import once
+from bench_support import once
 
 from repro.analysis.markov import reuse_markov_chain
 from repro.harness.experiment import scaled_records

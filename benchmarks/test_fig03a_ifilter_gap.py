@@ -5,7 +5,7 @@ offers; access-count comparison does slightly better; both fall far
 short of OPT replacement (paper: 1.0057 / 1.0102 / 1.0398 geomean).
 """
 
-from conftest import W10, once, speedups_for
+from bench_support import W10, once, speedups_for
 
 from repro.harness.tables import speedup_table
 

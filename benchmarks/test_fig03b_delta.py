@@ -6,7 +6,7 @@ the paper measures 38.38 % wrong insertions, motivating admission
 control.
 """
 
-from conftest import once
+from bench_support import once
 
 from repro.analysis.comparisons import FIG3B_EDGES, ifilter_insertion_deltas
 from repro.harness.experiment import scaled_records

@@ -5,7 +5,7 @@ other comparisons are in flight (paper: ~70 % within 256 entries for
 Data Caching).
 """
 
-from conftest import once
+from bench_support import once
 
 from repro.analysis.comparisons import FIG6_EDGES, cshr_lifetime_distribution
 from repro.harness.experiment import scaled_records

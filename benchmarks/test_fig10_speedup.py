@@ -5,7 +5,7 @@ Harmony, GHRP), bypass policies (DSB, OBM), victim caches (VVC, VC3K),
 a larger i-cache, and the OPT oracles.
 """
 
-from conftest import W10, once, speedups_for
+from bench_support import W10, once, speedups_for
 
 from repro.harness.tables import speedup_table
 

@@ -13,7 +13,7 @@ admission control matters more; its discoveries are committed under
 
 import pytest
 
-from conftest import W10, once, reductions_for
+from bench_support import W10, once, reductions_for
 
 from repro.harness.runner import Runner
 from repro.harness.scoring import score_workload

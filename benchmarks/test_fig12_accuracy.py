@@ -6,7 +6,7 @@ decisions involving short reuse distances — the ones that matter.
 less of the MPKI reduction than ACIC.
 """
 
-from conftest import W10, once
+from bench_support import W10, once
 
 from repro.harness.tables import format_table
 

@@ -4,7 +4,7 @@ Admission varies widely across applications (paper: 30-99 %), showing
 the predictor adapts per workload rather than applying a static rule.
 """
 
-from conftest import W10, once
+from bench_support import W10, once
 
 from repro.harness.tables import format_table
 

@@ -4,7 +4,7 @@ The pipelined HRT->PT update path costs essentially nothing — MPKI
 reduction matches the idealised instant-update design.
 """
 
-from conftest import W10, once
+from bench_support import W10, once
 
 from repro.harness.tables import format_table
 

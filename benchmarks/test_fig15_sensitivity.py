@@ -9,7 +9,7 @@ To keep the sweep tractable the geomean is computed over the four
 "ACIC-friendly" applications the paper highlights.
 """
 
-from conftest import once, speedups_for
+from bench_support import once, speedups_for
 
 from repro.common.stats import geomean
 from repro.harness.tables import format_table

@@ -5,7 +5,7 @@ a baseline that *includes* the i-Filter (always-insert), the admission
 policy by itself still provides a speedup (paper: 1.0165 geomean).
 """
 
-from conftest import W10, once
+from bench_support import W10, once
 
 from repro.common.stats import geomean
 from repro.harness.tables import format_table

@@ -5,7 +5,7 @@ replacing the two-level predictor with a global-history or bimodal one
 all lose performance relative to the full design.
 """
 
-from conftest import W10, once, speedups_for
+from bench_support import W10, once, speedups_for
 
 from repro.harness.tables import format_table
 

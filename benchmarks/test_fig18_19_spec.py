@@ -4,7 +4,7 @@ SPEC integer codes have small, loop-dominated footprints: the baseline
 already hits in L1i, so every scheme (including ACIC) moves little.
 """
 
-from conftest import SPEC5, once, reductions_for, speedups_for
+from bench_support import SPEC5, once, reductions_for, speedups_for
 
 from repro.harness.tables import reduction_table, speedup_table
 

@@ -5,7 +5,7 @@ scheme's headroom — but ACIC still leads GHRP and the 36 KB i-cache
 (paper: 1.0102 geomean speedup, 6.71 % MPKI reduction).
 """
 
-from conftest import W10, once, reductions_for, speedups_for
+from bench_support import W10, once, reductions_for, speedups_for
 
 from repro.harness.tables import reduction_table, speedup_table
 

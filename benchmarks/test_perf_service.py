@@ -12,7 +12,7 @@ from __future__ import annotations
 import time
 from concurrent.futures import ThreadPoolExecutor
 
-from conftest import once
+from bench_support import once
 
 from repro.harness.runner import _SCALAR_FIELDS, Runner
 from repro.service.client import ServiceClient

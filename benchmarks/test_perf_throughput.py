@@ -13,7 +13,7 @@ import os
 
 import pytest
 
-from conftest import once
+from bench_support import once
 
 from repro.harness.runner import Runner
 from repro.harness.throughput import (

@@ -1,6 +1,6 @@
 """Table I: storage overhead of ACIC for a 32KB, 8-way i-cache."""
 
-from conftest import once
+from bench_support import once
 
 from repro.analysis.storage import acic_storage_bits, acic_storage_kb
 from repro.harness.tables import format_table

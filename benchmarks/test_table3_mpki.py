@@ -6,7 +6,7 @@ real traces; the *ordering* across applications is the reproduced
 property.
 """
 
-from conftest import W10, once
+from bench_support import W10, once
 
 from repro.harness.tables import format_table
 from repro.workloads.profiles import get_workload

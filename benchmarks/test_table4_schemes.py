@@ -1,6 +1,6 @@
 """Table IV: storage overhead of every comparison scheme."""
 
-from conftest import once
+from bench_support import once
 
 from repro.analysis.storage import PAPER_STORAGE_KB, scheme_storage_kb
 from repro.harness.tables import format_table

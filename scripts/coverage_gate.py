@@ -94,8 +94,8 @@ DEFAULT_TARGETS = [
     "src/repro/harness",
     "src/repro/service",
     "src/repro/workloads",
-    # Files, not src/repro/common: that directory's counters.py and
-    # stats.py are exercised by the benchmarks, not this selection.
+    # Files, not src/repro/common: that directory's stats.py is
+    # exercised by the benchmarks, not this selection.
     "src/repro/common/artifacts.py",
     "src/repro/common/durable.py",
 ]

@@ -136,7 +136,7 @@ def ratchet_fig11() -> int:
     from repro.workloads.search.registry import read_ratchet, write_ratchet
 
     sys.path.insert(0, str(REPO / "benchmarks"))
-    from conftest import W10
+    from bench_support import W10
 
     runner = Runner(prefetcher="fdp")
     share, _ = average_share(runner, W10)

@@ -1,5 +1,7 @@
 """Bypassing-policy baselines (Sections III, IV-E; Table IV).
 
+* :class:`AlwaysInsertScheme` — the "i-Filter only" design: every
+  i-Filter victim enters the i-cache (Figure 3a's first bar).
 * :class:`AccessCountBypassScheme` — Johnson et al.'s run-time cache
   bypassing applied to the i-Filter victim: compare access counters of
   the victim and its contender (Figure 3a's middle bar).

@@ -1,9 +1,9 @@
 """Shared low-level building blocks used by every substrate.
 
 This package deliberately contains only dependency-free primitives:
-bit manipulation helpers, fast LRU containers, saturating counters and
-shift-register histories, and summary statistics.  Higher layers (the
-cache model, ACIC, the harness) compose these.
+bit manipulation helpers, the dict-backed LRU container and summary
+statistics.  Higher layers (the cache model, ACIC, the harness)
+compose these.
 """
 
 from repro.common.bitops import (
@@ -14,8 +14,7 @@ from repro.common.bitops import (
     mask,
     partial_tag,
 )
-from repro.common.containers import FullyAssociativeLRU, LRUSet
-from repro.common.counters import HistoryRegister, SaturatingCounter
+from repro.common.containers import LRUSet
 from repro.common.stats import RunningMean, geomean, percent
 
 __all__ = [
@@ -25,10 +24,7 @@ __all__ = [
     "log2_exact",
     "mask",
     "partial_tag",
-    "FullyAssociativeLRU",
     "LRUSet",
-    "HistoryRegister",
-    "SaturatingCounter",
     "RunningMean",
     "geomean",
     "percent",

@@ -15,7 +15,6 @@ from repro.core.flat import ACICStats, AdmissionAudit, FlatACICScheme
 from repro.core.ifilter import IFilter
 from repro.core.predictor import (
     AdmissionPredictor,
-    AlwaysAdmitPredictor,
     BimodalAdmissionPredictor,
     GlobalHistoryAdmissionPredictor,
     TwoLevelAdmissionPredictor,
@@ -29,7 +28,6 @@ __all__ = [
     "FlatACICScheme",
     "IFilter",
     "AdmissionPredictor",
-    "AlwaysAdmitPredictor",
     "BimodalAdmissionPredictor",
     "GlobalHistoryAdmissionPredictor",
     "TwoLevelAdmissionPredictor",

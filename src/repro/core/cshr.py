@@ -17,9 +17,7 @@ benefit of the doubt: the controller treats the victim as the winner.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
-
-from repro.common.bitops import partial_tag
+from typing import List
 
 
 @dataclass
@@ -39,16 +37,12 @@ class FlatCSHR:
 
     Each set is a pair of parallel flat lists (victim tags, contender
     tags) kept in insertion order — no per-entry object allocation, no
-    attribute walks during the search.  The ACIC controller
-    (:class:`repro.core.flat.FlatACICScheme`) additionally inlines the
-    search over these lists; the methods here keep the structure usable
-    (and differentially testable) on its own.  The readable
-    one-object-per-entry twin lives in ``tests/reference/acic.py``.
-
-    The controller only consumes a resolved entry's victim tag, so
-    ``insert`` returns the evicted entry's victim tag (or None) and
-    ``search`` returns ``(victim_tag_match, [victim tags of contender
-    matches])``.
+    attribute walks during the search.  This class holds the geometry,
+    the tag lists and the stats; the operations on them live fused into
+    the ACIC controller (:class:`repro.core.flat.FlatACICScheme`): the
+    insert in ``_admission_decision``, the search in ``lookup`` and
+    ``_resolve_matches``.  The readable one-object-per-entry twin, with
+    ``insert``/``search`` as methods, lives in ``tests/reference/acic.py``.
     """
 
     def __init__(
@@ -74,74 +68,6 @@ class FlatCSHR:
         self._victim_tags: List[List[int]] = [[] for _ in range(sets)]
         self._contender_tags: List[List[int]] = [[] for _ in range(sets)]
         self.stats = CSHRStats()
-
-    # -- indexing ----------------------------------------------------------------
-
-    def set_for(self, icache_set: int) -> int:
-        return icache_set >> self._set_shift
-
-    def tag_of(self, block: int) -> int:
-        return partial_tag(block, self.tag_bits)
-
-    # -- operations ----------------------------------------------------------------
-
-    def insert(
-        self, victim_block: int, contender_block: int, icache_set: int
-    ) -> Optional[int]:
-        """Open a comparison; returns the evicted entry's victim tag, if any."""
-        self.stats.inserts += 1
-        si = icache_set >> self._set_shift
-        vt = self._victim_tags[si]
-        ct = self._contender_tags[si]
-        evicted = None
-        if len(vt) >= self.ways:
-            evicted = vt.pop(0)
-            ct.pop(0)
-            self.stats.unresolved_evictions += 1
-        vt.append(self.tag_of(victim_block))
-        ct.append(self.tag_of(contender_block))
-        return evicted
-
-    def search(
-        self, block: int, icache_set: int
-    ) -> Tuple[Optional[int], List[int]]:
-        """Resolve comparisons for a fetched block (flat-tag form).
-
-        The fetched block can match the victim field of at most one
-        entry (Section III-C2) but the contender field of several.
-        Returns ``(victim_match_tag, [victim tags of contender-matched
-        entries])``; all matched entries are invalidated (removed).
-        """
-        si = icache_set >> self._set_shift
-        vt = self._victim_tags[si]
-        if not vt:
-            return None, []
-        ct = self._contender_tags[si]
-        tag = self.tag_of(block)
-        if tag not in vt and tag not in ct:
-            return None, []
-        victim_match: Optional[int] = None
-        contender_victims: List[int] = []
-        new_vt: List[int] = []
-        new_ct: List[int] = []
-        for i, v in enumerate(vt):
-            c = ct[i]
-            if victim_match is None and v == tag:
-                victim_match = v
-                self.stats.victim_resolutions += 1
-            elif c == tag:
-                contender_victims.append(v)
-                self.stats.contender_resolutions += 1
-            else:
-                new_vt.append(v)
-                new_ct.append(c)
-        # In-place replacement keeps any cached outer references valid.
-        vt[:] = new_vt
-        ct[:] = new_ct
-        return victim_match, contender_victims
-
-    def occupancy(self) -> int:
-        return sum(len(s) for s in self._victim_tags)
 
     # -- checkpoint/resume --------------------------------------------------
     #

@@ -8,19 +8,23 @@ i-Filter only; an i-Filter victim is admitted into the i-cache (or
 dropped) by the predictor against its set's LRU contender, and a CSHR
 entry records the comparison so its outcome can train the predictor.
 
-Constructor flags expose every ablation in the paper: ``use_ifilter``
-(Figure 17's "no i-Filter"), ``always_insert`` (Figure 3a / "i-Filter
-only"), the predictor variants (global-history / bimodal), the
-unresolved-entry training policy, and the parallel-vs-instant PT update
-mode (Figure 14).  An optional ``audit_oracle`` records decision ground
-truth for Figures 12a/13 in an :class:`AdmissionAudit`.
+Constructor flags expose the paper's ACIC ablations: ``use_ifilter``
+(Figure 17's "no i-Filter"), the predictor variants (global-history /
+bimodal), the unresolved-entry training policy, and the
+parallel-vs-instant PT update mode (Figure 14).  An optional
+``audit_oracle`` records decision ground truth for Figures 12a/13 in an
+:class:`AdmissionAudit`.  The "i-Filter only" design (Figure 3a, which
+admits every victim and keeps no CSHR) is its own scheme,
+:class:`repro.baselines.bypass.AlwaysInsertScheme`.
 
 The per-record work is fused into one ``lookup`` body with no
 intermediate method dispatch:
 
 * CSHR comparisons resolve against :class:`~repro.core.cshr.FlatCSHR`'s
   parallel tag lists, guarded by a C-speed membership test so the common
-  no-match transition costs two small list scans;
+  no-match transition costs two small list scans (``lookup`` and
+  ``_resolve_matches`` are the only CSHR search, ``_admission_decision``
+  the only CSHR insert);
 * the i-Filter probe is the backing dict's pop/reinsert, inlined;
 * the i-cache probe reaches the per-set line dicts directly (the i-cache
   policy is LRU, whose on-hit callback is a declared no-op);
@@ -127,7 +131,6 @@ class FlatACICScheme:
         cshr: Optional[FlatCSHR] = None,
         tag_bits: int = 12,
         use_ifilter: bool = True,
-        always_insert: bool = False,
         unresolved_policy: str = "victim",
         audit_oracle: Optional[NextUseOracle] = None,
     ) -> None:
@@ -140,7 +143,6 @@ class FlatACICScheme:
         self.icache = SetAssociativeCache(self.config, LRUPolicy())
         self.predictor = predictor or TwoLevelAdmissionPredictor(tag_bits=tag_bits)
         self.use_ifilter = use_ifilter
-        self.always_insert = always_insert
         self.ifilter = IFilter(ifilter_slots) if use_ifilter else None
         self.cshr = cshr or FlatCSHR(
             tag_bits=tag_bits, icache_set_bits=self.config.set_index_bits
@@ -249,10 +251,7 @@ class FlatACICScheme:
         contender = next(iter(lines))  # the LRU line (dict head)
 
         victim_tag = (victim >> L1I_SET_BITS) & self._tag_mask
-        if self.always_insert:
-            admit = True
-        else:
-            admit = self.predictor.predict(victim_tag, cycle)
+        admit = self.predictor.predict(victim_tag, cycle)
         self.stats.victims_considered += 1
         if admit:
             self.stats.victims_admitted += 1
@@ -272,9 +271,8 @@ class FlatACICScheme:
         if admit:
             self._icache_fill(victim)
 
-        # Open the comparison regardless of the decision (inlined
-        # FlatCSHR.insert): the predictor learns from the outcome either
-        # way.
+        # Open the comparison regardless of the decision: the predictor
+        # learns from the outcome either way.
         si = (victim & self._ic_set_mask) >> self._cshr_shift
         vt = self._cshr_vt[si]
         ct = self._cshr_ct[si]
@@ -374,10 +372,6 @@ class FlatACICScheme:
         if if_lines is not None and block in if_lines:
             return True
         return block in self._ic_lines[block & self._ic_set_mask]
-
-    @property
-    def demand_stats(self):
-        return self.icache.stats
 
     # -- checkpoint/resume --------------------------------------------------
     #

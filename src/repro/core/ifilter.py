@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.common.containers import FullyAssociativeLRU
+from repro.common.containers import LRUSet
 
 
 @dataclass
@@ -34,7 +34,7 @@ class IFilter:
         if slots <= 0:
             raise ValueError(f"i-Filter needs at least one slot, got {slots}")
         self.slots = slots
-        self._buffer = FullyAssociativeLRU(slots)
+        self._buffer = LRUSet(slots)
         self.stats = IFilterStats()
 
     def __contains__(self, block: int) -> bool:
@@ -57,19 +57,10 @@ class IFilter:
         The caller (the admission controller) owns the victim's fate.
         """
         self.stats.fills += 1
-        evicted = self._buffer.insert(block)
-        if evicted is None:
-            return None
-        self.stats.victims += 1
-        return evicted[0]
-
-    def remove(self, block: int) -> bool:
-        """Drop a block (used when a block is promoted elsewhere)."""
-        try:
-            self._buffer.remove(block)
-            return True
-        except KeyError:
-            return False
+        victim = self._buffer.insert_mru(block)
+        if victim is not None:
+            self.stats.victims += 1
+        return victim
 
     # -- checkpoint/resume --------------------------------------------------
 

@@ -285,19 +285,3 @@ class BimodalAdmissionPredictor(AdmissionPredictor):
 
     _STATE_ATTRS = ("table",)
 
-
-class AlwaysAdmitPredictor(AdmissionPredictor):
-    """Degenerate predictor: always insert (the 'i-Filter only' design)."""
-
-    name = "always-admit"
-
-    def __init__(self) -> None:
-        self.stats = AdmissionStats()
-
-    def predict(self, victim_ptag: int, now: int = 0) -> bool:
-        self.stats.predictions += 1
-        self.stats.admits += 1
-        return True
-
-    def train(self, victim_ptag: int, victim_won: bool, now: int = 0) -> None:
-        self.stats.trainings += 1

@@ -28,7 +28,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, List, Optional, Tuple
 
-from repro.common.containers import FullyAssociativeLRU
+from repro.common.containers import LRUSet
 from repro.workloads.trace import Trace
 
 #: Shared empty result; candidate lists are read-only to callers.
@@ -89,7 +89,7 @@ class EntanglingPrefetcher:
         self.dests_per_entry = dests_per_entry
         self.latency_estimate = latency_estimate
         self.history = history
-        self.table = FullyAssociativeLRU(table_entries)
+        self.table = LRUSet(table_entries)
         self.stats = EntanglingStats()
         self._recent: Deque[Tuple[int, int]] = deque(maxlen=history)
         self._blocks = trace.blocks_list  # avoid per-record ndarray boxing
@@ -153,9 +153,8 @@ class EntanglingPrefetcher:
         """
         dests = self.table.get(source)
         if dests is None:
-            if self.table.is_full():
+            if self.table.insert_mru(source, [block]) is not None:
                 self.stats.table_evictions += 1
-            self.table.insert(source, [block])
             self.stats.entangled += 1
         elif block not in dests:
             if len(dests) >= self.dests_per_entry:

@@ -42,7 +42,6 @@ serial and parallel paths build artifacts through one code path.
 from __future__ import annotations
 
 import json
-import os
 import threading
 import time
 from collections import OrderedDict
@@ -52,6 +51,7 @@ from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.common import faults
+from repro.common.artifacts import disk_enabled
 from repro.common.durable import results_dir, write_atomic
 from repro.common.env import env_number
 from repro.frontend.plan import cached_plan, plan_kind
@@ -256,9 +256,7 @@ class Runner:
         self.records = scaled_records(records)
         self.prefetcher = prefetcher
         self.machine = machine or DEFAULT_MACHINE
-        if use_disk_cache is None:
-            use_disk_cache = os.environ.get("REPRO_NO_DISK_CACHE", "") != "1"
-        self.use_disk_cache = use_disk_cache
+        self.use_disk_cache = disk_enabled(use_disk_cache)
         self._memory: Dict[Tuple[str, str, str], RunResult] = {}
         self._contexts: "OrderedDict[str, SchemeContext]" = OrderedDict()
         # sweep()/run() are re-entrant (the sweep service issues them

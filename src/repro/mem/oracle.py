@@ -80,13 +80,3 @@ class NextUseOracle:
         order = self._order
         i = bisect_right(order, t, self._bounds[k], hi)
         return order[i] if i < hi else NEVER
-
-    def reuse_distance_after(self, t: int) -> int:
-        """Trace-index gap to the next use (NEVER when none).
-
-        This is a *time* distance, not a stack distance; Figure 3b and
-        Figure 12a bucket this quantity, which tracks stack distance
-        closely for our fetch-group traces.
-        """
-        nxt = self.next_use_at(t)
-        return NEVER if nxt >= NEVER else nxt - t

@@ -4,7 +4,6 @@ Everything the paper compares against lives here:
 
 * :class:`LRUPolicy` — the baseline.
 * :class:`TreePLRUPolicy` — hardware pseudo-LRU (extra ablation).
-* :class:`RandomPolicy` — sanity baseline.
 * :class:`SRRIPPolicy` — re-reference interval prediction.
 * :class:`SHiPPolicy` — signature-based hit prediction over SRRIP.
 * :class:`HawkeyePolicy` — OPT-learning (Harmony flavour for prefetch).
@@ -30,7 +29,6 @@ from repro.mem.policies.ghrp import GHRPPolicy
 from repro.mem.policies.hawkeye import HawkeyePolicy
 from repro.mem.policies.lru import LRUPolicy
 from repro.mem.policies.plru import TreePLRUPolicy
-from repro.mem.policies.random_policy import RandomPolicy
 from repro.mem.policies.ship import SHiPPolicy
 from repro.mem.policies.srrip import SRRIPPolicy
 
@@ -45,7 +43,6 @@ __all__ = [
     "HawkeyePolicy",
     "LRUPolicy",
     "TreePLRUPolicy",
-    "RandomPolicy",
     "SHiPPolicy",
     "SRRIPPolicy",
 ]

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.common.bitops import BLOCK_BYTES
-from repro.common.containers import FullyAssociativeLRU
+from repro.common.containers import LRUSet
 
 
 @dataclass
@@ -29,7 +29,7 @@ class VictimCache:
         if capacity <= 0:
             raise ValueError(f"victim cache too small: {size_bytes} bytes")
         self.capacity = capacity
-        self._buffer = FullyAssociativeLRU(capacity)
+        self._buffer = LRUSet(capacity)
         self.stats = VictimCacheStats()
 
     def __contains__(self, block: int) -> bool:
@@ -41,16 +41,15 @@ class VictimCache:
     def probe(self, block: int) -> bool:
         """Look up ``block``; a hit removes it (it moves back to L1)."""
         self.stats.probes += 1
-        if block in self._buffer:
+        if self._buffer.remove(block):
             self.stats.hits += 1
-            self._buffer.remove(block)
             return True
         return False
 
     def insert(self, block: int) -> None:
         """Park an L1 victim; silently drops the LRU victim when full."""
         self.stats.inserts += 1
-        self._buffer.insert(block)
+        self._buffer.insert_mru(block)
 
     # -- checkpoint/resume --------------------------------------------------
 

@@ -17,7 +17,8 @@ written plainly, one method per step of Figures 2-8:
 
 :class:`CSHR` is the readable twin of :class:`repro.core.cshr.FlatCSHR`:
 one :class:`CSHREntry` object per outstanding comparison instead of
-parallel tag lists.
+parallel tag lists, with ``insert``/``search`` as methods (the flat
+controller fuses those two operations into its own body).
 
 The differential suites (``tests/test_acic_differential.py`` and the
 registry-level ones through :func:`reference.readable_registry`) lock
@@ -35,10 +36,36 @@ from repro.common.bitops import partial_tag
 from repro.core.cshr import CSHRStats
 from repro.core.flat import ACICStats, AdmissionAudit
 from repro.core.ifilter import IFilter
-from repro.core.predictor import AdmissionPredictor, TwoLevelAdmissionPredictor
+from repro.core.predictor import (
+    AdmissionPredictor,
+    AdmissionStats,
+    TwoLevelAdmissionPredictor,
+)
 from repro.mem.cache import CacheConfig, SetAssociativeCache
 from repro.mem.oracle import NEVER, NextUseOracle
 from repro.mem.policies.lru import LRUPolicy
+
+
+class AdmitAllPredictor(AdmissionPredictor):
+    """Admits every victim and only counts its calls.
+
+    Drives either controller through the "every victim enters" path
+    (the decision of the registered ``ifilter-always`` scheme) while the
+    CSHR keeps opening and resolving comparisons.
+    """
+
+    name = "admit-all"
+
+    def __init__(self) -> None:
+        self.stats = AdmissionStats()
+
+    def predict(self, victim_ptag: int, now: int = 0) -> bool:
+        self.stats.predictions += 1
+        self.stats.admits += 1
+        return True
+
+    def train(self, victim_ptag: int, victim_won: bool, now: int = 0) -> None:
+        self.stats.trainings += 1
 
 
 @dataclass
@@ -177,7 +204,6 @@ class ACICScheme:
         cshr: Optional[CSHR] = None,
         tag_bits: int = 12,
         use_ifilter: bool = True,
-        always_insert: bool = False,
         unresolved_policy: str = "victim",
         audit_oracle: Optional[NextUseOracle] = None,
     ) -> None:
@@ -190,7 +216,6 @@ class ACICScheme:
         self.icache = SetAssociativeCache(self.config, LRUPolicy())
         self.predictor = predictor or TwoLevelAdmissionPredictor(tag_bits=tag_bits)
         self.use_ifilter = use_ifilter
-        self.always_insert = always_insert
         self.ifilter = IFilter(ifilter_slots) if use_ifilter else None
         self.cshr = cshr or CSHR(
             tag_bits=tag_bits, icache_set_bits=self.config.set_index_bits
@@ -234,10 +259,7 @@ class ACICScheme:
             return
 
         victim_tag = partial_tag(victim, self.tag_bits)
-        if self.always_insert:
-            admit = True
-        else:
-            admit = self.predictor.predict(victim_tag, cycle)
+        admit = self.predictor.predict(victim_tag, cycle)
         self.stats.victims_considered += 1
         if admit:
             self.stats.victims_admitted += 1
@@ -300,10 +322,6 @@ class ACICScheme:
         if self.ifilter is not None and block in self.ifilter:
             return True
         return self.icache.contains(block)
-
-    @property
-    def demand_stats(self):
-        return self.icache.stats
 
     # -- checkpoint/resume --------------------------------------------------
     #

@@ -8,14 +8,13 @@ from hypothesis import given, settings, strategies as st
 from repro.common.bitops import partial_tag
 from repro.core.ifilter import IFilter
 from repro.core.predictor import (
-    AlwaysAdmitPredictor,
     BimodalAdmissionPredictor,
     GlobalHistoryAdmissionPredictor,
     TwoLevelAdmissionPredictor,
 )
 from repro.mem.cache import CacheConfig
 from repro.mem.oracle import NextUseOracle
-from reference.acic import CSHR, ACICScheme
+from reference.acic import CSHR, ACICScheme, AdmitAllPredictor
 
 
 class TestIFilter:
@@ -47,12 +46,6 @@ class TestIFilter:
         assert f.stats.hits == 0
         assert f.stats.fills == 2
         assert f.stats.victims == 1
-
-    def test_remove(self):
-        f = IFilter(slots=2)
-        f.fill(1)
-        assert f.remove(1)
-        assert not f.remove(1)
 
     def test_invalid_slots(self):
         with pytest.raises(ValueError):
@@ -288,12 +281,6 @@ class TestPredictorVariants:
         assert not p.predict(0x1)
         assert p.predict(0x777)  # untouched tag keeps default admit
 
-    def test_always_admit(self):
-        p = AlwaysAdmitPredictor()
-        assert p.predict(0x1)
-        p.train(0x1, False)
-        assert p.predict(0x1)
-
 
 class TestACICController:
     CFG = CacheConfig(4 * 64 * 8, 4, name="t")  # 8 sets, 4 ways
@@ -326,7 +313,9 @@ class TestACICController:
         return t
 
     def test_admission_decision_opens_cshr_entry(self):
-        acic = ACICScheme(self.CFG, always_insert=True, ifilter_slots=2)
+        acic = ACICScheme(
+            self.CFG, predictor=AdmitAllPredictor(), ifilter_slots=2
+        )
         t = self._fill_set_zero(acic)
         before = acic.cshr.stats.inserts
         acic._admission_decision(500 * acic.config.num_sets, t, t)
@@ -334,7 +323,7 @@ class TestACICController:
         assert acic.stats.victims_considered == 1
 
     def test_always_insert_replaces_contender(self):
-        acic = ACICScheme(self.CFG, always_insert=True)
+        acic = ACICScheme(self.CFG, predictor=AdmitAllPredictor())
         t = self._fill_set_zero(acic)
         sets = acic.config.num_sets
         contender = acic.icache.lru_contender(500 * sets)
@@ -343,7 +332,7 @@ class TestACICController:
         assert not acic.icache.contains(contender)
 
     def test_victim_resolution_trains_predictor(self):
-        acic = ACICScheme(self.CFG, always_insert=True)
+        acic = ACICScheme(self.CFG, predictor=AdmitAllPredictor())
         t = self._fill_set_zero(acic)
         sets = acic.config.num_sets
         victim = 500 * sets
@@ -353,7 +342,9 @@ class TestACICController:
         assert acic.predictor.stats.trainings == trained_before + 1
 
     def test_no_filter_mode(self):
-        acic = ACICScheme(self.CFG, use_ifilter=False, always_insert=True)
+        acic = ACICScheme(
+            self.CFG, use_ifilter=False, predictor=AdmitAllPredictor()
+        )
         assert acic.ifilter is None
         acic.lookup(1, 0, 0)
         acic.fill(1, 0, 0)
@@ -362,7 +353,9 @@ class TestACICController:
     def test_audit_records_decisions(self):
         trace = [0, 8, 16, 24, 32, 0]
         oracle = NextUseOracle(trace)
-        acic = ACICScheme(self.CFG, audit_oracle=oracle, always_insert=True)
+        acic = ACICScheme(
+            self.CFG, audit_oracle=oracle, predictor=AdmitAllPredictor()
+        )
         t = self._fill_set_zero(acic)
         acic._admission_decision(500 * acic.config.num_sets, t, t)
         assert len(acic.audit) == 1
@@ -414,7 +407,7 @@ class TestUnresolvedPolicy:
 
         trained = []
 
-        class SpyPredictor(AlwaysAdmitPredictor):
+        class SpyPredictor(AdmitAllPredictor):
             def train(self, ptag, won, now=0):
                 trained.append(won)
 
@@ -437,7 +430,7 @@ class TestUnresolvedPolicy:
 
         trained = []
 
-        class SpyPredictor(AlwaysAdmitPredictor):
+        class SpyPredictor(AdmitAllPredictor):
             def train(self, ptag, won, now=0):
                 trained.append(won)
 

@@ -9,11 +9,12 @@ require bit-for-bit agreement —
 * randomized lookup/fill/prefetch_fill/contains schedules over small
   block spaces (capacity pressure everywhere: i-Filter, CSHR sets,
   i-cache sets), across every constructor ablation the paper uses:
-  ``use_ifilter=False``, ``always_insert``, all three
+  ``use_ifilter=False``, an admit-every-victim predictor, all three
   ``unresolved_policy`` values, audit mode, the predictor variants and
-  tiny geometries;
-* :class:`~repro.core.cshr.FlatCSHR` against the readable ``CSHR``
-  directly;
+  tiny geometries, including multi-way tiny CSHRs whose inserts,
+  resolutions of both kinds and unresolved evictions the schedule
+  drives (the flat controller fuses :class:`~repro.core.cshr.FlatCSHR`'s
+  insert and search, so the CSHR is locked through the controller);
 * ``repeat_hits`` against the per-record lookups it stands in for, with
   the block in the i-Filter, in the i-cache and right after a CSHR
   resolution, across the ablations that change where a hit lands;
@@ -44,7 +45,7 @@ from repro.uarch.params import DEFAULT_MACHINE
 from repro.uarch.timing import simulate
 from repro.workloads.profiles import get_workload
 from reference import readable_registry
-from reference.acic import CSHR, ACICScheme
+from reference.acic import CSHR, ACICScheme, AdmitAllPredictor
 from reference.batching import lockstep_batched
 
 SCALARS = (
@@ -74,6 +75,16 @@ def predictor_state(predictor):
     return state
 
 
+def cshr_entries(cshr):
+    """Per-set ``(victim tag, contender tag)`` pairs, oldest first."""
+    if isinstance(cshr, CSHR):
+        return [[(e.victim_tag, e.contender_tag) for e in s] for s in cshr._sets]
+    return [
+        list(zip(vt, ct))
+        for vt, ct in zip(cshr._victim_tags, cshr._contender_tags)
+    ]
+
+
 def scheme_state(scheme):
     """Full observable state of an ACIC scheme (either implementation)."""
     state = {
@@ -84,7 +95,7 @@ def scheme_state(scheme):
             for i in range(scheme.config.num_sets)
         ],
         "cshr_stats": scheme.cshr.stats,
-        "cshr_occupancy": scheme.cshr.occupancy(),
+        "cshr_entries": cshr_entries(scheme.cshr),
         "predictor": predictor_state(scheme.predictor),
     }
     if scheme.ifilter is not None:
@@ -126,11 +137,19 @@ def random_schedule(seed: int, length: int = 1200, blocks: int = 96):
     return ops
 
 
-def run_pair(make_kwargs, seed: int):
-    """Drive naive + flat schemes through one schedule, step-locked."""
-    naive = ACICScheme(**make_kwargs())
-    flat = FlatACICScheme(**make_kwargs())
-    for op, block, t in random_schedule(seed):
+def run_pair(make_kwargs, seed: int, cshr=None, blocks: int = 96):
+    """Drive naive + flat schemes through one schedule, step-locked.
+
+    ``cshr`` is a geometry (``CSHR``/``FlatCSHR`` kwargs) each side
+    builds its own CSHR from; None keeps the controllers' default.
+    """
+    naive_kwargs, flat_kwargs = make_kwargs(), make_kwargs()
+    if cshr is not None:
+        naive_kwargs["cshr"] = CSHR(**cshr)
+        flat_kwargs["cshr"] = FlatCSHR(**cshr)
+    naive = ACICScheme(**naive_kwargs)
+    flat = FlatACICScheme(**flat_kwargs)
+    for op, block, t in random_schedule(seed, blocks=blocks):
         cycle = t
         if op == "lookup":
             assert naive.lookup(block, t, cycle) == flat.lookup(
@@ -165,7 +184,9 @@ class TestScheduleDifferential:
     def test_always_insert(self, seed):
         run_pair(
             lambda: dict(
-                icache_config=TINY_ICACHE, ifilter_slots=4, always_insert=True
+                icache_config=TINY_ICACHE,
+                ifilter_slots=4,
+                predictor=AdmitAllPredictor(),
             ),
             seed,
         )
@@ -174,31 +195,36 @@ class TestScheduleDifferential:
     @pytest.mark.parametrize("seed", range(3))
     def test_unresolved_policies(self, policy, seed):
         # One-way CSHR sets so unresolved evictions happen constantly.
-        def kwargs():
-            return dict(
+        naive, _ = run_pair(
+            lambda: dict(
                 icache_config=TINY_ICACHE,
                 ifilter_slots=2,
                 unresolved_policy=policy,
-            )
-
-        naive = ACICScheme(
-            cshr=CSHR(entries=8, sets=8, icache_set_bits=3), **kwargs()
+            ),
+            seed,
+            cshr=dict(entries=8, sets=8, icache_set_bits=3),
         )
-        flat = FlatACICScheme(
-            cshr=FlatCSHR(entries=8, sets=8, icache_set_bits=3), **kwargs()
-        )
-        for op, block, t in random_schedule(seed):
-            if op == "lookup":
-                assert naive.lookup(block, t, t) == flat.lookup(block, t, t)
-            elif op == "fill":
-                naive.fill(block, t, t)
-                flat.fill(block, t, t)
-            elif op == "prefetch_fill":
-                naive.prefetch_fill(block, t, t)
-                flat.prefetch_fill(block, t, t)
-        assert scheme_state(naive) == scheme_state(flat)
         if policy != "none":
             assert naive.stats.benefit_of_doubt_trainings > 0
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_multiway_tiny_cshr(self, seed):
+        """4 sets x 4 ways with 5-bit tags, one CSHR set per two i-cache
+        sets, over 64 regions (so the 5-bit tags alias): the schedule
+        must open comparisons, resolve them on both sides and evict
+        some unresolved, all in lockstep."""
+        naive, flat = run_pair(
+            lambda: dict(icache_config=TINY_ICACHE, ifilter_slots=4),
+            seed,
+            cshr=dict(entries=16, sets=4, tag_bits=5, icache_set_bits=3),
+            blocks=4096,
+        )
+        stats = flat.cshr.stats
+        assert stats.inserts > 0
+        assert stats.victim_resolutions > 0
+        assert stats.contender_resolutions > 0
+        assert stats.unresolved_evictions > 0
+        assert naive.cshr.stats == stats
 
     @pytest.mark.parametrize("seed", range(3))
     def test_audit_mode(self, seed):
@@ -354,33 +380,7 @@ class TestRepeatHits:
 
 
 class TestFlatCSHRDifferential:
-    """FlatCSHR against the entry-based CSHR, operation by operation."""
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_randomized_insert_search(self, seed):
-        rng = random.Random(seed)
-        naive = CSHR(entries=16, sets=4, tag_bits=5, icache_set_bits=6)
-        flat = FlatCSHR(entries=16, sets=4, tag_bits=5, icache_set_bits=6)
-        for _ in range(800):
-            icache_set = rng.randrange(64)
-            if rng.random() < 0.5:
-                victim = rng.randrange(1 << 12)
-                contender = rng.randrange(1 << 12)
-                evicted_naive = naive.insert(victim, contender, icache_set)
-                evicted_flat = flat.insert(victim, contender, icache_set)
-                assert (
-                    None if evicted_naive is None else evicted_naive.victim_tag
-                ) == evicted_flat
-            else:
-                block = rng.randrange(1 << 12)
-                v_naive, c_naive = naive.search(block, icache_set)
-                v_flat, c_flat = flat.search(block, icache_set)
-                assert (
-                    None if v_naive is None else v_naive.victim_tag
-                ) == v_flat
-                assert [e.victim_tag for e in c_naive] == c_flat
-            assert naive.occupancy() == flat.occupancy()
-        assert naive.stats == flat.stats
+    """FlatCSHR's geometry checks against the entry-based CSHR's."""
 
     def test_geometry_validation_matches(self):
         for bad in (

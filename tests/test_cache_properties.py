@@ -5,7 +5,7 @@ randomized, seeded op sequences on both the production cache and a
 brute-force reference cache (plain per-set lists, linear scans).  The
 two caches own *separately constructed but identically configured*
 policy instances; because every policy is deterministic given its call
-sequence (RandomPolicy is seeded), the pair must stay in lockstep:
+sequence, the pair must stay in lockstep:
 
 * identical set contents in identical recency order after every op,
 * identical lookup verdicts, fill outcomes (inserted / evicted /
@@ -31,7 +31,6 @@ from repro.mem.policies import (
     GHRPPolicy,
     HawkeyePolicy,
     LRUPolicy,
-    RandomPolicy,
     SHiPPolicy,
     SRRIPPolicy,
     TreePLRUPolicy,
@@ -46,7 +45,6 @@ CONFIG = CacheConfig(4 * 2 * 64, 2, name="prop")
 POLICY_FACTORIES = {
     "lru": lambda oracle: LRUPolicy(),
     "plru": lambda oracle: TreePLRUPolicy(CONFIG.ways),
-    "random": lambda oracle: RandomPolicy(seed=99),
     "srrip": lambda oracle: SRRIPPolicy(),
     "ship": lambda oracle: SHiPPolicy(),
     "hawkeye": lambda oracle: HawkeyePolicy(ways=CONFIG.ways),

@@ -1,11 +1,11 @@
-"""Unit and property tests for the LRU containers."""
+"""Unit and property tests for the LRU container."""
 
 from collections import OrderedDict
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.common.containers import FullyAssociativeLRU, LRUSet
+from repro.common.containers import LRUSet
 
 
 class TestLRUSet:
@@ -22,6 +22,7 @@ class TestLRUSet:
         evicted = s.insert_mru(3)
         assert evicted == 1
         assert list(s) == [2, 3]
+        assert s.lru_key() == 2
 
     def test_touch_promotes(self):
         s = LRUSet(2)
@@ -40,29 +41,13 @@ class TestLRUSet:
         s.insert_mru(1)
         s.insert_mru(2)
         assert s.insert_mru(1) is None
-        assert s.mru_key() == 1
-
-    def test_insert_lru_becomes_next_victim(self):
-        s = LRUSet(3)
-        s.insert_mru(1)
-        s.insert_mru(2)
-        s.insert_lru(3)
-        assert s.lru_key() == 3
+        assert list(s) == [2, 1]
 
     def test_remove(self):
         s = LRUSet(2)
         s.insert_mru(1)
         assert s.remove(1)
         assert not s.remove(1)
-
-    def test_lru_position(self):
-        s = LRUSet(4)
-        for b in (10, 11, 12):
-            s.insert_mru(b)
-        assert s.lru_position(10) == 0
-        assert s.lru_position(12) == 2
-        with pytest.raises(KeyError):
-            s.lru_position(99)
 
     def test_invalid_ways(self):
         with pytest.raises(ValueError):
@@ -93,51 +78,15 @@ class TestLRUSet:
             assert list(s) == list(ref)
 
 
-class TestFullyAssociativeLRU:
-    def test_insert_returns_evicted_pair(self):
-        buf = FullyAssociativeLRU(2)
-        buf.insert(1, "a")
-        buf.insert(2, "b")
-        evicted = buf.insert(3, "c")
-        assert evicted == (1, "a")
-
     def test_payload_roundtrip(self):
-        buf = FullyAssociativeLRU(4)
-        buf.insert(1, {"x": 1})
-        assert buf.get(1) == {"x": 1}
-
-    def test_set_value_requires_presence(self):
-        buf = FullyAssociativeLRU(2)
-        with pytest.raises(KeyError):
-            buf.set_value(1, "x")
-
-    def test_pop_lru(self):
-        buf = FullyAssociativeLRU(3)
-        buf.insert(1)
-        buf.insert(2)
-        assert buf.pop_lru() == (1, None)
-
-    def test_is_full(self):
-        buf = FullyAssociativeLRU(1)
-        assert not buf.is_full()
-        buf.insert(1)
-        assert buf.is_full()
-
-    def test_remove_missing_raises(self):
-        buf = FullyAssociativeLRU(1)
-        with pytest.raises(KeyError):
-            buf.remove(5)
-
-    def test_touch_refreshes_recency(self):
-        buf = FullyAssociativeLRU(2)
-        buf.insert(1)
-        buf.insert(2)
-        buf.touch(1)
-        assert buf.lru_key() == 2
+        s = LRUSet(4)
+        s.insert_mru(1, [50])
+        assert s.get(1) == [50]
+        assert s.get(2) is None
 
     @given(st.lists(st.integers(min_value=0, max_value=20), max_size=150))
     def test_capacity_never_exceeded(self, ops):
-        buf = FullyAssociativeLRU(5)
+        s = LRUSet(5)
         for op in ops:
-            buf.insert(op)
-            assert len(buf) <= 5
+            s.insert_mru(op)
+            assert len(s) <= 5

@@ -31,11 +31,6 @@ class TestNextUse:
         assert oracle.next_use_of(5, 4) == NEVER
         assert oracle.next_use_of(99, 0) == NEVER
 
-    def test_reuse_distance_after(self):
-        oracle = NextUseOracle([1, 2, 1])
-        assert oracle.reuse_distance_after(0) == 2
-        assert oracle.reuse_distance_after(1) == NEVER
-
     @given(st.lists(st.integers(min_value=0, max_value=12), max_size=120))
     def test_matches_bruteforce(self, blocks):
         oracle = NextUseOracle(blocks)

@@ -12,7 +12,6 @@ from repro.mem.policies import (
     GHRPPolicy,
     HawkeyePolicy,
     LRUPolicy,
-    RandomPolicy,
     SHiPPolicy,
     SRRIPPolicy,
     TreePLRUPolicy,
@@ -27,7 +26,6 @@ def policy_factories(trace=None):
     return {
         "lru": lambda: LRUPolicy(),
         "plru": lambda: TreePLRUPolicy(WAYS),
-        "random": lambda: RandomPolicy(seed=1),
         "srrip": lambda: SRRIPPolicy(),
         "ship": lambda: SHiPPolicy(),
         "hawkeye": lambda: HawkeyePolicy(ways=WAYS),
