@@ -7,6 +7,11 @@ into single ``lookup``/``fill`` bodies with no intermediate dispatch:
 
 * the demand-hit path is the set dict's pop/reinsert with the policy's
   ``_touch`` (live training, history push, index capture) inlined;
+* ``repeat_hits`` (the engine's batched repeat-block hits) trains in
+  closed form: repeated pushes of one signature drive the GHR to a
+  fixed point within ``history_bits / 4`` steps, so it steps literally
+  until the GHR stops moving, then bulk-decrements the three counters
+  every remaining repeat would decrement;
 * the per-line captured table indices live as the *payload* of each
   line in the set dicts, so the hit path's pop/reinsert doubles as the
   index read/update and ``GHRPPolicy._line_indices`` needs no per-access
@@ -213,6 +218,51 @@ class FlatGHRPScheme:
             lines[block] = indices
             return True
 
+        def repeat_hits(block, count, last_t):
+            # `count` more hits on the MRU block, in closed form.  Each
+            # one trains the payload's counters, pushes the same
+            # signature and re-captures the indices.  Pushing one
+            # signature drives the GHR to a fixed point within
+            # history_bits / 4 steps: step literally until it stops
+            # moving, then the rest all decrement the same counters.
+            nonlocal acc, hits, ghr
+            acc += count
+            hits += count
+            lines = lines_by_set[block & set_mask]
+            indices = lines[block]
+            sig = sig_of_t[last_t] if sig_of_t is not None else hash_sig(block)
+            g = ghr
+            while count:
+                i0, i1, i2 = indices
+                v = t0[i0]
+                if v:
+                    t0[i0] = v - 1
+                v = t1[i1]
+                if v:
+                    t1[i1] = v - 1
+                v = t2[i2]
+                if v:
+                    t2[i2] = v - 1
+                count -= 1
+                ng = ((g << 4) ^ sig) & hist_mask
+                if ng == g:
+                    break
+                g = ng
+                mixed = (sig << hist_bits) | g
+                indices = indices_memo.get(mixed)
+                if indices is None:
+                    indices = hash_indices(mixed)
+            if count:
+                i0, i1, i2 = indices
+                v = t0[i0]
+                t0[i0] = v - count if v > count else 0
+                v = t1[i1]
+                t1[i1] = v - count if v > count else 0
+                v = t2[i2]
+                t2[i2] = v - count if v > count else 0
+            ghr = g
+            lines[block] = indices
+
         def _fill(lines, block, sig, prefetch):
             # Shared tail of both fill flavours; `sig` already resolved.
             nonlocal ghr, evicts, dfills, pfills
@@ -282,6 +332,7 @@ class FlatGHRPScheme:
             return block in lines_by_set[block & set_mask]
 
         self.lookup = lookup
+        self.repeat_hits = repeat_hits
         self.fill = fill
         self.prefetch_fill = prefetch_fill
         self.contains = contains

@@ -8,6 +8,12 @@ with the per-record work fused into single ``lookup``/``fill`` bodies:
 * the demand-hit path inlines ``_observe`` (sampler pop, OPT-hit
   verdict, predictor training, quantum advance, sampler prune) and the
   RRIP install;
+* ``repeat_hits`` (the engine's batched repeat-block hits) is O(1):
+  the hit before the run stamped the block with the set's current
+  quantum, so every repeat sees an empty interval, and the run
+  saturating-adds ``count`` to the block's predictor counter, advances
+  the quantum by ``count``, clears the ``min(count, window)`` lanes it
+  opens in one mask, and restamps the block and its RRPV once;
 * each line's RRPV lives as the *payload* of its entry in the set
   dicts, so the hit path's pop/reinsert doubles as the RRIP install and
   the victim scans read payloads instead of probing a side dict
@@ -356,6 +362,44 @@ class FlatHawkeyeScheme:
             lines[block] = 0 if pred[sig] >= mid else rmax
             return True
 
+        def repeat_hits(block, count, last_t):
+            # `count` more hits on the MRU block, in closed form.  The
+            # hit before the run stamped the block with the set's
+            # current quantum, so every repeat sees an empty interval:
+            # it trains its own signature up, opens (and clears) the
+            # next quantum's lane and restamps the block.
+            nonlocal acc, hits
+            acc += count
+            hits += count
+            s = block & set_mask
+            history = hist_by_set[s]
+            stamp = history[block]
+            sig = stamp & sig_mask
+            gen_time = stamp >> sig_bits
+            v = pred[sig]
+            if v < cmax:
+                v = v + count if v + count < cmax else cmax
+                pred[sig] = v
+            now = gen_time + count
+            opt_time[s] = now
+            occ = opt_occ[s]
+            if occ:
+                if count >= window:
+                    opt_occ[s] = 0
+                else:
+                    # Lanes gen_time+1 .. now, wrapping at the window.
+                    start = (gen_time + 1) % window
+                    if start + count <= window:
+                        ones = ones_table[count] << (start << 3)
+                    else:
+                        head = window - start
+                        ones = (
+                            ones_table[head] << (start << 3)
+                        ) | ones_table[count - head]
+                    opt_occ[s] = occ & ~(ones * 0xFF)
+            history[block] = (now << sig_bits) | sig
+            lines_by_set[s][block] = 0 if v >= mid else rmax
+
         def _evict(lines):
             # Victim scan over the payloads: first cache-averse line
             # LRU -> MRU, else the worst-RRPV line with Hawkeye's
@@ -434,6 +478,7 @@ class FlatHawkeyeScheme:
             return block in lines_by_set[block & set_mask]
 
         self.lookup = lookup
+        self.repeat_hits = repeat_hits
         self.fill = fill
         self.prefetch_fill = prefetch_fill
         self.contains = contains

@@ -47,10 +47,11 @@ class L1IScheme(Protocol):
       ``last_t``.  The engine calls it only when ``block`` hit on
       its latest real ``lookup`` and the scheme has seen no other call
       since, so each of those lookups is a known hit on the block that
-      is already most recent.  The hook must leave the scheme exactly
-      as those lookups would (same ``save_state()``).  Define it only
-      where such a repeat is pure bookkeeping; a scheme that trains on
-      every hit leaves it out and keeps one lookup per record.
+      is already most recent.  The hook must leave exactly the
+      ``save_state()`` those ``count`` lookups would leave.  Pure
+      bookkeeping qualifies, and so does training on every hit when
+      the run's training has a closed form (GHRP, Harmony); a scheme
+      without one leaves the hook out and keeps one lookup per record.
     """
 
     name: str

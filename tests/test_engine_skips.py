@@ -100,7 +100,9 @@ def test_skips_match_per_record_calls(name, grid):
     assert ordered(direct.save_state()) == ordered(hidden.save_state())
 
 
-@pytest.mark.parametrize("name", ("lru", "36kb-l1i", "40kb-l1i", "opt", "acic"))
+@pytest.mark.parametrize(
+    "name", ("lru", "36kb-l1i", "40kb-l1i", "opt", "acic", "ghrp", "harmony")
+)
 def test_hooked_schemes_skip_most_calls(name, grid):
     """The rules fire: most lookups batch and repeated probes go away."""
     context = grid[2]

@@ -16,8 +16,10 @@ four ways:
   decoupled from the schedule (finite next-use ties), and through
   directed tie and ``incoming == furthest`` bypass cases;
 * **repeat hits** — ``repeat_hits`` on the LRU twin (all three
-  registered geometries) and the OPT twin leaves ``save_state()``
-  exactly as the per-record lookups it stands in for would;
+  registered geometries) and the OPT, GHRP and Harmony twins leaves
+  ``save_state()`` exactly as the per-record lookups it stands in for
+  would, over runs long enough to cross GHRP's GHR fixed point and
+  Harmony's whole OPTgen window;
 * **deferred state** — the stats counters and GHRP's GHR accumulate in
   closure cells mid-run and must flush exactly at ``finish_trace`` and
   ``save_state``;
@@ -128,11 +130,14 @@ def _make_pair(kind, oracle=None):
     return _flat(kind, CONFIG, oracle), _readable(kind, CONFIG, oracle)
 
 
-def _schedule(seed, length=9000, blocks=160, ghosts=False):
+def _schedule(seed, length=9000, blocks=160, ghosts=False, bursts=False):
     """Seeded op soup with re-reference locality (hits and misses).
 
     With ``ghosts`` a fifth of the prefetch fills name a fresh block id
     that no other op uses: never accessed again, whatever the oracle.
+    With ``bursts`` one lookup in fifty is followed by a fill of its
+    block and 2..149 more lookups of it: the long repeat-hit runs of
+    real fetch.
     """
     rng = random.Random(seed)
     ops = []
@@ -142,6 +147,9 @@ def _schedule(seed, length=9000, blocks=160, ghosts=False):
         if roll < 0.55:
             block = last if rng.random() < 0.6 else rng.randrange(blocks)
             ops.append(("lookup", block))
+            if bursts and rng.random() < 0.02:
+                ops.append(("fill", block))
+                ops.extend([("lookup", block)] * rng.randrange(2, 150))
             last = block
         elif roll < 0.78:
             ops.append(("fill", rng.randrange(blocks)))
@@ -398,14 +406,18 @@ class TestDeferredCounters:
 
 
 #: The registered geometries of the LRU twin (lru, 36kb-l1i, 40kb-l1i)
-#: and the OPT twin's, plus the tiny one that evicts hardest.
+#: and the OPT/GHRP/Harmony twins', plus the tiny one that evicts hardest.
 REPEAT_CASES = (
     ("lru", BASELINE_L1I),
     ("lru", LARGER_L1I_36K),
     ("lru", LARGER_L1I_40K),
     ("opt", BASELINE_L1I),
+    ("ghrp", BASELINE_L1I),
+    ("harmony", BASELINE_L1I),
     ("lru", CONFIG),
     ("opt", CONFIG),
+    ("ghrp", CONFIG),
+    ("harmony", CONFIG),
 )
 
 
@@ -419,25 +431,67 @@ class TestRepeatHits:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_batched_lockstep(self, kind, config, seed):
         # Four blocks per line: every set fills, evicts and re-misses.
-        ops = _schedule(seed, blocks=4 * config.num_blocks, ghosts=True)
+        ops = _schedule(
+            seed, blocks=4 * config.num_blocks, ghosts=True, bursts=True
+        )
         oracle = _oracle_for(ops)
         real, batched = _flat(kind, config, oracle), _flat(kind, config, oracle)
         checked = []
 
         def check(a, b, block, count):
-            if len(checked) < 50:
-                label = f"{kind} after {count} repeats of {block}"
-                state_a, state_b = a.save_state(), b.save_state()
-                _assert_same_state(state_a, state_b, label)
-                _assert_same_sets(state_a, state_b, label)
+            # The first 50 runs and the first 30 past GHRP's GHR fixed
+            # point (4 pushes of one signature).  Equal pickles: same
+            # contents in the same dict (recency) order.
             checked.append(count)
+            long_runs = sum(c > 4 for c in checked)
+            if len(checked) <= 50 or (count > 4 and long_runs <= 30):
+                assert pickle.dumps(a.save_state()) == pickle.dumps(
+                    b.save_state()
+                ), f"{kind} after {count} repeats of {block}: state diverged"
 
         steps = ((op, block, t, t) for t, (op, block) in enumerate(ops))
         runs = lockstep_batched(real, batched, steps, check)
-        assert len(runs) > 100 and max(count for _, count in runs) > 2
+        counts = [count for _, count in runs]
+        assert len(runs) > 100
+        # Runs cross GHRP's GHR fixed point and Harmony's whole
+        # 64-quantum OPTgen window.
+        assert sum(count > 4 for count in counts) > 20
+        assert sum(count >= 64 for count in counts) > 5
         state_a, state_b = real.save_state(), batched.save_state()
         _assert_same_state(state_a, state_b, f"{kind} final")
         _assert_same_sets(state_a, state_b, f"{kind} final")
+
+    @pytest.mark.parametrize("kind", ("ghrp", "harmony"))
+    def test_closed_form_at_every_counter_value(self, kind):
+        """GHRP's and Harmony's closed forms from every counter value.
+
+        Random schedules mostly leave GHRP's counters at 0 by the fixed
+        point and Harmony's far from saturation.  Here every counter
+        starts at each legal value before runs that end just past the
+        fixed point (5..9), or that cross Harmony's window (63..130).
+        """
+        warm = _schedule(7, length=600)
+        block, t = 5, len(warm)
+        counter_max = _flat(kind, CONFIG).policy.counter_max
+        for start in range(counter_max + 1):
+            for count in (1, 2, 3, 4, 5, 6, 7, 8, 9, 63, 64, 65, 130):
+                real, batched = _flat(kind, CONFIG), _flat(kind, CONFIG)
+                for scheme in (real, batched):
+                    _drive(scheme, warm, 0, t)
+                    policy = scheme.policy
+                    tables = (
+                        policy.tables if kind == "ghrp" else [policy.predictor]
+                    )
+                    for table in tables:
+                        table[:] = [start] * len(table)
+                    scheme.fill(block, t, t)
+                    assert scheme.lookup(block, t + 1, t + 1)
+                for k in range(count):
+                    real.lookup(block, t + 2 + k, t + 2 + k)
+                batched.repeat_hits(block, count, t + 1 + count)
+                assert pickle.dumps(real.save_state()) == pickle.dumps(
+                    batched.save_state()
+                ), f"{kind}: {count} repeats from counters at {start}"
 
 
 RECORDS = 6_000
