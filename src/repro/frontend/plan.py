@@ -30,6 +30,11 @@ numpy arrays:
   trace's own ``blocks`` — backs every span);
 * branch-stack stats snapshots at warmup end and at trace end.
 
+:meth:`FrontendPlan.record_stream` derives what the engine's record
+loop reads from a plan and its trace — a de-duplicated probe stream,
+the per-record queue deltas and the instruction prefix sums — once per
+(trace digest, backend width), and memoizes it on the plan.
+
 The builder is event-driven: only records whose transition trains the
 predictor (conditional / call / indirect kinds) touch the Python
 BTB/TAGE machinery, in exactly the interleaving of a per-record replay
@@ -59,7 +64,7 @@ from __future__ import annotations
 import hashlib
 import json
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
@@ -134,6 +139,60 @@ def _check_kind(prefetcher: str) -> None:
         )
 
 
+@dataclass(frozen=True)
+class RecordStream:
+    """The scheme-independent per-record work of one (plan, trace) pair.
+
+    * ``probes[i]`` — what record ``i`` probes: ``None`` (no candidate),
+      the block of a single candidate, or a tuple of a span's distinct
+      blocks in first-seen order.  A later duplicate in a span always
+      finds its block in the MSHR file or in the scheme (allocating
+      other candidates removes nothing, and ``contains`` is pure), so
+      dropping it is exact.
+    * ``deltas[i]`` — ``instrs[i] - backend_ipc``, the decode-queue
+      change of record ``i`` before clamping.
+    * ``cum_instrs[i]`` — instructions in records ``< i`` (exclusive
+      prefix sums, length n+1).
+
+    Block ints are the trace's own ``blocks_list`` objects and the
+    deltas a handful of shared floats, so a stream boxes nothing new
+    per record and holds no reference to the ``Trace``.
+    """
+
+    probes: List[object]
+    deltas: List[float]
+    cum_instrs: np.ndarray
+
+
+def _derive_stream(
+    plan: "FrontendPlan", trace: Trace, backend_ipc: float
+) -> RecordStream:
+    n = len(plan)
+    blocks = trace.blocks_list
+    lo = np.asarray(plan.cand_lo)
+    hi = np.asarray(plan.cand_hi)
+    width = hi - lo
+    # Object-array gathers hand out the very objects they index, so the
+    # stream shares the trace's block ints and the delta table's floats.
+    # Single-candidate records pick their block, the rest the ``None``
+    # past the end.
+    shared = np.empty(n + 1, dtype=object)
+    shared[:n] = blocks
+    probes = shared[np.where(width == 1, lo, n)].tolist()
+    multi = np.flatnonzero(width > 1)
+    for i, a, b in zip(multi.tolist(), lo[multi].tolist(), hi[multi].tolist()):
+        distinct = tuple(dict.fromkeys(blocks[a:b]))
+        probes[i] = distinct if len(distinct) > 1 else distinct[0]
+
+    instrs = np.asarray(trace.instrs)
+    top = int(instrs.max(initial=0))
+    table = np.array([float(k) - backend_ipc for k in range(top + 1)], dtype=object)
+    deltas = table[instrs].tolist()
+    cum = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(instrs, dtype=np.int64, out=cum[1:])
+    return RecordStream(probes, deltas, cum)
+
+
 @dataclass
 class FrontendPlan:
     """Flat-array replay of the frontend for one (trace, config) pair."""
@@ -150,6 +209,12 @@ class FrontendPlan:
     cand_hi: np.ndarray         # int64, n (half-open span ends)
     warmup_stats: np.ndarray    # int64, len(STATS_FIELDS)
     final_stats: np.ndarray     # int64, len(STATS_FIELDS)
+    # ((trace digest, backend_ipc), RecordStream) of the latest
+    # ``record_stream`` call: keyed by digest, never by the Trace, so a
+    # memoized plan pins no trace the trace memo has let go.
+    _stream: Optional[tuple] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __len__(self) -> int:
         return len(self.mispredict)
@@ -169,6 +234,21 @@ class FrontendPlan:
         return self.cand_hi.tolist()
 
     # -- derived views ------------------------------------------------------
+
+    def record_stream(self, trace: Trace, backend_ipc: float) -> RecordStream:
+        """The record loop's input for ``trace`` at ``backend_ipc``.
+
+        Derived once and memoized on the plan (one entry: a plan serves
+        one trace, and a sweep one machine).  Sim threads that race
+        here each derive the same stream, and the last one stored wins.
+        """
+        key = (trace.digest, backend_ipc)
+        memo = self._stream
+        if memo is not None and memo[0] == key:
+            return memo[1]
+        stream = _derive_stream(self, trace, backend_ipc)
+        self._stream = (key, stream)
+        return stream
 
     def mispredicted_after_warmup(self) -> int:
         """Post-warmup mispredicted transitions (what RunResult reports)."""

@@ -9,7 +9,9 @@ only the *remaining* latency, a key FDP timeliness effect).
 The file keeps a running lower bound on the earliest completion cycle
 (``next_ready``) so the timing engine can skip ``drain`` entirely while
 nothing is due — the common case, since most records issue no prefetch
-and complete no fill.
+and complete no fill.  Its two tables, ``pending`` and ``deferred``,
+are plain dicts mutated in place, so the engine tests membership with
+two dict lookups instead of a ``__contains__`` call per candidate.
 
 Fill-delivery contract (PR 3): **no completed fill is ever discarded**.
 Every allocated miss is eventually returned by exactly one ``drain``
@@ -26,7 +28,7 @@ semantics against a naive reference.)
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 _NEVER = float("inf")
 
@@ -45,11 +47,16 @@ class MSHRFile:
         if entries <= 0:
             raise ValueError(f"MSHR entries must be positive, got {entries}")
         self.entries = entries
-        self._pending: Dict[int, int] = {}
-        # Fills displaced by a full-file handover: they no longer hold a
-        # register (the stalled miss took it) but still complete at
-        # their original ready cycle and must reach the owning scheme.
-        self._deferred: List[Tuple[int, int]] = []
+        # block -> ready cycle, in allocation order.  Read-only outside
+        # this class (the timing engine tests membership on it).
+        self.pending: Dict[int, int] = {}
+        # Fills displaced by a full-file handover, block -> ready cycle in
+        # handover order: they no longer hold a register (the stalled
+        # miss took it) but still complete at their original ready cycle
+        # and must reach the owning scheme.  A block is in at most one
+        # of the two tables.  Read-only outside this class, like
+        # ``pending``.
+        self.deferred: Dict[int, int] = {}
         # Lower bound on min(completion cycles) over pending + deferred;
         # exact after every drain scan, possibly stale-low after cancel.
         # A stale-low bound only costs a spurious scan, never a missed
@@ -58,14 +65,10 @@ class MSHRFile:
         self.stats = MSHRStats()
 
     def __len__(self) -> int:
-        return len(self._pending) + len(self._deferred)
+        return len(self.pending) + len(self.deferred)
 
     def __contains__(self, block: int) -> bool:
-        if block in self._pending:
-            return True
-        if self._deferred:
-            return any(b == block for b, _ in self._deferred)
-        return False
+        return block in self.pending or block in self.deferred
 
     @property
     def next_ready(self) -> float:
@@ -82,33 +85,27 @@ class MSHRFile:
         """
         if now < self._min_ready:
             return []
-        pending = self._pending
+        pending = self.pending
         done = [b for b, ready in pending.items() if ready <= now]
         for block in done:
             del pending[block]
         floor = min(pending.values()) if pending else _NEVER
-        if self._deferred:
-            still: List[Tuple[int, int]] = []
-            for block, ready in self._deferred:
+        deferred = self.deferred
+        if deferred:
+            for block, ready in list(deferred.items()):
                 if ready <= now:
                     done.append(block)
-                else:
-                    still.append((block, ready))
-                    if ready < floor:
-                        floor = ready
-            self._deferred = still
+                    del deferred[block]
+                elif ready < floor:
+                    floor = ready
         self._min_ready = floor
         return done
 
     def ready_cycle(self, block: int) -> Optional[int]:
-        ready = self._pending.get(block)
+        ready = self.pending.get(block)
         if ready is not None:
             return ready
-        if self._deferred:
-            for b, r in self._deferred:
-                if b == block:
-                    return r
-        return None
+        return self.deferred.get(block)
 
     def allocate(self, block: int, ready_cycle: int, now: int) -> int:
         """Register an outstanding miss; returns its completion cycle.
@@ -127,7 +124,7 @@ class MSHRFile:
         if existing is not None:
             self.stats.merges += 1
             return existing
-        pending = self._pending
+        pending = self.pending
         if len(pending) >= self.entries:
             self.stats.full_stalls += 1
             # The miss cannot issue until a register frees: delay the
@@ -135,7 +132,7 @@ class MSHRFile:
             # whose fill is handed over to the deferred buffer.
             earliest_block = min(pending, key=pending.__getitem__)
             earliest = pending.pop(earliest_block)
-            self._deferred.append((earliest_block, earliest))
+            self.deferred[earliest_block] = earliest
             ready_cycle += max(0, earliest - now)
         pending[block] = ready_cycle
         if ready_cycle < self._min_ready:
@@ -145,11 +142,9 @@ class MSHRFile:
 
     def cancel(self, block: int) -> None:
         """Drop the outstanding entry for ``block`` (demand takeover)."""
-        if self._pending.pop(block, None) is None and self._deferred:
-            self._deferred = [
-                (b, r) for b, r in self._deferred if b != block
-            ]
-        if not self._pending and not self._deferred:
+        if self.pending.pop(block, None) is None:
+            self.deferred.pop(block, None)
+        if not self.pending and not self.deferred:
             self._min_ready = _NEVER
 
     # -- checkpoint/resume --------------------------------------------------
@@ -158,20 +153,16 @@ class MSHRFile:
         from repro.common.state import save_stats, snapshot
 
         return {
-            "pending": snapshot(self._pending),
-            "deferred": snapshot(self._deferred),
+            "pending": snapshot(self.pending),
+            "deferred": snapshot(self.deferred),
             "min_ready": self._min_ready,
             "stats": save_stats(self.stats),
         }
 
     def load_state(self, state: dict) -> None:
-        from repro.common.state import (
-            load_dict_inplace,
-            load_list_inplace,
-            load_stats,
-        )
+        from repro.common.state import load_dict_inplace, load_stats
 
-        load_dict_inplace(self._pending, state["pending"])
-        load_list_inplace(self._deferred, state["deferred"])
+        load_dict_inplace(self.pending, state["pending"])
+        load_dict_inplace(self.deferred, state["deferred"])
         self._min_ready = state["min_ready"]
         load_stats(self.stats, state["stats"])

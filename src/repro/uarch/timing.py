@@ -149,12 +149,15 @@ _FRESH_COUNTERS = (0.0, 0.0, 0, 0, 0, 0, 0.0, 0, 0, 0, 0)
 _MODE = "planned"
 
 
-def _restore(resume: Optional[dict], parts: dict) -> tuple:
+def _restore(resume: Optional[dict], parts: dict, cum_instrs) -> tuple:
     """``(start, counters)`` for a run, loading ``resume`` into ``parts``.
 
     ``parts`` maps each state key to its collaborator (scheme, MSHRs,
     hierarchy, and the prefetcher when one runs); without a resume
-    state the run starts fresh at record 0.
+    state the run starts fresh at record 0.  ``cum_instrs`` are the
+    trace's instruction prefix sums: a state whose ``instructions``
+    counter differs from them at its ``next_record`` was saved from
+    another trace and is rejected.
     """
     if resume is None:
         return 0, _FRESH_COUNTERS
@@ -165,10 +168,22 @@ def _restore(resume: Optional[dict], parts: dict) -> tuple:
         )
     if ("prefetcher" in resume) != ("prefetcher" in parts):
         raise ValueError("resume state and run disagree on a live prefetcher")
+    start = resume["next_record"]
+    counters = resume["counters"]
+    if not 0 <= start < len(cum_instrs):
+        raise ValueError(
+            f"resume state starts at record {start}; the trace has "
+            f"{len(cum_instrs) - 1}"
+        )
+    if counters["instructions"] != cum_instrs[start]:
+        raise ValueError(
+            f"resume state counts {counters['instructions']} instructions "
+            f"before record {start}, the trace {int(cum_instrs[start])}: "
+            "it was saved from another trace"
+        )
     for key, part in parts.items():
         part.load_state(resume[key])
-    counters = resume["counters"]
-    return resume["next_record"], tuple(counters[k] for k in _COUNTER_FIELDS)
+    return start, tuple(counters[k] for k in _COUNTER_FIELDS)
 
 
 def _capture(i: int, counters: tuple, parts: dict) -> dict:
@@ -199,8 +214,9 @@ def simulate(
 
     The frontend comes from ``plan``, a precomputed
     :class:`~repro.frontend.plan.FrontendPlan`: the engine reads the
-    per-record mispredict flags and the FDP candidate spans from flat
-    arrays and touches no branch-stack code at all.  The entangling
+    per-record mispredict flags and the FDP candidates (the plan's
+    probe stream, below) from flat lists and touches no branch-stack
+    code at all.  The entangling
     prefetcher trains on scheme-dependent miss timing, so it cannot be
     planned; it runs as a live ``prefetcher`` object on the ``none``
     plan (which supplies the mispredict flags and no spans).  The engine
@@ -216,14 +232,23 @@ def simulate(
     schemes, branch kinds, workload profiles and prefetchers.
 
     The loop body runs once per fetch record — two million times for a
-    full-length sweep pair — so everything invariant is hoisted out of
-    it: trace and plan arrays become plain Python lists (one bulk
-    conversion instead of per-record ndarray scalar boxing),
-    scheme/prefetcher/MSHR methods are bound to locals, and the MSHR
+    full-length sweep pair — so everything that does not depend on the
+    scheme is done before it, once per (plan, trace):
+    :meth:`~repro.frontend.plan.FrontendPlan.record_stream` derives and
+    memoizes on the plan a *probe stream* (per record ``None``, the
+    single candidate's block, or a tuple of a span's distinct blocks:
+    the ``plan.cand_lo/cand_hi`` spans over the trace's own blocks, as
+    FDP run-ahead only ever walks the future fetch path), the queue
+    deltas ``instrs - backend_ipc``, and the instruction prefix sums
+    that give the ``instructions`` counter wherever it is read (a
+    capture, the warmup snapshot, the result) instead of a per-record
+    add.  The loop itself reads four flat lists per record (blocks,
+    mispredict flags, deltas, probes); scheme/prefetcher/MSHR methods
+    are bound to locals; MSHR membership is two dict lookups on the
+    file's ``pending``/``deferred`` tables; one compare per record finds
+    the next event (a checkpoint or the warmup snapshot); and the MSHR
     drain is gated on the file's running *next-ready cycle* instead of
-    probing its occupancy every record.  The prefetch candidate stream
-    is ``plan.cand_lo/cand_hi`` spans over the trace's own blocks (FDP
-    run-ahead only ever walks the future fetch path).
+    probing its occupancy every record.
 
     The loop calls the scheme and the MSHR file only when their answer
     can have changed.  Fetch is bursty: most records repeat the
@@ -242,10 +267,12 @@ def simulate(
     * **Probe de-duplication.**  A probed candidate ends up in the MSHR
       file or in the scheme.  Only a delivering drain, a miss (fill,
       cancel) or a real ``lookup`` can take it out of both; allocating
-      other candidates never removes an entry.  So while records are
-      batched repeats with no delivering drain, a single-candidate span
-      equal to the last probed candidate would ``continue``, and the
-      engine skips it.
+      other candidates never removes an entry (a full file hands the
+      displaced fill over to ``deferred``).  So a later duplicate
+      within one span would ``continue`` — the probe stream drops it —
+      and while records are batched repeats with no delivering drain,
+      a single-candidate probe equal to the last probed candidate
+      would ``continue`` too, and the engine skips it.
 
     Checkpoint/resume (``tests/test_checkpoint.py`` pins chunked runs
     bit-identical to single-pass; the shard ledger in
@@ -261,9 +288,12 @@ def simulate(
     ``simulate`` returns None.  ``resume`` takes such a state and
     continues from its ``next_record``; the engine restores its own
     collaborators (it constructs the MSHR/hierarchy), so callers only
-    rebuild the scheme and prefetcher fresh from their factories.
-    The default ``checkpoint_every=0`` keeps the hot loop at one extra
-    integer compare per record.
+    rebuild the scheme and prefetcher fresh from their factories.  A
+    ``resume`` whose ``instructions`` counter is not the trace's
+    prefix sum at its ``next_record`` was saved from another trace and
+    raises ``ValueError``.  Checkpoints share the one next-event
+    compare with the warmup snapshot, so the default
+    ``checkpoint_every=0`` costs the loop nothing.
     """
     if machine is None:
         raise TypeError("simulate() requires machine parameters")
@@ -298,16 +328,17 @@ def simulate(
         pf_candidates = prefetcher.candidates
         pf_observe_fetch = prefetcher.observe_fetch
         pf_on_demand_miss = prefetcher.on_demand_miss
-    mispredict = plan.mispredict_list
-    cand_lo = plan.cand_lo_list
-    cand_hi = plan.cand_hi_list
-
-    blocks = trace.blocks_list
-    instr_counts = trace.instrs_list
 
     backend_ipc = machine.backend_ipc
     queue_cap = float(machine.decode_queue_instrs)
     penalty = machine.branch_mispredict_penalty
+
+    mispredict = plan.mispredict_list
+    blocks = trace.blocks_list
+    stream = plan.record_stream(trace, backend_ipc)
+    probes = stream.probes
+    deltas = stream.deltas
+    cum_instrs = stream.cum_instrs
 
     # Schemes that consume the shared replacement pre-pass bind their
     # per-record arrays here (pure, idempotent — safe per resumed chunk).
@@ -320,12 +351,15 @@ def simulate(
     mshr_ready_cycle = mshr.ready_cycle
     mshr_cancel = mshr.cancel
     mshr_allocate = mshr.allocate
-    mshr_contains = mshr.__contains__
+    in_flight = mshr.pending
+    handed_over = mshr.deferred
 
     # Loop counters, plus the base_* snapshots taken when warmup ends.
-    start, counters = _restore(resume, parts)
+    # ``instructions`` is not stepped per record: it is ``cum_instrs[i]``
+    # wherever a capture, the warmup snapshot or the result reads it.
+    start, counters = _restore(resume, parts, cum_instrs)
     (cycles, queue, demand_misses, late_prefetch, prefetches_issued,
-     instructions, base_cycles, base_misses, base_late, base_issued,
+     _, base_cycles, base_misses, base_late, base_issued,
      base_instr) = counters
     next_ready = mshr.next_ready
 
@@ -348,38 +382,39 @@ def simulate(
     hit_block = probed = -1
     run_from = start
 
-    if checkpoint_every > 0:
-        # Next absolute multiple strictly past the starting record.
-        next_ckpt = (start // checkpoint_every + 1) * checkpoint_every
-    else:
-        next_ckpt = n + 1  # never taken: one dead int compare per record
+    # One compare per record finds both events: the next checkpoint
+    # (the first multiple of ``checkpoint_every`` past ``start``) and
+    # the warmup snapshot.  An event at ``n`` or later never fires.
+    next_ckpt = (
+        (start // checkpoint_every + 1) * checkpoint_every
+        if checkpoint_every > 0 else n
+    )
+    next_event = min(next_ckpt, warmup_end if warmup_end >= start else n)
 
     for i in range(start, n):
-        if i == next_ckpt:
-            next_ckpt += checkpoint_every
-            if i > run_from:
-                scheme_repeat_hits(hit_block, i - run_from, i - 1)
-            run_from = i
-            hit_block = -1
-            state = _capture(i, (
-                cycles, queue, demand_misses, late_prefetch,
-                prefetches_issued, instructions, base_cycles, base_misses,
-                base_late, base_issued, base_instr,
-            ), parts)
-            if on_checkpoint is not None and on_checkpoint(state):
-                return None
-
-        if i == warmup_end:
-            base_cycles = cycles
-            base_misses = demand_misses
-            base_late = late_prefetch
-            base_issued = prefetches_issued
-            base_instr = instructions
+        if i == next_event:
+            if i == next_ckpt:
+                next_ckpt += checkpoint_every
+                if i > run_from:
+                    scheme_repeat_hits(hit_block, i - run_from, i - 1)
+                run_from = i
+                hit_block = -1
+                state = _capture(i, (
+                    cycles, queue, demand_misses, late_prefetch,
+                    prefetches_issued, int(cum_instrs[i]), base_cycles,
+                    base_misses, base_late, base_issued, base_instr,
+                ), parts)
+                if on_checkpoint is not None and on_checkpoint(state):
+                    return None
+            if i == warmup_end:
+                base_cycles = cycles
+                base_misses = demand_misses
+                base_late = late_prefetch
+                base_issued = prefetches_issued
+                base_instr = int(cum_instrs[i])
+            next_event = min(next_ckpt, warmup_end if warmup_end > i else n)
 
         block = blocks[i]
-        n_instr = instr_counts[i]
-        instructions += n_instr
-
         if mispredict[i]:
             cycles += penalty
 
@@ -387,7 +422,7 @@ def simulate(
         # queue meanwhile.  Overfull queues mean the backend is the
         # bottleneck: charge the extra drain time.
         cycles += 1.0
-        queue += n_instr - backend_ipc
+        queue += deltas[i]
         if queue > queue_cap:
             cycles += (queue - queue_cap) / backend_ipc
             queue = queue_cap
@@ -448,37 +483,40 @@ def simulate(
                         scheme_prefetch_fill(done, i, icycles)
                     next_ready = mshr.next_ready
 
-        lo = cand_lo[i]
-        hi = cand_hi[i]
-        if lo < hi:
-            if hi - lo > 1:
-                for candidate in blocks[lo:hi]:
-                    if mshr_contains(candidate) or scheme_contains(candidate):
+        probe = probes[i]
+        if probe is None:
+            if pf_candidates is not None:
+                if run_from > i:
+                    pf_observe_fetch(block, int(cycles))
+                for candidate in pf_candidates(i):
+                    if (candidate in in_flight or candidate in handed_over
+                            or scheme_contains(candidate)):
                         continue
                     latency = float(hierarchy_access(candidate, i))
                     ready = mshr_allocate(candidate, cycles + latency, cycles)
                     if ready < next_ready:
                         next_ready = ready
                     prefetches_issued += 1
-            elif blocks[lo] != probed:
-                candidate = probed = blocks[lo]
-                if not (mshr_contains(candidate) or scheme_contains(candidate)):
+        elif probe != probed:
+            if probe.__class__ is tuple:
+                for candidate in probe:
+                    if (candidate in in_flight or candidate in handed_over
+                            or scheme_contains(candidate)):
+                        continue
                     latency = float(hierarchy_access(candidate, i))
                     ready = mshr_allocate(candidate, cycles + latency, cycles)
                     if ready < next_ready:
                         next_ready = ready
                     prefetches_issued += 1
-        elif pf_candidates is not None:
-            if run_from > i:
-                pf_observe_fetch(block, int(cycles))
-            for candidate in pf_candidates(i):
-                if mshr_contains(candidate) or scheme_contains(candidate):
-                    continue
-                latency = float(hierarchy_access(candidate, i))
-                ready = mshr_allocate(candidate, cycles + latency, cycles)
-                if ready < next_ready:
-                    next_ready = ready
-                prefetches_issued += 1
+            else:
+                probed = probe
+                if not (probe in in_flight or probe in handed_over
+                        or scheme_contains(probe)):
+                    latency = float(hierarchy_access(probe, i))
+                    ready = mshr_allocate(probe, cycles + latency, cycles)
+                    if ready < next_ready:
+                        next_ready = ready
+                    prefetches_issued += 1
 
     if run_from < n:
         scheme_repeat_hits(hit_block, n - run_from, n - 1)
@@ -495,7 +533,7 @@ def simulate(
         prefetcher_name=(
             plan.prefetcher if prefetcher is None else prefetcher.name
         ),
-        instructions=instructions - base_instr,
+        instructions=int(cum_instrs[n]) - base_instr,
         accesses=n - warmup_end,
         cycles=cycles - base_cycles,
         demand_misses=demand_misses - base_misses,

@@ -220,6 +220,31 @@ class TestEngineChunking:
                 resume={**state, "mode": "live"},
             )
 
+    def test_foreign_instruction_count_rejected(self, trace, context):
+        """A state whose instruction count is not this trace's is refused."""
+        plan = cached_plan(trace, DEFAULT_MACHINE, "fdp")
+        captured = []
+        simulate(
+            trace,
+            make_scheme("lru", context),
+            machine=DEFAULT_MACHINE,
+            plan=plan,
+            checkpoint_every=2_000,
+            on_checkpoint=lambda s: captured.append(s) or True,
+        )
+        state = captured[-1]
+        counters = {
+            **state["counters"],
+            "instructions": state["counters"]["instructions"] + 1,
+        }
+        with pytest.raises(ValueError, match="another trace"):
+            simulate(
+                trace,
+                make_scheme("lru", context),
+                machine=DEFAULT_MACHINE,
+                plan=plan,
+                resume={**state, "counters": counters},
+            )
 
     def test_live_prefetcher_mismatch_rejected(self, trace, context, none_plan):
         """A state carrying a prefetcher resumes only with one, and back."""

@@ -56,6 +56,18 @@ def _scalars(result):
 # -- naive references ----------------------------------------------------------
 
 
+class _Entries(list):
+    """``[block, ready]`` entries; ``block in entries`` scans the blocks.
+
+    The engine tests MSHR membership as ``block in mshr.pending or
+    block in mshr.deferred`` on containers it binds once, so both lists
+    answer ``in`` by block and are only ever mutated in place.
+    """
+
+    def __contains__(self, block):
+        return any(b == block for b, _ in self)
+
+
 class NaiveMSHR:
     """Straight-line restatement of the MSHR contract.
 
@@ -68,8 +80,8 @@ class NaiveMSHR:
     def __init__(self, entries: int = 16) -> None:
         assert entries > 0
         self.entries = entries
-        self.pending = []   # [block, ready], allocation order
-        self.deferred = []  # [block, ready], handover order
+        self.pending = _Entries()   # [block, ready], allocation order
+        self.deferred = _Entries()  # [block, ready], handover order
         self.allocations = 0
         self.merges = 0
         self.full_stalls = 0
@@ -78,9 +90,7 @@ class NaiveMSHR:
         return len(self.pending) + len(self.deferred)
 
     def __contains__(self, block):
-        return any(b == block for b, _ in self.pending) or any(
-            b == block for b, _ in self.deferred
-        )
+        return block in self.pending or block in self.deferred
 
     @property
     def next_ready(self):
@@ -95,9 +105,9 @@ class NaiveMSHR:
 
     def drain(self, now):
         done = [b for b, r in self.pending if r <= now]
-        self.pending = [e for e in self.pending if e[1] > now]
+        self.pending[:] = [e for e in self.pending if e[1] > now]
         done += [b for b, r in self.deferred if r <= now]
-        self.deferred = [e for e in self.deferred if e[1] > now]
+        self.deferred[:] = [e for e in self.deferred if e[1] > now]
         return done
 
     def allocate(self, block, ready_cycle, now):
@@ -116,8 +126,8 @@ class NaiveMSHR:
         return ready_cycle
 
     def cancel(self, block):
-        self.pending = [e for e in self.pending if e[0] != block]
-        self.deferred = [e for e in self.deferred if e[0] != block]
+        self.pending[:] = [e for e in self.pending if e[0] != block]
+        self.deferred[:] = [e for e in self.deferred if e[0] != block]
 
 
 class NaiveHierarchy:

@@ -20,6 +20,7 @@ import random
 import numpy as np
 import pytest
 
+from repro.common.state import snapshot
 from repro.harness.schemes import (
     SchemeContext,
     available_schemes,
@@ -185,3 +186,36 @@ def test_oracle_is_external_not_state(context):
         # An oracle over the full trace is megabytes; serialized scheme
         # state staying small is the cheap proxy that it was excluded.
         assert len(state) < 512 * 1024
+
+
+class _Slotted:
+    __slots__ = ("occ", "time")
+
+    def __init__(self, occ):
+        self.occ = occ
+        self.time = 0
+
+
+def test_snapshot_copies_flat_containers_whole_and_keeps_aliasing():
+    """Flat lists/dicts come out detached, and one container stays one."""
+    table = [0, 1, 2.5, None, "x"]
+    recency = {7: None, 3: 1}
+    value = {
+        "a": table,
+        "b": table,
+        "nested": [table, recency],
+        "slot": _Slotted(table),
+        "mixed": [[1], (table,)],
+    }
+    copied = snapshot(value)
+    assert copied["a"] == table and copied["a"] is not table
+    assert copied["b"] is copied["a"]
+    assert copied["nested"][0] is copied["a"]
+    assert copied["slot"].occ is copied["a"]
+    assert copied["mixed"][1][0] is copied["a"]
+    assert list(copied["nested"][1]) == [7, 3]
+    assert copied["nested"][1] is not recency
+    table.append(99)
+    recency[1] = 1
+    assert copied["a"] == [0, 1, 2.5, None, "x"]
+    assert copied["nested"][1] == {7: None, 3: 1}
