@@ -120,11 +120,13 @@ class MSHRFile:
         completed fills first; entries whose fills have completed but
         were never drained still occupy registers here.
         """
-        existing = self.ready_cycle(block)
+        pending = self.pending
+        existing = pending.get(block)
+        if existing is None:
+            existing = self.deferred.get(block)
         if existing is not None:
             self.stats.merges += 1
             return existing
-        pending = self.pending
         if len(pending) >= self.entries:
             self.stats.full_stalls += 1
             # The miss cannot issue until a register frees: delay the

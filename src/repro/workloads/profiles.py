@@ -54,22 +54,31 @@ class WorkloadProfile:
     def trace(
         self, records: Optional[int] = None, seed: Optional[int] = None
     ) -> Trace:
-        """Build (or load from cache) this profile's trace.
+        """This profile's trace: cut from a resident walk, else loaded
+        from or built into the trace cache.
 
         Every length is a prefix of one walk per (profile, seed): it
         ends at the first request entry at or past ``records`` (or at
         the walk's emission limit), see :mod:`repro.workloads.generator`.
-        A disk-cache miss builds the trace through :data:`_walks`, so a
-        process that asks for several lengths walks once and cuts, and
-        only grows the walk when a longer length needs it.
+        :data:`_walks` sits in front of the disk: when it holds a walk
+        for (profile, seed), the trace is cut from it (growing the walk
+        if needed) and the trace cache is neither read nor written.
+        Otherwise the trace comes from :func:`cached_trace`, whose miss
+        builds it through :data:`_walks`: the first length keeps no
+        walk, a second, different one starts the shared walk.
         """
         records = records or self.walk.target_records
         seed = self.seed if seed is None else seed
+        memo_key = (self, seed)
+        with _walks_lock:
+            walk = _walks.get(memo_key)
+            if isinstance(walk, Walk):
+                _walks.move_to_end(memo_key)
+                return walk.trace(records, self.name)
         key = f"{self.name}-r{records}-s{seed}"
 
         def build() -> Trace:
             params = replace(self.walk, target_records=records)
-            memo_key = (self, seed)
             with _walks_lock:
                 walk = _walks.get(memo_key)
                 if isinstance(walk, Walk):
@@ -96,12 +105,20 @@ class WorkloadProfile:
 #: Per-process walk memo, by (profile, seed), in LRU order: a
 #: :class:`Walk` for profiles asked for at two or more lengths, just the
 #: length for profiles asked for at one (a sweep worker asks each
-#: workload at one length, and keeps no walk).  A walk holds 18 bytes
-#: per walked record, which the traces cut from it view.
+#: workload at one length, and keeps no walk).  A resident walk serves
+#: every length of its profile ahead of the trace cache.  A walk holds
+#: 18 bytes per walked record, which the traces cut from it view.
 _walks: "OrderedDict[tuple, Union[int, Walk]]" = OrderedDict()
 _WALKS_CAP = 16
 #: Sweep-service simulation threads build traces concurrently.
 _walks_lock = threading.Lock()
+
+
+def clear_walk_memo() -> None:
+    """Forget every walk and remembered length, so the next trace of each
+    profile comes from the trace cache (tests)."""
+    with _walks_lock:
+        _walks.clear()
 
 
 def _remember_walk(key: tuple, entry: Union[int, Walk]) -> None:

@@ -16,7 +16,9 @@ Traces are deterministic functions of (profile, length, seed) and are
 cached on disk under ``.cache/traces`` by :data:`TRACE_STORE` (see
 :mod:`repro.common.artifacts`): an ``.npz`` per key plus an mmap
 sidecar, so repeated bench runs do not regenerate them and resident
-sweep workers share one page cache per workload.
+sweep workers share one page cache per workload.  A process that keeps
+a profile's walk resident (see :mod:`repro.workloads.profiles`) cuts
+that profile's traces from it ahead of this cache, and saves none.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ from repro.harness.runner import Runner
 from repro.harness.schemes import SchemeContext
 from repro.workloads.generator import WalkParams, generate_trace
 from repro.workloads.program import ProgramShape, build_program
-from repro.workloads.profiles import get_workload
+from repro.workloads.profiles import clear_walk_memo, get_workload
 from repro.workloads.trace import TRACE_STORE
 
 #: Trace length used by integration-level tests.
@@ -72,6 +72,14 @@ def committed_cache_untouched(request):
             + "\n  ".join(touched),
             pytrace=False,
         )
+
+
+@pytest.fixture(autouse=True)
+def no_resident_walks():
+    """Start each test with an empty walk memo: a walk an earlier test
+    left resident would serve this test's traces ahead of the trace
+    cache it may be testing."""
+    clear_walk_memo()
 
 
 @pytest.fixture(scope="session")

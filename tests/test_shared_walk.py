@@ -6,8 +6,9 @@ or at the emission limit, so :class:`~repro.workloads.generator.Walk`
 serves every length as a cut of one walk, growing it on demand.  These
 tests pin that the cuts equal fresh single-length walks whatever order
 the lengths are asked in, across the emission limit and across threads,
-and that the committed ``.cache/traces`` entries obey the same prefix
-property.
+that a profile's resident walk serves its traces ahead of the trace
+cache, and that the committed ``.cache/traces`` entries obey the same
+prefix property.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from repro.workloads.generator import (
 )
 from repro.workloads.profiles import get_workload
 from repro.workloads.program import ProgramShape, build_program
-from repro.workloads.trace import TRACE_ARRAY_FIELDS
+from repro.workloads.trace import TRACE_ARRAY_FIELDS, TRACE_STORE
 
 SHAPE = ProgramShape(
     hot_functions=8,
@@ -127,7 +128,9 @@ class TestProfileWalkMemo:
     @pytest.fixture()
     def profile(self, request, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path))
-        # A name per test: the walk memo lives as long as the process.
+        monkeypatch.delenv("REPRO_NO_DISK_CACHE", raising=False)
+        # A name per test: the trace store's memo lives as long as the
+        # process.
         return replace(get_workload("x264"), name=f"walk-{request.node.name}")
 
     def _fresh(self, profile, records):
@@ -138,6 +141,50 @@ class TestProfileWalkMemo:
             seed=profile.seed + 1,
             name=profile.name,
         )
+
+    @pytest.fixture()
+    def store_gets(self, monkeypatch):
+        """The keys of every ``TRACE_STORE.get`` call, in order."""
+        keys = []
+        real_get = TRACE_STORE.get
+
+        def get(key, *args, **kwargs):
+            keys.append(key)
+            return real_get(key, *args, **kwargs)
+
+        monkeypatch.setattr(TRACE_STORE, "get", get)
+        return keys
+
+    def test_first_two_lengths_go_through_the_store(
+        self, profile, tmp_path, store_gets
+    ):
+        profile.trace(records=3000)
+        profile.trace(records=5000)  # starts the walk
+        names = [f"{profile.name}-r{n}-s{profile.seed}" for n in (3000, 5000)]
+        assert store_gets == names
+        assert sorted(p.name for p in tmp_path.glob("*.npz")) == [
+            f"{name}.npz" for name in names
+        ]
+
+    @pytest.mark.parametrize(
+        "records, grows", [(4000, False), (20000, True)], ids=["shorter", "grows"]
+    )
+    def test_resident_walk_serves_ahead_of_the_store(
+        self, profile, tmp_path, store_gets, records, grows
+    ):
+        """A resident walk cuts the trace without reading or writing the
+        trace cache, growing first when the length needs it."""
+        profile.trace(records=3000)
+        profile.trace(records=5000)  # starts the walk
+        walk = profiles._walks[(profile, profile.seed)]
+        walked = len(walk)
+        files = sorted(tmp_path.rglob("*"))
+        store_gets.clear()
+        trace = profile.trace(records=records)
+        assert store_gets == []
+        assert sorted(tmp_path.rglob("*")) == files
+        assert (len(walk) > walked) is grows
+        assert trace.digest == self._fresh(profile, records).digest
 
     def test_one_length_keeps_no_walk(self, profile):
         profile.trace(records=3000)
