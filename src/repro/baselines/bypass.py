@@ -86,32 +86,6 @@ class IFilterAdmissionBase:
     def contains(self, block: int) -> bool:
         return block in self.ifilter or self.icache.contains(block)
 
-    # -- checkpoint/resume --------------------------------------------------
-    #
-    # Subclasses list extra mutable attrs in ``_STATE_ATTRS``; schemes
-    # with an RNG or an external oracle override/extend these hooks.
-
-    _STATE_ATTRS: tuple = ()
-
-    def save_state(self) -> dict:
-        from repro.common.state import save_attrs
-
-        state = save_attrs(self, self._STATE_ATTRS)
-        state["icache"] = self.icache.save_state()
-        state["ifilter"] = self.ifilter.save_state()
-        state["victims_considered"] = self.victims_considered
-        state["victims_admitted"] = self.victims_admitted
-        return state
-
-    def load_state(self, state: dict) -> None:
-        from repro.common.state import load_attrs
-
-        load_attrs(self, state, self._STATE_ATTRS)
-        self.icache.load_state(state["icache"])
-        self.ifilter.load_state(state["ifilter"])
-        self.victims_considered = state["victims_considered"]
-        self.victims_admitted = state["victims_admitted"]
-
 
 class AlwaysInsertScheme(IFilterAdmissionBase):
     """i-Filter victims always enter the i-cache (Figure 3a, first bar)."""
@@ -166,8 +140,6 @@ class AccessCountBypassScheme(IFilterAdmissionBase):
     def admit(self, victim: int, contender: int, t: int, cycle: int) -> bool:
         return self._count_of(victim) >= self._count_of(contender)
 
-    _STATE_ATTRS = ("table", "_accesses", "_last_block")
-
 
 class OPTBypassScheme(IFilterAdmissionBase):
     """Oracle admission (Table IV's "OPT bypass with i-Filter")."""
@@ -218,17 +190,6 @@ class RandomBypassScheme(IFilterAdmissionBase):
         if self._rng.random() < self.accuracy:
             return truth
         return not truth
-
-    # The oracle is externally owned; only the RNG stream is state.
-
-    def save_state(self) -> dict:
-        state = super().save_state()
-        state["rng"] = self._rng.getstate()
-        return state
-
-    def load_state(self, state: dict) -> None:
-        super().load_state(state)
-        self._rng.setstate(state["rng"])
 
 
 class DSBScheme:
@@ -321,31 +282,6 @@ class DSBScheme:
             return True
         return self.icache.contains(block)
 
-    # -- checkpoint/resume --------------------------------------------------
-
-    def save_state(self) -> dict:
-        from repro.common.state import snapshot
-
-        state = {
-            "icache": self.icache.save_state(),
-            "rng": self._rng.getstate(),
-            "ladder_index": self._ladder_index,
-            "duels": snapshot(self._duels),
-        }
-        if self.ifilter is not None:
-            state["ifilter"] = self.ifilter.save_state()
-        return state
-
-    def load_state(self, state: dict) -> None:
-        from repro.common.state import load_dict_inplace
-
-        self.icache.load_state(state["icache"])
-        self._rng.setstate(state["rng"])
-        self._ladder_index = state["ladder_index"]
-        load_dict_inplace(self._duels, state["duels"])
-        if self.ifilter is not None:
-            self.ifilter.load_state(state["ifilter"])
-
 
 class OBMScheme:
     """Optimal Bypass Monitor (Li et al., PACT'12).
@@ -428,20 +364,3 @@ class OBMScheme:
 
     def contains(self, block: int) -> bool:
         return self.icache.contains(block)
-
-    # -- checkpoint/resume --------------------------------------------------
-
-    def save_state(self) -> dict:
-        from repro.common.state import save_attrs
-
-        state = save_attrs(self, ("bdct", "_rht", "_fills"))
-        state["icache"] = self.icache.save_state()
-        return state
-
-    def load_state(self, state: dict) -> None:
-        from repro.common.state import load_attrs
-
-        # _rht insertion order doubles as eviction order; the deepcopy in
-        # load_attrs preserves it.
-        load_attrs(self, state, ("bdct", "_rht", "_fills"))
-        self.icache.load_state(state["icache"])

@@ -3,8 +3,9 @@
 The registry's production path for ``plru``/``srrip``/``ship``, and
 the readable reference for the schemes that run on fused twins: LRU
 and the 36 KB / 40 KB i-caches (``FlatLRUScheme``), Belady OPT
-(``FlatOPTScheme``), GHRP and Hawkeye/Harmony.  Every twin keeps this
-class's checkpoint shape, so snapshots interchange in both directions.
+(``FlatOPTScheme``), GHRP and Hawkeye/Harmony.  The differential
+suites compare each twin's state with this class's through a test-side
+projection into its shape.
 """
 
 from __future__ import annotations
@@ -39,11 +40,3 @@ class PlainCacheScheme:
 
     def contains(self, block: int) -> bool:
         return self.icache.contains(block)
-
-    # -- checkpoint/resume --------------------------------------------------
-
-    def save_state(self) -> dict:
-        return {"icache": self.icache.save_state()}
-
-    def load_state(self, state: dict) -> None:
-        self.icache.load_state(state["icache"])

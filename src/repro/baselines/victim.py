@@ -46,18 +46,6 @@ class VictimCacheScheme:
     def contains(self, block: int) -> bool:
         return self.icache.contains(block) or block in self.victim_cache
 
-    # -- checkpoint/resume --------------------------------------------------
-
-    def save_state(self) -> dict:
-        return {
-            "icache": self.icache.save_state(),
-            "victim_cache": self.victim_cache.save_state(),
-        }
-
-    def load_state(self, state: dict) -> None:
-        self.icache.load_state(state["icache"])
-        self.victim_cache.load_state(state["victim_cache"])
-
 
 class VVCScheme:
     """LRU L1i using predicted-dead lines as a virtual victim cache.
@@ -106,15 +94,3 @@ class VVCScheme:
 
     def contains(self, block: int) -> bool:
         return self.icache.contains(block) or self.vvc.is_parked(block)
-
-    # -- checkpoint/resume --------------------------------------------------
-
-    def save_state(self) -> dict:
-        return {
-            "icache": self.icache.save_state(),
-            "vvc": self.vvc.save_state(),
-        }
-
-    def load_state(self, state: dict) -> None:
-        self.icache.load_state(state["icache"])
-        self.vvc.load_state(state["vvc"])

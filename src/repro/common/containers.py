@@ -78,17 +78,5 @@ class LRUSet:
         """Remove ``block`` if present.  Returns True if it was removed."""
         return self._lines.pop(block, _MISSING) is not _MISSING
 
-    # -- checkpoint/resume --------------------------------------------------
-
-    def save_state(self) -> dict:
-        from repro.common.state import snapshot
-
-        return {"lines": snapshot(self._lines)}
-
-    def load_state(self, state: dict) -> None:
-        from repro.common.state import load_dict_inplace
-
-        load_dict_inplace(self._lines, state["lines"])
-
 
 _MISSING = object()

@@ -68,26 +68,3 @@ class FlatCSHR:
         self._victim_tags: List[List[int]] = [[] for _ in range(sets)]
         self._contender_tags: List[List[int]] = [[] for _ in range(sets)]
         self.stats = CSHRStats()
-
-    # -- checkpoint/resume --------------------------------------------------
-    #
-    # The per-set tag lists are restored in place: the flat controller
-    # captures direct references to them.
-
-    def save_state(self) -> dict:
-        from repro.common.state import save_stats, snapshot
-
-        return {
-            "victim_tags": snapshot(self._victim_tags),
-            "contender_tags": snapshot(self._contender_tags),
-            "stats": save_stats(self.stats),
-        }
-
-    def load_state(self, state: dict) -> None:
-        from repro.common.state import load_list_inplace, load_stats
-
-        for live, saved in zip(self._victim_tags, state["victim_tags"]):
-            load_list_inplace(live, saved)
-        for live, saved in zip(self._contender_tags, state["contender_tags"]):
-            load_list_inplace(live, saved)
-        load_stats(self.stats, state["stats"])

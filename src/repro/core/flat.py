@@ -153,16 +153,9 @@ class FlatACICScheme:
         self.audit = AdmissionAudit() if audit_oracle is not None else None
         self.stats = ACICStats()
         self._last_resolved_block = -1
-        self._rebind()
-
-    def _rebind(self) -> None:
-        """(Re)capture the flat internals the fused paths index directly.
-
-        Everything cached here is mutated in place by the owning objects
-        (the i-cache policy is LRU, which never rebuilds a set's dict),
-        so this runs at construction and again as ``load_state``'s
-        post-load hook.
-        """
+        # The flat internals the fused paths index directly.  Their
+        # owners mutate each in place (the i-cache policy is LRU, which
+        # never rebuilds a set's dict), and a pickle keeps the aliases.
         self._ic_stats = self.icache.stats
         self._ic_lines = self.icache.line_dicts()
         self._ic_set_mask = self.icache._set_mask
@@ -372,44 +365,3 @@ class FlatACICScheme:
         if if_lines is not None and block in if_lines:
             return True
         return block in self._ic_lines[block & self._ic_set_mask]
-
-    # -- checkpoint/resume --------------------------------------------------
-    #
-    # State shape matches the readable reference controller's exactly
-    # (the two twins are interchangeable at a checkpoint boundary for
-    # same-variant runs up to the CSHR layout, which each twin
-    # serializes via its own class).
-    # Children restore their containers in place, so the references
-    # captured by ``_rebind`` stay valid; we still re-run it afterwards
-    # as the single post-load hook.
-
-    def save_state(self) -> dict:
-        from repro.common.state import save_stats, snapshot
-
-        state = {
-            "icache": self.icache.save_state(),
-            "cshr": self.cshr.save_state(),
-            "predictor": self.predictor.save_state(),
-            "stats": save_stats(self.stats),
-            "last_resolved_block": self._last_resolved_block,
-        }
-        if self.ifilter is not None:
-            state["ifilter"] = self.ifilter.save_state()
-        if self.audit is not None:
-            state["audit"] = snapshot(vars(self.audit))
-        return state
-
-    def load_state(self, state: dict) -> None:
-        from repro.common.state import load_list_inplace, load_stats
-
-        self.icache.load_state(state["icache"])
-        self.cshr.load_state(state["cshr"])
-        self.predictor.load_state(state["predictor"])
-        load_stats(self.stats, state["stats"])
-        self._last_resolved_block = state["last_resolved_block"]
-        if self.ifilter is not None:
-            self.ifilter.load_state(state["ifilter"])
-        if self.audit is not None:
-            for name, saved in state["audit"].items():
-                load_list_inplace(getattr(self.audit, name), saved)
-        self._rebind()

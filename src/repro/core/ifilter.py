@@ -61,19 +61,3 @@ class IFilter:
         if victim is not None:
             self.stats.victims += 1
         return victim
-
-    # -- checkpoint/resume --------------------------------------------------
-
-    def save_state(self) -> dict:
-        from repro.common.state import save_stats
-
-        return {
-            "buffer": self._buffer.save_state(),
-            "stats": save_stats(self.stats),
-        }
-
-    def load_state(self, state: dict) -> None:
-        from repro.common.state import load_stats
-
-        self._buffer.load_state(state["buffer"])
-        load_stats(self.stats, state["stats"])

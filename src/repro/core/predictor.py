@@ -58,28 +58,6 @@ class AdmissionPredictor(ABC):
     def train(self, victim_ptag: int, victim_won: bool, now: int = 0) -> None:
         """Record a resolved comparison for the victim's history."""
 
-    # -- checkpoint/resume --------------------------------------------------
-    #
-    # Subclasses list their mutable learned state in ``_STATE_ATTRS``
-    # (every predictor here also carries a ``stats`` dataclass, restored
-    # in place so outer aliases survive).  The defaults cover every
-    # predictor in this module; a subclass with exotic state overrides.
-
-    _STATE_ATTRS: tuple = ()
-
-    def save_state(self) -> dict:
-        from repro.common.state import save_attrs, save_stats
-
-        state = save_attrs(self, self._STATE_ATTRS)
-        state["stats"] = save_stats(self.stats)
-        return state
-
-    def load_state(self, state: dict) -> None:
-        from repro.common.state import load_attrs, load_stats
-
-        load_attrs(self, state, self._STATE_ATTRS)
-        load_stats(self.stats, state["stats"])
-
 
 class TwoLevelAdmissionPredictor(AdmissionPredictor):
     """The HRT + PT structure of Figure 4."""
@@ -196,14 +174,6 @@ class TwoLevelAdmissionPredictor(AdmissionPredictor):
             (history << 1) | (1 if victim_won else 0)
         ) & self.history_mask
 
-    _STATE_ATTRS = ("hrt", "pt", "_queues")
-
-    def load_state(self, state: dict) -> None:
-        super().load_state(state)
-        self._next_due = min(
-            (queue[0][0] for queue in self._queues if queue), default=_NEVER
-        )
-
 
 class GlobalHistoryAdmissionPredictor(AdmissionPredictor):
     """Figure 17 ablation: one global history register, shared by all blocks.
@@ -238,8 +208,6 @@ class GlobalHistoryAdmissionPredictor(AdmissionPredictor):
         elif value > 0:
             self.pt[self.history] = value - 1
         self.history = ((self.history << 1) | (1 if victim_won else 0)) & self.history_mask
-
-    _STATE_ATTRS = ("history", "pt")
 
 
 class BimodalAdmissionPredictor(AdmissionPredictor):
@@ -282,6 +250,3 @@ class BimodalAdmissionPredictor(AdmissionPredictor):
                 self.table[idx] = value + 1
         elif value > 0:
             self.table[idx] = value - 1
-
-    _STATE_ATTRS = ("table",)
-

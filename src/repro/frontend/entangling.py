@@ -94,6 +94,17 @@ class EntanglingPrefetcher:
         self._recent: Deque[Tuple[int, int]] = deque(maxlen=history)
         self._blocks = trace.blocks_list  # avoid per-record ndarray boxing
 
+    def __getstate__(self) -> dict:
+        # The block list is the trace's: an engine capture keeps the
+        # trace by reference, and a load takes the list from it again.
+        state = dict(vars(self))
+        del state["_blocks"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._blocks = self.trace.blocks_list
+
     # -- engine interface -------------------------------------------------------
 
     def observe_fetch(self, block: int, cycle: int) -> None:
@@ -161,23 +172,3 @@ class EntanglingPrefetcher:
                 dests.pop(0)
             dests.append(block)
             self.stats.entangled += 1
-
-    # -- checkpoint/resume --------------------------------------------------
-    #
-    # The trace (and its cached block list) is externally owned.  The
-    # recent-fetch ring deepcopies as a deque, maxlen included.
-
-    def save_state(self) -> dict:
-        from repro.common.state import save_attrs, save_stats
-
-        state = save_attrs(self, ("_recent",))
-        state["table"] = self.table.save_state()
-        state["stats"] = save_stats(self.stats)
-        return state
-
-    def load_state(self, state: dict) -> None:
-        from repro.common.state import load_attrs, load_stats
-
-        load_attrs(self, state, ("_recent",))
-        self.table.load_state(state["table"])
-        load_stats(self.stats, state["stats"])

@@ -275,10 +275,14 @@ def _acic_bod_contender(ctx: SchemeContext):
     return FlatACICScheme(ctx.l1i_config, unresolved_policy="contender")
 
 
+def _no_training(*args, **kwargs) -> None:
+    """A predictor ``train`` that learns nothing (module-level: picklable)."""
+
+
 @register("acic-mru-cshr-off", "ACIC without CSHR training (static predictor)")
 def _acic_untrained(ctx: SchemeContext):
     scheme = FlatACICScheme(ctx.l1i_config, unresolved_policy="none")
-    scheme.predictor.train = lambda *a, **k: None  # freeze learning
+    scheme.predictor.train = _no_training  # freeze learning
     return scheme
 
 

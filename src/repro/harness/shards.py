@@ -20,8 +20,12 @@ The ledger is two kinds of file under ``<results cache>/shards/``:
   of the boundary-state file.  Each line is fsynced at its boundary,
   so entries survive a SIGKILL; replay skips a torn final line and
   foreign junk.
-* ``<workload>.<scheme>.<fp>.s<k>.state`` — the pickled engine state at
-  boundary ``k`` (write-then-rename, fsynced before the rename).  Only
+* ``<workload>.<scheme>.<fp>.s<k>.state`` — the engine's capture at
+  boundary ``k``: its loop counters and one pickle of the scheme,
+  MSHRs, hierarchy and live prefetcher, which holds the trace and the
+  next-use oracle by reference only, so a resume rebuilds those two
+  from the run's identity (write-then-rename, fsynced before the
+  rename).  Only
   the two newest survive: a mangled newest state (crash mid-write, or
   an injected ``shard:truncate``/``shard:stale`` fault) falls back to
   the previous boundary, costing one window of recomputation, never
@@ -60,7 +64,8 @@ from repro.common.faults import fire
 
 #: Bump when the ledger entry or state layout changes; older files are
 #: discarded (the run restarts from record 0 — a cost, not a bug).
-SHARD_FORMAT = 1
+#: Format 2: the engine state is one pickle of its collaborators.
+SHARD_FORMAT = 2
 
 #: How many boundary-state files a ledger keeps: the newest (normal
 #: resume) and its predecessor (fallback when the newest is mangled).

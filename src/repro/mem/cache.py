@@ -115,8 +115,8 @@ class SetAssociativeCache:
 
         Fast-path API for the flat scheme twins: they index these dicts
         directly in their fused lookup/fill bodies.  The dicts are the
-        live containers — mutated in place by ``load_state`` — so a
-        captured list stays valid across it.
+        live containers, never replaced, so a captured list stays valid
+        for the cache's lifetime.
         """
         return [s._lines for s in self._sets]
 
@@ -209,35 +209,3 @@ class SetAssociativeCache:
 
     def resident_blocks(self) -> int:
         return sum(len(s) for s in self._sets)
-
-    # -- checkpoint/resume --------------------------------------------------
-
-    def save_state(self) -> dict:
-        from repro.common.state import save_stats, snapshot
-
-        return {
-            "sets": [snapshot(s._lines) for s in self._sets],
-            "policy": self.policy.save_state(),
-            "stats": save_stats(self.stats),
-        }
-
-    def load_state(self, state: dict) -> None:
-        """Restore tag array, policy and counters in place.
-
-        The set dicts, the stats object and the policy instance are all
-        mutated rather than replaced: the flat ACIC controller captures
-        direct references to them, and ``_on_hit`` is a bound method of
-        the live policy.
-        """
-        from repro.common.state import load_dict_inplace, load_stats
-
-        sets = state["sets"]
-        if len(sets) != len(self._sets):
-            raise ValueError(
-                f"{self.config.name}: saved state has {len(sets)} sets, "
-                f"cache has {len(self._sets)}"
-            )
-        for line_set, saved in zip(self._sets, sets):
-            load_dict_inplace(line_set._lines, saved)
-        self.policy.load_state(state["policy"])
-        load_stats(self.stats, state["stats"])

@@ -134,21 +134,3 @@ class MemoryHierarchy:
 
     def resident_blocks(self) -> int:
         return len(self._l2) + len(self._l3)
-
-    # -- checkpoint/resume --------------------------------------------------
-
-    def save_state(self) -> dict:
-        from repro.common.state import save_stats, snapshot
-
-        return {
-            "l2": snapshot(self._l2),
-            "l3": snapshot(self._l3),
-            "stats": save_stats(self.stats),
-        }
-
-    def load_state(self, state: dict) -> None:
-        from repro.common.state import load_dict_inplace, load_stats
-
-        load_dict_inplace(self._l2, state["l2"])
-        load_dict_inplace(self._l3, state["l3"])
-        load_stats(self.stats, state["stats"])

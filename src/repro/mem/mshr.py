@@ -148,23 +148,3 @@ class MSHRFile:
             self.deferred.pop(block, None)
         if not self.pending and not self.deferred:
             self._min_ready = _NEVER
-
-    # -- checkpoint/resume --------------------------------------------------
-
-    def save_state(self) -> dict:
-        from repro.common.state import save_stats, snapshot
-
-        return {
-            "pending": snapshot(self.pending),
-            "deferred": snapshot(self.deferred),
-            "min_ready": self._min_ready,
-            "stats": save_stats(self.stats),
-        }
-
-    def load_state(self, state: dict) -> None:
-        from repro.common.state import load_dict_inplace, load_stats
-
-        load_dict_inplace(self.pending, state["pending"])
-        load_dict_inplace(self.deferred, state["deferred"])
-        self._min_ready = state["min_ready"]
-        load_stats(self.stats, state["stats"])

@@ -9,11 +9,14 @@ lookup path.
 
 The interface passes ``t`` (the current trace index) everywhere because
 the oracle policy (Belady OPT) needs it; hardware policies ignore it.
+
+:class:`BoundHotPath` is the pickling the fused policy twins share.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from types import FunctionType
 from typing import Iterable, Optional
 
 
@@ -65,16 +68,34 @@ class ReplacementPolicy(ABC):
     def on_evict(self, set_index: int, block: int, t: int) -> None:
         """Record that ``block`` was evicted.  Default: nothing."""
 
-    # -- checkpoint/resume --------------------------------------------------
-    #
-    # Stateless policies (LRU: the cache's recency order is the state)
-    # inherit these no-ops; stateful ones override both.  load_state
-    # must restore *in place* — the owning cache caches the policy's
-    # bound ``on_hit`` method, so the instance must stay the same.
 
-    def save_state(self) -> dict:
-        """Snapshot all learned replacement state (picklable, detached)."""
-        return {}
+class BoundHotPath:
+    """Pickling for the flat twins whose ``_bind`` closes over containers.
 
-    def load_state(self, state: dict) -> None:
-        """Restore a state captured by :meth:`save_state` in place."""
+    ``_bind`` assigns the protocol methods and ``_flush`` onto the
+    instance as closures over the twin's containers and deferred
+    counters.  A closure cannot be pickled, so a pickle flushes the
+    counters, leaves the closures out, and the copy binds its own on
+    load.  The per-trace pre-pass views are left out too: the engine's
+    ``prepare_trace`` binds them again on the resumed run.
+    """
+
+    #: Pre-pass views (bound by ``prepare_trace``, valid for demand
+    #: records only: record t accesses trace.blocks[t]).
+    _sig_of_t = None
+    _set_of_t = None
+
+    def __getstate__(self) -> dict:
+        self._flush()
+        state = {
+            name: value
+            for name, value in vars(self).items()
+            if not isinstance(value, FunctionType)
+        }
+        state.pop("_sig_of_t", None)
+        state.pop("_set_of_t", None)
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._bind()

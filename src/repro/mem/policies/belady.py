@@ -60,17 +60,3 @@ class BeladyOPTPolicy(ReplacementPolicy):
 
     def on_evict(self, set_index: int, block: int, t: int) -> None:
         self._next_use.pop(block, None)
-
-    # The oracle is externally owned (rebuilt from the trace by the
-    # harness) and deliberately NOT part of the state.
-    _STATE_ATTRS = ("_next_use",)
-
-    def save_state(self) -> dict:
-        from repro.common.state import save_attrs
-
-        return save_attrs(self, self._STATE_ATTRS)
-
-    def load_state(self, state: dict) -> None:
-        from repro.common.state import load_attrs
-
-        load_attrs(self, state, self._STATE_ATTRS)

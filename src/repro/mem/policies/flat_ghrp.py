@@ -14,12 +14,11 @@ into single ``lookup``/``fill`` bodies with no intermediate dispatch:
   every remaining repeat would decrement;
 * the per-line captured table indices live as the *payload* of each
   line in the set dicts, so the hit path's pop/reinsert doubles as the
-  index read/update and ``GHRPPolicy._line_indices`` needs no per-access
-  maintenance (it is materialised from the line payloads at the
-  ``save_state`` boundary and merged back on ``load_state``);
+  index read/update and ``GHRPPolicy._line_indices`` is never kept;
 * the GHR and the cache stats counters accumulate in closure cells and
-  are flushed into the authoritative policy/stats objects at the state
-  boundaries (``save_state``, the engine's ``finish_trace`` hook);
+  are flushed into the policy/stats objects by the engine's
+  ``finish_trace`` hook and by a pickle
+  (:class:`~repro.mem.policies.base.BoundHotPath`);
 * the fold-hash signature and table-index computations are inlined with
   their bounded memos, or skipped entirely when a
   :class:`~repro.mem.prepass.ReplacementPrepass` is bound (the engine
@@ -31,15 +30,11 @@ into single ``lookup``/``fill`` bodies with no intermediate dispatch:
   pre-pass or memo-hash specialisations at bind time so the per-record
   bodies carry no dead branches.
 
-The wrapped :class:`~repro.mem.policies.ghrp.GHRPPolicy` and
-:class:`~repro.mem.cache.SetAssociativeCache` remain the authoritative
-state containers at every ``save_state``/``load_state`` boundary — the
-snapshot keeps the exact ``PlainCacheScheme`` shape (line payloads
-``None``, ``_line_indices`` populated, counters flushed) so checkpoints
-interchange between the twins.  ``ghrp.py`` stays the readable
-reference; ``tests/test_policy_differential.py`` locks this
-implementation to it op-by-op and, through the registry-level twin
-swap in ``tests/reference``, on the 20k grid.
+``ghrp.py`` stays the readable reference;
+``tests/test_policy_differential.py`` locks this implementation to it
+op-by-op (through a test-side projection into the ``PlainCacheScheme``
+shape) and, through the registry-level twin swap in
+``tests/reference``, on the 20k grid.
 """
 
 from __future__ import annotations
@@ -48,13 +43,14 @@ from typing import Optional
 
 from repro.common.bitops import _GOLDEN64, _MASK64, mask
 from repro.mem.cache import CacheConfig, SetAssociativeCache
+from repro.mem.policies.base import BoundHotPath
 from repro.mem.policies.ghrp import _TABLE_HASH_SALTS, GHRPPolicy
 
 #: Sentinel distinguishing "absent" from a stored ``None`` payload.
 _ABSENT = object()
 
 
-class FlatGHRPScheme:
+class FlatGHRPScheme(BoundHotPath):
     """GHRP-replaced L1i on a fused hot path (fast twin)."""
 
     name = "ghrp"
@@ -69,13 +65,8 @@ class FlatGHRPScheme:
         if len(self.policy.tables) != 3:
             raise ValueError("FlatGHRPScheme requires the 3-table GHRP")
         self.icache = SetAssociativeCache(self.config, self.policy)
-        # The live per-set dicts (mutated in place by load_state, so
-        # this list stays valid for the scheme's lifetime).
+        # The live per-set dicts (one list for the scheme's lifetime).
         self._lines_by_set = self.icache.line_dicts()
-        # Pre-pass views (bound by prepare_trace, valid for demand
-        # records only: record t accesses trace.blocks[t]).
-        self._sig_of_t = None
-        self._set_of_t = None
         self._bind()
 
     # -- pre-pass ------------------------------------------------------------
@@ -84,7 +75,7 @@ class FlatGHRPScheme:
         """Bind per-record signature/set arrays for ``trace`` (engine hook).
 
         Pure binding — no simulated state changes — so calling it again
-        (every chunk of a checkpointed run) is idempotent.  Skipped when
+        (on every resumed run) is idempotent.  Skipped when
         the pre-pass geometry doesn't match this instance; the memo-hash
         fallback then computes identical values.
         """
@@ -106,10 +97,9 @@ class FlatGHRPScheme:
     def _bind(self) -> None:
         """Close the protocol methods over the hot containers.
 
-        ``GHRPPolicy.load_state`` *replaces* the table lists
-        (``load_attrs`` semantics), which is why this runs after every
-        ``load_state``.  Re-binding first flushes any counters deferred
-        by the previous closures.
+        Runs at construction, when ``prepare_trace`` binds the pre-pass
+        and when a pickle loads.  Re-binding first flushes any counters
+        deferred by the previous closures.
         """
         flush_prev = self.__dict__.get("_flush")
         if flush_prev is not None:
@@ -136,8 +126,8 @@ class FlatGHRPScheme:
         set_of_t = self._set_of_t
 
         # Deferred state: the GHR and the five touched counters live in
-        # closure cells between flushes (nothing reads the authoritative
-        # copies mid-run; every state boundary flushes).
+        # closure cells between flushes (nothing reads the policy/stats
+        # copies mid-run; ``finish_trace`` and a pickle flush them).
         ghr = pol.ghr
         acc = hits = evicts = dfills = pfills = 0
 
@@ -150,14 +140,6 @@ class FlatGHRPScheme:
             stats.demand_fills += dfills
             stats.prefetch_fills += pfills
             acc = hits = evicts = dfills = pfills = 0
-
-        def drop():
-            # Forget deferred deltas (load replaces the counters and
-            # the GHR): kill this binding's flush so the rebind
-            # preamble cannot write stale values over the loaded state.
-            nonlocal acc, hits, evicts, dfills, pfills
-            acc = hits = evicts = dfills = pfills = 0
-            self.__dict__.pop("_flush", None)
 
         def hash_sig(block):
             # Inline twin of GHRPPolicy._signature (same memo).
@@ -337,40 +319,7 @@ class FlatGHRPScheme:
         self.prefetch_fill = prefetch_fill
         self.contains = contains
         self._flush = flush
-        self._drop = drop
 
     def finish_trace(self) -> None:
         """Engine end-of-run hook: flush deferred counters/GHR."""
         self._flush()
-
-    # -- checkpoint/resume ---------------------------------------------------
-    #
-    # State shape matches PlainCacheScheme exactly ({"icache": ...}), so
-    # checkpoints interchange between this twin and the readable scheme:
-    # save_state materialises _line_indices from the line payloads and
-    # normalises the payloads back to the reference None; load_state
-    # merges the loaded _line_indices into the payloads.
-
-    def save_state(self) -> dict:
-        self._flush()
-        line_idx = self.policy._line_indices
-        line_idx.clear()
-        for lines in self._lines_by_set:
-            for block, indices in lines.items():
-                if indices is not None:
-                    line_idx[block] = indices
-        state = {"icache": self.icache.save_state()}
-        icache_state = state["icache"]
-        icache_state["sets"] = [
-            dict.fromkeys(lines) for lines in icache_state["sets"]
-        ]
-        return state
-
-    def load_state(self, state: dict) -> None:
-        self._drop()
-        self.icache.load_state(state["icache"])
-        line_idx = self.policy._line_indices
-        for lines in self._lines_by_set:
-            for block in lines:
-                lines[block] = line_idx.get(block)
-        self._bind()

@@ -17,21 +17,20 @@ with the per-record work fused into single ``lookup``/``fill`` bodies:
 * each line's RRPV lives as the *payload* of its entry in the set
   dicts, so the hit path's pop/reinsert doubles as the RRIP install and
   the victim scans read payloads instead of probing a side dict
-  (``HawkeyePolicy._rrpv`` is materialised at the ``save_state``
-  boundary and merged back on ``load_state``);
+  (``HawkeyePolicy._rrpv`` is never kept);
 * each set's OPTgen is two slots in flat per-set lists — the quantum
   counter and the occupancy vector packed as 8-bit lanes of one int.
   Lanes never exceed ``capacity``, so with ``capacity < 128`` adding
   ``128 - capacity`` to every lane of a usage interval sets bit 7
   exactly in the full lanes: one add and one mask answer "any quantum
-  full?" and a single add charges the interval (the reference
-  ``_OPTgen`` shape is materialised at the ``save_state`` boundary);
+  full?" and a single add charges the interval (the policy's
+  ``_OPTgen`` objects are never built);
 * the per-set sampler dicts are shared with the authoritative
   ``HawkeyePolicy._history`` (created through both at once) and also
   indexed by a flat list;
-* the cache stats counters accumulate in closure cells, flushed at the
-  state boundaries (``save_state``, the engine's ``finish_trace``
-  hook);
+* the cache stats counters accumulate in closure cells, flushed by the
+  engine's ``finish_trace`` hook and by a pickle
+  (:class:`~repro.mem.policies.base.BoundHotPath`);
 * signatures come from the bounded fold-hash memo, or from a bound
   :class:`~repro.mem.prepass.ReplacementPrepass` on demand records
   (prefetch fills keep the memo path — their blocks are arbitrary);
@@ -39,13 +38,12 @@ with the per-record work fused into single ``lookup``/``fill`` bodies:
   constant they touch (``self.lookup`` shadows the class), choosing
   pre-pass or memo-hash specialisations at bind time.
 
-At every ``save_state``/``load_state`` boundary the snapshot keeps the
-exact ``PlainCacheScheme`` shape (line payloads ``None``, ``_rrpv`` and
-``_optgen`` populated with reference objects, counters flushed), so
-checkpoints interchange between the twins.  ``hawkeye.py`` stays the
-readable reference; ``tests/test_policy_differential.py`` locks this
-implementation to it op-by-op and, through the registry-level twin
-swap in ``tests/reference``, on the 20k grid.
+``hawkeye.py`` stays the readable reference;
+``tests/test_policy_differential.py`` locks this implementation to it
+op-by-op (through a test-side projection into the ``PlainCacheScheme``
+shape, which unpacks the occupancy lanes into ``_OPTgen`` objects) and,
+through the registry-level twin swap in ``tests/reference``, on the
+20k grid.
 """
 
 from __future__ import annotations
@@ -54,7 +52,8 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.common.bitops import _GOLDEN64, _MASK64, mask
 from repro.mem.cache import CacheConfig, SetAssociativeCache
-from repro.mem.policies.hawkeye import HawkeyePolicy, _OPTgen
+from repro.mem.policies.base import BoundHotPath
+from repro.mem.policies.hawkeye import HawkeyePolicy
 
 #: Sentinel distinguishing "absent" from a stored ``None`` payload.
 _ABSENT = object()
@@ -77,20 +76,7 @@ def _lane_tables(window: int) -> Tuple[list, list]:
     return tables
 
 
-def _pack_occ(lanes: List[int]) -> int:
-    """Pack a reference occupancy list into 8-bit lanes of one int."""
-    packed = 0
-    for i, value in enumerate(lanes):
-        packed |= value << (i << 3)
-    return packed
-
-
-def _unpack_occ(packed: int, window: int) -> List[int]:
-    """Unpack 8-bit lanes back into the reference occupancy list."""
-    return [(packed >> (i << 3)) & 0xFF for i in range(window)]
-
-
-class FlatHawkeyeScheme:
+class FlatHawkeyeScheme(BoundHotPath):
     """Hawkeye/Harmony-replaced L1i on a fused hot path (fast twin)."""
 
     name = "harmony"
@@ -107,35 +93,17 @@ class FlatHawkeyeScheme:
                 "the packed occupancy vector requires 0 < policy.ways < 128"
             )
         self.icache = SetAssociativeCache(self.config, self.policy)
-        # The live per-set dicts (mutated in place by load_state, so
-        # this list stays valid for the scheme's lifetime).
+        # The live per-set dicts (one list for the scheme's lifetime).
         self._lines_by_set = self.icache.line_dicts()
-        # Pre-pass views (bound by prepare_trace, valid for demand
-        # records only: record t accesses trace.blocks[t]).
-        self._sig_of_t = None
-        self._set_of_t = None
-        self._absorb()
-        self._bind()
-
-    def _absorb(self) -> None:
-        """Rebuild the flat per-set OPTgen/sampler views from the policy.
-
-        Called at construction and after ``load_state`` —
-        never mid-run, when the policy's ``_optgen``/``_rrpv`` are stale
-        stand-ins for the flat lists and line payloads.
-        """
-        pol = self.policy
+        # Flat per-set OPTgen/sampler views.  opt_time[s] is None until
+        # set s observes its first access (mirrors the reference's lazy
+        # _OPTgen creation); each sampler dict is shared with the
+        # policy's ``_history``.
         num_sets = self.config.num_sets
-        # opt_time[s] is None until set s observes its first access
-        # (mirrors the reference's lazy _OPTgen creation).
         self._opt_time: List[Optional[int]] = [None] * num_sets
         self._opt_occ: List[int] = [0] * num_sets
         self._hist_by_set: List[Optional[dict]] = [None] * num_sets
-        for s, gen in pol._optgen.items():
-            self._opt_time[s] = gen.time
-            self._opt_occ[s] = _pack_occ(gen.occ)
-        for s, history in pol._history.items():
-            self._hist_by_set[s] = history
+        self._bind()
 
     # -- pre-pass ------------------------------------------------------------
 
@@ -143,7 +111,7 @@ class FlatHawkeyeScheme:
         """Bind per-record signature/set arrays for ``trace`` (engine hook).
 
         Pure binding — no simulated state changes — so calling it again
-        (every chunk of a checkpointed run) is idempotent.  Skipped when
+        (on every resumed run) is idempotent.  Skipped when
         the pre-pass geometry doesn't match this instance; the memo-hash
         fallback then computes identical values.
         """
@@ -163,10 +131,9 @@ class FlatHawkeyeScheme:
     def _bind(self) -> None:
         """Close the protocol methods over the hot containers.
 
-        ``HawkeyePolicy.load_state`` replaces the predictor list and
-        the per-set dicts, so this runs after it (after :meth:`_absorb`
-        has rebuilt the flat views).  Re-binding first
-        flushes any counters deferred by the previous closures.
+        Runs at construction, when ``prepare_trace`` binds the pre-pass
+        and when a pickle loads.  Re-binding first flushes any counters
+        deferred by the previous closures.
         """
         flush_prev = self.__dict__.get("_flush")
         if flush_prev is not None:
@@ -198,8 +165,8 @@ class FlatHawkeyeScheme:
         sig_of_t = self._sig_of_t
         set_of_t = self._set_of_t
 
-        # Deferred counters: flushed into the stats object at the state
-        # boundaries (nothing reads it mid-run).
+        # Deferred counters: flushed into the stats object by
+        # ``finish_trace`` and a pickle (nothing reads it mid-run).
         acc = hits = evicts = dfills = pfills = 0
 
         def flush():
@@ -210,14 +177,6 @@ class FlatHawkeyeScheme:
             stats.demand_fills += dfills
             stats.prefetch_fills += pfills
             acc = hits = evicts = dfills = pfills = 0
-
-        def drop():
-            # Forget deferred deltas (load replaces the counters):
-            # kill this binding's flush so the rebind preamble cannot
-            # write stale values over the loaded state.
-            nonlocal acc, hits, evicts, dfills, pfills
-            acc = hits = evicts = dfills = pfills = 0
-            self.__dict__.pop("_flush", None)
 
         def hash_sig(block):
             # Inline twin of HawkeyePolicy._signature (same memo).
@@ -483,55 +442,7 @@ class FlatHawkeyeScheme:
         self.prefetch_fill = prefetch_fill
         self.contains = contains
         self._flush = flush
-        self._drop = drop
 
     def finish_trace(self) -> None:
         """Engine end-of-run hook: flush deferred counters."""
         self._flush()
-
-    # -- checkpoint/resume ---------------------------------------------------
-    #
-    # State shape matches PlainCacheScheme exactly ({"icache": ...}):
-    # save_state materialises the policy's _rrpv from the line payloads
-    # and its _optgen from the packed per-set slots (reference _OPTgen
-    # objects), then normalises the payloads back to the reference
-    # None; load_state reverses both.  Checkpoints interchange between
-    # this twin and the readable scheme in both directions.
-
-    def save_state(self) -> dict:
-        self._flush()
-        pol = self.policy
-        rrpv_by_set = pol._rrpv
-        rrpv_by_set.clear()
-        for s, lines in enumerate(self._lines_by_set):
-            if lines:
-                rrpv_by_set[s] = dict(lines)
-        optgens = pol._optgen
-        optgens.clear()
-        window = pol.vector_entries
-        for s, gen_time in enumerate(self._opt_time):
-            if gen_time is not None:
-                gen = _OPTgen(pol.ways, window)
-                gen.time = gen_time
-                gen.occ = _unpack_occ(self._opt_occ[s], window)
-                optgens[s] = gen
-        state = {"icache": self.icache.save_state()}
-        icache_state = state["icache"]
-        icache_state["sets"] = [
-            dict.fromkeys(lines) for lines in icache_state["sets"]
-        ]
-        return state
-
-    def load_state(self, state: dict) -> None:
-        self._drop()
-        self.icache.load_state(state["icache"])
-        pol = self.policy
-        rmax = pol.rrip_max
-        empty: dict = {}
-        for s, lines in enumerate(self._lines_by_set):
-            if lines:
-                rrpvs = pol._rrpv.get(s, empty)
-                for block in lines:
-                    lines[block] = rrpvs.get(block, rmax)
-        self._absorb()
-        self._bind()

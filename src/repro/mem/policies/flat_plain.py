@@ -11,24 +11,19 @@ bodies (the ``FlatGHRPScheme`` pattern):
 * the demand-hit path is the set dict's pop/reinsert; for OPT the line
   payload *is* the line's next-use index, so that same reinsert stores
   the refreshed ``next_use_at(t)`` (read straight from the oracle's
-  ``array('q')``) and ``BeladyOPTPolicy._next_use`` needs no per-access
-  maintenance (it is materialised from the payloads at ``save_state``
-  and merged back on ``load_state``);
+  ``array('q')``) and ``BeladyOPTPolicy._next_use`` is never kept;
 * the OPT victim is the first line with the strictly-largest next use,
   scanning LRU -> MRU, and the fill is bypassed when the incoming
   block's ``next_use_of`` is at least that far away (fills are rare, so
   they keep the oracle's bisect);
 * the stats counters accumulate in closure cells and are flushed into
-  the authoritative ``icache.stats`` at the state boundaries
-  (``save_state``, the engine's ``finish_trace`` hook).
+  ``icache.stats`` by the engine's ``finish_trace`` hook and by a
+  pickle (:class:`~repro.mem.policies.base.BoundHotPath`, which engine
+  checkpoints go through).
 
-The wrapped :class:`~repro.mem.cache.SetAssociativeCache` (and, for
-OPT, its :class:`~repro.mem.policies.belady.BeladyOPTPolicy`) remain
-the authoritative state containers at every ``save_state``/
-``load_state`` boundary; the snapshot keeps the exact
-``PlainCacheScheme`` shape (line payloads ``None``, counters flushed)
-so checkpoints interchange with the readable scheme, which
-``tests/test_policy_differential.py`` pins this one to.
+``tests/test_policy_differential.py`` pins both twins to the readable
+scheme, comparing states through a test-side projection into the
+``PlainCacheScheme`` shape.
 """
 
 from __future__ import annotations
@@ -37,7 +32,7 @@ from operator import itemgetter
 
 from repro.mem.cache import CacheConfig, SetAssociativeCache
 from repro.mem.oracle import NextUseOracle
-from repro.mem.policies.base import ReplacementPolicy
+from repro.mem.policies.base import BoundHotPath, ReplacementPolicy
 from repro.mem.policies.belady import BeladyOPTPolicy
 from repro.mem.policies.lru import LRUPolicy
 
@@ -47,16 +42,15 @@ _ABSENT = object()
 _payload = itemgetter(1)
 
 
-class _FlatPlainScheme:
-    """Shared scaffolding: the wrapped cache, flush/drop, state shape."""
+class _FlatPlainScheme(BoundHotPath):
+    """Shared scaffolding: the wrapped cache, ``contains``, the flush hook."""
 
     def __init__(self, config: CacheConfig, policy: ReplacementPolicy) -> None:
         self.config = config
         self.policy = policy
         self.name = policy.name
         self.icache = SetAssociativeCache(config, policy)
-        # The live per-set dicts (mutated in place by load_state, so
-        # this list stays valid for the scheme's lifetime).
+        # The live per-set dicts (one list for the scheme's lifetime).
         self._lines_by_set = self.icache.line_dicts()
         self._bind()
 
@@ -78,29 +72,9 @@ class _FlatPlainScheme:
 
         self.contains = contains
 
-    def _drop(self) -> None:
-        """Forget deferred deltas (``load_state`` replaces the counters).
-
-        The next ``_bind`` starts fresh counter cells; dropping this
-        binding's flush keeps its rebind preamble from writing stale
-        values over the loaded state.
-        """
-        self.__dict__.pop("_flush", None)
-
     def finish_trace(self) -> None:
         """Engine end-of-run hook: flush deferred counters."""
         self._flush()
-
-    # -- checkpoint/resume ---------------------------------------------------
-
-    def save_state(self) -> dict:
-        self._flush()
-        return {"icache": self.icache.save_state()}
-
-    def load_state(self, state: dict) -> None:
-        self._drop()
-        self.icache.load_state(state["icache"])
-        self._bind()
 
 
 class FlatLRUScheme(_FlatPlainScheme):
@@ -270,32 +244,3 @@ class FlatOPTScheme(_FlatPlainScheme):
         self.prefetch_fill = prefetch_fill
         self.repeat_hits = repeat_hits
         self._flush = flush
-
-    # -- checkpoint/resume ---------------------------------------------------
-    #
-    # save_state materialises BeladyOPTPolicy._next_use from the line
-    # payloads and normalises the payloads back to the reference None;
-    # load_state merges the loaded _next_use (which times every resident
-    # line) into the payloads.
-
-    def save_state(self) -> dict:
-        self._flush()
-        next_use = self.policy._next_use
-        next_use.clear()
-        for lines in self._lines_by_set:
-            next_use.update(lines)
-        state = {"icache": self.icache.save_state()}
-        icache_state = state["icache"]
-        icache_state["sets"] = [
-            dict.fromkeys(lines) for lines in icache_state["sets"]
-        ]
-        return state
-
-    def load_state(self, state: dict) -> None:
-        self._drop()
-        self.icache.load_state(state["icache"])
-        next_use = self.policy._next_use
-        for lines in self._lines_by_set:
-            for block in lines:
-                lines[block] = next_use[block]
-        self._bind()

@@ -155,17 +155,3 @@ class GHRPPolicy(ReplacementPolicy):
         indices = self._line_indices.pop(block, None)
         if indices is not None:
             self._train(indices, dead=True)
-
-    # The hash memos are pure caches (recomputation is invisible), so
-    # they stay out of the snapshot rather than bloating checkpoints.
-    _STATE_ATTRS = ("tables", "ghr", "_line_indices")
-
-    def save_state(self) -> dict:
-        from repro.common.state import save_attrs
-
-        return save_attrs(self, self._STATE_ATTRS)
-
-    def load_state(self, state: dict) -> None:
-        from repro.common.state import load_attrs
-
-        load_attrs(self, state, self._STATE_ATTRS)

@@ -196,18 +196,3 @@ class HawkeyePolicy(ReplacementPolicy):
     def on_evict(self, set_index: int, block: int, t: int) -> None:
         self._set_rrpvs(set_index).pop(block, None)
         self._sig_of_line.pop(block, None)
-
-    # ``_sig_memo`` is a pure cache and stays out of the snapshot.  The
-    # per-set ``_OPTgen`` objects are plain value objects (module-level
-    # class, slots of ints/lists) so they deepcopy and pickle cleanly.
-    _STATE_ATTRS = ("predictor", "_optgen", "_history", "_rrpv", "_sig_of_line")
-
-    def save_state(self) -> dict:
-        from repro.common.state import save_attrs
-
-        return save_attrs(self, self._STATE_ATTRS)
-
-    def load_state(self, state: dict) -> None:
-        from repro.common.state import load_attrs
-
-        load_attrs(self, state, self._STATE_ATTRS)

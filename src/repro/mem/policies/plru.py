@@ -98,15 +98,3 @@ class TreePLRUPolicy(ReplacementPolicy):
         way = way_of.pop(block, None)
         if way is not None and block_at.get(way) == block:
             del block_at[way]
-
-    _STATE_ATTRS = ("_tree", "_way_of", "_block_at")
-
-    def save_state(self) -> dict:
-        from repro.common.state import save_attrs
-
-        return save_attrs(self, self._STATE_ATTRS)
-
-    def load_state(self, state: dict) -> None:
-        from repro.common.state import load_attrs
-
-        load_attrs(self, state, self._STATE_ATTRS)

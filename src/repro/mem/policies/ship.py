@@ -86,15 +86,3 @@ class SHiPPolicy(ReplacementPolicy):
                 self.shct[sig] -= 1
         self._sig.pop(block, None)
         self._rrpv.pop(block, None)
-
-    _STATE_ATTRS = ("shct", "_rrpv", "_sig", "_outcome")
-
-    def save_state(self) -> dict:
-        from repro.common.state import save_attrs
-
-        return save_attrs(self, self._STATE_ATTRS)
-
-    def load_state(self, state: dict) -> None:
-        from repro.common.state import load_attrs
-
-        load_attrs(self, state, self._STATE_ATTRS)

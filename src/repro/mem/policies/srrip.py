@@ -63,15 +63,3 @@ class SRRIPPolicy(ReplacementPolicy):
 
     def on_evict(self, set_index: int, block: int, t: int) -> None:
         self._set_rrpvs(set_index).pop(block, None)
-
-    _STATE_ATTRS = ("_rrpv",)
-
-    def save_state(self) -> dict:
-        from repro.common.state import save_attrs
-
-        return save_attrs(self, self._STATE_ATTRS)
-
-    def load_state(self, state: dict) -> None:
-        from repro.common.state import load_attrs
-
-        load_attrs(self, state, self._STATE_ATTRS)

@@ -50,19 +50,3 @@ class VictimCache:
         """Park an L1 victim; silently drops the LRU victim when full."""
         self.stats.inserts += 1
         self._buffer.insert_mru(block)
-
-    # -- checkpoint/resume --------------------------------------------------
-
-    def save_state(self) -> dict:
-        from repro.common.state import save_stats
-
-        return {
-            "buffer": self._buffer.save_state(),
-            "stats": save_stats(self.stats),
-        }
-
-    def load_state(self, state: dict) -> None:
-        from repro.common.state import load_stats
-
-        self._buffer.load_state(state["buffer"])
-        load_stats(self.stats, state["stats"])

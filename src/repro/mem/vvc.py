@@ -85,18 +85,6 @@ class DeadBlockPredictor:
         total = sum(table[idx] for table, idx in zip(self.tables, self._indices(trace)))
         return total >= self.dead_threshold
 
-    _STATE_ATTRS = ("tables", "_trace")
-
-    def save_state(self) -> dict:
-        from repro.common.state import save_attrs
-
-        return save_attrs(self, self._STATE_ATTRS)
-
-    def load_state(self, state: dict) -> None:
-        from repro.common.state import load_attrs
-
-        load_attrs(self, state, self._STATE_ATTRS)
-
 
 class VirtualVictimCache:
     """Partner-set placement of victims into predicted-dead lines.
@@ -161,21 +149,3 @@ class VirtualVictimCache:
 
     def is_parked(self, block: int) -> bool:
         return block in self._virtual_home
-
-    # The backing cache is owned by the scheme and serialized there.
-
-    def save_state(self) -> dict:
-        from repro.common.state import save_stats, snapshot
-
-        return {
-            "predictor": self.predictor.save_state(),
-            "virtual_home": snapshot(self._virtual_home),
-            "stats": save_stats(self.stats),
-        }
-
-    def load_state(self, state: dict) -> None:
-        from repro.common.state import load_dict_inplace, load_stats
-
-        self.predictor.load_state(state["predictor"])
-        load_dict_inplace(self._virtual_home, state["virtual_home"])
-        load_stats(self.stats, state["stats"])

@@ -19,11 +19,14 @@ from reported numbers (Section IV-A).
 
 from __future__ import annotations
 
+import io
+import pickle
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Protocol
 
 from repro.mem.hierarchy import MemoryHierarchy
 from repro.mem.mshr import MSHRFile
+from repro.mem.oracle import NextUseOracle
 from repro.uarch.params import MachineParams
 from repro.workloads.trace import Trace
 
@@ -38,17 +41,19 @@ class L1IScheme(Protocol):
     optional hooks with ``getattr`` and skips any a scheme lacks:
 
     * ``prepare_trace(trace)`` — called once before the record loop of
-      every (possibly resumed) run; must be pure and idempotent.
+      every (possibly resumed) run, on the scheme the loop drives; must
+      be pure and idempotent.
     * ``finish_trace()`` — called once after the record loop; flushes
-      any counters the scheme defers (``save_state`` flushes them at
-      checkpoints instead).
+      any counters the scheme defers (a scheme that defers them flushes
+      them when pickled too, so checkpoint captures see them).
     * ``repeat_hits(block, count, last_t)`` — stands in for ``count``
       further ``lookup(block, t, cycle)`` calls, the last at record
       ``last_t``.  The engine calls it only when ``block`` hit on
       its latest real ``lookup`` and the scheme has seen no other call
       since, so each of those lookups is a known hit on the block that
-      is already most recent.  The hook must leave exactly the
-      ``save_state()`` those ``count`` lookups would leave.  Pure
+      is already most recent.  The hook must leave the scheme in exactly
+      the state a checkpoint would capture after those ``count``
+      lookups.  Pure
       bookkeeping qualifies, and so does training on every hit when
       the run's training has a closed form (GHRP, Harmony); a scheme
       without one leaves the hook out and keeps one lookup per record.
@@ -69,8 +74,7 @@ class Prefetcher(Protocol):
     """A live prefetch engine (entangling) driving fills through the MSHRs.
 
     Runs on the ``none`` frontend plan; ``simulate`` documents when it
-    calls each hook.  Its ``save_state``/``load_state`` ride in engine
-    checkpoints.
+    calls each hook.  It rides in engine checkpoints with the scheme.
     """
 
     name: str
@@ -144,30 +148,83 @@ _COUNTER_FIELDS = (
 #: Counter values of a run that starts at record 0.
 _FRESH_COUNTERS = (0.0, 0.0, 0, 0, 0, 0, 0.0, 0, 0, 0, 0)
 
-#: The ``mode`` tag of every engine checkpoint.  States an older engine
-#: saved from its stack-driven loop carry ``"live"`` and are rejected.
-_MODE = "planned"
+#: The ``mode`` tag of every engine checkpoint.  States of an older
+#: engine (``"live"``: the stack-driven loop; ``"planned"``: one
+#: ``save_state()`` dict per collaborator) are rejected.
+_MODE = "pickled"
 
 
-def _restore(resume: Optional[dict], parts: dict, cum_instrs) -> tuple:
-    """``(start, counters)`` for a run, loading ``resume`` into ``parts``.
+class _GraphPickler(pickle.Pickler):
+    """Pickles a run's collaborators, keeping what the run owns by reference.
 
-    ``parts`` maps each state key to its collaborator (scheme, MSHRs,
-    hierarchy, and the prefetcher when one runs); without a resume
-    state the run starts fresh at record 0.  ``cum_instrs`` are the
+    The trace and the next-use oracle are built from the run's identity,
+    not from the simulation, so a capture stores each as a persistent id
+    and never its bytes.
+    """
+
+    def __init__(self, file, trace: Trace) -> None:
+        super().__init__(file, pickle.HIGHEST_PROTOCOL)
+        self.trace = trace
+        self.oracles = []
+
+    def persistent_id(self, obj):
+        if obj is self.trace:
+            return "trace"
+        if isinstance(obj, NextUseOracle):
+            self.oracles.append(obj)
+            return "oracle"
+        return None
+
+
+class _GraphUnpickler(pickle.Unpickler):
+    """Loads a capture, resolving its references to this run's objects."""
+
+    def __init__(self, file, trace: Trace, scheme) -> None:
+        super().__init__(file)
+        self.trace = trace
+        self.scheme = scheme
+        self.oracle = None
+
+    def persistent_load(self, pid):
+        if pid == "trace":
+            return self.trace
+        if pid == "oracle":
+            if self.oracle is None:
+                # The fresh scheme's own oracle, found as a capture finds it.
+                finder = _GraphPickler(io.BytesIO(), self.trace)
+                finder.dump(self.scheme)
+                if not finder.oracles:
+                    raise ValueError(
+                        "resume state references a next-use oracle; the "
+                        "scheme passed in has none"
+                    )
+                self.oracle = finder.oracles[0]
+            return self.oracle
+        raise pickle.UnpicklingError(f"unknown persistent id {pid!r}")
+
+
+def _restore(
+    resume: Optional[dict], parts: dict, trace: Trace, cum_instrs
+) -> tuple:
+    """``(start, counters, parts)`` for a run, unpickling ``resume``.
+
+    ``parts`` maps each state key to the fresh collaborator passed in
+    (scheme, MSHRs, hierarchy, and the prefetcher when one runs);
+    without a resume state the run starts fresh at record 0 with them.
+    A resume returns the collaborators unpickled from the state
+    instead, their trace and oracle references resolved to ``trace``
+    and to the oracle of the fresh scheme.  ``cum_instrs`` are the
     trace's instruction prefix sums: a state whose ``instructions``
     counter differs from them at its ``next_record`` was saved from
     another trace and is rejected.
     """
     if resume is None:
-        return 0, _FRESH_COUNTERS
+        return 0, _FRESH_COUNTERS, parts
     if resume.get("mode") != _MODE:
         raise ValueError(
             f"resume state is {resume.get('mode')!r}; this engine resumes "
             f"only {_MODE!r} states"
         )
-    if ("prefetcher" in resume) != ("prefetcher" in parts):
-        raise ValueError("resume state and run disagree on a live prefetcher")
     start = resume["next_record"]
     counters = resume["counters"]
     if not 0 <= start < len(cum_instrs):
@@ -181,21 +238,35 @@ def _restore(resume: Optional[dict], parts: dict, cum_instrs) -> tuple:
             f"before record {start}, the trace {int(cum_instrs[start])}: "
             "it was saved from another trace"
         )
-    for key, part in parts.items():
-        part.load_state(resume[key])
-    return start, tuple(counters[k] for k in _COUNTER_FIELDS)
+    restored = _GraphUnpickler(
+        io.BytesIO(resume["graph"]), trace, parts["scheme"]
+    ).load()
+    if restored.keys() != parts.keys():
+        raise ValueError("resume state and run disagree on a live prefetcher")
+    if type(restored["scheme"]) is not type(parts["scheme"]):
+        raise ValueError(
+            f"resume state holds a {type(restored['scheme']).__name__}, "
+            f"the run passed a {type(parts['scheme']).__name__}"
+        )
+    return start, tuple(counters[k] for k in _COUNTER_FIELDS), restored
 
 
-def _capture(i: int, counters: tuple, parts: dict) -> dict:
-    """The engine state before record ``i``: what ``_restore`` takes."""
-    state = {
+def _capture(i: int, counters: tuple, parts: dict, trace: Trace) -> dict:
+    """The engine state before record ``i``: what ``_restore`` takes.
+
+    One pickle of every collaborator keeps the aliasing between them
+    (a cache's set dicts and the flat twins' views of them, a policy
+    and its cache's bound ``on_hit``) and detaches the capture from
+    the live objects.
+    """
+    buffer = io.BytesIO()
+    _GraphPickler(buffer, trace).dump(parts)
+    return {
         "mode": _MODE,
         "next_record": i,
         "counters": dict(zip(_COUNTER_FIELDS, counters)),
+        "graph": buffer.getvalue(),
     }
-    for key, part in parts.items():
-        state[key] = part.save_state()
-    return state
 
 
 def simulate(
@@ -275,25 +346,29 @@ def simulate(
       would ``continue`` too, and the engine skips it.
 
     Checkpoint/resume (``tests/test_checkpoint.py`` pins chunked runs
-    bit-identical to single-pass; the shard ledger in
-    :mod:`repro.harness.shards` persists the captures): with
-    ``checkpoint_every > 0`` the engine captures its full warm state —
-    loop counters plus the ``save_state()`` of every stateful
-    collaborator, the prefetcher included — at the top of each
-    iteration whose absolute index is a multiple of ``checkpoint_every``
-    (state == completion of records ``0..i-1``), *before* the warmup
-    snapshot branch so a resume landing exactly on ``warmup_end``
-    re-derives the base counters identically.  ``on_checkpoint(state)``
-    receives each capture; returning truthy stops the run early and
-    ``simulate`` returns None.  ``resume`` takes such a state and
-    continues from its ``next_record``; the engine restores its own
-    collaborators (it constructs the MSHR/hierarchy), so callers only
-    rebuild the scheme and prefetcher fresh from their factories.  A
-    ``resume`` whose ``instructions`` counter is not the trace's
-    prefix sum at its ``next_record`` was saved from another trace and
-    raises ``ValueError``.  Checkpoints share the one next-event
-    compare with the warmup snapshot, so the default
-    ``checkpoint_every=0`` costs the loop nothing.
+    bit-identical to single-pass, ``tests/test_state_roundtrip.py`` the
+    capture contract; the shard ledger in :mod:`repro.harness.shards`
+    persists the captures): with ``checkpoint_every > 0`` the engine
+    captures its full warm state — the loop counters plus one pickle of
+    the scheme, MSHRs, hierarchy and live prefetcher — at the top of
+    each iteration whose absolute index is a multiple of
+    ``checkpoint_every`` (state == completion of records ``0..i-1``),
+    *before* the warmup snapshot branch so a resume landing exactly on
+    ``warmup_end`` re-derives the base counters identically.  The
+    pickle holds the trace and the next-use oracle by reference only.
+    ``on_checkpoint(state)`` receives each capture; returning truthy
+    stops the run early and ``simulate`` returns None.  ``resume``
+    takes such a state and continues its unpickled collaborators from
+    its ``next_record``, with their references resolved to ``trace``
+    and to the oracle of the ``scheme`` passed in; callers pass a fresh
+    scheme and prefetcher built the way the captured ones were, and
+    the result's ``scheme`` is the resumed one.  A ``resume`` whose
+    ``instructions`` counter is not the trace's prefix sum at its
+    ``next_record`` was saved from another trace, and one whose scheme
+    is not of the class passed in belongs to another run: both raise
+    ``ValueError``.  Checkpoints share the one next-event compare with
+    the warmup snapshot, so the default ``checkpoint_every=0`` costs
+    the loop nothing.
     """
     if machine is None:
         raise TypeError("simulate() requires machine parameters")
@@ -314,20 +389,11 @@ def simulate(
             f"plan warmup split {plan.warmup_end} != machine's {warmup_end}; "
             "rebuild the plan for this machine configuration"
         )
-    hierarchy = hierarchy or MemoryHierarchy(machine.hierarchy)
-    mshr = MSHRFile(machine.mshr_entries)
-    parts = {"scheme": scheme, "mshr": mshr, "hierarchy": hierarchy}
-    pf_candidates = pf_observe_fetch = pf_on_demand_miss = None
-    if prefetcher is not None:
-        if plan.prefetcher != "none":
-            raise ValueError(
-                f"a live prefetcher runs on the 'none' plan, not on a "
-                f"{plan.prefetcher!r} plan with its own candidate stream"
-            )
-        parts["prefetcher"] = prefetcher
-        pf_candidates = prefetcher.candidates
-        pf_observe_fetch = prefetcher.observe_fetch
-        pf_on_demand_miss = prefetcher.on_demand_miss
+    if prefetcher is not None and plan.prefetcher != "none":
+        raise ValueError(
+            f"a live prefetcher runs on the 'none' plan, not on a "
+            f"{plan.prefetcher!r} plan with its own candidate stream"
+        )
 
     backend_ipc = machine.backend_ipc
     queue_cap = float(machine.decode_queue_instrs)
@@ -340,8 +406,35 @@ def simulate(
     deltas = stream.deltas
     cum_instrs = stream.cum_instrs
 
+    # Loop counters, plus the base_* snapshots taken when warmup ends.
+    # ``instructions`` is not stepped per record: it is ``cum_instrs[i]``
+    # wherever a capture, the warmup snapshot or the result reads it.
+    # A resume replaces every collaborator with its unpickled copy, so
+    # nothing below binds to one before this.
+    parts = {
+        "scheme": scheme,
+        "mshr": MSHRFile(machine.mshr_entries),
+        "hierarchy": hierarchy or MemoryHierarchy(machine.hierarchy),
+    }
+    if prefetcher is not None:
+        parts["prefetcher"] = prefetcher
+    start, counters, parts = _restore(resume, parts, trace, cum_instrs)
+    (cycles, queue, demand_misses, late_prefetch, prefetches_issued,
+     _, base_cycles, base_misses, base_late, base_issued,
+     base_instr) = counters
+    scheme = parts["scheme"]
+    mshr = parts["mshr"]
+    hierarchy = parts["hierarchy"]
+    prefetcher = parts.get("prefetcher")
+    pf_candidates = pf_observe_fetch = pf_on_demand_miss = None
+    if prefetcher is not None:
+        pf_candidates = prefetcher.candidates
+        pf_observe_fetch = prefetcher.observe_fetch
+        pf_on_demand_miss = prefetcher.on_demand_miss
+
     # Schemes that consume the shared replacement pre-pass bind their
-    # per-record arrays here (pure, idempotent — safe per resumed chunk).
+    # per-record arrays here (pure, idempotent; a capture leaves them
+    # out, so a resumed scheme binds them again).
     prepare_trace = getattr(scheme, "prepare_trace", None)
     if prepare_trace is not None:
         prepare_trace(trace)
@@ -353,19 +446,10 @@ def simulate(
     mshr_allocate = mshr.allocate
     in_flight = mshr.pending
     handed_over = mshr.deferred
-
-    # Loop counters, plus the base_* snapshots taken when warmup ends.
-    # ``instructions`` is not stepped per record: it is ``cum_instrs[i]``
-    # wherever a capture, the warmup snapshot or the result reads it.
-    start, counters = _restore(resume, parts, cum_instrs)
-    (cycles, queue, demand_misses, late_prefetch, prefetches_issued,
-     _, base_cycles, base_misses, base_late, base_issued,
-     base_instr) = counters
     next_ready = mshr.next_ready
 
-    # Hoisted after the resume load on purpose: the flat policy twins
-    # re-close their protocol methods over freshly loaded containers, so
-    # binding these any earlier would drive stale closures.
+    # Bound after ``prepare_trace``: the flat policy twins re-close
+    # their protocol methods over the pre-pass views it binds.
     scheme_lookup = scheme.lookup
     scheme_fill = scheme.fill
     scheme_prefetch_fill = scheme.prefetch_fill
@@ -403,7 +487,7 @@ def simulate(
                     cycles, queue, demand_misses, late_prefetch,
                     prefetches_issued, int(cum_instrs[i]), base_cycles,
                     base_misses, base_late, base_issued, base_instr,
-                ), parts)
+                ), parts, trace)
                 if on_checkpoint is not None and on_checkpoint(state):
                     return None
             if i == warmup_end:
@@ -522,7 +606,7 @@ def simulate(
         scheme_repeat_hits(hit_block, n - run_from, n - 1)
 
     # Schemes that defer counter updates into their fused hot path flush
-    # them here (checkpoint captures flush inside save_state instead).
+    # them here (a checkpoint capture's pickle flushes them too).
     finish_trace = getattr(scheme, "finish_trace", None)
     if finish_trace is not None:
         finish_trace()

@@ -12,7 +12,9 @@ registered variant:
 * ``lru``/``36kb-l1i``/``40kb-l1i``/``opt`` build ``PlainCacheScheme``
   around ``LRUPolicy``/``BeladyOPTPolicy``.
 
-The readable next-use oracle lives in :mod:`reference.oracle`.
+The readable next-use oracle lives in :mod:`reference.oracle`, and the
+test-side views that compare simulator state mid-run in
+:mod:`reference.state`.
 """
 
 from __future__ import annotations

@@ -168,23 +168,6 @@ class CSHR:
     def occupancy(self) -> int:
         return sum(len(s) for s in self._sets)
 
-    # -- checkpoint/resume --------------------------------------------------
-
-    def save_state(self) -> dict:
-        from repro.common.state import save_stats, snapshot
-
-        return {
-            "sets": snapshot(self._sets),
-            "stats": save_stats(self.stats),
-        }
-
-    def load_state(self, state: dict) -> None:
-        from repro.common.state import load_list_inplace, load_stats
-
-        for live, saved in zip(self._sets, state["sets"]):
-            load_list_inplace(live, saved)
-        load_stats(self.stats, state["stats"])
-
 
 class ACICScheme:
     """Admission-controlled instruction cache (the paper's contribution)."""
@@ -322,38 +305,3 @@ class ACICScheme:
         if self.ifilter is not None and block in self.ifilter:
             return True
         return self.icache.contains(block)
-
-    # -- checkpoint/resume --------------------------------------------------
-    #
-    # The audit oracle is externally owned (rebuilt from the trace by the
-    # harness) and deliberately NOT part of the state; the audit *log* is.
-
-    def save_state(self) -> dict:
-        from repro.common.state import save_stats, snapshot
-
-        state = {
-            "icache": self.icache.save_state(),
-            "cshr": self.cshr.save_state(),
-            "predictor": self.predictor.save_state(),
-            "stats": save_stats(self.stats),
-            "last_resolved_block": self._last_resolved_block,
-        }
-        if self.ifilter is not None:
-            state["ifilter"] = self.ifilter.save_state()
-        if self.audit is not None:
-            state["audit"] = snapshot(vars(self.audit))
-        return state
-
-    def load_state(self, state: dict) -> None:
-        from repro.common.state import load_list_inplace, load_stats
-
-        self.icache.load_state(state["icache"])
-        self.cshr.load_state(state["cshr"])
-        self.predictor.load_state(state["predictor"])
-        load_stats(self.stats, state["stats"])
-        self._last_resolved_block = state["last_resolved_block"]
-        if self.ifilter is not None:
-            self.ifilter.load_state(state["ifilter"])
-        if self.audit is not None:
-            for name, saved in state["audit"].items():
-                load_list_inplace(getattr(self.audit, name), saved)

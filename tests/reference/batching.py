@@ -6,13 +6,10 @@ one schedule: ``real`` gets every op as written, ``batched`` the way
 latest real lookup hit, with only ``contains`` probes since, is not
 made: it is counted and handed over in one ``repeat_hits`` call before
 the next lookup of another block, fill or prefetch fill, and at the
-end of the schedule.  :func:`ordered` puts saved states in a
-comparable form that keeps dict (recency) order.
+end of the schedule.
 """
 
 from __future__ import annotations
-
-from collections import deque
 
 
 def lockstep_batched(real, batched, steps, check=None):
@@ -58,24 +55,3 @@ def lockstep_batched(real, batched, steps, check=None):
     hand_over()
     return runs
 
-
-def ordered(value):
-    """Comparable normal form of a saved state that keeps dict order."""
-    if isinstance(value, dict):
-        return [(k, ordered(v)) for k, v in value.items()]
-    if isinstance(value, (list, tuple, deque)):
-        return [ordered(v) for v in value]
-    if isinstance(value, (set, frozenset)):
-        return sorted(value)
-    if hasattr(value, "tolist"):
-        return value.tolist()
-    if hasattr(value, "__dict__") and not isinstance(value, type):
-        return [type(value).__name__, ordered(vars(value))]
-    slots = [
-        name
-        for klass in type(value).__mro__
-        for name in getattr(klass, "__slots__", ())
-    ]
-    if slots:
-        return [type(value).__name__, [ordered(getattr(value, n)) for n in slots]]
-    return value

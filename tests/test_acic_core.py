@@ -1,5 +1,6 @@
 """Tests for the ACIC core: i-Filter, CSHR, predictors, controller."""
 
+import pickle
 import random
 
 import pytest
@@ -256,9 +257,7 @@ class TestGatedQueueDrain:
         p = TwoLevelAdmissionPredictor(update_latency=5)
         for now, tag in enumerate((1, 2, 3, 1)):
             p.train(tag, True, now)
-        state = p.save_state()
-        q = TwoLevelAdmissionPredictor(update_latency=5)
-        q.load_state(state)
+        q = pickle.loads(pickle.dumps(p))
         assert q._next_due == p._next_due == 5
         q.predict(9, now=4)
         assert q.pt == p.pt  # nothing due yet

@@ -47,6 +47,7 @@ from repro.workloads.profiles import get_workload
 from reference import readable_registry
 from reference.acic import CSHR, ACICScheme, AdmitAllPredictor
 from reference.batching import lockstep_batched
+from reference.state import ordered
 
 SCALARS = (
     "instructions",
@@ -334,7 +335,7 @@ class TestRepeatHits:
             if_lines = b._if_lines
             where.add("ifilter" if if_lines and block in if_lines else "icache")
             assert scheme_state(a) == scheme_state(b), (block, count)
-            assert a.save_state() == b.save_state(), (block, count)
+            assert ordered(a) == ordered(b), (block, count)
 
         steps = ((op, block, t, t) for op, block, t in schedule)
         runs = lockstep_batched(real, batched, steps, check)
@@ -376,7 +377,7 @@ class TestRepeatHits:
             assert pair[0].lookup(block, t, t)
         pair[1].repeat_hits(block, 9, t0 + 9)
         assert scheme_state(pair[0]) == scheme_state(pair[1])
-        assert pair[0].save_state() == pair[1].save_state()
+        assert ordered(pair[0]) == ordered(pair[1])
 
 
 class TestFlatCSHRDifferential:

@@ -223,12 +223,13 @@ class TestPolicyLockstep:
     @pytest.mark.parametrize("policy_name", sorted(POLICY_FACTORIES))
     @pytest.mark.parametrize("seed", [0, 1])
     def test_mid_run_state_roundtrip(self, policy_name, seed):
-        """save_state mid-run, load into a dirty cache, stay in lockstep.
+        """Pickle a cache mid-run, load the copy, stay in lockstep.
 
         Every policy (SHiP's signature tables and Tree-PLRU's bit
         arrays included) must carry its state across the pickle
-        boundary: the loaded cache replays the rest of the trace
-        bit-identically to the one that never stopped.
+        boundary an engine checkpoint uses: the loaded cache replays
+        the rest of the trace bit-identically to the one that never
+        stopped, and the copy shares nothing with the original.
         """
         rng = np.random.RandomState(77 + seed)
         n = 1600
@@ -242,13 +243,10 @@ class TestPolicyLockstep:
             if not prod.lookup(block, t):
                 prod.fill(block, t)
 
-        state = pickle.loads(pickle.dumps(prod.save_state()))
-
-        # The twin starts dirty: loading must fully replace its state.
-        twin = SetAssociativeCache(CONFIG, POLICY_FACTORIES[policy_name](oracle))
-        for t in range(120):
-            twin.fill(int(rng.randint(CONFIG.num_blocks * 6)), t)
-        twin.load_state(state)
+        twin = pickle.loads(pickle.dumps(prod))
+        assert twin.policy is not prod.policy
+        # The cache's cached on-hit callback follows its own policy.
+        assert getattr(twin._on_hit, "__self__", twin.policy) is twin.policy
 
         for s in range(CONFIG.num_sets):
             assert twin.set_contents(s) == prod.set_contents(s)

@@ -4,8 +4,8 @@ Two layers are pinned here:
 
 * the **engine** — ``simulate(resume=..., checkpoint_every=...,
   on_checkpoint=...)`` chunks stitched across simulated process
-  boundaries (states pickled between chunks, scheme/prefetcher rebuilt
-  fresh each chunk) equal one undisturbed pass, for fdp-planned runs
+  boundaries (states pickled between chunks, each chunk passed a fresh
+  scheme/prefetcher) equal one undisturbed pass, for fdp-planned runs
   and for "live" runs (the entangling prefetcher driven live on the
   ``none`` plan, its table riding in every checkpoint), across scheme
   families (plain policies, RNG-carrying bypass schemes, oracle-backed
@@ -27,10 +27,11 @@ from repro.frontend.plan import build_plan, cached_plan
 from repro.harness.experiment import run_experiment
 from repro.harness.schemes import SchemeContext, make_scheme
 from repro.harness.shards import ledger_for, shards_dir
+from repro.uarch import timing
 from repro.uarch.params import DEFAULT_MACHINE
 from repro.uarch.timing import simulate
 from repro.workloads.profiles import get_workload
-from reference.batching import ordered
+from reference.state import ordered
 
 RECORDS = 6_000
 WORKLOAD = "media-streaming"
@@ -56,8 +57,8 @@ CHUNK_SCHEMES = (
     "random-bypass",
     "opt",
     "acic",
-    # Flat replacement twins: resume must rebind their fused closures
-    # over the freshly loaded containers.
+    # Flat replacement twins: an unpickled twin must bind its own fused
+    # closures over its unpickled containers.
     "ghrp",
     "harmony",
 )
@@ -209,7 +210,7 @@ class TestEngineChunking:
             on_checkpoint=lambda s: captured.append(s) or True,
         )
         state = captured[-1]
-        assert state["mode"] == "planned"
+        assert state["mode"] == timing._MODE
         # A state an older engine saved from its stack-driven loop.
         with pytest.raises(ValueError, match="live"):
             simulate(
@@ -516,7 +517,7 @@ class TestRepeatRunBoundaries:
             on_checkpoint=lambda s: captures.append(s["next_record"]),
         )
         assert len(captures) == (len(trace) - 1) // every
-        want = ordered(single.scheme.save_state())
+        want = ordered(single.scheme)
         for run in (chunked, watched):
             assert _scalars(run) == _scalars(single)
-            assert ordered(run.scheme.save_state()) == want
+            assert ordered(run.scheme) == want

@@ -32,7 +32,7 @@ from repro.uarch.params import DEFAULT_MACHINE
 from repro.uarch.timing import simulate
 from repro.workloads.profiles import get_workload
 from repro.workloads.trace import Trace
-from reference.batching import ordered
+from reference.state import ordered
 
 RECORDS = 4_000
 WORKLOADS = ("media-streaming", "web-search", "data-caching")
@@ -111,7 +111,7 @@ def test_skips_match_per_record_calls(name, grid):
     assert {k: getattr(fast, k) for k in SCALARS} == {
         k: getattr(slow, k) for k in SCALARS
     }
-    assert ordered(direct.save_state()) == ordered(hidden.save_state())
+    assert ordered(direct) == ordered(hidden)
 
 
 @pytest.mark.parametrize(

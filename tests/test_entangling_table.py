@@ -14,6 +14,7 @@ import pytest
 
 from repro.frontend.entangling import EntanglingPrefetcher
 from repro.workloads.trace import Trace
+from reference.state import ordered
 
 
 def make_trace(blocks):
@@ -71,9 +72,9 @@ class TestSourceSelection:
         pf.observe_fetch(1, 0)
         pf.observe_fetch(2, 5)
         pf.on_demand_miss(3, 60)
-        before = pf.save_state()
+        before = ordered(pf)
         pf.observe_fetch(2, 70)
-        assert pf.save_state() == before
+        assert ordered(pf) == before
 
     def test_history_ring_is_bounded(self):
         pf = make_pf(history=4)

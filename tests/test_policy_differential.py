@@ -6,26 +6,29 @@
 ``GHRPPolicy``/``HawkeyePolicy``/``LRUPolicy``/``BeladyOPTPolicy`` as
 fused closures with merged line payloads, packed occupancy vectors and
 deferred counters.  This suite pins them to the readable references
-four ways:
+four ways, comparing a twin with its reference through
+:func:`reference.state.readable_shape` (the twin projected into the
+``PlainCacheScheme`` shape) and two twins through
+:func:`reference.state.ordered`:
 
 * **op-by-op** — randomized lookup/fill/prefetch/contains schedules on
-  a tiny geometry, verdict-for-verdict, with mid-run state comparison,
-  cross-loading each twin's checkpoint into the other (both
-  directions, into pre-polluted instances); OPT also runs with
-  prefetch fills of blocks never used again, against an oracle
-  decoupled from the schedule (finite next-use ties), and through
-  directed tie and ``incoming == furthest`` bypass cases;
+  a tiny geometry, verdict-for-verdict, with mid-run state comparison
+  and a mid-run checkpoint (a pickle) of each twin that must replay
+  the tail like the uninterrupted pair; OPT also runs with prefetch
+  fills of blocks never used again, against an oracle decoupled from
+  the schedule (finite next-use ties), and through directed tie and
+  ``incoming == furthest`` bypass cases;
 * **repeat hits** — ``repeat_hits`` on the LRU twin (all three
   registered geometries) and the OPT, GHRP and Harmony twins leaves
-  ``save_state()`` exactly as the per-record lookups it stands in for
-  would, over runs long enough to cross GHRP's GHR fixed point and
-  Harmony's whole OPTgen window;
+  the state exactly as the per-record lookups it stands in for would,
+  over runs long enough to cross GHRP's GHR fixed point and Harmony's
+  whole OPTgen window;
 * **deferred state** — the stats counters and GHRP's GHR accumulate in
   closure cells mid-run and must flush exactly at ``finish_trace`` and
-  ``save_state``;
-* **whole-engine** — chunked (checkpoint/resume) runs equal one
-  undisturbed pass, chunks alternating between the flat and readable
-  implementations, and the 20k benchmark grid's scalars are identical
+  when pickled;
+* **whole-engine** — windowed (checkpoint/resume) runs equal one
+  undisturbed pass, a checkpoint of one twin refuses to resume into
+  the other, and the 20k benchmark grid's scalars are identical
   between the registry's flat build and its readable one
   (:func:`reference.readable_registry`);
 * **packed sampler mechanics** — the 8-bit-lane occupancy vector
@@ -49,12 +52,7 @@ from repro.harness.schemes import PlainCacheScheme, SchemeContext, make_scheme
 from repro.mem import prepass as prepass_mod
 from repro.mem.cache import CacheConfig
 from repro.mem.policies.flat_ghrp import FlatGHRPScheme
-from repro.mem.policies.flat_hawkeye import (
-    FlatHawkeyeScheme,
-    _lane_tables,
-    _pack_occ,
-    _unpack_occ,
-)
+from repro.mem.policies.flat_hawkeye import FlatHawkeyeScheme, _lane_tables
 from repro.mem.policies.flat_plain import FlatLRUScheme, FlatOPTScheme
 from repro.mem.policies.ghrp import GHRPPolicy
 from repro.mem.policies.hawkeye import HawkeyePolicy, _OPTgen
@@ -74,6 +72,7 @@ from reference import (
     readable_registry,
 )
 from reference.batching import lockstep_batched
+from reference.state import ordered, pack_occ, readable_shape, unpack_occ
 
 #: Tiny geometry (8 sets x 4 ways) so sets fill, evict and prune hard.
 CONFIG = CacheConfig(4 * 64 * 8, 4, name="L1i")
@@ -193,14 +192,14 @@ def _drive_ops(scheme, ops):
 
 
 def _norm(x):
-    """Order-insensitive normal form for saved-state comparison.
+    """Order-insensitive normal form for readable-shape comparison.
 
     Dict *insertion order* is recency metadata inside the cache's set
     dicts but incidental everywhere else (the twins build their side
     dicts in a different order than the references); comparing via
     sorted items ignores it while still requiring identical contents.
     The per-set line dicts are compared separately, order included,
-    by ``_assert_same_sets``.
+    by ``_assert_same``.
     """
     if isinstance(x, dict):
         return sorted((k, _norm(v)) for k, v in x.items())
@@ -221,19 +220,21 @@ def _norm(x):
     return x
 
 
-def _assert_same_state(a, b, label):
-    assert _norm(a) == _norm(b), f"{label}: saved state diverged"
+def _assert_same(a, b, label):
+    """Two schemes (flat or readable) agree in the readable shape.
 
-
-def _assert_same_sets(a, b, label):
-    """Set dicts must match *including* recency (insertion) order."""
-    sets_a = [list(lines.items()) for lines in a["icache"]["sets"]]
-    sets_b = [list(lines.items()) for lines in b["icache"]["sets"]]
+    The set dicts must match *including* recency (insertion) order.
+    """
+    shape_a, shape_b = readable_shape(a), readable_shape(b)
+    assert _norm(shape_a) == _norm(shape_b), f"{label}: state diverged"
+    sets_a = [list(lines.items()) for lines in shape_a["icache"]["sets"]]
+    sets_b = [list(lines.items()) for lines in shape_b["icache"]["sets"]]
     assert sets_a == sets_b, f"{label}: set contents/recency diverged"
 
 
 class TestLockstep:
-    """Op-by-op equivalence and checkpoint interchange."""
+    """Op-by-op equivalence, and checkpoints of either twin that resume
+    into the same behaviour."""
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -244,32 +245,16 @@ class TestLockstep:
         cut = random.Random(seed + 50).randrange(3000, 7000)
 
         assert _drive(flat, ops, 0, cut) == _drive(ref, ops, 0, cut)
+        _assert_same(flat, ref, f"{kind} mid-run")
 
-        # Mid-run snapshots agree (through a pickle boundary, the way
-        # sweep checkpoints travel) and keep the reference shape.
-        state_flat = pickle.loads(pickle.dumps(flat.save_state()))
-        state_ref = pickle.loads(pickle.dumps(ref.save_state()))
-        _assert_same_state(state_flat, state_ref, f"{kind} mid-run")
-        _assert_same_sets(state_flat, state_ref, f"{kind} mid-run")
-        for lines in state_flat["icache"]["sets"]:
-            assert all(v is None for v in lines.values()), (
-                "flat snapshot leaked line payloads"
-            )
-
-        # Cross-load: the readable snapshot into a dirty flat twin and
-        # vice versa; all four caches then replay the tail identically.
-        flat2, ref2 = _make_pair(kind, oracle)
-        _drive(flat2, _schedule(seed + 7), 0, 400)
-        _drive(ref2, _schedule(seed + 9), 0, 400)
-        flat2.load_state(state_ref)
-        ref2.load_state(state_flat)
-
+        # Mid-run checkpoints, through the pickle an engine capture
+        # uses: all four schemes then replay the tail identically.
+        flat2, ref2 = (pickle.loads(pickle.dumps(s)) for s in (flat, ref))
+        assert type(flat2) is type(flat) and type(ref2) is type(ref)
         tails = [_drive(s, ops, cut, len(ops)) for s in (flat, ref, flat2, ref2)]
         assert tails[0] == tails[1] == tails[2] == tails[3]
-        finals = [s.save_state() for s in (flat, ref, flat2, ref2)]
-        for i in (1, 2, 3):
-            _assert_same_state(finals[0], finals[i], f"{kind} final {i}")
-            _assert_same_sets(finals[0], finals[i], f"{kind} final {i}")
+        for i, other in enumerate((ref, flat2, ref2), 1):
+            _assert_same(flat, other, f"{kind} final {i}")
 
     @pytest.mark.parametrize("kind", PREPASS_KINDS)
     def test_lockstep_without_prepass(self, kind):
@@ -295,10 +280,8 @@ class TestOPTTwin:
     def _both(pair, ops):
         outs = [_drive_ops(s, ops) for s in pair]
         assert outs[0] == outs[1]
-        states = [s.save_state() for s in pair]
-        _assert_same_state(states[0], states[1], "opt directed")
-        _assert_same_sets(states[0], states[1], "opt directed")
-        return states[0]
+        _assert_same(pair[0], pair[1], "opt directed")
+        return readable_shape(pair[0])
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_lockstep_with_decoupled_oracle(self, seed):
@@ -314,7 +297,7 @@ class TestOPTTwin:
         assert stats.bypasses > 0
         for field in STATS_FIELDS:
             assert getattr(flat.icache.stats, field) == getattr(stats, field)
-        _assert_same_state(flat.save_state(), ref.save_state(), "decoupled")
+        _assert_same(flat, ref, "decoupled")
 
     def test_tie_evicts_lru_most_furthest_line(self):
         # Blocks 1 and 2 are never used again (two NEVER payloads);
@@ -354,12 +337,12 @@ class TestOPTTwin:
         outs = [_drive_ops(s, ops) for s in (flat, ref)]
         assert outs[0] == outs[1]
         assert flat._lines_by_set[0] == {4: 3, 6: 4}
-        flat.save_state()
-        assert ref.icache.policy._next_use == flat.policy._next_use
+        projected = readable_shape(flat)["icache"]["policy"]["_next_use"]
+        assert ref.icache.policy._next_use == projected
 
 
 class TestDeferredCounters:
-    """Stats (and GHRP's GHR) flush exactly at the state boundaries."""
+    """Stats (and GHRP's GHR) flush at ``finish_trace`` and when pickled."""
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_finish_trace_flushes_stats(self, kind):
@@ -393,16 +376,25 @@ class TestDeferredCounters:
         assert flat.policy.ghr == ref_policy.ghr
 
     @pytest.mark.parametrize("kind", KINDS)
-    def test_load_state_discards_deferred_deltas(self, kind):
-        """Counters deferred before a load must never leak after it."""
+    def test_pickle_flushes_deferred_deltas(self, kind):
+        """A pickle carries the deferred counters exactly once."""
         ops = _schedule(6, length=1200)
         flat, ref = _make_pair(kind, _oracle_for(ops))
-        state = ref.save_state()
+        _drive(ref, ops, 0, 600)
         _drive(flat, ops, 0, 600)  # deferred deltas now pending
-        flat.load_state(pickle.loads(pickle.dumps(state)))
-        flat.finish_trace()
-        for field in STATS_FIELDS:
-            assert getattr(flat.icache.stats, field) == 0, field
+        copy = pickle.loads(pickle.dumps(flat))
+        # The pickle flushed the original; the copy starts with no
+        # deltas of its own, so neither counts the first half twice.
+        for scheme in (flat, copy):
+            scheme.finish_trace()
+            for field in STATS_FIELDS:
+                assert getattr(scheme.icache.stats, field) == getattr(
+                    ref.icache.stats, field
+                ), field
+        _drive(ref, ops, 600, len(ops))
+        for scheme in (flat, copy):
+            _drive(scheme, ops, 600, len(ops))
+            _assert_same(scheme, ref, f"{kind} after the pickle")
 
 
 #: The registered geometries of the LRU twin (lru, 36kb-l1i, 40kb-l1i)
@@ -445,9 +437,9 @@ class TestRepeatHits:
             checked.append(count)
             long_runs = sum(c > 4 for c in checked)
             if len(checked) <= 50 or (count > 4 and long_runs <= 30):
-                assert pickle.dumps(a.save_state()) == pickle.dumps(
-                    b.save_state()
-                ), f"{kind} after {count} repeats of {block}: state diverged"
+                assert ordered(a) == ordered(b), (
+                    f"{kind} after {count} repeats of {block}: state diverged"
+                )
 
         steps = ((op, block, t, t) for t, (op, block) in enumerate(ops))
         runs = lockstep_batched(real, batched, steps, check)
@@ -457,9 +449,7 @@ class TestRepeatHits:
         # 64-quantum OPTgen window.
         assert sum(count > 4 for count in counts) > 20
         assert sum(count >= 64 for count in counts) > 5
-        state_a, state_b = real.save_state(), batched.save_state()
-        _assert_same_state(state_a, state_b, f"{kind} final")
-        _assert_same_sets(state_a, state_b, f"{kind} final")
+        assert ordered(real) == ordered(batched), f"{kind} final"
 
     @pytest.mark.parametrize("kind", ("ghrp", "harmony"))
     def test_closed_form_at_every_counter_value(self, kind):
@@ -489,9 +479,9 @@ class TestRepeatHits:
                 for k in range(count):
                     real.lookup(block, t + 2 + k, t + 2 + k)
                 batched.repeat_hits(block, count, t + 1 + count)
-                assert pickle.dumps(real.save_state()) == pickle.dumps(
-                    batched.save_state()
-                ), f"{kind}: {count} repeats from counters at {start}"
+                assert ordered(real) == ordered(batched), (
+                    f"{kind}: {count} repeats from counters at {start}"
+                )
 
 
 RECORDS = 6_000
@@ -523,60 +513,42 @@ def context(trace):
 
 
 class TestEngineChunked:
-    """Checkpoint/resume through the engine, flat and readable mixed.
-
-    Resuming rebinds the twins' closures over freshly loaded
-    containers (the engine hoists the scheme methods only after the
-    resume load); alternating implementations between chunks proves
-    the snapshots are interchangeable mid-run, not just at rest.
-    """
+    """Checkpoint/resume through the engine, flat and readable."""
 
     @pytest.mark.parametrize("kind", KINDS)
-    def test_chunked_alternating_twins_equals_single_pass(
-        self, kind, trace, context
-    ):
+    def test_resume_into_other_twin_rejected(self, kind, trace, context):
+        """A capture of one twin resumes only into its own class.
+
+        A capture is the pickled twin itself, so resuming it with the
+        other implementation would silently continue the captured one.
+        """
         from repro.frontend.plan import cached_plan
         from repro.uarch.timing import simulate
 
         plan = cached_plan(trace, DEFAULT_MACHINE, "fdp")
-        single = simulate(
-            trace,
-            make_scheme(kind, context),
-            machine=DEFAULT_MACHINE,
-            plan=plan,
+        builders = (
+            lambda: _flat(kind, context.l1i_config, context.oracle),
+            lambda: _readable(kind, context.l1i_config, context.oracle),
         )
-
-        def readable():
-            return _readable(kind, context.l1i_config, context.oracle)
-
-        def flat():
-            return _flat(kind, context.l1i_config, context.oracle)
-
-        state = None
-        chunk = 0
-        while True:
+        for make, other in (builders, builders[::-1]):
             captured = []
-
-            def stop(s):
-                captured.append(s)
-                return True
-
-            scheme = flat() if chunk % 2 == 0 else readable()
-            run = simulate(
+            simulate(
                 trace,
-                scheme,
+                make(),
                 machine=DEFAULT_MACHINE,
                 plan=plan,
-                resume=state,
                 checkpoint_every=1_300,
-                on_checkpoint=stop,
+                on_checkpoint=lambda s: captured.append(s) or True,
             )
-            if run is not None:
-                assert chunk > 1, "checkpoint cadence never fired"
-                break
-            chunk += 1
             state = pickle.loads(pickle.dumps(captured[-1]))
-        assert _scalars(run) == _scalars(single)
+            with pytest.raises(ValueError, match="resume state holds a"):
+                simulate(
+                    trace,
+                    other(),
+                    machine=DEFAULT_MACHINE,
+                    plan=plan,
+                    resume=state,
+                )
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_run_experiment_checkpoint_env_roundtrip(
@@ -625,7 +597,7 @@ class TestPackedOccupancy:
         rng = random.Random(seed)
         for window in (4, 64):
             lanes = [rng.randrange(128) for _ in range(window)]
-            assert _unpack_occ(_pack_occ(lanes), window) == lanes
+            assert unpack_occ(pack_occ(lanes), window) == lanes
 
     def test_lane_tables_shapes(self):
         window = 16
@@ -635,9 +607,9 @@ class TestPackedOccupancy:
                 1 << (lane << 3) for lane in range(length)
             )
         for lane in range(window):
-            packed = _pack_occ([0x7F] * window)
+            packed = pack_occ([0x7F] * window)
             cleared = packed & clears[lane]
-            lanes = _unpack_occ(cleared, window)
+            lanes = unpack_occ(cleared, window)
             assert lanes[lane] == 0
             assert all(
                 lanes[i] == 0x7F for i in range(window) if i != lane
@@ -665,7 +637,7 @@ class TestPackedOccupancy:
                 span = [
                     lane % window for lane in range(start, start + length)
                 ]
-            packed = _pack_occ(lanes)
+            packed = pack_occ(lanes)
             any_full = any(lanes[lane] >= capacity for lane in span)
             assert bool((packed + ones * pad) & (ones << 7)) == any_full
 
@@ -711,7 +683,7 @@ class TestPackedOccupancy:
             if occ:
                 occ &= clears[time % window]
             history[block] = time
-            assert _unpack_occ(occ, window) == gen.occ
+            assert unpack_occ(occ, window) == gen.occ
             assert time == gen.time
 
     def test_ways_bounds_enforced(self):
@@ -735,9 +707,7 @@ class TestBoundedMemos:
         assert capped == _drive(uncapped, ops, 0, len(ops))
         flat.finish_trace()
         uncapped.finish_trace()
-        _assert_same_state(
-            flat.save_state(), uncapped.save_state(), "ghrp memo cap"
-        )
+        _assert_same(flat, uncapped, "ghrp memo cap")
 
     def test_hawkeye_memo_bounded_and_exact(self, monkeypatch):
         monkeypatch.setattr(HawkeyePolicy, "_MEMO_CAP", 16)
@@ -750,9 +720,7 @@ class TestBoundedMemos:
         assert capped == _drive(uncapped, ops, 0, len(ops))
         flat.finish_trace()
         uncapped.finish_trace()
-        _assert_same_state(
-            flat.save_state(), uncapped.save_state(), "hawkeye memo cap"
-        )
+        _assert_same(flat, uncapped, "hawkeye memo cap")
 
     def test_prepass_memo_bounded(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_PLAN_CACHE", str(tmp_path))
