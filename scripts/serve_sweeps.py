@@ -15,8 +15,11 @@ Then, from any HTTP client::
 
 Warm pairs answer straight from the fingerprinted ``.cache/results``
 store; identical in-flight grids are deduped to one simulation; cold
-work queues through ``Runner.sweep`` with bounded concurrency (see
-``ARCHITECTURE.md``, "The service layer").
+work queues through ``Runner.sweep_pairs`` with bounded concurrency and
+simulates in ``--jobs`` resident worker processes, forked at start-up
+(see ``ARCHITECTURE.md``, "The service layer").  Set any ``REPRO_*``
+variable before starting the server: the workers keep the environment
+they were forked with.
 
 Shutdown is graceful: SIGTERM (or Ctrl-C) starts a drain — new
 ``/sweep`` requests get 503 while in-flight sweeps run to their next
@@ -54,8 +57,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--jobs",
         type=int,
-        default=1,
-        help="worker processes per cold sweep (Runner.sweep jobs=N)",
+        default=ServiceConfig().jobs,
+        help="resident worker processes every cold sweep simulates in, "
+        "forked at start-up with the environment they keep; 1 = simulate "
+        "in the sim threads (sharded sweeps always do) "
+        "(default: min(2, CPU count))",
     )
     parser.add_argument(
         "--max-concurrent",
@@ -78,6 +84,8 @@ def main(argv: list[str] | None = None) -> int:
         "(or finish) after SIGTERM/SIGINT before exiting",
     )
     args = parser.parse_args(argv)
+    if args.jobs < 1:
+        parser.error(f"--jobs must be at least 1, got {args.jobs}")
 
     config = ServiceConfig(
         records=args.records,

@@ -17,35 +17,48 @@ simulate and return the scalar measurements, the parent stores them in
 both cache layers.  Cache hits are resolved in the parent and never
 fork a worker, so a warm sweep costs the same as before.
 
-Workers are *resident*: a pool initializer installs the sweep's
-(prefetcher, records, machine) configuration once per process, and each
-worker keeps one :class:`SchemeContext` per workload — the trace
+Workers live in a :class:`WorkerPool`: a per-call one that
+``sweep_pairs`` forks for ``jobs=N``, or a resident one its caller owns
+across sweeps (the sweep service keeps one for its lifetime).  Every
+task carries its own (prefetcher, records, machine) configuration, so
+one worker serves any configuration, and each worker keeps a small LRU
+of :class:`SchemeContext` per (workload, records, machine) — the trace
 (memory-mapped from its ``.mmap`` sidecar), the lazily-built oracle and
-the memoised frontend plan are loaded at most once per worker, no
+the memoised frontend plan are loaded at most once per residency, no
 matter how many schemes the sweep pushes through that workload.
 Pending pairs are dispatched workload-major (sorted by workload, then
 scheme) so consecutive tasks land on whatever worker already has that
 workload resident.
 
-Warming: the parent builds nothing.  The first round of a parallel
-sweep pipelines a *warm* task one workload ahead of that workload's
-pairs: a worker builds (and disk-caches) the workload's trace, frontend
-plan and, when a pending pair consumes it, replacement pre-pass, and
-keeps the context resident.  When ``warm(w_k)`` completes the parent
-submits ``warm(w_k+1)`` and then ``w_k``'s pairs, so one CPU builds the
-next workload while the others simulate the current one, and every
-other worker mmaps the sidecars the warm wrote instead of redoing the
-work.  :meth:`Runner.context_for` warms through the same helper, so the
-serial and parallel paths build artifacts through one code path.
+Warming: the parent builds nothing.  The first round of a sweep on a
+per-call pool pipelines a *warm* task one workload ahead of that
+workload's pairs: a worker builds (and disk-caches) the workload's
+trace, frontend plan and, when a pending pair consumes it, replacement
+pre-pass, and keeps the context resident.  When ``warm(w_k)`` completes
+the parent submits ``warm(w_k+1)`` and then ``w_k``'s pairs, so one CPU
+builds the next workload while the others simulate the current one, and
+every other worker mmaps the sidecars the warm wrote instead of redoing
+the work.  A resident pool gets its pairs submitted directly: its
+sweeps are small (a service request's admitted pairs), and a warm round
+trip would hold every pair back behind it.  :meth:`Runner.context_for`
+warms through the same helper, so the serial and parallel paths build
+artifacts through one code path.
 """
 
 from __future__ import annotations
 
 import json
+import multiprocessing
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    CancelledError,
+    Future,
+    ProcessPoolExecutor,
+    wait,
+)
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
@@ -57,6 +70,7 @@ from repro.common.env import env_number
 from repro.frontend.plan import cached_plan, plan_kind
 from repro.harness.experiment import run_experiment, scaled_records
 from repro.harness.schemes import SchemeContext
+from repro.harness.shards import shard_window
 from repro.mem.prepass import PREPASS_SCHEMES, cached_replacement_prepass
 from repro.uarch.params import DEFAULT_MACHINE, MachineParams
 from repro.uarch.timing import RunResult
@@ -133,52 +147,59 @@ def _kill_pool_workers(pool: ProcessPoolExecutor) -> None:
             pass
 
 
-#: Per-process resident sweep state: the configuration the pool
-#: initializer installs plus one SchemeContext per workload seen, so a
-#: worker deserializes each workload's trace/plan/oracle at most once.
-_WORKER_STATE: Dict[str, object] = {}
+#: Every sweep pool forks: a worker inherits the parent's imports, where
+#: a spawned or forkserver worker would pay ~0.3 s of them.
+_FORK = multiprocessing.get_context("fork")
+
+#: What each task carries: the sweep's ``(prefetcher, records, machine)``.
+SweepConfig = Tuple[str, int, MachineParams]
+
+#: This worker's resident contexts by (workload, records, machine), in
+#: LRU order: each trace/plan/oracle is deserialized at most once per
+#: residency.
+_WORKER_CONTEXTS: "OrderedDict[tuple, SchemeContext]" = OrderedDict()
 
 #: Resident contexts kept per worker.  The pipelined first round runs
 #: warms one workload ahead of the pairs, so one worker can hold
 #: ``w_k-1`` (pairs still draining), ``w_k`` (its pairs now running) and
 #: ``w_k+1`` (just warmed) at once; a cap below 3 would evict one of
 #: them and deserialize that trace a second time.  Beyond that, the LRU
-#: bound keeps traces/oracles of long-finished workloads from pinning
-#: memory for the pool's lifetime.
+#: bound keeps traces/oracles of long-finished workloads (or of a
+#: service's earlier record counts) from pinning memory for the pool's
+#: lifetime.
 _WORKER_CONTEXT_CAP = 3
 
 
-def _sweep_worker_init(
-    prefetcher: str, records: int, machine: MachineParams
-) -> None:
-    """Install the sweep configuration in a freshly-spawned worker."""
-    _WORKER_STATE["prefetcher"] = prefetcher
-    _WORKER_STATE["records"] = records
-    _WORKER_STATE["machine"] = machine
-    _WORKER_STATE["contexts"] = OrderedDict()
-    # Fault arrival counters are per-process; a forked worker must count
-    # its own arrivals, not inherit the parent's.
+def _worker_init() -> None:
+    """Start a forked worker with no contexts and its own fault counters.
+
+    Fault arrival counters are per-process; a forked worker must count
+    its own arrivals, not inherit the parent's.
+    """
+    _WORKER_CONTEXTS.clear()
     faults.reset()
 
 
-def _worker_context(workload: str) -> SchemeContext:
-    """This worker's resident context for ``workload``.
+def _worker_context(
+    workload: str, records: int, machine: MachineParams
+) -> SchemeContext:
+    """This worker's resident context for one workload configuration.
 
     Built at most once per residency: the small LRU bound only evicts a
     workload the dispatch order has moved past, so the
     one-deserialization-per-worker property holds for workload-major
     sweeps while memory stays bounded for arbitrary ones.
     """
-    contexts: "OrderedDict[str, SchemeContext]" = _WORKER_STATE["contexts"]
-    ctx = contexts.get(workload)
+    key = (workload, records, machine)
+    ctx = _WORKER_CONTEXTS.get(key)
     if ctx is None:
-        trace = get_workload(workload).trace(records=_WORKER_STATE["records"])
-        ctx = SchemeContext(trace=trace, machine=_WORKER_STATE["machine"])
-        contexts[workload] = ctx
-        while len(contexts) > _WORKER_CONTEXT_CAP:
-            contexts.popitem(last=False)
+        trace = get_workload(workload).trace(records=records)
+        ctx = SchemeContext(trace=trace, machine=machine)
+        _WORKER_CONTEXTS[key] = ctx
+        while len(_WORKER_CONTEXTS) > _WORKER_CONTEXT_CAP:
+            _WORKER_CONTEXTS.popitem(last=False)
     else:
-        contexts.move_to_end(workload)
+        _WORKER_CONTEXTS.move_to_end(key)
     return ctx
 
 
@@ -197,7 +218,7 @@ def _warm_artifacts(
         cached_replacement_prepass(ctx.trace)
 
 
-def _warm_worker(workload: str, prepass: bool) -> None:
+def _warm_worker(config: SweepConfig, workload: str, prepass: bool) -> None:
     """Warm ``workload`` in a resident worker.
 
     Builds the trace and the shared artifacts once, writes them to the
@@ -205,15 +226,14 @@ def _warm_worker(workload: str, prepass: bool) -> None:
     resident for the pairs this worker picks up next.  Deliberately
     does not fire the ``worker`` fault site: its ordinals count pairs.
     """
-    _warm_artifacts(
-        _worker_context(workload),
-        _WORKER_STATE["prefetcher"],
-        _WORKER_STATE["machine"],
-        prepass,
-    )
+    prefetcher, records, machine = config
+    ctx = _worker_context(workload, records, machine)
+    _warm_artifacts(ctx, prefetcher, machine, prepass)
 
 
-def _sweep_worker(pair: Tuple[str, str]) -> Tuple[str, str, Dict[str, object]]:
+def _sweep_worker(
+    config: SweepConfig, pair: Tuple[str, str]
+) -> Tuple[str, str, Dict[str, object]]:
     """Simulate one (workload, scheme) pair in a resident worker process.
 
     Runs uncached (the parent already filtered cache hits) and returns
@@ -221,17 +241,73 @@ def _sweep_worker(pair: Tuple[str, str]) -> Tuple[str, str, Dict[str, object]]:
     process boundary.  The trace/oracle context and the memoised
     frontend plan persist in the worker across pairs.
     """
+    prefetcher, records, machine = config
     workload, scheme = pair
     faults.fire("worker")
     run = run_experiment(
         workload,
         scheme,
-        prefetcher=_WORKER_STATE["prefetcher"],
-        records=_WORKER_STATE["records"],
-        machine=_WORKER_STATE["machine"],
-        context=_worker_context(workload),
+        prefetcher=prefetcher,
+        records=records,
+        machine=machine,
+        context=_worker_context(workload, records, machine),
     ).run
     return workload, scheme, {k: getattr(run, k) for k in _SCALAR_FIELDS}
+
+
+class WorkerPool:
+    """Forked sweep workers, owned across sweeps, replaced when broken.
+
+    :meth:`Runner.sweep_pairs` runs its pairs in a pool: a per-call one
+    it forks itself for ``jobs > 1``, or a *resident* one its caller
+    passes in and keeps (the sweep service holds one for its lifetime).
+    A pool forks every worker when it is built, so its owner decides
+    when the fork happens — before it starts any thread.  Workers keep
+    the environment and module state they were forked with.
+
+    The supervision loop (:meth:`Runner._sweep_parallel`) kills and
+    replaces a broken or hung pool through :meth:`replace`.  Sweeps
+    that share a pool and all see it break replace it once.
+    """
+
+    def __init__(self, jobs: int) -> None:
+        if jobs <= 0:
+            raise ValueError(f"jobs must be positive, got {jobs}")
+        self.jobs = jobs
+        #: Broken or hung executors killed and forked anew.
+        self.replacements = 0
+        self._lock = threading.Lock()
+        self._closed = False
+        self.executor = self._fork()
+
+    def _fork(self) -> ProcessPoolExecutor:
+        executor = ProcessPoolExecutor(
+            max_workers=self.jobs, mp_context=_FORK, initializer=_worker_init
+        )
+        # A fork pool starts all its workers on its first task.
+        executor.submit(int).result()
+        return executor
+
+    def replace(self, broken: ProcessPoolExecutor) -> None:
+        """Kill ``broken`` and fork its successor, unless that is done.
+
+        A closed pool forks no successor: its sweeps' retries then fail.
+        """
+        with self._lock:
+            if broken is not self.executor or self._closed:
+                return
+            _kill_pool_workers(broken)
+            broken.shutdown(wait=False, cancel_futures=True)
+            self.executor = self._fork()
+            self.replacements += 1
+
+    def close(self, kill: bool = False) -> None:
+        """Stop the workers: wait for them, or SIGKILL them with ``kill``."""
+        with self._lock:
+            self._closed = True
+        if kill:
+            _kill_pool_workers(self.executor)
+        self.executor.shutdown(wait=not kill, cancel_futures=True)
 
 
 class Runner:
@@ -477,6 +553,7 @@ class Runner:
         on_result: Optional[ResultCallback] = None,
         on_shard: Optional[ShardCallback] = None,
         should_stop: Optional[Callable[[], bool]] = None,
+        pool: Optional[WorkerPool] = None,
     ) -> Dict[Tuple[str, str], RunResult]:
         """Run an explicit pair list; returns {(workload, scheme): result}.
 
@@ -484,18 +561,20 @@ class Runner:
         the sweep service admits exactly the pairs no other request is
         already simulating, which is rarely a full grid.
 
-        ``jobs`` > 1 simulates uncached pairs in that many *resident*
-        worker processes (default: the ``REPRO_JOBS`` environment
-        variable, falling back to serial): a pool initializer installs
-        the sweep configuration once per process, each worker keeps a
-        per-workload :class:`SchemeContext` alive across pairs, and
-        pending pairs are dispatched workload-major so consecutive
-        tasks reuse whatever a worker already has resident.  The parent
-        builds no artifact: each workload's trace, plan and pre-pass
-        are warmed by a task in the pool, submitted one workload ahead
-        of that workload's pairs (see :meth:`_sweep_parallel`), so the
+        ``pool`` runs every uncached pair in a resident
+        :class:`WorkerPool` the caller owns, however few there are;
+        ``jobs`` is then unused.  Without one, ``jobs`` > 1 forks a
+        per-call pool of that many workers (default: the ``REPRO_JOBS``
+        environment variable, falling back to serial) for two or more
+        uncached pairs.  Each worker keeps a per-workload
+        :class:`SchemeContext` alive across pairs, and pending pairs are
+        dispatched workload-major so consecutive tasks reuse whatever a
+        worker already has resident.  The parent builds no artifact: on
+        a per-call pool each workload's trace, plan and pre-pass are
+        warmed by a task in the pool, submitted one workload ahead of
+        that workload's pairs (see :meth:`_sweep_parallel`), so the
         first results arrive after one workload's warm rather than
-        after all of them.  Cache hits never fork a worker.  Results
+        after all of them.  Cache hits never reach a worker.  Results
         are identical to the serial sweep: the engine is deterministic
         and workers only return scalar measurements, which the parent
         installs in both cache layers.
@@ -508,29 +587,31 @@ class Runner:
         Crash safety (``tests/test_fault_injection.py`` pins recovered
         sweeps scalar-identical to undisturbed ones): dead workers (the
         pool breaks) and hung pools (no completion within
-        ``REPRO_SWEEP_TIMEOUT`` seconds) are killed and their
-        unfinished pairs requeued into a rebuilt pool with exponential
-        backoff, each pair at most ``REPRO_SWEEP_RETRIES`` times — but
-        a pair that fails with a *deterministic* error (anything other
-        than a dead pool or an injected fault) raises immediately, with
-        the worker's original exception chained as ``__cause__``.
-        Every finished pair is in the result cache (fsynced) before
-        ``on_result`` fires, so recovering from a crashed sweep
-        is rerunning it: finished pairs are served from disk and only
-        the rest are simulated — with ``REPRO_SHARD_WINDOW``, a pair
-        that died mid-run restarts from its last shard-ledger boundary.
-        Without the disk cache nothing survives the process.
+        ``REPRO_SWEEP_TIMEOUT`` seconds) are killed and replaced through
+        the pool's owner, and their unfinished pairs requeued with
+        exponential backoff, each pair at most ``REPRO_SWEEP_RETRIES``
+        times — but a pair that fails with a *deterministic* error
+        (anything other than a dead pool or an injected fault) raises
+        immediately, with the worker's original exception chained as
+        ``__cause__``.  Every finished pair is in the result cache
+        (fsynced) before ``on_result`` fires, so recovering from a
+        crashed sweep is rerunning it: finished pairs are served from
+        disk and only the rest are simulated — with
+        ``REPRO_SHARD_WINDOW``, a pair that died mid-run restarts from
+        its last shard-ledger boundary.  Without the disk cache nothing
+        survives the process.
 
-        With sharded execution on (``REPRO_SHARD_WINDOW``), the serial
-        path additionally honours ``on_shard`` (per-boundary progress,
-        ``(workload, scheme, shard, done, total)``) and ``should_stop``
-        (the graceful-drain poll: when it reports true at a boundary,
-        the sweep stops with
+        With sharded execution on (``REPRO_SHARD_WINDOW``), a sweep
+        given a resident ``pool`` runs serially in this thread instead,
+        because the two hooks below are in-process: ``on_shard``
+        (per-boundary progress, ``(workload, scheme, shard, done,
+        total)``) and ``should_stop`` (the graceful-drain poll: when it
+        reports true at a boundary, the sweep stops with
         :class:`~repro.harness.shards.DrainRequested`, the pair's shard
         ledger persisted, so a re-sweep continues from exactly there).
-        Pool workers run in other processes, so the parallel path
-        ignores both hooks — shards there still ledger and resume via the
-        environment, they just don't report into this process.
+        A per-call pool ignores both hooks — shards there still ledger
+        and resume via the environment, they just don't report into
+        this process.
         """
         pairs = list(pairs)
         if jobs is None:
@@ -547,8 +628,16 @@ class Runner:
         # scheme): consecutive tasks share a workload, so resident
         # workers keep reusing the trace/plan/oracle they already hold
         # instead of faulting a new workload in per pair.
-        if jobs > 1 and len(pending) > 1:
-            self._sweep_parallel(pending, jobs, on_result)
+        if pool is not None and pending and shard_window() <= 0:
+            self._sweep_parallel(pending, pool, on_result, warm=False)
+        elif pool is None and jobs > 1 and len(pending) > 1:
+            owned = WorkerPool(min(jobs, len(pending)))
+            try:
+                self._sweep_parallel(pending, owned, on_result, warm=True)
+            except BaseException:
+                owned.close(kill=True)  # fail fast: don't drain it
+                raise
+            owned.close()
         else:
             for workload, scheme in pending:
                 result = self.run(
@@ -561,18 +650,21 @@ class Runner:
     def _sweep_parallel(
         self,
         pending: List[Tuple[str, str]],
-        jobs: int,
-        on_result: Optional[ResultCallback] = None,
+        pool: WorkerPool,
+        on_result: Optional[ResultCallback],
+        warm: bool,
     ) -> None:
-        """Supervised parallel execution of ``pending`` pairs.
+        """Supervised execution of ``pending`` pairs in ``pool``.
 
-        The first round pipelines warm tasks (:func:`_warm_worker`) one
-        workload ahead of the pairs: it submits ``warm(w_1)``, and when
-        ``warm(w_k)`` completes it submits ``warm(w_k+1)`` and then
-        ``w_k``'s pairs, still workload-major.  Each later round
-        submits its requeued pairs directly; a worker rebuilds whatever
-        artifact is missing on its own (concurrent builds of one entry
-        are safe: every writer commits through its own temp file).
+        With ``warm`` (a per-call pool) the first round pipelines warm
+        tasks (:func:`_warm_worker`) one workload ahead of the pairs: it
+        submits ``warm(w_1)``, and when ``warm(w_k)`` completes it
+        submits ``warm(w_k+1)`` and then ``w_k``'s pairs, still
+        workload-major.  Without it (a resident pool) the first round,
+        and with it each later round, submits its pairs directly; a
+        worker rebuilds whatever artifact is missing on its own
+        (concurrent builds of one entry are safe: every writer commits
+        through its own temp file).
         Completions are collected as they arrive.  Three *transient*
         failure classes are retried:
 
@@ -581,27 +673,32 @@ class Runner:
           requeue just that pair, or for a warm task that workload's
           pairs (the next warm still goes out);
         * a *dead worker* (``BrokenProcessPool``: someone was killed,
-          e.g. OOM) — the executor is unusable, requeue all unfinished;
-        * a *hung pool* (no pair or warm completed within the
-          ``REPRO_SWEEP_TIMEOUT`` progress deadline) — SIGKILL the
-          workers (they are non-daemonic and would otherwise keep the
-          interpreter alive), requeue all unfinished.
+          e.g. OOM; or a task cancelled because a sweep sharing the pool
+          replaced it) — the executor is unusable: it is replaced
+          through ``pool`` and all unfinished pairs requeue;
+        * a *hung pool* (no pair or warm of this sweep completed within
+          the ``REPRO_SWEEP_TIMEOUT`` progress deadline) — the workers
+          are SIGKILLed (they are non-daemonic and would otherwise keep
+          the interpreter alive) and replaced the same way.
 
         Any *other* exception out of a worker is a deterministic
         simulation error — the engine is deterministic, so re-running
         the pair would reproduce the same crash ``REPRO_SWEEP_RETRIES``
-        times and then lose the traceback.  Those fail fast: the pool
-        is killed and a ``RuntimeError`` naming the pair (or the
-        workload, for a warm task) raises with the worker's original
-        exception chained as ``__cause__``.
+        times and then lose the traceback.  Those fail fast: this
+        sweep's queued tasks are cancelled (:meth:`sweep_pairs` kills a
+        per-call pool; a resident one keeps serving other sweeps) and a
+        ``RuntimeError`` naming the pair (or the workload, for a warm
+        task) raises with the worker's original exception chained as
+        ``__cause__``.
 
-        Requeued pairs retry in a rebuilt pool after exponential
-        backoff; a pair that fails more than ``REPRO_SWEEP_RETRIES``
-        times raises (chaining the last exception seen for that pair,
-        if any), so even an injected crash cannot loop forever.
+        Requeued pairs retry after exponential backoff; a pair that
+        fails more than ``REPRO_SWEEP_RETRIES`` times raises (chaining
+        the last exception seen for that pair, if any), so even an
+        injected crash cannot loop forever.
         """
         timeout = _sweep_timeout()
         retries = _sweep_retries()
+        config: SweepConfig = (self.prefetcher, self.records, self.machine)
         prepass_workloads = {w for w, s in pending if s in PREPASS_SCHEMES}
         attempts: Dict[Tuple[str, str], int] = {}
         last_exc: Dict[Tuple[str, str], BaseException] = {}
@@ -611,24 +708,22 @@ class Runner:
             round_number += 1
             if round_number > 1:
                 time.sleep(min(0.1 * 2 ** (round_number - 2), 2.0))
-            pool = ProcessPoolExecutor(
-                max_workers=min(jobs, len(queue)),
-                initializer=_sweep_worker_init,
-                initargs=(self.prefetcher, self.records, self.machine),
-            )
+            executor = pool.executor
             futures: Dict[Future, Tuple[str, str]] = {}
             warms: Dict[Future, str] = {}
             remaining: Set[Future] = set()
             broken = False
 
             def submit(fn, *args) -> Optional[Future]:
-                """Submit to the pool; None once it is broken or dead."""
+                """Submit to the executor; None once it is broken or gone."""
                 nonlocal broken
                 if broken:
                     return None
                 try:
-                    future = pool.submit(fn, *args)
-                except BrokenProcessPool:
+                    future = executor.submit(fn, config, *args)
+                except (BrokenProcessPool, RuntimeError):
+                    # RuntimeError: a sweep sharing the pool has already
+                    # shut this executor down to replace it.
                     broken = True
                     return None
                 remaining.add(future)
@@ -653,12 +748,12 @@ class Runner:
                 del held[workload]
 
             # Pairs held back until their workload's warm completes, in
-            # workload-major order.  Only the first round warms; retry
-            # rounds submit their pairs directly.
+            # workload-major order.  Only a warming sweep's first round
+            # warms; every other round submits its pairs directly.
             held: Dict[str, List[Tuple[str, str]]] = {}
             for pair in queue:
                 held.setdefault(pair[0], []).append(pair)
-            if round_number == 1:
+            if round_number == 1 and warm:
                 to_warm = iter(list(held))
                 warm_next()
             else:
@@ -683,7 +778,7 @@ class Runner:
                             workload = warms[future]
                             try:
                                 future.result()
-                            except BrokenProcessPool as exc:
+                            except (BrokenProcessPool, CancelledError) as exc:
                                 broken = True  # held pairs requeue below
                                 for pair in held[workload]:
                                     last_exc[pair] = exc
@@ -694,7 +789,6 @@ class Runner:
                                 warm_next()
                             except Exception as exc:
                                 fatal = (f"warm-up of workload {workload!r}", exc)
-                                broken = True  # kill the pool, don't drain it
                             else:
                                 warm_next()
                                 release(workload)
@@ -702,7 +796,7 @@ class Runner:
                             pair = futures[future]
                             try:
                                 workload, scheme, scalars = future.result()
-                            except BrokenProcessPool as exc:
+                            except (BrokenProcessPool, CancelledError) as exc:
                                 broken = True
                                 last_exc[pair] = exc
                                 failed.append(pair)
@@ -711,7 +805,6 @@ class Runner:
                                 failed.append(pair)
                             except Exception as exc:
                                 fatal = (f"pair {pair}", exc)
-                                broken = True  # kill the pool, don't drain it
                             else:
                                 result = RunResult(**scalars)
                                 self._admit(workload, scheme, result)
@@ -719,10 +812,14 @@ class Runner:
                                     on_result(workload, scheme, result)
                         if fatal is not None:
                             break
+                    if fatal is not None:
+                        break
             finally:
                 if broken:
-                    _kill_pool_workers(pool)
-                pool.shutdown(wait=not broken, cancel_futures=True)
+                    pool.replace(executor)
+                else:
+                    for future in remaining:
+                        future.cancel()
             if fatal is not None:
                 what, exc = fatal
                 raise RuntimeError(

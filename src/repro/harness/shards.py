@@ -65,7 +65,9 @@ from repro.common.faults import fire
 #: Bump when the ledger entry or state layout changes; older files are
 #: discarded (the run restarts from record 0 — a cost, not a bug).
 #: Format 2: the engine state is one pickle of its collaborators.
-SHARD_FORMAT = 2
+#: Format 3: that pickle names the trace and the oracle through
+#: placeholder globals instead of persistent ids.
+SHARD_FORMAT = 3
 
 #: How many boundary-state files a ledger keeps: the newest (normal
 #: resume) and its predecessor (fallback when the newest is mangled).

@@ -5,13 +5,25 @@ not.  A ``POST /sweep`` request is partitioned by the admission table
 (:mod:`repro.service.admission`) into warm pairs (served straight out
 of the runner's fingerprinted result cache), in-flight pairs (joined to
 the future some concurrent request already owns) and admitted pairs —
-only the last are queued, through ``Runner.sweep_pairs`` running in a
+only the last are queued, through ``Runner.sweep_pairs`` called from a
 small thread pool gated by a semaphore (``REPRO_SERVICE_CONCURRENCY``
-sweeps at a time; each sweep may itself fan out across ``jobs`` worker
-processes).  A request whose cold work would exceed ``max_queue``
+sweeps at a time).  A request whose cold work would exceed ``max_queue``
 pending sweeps is refused with 503 before any simulation starts — the
 admission-control analogue of ACIC bypassing a line the predictor says
 is not worth caching.
+
+Simulation runs off the server's GIL: the service forks a resident
+:class:`~repro.harness.runner.WorkerPool` of ``ServiceConfig.jobs``
+processes when it is built, before it starts any thread, and every
+admitted pair of every sweep runs there — the sim slots share that one
+pool, and their threads only wait on it and install the results.  Each
+worker keeps the environment and module state it was forked with, so
+``REPRO_*`` settings must be in place before the service is built.
+With ``jobs=1`` there is no pool and sweeps simulate in the sim thread;
+sharded sweeps (``REPRO_SHARD_WINDOW``) do too, because their progress
+events and drain polls are in-process hooks.  A broken or hung pool is
+killed and replaced by the supervision loop of ``Runner.sweep_pairs``;
+shutdown stops the workers, so none outlives the server.
 
 Endpoints::
 
@@ -42,16 +54,17 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
 import signal
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from threading import Event as ThreadEvent, Thread
 from typing import Dict, List, Optional, Tuple
 
 from repro.common.env import env_number
 from repro.harness.experiment import scaled_records
-from repro.harness.runner import Runner
+from repro.harness.runner import Runner, WorkerPool
 from repro.harness.schemes import available_schemes
 from repro.harness.shards import DrainRequested
 from repro.service.admission import Admission, Pair
@@ -86,9 +99,9 @@ RUNNER_POOL_CAP = 4
 def _service_concurrency() -> int:
     """Concurrent ``Runner.sweep_pairs`` calls (REPRO_SERVICE_CONCURRENCY).
 
-    Each slot is one sweeping thread (which may itself drive ``jobs``
-    worker processes); two slots let a short request overtake a long
-    one without oversubscribing the machine by default.
+    Each slot is one sweeping thread; with a worker pool the slots'
+    sweeps share its ``jobs`` processes.  Two slots let a short request
+    overtake a long one without oversubscribing the machine by default.
     """
     return env_number("REPRO_SERVICE_CONCURRENCY", 2, 1)
 
@@ -100,8 +113,10 @@ class ServiceConfig:
     #: Default trace length for requests that omit ``records``
     #: (None = the harness default, honouring ``REPRO_SCALE``).
     records: Optional[int] = None
-    #: Worker processes per cold sweep (``Runner.sweep_pairs(jobs=)``).
-    jobs: int = 1
+    #: Resident worker processes every cold sweep simulates in, forked
+    #: when the service is built (each keeps the environment it was
+    #: forked with); 1 = no pool, sweeps simulate in the sim thread.
+    jobs: int = field(default_factory=lambda: min(2, os.cpu_count() or 1))
     #: Concurrent sweeps; None = ``REPRO_SERVICE_CONCURRENCY`` (or 2).
     max_concurrent_sweeps: Optional[int] = None
     #: Cold sweeps allowed in flight/queued before requests that would
@@ -125,6 +140,11 @@ class SweepService:
 
     def __init__(self, config: Optional[ServiceConfig] = None) -> None:
         self.config = config or ServiceConfig()
+        #: The resident worker pool, forked here before any sim thread
+        #: exists; None when ``jobs`` is 1.
+        self.workers: Optional[WorkerPool] = (
+            WorkerPool(self.config.jobs) if self.config.jobs > 1 else None
+        )
         self.admission = Admission()
         slots = self.config.concurrency()
         self._sim_slots = asyncio.Semaphore(slots)
@@ -148,7 +168,14 @@ class SweepService:
         )
 
     def close(self) -> None:
+        """Stop the sim threads and the workers; idempotent.
+
+        Workers still simulating (a drain that timed out) are killed;
+        idle ones are shut down and reaped.
+        """
         self._sim_pool.shutdown(wait=False, cancel_futures=True)
+        if self.workers is not None:
+            self.workers.close(kill=self._cold_sweeps > 0)
 
     # -- graceful drain -----------------------------------------------------
 
@@ -215,7 +242,8 @@ class SweepService:
     ) -> None:
         """Queue one request's admitted pairs through ``sweep_pairs``.
 
-        Runs in a sim-pool thread behind the concurrency semaphore.
+        Runs in a sim-pool thread behind the concurrency semaphore; the
+        pairs simulate in the resident worker pool when there is one.
         Per-pair completions resolve the in-flight futures as they land
         (threadsafe hop back onto the loop); pairs the sweep satisfied
         from a cache layer instead of ``on_result`` are resolved from
@@ -253,10 +281,11 @@ class SweepService:
                     self._sim_pool,
                     lambda: runner.sweep_pairs(
                         admitted,
-                        jobs=self.config.jobs,
+                        jobs=1,
                         on_result=on_result,
                         on_shard=on_shard,
                         should_stop=lambda: self.draining,
+                        pool=self.workers,
                     ),
                 )
             for pair in admitted:
@@ -352,6 +381,9 @@ class SweepService:
                     "in_flight_pairs": self.admission.in_flight(),
                     "cold_sweeps": self._cold_sweeps,
                     "runners": len(self._runners),
+                    "pool_replacements": (
+                        self.workers.replacements if self.workers else 0
+                    ),
                 },
             )
         elif path == "/schemes" and method == "GET":

@@ -154,12 +154,25 @@ _FRESH_COUNTERS = (0.0, 0.0, 0, 0, 0, 0, 0.0, 0, 0, 0, 0)
 _MODE = "pickled"
 
 
+def _trace_ref():
+    """Stands in for the run's trace in a capture."""
+    raise pickle.UnpicklingError("a trace reference resolves only on resume")
+
+
+def _oracle_ref():
+    """Stands in for the run's next-use oracle in a capture."""
+    raise pickle.UnpicklingError("an oracle reference resolves only on resume")
+
+
 class _GraphPickler(pickle.Pickler):
     """Pickles a run's collaborators, keeping what the run owns by reference.
 
     The trace and the next-use oracle are built from the run's identity,
-    not from the simulation, so a capture stores each as a persistent id
-    and never its bytes.
+    not from the simulation, so a capture stores each as a call to a
+    placeholder (:func:`_trace_ref`, :func:`_oracle_ref`) and never its
+    bytes.  ``reducer_override`` sees only objects the C pickler has no
+    fast path for (ints, strs, lists, dicts, tuples and sets skip it),
+    so the per-object Python call is paid by class instances alone.
     """
 
     def __init__(self, file, trace: Trace) -> None:
@@ -167,13 +180,37 @@ class _GraphPickler(pickle.Pickler):
         self.trace = trace
         self.oracles = []
 
-    def persistent_id(self, obj):
+    def reducer_override(self, obj):
         if obj is self.trace:
-            return "trace"
+            return _trace_ref, ()
         if isinstance(obj, NextUseOracle):
             self.oracles.append(obj)
-            return "oracle"
-        return None
+            return _oracle_ref, ()
+        return NotImplemented
+
+
+def _held_oracle(scheme) -> Optional[NextUseOracle]:
+    """The next-use oracle ``scheme`` holds, searched through attributes.
+
+    Follows instance attributes only (no containers, classes or
+    modules): oracle-backed schemes keep it on themselves or on a
+    policy or decider they own.
+    """
+    stack, seen = [scheme], set()
+    while stack:
+        obj = stack.pop()
+        if isinstance(obj, NextUseOracle):
+            return obj
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        stack.extend(
+            value
+            for value in getattr(obj, "__dict__", {}).values()
+            if type(value).__module__ != "builtins"
+            and hasattr(value, "__dict__")
+        )
+    return None
 
 
 class _GraphUnpickler(pickle.Unpickler):
@@ -183,24 +220,25 @@ class _GraphUnpickler(pickle.Unpickler):
         super().__init__(file)
         self.trace = trace
         self.scheme = scheme
-        self.oracle = None
+
+    def find_class(self, module, name):
+        if module == __name__ and name == "_trace_ref":
+            return lambda: self.trace
+        if module == __name__ and name == "_oracle_ref":
+            return self._fresh_oracle
+        return super().find_class(module, name)
 
     def persistent_load(self, pid):
-        if pid == "trace":
-            return self.trace
-        if pid == "oracle":
-            if self.oracle is None:
-                # The fresh scheme's own oracle, found as a capture finds it.
-                finder = _GraphPickler(io.BytesIO(), self.trace)
-                finder.dump(self.scheme)
-                if not finder.oracles:
-                    raise ValueError(
-                        "resume state references a next-use oracle; the "
-                        "scheme passed in has none"
-                    )
-                self.oracle = finder.oracles[0]
-            return self.oracle
         raise pickle.UnpicklingError(f"unknown persistent id {pid!r}")
+
+    def _fresh_oracle(self) -> NextUseOracle:
+        oracle = _held_oracle(self.scheme)
+        if oracle is None:
+            raise ValueError(
+                "resume state references a next-use oracle; the "
+                "scheme passed in has none"
+            )
+        return oracle
 
 
 def _restore(

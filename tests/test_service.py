@@ -12,7 +12,17 @@ The acceptance properties this file pins:
   degrades to a retried/rebuilt job with identical scalars — never a
   hung connection;
 * a sweep that genuinely fails turns into an HTTP 500 / stream error
-  event with the in-flight table left clean.
+  event with the in-flight table left clean;
+* no resident pool worker outlives its server.
+
+Each server test runs on both execution paths: ``TestServer`` against a
+resident pool of two worker processes (the default), and
+``TestServerInThread`` against ``jobs=1`` (sims in the server's sim
+thread); the ``service`` fixture reads the path from the class.  Pool
+workers keep the environment they were forked with, so a test sets
+every ``REPRO_*`` variable before its server starts; tests that patch
+code in-process run on ``jobs=1`` only, beside a pool-path twin that
+checks the same property from outside.
 
 Every test runs against an isolated temporary result cache, so the
 repo's ``.cache/results`` is never written.
@@ -21,10 +31,16 @@ repo's ``.cache/results`` is never written.
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
 import random
+import signal
+import subprocess
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 
@@ -149,12 +165,29 @@ class TestProtocol:
 
 
 @pytest.fixture()
-def service():
-    with ServiceThread(ServiceConfig(records=RECORDS)) as svc:
+def service(request):
+    """A server on the test class's execution path (its ``JOBS``)."""
+    config = ServiceConfig(records=RECORDS, jobs=request.cls.JOBS)
+    with ServiceThread(config) as svc:
         yield ServiceClient(port=svc.port)
 
 
+@pytest.fixture()
+def thread_service():
+    """A ``jobs=1`` server, for tests that patch code in-process."""
+    with ServiceThread(ServiceConfig(records=RECORDS, jobs=1)) as svc:
+        yield ServiceClient(port=svc.port)
+
+
+def _pool_pids() -> set:
+    return {p.pid for p in multiprocessing.active_children()}
+
+
 class TestServer:
+    #: Worker processes of the server under test: the default path, a
+    #: resident pool.  ``TestServerInThread`` reruns the class at 1.
+    JOBS = 2
+
     def test_cold_then_warm_matches_direct_sweep(self, service):
         expected = _direct()
         cold = service.sweep(WORKLOADS, SCHEMES)
@@ -179,8 +212,11 @@ class TestServer:
             time.sleep(0.01)
         assert service.health()["cold_sweeps"] == 0
 
-    def test_duplicate_requests_cost_one_sim_per_pair(self, service, monkeypatch):
+    def test_duplicate_requests_cost_one_sim_per_pair(
+        self, thread_service, monkeypatch
+    ):
         """N clients asking the same cold grid -> each pair simulated once."""
+        service = thread_service
         expected = _direct()
         simulated = []
         lock = threading.Lock()
@@ -208,6 +244,32 @@ class TestServer:
             "simulation per distinct pair"
         )
 
+    def test_duplicate_requests_cost_one_sim_per_pair_on_pool(self):
+        """The pool-path twin, counted by the server: every pair is
+        admitted (handed to the pool) exactly once, and every other
+        request for it joins that simulation or reads its result."""
+        expected = _direct()
+        clients = 6
+        with ServiceThread(ServiceConfig(records=RECORDS, jobs=2)) as svc:
+            service = ServiceClient(port=svc.port)
+            with ThreadPoolExecutor(max_workers=clients) as pool:
+                responses = list(
+                    pool.map(
+                        lambda _: service.sweep(WORKLOADS, SCHEMES),
+                        range(clients),
+                    )
+                )
+            stats = service.health()["stats"]
+        for response in responses:
+            assert response["results"] == expected
+        assert stats["admitted"] == len(expected), (
+            "concurrent identical requests must dedupe to exactly one "
+            "simulation per distinct pair"
+        )
+        assert stats["dedup_hits"] + stats["warm_hits"] == (
+            (clients - 1) * len(expected)
+        )
+
     def test_server_matches_direct_sweep_every_scheme_20k(self, tmp_path, monkeypatch):
         """Every registered scheme, 20k records: server == direct sweep.
 
@@ -222,7 +284,7 @@ class TestServer:
             pair_token(w, s): _scalars(r)
             for (w, s), r in direct.sweep((workload,), schemes).items()
         }
-        with ServiceThread(ServiceConfig(records=records)) as svc:
+        with ServiceThread(ServiceConfig(records=records, jobs=2)) as svc:
             response = ServiceClient(port=svc.port).sweep((workload,), schemes)
         assert response["results"] == expected
         assert set(response["sources"].values()) == {"simulated"}
@@ -275,10 +337,10 @@ class TestServer:
             service.sweep(["x264"] * 20_000, ["lru"])
         assert excinfo.value.status == 413
 
-    def test_full_queue_rejects_cold_but_serves_warm(self, tmp_path):
+    def test_full_queue_rejects_cold_but_serves_warm(self):
         """max_queue=0: cold work is refused up front, warm still flows."""
         with ServiceThread(
-            ServiceConfig(records=RECORDS, max_queue=0)
+            ServiceConfig(records=RECORDS, jobs=self.JOBS, max_queue=0)
         ) as svc:
             client = ServiceClient(port=svc.port)
             with pytest.raises(ServiceError) as excinfo:
@@ -296,25 +358,34 @@ class TestServer:
             warm = client.sweep(WORKLOADS, SCHEMES)
             assert set(warm["sources"].values()) == {"warm"}
 
-    def test_runner_pool_stays_bounded(self, service, tmp_path, monkeypatch):
+    def test_runner_pool_stays_bounded(self, tmp_path, monkeypatch):
         """More distinct configurations than the pool holds: the pool
         stays bounded, responses stay exact, and an evicted
         configuration is served warm from the disk result cache."""
+        # Before the server starts: pool workers keep the environment
+        # they were forked with, and these record counts are not in the
+        # committed trace/plan caches.
         for var in ("REPRO_TRACE_CACHE", "REPRO_PLAN_CACHE"):
             monkeypatch.setenv(var, str(tmp_path / var.lower()))
-        grid = (("x264",), ("lru",))
-        counts = [RECORDS + i for i in range(RUNNER_POOL_CAP + 2)]
-        for records in counts:
-            response = service.sweep(*grid, records=records)
-            assert response["results"] == _direct(*grid, records=records)
-            assert set(response["sources"].values()) == {"simulated"}
-            assert service.health()["runners"] <= RUNNER_POOL_CAP
-        evicted = counts[0]
-        again = service.sweep(*grid, records=evicted)
-        assert again["results"] == _direct(*grid, records=evicted)
-        assert set(again["sources"].values()) == {"warm"}
+        config = ServiceConfig(records=RECORDS, jobs=self.JOBS)
+        with ServiceThread(config) as svc:
+            service = ServiceClient(port=svc.port)
+            grid = (("x264",), ("lru",))
+            counts = [RECORDS + i for i in range(RUNNER_POOL_CAP + 2)]
+            for records in counts:
+                response = service.sweep(*grid, records=records)
+                assert response["results"] == _direct(*grid, records=records)
+                assert set(response["sources"].values()) == {"simulated"}
+                assert service.health()["runners"] <= RUNNER_POOL_CAP
+            evicted = counts[0]
+            again = service.sweep(*grid, records=evicted)
+            assert again["results"] == _direct(*grid, records=evicted)
+            assert set(again["sources"].values()) == {"warm"}
 
-    def test_failed_sweep_returns_500_and_clears_inflight(self, service, monkeypatch):
+    def test_failed_sweep_returns_500_and_clears_inflight(
+        self, thread_service, monkeypatch
+    ):
+        service = thread_service
         def poisoned(ctx):
             raise ValueError("poisoned scheme factory")
 
@@ -339,6 +410,44 @@ class TestServer:
         assert events[-1]["event"] == "error"
         assert "sweep failed" in events[-1]["error"]
 
+    def test_failed_sweep_returns_500_and_clears_inflight_on_pool(
+        self, monkeypatch
+    ):
+        """The pool-path twin: armed before the fork, a worker kill with
+        no retry budget fails every sweep, in every replacement pool."""
+        monkeypatch.setenv("REPRO_FAULT", "worker:kill@1")
+        monkeypatch.setenv("REPRO_SWEEP_RETRIES", "0")
+        with ServiceThread(ServiceConfig(records=RECORDS, jobs=2)) as svc:
+            service = ServiceClient(port=svc.port)
+            with pytest.raises(ServiceError) as excinfo:
+                service.sweep(["x264"], ["lru"])
+            assert excinfo.value.status == 500
+            assert "sweep failed" in excinfo.value.message
+            health = service.health()
+            assert health["stats"]["errors"] >= 1
+            assert health["pool_replacements"] >= 1
+            assert health["in_flight_pairs"] == 0, (
+                "a failed sweep must fail its futures, not leak them"
+            )
+
+            events = list(service.sweep_stream(["gcc"], ["lru"]))
+            assert events[-1]["event"] == "error"
+            assert "sweep failed" in events[-1]["error"]
+            assert service.health()["in_flight_pairs"] == 0
+
+
+class TestServerInThread(TestServer):
+    """Every path-independent server test again, with ``jobs=1``: no
+    pool, sims in the server's sim thread."""
+
+    JOBS = 1
+    # Tests that fix their own path run once, in TestServer.
+    test_duplicate_requests_cost_one_sim_per_pair = None
+    test_duplicate_requests_cost_one_sim_per_pair_on_pool = None
+    test_failed_sweep_returns_500_and_clears_inflight = None
+    test_failed_sweep_returns_500_and_clears_inflight_on_pool = None
+    test_server_matches_direct_sweep_every_scheme_20k = None
+
 
 class TestServerFaultInjection:
     """REPRO_FAULT sites on the server path: responses stay identical."""
@@ -356,15 +465,20 @@ class TestServerFaultInjection:
         faults.reset()
 
     def test_killed_worker_degrades_to_retried_job(self, arm):
-        """A SIGKILLed sweep worker mid-request: the client still gets a
-        complete, scalar-identical response — not a hung connection."""
+        """A SIGKILLed pool worker mid-request: the client still gets a
+        complete, scalar-identical response — not a hung connection —
+        and the replacement pool serves the next cold request."""
         expected = _direct()
         arm("worker:kill@1")
         with ServiceThread(ServiceConfig(records=RECORDS, jobs=2)) as svc:
             client = ServiceClient(port=svc.port)
             response = client.sweep(WORKLOADS, SCHEMES)
+            assert client.health()["pool_replacements"] == 1
+            after = client.sweep(["media-streaming"], SCHEMES)
         assert response["results"] == expected
         assert set(response["sources"].values()) == {"simulated"}
+        assert after["results"] == _direct(["media-streaming"], SCHEMES)
+        assert set(after["sources"].values()) == {"simulated"}
 
     def test_truncated_trace_sidecar_is_rebuilt(self, arm, tmp_path, monkeypatch):
         """A trace sidecar mangled behind the server's back: the next
@@ -388,3 +502,122 @@ class TestServerFaultInjection:
             second = ServiceClient(port=svc.port).sweep(WORKLOADS, SCHEMES)
         assert second["results"] == expected
         assert set(second["sources"].values()) == {"simulated"}
+
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+class TestNoWorkerOutlivesItsServer:
+    """A resident pool's workers end with their server, however it stops."""
+
+    def test_stop_reaps_every_worker(self):
+        before = _pool_pids()
+        with ServiceThread(ServiceConfig(records=RECORDS, jobs=2)) as svc:
+            workers = _pool_pids() - before
+            assert len(workers) == 2, "the pool forks when the service starts"
+            ServiceClient(port=svc.port).sweep(WORKLOADS, SCHEMES)
+        assert not workers & _pool_pids()
+
+    @pytest.mark.parametrize(
+        "stalled", [False, True], ids=["drained", "timed-out"]
+    )
+    def test_drain_with_pool_work_in_flight_reaps_every_worker(
+        self, stalled, tmp_path, monkeypatch
+    ):
+        """``stop()`` with a cold sweep on the pool: a drain that sees it
+        finish shuts the workers down; one that times out on a hung
+        worker kills them."""
+        for var in ("REPRO_TRACE_CACHE", "REPRO_PLAN_CACHE"):
+            monkeypatch.setenv(var, str(tmp_path / var.lower()))
+        if stalled:
+            monkeypatch.setenv("REPRO_FAULT", "worker:hang@1")
+        before = _pool_pids()
+        svc = ServiceThread(
+            ServiceConfig(records=20_000, jobs=2), drain_timeout=1.0
+        ).start()
+        workers = _pool_pids() - before
+        client = ServiceClient(port=svc.port)
+        request = threading.Thread(
+            target=_swallow,
+            args=(lambda: client.sweep(WORKLOADS, ("acic", "opt")),),
+        )
+        request.start()
+        deadline = time.monotonic() + 30
+        while not client.health()["cold_sweeps"]:
+            assert time.monotonic() < deadline, "the cold sweep never started"
+            time.sleep(0.005)
+        svc.stop()
+        request.join(timeout=60)
+        assert not request.is_alive(), "the drain left a request hanging"
+        assert not svc._thread.is_alive()
+        assert len(workers) == 2
+        deadline = time.monotonic() + 10
+        while workers & _pool_pids():
+            assert time.monotonic() < deadline, "a worker outlived its server"
+            time.sleep(0.05)
+
+    @pytest.mark.skipif(
+        not Path("/proc/self/stat").exists(),
+        reason="reads children from /proc",
+    )
+    def test_sigterm_reaps_every_worker(self, tmp_path):
+        env = dict(os.environ, REPRO_RESULT_CACHE=str(tmp_path / "results"))
+        proc = subprocess.Popen(
+            [
+                sys.executable,
+                "-u",
+                str(REPO / "scripts" / "serve_sweeps.py"),
+                "--port",
+                "0",
+                "--records",
+                str(RECORDS),
+                "--jobs",
+                "2",
+            ],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
+            env=env,
+        )
+        try:
+            lines = []
+            while not lines or "listening on http://" not in lines[-1]:
+                lines.append(proc.stdout.readline())
+                assert lines[-1], f"server never came up: {lines}"
+            port = int(lines[-1].rsplit(":", 1)[1])
+            response = ServiceClient(port=port).sweep(WORKLOADS, SCHEMES)
+            assert response["results"] == _direct()
+            workers = _children_of(proc.pid)
+            assert len(workers) == 2, workers
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=60) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()
+        deadline = time.monotonic() + 10
+        while any(os.path.exists(f"/proc/{pid}") for pid in workers):
+            assert time.monotonic() < deadline, "a worker outlived its server"
+            time.sleep(0.05)
+
+
+def _swallow(call) -> None:
+    """Run ``call``, ignoring its failure (a drain may cut a request)."""
+    try:
+        call()
+    except Exception:
+        pass
+
+
+def _children_of(pid: int) -> set:
+    """Live child pids of ``pid``, read from ``/proc``."""
+    children = set()
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+        except OSError:
+            continue  # the process exited while we looked
+        if int(fields[1]) == pid and fields[0] != "Z":
+            children.add(int(stat.parent.name))
+    return children

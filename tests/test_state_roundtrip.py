@@ -187,12 +187,12 @@ class _Recorder(pickle.Unpickler):
         self.references = set()
 
     def find_class(self, module, name):
+        if module == timing.__name__ and name in ("_trace_ref", "_oracle_ref"):
+            owned = name[1:-len("_ref")]
+            self.references.add(owned)
+            return lambda: self.owned[owned]
         self.classes.add(name)
         return super().find_class(module, name)
-
-    def persistent_load(self, pid):
-        self.references.add(pid)
-        return self.owned[pid]
 
 
 #: Oracle-backed schemes, and a run whose live prefetcher holds the trace.
