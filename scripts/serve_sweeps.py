@@ -17,7 +17,8 @@ Warm pairs answer straight from the fingerprinted ``.cache/results``
 store; identical in-flight grids are deduped to one simulation; cold
 work queues through ``Runner.sweep_pairs`` with bounded concurrency and
 simulates in ``--jobs`` resident worker processes, forked at start-up
-(see ``ARCHITECTURE.md``, "The service layer").  Set any ``REPRO_*``
+before any thread starts and shared by the sim threads (see
+``ARCHITECTURE.md``, "The service layer").  Set any ``REPRO_*``
 variable before starting the server: the workers keep the environment
 they were forked with.
 

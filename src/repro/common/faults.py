@@ -18,7 +18,8 @@ shard-ledger boundary commit, path = the boundary state file),
 * ``hang``      — sleep ``HANG_SECONDS`` (a wedged worker; finite so a
   leaked process cannot outlive the test run),
 * ``truncate``  — chop the file a write hook just produced,
-* ``stale``     — overwrite the file with plausible-but-stale bytes,
+* ``stale``     — overwrite the file with plausible-but-stale bytes
+  (both do nothing when a concurrent writer has removed the file),
 
 and ``@n`` fires the fault on the *n*-th arrival at that site (1-based;
 default 1).  Counters are per-process; worker initializers call
@@ -118,17 +119,22 @@ class FaultPlan:
             raise FaultInjected(f"injected fault at {site} (arrival {nth})")
         elif kind == "hang":
             time.sleep(HANG_SECONDS)
-        elif kind == "truncate":
+        elif kind in ("truncate", "stale"):
             if path is None:
-                raise FaultInjected(f"truncate fault at {site} got no path")
-            size = os.path.getsize(path)
-            with open(path, "r+b") as fh:
-                fh.truncate(max(0, size // 2))
-        elif kind == "stale":
-            if path is None:
-                raise FaultInjected(f"stale fault at {site} got no path")
-            with open(path, "wb") as fh:
-                fh.write(STALE_BYTES)
+                raise FaultInjected(f"{kind} fault at {site} got no path")
+            try:
+                if kind == "truncate":
+                    size = os.path.getsize(path)
+                    with open(path, "r+b") as fh:
+                        fh.truncate(max(0, size // 2))
+                else:
+                    with open(path, "wb") as fh:
+                        fh.write(STALE_BYTES)
+            except FileNotFoundError:
+                # A concurrent writer (another worker building the same
+                # artifact) already replaced the file's directory:
+                # nothing the readers trust is left to damage.
+                pass
 
 
 _PLAN: Optional[FaultPlan] = None

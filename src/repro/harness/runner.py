@@ -40,7 +40,9 @@ builds the next workload while the others simulate the current one, and
 every other worker mmaps the sidecars the warm wrote instead of redoing
 the work.  A resident pool gets its pairs submitted directly: its
 sweeps are small (a service request's admitted pairs), and a warm round
-trip would hold every pair back behind it.  :meth:`Runner.context_for`
+trip would hold every pair back behind it.  Sweeps sharing a resident
+pool each keep only a few pairs on it at a time, so a short sweep is
+not queued behind every pair of a long one.  :meth:`Runner.context_for`
 warms through the same helper, so the serial and parallel paths build
 artifacts through one code path.
 """
@@ -54,7 +56,6 @@ import time
 from collections import OrderedDict
 from concurrent.futures import (
     FIRST_COMPLETED,
-    CancelledError,
     Future,
     ProcessPoolExecutor,
     wait,
@@ -98,9 +99,10 @@ def _default_jobs() -> int:
 def _sweep_timeout() -> float:
     """Progress deadline in seconds (REPRO_SWEEP_TIMEOUT, 0 = disabled).
 
-    The parent declares the pool hung when *no* future completes within
-    this window — a per-progress deadline, not a per-job one, so slow
-    workloads don't trip it as long as the pool keeps finishing work.
+    The parent declares the pool hung when *no* task on it, of any sweep
+    sharing it, completes within this window — a per-progress deadline,
+    not a per-job one, so slow workloads don't trip it as long as the
+    pool keeps finishing work.
     """
     return env_number("REPRO_SWEEP_TIMEOUT", 0.0, 0.0, float)
 
@@ -262,12 +264,18 @@ class WorkerPool:
     it forks itself for ``jobs > 1``, or a *resident* one its caller
     passes in and keeps (the sweep service holds one for its lifetime).
     A pool forks every worker when it is built, so its owner decides
-    when the fork happens — before it starts any thread.  Workers keep
-    the environment and module state they were forked with.
+    when the fork happens.  Workers keep the environment and module
+    state they were forked with.
 
-    The supervision loop (:meth:`Runner._sweep_parallel`) kills and
-    replaces a broken or hung pool through :meth:`replace`.  Sweeps
-    that share a pool and all see it break replace it once.
+    Every sweep submits through :meth:`submit`, which keeps one progress
+    clock for the whole pool: :meth:`stalled_for` is the time since any
+    task on it last finished (or since it was forked, or went from idle
+    to busy).  The supervision loop (:meth:`Runner._sweep_parallel`)
+    declares the pool hung on that clock, not on its own sweep's
+    completions, so a sweep queued behind a sibling's long grid does not
+    mistake a busy pool for a hung one.  It kills and replaces a broken
+    or hung pool through :meth:`replace`; sweeps that share a pool and
+    all see it break replace it once.
     """
 
     def __init__(self, jobs: int) -> None:
@@ -278,6 +286,10 @@ class WorkerPool:
         self.replacements = 0
         self._lock = threading.Lock()
         self._closed = False
+        self._clock = threading.Lock()
+        #: Tasks submitted through :meth:`submit` and not yet finished.
+        self.busy = 0
+        self._progress = time.monotonic()
         self.executor = self._fork()
 
     def _fork(self) -> ProcessPoolExecutor:
@@ -286,28 +298,71 @@ class WorkerPool:
         )
         # A fork pool starts all its workers on its first task.
         executor.submit(int).result()
+        with self._clock:
+            self._progress = time.monotonic()
         return executor
 
-    def replace(self, broken: ProcessPoolExecutor) -> None:
+    @property
+    def closed(self) -> bool:
+        return self._closed
+
+    def submit(self, executor: ProcessPoolExecutor, fn, *args) -> Future:
+        """Submit ``fn(*args)`` to ``executor`` on the pool's clock.
+
+        ``executor`` is the one the caller's round started on; it raises
+        ``RuntimeError`` once a sibling sweep has replaced it.
+        """
+        future = executor.submit(fn, *args)
+        with self._clock:
+            if not self.busy:
+                self._progress = time.monotonic()
+            self.busy += 1
+        future.add_done_callback(self._finished)
+        return future
+
+    def _finished(self, future: Future) -> None:
+        with self._clock:
+            self.busy -= 1
+            if not future.cancelled():
+                self._progress = time.monotonic()
+
+    def stalled_for(self) -> float:
+        """Seconds since the pool last made progress; 0 while idle."""
+        with self._clock:
+            return time.monotonic() - self._progress if self.busy else 0.0
+
+    def replace(self, broken: ProcessPoolExecutor) -> bool:
         """Kill ``broken`` and fork its successor, unless that is done.
 
-        A closed pool forks no successor: its sweeps' retries then fail.
+        Returns whether this call replaced it: False when a sweep
+        sharing the pool already has, or when the pool is closed (a
+        closed pool forks no successor).  ``broken`` is shut down
+        without cancelling its queued tasks: its manager thread then
+        sees the dead workers and fails every unfinished task with
+        ``BrokenProcessPool``, which wakes each sweep waiting on one.
+        A cancelled future would not wake ``concurrent.futures.wait``.
         """
         with self._lock:
             if broken is not self.executor or self._closed:
-                return
+                return False
             _kill_pool_workers(broken)
-            broken.shutdown(wait=False, cancel_futures=True)
+            broken.shutdown(wait=False)
             self.executor = self._fork()
             self.replacements += 1
+            return True
 
     def close(self, kill: bool = False) -> None:
-        """Stop the workers: wait for them, or SIGKILL them with ``kill``."""
+        """Stop the workers: wait for them, or SIGKILL them with ``kill``.
+
+        Nothing is cancelled: a waiting close lets queued tasks finish,
+        and a kill fails them with ``BrokenProcessPool`` (see
+        :meth:`replace`), so no sweep is left waiting on either.
+        """
         with self._lock:
             self._closed = True
         if kill:
             _kill_pool_workers(self.executor)
-        self.executor.shutdown(wait=not kill, cancel_futures=True)
+        self.executor.shutdown(wait=not kill)
 
 
 class Runner:
@@ -586,7 +641,7 @@ class Runner:
 
         Crash safety (``tests/test_fault_injection.py`` pins recovered
         sweeps scalar-identical to undisturbed ones): dead workers (the
-        pool breaks) and hung pools (no completion within
+        pool breaks) and hung pools (no task on the pool completes within
         ``REPRO_SWEEP_TIMEOUT`` seconds) are killed and replaced through
         the pool's owner, and their unfinished pairs requeued with
         exponential backoff, each pair at most ``REPRO_SWEEP_RETRIES``
@@ -629,11 +684,11 @@ class Runner:
         # workers keep reusing the trace/plan/oracle they already hold
         # instead of faulting a new workload in per pair.
         if pool is not None and pending and shard_window() <= 0:
-            self._sweep_parallel(pending, pool, on_result, warm=False)
+            self._sweep_parallel(pending, pool, on_result, shared=True)
         elif pool is None and jobs > 1 and len(pending) > 1:
             owned = WorkerPool(min(jobs, len(pending)))
             try:
-                self._sweep_parallel(pending, owned, on_result, warm=True)
+                self._sweep_parallel(pending, owned, on_result, shared=False)
             except BaseException:
                 owned.close(kill=True)  # fail fast: don't drain it
                 raise
@@ -652,19 +707,24 @@ class Runner:
         pending: List[Tuple[str, str]],
         pool: WorkerPool,
         on_result: Optional[ResultCallback],
-        warm: bool,
+        shared: bool,
     ) -> None:
         """Supervised execution of ``pending`` pairs in ``pool``.
 
-        With ``warm`` (a per-call pool) the first round pipelines warm
-        tasks (:func:`_warm_worker`) one workload ahead of the pairs: it
-        submits ``warm(w_1)``, and when ``warm(w_k)`` completes it
-        submits ``warm(w_k+1)`` and then ``w_k``'s pairs, still
-        workload-major.  Without it (a resident pool) the first round,
-        and with it each later round, submits its pairs directly; a
-        worker rebuilds whatever artifact is missing on its own
-        (concurrent builds of one entry are safe: every writer commits
-        through its own temp file).
+        A per-call pool (``shared`` false) runs this sweep alone.  Its
+        first round pipelines warm tasks (:func:`_warm_worker`) one
+        workload ahead of the pairs: it submits ``warm(w_1)``, and when
+        ``warm(w_k)`` completes it submits ``warm(w_k+1)`` and then
+        ``w_k``'s pairs, still workload-major.  A resident pool
+        (``shared``) serves concurrent sweeps: they submit pairs
+        directly, with no warm round trip, and each keeps at most
+        ``pool.jobs + 1`` pairs on the pool at a time, feeding the next
+        as one finishes.  The executor runs tasks first-in, first-out,
+        so that bound lets a short sweep's pairs start after at most a
+        few of a long sweep's, not after all of them.  Every round after
+        the first submits directly too; a worker rebuilds whatever
+        artifact is missing on its own (concurrent builds of one entry
+        are safe: every writer commits through its own temp file).
         Completions are collected as they arrive.  Three *transient*
         failure classes are retried:
 
@@ -673,13 +733,14 @@ class Runner:
           requeue just that pair, or for a warm task that workload's
           pairs (the next warm still goes out);
         * a *dead worker* (``BrokenProcessPool``: someone was killed,
-          e.g. OOM; or a task cancelled because a sweep sharing the pool
-          replaced it) — the executor is unusable: it is replaced
-          through ``pool`` and all unfinished pairs requeue;
-        * a *hung pool* (no pair or warm of this sweep completed within
-          the ``REPRO_SWEEP_TIMEOUT`` progress deadline) — the workers
-          are SIGKILLed (they are non-daemonic and would otherwise keep
-          the interpreter alive) and replaced the same way.
+          e.g. OOM, or a sweep sharing the pool replaced it) — the
+          executor is unusable: it is replaced through ``pool`` and all
+          unfinished pairs requeue;
+        * a *hung pool* (no task of *any* sweep on the pool finished
+          within the ``REPRO_SWEEP_TIMEOUT`` progress deadline, see
+          :meth:`WorkerPool.stalled_for`) — the workers are SIGKILLed
+          (they are non-daemonic and would otherwise keep the
+          interpreter alive) and replaced the same way.
 
         Any *other* exception out of a worker is a deterministic
         simulation error — the engine is deterministic, so re-running
@@ -694,12 +755,16 @@ class Runner:
         Requeued pairs retry after exponential backoff; a pair that
         fails more than ``REPRO_SWEEP_RETRIES`` times raises (chaining
         the last exception seen for that pair, if any), so even an
-        injected crash cannot loop forever.
+        injected crash cannot loop forever.  Pairs lost with an
+        executor a sibling sweep replaced are requeued without using up
+        an attempt: that sweep's pairs pay for the replacement.  A pool
+        closed under the sweep fails it at once.
         """
         timeout = _sweep_timeout()
         retries = _sweep_retries()
         config: SweepConfig = (self.prefetcher, self.records, self.machine)
         prepass_workloads = {w for w, s in pending if s in PREPASS_SCHEMES}
+        cap = pool.jobs + 1 if shared else len(pending)
         attempts: Dict[Tuple[str, str], int] = {}
         last_exc: Dict[Tuple[str, str], BaseException] = {}
         queue = list(pending)
@@ -720,7 +785,7 @@ class Runner:
                 if broken:
                     return None
                 try:
-                    future = executor.submit(fn, config, *args)
+                    future = pool.submit(executor, fn, config, *args)
                 except (BrokenProcessPool, RuntimeError):
                     # RuntimeError: a sweep sharing the pool has already
                     # shut this executor down to replace it.
@@ -737,48 +802,56 @@ class Runner:
                     if future is not None:
                         warms[future] = workload
 
-            def release(workload: str) -> None:
-                """Submit ``workload``'s held pairs; leftovers stay held."""
-                pairs = held[workload]
-                while pairs:
-                    future = submit(_sweep_worker, pairs[0])
+            def feed() -> None:
+                """Submit released pairs, in order, up to the cap."""
+                while ready and len(remaining) - len(warms) < cap:
+                    future = submit(_sweep_worker, ready[0])
                     if future is None:
                         return
-                    futures[future] = pairs.pop(0)
-                del held[workload]
+                    futures[future] = ready.pop(0)
 
             # Pairs held back until their workload's warm completes, in
-            # workload-major order.  Only a warming sweep's first round
-            # warms; every other round submits its pairs directly.
+            # workload-major order, and released pairs waiting for the
+            # cap.  Only a per-call pool's first round warms; every
+            # other round releases all its pairs at once.
             held: Dict[str, List[Tuple[str, str]]] = {}
             for pair in queue:
                 held.setdefault(pair[0], []).append(pair)
-            if round_number == 1 and warm:
+            ready: List[Tuple[str, str]] = []
+            if round_number == 1 and not shared:
                 to_warm = iter(list(held))
                 warm_next()
             else:
-                for workload in list(held):
-                    release(workload)
+                ready = [pair for pairs in held.values() for pair in pairs]
+                held = {}
+                feed()
             queue = []
-            failed: List[Tuple[str, str]] = []
+            failed: List[Tuple[str, str]] = []  # charged an attempt
+            broke: List[Tuple[str, str]] = []  # lost with the executor
             fatal: Optional[Tuple[str, BaseException]] = None
             try:
                 while remaining and not broken:
                     done, _ = wait(
                         remaining,
-                        timeout=timeout if timeout > 0 else None,
+                        timeout=(
+                            max(0.0, timeout - pool.stalled_for())
+                            if timeout > 0
+                            else None
+                        ),
                         return_when=FIRST_COMPLETED,
                     )
                     if not done:
-                        broken = True  # progress deadline exceeded
-                        break
+                        if pool.stalled_for() >= timeout:
+                            broken = True  # progress deadline exceeded
+                            break
+                        continue  # the pool progressed on other work
                     remaining.difference_update(done)
                     for future in done:
                         if future in warms:
-                            workload = warms[future]
+                            workload = warms.pop(future)
                             try:
                                 future.result()
-                            except (BrokenProcessPool, CancelledError) as exc:
+                            except BrokenProcessPool as exc:
                                 broken = True  # held pairs requeue below
                                 for pair in held[workload]:
                                     last_exc[pair] = exc
@@ -791,15 +864,15 @@ class Runner:
                                 fatal = (f"warm-up of workload {workload!r}", exc)
                             else:
                                 warm_next()
-                                release(workload)
+                                ready.extend(held.pop(workload))
                         else:
                             pair = futures[future]
                             try:
                                 workload, scheme, scalars = future.result()
-                            except (BrokenProcessPool, CancelledError) as exc:
+                            except BrokenProcessPool as exc:
                                 broken = True
                                 last_exc[pair] = exc
-                                failed.append(pair)
+                                broke.append(pair)
                             except faults.FaultInjected as exc:
                                 last_exc[pair] = exc
                                 failed.append(pair)
@@ -814,9 +887,10 @@ class Runner:
                             break
                     if fatal is not None:
                         break
+                    feed()
             finally:
                 if broken:
-                    pool.replace(executor)
+                    charged = pool.replace(executor)
                 else:
                     for future in remaining:
                         future.cancel()
@@ -826,9 +900,20 @@ class Runner:
                     f"sweep {what} failed deterministically "
                     f"({type(exc).__name__}); not retrying"
                 ) from exc
-            requeue = failed + [futures[f] for f in remaining if f in futures]
-            requeue += [pair for pairs in held.values() for pair in pairs]
-            for pair in requeue:
+            # Pairs the executor took down with it, and those it never
+            # got to run.
+            lost = broke + [futures[f] for f in remaining if f in futures]
+            lost += ready + [pair for pairs in held.values() for pair in pairs]
+            if broken and not charged:
+                if pool.closed:
+                    raise RuntimeError(
+                        f"worker pool closed with {len(lost) + len(failed)} "
+                        "sweep pairs unfinished"
+                    )
+                queue = lost  # a sibling sweep replaced the executor
+            else:
+                failed += lost
+            for pair in failed:
                 count = attempts.get(pair, 0) + 1
                 attempts[pair] = count
                 if count > retries:
@@ -836,4 +921,4 @@ class Runner:
                         f"sweep pair {pair} failed {count} times "
                         f"(REPRO_SWEEP_RETRIES={retries}); giving up"
                     ) from last_exc.get(pair)
-            queue = sorted(set(requeue))
+            queue = sorted(set(failed + queue))

@@ -14,16 +14,23 @@ is not worth caching.
 
 Simulation runs off the server's GIL: the service forks a resident
 :class:`~repro.harness.runner.WorkerPool` of ``ServiceConfig.jobs``
-processes when it is built, before it starts any thread, and every
-admitted pair of every sweep runs there — the sim slots share that one
-pool, and their threads only wait on it and install the results.  Each
-worker keeps the environment and module state it was forked with, so
-``REPRO_*`` settings must be in place before the service is built.
-With ``jobs=1`` there is no pool and sweeps simulate in the sim thread;
-sharded sweeps (``REPRO_SHARD_WINDOW``) do too, because their progress
-events and drain polls are in-process hooks.  A broken or hung pool is
-killed and replaced by the supervision loop of ``Runner.sweep_pairs``;
-shutdown stops the workers, so none outlives the server.
+processes when it is built, and every admitted pair of every sweep runs
+there — the sim slots share that one pool, and their threads only wait
+on it and install the results.  :func:`serve` builds the service before
+it starts any thread; :class:`ServiceThread` builds it in the calling
+thread, before its own event-loop thread starts (other threads of the
+host may be running).  Each worker keeps the environment and module
+state it was forked with, so ``REPRO_*`` settings must be in place
+before the service is built.  With ``jobs=1`` there is no pool and
+sweeps simulate in the sim thread; sharded sweeps
+(``REPRO_SHARD_WINDOW``) do too, because their progress events and
+drain polls are in-process hooks.  A broken or hung pool is killed and
+replaced by the supervision loop of ``Runner.sweep_pairs``; that
+replacement forks from a sim thread while the event loop and the other
+slot run, so a lock another thread held at that moment (logging, the
+trace store) stays held in the new workers — rare, since it takes a
+crashed or hung worker.  Shutdown stops the workers, so none outlives
+the server.
 
 Endpoints::
 
@@ -100,8 +107,11 @@ def _service_concurrency() -> int:
     """Concurrent ``Runner.sweep_pairs`` calls (REPRO_SERVICE_CONCURRENCY).
 
     Each slot is one sweeping thread; with a worker pool the slots'
-    sweeps share its ``jobs`` processes.  Two slots let a short request
-    overtake a long one without oversubscribing the machine by default.
+    sweeps share its ``jobs`` processes.  A sweep keeps at most
+    ``jobs + 1`` pairs on the pool at a time, so with two slots a short
+    request's pairs start after a few of a long request's, not after
+    all of them: a short request overtakes a long one without
+    oversubscribing the machine.
     """
     return env_number("REPRO_SERVICE_CONCURRENCY", 2, 1)
 
@@ -115,7 +125,8 @@ class ServiceConfig:
     records: Optional[int] = None
     #: Resident worker processes every cold sweep simulates in, forked
     #: when the service is built (each keeps the environment it was
-    #: forked with); 1 = no pool, sweeps simulate in the sim thread.
+    #: forked with) and shared by the sim slots; 1 = no pool, sweeps
+    #: simulate in the sim thread.
     jobs: int = field(default_factory=lambda: min(2, os.cpu_count() or 1))
     #: Concurrent sweeps; None = ``REPRO_SERVICE_CONCURRENCY`` (or 2).
     max_concurrent_sweeps: Optional[int] = None
@@ -125,6 +136,12 @@ class ServiceConfig:
 
     def concurrency(self) -> int:
         return self.max_concurrent_sweeps or _service_concurrency()
+
+
+def _retrieve(future: "asyncio.Future") -> None:
+    """Mark a settled future's exception as retrieved."""
+    if not future.cancelled():
+        future.exception()
 
 
 class _HttpError(Exception):
@@ -140,8 +157,8 @@ class SweepService:
 
     def __init__(self, config: Optional[ServiceConfig] = None) -> None:
         self.config = config or ServiceConfig()
-        #: The resident worker pool, forked here before any sim thread
-        #: exists; None when ``jobs`` is 1.
+        #: The resident worker pool, forked here before this service's
+        #: sim threads exist; None when ``jobs`` is 1.
         self.workers: Optional[WorkerPool] = (
             WorkerPool(self.config.jobs) if self.config.jobs > 1 else None
         )
@@ -474,18 +491,23 @@ class SweepService:
         try:
             for pair, future in joined.items():
                 results[pair_token(*pair)] = scalars_of(await future)
-        except DrainRequested as exc:
-            # Not a failure: the server is shutting down with this
-            # request's progress ledgered.  503 tells the client to
-            # retry against the restarted server, which resumes.
-            await self._respond_json(
-                writer, 503, {"error": f"server draining: {exc}"}
-            )
-            return
         except Exception as exc:
-            await self._respond_json(
-                writer, 500, {"error": f"sweep failed: {exc}"}
-            )
+            # The first failure decides the response; collect the other
+            # pairs' outcomes as they settle, so a failed one is not
+            # logged as never retrieved when it is garbage-collected.
+            for future in joined.values():
+                future.add_done_callback(_retrieve)
+            if isinstance(exc, DrainRequested):
+                # Not a failure: the server is shutting down with this
+                # request's progress ledgered.  503 tells the client to
+                # retry against the restarted server, which resumes.
+                await self._respond_json(
+                    writer, 503, {"error": f"server draining: {exc}"}
+                )
+            else:
+                await self._respond_json(
+                    writer, 500, {"error": f"sweep failed: {exc}"}
+                )
             return
         await self._respond_json(
             writer,
@@ -724,6 +746,12 @@ class ServiceThread:
         )
 
     def start(self) -> "ServiceThread":
+        # Build the service, and fork its pool, before the event-loop
+        # thread exists.
+        try:
+            self.service = SweepService(self._config)
+        except Exception as exc:
+            raise RuntimeError("sweep service failed to start") from exc
         self._thread.start()
         self._ready.wait()
         if self._failure is not None:
@@ -755,15 +783,14 @@ class ServiceThread:
             self._ready.set()
 
     async def _main(self) -> None:
-        self.service = SweepService(self._config)
-        server = await asyncio.start_server(
-            self.service.handle, self._host, self._port
-        )
-        self.port = server.sockets[0].getsockname()[1]
-        self._loop = asyncio.get_running_loop()
-        self._stop = asyncio.Event()
-        self._ready.set()
         try:
+            server = await asyncio.start_server(
+                self.service.handle, self._host, self._port
+            )
+            self.port = server.sockets[0].getsockname()[1]
+            self._loop = asyncio.get_running_loop()
+            self._stop = asyncio.Event()
+            self._ready.set()
             async with server:
                 await self._stop.wait()
                 # Drain before the listener closes: in-flight sweeps

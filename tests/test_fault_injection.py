@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 import shutil
+import threading
 import time
 
 import numpy as np
@@ -26,7 +27,8 @@ from repro.common.faults import (
     fire,
 )
 from repro.common.durable import results_dir
-from repro.harness.runner import _SCALAR_FIELDS, Runner
+from repro.harness import runner as runner_module
+from repro.harness.runner import _SCALAR_FIELDS, Runner, WorkerPool
 from repro.workloads.profiles import get_workload
 from repro.workloads.trace import mmap_sidecar_path
 
@@ -101,6 +103,16 @@ class TestSpecParsing:
         with pytest.raises(FaultInjected):
             fire("worker")
         fire("worker")  # arrival 3: past ordinal, fires once only
+
+    @pytest.mark.parametrize("kind", ["truncate", "stale"])
+    def test_file_kinds_skip_a_vanished_file(self, kind, tmp_path, monkeypatch):
+        # Two workers building one artifact: the other's commit removed
+        # the directory this writer just committed into.
+        monkeypatch.setenv("REPRO_FAULT", f"sidecar:{kind}")
+        monkeypatch.delenv("REPRO_FAULT_ONCE", raising=False)
+        faults.reset()
+        fire("sidecar", str(tmp_path / "gone.mmap" / "meta.json"))
+        assert not (tmp_path / "gone.mmap").exists()
 
     def test_latch_suppresses_refire(self, tmp_path, monkeypatch):
         latch = tmp_path / "latch"
@@ -210,6 +222,132 @@ class TestWarmTaskFaults:
         while {p.pid for p in multiprocessing.active_children()} - before:
             assert time.monotonic() < deadline, "pool workers left behind"
             time.sleep(0.05)
+
+
+class TestSharedPool:
+    """Concurrent sweeps on one resident :class:`WorkerPool`.
+
+    The sweep service runs every cold request through one pool; these
+    sweeps share it the same way, one thread each.
+    """
+
+    @staticmethod
+    def _sweep(pool, pairs, order=None):
+        """Sweep ``pairs`` on ``pool`` in a thread; returns (thread, outcome)."""
+        outcome = {}
+
+        def run():
+            runner = Runner(records=RECORDS, use_disk_cache=False)
+            on_result = None
+            if order is not None:
+                on_result = lambda w, s, r: order.append((w, s))  # noqa: E731
+            try:
+                results = runner.sweep_pairs(pairs, on_result=on_result, pool=pool)
+                outcome["results"] = {k: _scalars(v) for k, v in results.items()}
+            except Exception as exc:
+                outcome["error"] = exc
+
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        return thread, outcome
+
+    @staticmethod
+    def _until(condition):
+        deadline = time.monotonic() + 30
+        while not condition():
+            assert time.monotonic() < deadline, "the sweeps never got there"
+            time.sleep(0.005)
+
+    @staticmethod
+    def _slow_pairs(monkeypatch, seconds):
+        """Make every pair take ``seconds`` longer in pools forked after."""
+        real = runner_module.run_experiment
+
+        def slow(*args, **kwargs):
+            time.sleep(seconds)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(runner_module, "run_experiment", slow)
+
+    @pytest.mark.parametrize("how", ["replace", "close"])
+    def test_queued_sibling_returns_when_the_pool_is_killed(
+        self, fault_env, tmp_path, monkeypatch, how
+    ):
+        """Sweep A's first pair hangs its worker; sweep B's pairs are all
+        still queued behind A's when the pool is replaced or killed.
+        Both sweeps must return: a replaced pool serves both (neither
+        sweep replaced it, so neither pays an attempt), and a killed one
+        fails both."""
+        expected = _expected()
+        fault_env("worker:hang@1")
+        monkeypatch.setenv("REPRO_SWEEP_RETRIES", "0")
+        first, second = sorted(WORKLOADS)
+        pool = WorkerPool(1)
+        try:
+            a, a_out = self._sweep(pool, [(first, s) for s in SCHEMES])
+            self._until(lambda: pool.busy == len(SCHEMES))
+            b, b_out = self._sweep(pool, [(second, s) for s in SCHEMES])
+            self._until(lambda: pool.busy == 2 * len(SCHEMES))
+            self._until((tmp_path / "latch").exists)  # A's worker hangs
+            if how == "replace":
+                assert pool.replace(pool.executor)
+            else:
+                pool.close(kill=True)
+            for thread in (a, b):
+                thread.join(timeout=60)
+                assert not thread.is_alive(), "a sweep never returned"
+        finally:
+            pool.close(kill=True)
+        if how == "replace":
+            assert pool.replacements == 1
+            assert {**a_out["results"], **b_out["results"]} == expected
+        else:
+            for outcome in (a_out, b_out):
+                assert "pool closed" in str(outcome["error"])
+
+    def test_busy_pool_is_not_hung_for_a_queued_sweep(
+        self, fault_env, monkeypatch
+    ):
+        """The progress deadline is the pool's: sweep B waits longer than
+        it for its first pair, queued behind A's, but the pool finishes a
+        pair every half second, so nothing is killed."""
+        expected = _expected()
+        monkeypatch.setenv("REPRO_SWEEP_TIMEOUT", "1.2")
+        self._slow_pairs(monkeypatch, 0.5)
+        first, second = sorted(WORKLOADS)
+        pool = WorkerPool(1)
+        try:
+            a, a_out = self._sweep(pool, [(first, s) for s in SCHEMES])
+            self._until(lambda: pool.busy == len(SCHEMES))
+            b, b_out = self._sweep(pool, [(second, s) for s in SCHEMES])
+            for thread in (a, b):
+                thread.join(timeout=60)
+                assert not thread.is_alive(), "a sweep never returned"
+        finally:
+            pool.close(kill=True)
+        assert pool.replacements == 0
+        assert {**a_out["results"], **b_out["results"]} == expected
+
+    def test_short_sweep_overtakes_a_long_one(self, fault_env, monkeypatch):
+        """Each sweep keeps at most ``jobs + 1`` pairs on a shared pool,
+        so a one-pair sweep started behind an eight-pair one finishes
+        third, not last."""
+        self._slow_pairs(monkeypatch, 0.2)
+        long_pairs = [(w, s) for w in WORKLOADS for s in ("lru", "srrip", "acic", "opt")]
+        short = ("media-streaming", "lru")
+        order = []
+        pool = WorkerPool(1)
+        try:
+            a, a_out = self._sweep(pool, long_pairs, order)
+            self._until(lambda: pool.busy == pool.jobs + 1)
+            b, b_out = self._sweep(pool, [short], order)
+            for thread in (a, b):
+                thread.join(timeout=60)
+                assert not thread.is_alive(), "a sweep never returned"
+        finally:
+            pool.close(kill=True)
+        assert "error" not in a_out and "error" not in b_out
+        assert order.index(short) == pool.jobs + 1
 
 
 class TestCrashedSweepRerun:

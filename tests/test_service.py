@@ -30,7 +30,9 @@ repo's ``.cache/results`` is never written.
 
 from __future__ import annotations
 
+import gc
 import json
+import logging
 import multiprocessing
 import os
 import random
@@ -383,7 +385,7 @@ class TestServer:
             assert set(again["sources"].values()) == {"warm"}
 
     def test_failed_sweep_returns_500_and_clears_inflight(
-        self, thread_service, monkeypatch
+        self, thread_service, monkeypatch, caplog
     ):
         service = thread_service
         def poisoned(ctx):
@@ -409,6 +411,17 @@ class TestServer:
         events = list(service.sweep_stream(["x264"], ["poisoned"]))
         assert events[-1]["event"] == "error"
         assert "sweep failed" in events[-1]["error"]
+
+        # A bulk response decided by its first failed pair still
+        # collects the others: none is logged as never retrieved.
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            with pytest.raises(ServiceError):
+                service.sweep(["x264", "gcc", "tpcc"], ["poisoned"])
+            deadline = time.monotonic() + 0.5  # the handler may still run
+            while time.monotonic() < deadline:
+                gc.collect()
+                time.sleep(0.05)
+        assert "never retrieved" not in caplog.text
 
     def test_failed_sweep_returns_500_and_clears_inflight_on_pool(
         self, monkeypatch
