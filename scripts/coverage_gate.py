@@ -60,6 +60,7 @@ DEFAULT_PYTEST_ARGS = [
     "tests/test_acic_differential.py",
     "tests/test_frontend.py",
     "tests/test_frontend_plan.py",
+    "tests/test_cut_plans.py",
     "tests/test_tage_differential.py",
     "tests/test_entangling_table.py",
     "tests/test_harness.py",

@@ -22,7 +22,9 @@ and one :class:`ArtifactStore` per kind owns how:
   size and sha1 of the npz it was derived from; a sidecar is served
   through ``np.load(mmap_mode="r")`` only while the npz still matches,
   so N sweep workers share one page cache and a regenerated npz is
-  never shadowed by an old sidecar;
+  never shadowed by an old sidecar.  A writer keeps a sidecar another
+  writer committed from the same npz, so a valid sidecar never
+  disappears under its readers;
 * discard of anything corrupt or stale (unreadable files, or an entry
   whose fingerprint or length is not the one asked for) followed by a
   rebuild, and repair of a missing sidecar from a valid npz;
@@ -115,6 +117,47 @@ def _scalar(value: np.ndarray):
     return bytes(value).decode() if value.dtype.kind == "S" else int(value)
 
 
+def _same_meta(dirpath: Path, meta: str) -> bool:
+    """True when the sidecar ``dirpath`` holds the ``meta.json`` text
+    ``meta`` (so its arrays came from the same npz)."""
+    try:
+        return (dirpath / "meta.json").read_text() == meta
+    except OSError:
+        return False
+
+
+def _commit_dir(tmp: Path, dirpath: Path, meta: str) -> bool:
+    """Rename the finished sidecar ``tmp`` to ``dirpath``.
+
+    Returns False, committing nothing, when ``dirpath`` already holds a
+    sidecar with the same ``meta.json`` text.  A different one is
+    renamed aside first (``rename`` cannot replace a non-empty
+    directory) and removed after; should another writer commit between
+    the two renames, its sidecar stays if it carries the same meta.
+    Gives up (False) after a few rounds of writers with different metas
+    displacing each other.
+    """
+    for _ in range(3):
+        try:
+            os.rename(tmp, dirpath)
+            return True
+        except OSError:
+            if not dirpath.is_dir():
+                raise
+        if _same_meta(dirpath, meta):
+            return False
+        aside = tempfile.mkdtemp(
+            prefix=f"{dirpath.name}.", suffix=".old.tmp", dir=dirpath.parent
+        )
+        try:
+            os.replace(dirpath, aside)
+        except FileNotFoundError:
+            pass  # another writer moved it aside first
+        finally:
+            shutil.rmtree(aside, ignore_errors=True)
+    return False
+
+
 class ArtifactStore:
     """Memo, disk layout and lookup ladder for one artifact kind.
 
@@ -175,6 +218,11 @@ class ArtifactStore:
             self._memo.move_to_end(name)
             while len(self._memo) > self.memo_cap:
                 self._memo.popitem(last=False)
+
+    def forget(self, name: str) -> None:
+        """Drop ``name`` from the memo, if it is there."""
+        with self._lock:
+            self._memo.pop(name, None)
 
     def memo_size(self) -> int:
         with self._lock:
@@ -295,9 +343,12 @@ class ArtifactStore:
     def write_sidecar(self, obj, npz_path: Path) -> None:
         """Write ``obj``'s sidecar beside ``npz_path``, best effort.
 
-        Built in a temp directory and committed by one rename.  A
-        writer that loses the race to a concurrent one leaves the
-        winner's sidecar in place.
+        Built in a temp directory and committed by one rename, so a
+        reader finds either no sidecar or a whole one.  When a sidecar
+        is already there, a writer keeps it if it was derived from the
+        same npz (a concurrent writer won the race with the same
+        content), and otherwise renames it aside before its own rename:
+        a committed sidecar never disappears while it is still valid.
         """
         dirpath = sidecar_path(npz_path)
         try:
@@ -317,9 +368,10 @@ class ArtifactStore:
         try:
             for f in self.fields:
                 np.save(tmp / f"{f}.npy", np.asarray(getattr(obj, f)))
-            (tmp / "meta.json").write_text(json.dumps(meta, sort_keys=True))
-            shutil.rmtree(dirpath, ignore_errors=True)
-            os.replace(tmp, dirpath)
+            text = json.dumps(meta, sort_keys=True)
+            (tmp / "meta.json").write_text(text)
+            if not _commit_dir(tmp, dirpath, text):
+                return  # the winner's sidecar stays
         except OSError:
             return
         finally:

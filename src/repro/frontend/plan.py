@@ -57,6 +57,13 @@ content digest, prefetcher kind, run-ahead depth, warmup split and the
 parallel sweep in the pool task that warms the workload); workers
 memory-map it instead of redoing the frontend work per (workload,
 scheme) pair.
+
+Traces cut from one walk (:mod:`repro.workloads.generator`) share one
+plan: the replay is causal and run-ahead looks at most ``depth``
+records ahead, so a prefix's plan is the longer plan's prefix with the
+last ``depth`` spans clipped (:func:`cut_plan`).  The walk keeps the
+plan of its longest planned trace, which goes through the store as any
+plan; every shorter trace's plan is cut from it in memory.
 """
 
 from __future__ import annotations
@@ -64,16 +71,17 @@ from __future__ import annotations
 import hashlib
 import json
 from bisect import bisect_left
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass, field, replace
+from functools import cached_property, partial
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.common.artifacts import ArtifactStore, entry_name, sidecar_path
 from repro.frontend.stack import BranchStack, BranchStackStats
 from repro.uarch.params import MachineParams
+from repro.workloads.profiles import walks_lock
 from repro.workloads.trace import BranchKind, Trace
 
 #: Bump when the array layout or replay semantics change; stale cache
@@ -139,6 +147,11 @@ def _check_kind(prefetcher: str) -> None:
         )
 
 
+def _run_ahead(machine: MachineParams, prefetcher: str) -> int:
+    """How many records past fetch the ``prefetcher`` plan looks."""
+    return machine.ftq_depth_records if prefetcher == "fdp" else 0
+
+
 @dataclass(frozen=True)
 class RecordStream:
     """The scheme-independent per-record work of one (plan, trace) pair.
@@ -164,6 +177,16 @@ class RecordStream:
     cum_instrs: np.ndarray
 
 
+def _span_probe(blocks: List[int], a: int, b: int) -> object:
+    """What a record whose candidate span is ``blocks[a:b]`` probes."""
+    if b <= a:
+        return None
+    if b - a == 1:
+        return blocks[a]
+    distinct = tuple(dict.fromkeys(blocks[a:b]))
+    return distinct if len(distinct) > 1 else distinct[0]
+
+
 def _derive_stream(
     plan: "FrontendPlan", trace: Trace, backend_ipc: float
 ) -> RecordStream:
@@ -181,8 +204,7 @@ def _derive_stream(
     probes = shared[np.where(width == 1, lo, n)].tolist()
     multi = np.flatnonzero(width > 1)
     for i, a, b in zip(multi.tolist(), lo[multi].tolist(), hi[multi].tolist()):
-        distinct = tuple(dict.fromkeys(blocks[a:b]))
-        probes[i] = distinct if len(distinct) > 1 else distinct[0]
+        probes[i] = _span_probe(blocks, a, b)
 
     instrs = np.asarray(trace.instrs)
     top = int(instrs.max(initial=0))
@@ -207,8 +229,12 @@ class FrontendPlan:
     cum_mispredict: np.ndarray  # int64, n + 1 (exclusive prefix sums)
     cand_lo: np.ndarray         # int64, n (record-index span starts)
     cand_hi: np.ndarray         # int64, n (half-open span ends)
-    warmup_stats: np.ndarray    # int64, len(STATS_FIELDS)
-    final_stats: np.ndarray     # int64, len(STATS_FIELDS)
+    #: The (warmup, final) branch-stack stats snapshots, int64 arrays of
+    #: len(STATS_FIELDS); on a cut plan, until first read, the replay
+    #: that computes them (see :func:`cut_plan`).
+    stats: Union[Tuple[np.ndarray, np.ndarray], Callable[[], tuple]] = field(
+        repr=False, compare=False
+    )
     # ((trace digest, backend_ipc), RecordStream) of the latest
     # ``record_stream`` call: keyed by digest, never by the Trace, so a
     # memoized plan pins no trace the trace memo has let go.
@@ -221,8 +247,11 @@ class FrontendPlan:
 
     # -- hot-loop list views (one bulk conversion, as Trace does) -----------
 
-    @cached_property
+    @property
     def mispredict_list(self) -> List[int]:
+        # Not cached: one conversion per ``simulate`` costs ~1 ms at 160k
+        # records, where a cached list would stay pinned by every plan a
+        # walk or the plan memo keeps.
         return self.mispredict.tolist()
 
     @cached_property
@@ -249,6 +278,21 @@ class FrontendPlan:
         stream = _derive_stream(self, trace, backend_ipc)
         self._stream = (key, stream)
         return stream
+
+    @property
+    def warmup_stats(self) -> np.ndarray:
+        return self._snapshots()[0]
+
+    @property
+    def final_stats(self) -> np.ndarray:
+        return self._snapshots()[1]
+
+    def _snapshots(self) -> Tuple[np.ndarray, np.ndarray]:
+        stats = self.stats
+        if callable(stats):
+            # Threads racing here each replay the same stats.
+            stats = self.stats = stats()
+        return stats
 
     def mispredicted_after_warmup(self) -> int:
         """Post-warmup mispredicted transitions (what RunResult reports)."""
@@ -297,7 +341,11 @@ class FrontendPlan:
             depth=int(meta["depth"]),
             warmup_end=int(meta["warmup_end"]),
             fingerprint=str(meta["fingerprint"]),
-            **arrays,
+            mispredict=arrays["mispredict"],
+            cum_mispredict=arrays["cum_mispredict"],
+            cand_lo=arrays["cand_lo"],
+            cand_hi=arrays["cand_hi"],
+            stats=(arrays["warmup_stats"], arrays["final_stats"]),
         )
 
     def save(self, path: Path) -> None:
@@ -331,7 +379,7 @@ def frontend_fingerprint(
             "format": PLAN_FORMAT,
             "trace": trace.digest,
             "prefetcher": prefetcher,
-            "depth": machine.ftq_depth_records if prefetcher == "fdp" else 0,
+            "depth": _run_ahead(machine, prefetcher),
             "warmup_fraction": machine.warmup_fraction,
             "stack": _stack_geometry(),
         },
@@ -372,8 +420,7 @@ def _finish(
         cum_mispredict=cum,
         cand_lo=cand_lo,
         cand_hi=cand_hi,
-        warmup_stats=warmup_stats,
-        final_stats=final_stats,
+        stats=(warmup_stats, final_stats),
     )
 
 
@@ -397,7 +444,7 @@ def build_plan(
     _check_kind(prefetcher)
     n = len(trace)
     warmup_end = int(n * machine.warmup_fraction)
-    depth = machine.ftq_depth_records if prefetcher == "fdp" else 0
+    depth = _run_ahead(machine, prefetcher)
     stack = BranchStack(trace)
     kinds = trace.branch_kind
     mispredict = np.zeros(n, dtype=np.uint8)
@@ -554,16 +601,105 @@ def cached_plan(
 ) -> FrontendPlan:
     """Memoised + disk-cached plan for (trace, frontend config).
 
-    Served by :data:`PLAN_STORE`; ``use_disk=False`` (or
+    A trace cut from a walk (``trace.walk``, see
+    :mod:`repro.workloads.generator`) shares one plan with every other
+    trace of that walk: the walk keeps the plan of its longest planned
+    trace per frontend config, and a shorter trace's plan is
+    :func:`cut_plan` from it, never built, loaded or saved.  Every other
+    plan is served by :data:`PLAN_STORE`; ``use_disk=False`` (or
     ``REPRO_NO_DISK_CACHE=1``) keeps it in memory.  An entry whose
     fingerprint mismatches (a PLAN_FORMAT bump, a regenerated trace) is
     discarded and rebuilt.
     """
     fingerprint = frontend_fingerprint(trace, machine, prefetcher)
-    return PLAN_STORE.get(
+    walk = trace.walk
+    if walk is not None:
+        key = (prefetcher, _run_ahead(machine, prefetcher))
+        with walks_lock():
+            longest = walk.plans.get(key)
+        if longest is not None and len(longest) >= len(trace):
+            if longest.fingerprint == fingerprint:
+                return longest
+            return cut_plan(longest, trace, machine)
+    plan = PLAN_STORE.get(
         entry_name(trace.name, fingerprint),
         lambda: build_plan(trace, machine, prefetcher),
         fingerprint=fingerprint,
         records=len(trace),
         use_disk=use_disk,
     )
+    if walk is not None:
+        with walks_lock():
+            kept = walk.plans.get(key)
+            superseded = kept is not None and len(kept) < len(plan)
+            if kept is None or superseded:
+                walk.plans[key] = plan
+        if superseded:
+            # Every trace ``kept`` served is now cut from ``plan``, so the
+            # store's memo would only pin it.
+            PLAN_STORE.forget(entry_name(kept.trace_name, kept.fingerprint))
+    return plan
+
+
+def _replayed_stats(
+    trace: Trace, machine: MachineParams, prefetcher: str
+) -> Tuple[np.ndarray, np.ndarray]:
+    plan = build_plan(trace, machine, prefetcher)
+    return plan.warmup_stats, plan.final_stats
+
+
+def cut_plan(
+    longest: FrontendPlan, trace: Trace, machine: MachineParams
+) -> FrontendPlan:
+    """The plan of ``trace``, a prefix of ``longest``'s trace.
+
+    FDP run-ahead looks at most ``depth`` records ahead, and a verdict
+    it evaluates for a record past the cut only runs once every verdict
+    before the cut is settled.  So a prefix's mispredict flags are the
+    longest plan's, and its candidate spans are too, except that the
+    last ``depth`` spans stop at the cut.  Arrays are views of
+    ``longest`` (the clipped spans copies).  The record stream, when
+    ``longest`` holds one for this machine, is its stream sliced with
+    the clipped tail re-derived.
+
+    The branch-stack stats are not a prefix: a run-ahead ``btb.predict``
+    past the cut refreshes BTB recency, which can change later BTB hits
+    and so ``btb_correct``.  The cut replays them with
+    :func:`build_plan` when they are first read.
+    """
+    prefetcher = longest.prefetcher
+    n = len(trace)
+    tail = max(n - longest.depth, 0)
+    cand_lo = np.array(longest.cand_lo[:n])
+    cand_hi = np.array(longest.cand_hi[:n])
+    lo, hi = cand_lo[tail:], cand_hi[tail:]
+    np.minimum(hi, n, out=hi)
+    empty = hi <= lo
+    lo[empty] = 0
+    hi[empty] = 0
+    plan = FrontendPlan(
+        trace_name=trace.name,
+        trace_digest=trace.digest,
+        prefetcher=prefetcher,
+        depth=longest.depth,
+        warmup_end=int(n * machine.warmup_fraction),
+        fingerprint=frontend_fingerprint(trace, machine, prefetcher),
+        mispredict=longest.mispredict[:n],
+        cum_mispredict=longest.cum_mispredict[: n + 1],
+        cand_lo=cand_lo,
+        cand_hi=cand_hi,
+        stats=partial(
+            _replayed_stats, replace(trace), machine, prefetcher
+        ),
+    )
+    backend_ipc = machine.backend_ipc
+    memo = longest._stream
+    if memo is not None and memo[0] == (longest.trace_digest, backend_ipc):
+        whole = memo[1]
+        probes = whole.probes[:n]
+        blocks = trace.blocks[tail:n].tolist()
+        for i, a, b in zip(range(tail, n), lo.tolist(), hi.tolist()):
+            probes[i] = _span_probe(blocks, a - tail, b - tail)
+        stream = RecordStream(probes, whole.deltas[:n], whole.cum_instrs[: n + 1])
+        plan._stream = ((plan.trace_digest, backend_ipc), stream)
+    return plan

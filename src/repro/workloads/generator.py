@@ -43,7 +43,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -148,8 +148,9 @@ class Walk:
     request it notes the request entry's index and the state that
     request starts from (RNG state, current group, cold cursor, pending
     branch kind/site), so a walk cut off mid-request by the emission
-    limit resumes from that entry.  Not thread-safe: callers sharing a
-    walk serialise access to it.
+    limit resumes from that entry.  Every trace it returns carries it as
+    ``trace.walk``.  Not thread-safe: callers sharing a walk serialise
+    access to it and to :attr:`plans`.
     """
 
     def __init__(
@@ -183,6 +184,10 @@ class Walk:
         self._cut_off = False
         # Emission cutoff, relative to the growth in progress.
         self._limit = 0
+        #: The frontend plan of this walk's longest planned trace, per
+        #: frontend config; :func:`repro.frontend.plan.cached_plan` cuts
+        #: every shorter trace's plan from it.
+        self.plans: Dict[tuple, object] = {}
 
     def __len__(self) -> int:
         return len(self._columns[0])
@@ -243,7 +248,7 @@ class Walk:
             self._grow(records)
             end = self._end(records)
         blocks, instrs, kinds, sites = (c[:end] for c in self._columns)
-        return Trace(
+        trace = Trace(
             name=name,
             blocks=blocks,
             instrs=instrs,
@@ -251,6 +256,8 @@ class Walk:
             branch_site=sites,
             seed=self.seed,
         )
+        trace.walk = self
+        return trace
 
     # -- emission -------------------------------------------------------------
 
@@ -291,17 +298,34 @@ class Walk:
             groups = 2
         else:
             groups = 1
-        if self.rng.random() < params.exec_noise:
-            groups = 1 + self.rng.randrange(3)  # rare data-dependent flip
-        for g in range(groups):
-            self._emit(block, _FULL_BLOCK_GROUPS[g])
+        rng = self.rng
+        if rng.random() < params.exec_noise:
+            groups = 1 + rng.randrange(3)  # rare data-dependent flip
+        sizes = _FULL_BLOCK_GROUPS[:groups]
         # Intra-block control flow: short taken branches and tight loops
         # restart fetch within the same block before control leaves it —
         # the dominant effect behind Fig. 1a's ~85% distance-0 mass.
-        if self.rng.random() < params.regroup_prob:
-            extra = self._draw_iters(params.regroup_mean)
-            for _ in range(extra):
-                self._emit(block, 6)
+        if rng.random() < params.regroup_prob:
+            sizes += (6,) * self._draw_iters(params.regroup_mean)
+        count = len(sizes)
+        blocks = self.blocks
+        if len(blocks) + count > self._limit:
+            # The visit crosses the emission limit: ``_emit`` stops the
+            # walk there.  (The regroup draws above ran before records
+            # they used to follow, but a cut-off walk replays its last
+            # request from the entry's RNG state, so nothing reads them.)
+            for n_instrs in sizes:
+                self._emit(block, n_instrs)
+        # Only the first record carries the pending transition; the
+        # rest of the visit is sequential flow within the block.
+        blocks.extend([block] * count)
+        self.instrs.extend(sizes)
+        self.kinds.append(self._pending_kind)
+        self.kinds.extend([BranchKind.SEQUENTIAL] * (count - 1))
+        self.sites.append(self._pending_site)
+        self.sites.extend([-1] * (count - 1))
+        self._pending_kind = BranchKind.SEQUENTIAL
+        self._pending_site = -1
         if groups < 3:
             # Early exit: a strongly-biased taken conditional whose
             # target is the sequentially-next block.  For the front-end

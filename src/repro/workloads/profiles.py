@@ -28,10 +28,10 @@ from __future__ import annotations
 import os
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, replace
-from typing import Dict, Optional, Union
+from dataclasses import dataclass
+from typing import Dict, Optional
 
-from repro.workloads.generator import Walk, WalkParams, generate_trace
+from repro.workloads.generator import Walk, WalkParams
 from repro.workloads.program import ProgramShape, build_program
 from repro.workloads.trace import Trace, cached_trace
 
@@ -64,68 +64,65 @@ class WorkloadProfile:
         for (profile, seed), the trace is cut from it (growing the walk
         if needed) and the trace cache is neither read nor written.
         Otherwise the trace comes from :func:`cached_trace`, whose miss
-        builds it through :data:`_walks`: the first length keeps no
-        walk, a second, different one starts the shared walk.
+        generates it on a new walk that stays resident.  A cut trace
+        carries its walk, so its frontend plan is cut from the walk's
+        too (see :func:`repro.frontend.plan.cached_plan`).
         """
         records = records or self.walk.target_records
         seed = self.seed if seed is None else seed
         memo_key = (self, seed)
         with _walks_lock:
             walk = _walks.get(memo_key)
-            if isinstance(walk, Walk):
-                _walks.move_to_end(memo_key)
-                return walk.trace(records, self.name)
-        key = f"{self.name}-r{records}-s{seed}"
+            if walk is not None:
+                return _cut(memo_key, walk, records, self.name)
 
         def build() -> Trace:
-            params = replace(self.walk, target_records=records)
             with _walks_lock:
                 walk = _walks.get(memo_key)
-                if isinstance(walk, Walk):
-                    _walks.move_to_end(memo_key)
-                    program = walk.program
-                else:
-                    # ``walk`` is the one length asked before, or None.
-                    # The first length keeps no walk; a second, different
-                    # one starts the shared walk.
+                if walk is None:
                     program = build_program(self.shape, seed=seed)
-                    if walk is None or walk == records:
-                        walk = None
-                        _remember_walk(memo_key, records)
-                    else:
-                        walk = Walk(program, params, seed + 1)
-                        _remember_walk(memo_key, walk)
-                return generate_trace(
-                    program, params, seed=seed + 1, name=self.name, walk=walk
-                )
+                    walk = Walk(program, self.walk, seed + 1)
+                return _cut(memo_key, walk, records, self.name)
 
-        return cached_trace(key, build)
+        return cached_trace(f"{self.name}-r{records}-s{seed}", build)
 
 
-#: Per-process walk memo, by (profile, seed), in LRU order: a
-#: :class:`Walk` for profiles asked for at two or more lengths, just the
-#: length for profiles asked for at one (a sweep worker asks each
-#: workload at one length, and keeps no walk).  A resident walk serves
-#: every length of its profile ahead of the trace cache.  A walk holds
-#: 18 bytes per walked record, which the traces cut from it view.
-_walks: "OrderedDict[tuple, Union[int, Walk]]" = OrderedDict()
-_WALKS_CAP = 16
-#: Sweep-service simulation threads build traces concurrently.
+#: Per-process walk memo, by (profile, seed), in LRU order.  A walk
+#: starts when a trace is generated (a trace-cache miss) and serves
+#: every later length of its profile ahead of the trace cache.  A walk
+#: holds 18 bytes per walked record, which the traces cut from it view,
+#: plus its frontend plans (see :attr:`Walk.plans`), so the memo is
+#: bounded by the records its walks hold: about three full-length
+#: walks, the contexts a sweep worker keeps resident.
+_walks: "OrderedDict[tuple, Walk]" = OrderedDict()
+_WALKS_MAX_RECORDS = 7 * DEFAULT_RECORDS // 2
+#: Sweep-service simulation threads build traces and plans
+#: concurrently; this lock guards the memo, its walks and their plans.
 _walks_lock = threading.Lock()
 
 
+def walks_lock() -> threading.Lock:
+    """The lock a resident walk's users hold (see :data:`_walks_lock`)."""
+    return _walks_lock
+
+
 def clear_walk_memo() -> None:
-    """Forget every walk and remembered length, so the next trace of each
-    profile comes from the trace cache (tests)."""
+    """Forget every walk, so the next trace of each profile comes from
+    the trace cache (tests)."""
     with _walks_lock:
         _walks.clear()
 
 
-def _remember_walk(key: tuple, entry: Union[int, Walk]) -> None:
-    _walks[key] = entry
+def _cut(key: tuple, walk: Walk, records: int, name: str) -> Trace:
+    """Cut ``records`` from ``walk``, the memo's most recent entry;
+    then drop the least recent walks beyond the records bound."""
+    trace = walk.trace(records, name)
+    _walks[key] = walk
     _walks.move_to_end(key)
-    while len(_walks) > _WALKS_CAP:
-        _walks.popitem(last=False)
+    held = sum(len(w) for w in _walks.values())
+    while held > _WALKS_MAX_RECORDS and len(_walks) > 1:
+        held -= len(_walks.popitem(last=False)[1])
+    return trace
 
 
 def _new_walks_lock() -> None:

@@ -24,7 +24,7 @@ that profile's traces from it ahead of this cache, and saves none.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import List, Optional
@@ -61,6 +61,14 @@ class Trace:
     branch_kind: np.ndarray  # uint8
     branch_site: np.ndarray  # int64, -1 when sequential
     seed: int = 0
+    #: The :class:`~repro.workloads.generator.Walk` this trace is a
+    #: prefix of, set on the traces a walk cuts: frontend plans of a
+    #: walk's traces are cut from one plan (see
+    #: :func:`repro.frontend.plan.cached_plan`).  ``dataclasses.replace``,
+    #: :meth:`slice` and loads leave it None.
+    walk: Optional[object] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         n = len(self.blocks)

@@ -4,7 +4,8 @@ Every cached numpy artifact (traces, frontend plans, entangling plans,
 replacement pre-passes) goes through
 :class:`repro.common.artifacts.ArtifactStore`.  These tests pin what the
 store owes a multi-threaded caller: concurrent cold writers of one key
-never collide on a temp name, the memo survives threads racing lookups
+never collide on a temp name, a committed sidecar stays visible while
+other writers commit theirs, the memo survives threads racing lookups
 against evictions, a failed write leaves no temp file behind, and the
 npz it writes (deflated at level 1) is a plain ``np.load`` archive.
 """
@@ -29,7 +30,7 @@ from repro.frontend.plan import (
 )
 from repro.mem.prepass import build_replacement_prepass
 from repro.uarch.params import DEFAULT_MACHINE
-from repro.workloads.trace import TRACE_ARRAY_FIELDS, Trace
+from repro.workloads.trace import TRACE_ARRAY_FIELDS, TRACE_STORE, Trace
 
 from test_frontend_plan import random_trace
 
@@ -106,6 +107,56 @@ class TestConcurrentWriters:
         for name in TRACE_ARRAY_FIELDS:
             assert np.array_equal(getattr(loaded, name), getattr(trace, name))
         assert sidecar_path(path).is_dir()
+        assert _temps(tmp_path) == []
+
+
+class TestSidecarCommit:
+    """Two writers of one sidecar: the first commit stays visible."""
+
+    def test_second_writer_keeps_the_winners_sidecar(self, tmp_path):
+        trace = random_trace(45, n=1000)
+        path = tmp_path / "trace.npz"
+        trace.save(path)
+        sidecar = sidecar_path(path)
+        committed = sidecar.stat().st_ino
+        TRACE_STORE.write_sidecar(trace, path)
+        assert sidecar.stat().st_ino == committed
+        assert _temps(tmp_path) == []
+
+    def test_sidecar_of_another_npz_is_replaced(self, tmp_path):
+        path = tmp_path / "trace.npz"
+        random_trace(46, n=1000).save(path)
+        trace = random_trace(47, n=1200)
+        trace.save(path)  # a new npz: the old sidecar is stale
+        loaded = TRACE_STORE.read_sidecar(sidecar_path(path))
+        assert np.array_equal(loaded.blocks, trace.blocks)
+        assert _temps(tmp_path) == []
+
+    def test_readers_always_find_the_sidecar(self, tmp_path):
+        trace = random_trace(48, n=2000)
+        path = tmp_path / "trace.npz"
+        trace.save(path)
+        meta = sidecar_path(path) / "meta.json"
+        stop = threading.Event()
+        gaps = []
+
+        def watch():
+            while not stop.is_set():
+                if not meta.exists():
+                    gaps.append(True)
+
+        watcher = threading.Thread(target=watch)
+        watcher.start()
+        try:
+            _, errors = _hammer(
+                lambda: [TRACE_STORE.write_sidecar(trace, path) for _ in range(20)],
+                switch_interval=1e-6,
+            )
+        finally:
+            stop.set()
+            watcher.join(timeout=60)
+        assert errors == []
+        assert gaps == []
         assert _temps(tmp_path) == []
 
 

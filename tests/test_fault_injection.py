@@ -29,7 +29,7 @@ from repro.common.faults import (
 from repro.common.durable import results_dir
 from repro.harness import runner as runner_module
 from repro.harness.runner import _SCALAR_FIELDS, Runner, WorkerPool
-from repro.workloads.profiles import get_workload
+from repro.workloads.profiles import clear_walk_memo, get_workload
 from repro.workloads.trace import mmap_sidecar_path
 
 RECORDS = 3_000
@@ -175,6 +175,8 @@ class TestWarmTaskFaults:
     def cold_traces(self, tmp_path, monkeypatch):
         def use(name):
             monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path / name))
+            # Forked workers would inherit this process's walks.
+            clear_walk_memo()
 
         return use
 
@@ -407,6 +409,7 @@ class TestFileMangleFaults:
         sidecar = mmap_sidecar_path(npz)
         assert (sidecar / "meta.json").read_bytes() == STALE_BYTES
 
+        clear_walk_memo()  # read the cache, not the resident walk
         loaded = get_workload("x264").trace(records=RECORDS)
         assert np.array_equal(loaded.blocks, fresh.blocks)
         # The mangled sidecar was discarded and rebuilt with real meta.
@@ -425,6 +428,7 @@ class TestFileMangleFaults:
 
         monkeypatch.delenv("REPRO_FAULT")
         faults.reset()
+        clear_walk_memo()  # read the cache, not the resident walk
         loaded = get_workload("x264").trace(records=RECORDS)
         assert np.array_equal(loaded.blocks, fresh.blocks)
         (npz,) = tmp_path.glob("*.npz")

@@ -8,7 +8,9 @@ tests pin that the cuts equal fresh single-length walks whatever order
 the lengths are asked in, across the emission limit and across threads,
 that a profile's resident walk serves its traces ahead of the trace
 cache, and that the committed ``.cache/traces`` entries obey the same
-prefix property.
+prefix property, as the committed ``.cache/plans`` entries obey its
+plan twin (a plan of a shorter trace is the longest plan cut, see
+``test_cut_plans.py``).
 """
 
 from __future__ import annotations
@@ -155,27 +157,24 @@ class TestProfileWalkMemo:
         monkeypatch.setattr(TRACE_STORE, "get", get)
         return keys
 
-    def test_first_two_lengths_go_through_the_store(
+    def test_first_length_goes_through_the_store(
         self, profile, tmp_path, store_gets
     ):
-        profile.trace(records=3000)
-        profile.trace(records=5000)  # starts the walk
-        names = [f"{profile.name}-r{n}-s{profile.seed}" for n in (3000, 5000)]
-        assert store_gets == names
-        assert sorted(p.name for p in tmp_path.glob("*.npz")) == [
-            f"{name}.npz" for name in names
-        ]
+        profile.trace(records=3000)  # starts the walk
+        profile.trace(records=5000)
+        name = f"{profile.name}-r3000-s{profile.seed}"
+        assert store_gets == [name]
+        assert [p.name for p in tmp_path.glob("*.npz")] == [f"{name}.npz"]
 
     @pytest.mark.parametrize(
-        "records, grows", [(4000, False), (20000, True)], ids=["shorter", "grows"]
+        "records, grows", [(2000, False), (20000, True)], ids=["shorter", "grows"]
     )
     def test_resident_walk_serves_ahead_of_the_store(
         self, profile, tmp_path, store_gets, records, grows
     ):
         """A resident walk cuts the trace without reading or writing the
         trace cache, growing first when the length needs it."""
-        profile.trace(records=3000)
-        profile.trace(records=5000)  # starts the walk
+        profile.trace(records=3000)  # starts the walk
         walk = profiles._walks[(profile, profile.seed)]
         walked = len(walk)
         files = sorted(tmp_path.rglob("*"))
@@ -184,18 +183,36 @@ class TestProfileWalkMemo:
         assert store_gets == []
         assert sorted(tmp_path.rglob("*")) == files
         assert (len(walk) > walked) is grows
+        assert trace.walk is walk
         assert trace.digest == self._fresh(profile, records).digest
 
-    def test_one_length_keeps_no_walk(self, profile):
-        profile.trace(records=3000)
-        assert profiles._walks[(profile, profile.seed)] == 3000
-        profile.trace(records=5000)
-        assert isinstance(profiles._walks[(profile, profile.seed)], Walk)
+    def test_generated_length_keeps_its_walk(self, profile):
+        """A generated trace starts the walk; a loaded one starts none."""
+        first = profile.trace(records=3000)
+        walk = profiles._walks[(profile, profile.seed)]
+        assert first.walk is walk
+        profiles.clear_walk_memo()
+        loaded = profile.trace(records=3000)
+        assert loaded.walk is None
+        assert (profile, profile.seed) not in profiles._walks
+        assert loaded.digest == first.digest
+
+    def test_memo_is_bounded_by_walked_records(self, profile, monkeypatch):
+        """Walks beyond the records bound go least recent first, and the
+        most recent walk stays whatever its size."""
+        monkeypatch.setattr(profiles, "_WALKS_MAX_RECORDS", 10_000)
+        names = [replace(profile, name=f"{profile.name}-{i}") for i in range(3)]
+        for profile in names:
+            profile.trace(records=4000)
+        # Three walks of >4000 records each exceed 10000: the first went.
+        assert [key[0] for key in profiles._walks] == names[1:]
+        names[1].trace(records=30_000)
+        assert [key[0] for key in profiles._walks] == [names[1]]
 
     @pytest.mark.parametrize("round_", range(4))
     def test_threads_ask_different_lengths(self, profile, round_):
         """More threads than cores cut one shared walk at once."""
-        profile.trace(records=1000)  # the next lengths share one walk
+        profile.trace(records=1000)  # starts the walk the next lengths share
         lengths = (7000, 4000, 9000, 2500)
         barrier = threading.Barrier(len(lengths))
         got = {}
@@ -258,3 +275,52 @@ class TestCommittedPrefixes:
                 assert int(entry["seed"]) == int(longest["seed"]), path.name
         after = sorted((p.name, p.stat().st_mtime_ns) for p in TRACE_DIR.iterdir())
         assert after == before, "the committed trace cache must stay untouched"
+
+
+#: The committed plan cache.
+PLAN_DIR = TRACE_DIR.parent / "plans"
+
+
+def _committed_plan_groups():
+    """(trace name, prefetcher, depth) -> {records: members}, where
+    several lengths exist.  Pre-pass entries (``.pre<fingerprint>``)
+    are not frontend plans."""
+    groups = defaultdict(dict)
+    for path in sorted(PLAN_DIR.glob("*.npz")):
+        if ".pre" in path.name:
+            continue
+        plan = _read(path)
+        key = (
+            bytes(plan["trace_name"]).decode(),
+            bytes(plan["prefetcher"]).decode(),
+            int(plan["depth"]),
+        )
+        groups[key][len(plan["mispredict"])] = plan
+    return {key: lengths for key, lengths in groups.items() if len(lengths) > 1}
+
+
+class TestCommittedPlans:
+    def test_every_plan_cuts_the_longest_plan(self):
+        """Each committed plan of a workload is its longest committed
+        plan cut at its length: the same mispredict flags and counts,
+        and the same spans with the last ``depth`` stopped at the cut."""
+        groups = _committed_plan_groups()
+        assert groups, "no committed workload has several plan lengths"
+        before = sorted((p.name, p.stat().st_mtime_ns) for p in PLAN_DIR.iterdir())
+        for (name, kind, _depth), lengths in groups.items():
+            longest = lengths[max(lengths)]
+            for n, plan in lengths.items():
+                where = f"{name} {kind} at {n} of {max(lengths)} records"
+                assert np.array_equal(plan["mispredict"], longest["mispredict"][:n]), where
+                assert np.array_equal(
+                    plan["cum_mispredict"], longest["cum_mispredict"][: n + 1]
+                ), where
+                lo = longest["cand_lo"][:n].copy()
+                hi = np.minimum(longest["cand_hi"][:n], n)
+                empty = hi <= lo
+                lo[empty] = 0
+                hi[empty] = 0
+                assert np.array_equal(plan["cand_lo"], lo), where
+                assert np.array_equal(plan["cand_hi"], hi), where
+        after = sorted((p.name, p.stat().st_mtime_ns) for p in PLAN_DIR.iterdir())
+        assert after == before, "the committed plan cache must stay untouched"

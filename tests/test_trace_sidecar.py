@@ -17,7 +17,7 @@ import shutil
 import numpy as np
 import pytest
 
-from repro.workloads.profiles import get_workload
+from repro.workloads.profiles import clear_walk_memo, get_workload
 from repro.workloads.trace import (
     Trace,
     mmap_sidecar_path,
@@ -37,6 +37,8 @@ def trace_cache(tmp_path, monkeypatch):
 
 
 def _build(records=RECORDS):
+    # A resident walk would serve the trace ahead of the cache under test.
+    clear_walk_memo()
     return get_workload(WORKLOAD).trace(records=records)
 
 
