@@ -132,8 +132,10 @@ def _commit_dir(tmp: Path, dirpath: Path, meta: str) -> bool:
     Returns False, committing nothing, when ``dirpath`` already holds a
     sidecar with the same ``meta.json`` text.  A different one is
     renamed aside first (``rename`` cannot replace a non-empty
-    directory) and removed after; should another writer commit between
-    the two renames, its sidecar stays if it carries the same meta.
+    directory) and removed after.  Should another writer commit a
+    sidecar with the same meta after that check, the rename aside takes
+    the other writer's sidecar, which is put back instead: it is gone
+    only between those two renames, and readers fall back to the npz.
     Gives up (False) after a few rounds of writers with different metas
     displacing each other.
     """
@@ -153,6 +155,13 @@ def _commit_dir(tmp: Path, dirpath: Path, meta: str) -> bool:
             os.replace(dirpath, aside)
         except FileNotFoundError:
             pass  # another writer moved it aside first
+        else:
+            if _same_meta(Path(aside), meta):
+                try:
+                    os.rename(aside, dirpath)
+                    return False
+                except OSError:
+                    pass  # a third writer committed: retry against it
         finally:
             shutil.rmtree(aside, ignore_errors=True)
     return False
@@ -347,8 +356,9 @@ class ArtifactStore:
         reader finds either no sidecar or a whole one.  When a sidecar
         is already there, a writer keeps it if it was derived from the
         same npz (a concurrent writer won the race with the same
-        content), and otherwise renames it aside before its own rename:
-        a committed sidecar never disappears while it is still valid.
+        content), and otherwise renames it aside before its own rename,
+        so a valid sidecar stays visible to readers (see
+        :func:`_commit_dir` for the one narrow exception).
         """
         dirpath = sidecar_path(npz_path)
         try:

@@ -61,15 +61,19 @@ scheme) pair.
 Traces cut from one walk (:mod:`repro.workloads.generator`) share one
 plan: the replay is causal and run-ahead looks at most ``depth``
 records ahead, so a prefix's plan is the longer plan's prefix with the
-last ``depth`` spans clipped (:func:`cut_plan`).  The walk keeps the
-plan of its longest planned trace, which goes through the store as any
-plan; every shorter trace's plan is cut from it in memory.
+last ``depth`` spans clipped (:func:`cut_plan`).  Per walk, this module
+keeps the plan of the walk's longest planned trace, which goes through
+the store as any plan; every shorter trace's plan is cut from it in
+memory.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
+import threading
+import weakref
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
@@ -81,7 +85,6 @@ import numpy as np
 from repro.common.artifacts import ArtifactStore, entry_name, sidecar_path
 from repro.frontend.stack import BranchStack, BranchStackStats
 from repro.uarch.params import MachineParams
-from repro.workloads.profiles import walks_lock
 from repro.workloads.trace import BranchKind, Trace
 
 #: Bump when the array layout or replay semantics change; stale cache
@@ -592,6 +595,23 @@ plan_cache_dir = PLAN_STORE.cache_dir
 mmap_sidecar_path = sidecar_path
 clear_plan_memo = PLAN_STORE.clear_memo
 
+#: Per walk (:class:`repro.workloads.generator.Walk`), the plan of its
+#: longest planned trace by (prefetcher, run-ahead depth).  Weakly
+#: keyed: an entry lives as long as the walk memo keeps its walk.
+_walk_plans: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+#: Sweep-service simulation threads plan concurrently.
+_walk_plans_lock = threading.Lock()
+
+
+def _new_walk_plans_lock() -> None:
+    # A fork while another thread holds the lock would hand the child a
+    # lock nobody will release.
+    global _walk_plans_lock
+    _walk_plans_lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_new_walk_plans_lock)
+
 
 def cached_plan(
     trace: Trace,
@@ -603,8 +623,8 @@ def cached_plan(
 
     A trace cut from a walk (``trace.walk``, see
     :mod:`repro.workloads.generator`) shares one plan with every other
-    trace of that walk: the walk keeps the plan of its longest planned
-    trace per frontend config, and a shorter trace's plan is
+    trace of that walk: :data:`_walk_plans` keeps the plan of the walk's
+    longest planned trace per frontend config, and a shorter trace's plan is
     :func:`cut_plan` from it, never built, loaded or saved.  Every other
     plan is served by :data:`PLAN_STORE`; ``use_disk=False`` (or
     ``REPRO_NO_DISK_CACHE=1``) keeps it in memory.  An entry whose
@@ -615,8 +635,8 @@ def cached_plan(
     walk = trace.walk
     if walk is not None:
         key = (prefetcher, _run_ahead(machine, prefetcher))
-        with walks_lock():
-            longest = walk.plans.get(key)
+        with _walk_plans_lock:
+            longest = _walk_plans.get(walk, {}).get(key)
         if longest is not None and len(longest) >= len(trace):
             if longest.fingerprint == fingerprint:
                 return longest
@@ -629,11 +649,12 @@ def cached_plan(
         use_disk=use_disk,
     )
     if walk is not None:
-        with walks_lock():
-            kept = walk.plans.get(key)
+        with _walk_plans_lock:
+            plans = _walk_plans.setdefault(walk, {})
+            kept = plans.get(key)
             superseded = kept is not None and len(kept) < len(plan)
             if kept is None or superseded:
-                walk.plans[key] = plan
+                plans[key] = plan
         if superseded:
             # Every trace ``kept`` served is now cut from ``plan``, so the
             # store's memo would only pin it.

@@ -43,7 +43,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -150,7 +150,7 @@ class Walk:
     branch kind/site), so a walk cut off mid-request by the emission
     limit resumes from that entry.  Every trace it returns carries it as
     ``trace.walk``.  Not thread-safe: callers sharing a walk serialise
-    access to it and to :attr:`plans`.
+    access to it.
     """
 
     def __init__(
@@ -184,10 +184,6 @@ class Walk:
         self._cut_off = False
         # Emission cutoff, relative to the growth in progress.
         self._limit = 0
-        #: The frontend plan of this walk's longest planned trace, per
-        #: frontend config; :func:`repro.frontend.plan.cached_plan` cuts
-        #: every shorter trace's plan from it.
-        self.plans: Dict[tuple, object] = {}
 
     def __len__(self) -> int:
         return len(self._columns[0])

@@ -28,10 +28,10 @@ from __future__ import annotations
 import os
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Optional
 
-from repro.workloads.generator import Walk, WalkParams
+from repro.workloads.generator import Walk, WalkParams, generate_trace
 from repro.workloads.program import ProgramShape, build_program
 from repro.workloads.trace import Trace, cached_trace
 
@@ -74,15 +74,22 @@ class WorkloadProfile:
         with _walks_lock:
             walk = _walks.get(memo_key)
             if walk is not None:
-                return _cut(memo_key, walk, records, self.name)
+                trace = walk.trace(records, self.name)
+                _keep_walk(memo_key, walk)
+                return trace
 
         def build() -> Trace:
+            params = replace(self.walk, target_records=records)
             with _walks_lock:
                 walk = _walks.get(memo_key)
                 if walk is None:
                     program = build_program(self.shape, seed=seed)
-                    walk = Walk(program, self.walk, seed + 1)
-                return _cut(memo_key, walk, records, self.name)
+                    walk = Walk(program, params, seed + 1)
+                trace = generate_trace(
+                    walk.program, params, seed=seed + 1, name=self.name, walk=walk
+                )
+                _keep_walk(memo_key, walk)
+                return trace
 
         return cached_trace(f"{self.name}-r{records}-s{seed}", build)
 
@@ -91,19 +98,18 @@ class WorkloadProfile:
 #: starts when a trace is generated (a trace-cache miss) and serves
 #: every later length of its profile ahead of the trace cache.  A walk
 #: holds 18 bytes per walked record, which the traces cut from it view,
-#: plus its frontend plans (see :attr:`Walk.plans`), so the memo is
-#: bounded by the records its walks hold: about three full-length
-#: walks, the contexts a sweep worker keeps resident.
+#: the frontend plans of its longest trace
+#: (:func:`repro.frontend.plan.cached_plan`), about 50 bytes per record
+#: more, and its program, about 60 bytes per program block.  So the
+#: memo is bounded by its walks' records plus program blocks (see
+#: :func:`_held`), about three full-length walks (the contexts a sweep
+#: worker keeps resident), and by a count.  Traces hold their walk
+#: weakly (``trace.walk``), so a walk the memo drops is freed.
 _walks: "OrderedDict[tuple, Walk]" = OrderedDict()
 _WALKS_MAX_RECORDS = 7 * DEFAULT_RECORDS // 2
-#: Sweep-service simulation threads build traces and plans
-#: concurrently; this lock guards the memo, its walks and their plans.
+_WALKS_CAP = 16
+#: Sweep-service simulation threads build traces concurrently.
 _walks_lock = threading.Lock()
-
-
-def walks_lock() -> threading.Lock:
-    """The lock a resident walk's users hold (see :data:`_walks_lock`)."""
-    return _walks_lock
 
 
 def clear_walk_memo() -> None:
@@ -113,16 +119,22 @@ def clear_walk_memo() -> None:
         _walks.clear()
 
 
-def _cut(key: tuple, walk: Walk, records: int, name: str) -> Trace:
-    """Cut ``records`` from ``walk``, the memo's most recent entry;
-    then drop the least recent walks beyond the records bound."""
-    trace = walk.trace(records, name)
+def _held(walk: Walk) -> int:
+    """What ``walk`` holds, counted in walked records: a program block
+    costs about what a walked record and its plans do."""
+    return len(walk) + walk.program.total_blocks
+
+
+def _keep_walk(key: tuple, walk: Walk) -> None:
+    """Make ``walk`` the memo's most recent entry; then drop the least
+    recent walks beyond the records bound and the count cap."""
     _walks[key] = walk
     _walks.move_to_end(key)
-    held = sum(len(w) for w in _walks.values())
-    while held > _WALKS_MAX_RECORDS and len(_walks) > 1:
-        held -= len(_walks.popitem(last=False)[1])
-    return trace
+    held = sum(_held(w) for w in _walks.values())
+    while len(_walks) > 1 and (
+        held > _WALKS_MAX_RECORDS or len(_walks) > _WALKS_CAP
+    ):
+        held -= _held(_walks.popitem(last=False)[1])
 
 
 def _new_walks_lock() -> None:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Tuple
 
 # Op kinds attached to blocks of a function (at most one per block).
@@ -80,7 +81,7 @@ class SyntheticProgram:
     dispatch_site: int
     n_sites: int
 
-    @property
+    @cached_property
     def total_blocks(self) -> int:
         return sum(f.n_blocks for f in self.functions)
 

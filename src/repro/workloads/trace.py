@@ -24,6 +24,7 @@ that profile's traces from it ahead of this cache, and saves none.
 from __future__ import annotations
 
 import hashlib
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -61,14 +62,27 @@ class Trace:
     branch_kind: np.ndarray  # uint8
     branch_site: np.ndarray  # int64, -1 when sequential
     seed: int = 0
-    #: The :class:`~repro.workloads.generator.Walk` this trace is a
-    #: prefix of, set on the traces a walk cuts: frontend plans of a
-    #: walk's traces are cut from one plan (see
-    #: :func:`repro.frontend.plan.cached_plan`).  ``dataclasses.replace``,
-    #: :meth:`slice` and loads leave it None.
-    walk: Optional[object] = field(
+    # A weak reference to the walk this trace was cut from (see ``walk``).
+    _walk: Optional[weakref.ref] = field(
         default=None, init=False, repr=False, compare=False
     )
+
+    @property
+    def walk(self):
+        """The :class:`~repro.workloads.generator.Walk` this trace is a
+        prefix of, while that walk lives, else None.
+
+        Set on the traces a walk cuts: frontend plans of a walk's traces
+        are cut from one plan (see :func:`repro.frontend.plan.cached_plan`).
+        Held weakly, so a trace does not keep alive a walk (and its
+        program) that the walk memo has dropped.  ``dataclasses.replace``,
+        :meth:`slice` and loads leave it None.
+        """
+        return None if self._walk is None else self._walk()
+
+    @walk.setter
+    def walk(self, walk) -> None:
+        self._walk = weakref.ref(walk)
 
     def __post_init__(self) -> None:
         n = len(self.blocks)

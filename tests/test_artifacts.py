@@ -12,7 +12,9 @@ npz it writes (deflated at level 1) is a plain ``np.load`` archive.
 
 from __future__ import annotations
 
+import shutil
 import sys
+import tempfile
 import threading
 from pathlib import Path
 
@@ -129,6 +131,37 @@ class TestSidecarCommit:
         trace = random_trace(47, n=1200)
         trace.save(path)  # a new npz: the old sidecar is stale
         loaded = TRACE_STORE.read_sidecar(sidecar_path(path))
+        assert np.array_equal(loaded.blocks, trace.blocks)
+        assert _temps(tmp_path) == []
+
+    def test_stale_replacer_puts_back_a_valid_sidecar(self, tmp_path, monkeypatch):
+        """Writer X finds a stale sidecar; before X renames it aside,
+        writer Y replaces it with a valid one.  X's rename aside then
+        takes Y's sidecar, and X puts it back instead of committing."""
+        path = tmp_path / "trace.npz"
+        random_trace(49, n=1000).save(path)
+        stale = tmp_path / "stale"
+        shutil.copytree(sidecar_path(path), stale)
+        trace = random_trace(50, n=1200)
+        trace.save(path)
+        sidecar = sidecar_path(path)
+        shutil.rmtree(sidecar)
+        stale.rename(sidecar)
+        real_mkdtemp = tempfile.mkdtemp
+        committed = []
+
+        def mkdtemp(*args, suffix="", **kwargs):
+            if suffix == ".old.tmp" and not committed:
+                committed.append(None)  # Y, below, takes the real mkdtemp
+                TRACE_STORE.write_sidecar(trace, path)
+                committed[0] = sidecar.stat().st_ino
+            return real_mkdtemp(*args, suffix=suffix, **kwargs)
+
+        monkeypatch.setattr(tempfile, "mkdtemp", mkdtemp)
+        TRACE_STORE.write_sidecar(trace, path)
+        assert committed[0] is not None
+        assert sidecar.stat().st_ino == committed[0]
+        loaded = TRACE_STORE.read_sidecar(sidecar)
         assert np.array_equal(loaded.blocks, trace.blocks)
         assert _temps(tmp_path) == []
 

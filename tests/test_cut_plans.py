@@ -16,6 +16,7 @@ scalars from a cold run.
 
 from __future__ import annotations
 
+import gc
 import os
 from dataclasses import replace
 
@@ -178,17 +179,38 @@ class TestCutEqualsBuild:
         profile = get_workload("x264")
         walk = Walk(build_program(profile.shape, seed=profile.seed),
                     profile.walk, profile.seed + 1)
+        key = ("fdp", MACHINE.ftq_depth_records)
         short = cached_plan(walk.trace(2000), MACHINE, "fdp")
-        assert walk.plans[("fdp", MACHINE.ftq_depth_records)] is short
+        assert plan_mod._walk_plans[walk] == {key: short}
         trace = walk.trace(4000)
         longer = cached_plan(trace, MACHINE, "fdp")
-        assert walk.plans[("fdp", MACHINE.ftq_depth_records)] is longer
+        assert plan_mod._walk_plans[walk] == {key: longer}
         # Planned through the store, as any plan that is not a cut; the
         # store's memo lets go of the plan the walk no longer keeps.
         assert len(store_gets) == 2
         assert PLAN_STORE.recall(store_gets[-1]) is longer
         assert PLAN_STORE.recall(store_gets[0]) is None
         _assert_equals_build(longer, trace, "fdp")
+
+    def test_kept_plans_go_with_their_walk(self, store_gets):
+        """Traces hold their walk weakly: once nothing else holds it,
+        the walk and its kept plans go, and the traces plan through
+        the store."""
+        profile = get_workload("x264")
+        walk = Walk(build_program(profile.shape, seed=profile.seed),
+                    profile.walk, profile.seed + 1)
+        trace = walk.trace(2000)
+        cached_plan(trace, MACHINE, "fdp")
+        assert walk in plan_mod._walk_plans
+        before = len(plan_mod._walk_plans)
+        shorter = walk.trace(1000)
+        del walk
+        gc.collect()
+        assert trace.walk is None and shorter.walk is None
+        assert len(plan_mod._walk_plans) == before - 1
+        store_gets.clear()
+        _assert_equals_build(cached_plan(shorter, MACHINE, "fdp"), shorter, "fdp")
+        assert len(store_gets) == 1
 
     def test_traces_off_the_walk_go_through_the_store(self, store_gets):
         """A copy of a cut carries no walk: its plan is the store's."""

@@ -197,17 +197,31 @@ class TestProfileWalkMemo:
         assert (profile, profile.seed) not in profiles._walks
         assert loaded.digest == first.digest
 
-    def test_memo_is_bounded_by_walked_records(self, profile, monkeypatch):
-        """Walks beyond the records bound go least recent first, and the
-        most recent walk stays whatever its size."""
-        monkeypatch.setattr(profiles, "_WALKS_MAX_RECORDS", 10_000)
+    def test_memo_is_bounded_by_what_walks_hold(self, profile, monkeypatch):
+        """Walks beyond the bound on walked records plus program blocks
+        go, least recent first, and the most recent walk stays whatever
+        its size."""
+        walk = Walk(build_program(profile.shape, seed=profile.seed),
+                    profile.walk, profile.seed + 1)
+        walk.trace(4000)
+        one = len(walk) + walk.program.total_blocks
+        monkeypatch.setattr(profiles, "_WALKS_MAX_RECORDS", 2 * one + one // 2)
         names = [replace(profile, name=f"{profile.name}-{i}") for i in range(3)]
         for profile in names:
             profile.trace(records=4000)
-        # Three walks of >4000 records each exceed 10000: the first went.
+        # Three walks exceed the bound: the first went.
         assert [key[0] for key in profiles._walks] == names[1:]
         names[1].trace(records=30_000)
         assert [key[0] for key in profiles._walks] == [names[1]]
+
+    def test_memo_is_bounded_by_a_count(self, profile, monkeypatch):
+        """Short walks far inside the records bound still go, least
+        recent first, beyond the count cap."""
+        monkeypatch.setattr(profiles, "_WALKS_CAP", 2)
+        names = [replace(profile, name=f"{profile.name}-{i}") for i in range(3)]
+        for profile in names:
+            profile.trace(records=500)
+        assert [key[0] for key in profiles._walks] == names[1:]
 
     @pytest.mark.parametrize("round_", range(4))
     def test_threads_ask_different_lengths(self, profile, round_):
