@@ -16,7 +16,11 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.harness.runner import Runner
-from repro.workloads.profiles import WorkloadProfile, register_workload
+from repro.workloads.profiles import (
+    WorkloadProfile,
+    forget_walk,
+    register_workload,
+)
 
 #: The pairs one Fig 11 score needs: the baseline plus the two schemes
 #: whose reduction ratio is the objective.
@@ -83,10 +87,14 @@ def score_profile(runner: Runner, profile: WorkloadProfile) -> ScoreCard:
 
     Registration is what lets the whole Runner/sweep machinery (and its
     fingerprint-keyed caches) treat a search candidate exactly like a
-    tracked workload.
+    tracked workload.  A candidate is scored at one length, so its walk
+    is dropped once scored (each holds a program of a few MB).
     """
     register_workload(profile)
-    return score_workload(runner, profile.name)
+    try:
+        return score_workload(runner, profile.name)
+    finally:
+        forget_walk(profile)
 
 
 def average_share(

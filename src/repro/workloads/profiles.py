@@ -119,6 +119,13 @@ def clear_walk_memo() -> None:
         _walks.clear()
 
 
+def forget_walk(profile: "WorkloadProfile", seed: Optional[int] = None) -> None:
+    """Drop ``profile``'s walk: its caller asks for no other length."""
+    seed = profile.seed if seed is None else seed
+    with _walks_lock:
+        _walks.pop((profile, seed), None)
+
+
 def _held(walk: Walk) -> int:
     """What ``walk`` holds, counted in walked records: a program block
     costs about what a walked record and its plans do."""

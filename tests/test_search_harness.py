@@ -12,6 +12,7 @@ import pytest
 
 from repro.harness.runner import Runner
 from repro.harness.scoring import score_workload
+from repro.workloads import profiles as profiles_module
 from repro.workloads.profiles import (
     get_workload,
     known_workload_names,
@@ -43,8 +44,6 @@ def isolated(tmp_path, monkeypatch):
     yield tmp_path
     # invalidate lazily (not reload): the test may have left a corrupt
     # registry behind, and teardown must not raise on it.
-    import repro.workloads.profiles as profiles_module
-
     profiles_module._found_workloads = None
 
 
@@ -87,6 +86,12 @@ class TestJournal:
 
 
 class TestResume:
+    def test_scored_candidates_keep_no_walk(self, isolated):
+        """Each candidate is scored at one length: its walk (and the
+        program it pins) is dropped once scored."""
+        run_search(_config(budget=2))
+        assert profiles_module._walks == {}
+
     def test_killed_run_resumes_without_resimulating(self, isolated):
         first = run_search(_config(budget=2))
         assert (first.simulated, first.replayed) == (2, 0)
