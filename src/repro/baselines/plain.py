@@ -3,8 +3,9 @@
 The registry's production path for ``plru``/``srrip``/``ship``, and
 the readable reference for the schemes that run on fused twins: LRU
 and the 36 KB / 40 KB i-caches (``FlatLRUScheme``), Belady OPT
-(``FlatOPTScheme``), GHRP and Hawkeye/Harmony.  The differential
-suites compare each twin's state with this class's through a test-side
+(``FlatOPTScheme``), GHRP and Hawkeye/Harmony, whose readable policies
+live in ``tests/reference/policies.py``.  The differential suites
+compare each twin's state with this class's through a test-side
 projection into its shape.
 """
 

@@ -67,7 +67,9 @@ from repro.common.faults import fire
 #: Format 2: the engine state is one pickle of its collaborators.
 #: Format 3: that pickle names the trace and the oracle through
 #: placeholder globals instead of persistent ids.
-SHARD_FORMAT = 3
+#: Format 4: the GHRP, Harmony and OPT twins pickle their own state,
+#: not a readable policy object.
+SHARD_FORMAT = 4
 
 #: How many boundary-state files a ledger keeps: the newest (normal
 #: resume) and its predecessor (fallback when the newest is mangled).

@@ -150,7 +150,7 @@ class SetAssociativeCache:
         """Install ``block``, evicting the policy's victim if the set is full.
 
         The policy may answer ``victim() -> None`` to bypass the fill
-        entirely (GHRP dead-on-arrival blocks, Belady MIN).
+        entirely (Belady MIN).
         """
         set_index = block & self._set_mask
         line_set = self._sets[set_index]

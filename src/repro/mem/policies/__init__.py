@@ -6,27 +6,26 @@ Everything the paper compares against lives here:
 * :class:`TreePLRUPolicy` — hardware pseudo-LRU (extra ablation).
 * :class:`SRRIPPolicy` — re-reference interval prediction.
 * :class:`SHiPPolicy` — signature-based hit prediction over SRRIP.
-* :class:`HawkeyePolicy` — OPT-learning (Harmony flavour for prefetch).
-* :class:`GHRPPolicy` — global-history dead-block prediction (the
+* :class:`FlatHawkeyeScheme` — Hawkeye's OPT-learning replacement,
+  Harmony flavour for prefetch.
+* :class:`FlatGHRPScheme` — global-history dead-block prediction (the
   state-of-the-art i-cache policy ACIC is measured against).
-* :class:`BeladyOPTPolicy` — the oracle upper bound.
+* :class:`FlatOPTScheme` — Belady's OPT, the oracle upper bound.
+* :class:`FlatLRUScheme` — LRU on the same fused path.
 
-Four of them also have fused hot-path twins following the
-``FlatACICScheme`` pattern — :class:`FlatGHRPScheme`,
-:class:`FlatHawkeyeScheme`, :class:`FlatLRUScheme` and
-:class:`FlatOPTScheme` implement the L1I scheme protocol directly (the
-registry builds them for ``ghrp``/``harmony``/``lru``/``36kb-l1i``/
-``40kb-l1i``/``opt``), pinned bit-identical to the readable policies
-above by ``tests/test_policy_differential.py``.
+The four ``Flat*`` classes are fused hot-path schemes following the
+``FlatACICScheme`` pattern: they implement the L1I scheme protocol
+directly and own their policy state (the registry builds them for
+``ghrp``/``harmony``/``lru``/``36kb-l1i``/``40kb-l1i``/``opt``).  The
+readable GHRP, Hawkeye and Belady-OPT policies live in
+``tests/reference/policies.py``; ``tests/test_policy_differential.py``
+pins each twin bit-identical to its readable reference.
 """
 
 from repro.mem.policies.base import ReplacementPolicy
-from repro.mem.policies.belady import BeladyOPTPolicy
 from repro.mem.policies.flat_ghrp import FlatGHRPScheme
 from repro.mem.policies.flat_hawkeye import FlatHawkeyeScheme
 from repro.mem.policies.flat_plain import FlatLRUScheme, FlatOPTScheme
-from repro.mem.policies.ghrp import GHRPPolicy
-from repro.mem.policies.hawkeye import HawkeyePolicy
 from repro.mem.policies.lru import LRUPolicy
 from repro.mem.policies.plru import TreePLRUPolicy
 from repro.mem.policies.ship import SHiPPolicy
@@ -34,13 +33,10 @@ from repro.mem.policies.srrip import SRRIPPolicy
 
 __all__ = [
     "ReplacementPolicy",
-    "BeladyOPTPolicy",
     "FlatGHRPScheme",
     "FlatHawkeyeScheme",
     "FlatLRUScheme",
     "FlatOPTScheme",
-    "GHRPPolicy",
-    "HawkeyePolicy",
     "LRUPolicy",
     "TreePLRUPolicy",
     "SHiPPolicy",

@@ -58,7 +58,7 @@ class ReplacementPolicy(ABC):
         policies must only iterate it (repeatedly is fine) — no indexing
         and no mutation of the set while choosing.  Returning None tells
         the cache to drop ``incoming`` instead of filling (a bypass
-        decision made by the replacement policy, as GHRP and OPT do).
+        decision made by the replacement policy, as Belady's OPT does).
         """
 
     @abstractmethod

@@ -1,22 +1,37 @@
-"""Fused GHRP hot path: the registry's production ghrp scheme.
+"""GHRP: Global History Reuse Predictor replacement (Ajorpaz et al., ISCA'18).
 
-:class:`FlatGHRPScheme` is behaviourally identical to
-``PlainCacheScheme(config, GHRPPolicy())`` — same tables, same GHR
-evolution, same victims, same stats — but the per-record work is fused
-into single ``lookup``/``fill`` bodies with no intermediate dispatch:
+GHRP predicts *dead* i-cache blocks from the global history of recent
+access signatures:
 
-* the demand-hit path is the set dict's pop/reinsert with the policy's
-  ``_touch`` (live training, history push, index capture) inlined;
+* every access signs its block's 16-block code region with 16 bits;
+* a 16-bit global history register (GHR) mixes in recent signatures;
+* three 4096-entry tables of 2-bit counters, indexed by three different
+  hashes of (signature, GHR), vote on deadness;
+* the victim is the predicted-dead line nearest LRU, falling back to
+  plain LRU when no line is predicted dead (GHRP never bypasses).
+
+Training: a line touched again is trained *live* through the indices
+captured at its previous touch; a line evicted without an intervening
+touch is trained *dead* through the same captured indices.
+
+Table IV configuration: 3 x 4096-entry tables, 2-bit counters, 16-bit
+signature, 16-bit history register -> 4.06 KB.
+
+:class:`FlatGHRPScheme` is the registry's ``ghrp`` scheme, with the
+per-record work fused into single ``lookup``/``fill`` bodies:
+
+* the demand-hit path is the set dict's pop/reinsert with the touch
+  (live training, history push, index capture) inlined;
 * ``repeat_hits`` (the engine's batched repeat-block hits) trains in
   closed form: repeated pushes of one signature drive the GHR to a
-  fixed point within ``history_bits / 4`` steps, so it steps literally
+  fixed point within ``HISTORY_BITS / 4`` steps, so it steps literally
   until the GHR stops moving, then bulk-decrements the three counters
   every remaining repeat would decrement;
 * the per-line captured table indices live as the *payload* of each
   line in the set dicts, so the hit path's pop/reinsert doubles as the
-  index read/update and ``GHRPPolicy._line_indices`` is never kept;
+  index read/update;
 * the GHR and the cache stats counters accumulate in closure cells and
-  are flushed into the policy/stats objects by the engine's
+  are flushed into ``self.ghr`` and ``icache.stats`` by the engine's
   ``finish_trace`` hook and by a pickle
   (:class:`~repro.mem.policies.base.BoundHotPath`);
 * the fold-hash signature and table-index computations are inlined with
@@ -30,7 +45,7 @@ into single ``lookup``/``fill`` bodies with no intermediate dispatch:
   pre-pass or memo-hash specialisations at bind time so the per-record
   bodies carry no dead branches.
 
-``ghrp.py`` stays the readable reference;
+The readable ``GHRPPolicy`` lives in ``tests/reference/policies.py``;
 ``tests/test_policy_differential.py`` locks this implementation to it
 op-by-op (through a test-side projection into the ``PlainCacheScheme``
 shape) and, through the registry-level twin swap in
@@ -39,12 +54,30 @@ shape) and, through the registry-level twin swap in
 
 from __future__ import annotations
 
+import weakref
 from typing import Optional
 
 from repro.common.bitops import _GOLDEN64, _MASK64, mask
 from repro.mem.cache import CacheConfig, SetAssociativeCache
 from repro.mem.policies.base import BoundHotPath
-from repro.mem.policies.ghrp import _TABLE_HASH_SALTS, GHRPPolicy
+from repro.mem.policies.lru import LRUPolicy
+from repro.mem.prepass import (
+    GHRP_REGION_SHIFT,
+    GHRP_SIG_BITS,
+    cached_replacement_prepass,
+)
+
+#: Table IV: three 4096-entry tables of 2-bit counters, a 16-bit GHR;
+#: a line is predicted dead when its three counters sum to 6 or more.
+TABLE_BITS = 12
+COUNTER_MAX = 3
+HISTORY_BITS = 16
+DEAD_THRESHOLD = 6
+_TABLE_HASH_SALTS = (0x1F3D, 0x7A21, 0x42C9)
+
+#: Memo growth guard for pathological streams; recomputation is pure,
+#: so clearing never changes behaviour.
+_MEMO_CAP = 1 << 20
 
 #: Sentinel distinguishing "absent" from a stored ``None`` payload.
 _ABSENT = object()
@@ -55,18 +88,22 @@ class FlatGHRPScheme(BoundHotPath):
 
     name = "ghrp"
 
-    def __init__(
-        self,
-        config: Optional[CacheConfig] = None,
-        policy: Optional[GHRPPolicy] = None,
-    ) -> None:
+    def __init__(self, config: Optional[CacheConfig] = None) -> None:
         self.config = config or CacheConfig(32 * 1024, 8, name="L1i")
-        self.policy = policy or GHRPPolicy()
-        if len(self.policy.tables) != 3:
-            raise ValueError("FlatGHRPScheme requires the 3-table GHRP")
-        self.icache = SetAssociativeCache(self.config, self.policy)
+        # The cache is the line container and stats holder only; its
+        # LRU policy is never called.
+        self.icache = SetAssociativeCache(self.config, LRUPolicy())
         # The live per-set dicts (one list for the scheme's lifetime).
         self._lines_by_set = self.icache.line_dicts()
+        self.tables = [[0] * (1 << TABLE_BITS) for _ in _TABLE_HASH_SALTS]
+        self.ghr = 0
+        # Hashing memos.  Both hashes are pure functions of their key —
+        # region for the signature, (signature, GHR) for the table
+        # indices — and instruction streams revisit the same few
+        # thousand keys constantly, so caching them removes most
+        # per-access hashing without changing a single table update.
+        self._sig_memo = {}
+        self._indices_memo = {}
         self._bind()
 
     # -- pre-pass ------------------------------------------------------------
@@ -79,15 +116,8 @@ class FlatGHRPScheme(BoundHotPath):
         the pre-pass geometry doesn't match this instance; the memo-hash
         fallback then computes identical values.
         """
-        from repro.mem.prepass import cached_replacement_prepass
-
         pre = cached_replacement_prepass(trace)
-        pol = self.policy
-        if (
-            pre.ghrp_region_shift == pol.REGION_SHIFT
-            and pre.ghrp_sig_bits == pol.signature_bits
-            and pre.set_bits == self.config.set_index_bits
-        ):
+        if pre.set_bits == self.config.set_index_bits:
             self._sig_of_t = pre.ghrp_sig_list
             self._set_of_t = pre.set_index_list
             self._bind()
@@ -105,35 +135,37 @@ class FlatGHRPScheme(BoundHotPath):
         if flush_prev is not None:
             flush_prev()
 
-        pol = self.policy
         stats = self.icache.stats
         lines_by_set = self._lines_by_set
         set_mask = self.icache._set_mask
         ways = self.config.ways
-        t0, t1, t2 = pol.tables
-        sig_memo = pol._sig_memo
-        indices_memo = pol._indices_memo
-        region_shift = pol.REGION_SHIFT
-        sig_shift = 64 - pol.signature_bits
-        table_shift = 64 - pol.table_bits
-        hist_bits = pol.history_bits
+        t0, t1, t2 = self.tables
+        sig_memo = self._sig_memo
+        indices_memo = self._indices_memo
+        region_shift = GHRP_REGION_SHIFT
+        sig_shift = 64 - GHRP_SIG_BITS
+        table_shift = 64 - TABLE_BITS
+        hist_bits = HISTORY_BITS
         hist_mask = mask(hist_bits)
-        dead_threshold = pol.dead_threshold
-        counter_max = pol.counter_max
-        memo_cap = pol._MEMO_CAP
+        dead_threshold = DEAD_THRESHOLD
+        counter_max = COUNTER_MAX
+        memo_cap = _MEMO_CAP
         s1, s2, s3 = _TABLE_HASH_SALTS
         sig_of_t = self._sig_of_t
         set_of_t = self._set_of_t
 
         # Deferred state: the GHR and the five touched counters live in
-        # closure cells between flushes (nothing reads the policy/stats
-        # copies mid-run; ``finish_trace`` and a pickle flush them).
-        ghr = pol.ghr
+        # closure cells between flushes (nothing reads the scheme/stats
+        # copies mid-run; ``finish_trace`` and a pickle flush them).  The
+        # GHR goes back through a weak reference: a closure over ``self``
+        # would make every scheme a reference cycle.
+        ghr = self.ghr
+        owner = weakref.ref(self)
         acc = hits = evicts = dfills = pfills = 0
 
         def flush():
             nonlocal acc, hits, evicts, dfills, pfills
-            pol.ghr = ghr
+            owner().ghr = ghr
             stats.demand_accesses += acc
             stats.demand_hits += hits
             stats.evictions += evicts
@@ -142,7 +174,7 @@ class FlatGHRPScheme(BoundHotPath):
             acc = hits = evicts = dfills = pfills = 0
 
         def hash_sig(block):
-            # Inline twin of GHRPPolicy._signature (same memo).
+            # fold_hash of the block's region, through the bounded memo.
             region = block >> region_shift
             sig = sig_memo.get(region)
             if sig is None:
@@ -153,7 +185,7 @@ class FlatGHRPScheme(BoundHotPath):
             return sig
 
         def hash_indices(mixed):
-            # Inline twin of GHRPPolicy._indices' miss path (same memo).
+            # The three salted fold_hash table indices (a memo miss).
             indices = (
                 (((mixed ^ s1) * _GOLDEN64) & _MASK64) >> table_shift,
                 (((mixed ^ s2) * _GOLDEN64) & _MASK64) >> table_shift,
@@ -175,7 +207,7 @@ class FlatGHRPScheme(BoundHotPath):
             if previous is _ABSENT:
                 return False
             hits += 1
-            # Inlined GHRPPolicy._touch: the popped payload *is* the
+            # The touch, inlined: the popped payload *is* the
             # line's captured table indices — train them live...
             if previous is not None:
                 i0, i1, i2 = previous

@@ -1,13 +1,22 @@
-"""Fused Hawkeye/Harmony hot path: the registry's production harmony scheme.
+"""Hawkeye/Harmony: OPT-learning replacement (Jain & Lin, ISCA'16/'18).
 
-:class:`FlatHawkeyeScheme` is behaviourally identical to
-``PlainCacheScheme(config, HawkeyePolicy(ways=...))`` — same OPTgen
-verdicts, same predictor counters, same RRIP ageing, same victims —
-with the per-record work fused into single ``lookup``/``fill`` bodies:
+Hawkeye reconstructs what Belady's OPT *would have done* on the recent
+access stream (per-set OPTgen occupancy vectors) and trains a
+signature-indexed predictor with those labels.  Predicted cache-friendly
+lines are kept (RRIP 0); predicted cache-averse lines are marked for
+immediate eviction (RRIP 7).  Harmony is the prefetch-aware variant:
+prefetch fills are inserted cache-averse and do not charge OPTgen, so a
+covered prefetch never counts as an OPT hit.
 
-* the demand-hit path inlines ``_observe`` (sampler pop, OPT-hit
-  verdict, predictor training, quantum advance, sampler prune) and the
-  RRIP install;
+Table IV configuration: 64-entry occupancy vectors, 8K-entry predictor,
+3-bit training counters, 3-bit RRIP.
+
+:class:`FlatHawkeyeScheme` is the registry's ``harmony`` scheme, with
+the per-record work fused into single ``lookup``/``fill`` bodies:
+
+* the demand-hit path inlines the OPTgen observation (sampler pop,
+  OPT-hit verdict, predictor training, quantum advance, sampler prune)
+  and the RRIP install;
 * ``repeat_hits`` (the engine's batched repeat-block hits) is O(1):
   the hit before the run stamped the block with the set's current
   quantum, so every repeat sees an empty interval, and the run
@@ -16,18 +25,15 @@ with the per-record work fused into single ``lookup``/``fill`` bodies:
   opens in one mask, and restamps the block and its RRPV once;
 * each line's RRPV lives as the *payload* of its entry in the set
   dicts, so the hit path's pop/reinsert doubles as the RRIP install and
-  the victim scans read payloads instead of probing a side dict
-  (``HawkeyePolicy._rrpv`` is never kept);
+  the victim scans read payloads instead of probing a side dict;
 * each set's OPTgen is two slots in flat per-set lists — the quantum
   counter and the occupancy vector packed as 8-bit lanes of one int.
   Lanes never exceed ``capacity``, so with ``capacity < 128`` adding
   ``128 - capacity`` to every lane of a usage interval sets bit 7
   exactly in the full lanes: one add and one mask answer "any quantum
-  full?" and a single add charges the interval (the policy's
-  ``_OPTgen`` objects are never built);
-* the per-set sampler dicts are shared with the authoritative
-  ``HawkeyePolicy._history`` (created through both at once) and also
-  indexed by a flat list;
+  full?" and a single add charges the interval;
+* each set's sampler (block -> last quantum and signature, packed into
+  one int) is a dict in a flat per-set list;
 * the cache stats counters accumulate in closure cells, flushed by the
   engine's ``finish_trace`` hook and by a pickle
   (:class:`~repro.mem.policies.base.BoundHotPath`);
@@ -38,12 +44,12 @@ with the per-record work fused into single ``lookup``/``fill`` bodies:
   constant they touch (``self.lookup`` shadows the class), choosing
   pre-pass or memo-hash specialisations at bind time.
 
-``hawkeye.py`` stays the readable reference;
-``tests/test_policy_differential.py`` locks this implementation to it
-op-by-op (through a test-side projection into the ``PlainCacheScheme``
-shape, which unpacks the occupancy lanes into ``_OPTgen`` objects) and,
-through the registry-level twin swap in ``tests/reference``, on the
-20k grid.
+The readable ``HawkeyePolicy`` (with its ``_OPTgen`` objects) lives in
+``tests/reference/policies.py``; ``tests/test_policy_differential.py``
+locks this implementation to it op-by-op (through a test-side
+projection into the ``PlainCacheScheme`` shape, which unpacks the
+occupancy lanes into ``_OPTgen`` objects) and, through the
+registry-level twin swap in ``tests/reference``, on the 20k grid.
 """
 
 from __future__ import annotations
@@ -53,7 +59,18 @@ from typing import Dict, List, Optional, Tuple
 from repro.common.bitops import _GOLDEN64, _MASK64, mask
 from repro.mem.cache import CacheConfig, SetAssociativeCache
 from repro.mem.policies.base import BoundHotPath
-from repro.mem.policies.hawkeye import HawkeyePolicy
+from repro.mem.policies.lru import LRUPolicy
+from repro.mem.prepass import HAWKEYE_SIG_BITS, cached_replacement_prepass
+
+#: Table IV: 64-entry occupancy vectors, 3-bit training counters
+#: (cache-friendly from the midpoint up) and 3-bit RRIP.
+VECTOR_ENTRIES = 64
+COUNTER_MAX = 7
+COUNTER_MID = 4
+RRIP_MAX = 7
+
+#: Memo growth guard; recomputation is pure, clearing is invisible.
+_MEMO_CAP = 1 << 20
 
 #: Sentinel distinguishing "absent" from a stored ``None`` payload.
 _ABSENT = object()
@@ -81,24 +98,26 @@ class FlatHawkeyeScheme(BoundHotPath):
 
     name = "harmony"
 
-    def __init__(
-        self,
-        config: Optional[CacheConfig] = None,
-        policy: Optional[HawkeyePolicy] = None,
-    ) -> None:
+    def __init__(self, config: Optional[CacheConfig] = None) -> None:
         self.config = config or CacheConfig(32 * 1024, 8, name="L1i")
-        self.policy = policy or HawkeyePolicy(ways=self.config.ways)
-        if not 0 < self.policy.ways < 128:
+        if not 0 < self.config.ways < 128:
             raise ValueError(
-                "the packed occupancy vector requires 0 < policy.ways < 128"
+                "the packed occupancy vector requires 0 < config.ways < 128"
             )
-        self.icache = SetAssociativeCache(self.config, self.policy)
+        # The cache is the line container and stats holder only; its
+        # LRU policy is never called.
+        self.icache = SetAssociativeCache(self.config, LRUPolicy())
         # The live per-set dicts (one list for the scheme's lifetime).
         self._lines_by_set = self.icache.line_dicts()
-        # Flat per-set OPTgen/sampler views.  opt_time[s] is None until
-        # set s observes its first access (mirrors the reference's lazy
-        # _OPTgen creation); each sampler dict is shared with the
-        # policy's ``_history``.
+        self.predictor = [COUNTER_MID] * (1 << HAWKEYE_SIG_BITS)
+        # Each resident line's signature, for the victim's detraining.
+        self._sig_of_line: Dict[int, int] = {}
+        # Signature memo: the hash is pure and the instruction stream
+        # revisits the same blocks constantly, so hash each block once.
+        self._sig_memo: Dict[int, int] = {}
+        # Flat per-set OPTgen/sampler state.  opt_time[s] is None until
+        # set s observes its first access, when its sampler dict is
+        # created too.
         num_sets = self.config.num_sets
         self._opt_time: List[Optional[int]] = [None] * num_sets
         self._opt_occ: List[int] = [0] * num_sets
@@ -115,13 +134,8 @@ class FlatHawkeyeScheme(BoundHotPath):
         the pre-pass geometry doesn't match this instance; the memo-hash
         fallback then computes identical values.
         """
-        from repro.mem.prepass import cached_replacement_prepass
-
         pre = cached_replacement_prepass(trace)
-        if (
-            pre.hawkeye_sig_bits == self.policy.predictor_bits
-            and pre.set_bits == self.config.set_index_bits
-        ):
+        if pre.set_bits == self.config.set_index_bits:
             self._sig_of_t = pre.hawkeye_sig_list
             self._set_of_t = pre.set_index_list
             self._bind()
@@ -139,26 +153,24 @@ class FlatHawkeyeScheme(BoundHotPath):
         if flush_prev is not None:
             flush_prev()
 
-        pol = self.policy
         stats = self.icache.stats
         lines_by_set = self._lines_by_set
         set_mask = self.icache._set_mask
         ways = self.config.ways
-        pred = pol.predictor
-        pol_history = pol._history
-        sig_line = pol._sig_of_line
-        sig_memo = pol._sig_memo
-        sig_bits = pol.predictor_bits
+        pred = self.predictor
+        sig_line = self._sig_of_line
+        sig_memo = self._sig_memo
+        sig_bits = HAWKEYE_SIG_BITS
         sig_mask = mask(sig_bits)
         sig_shift = 64 - sig_bits
-        cmax = pol.counter_max
-        mid = pol.counter_mid
-        rmax = pol.rrip_max
-        window = pol.vector_entries
-        pad = 128 - pol.ways
+        cmax = COUNTER_MAX
+        mid = COUNTER_MID
+        rmax = RRIP_MAX
+        window = VECTOR_ENTRIES
+        pad = 128 - ways
         hist_cap = 8 * window
         ones_table, clears = _lane_tables(window)
-        memo_cap = pol._MEMO_CAP
+        memo_cap = _MEMO_CAP
         opt_time = self._opt_time
         opt_occ = self._opt_occ
         hist_by_set = self._hist_by_set
@@ -179,7 +191,7 @@ class FlatHawkeyeScheme(BoundHotPath):
             acc = hits = evicts = dfills = pfills = 0
 
         def hash_sig(block):
-            # Inline twin of HawkeyePolicy._signature (same memo).
+            # fold_hash of the block, through the bounded memo.
             sig = sig_memo.get(block)
             if sig is None:
                 sig = ((block * _GOLDEN64) & _MASK64) >> sig_shift
@@ -189,15 +201,15 @@ class FlatHawkeyeScheme(BoundHotPath):
             return sig
 
         def observe(s, block, sig):
-            # Twin of HawkeyePolicy._observe (the lookup path inlines
-            # this body; the rarer demand-fill path calls it).
+            # One OPTgen observation of `block` in set `s` (the lookup
+            # path inlines this body; the rarer demand-fill path calls
+            # it).
             gen_time = opt_time[s]
             if gen_time is None:
                 gen_time = 0
                 opt_occ[s] = 0
                 history = {}
                 hist_by_set[s] = history
-                pol_history[s] = history  # shared with the policy
             else:
                 history = hist_by_set[s]
             previous = history.get(block)
@@ -270,7 +282,6 @@ class FlatHawkeyeScheme(BoundHotPath):
                 opt_occ[s] = 0
                 history = {}
                 hist_by_set[s] = history
-                pol_history[s] = history
             else:
                 history = hist_by_set[s]
             previous = history.get(block)

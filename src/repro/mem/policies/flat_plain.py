@@ -1,17 +1,19 @@
 """Fused LRU and Belady-OPT hot paths: the registry's lru/opt schemes.
 
 :class:`FlatLRUScheme` is behaviourally identical to
-``PlainCacheScheme(config, LRUPolicy())`` and :class:`FlatOPTScheme` to
-``PlainCacheScheme(config, BeladyOPTPolicy(oracle))`` (MIN with
-bypass, the policy's default) — same victims, same bypasses, same
-stats — with the ``PlainCacheScheme -> SetAssociativeCache ->
-ReplacementPolicy`` dispatch fused into single ``lookup``/``fill``
-bodies (the ``FlatGHRPScheme`` pattern):
+``PlainCacheScheme(config, LRUPolicy())``.  :class:`FlatOPTScheme` is
+Belady's MIN driven by the next-use oracle: it evicts the resident line
+whose next use is furthest in the future, and bypasses the fill when
+the incoming line itself is that far (the paper's "OPT bypass" row
+shows this barely differs from pure OPT replacement for the i-cache).
+Both fuse the ``SetAssociativeCache -> ReplacementPolicy`` dispatch
+into single ``lookup``/``fill`` bodies (the ``FlatGHRPScheme``
+pattern):
 
 * the demand-hit path is the set dict's pop/reinsert; for OPT the line
   payload *is* the line's next-use index, so that same reinsert stores
   the refreshed ``next_use_at(t)`` (read straight from the oracle's
-  ``array('q')``) and ``BeladyOPTPolicy._next_use`` is never kept;
+  ``array('q')``);
 * the OPT victim is the first line with the strictly-largest next use,
   scanning LRU -> MRU, and the fill is bypassed when the incoming
   block's ``next_use_of`` is at least that far away (fills are rare, so
@@ -21,9 +23,10 @@ bodies (the ``FlatGHRPScheme`` pattern):
   pickle (:class:`~repro.mem.policies.base.BoundHotPath`, which engine
   checkpoints go through).
 
+The readable ``BeladyOPTPolicy`` lives in ``tests/reference/policies.py``;
 ``tests/test_policy_differential.py`` pins both twins to the readable
-scheme, comparing states through a test-side projection into the
-``PlainCacheScheme`` shape.
+``PlainCacheScheme``, comparing states through a test-side projection
+into its shape.
 """
 
 from __future__ import annotations
@@ -32,8 +35,7 @@ from operator import itemgetter
 
 from repro.mem.cache import CacheConfig, SetAssociativeCache
 from repro.mem.oracle import NextUseOracle
-from repro.mem.policies.base import BoundHotPath, ReplacementPolicy
-from repro.mem.policies.belady import BeladyOPTPolicy
+from repro.mem.policies.base import BoundHotPath
 from repro.mem.policies.lru import LRUPolicy
 
 #: Sentinel distinguishing "absent" from a stored ``None`` payload.
@@ -45,11 +47,11 @@ _payload = itemgetter(1)
 class _FlatPlainScheme(BoundHotPath):
     """Shared scaffolding: the wrapped cache, ``contains``, the flush hook."""
 
-    def __init__(self, config: CacheConfig, policy: ReplacementPolicy) -> None:
+    def __init__(self, config: CacheConfig) -> None:
         self.config = config
-        self.policy = policy
-        self.name = policy.name
-        self.icache = SetAssociativeCache(config, policy)
+        # The cache is the line container and stats holder only; its
+        # LRU policy is never called.
+        self.icache = SetAssociativeCache(config, LRUPolicy())
         # The live per-set dicts (one list for the scheme's lifetime).
         self._lines_by_set = self.icache.line_dicts()
         self._bind()
@@ -80,8 +82,7 @@ class _FlatPlainScheme(BoundHotPath):
 class FlatLRUScheme(_FlatPlainScheme):
     """LRU-replaced L1i on a fused hot path (fast twin)."""
 
-    def __init__(self, config: CacheConfig) -> None:
-        super().__init__(config, LRUPolicy())
+    name = "lru"
 
     def _bind(self) -> None:
         super()._bind()
@@ -156,8 +157,11 @@ class FlatLRUScheme(_FlatPlainScheme):
 class FlatOPTScheme(_FlatPlainScheme):
     """Belady-OPT-replaced L1i on a fused hot path (fast twin)."""
 
+    name = "opt"
+
     def __init__(self, config: CacheConfig, oracle: NextUseOracle) -> None:
-        super().__init__(config, BeladyOPTPolicy(oracle))
+        self.oracle = oracle
+        super().__init__(config)
 
     def _bind(self) -> None:
         super()._bind()
@@ -165,7 +169,7 @@ class FlatOPTScheme(_FlatPlainScheme):
         lines_by_set = self._lines_by_set
         set_mask = self.icache._set_mask
         ways = self.config.ways
-        oracle = self.policy.oracle
+        oracle = self.oracle
         next_use_at = oracle._next_use
         next_use_of = oracle.next_use_of
 

@@ -45,11 +45,12 @@ PREPASS_ARRAY_FIELDS = ("set_index", "ghrp_sig", "hawkeye_sig")
 #: Registered schemes that consume the pre-pass (sweep warm-task hook).
 PREPASS_SCHEMES = ("ghrp", "harmony")
 
-#: Default geometry — must match the policies the registry builds.
-DEFAULT_SET_BITS = L1I_SET_BITS
-DEFAULT_GHRP_REGION_SHIFT = 4
-DEFAULT_GHRP_SIG_BITS = 16
-DEFAULT_HAWKEYE_SIG_BITS = 13
+#: Signature geometry of the GHRP and Hawkeye twins, which import it
+#: from here.  GHRP signs a 16-block code region with 16 bits (Table
+#: IV); Hawkeye signs each block with 13 bits (its 8K-entry predictor).
+GHRP_REGION_SHIFT = 4
+GHRP_SIG_BITS = 16
+HAWKEYE_SIG_BITS = 13
 
 
 def _fold_hash_array(values: np.ndarray, bits: int) -> np.ndarray:
@@ -67,9 +68,6 @@ class ReplacementPrepass:
     trace_digest: str
     fingerprint: str
     set_bits: int
-    ghrp_region_shift: int
-    ghrp_sig_bits: int
-    hawkeye_sig_bits: int
     set_index: np.ndarray   # int64, n — block & mask(set_bits)
     ghrp_sig: np.ndarray    # int64, n — fold_hash(block >> region_shift)
     hawkeye_sig: np.ndarray  # int64, n — fold_hash(block)
@@ -100,9 +98,9 @@ class ReplacementPrepass:
             "trace_name": self.trace_name,
             "trace_digest": self.trace_digest,
             "set_bits": self.set_bits,
-            "ghrp_region_shift": self.ghrp_region_shift,
-            "ghrp_sig_bits": self.ghrp_sig_bits,
-            "hawkeye_sig_bits": self.hawkeye_sig_bits,
+            "ghrp_region_shift": GHRP_REGION_SHIFT,
+            "ghrp_sig_bits": GHRP_SIG_BITS,
+            "hawkeye_sig_bits": HAWKEYE_SIG_BITS,
             "records": len(self),
         }
 
@@ -120,9 +118,6 @@ class ReplacementPrepass:
             trace_digest=str(meta["trace_digest"]),
             fingerprint=str(meta["fingerprint"]),
             set_bits=int(meta["set_bits"]),
-            ghrp_region_shift=int(meta["ghrp_region_shift"]),
-            ghrp_sig_bits=int(meta["ghrp_sig_bits"]),
-            hawkeye_sig_bits=int(meta["hawkeye_sig_bits"]),
             **arrays,
         )
 
@@ -138,51 +133,33 @@ class ReplacementPrepass:
         return PREPASS_STORE.read_sidecar(dirpath)
 
 
-def prepass_fingerprint(
-    trace: Trace,
-    set_bits: int = DEFAULT_SET_BITS,
-    ghrp_region_shift: int = DEFAULT_GHRP_REGION_SHIFT,
-    ghrp_sig_bits: int = DEFAULT_GHRP_SIG_BITS,
-    hawkeye_sig_bits: int = DEFAULT_HAWKEYE_SIG_BITS,
-) -> str:
+def prepass_fingerprint(trace: Trace) -> str:
     """Hash of everything the pre-pass content depends on, nothing else."""
     blob = json.dumps(
         {
             "format": PREPASS_FORMAT,
             "trace": trace.digest,
-            "set_bits": set_bits,
-            "ghrp_region_shift": ghrp_region_shift,
-            "ghrp_sig_bits": ghrp_sig_bits,
-            "hawkeye_sig_bits": hawkeye_sig_bits,
+            "set_bits": L1I_SET_BITS,
+            "ghrp_region_shift": GHRP_REGION_SHIFT,
+            "ghrp_sig_bits": GHRP_SIG_BITS,
+            "hawkeye_sig_bits": HAWKEYE_SIG_BITS,
         },
         sort_keys=True,
     )
     return "pre" + hashlib.sha1(blob.encode()).hexdigest()[:12]
 
 
-def build_replacement_prepass(
-    trace: Trace,
-    set_bits: int = DEFAULT_SET_BITS,
-    ghrp_region_shift: int = DEFAULT_GHRP_REGION_SHIFT,
-    ghrp_sig_bits: int = DEFAULT_GHRP_SIG_BITS,
-    hawkeye_sig_bits: int = DEFAULT_HAWKEYE_SIG_BITS,
-) -> ReplacementPrepass:
+def build_replacement_prepass(trace: Trace) -> ReplacementPrepass:
     """One vectorized pass over the trace's block stream."""
     blocks = np.asarray(trace.blocks, dtype=np.int64)
     return ReplacementPrepass(
         trace_name=trace.name,
         trace_digest=trace.digest,
-        fingerprint=prepass_fingerprint(
-            trace, set_bits, ghrp_region_shift, ghrp_sig_bits,
-            hawkeye_sig_bits,
-        ),
-        set_bits=set_bits,
-        ghrp_region_shift=ghrp_region_shift,
-        ghrp_sig_bits=ghrp_sig_bits,
-        hawkeye_sig_bits=hawkeye_sig_bits,
-        set_index=blocks & np.int64(mask(set_bits)),
-        ghrp_sig=_fold_hash_array(blocks >> ghrp_region_shift, ghrp_sig_bits),
-        hawkeye_sig=_fold_hash_array(blocks, hawkeye_sig_bits),
+        fingerprint=prepass_fingerprint(trace),
+        set_bits=L1I_SET_BITS,
+        set_index=blocks & np.int64(mask(L1I_SET_BITS)),
+        ghrp_sig=_fold_hash_array(blocks >> GHRP_REGION_SHIFT, GHRP_SIG_BITS),
+        hawkeye_sig=_fold_hash_array(blocks, HAWKEYE_SIG_BITS),
     )
 
 
@@ -204,7 +181,7 @@ clear_prepass_memo = PREPASS_STORE.clear_memo
 def cached_replacement_prepass(
     trace: Trace, use_disk: Optional[bool] = None
 ) -> ReplacementPrepass:
-    """Memoised + disk-cached pre-pass for ``trace`` (default geometry).
+    """Memoised + disk-cached pre-pass for ``trace``.
 
     Served by :data:`PREPASS_STORE`, like
     :func:`repro.frontend.plan.cached_plan`.

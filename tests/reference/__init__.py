@@ -8,9 +8,9 @@ registered variant:
 
 * every ``acic*`` variant builds :class:`reference.acic.ACICScheme`;
 * ``ghrp``/``harmony`` build ``PlainCacheScheme`` around the readable
-  ``GHRPPolicy``/``HawkeyePolicy``;
+  ``GHRPPolicy``/``HawkeyePolicy`` of :mod:`reference.policies`;
 * ``lru``/``36kb-l1i``/``40kb-l1i``/``opt`` build ``PlainCacheScheme``
-  around ``LRUPolicy``/``BeladyOPTPolicy``.
+  around ``LRUPolicy`` and the readable ``BeladyOPTPolicy``.
 
 The readable next-use oracle lives in :mod:`reference.oracle`, and the
 test-side views that compare simulator state mid-run in
@@ -25,13 +25,9 @@ import pytest
 
 from repro.baselines.plain import PlainCacheScheme
 from repro.harness import schemes
-from repro.mem.policies import (
-    BeladyOPTPolicy,
-    GHRPPolicy,
-    HawkeyePolicy,
-    LRUPolicy,
-)
+from repro.mem.policies import LRUPolicy
 from reference.acic import ACICScheme
+from reference.policies import BeladyOPTPolicy, GHRPPolicy, HawkeyePolicy
 
 
 def readable_ghrp(config):

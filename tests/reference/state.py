@@ -23,10 +23,10 @@ from types import BuiltinFunctionType, FunctionType, MethodType
 from repro.baselines.plain import PlainCacheScheme
 from repro.mem.oracle import NextUseOracle
 from repro.mem.policies.flat_ghrp import FlatGHRPScheme
-from repro.mem.policies.flat_hawkeye import FlatHawkeyeScheme
+from repro.mem.policies.flat_hawkeye import VECTOR_ENTRIES, FlatHawkeyeScheme
 from repro.mem.policies.flat_plain import FlatOPTScheme, _FlatPlainScheme
-from repro.mem.policies.hawkeye import _OPTgen
 from repro.workloads.trace import Trace
+from reference.policies import _OPTgen
 
 #: Types a view keeps as they are.
 _SCALARS = frozenset((type(None), bool, int, float, str, bytes))
@@ -84,12 +84,11 @@ def unpack_occ(packed: int, window: int):
 
 def _flat_policy(scheme) -> dict:
     """The readable policy's learned state, rebuilt from a flat twin."""
-    pol = scheme.policy
     lines_by_set = scheme._lines_by_set
     if isinstance(scheme, FlatGHRPScheme):
         return {
-            "tables": pol.tables,
-            "ghr": pol.ghr,
+            "tables": scheme.tables,
+            "ghr": scheme.ghr,
             "_line_indices": {
                 block: indices
                 for lines in lines_by_set
@@ -101,16 +100,20 @@ def _flat_policy(scheme) -> dict:
         optgen = {}
         for s, gen_time in enumerate(scheme._opt_time):
             if gen_time is not None:
-                gen = _OPTgen(pol.ways, pol.vector_entries)
+                gen = _OPTgen(scheme.config.ways, VECTOR_ENTRIES)
                 gen.time = gen_time
-                gen.occ = unpack_occ(scheme._opt_occ[s], pol.vector_entries)
+                gen.occ = unpack_occ(scheme._opt_occ[s], VECTOR_ENTRIES)
                 optgen[s] = gen
         return {
-            "predictor": pol.predictor,
+            "predictor": scheme.predictor,
             "_optgen": optgen,
-            "_history": pol._history,
+            "_history": {
+                s: history
+                for s, history in enumerate(scheme._hist_by_set)
+                if history is not None
+            },
             "_rrpv": {s: dict(lines) for s, lines in enumerate(lines_by_set) if lines},
-            "_sig_of_line": pol._sig_of_line,
+            "_sig_of_line": scheme._sig_of_line,
         }
     if isinstance(scheme, FlatOPTScheme):
         return {

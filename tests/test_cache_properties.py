@@ -1,11 +1,12 @@
 """Property-style differential tests for ``SetAssociativeCache``.
 
-Every replacement policy in ``repro.mem.policies`` is driven through
-randomized, seeded op sequences on both the production cache and a
-brute-force reference cache (plain per-set lists, linear scans).  The
-two caches own *separately constructed but identically configured*
-policy instances; because every policy is deterministic given its call
-sequence, the pair must stay in lockstep:
+Every replacement policy in ``repro.mem.policies``, and the readable
+GHRP, Hawkeye and Belady-OPT references of :mod:`reference.policies`,
+is driven through randomized, seeded op sequences on both the
+production cache and a brute-force reference cache (plain per-set
+lists, linear scans).  The two caches own *separately constructed but
+identically configured* policy instances; because every policy is
+deterministic given its call sequence, the pair must stay in lockstep:
 
 * identical set contents in identical recency order after every op,
 * identical lookup verdicts, fill outcomes (inserted / evicted /
@@ -26,15 +27,8 @@ import pytest
 
 from repro.mem.cache import CacheConfig, SetAssociativeCache
 from repro.mem.oracle import NextUseOracle
-from repro.mem.policies import (
-    BeladyOPTPolicy,
-    GHRPPolicy,
-    HawkeyePolicy,
-    LRUPolicy,
-    SHiPPolicy,
-    SRRIPPolicy,
-    TreePLRUPolicy,
-)
+from repro.mem.policies import LRUPolicy, SHiPPolicy, SRRIPPolicy, TreePLRUPolicy
+from reference.policies import BeladyOPTPolicy, GHRPPolicy, HawkeyePolicy
 
 #: Small geometry so sets fill and evict constantly: 4 sets x 2 ways.
 CONFIG = CacheConfig(4 * 2 * 64, 2, name="prop")

