@@ -5,11 +5,13 @@ Each of those modules only *declares* what it persists — its array
 fields, its scalar metadata, a ``from_parts`` validator and a builder —
 and one :class:`ArtifactStore` per kind owns how:
 
-* an in-process memo, a small LRU guarded by a lock (the sweep
+* residency: a plan or pre-pass lives as long as a trace that uses it
+  (:meth:`ArtifactStore.for_trace`), shared meanwhile by traces with
+  equal content through a weak-valued memo guarded by a lock (the sweep
   service runs several simulation threads over the same stores);
 * the cache directory (relocated by the kind's ``REPRO_*_CACHE``
   variable) and entry naming: ``<name>.npz`` plus ``<name>.mmap/``;
-* the lookup ladder: memo, then mmap sidecar, then npz, then build;
+* the lookup ladder: mmap sidecar, then npz, then build;
 * writes: the ``.npz`` is deflated at zlib level 1 (:func:`write_npz`)
   and goes through a temp file unique to the writer and one rename, so
   concurrent readers never see a partial entry and concurrent writers
@@ -23,8 +25,9 @@ and one :class:`ArtifactStore` per kind owns how:
   through ``np.load(mmap_mode="r")`` only while the npz still matches,
   so N sweep workers share one page cache and a regenerated npz is
   never shadowed by an old sidecar.  A writer keeps a sidecar another
-  writer committed from the same npz, so a valid sidecar never
-  disappears under its readers;
+  writer committed from the same npz; one it must replace it renames
+  aside first, so a valid sidecar is missing only between two renames
+  (see :func:`_commit_dir`), and readers then fall back to the npz;
 * discard of anything corrupt or stale (unreadable files, or an entry
   whose fingerprint or length is not the one asked for) followed by a
   rebuild, and repair of a missing sidecar from a valid npz;
@@ -45,8 +48,8 @@ import re
 import shutil
 import tempfile
 import threading
+import weakref
 import zipfile
-from collections import OrderedDict
 from pathlib import Path
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
@@ -168,7 +171,7 @@ def _commit_dir(tmp: Path, dirpath: Path, meta: str) -> bool:
 
 
 class ArtifactStore:
-    """Memo, disk layout and lookup ladder for one artifact kind.
+    """Residency, disk layout and lookup ladder for one artifact kind.
 
     ``cls`` is the artifact class.  It provides ``meta()`` (the scalar
     metadata saved beside the arrays), ``from_parts(meta, arrays)``
@@ -180,7 +183,7 @@ class ArtifactStore:
     ``scalar_meta`` picks the npz layout for the metadata: one scalar
     member per key (traces, frontend plans) or a single JSON ``meta``
     member (the replacement pre-pass).  ``npz_fault_site`` names a fault hook fired on each
-    committed npz.  ``memo_cap=0`` disables the memo.
+    committed npz.
     """
 
     def __init__(
@@ -188,7 +191,6 @@ class ArtifactStore:
         kind: str,
         cls: type,
         fields: Sequence[str],
-        memo_cap: int,
         cache_env: str,
         cache_subdir: str,
         scalar_meta: bool = False,
@@ -197,12 +199,14 @@ class ArtifactStore:
         self.kind = kind
         self.cls = cls
         self.fields = tuple(fields)
-        self.memo_cap = memo_cap
         self._cache_env = cache_env
         self._cache_subdir = cache_subdir
         self._scalar_meta = scalar_meta
         self._npz_fault_site = npz_fault_site
-        self._memo: "OrderedDict[str, object]" = OrderedDict()
+        #: Each live trace's artifacts by name (what keeps them alive),
+        #: and the same artifacts by name alone (the lookup).
+        self._held: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+        self._memo: "weakref.WeakValueDictionary" = weakref.WeakValueDictionary()
         self._lock = threading.Lock()
         # A fork while another thread holds the lock would hand the
         # child a lock nobody will release.
@@ -211,35 +215,40 @@ class ArtifactStore:
     def _new_lock(self) -> None:
         self._lock = threading.Lock()
 
-    # -- memo ------------------------------------------------------------------
+    # -- residency -------------------------------------------------------------
 
-    def recall(self, name: str):
-        """The memoised artifact ``name``, or None."""
+    def for_trace(
+        self,
+        trace,
+        name: str,
+        build: Callable[[], object],
+        fingerprint: Optional[str] = None,
+        use_disk: Optional[bool] = None,
+    ):
+        """Artifact ``name`` derived from ``trace``, kept while it lives.
+
+        The copy a live trace with equal content holds (the fingerprint
+        in ``name`` hashes the trace's digest), else :meth:`get`.
+        """
         with self._lock:
             obj = self._memo.get(name)
-            if obj is not None:
-                self._memo.move_to_end(name)
-            return obj
-
-    def _remember(self, name: str, obj) -> None:
+        if obj is None:
+            obj = self.get(name, build, fingerprint, len(trace), use_disk)
         with self._lock:
-            self._memo[name] = obj
-            self._memo.move_to_end(name)
-            while len(self._memo) > self.memo_cap:
-                self._memo.popitem(last=False)
-
-    def forget(self, name: str) -> None:
-        """Drop ``name`` from the memo, if it is there."""
-        with self._lock:
-            self._memo.pop(name, None)
+            # Racing threads settle on the first artifact stored.
+            obj = self._memo.setdefault(name, obj)
+            self._held.setdefault(trace, {})[name] = obj
+        return obj
 
     def memo_size(self) -> int:
         with self._lock:
             return len(self._memo)
 
     def clear_memo(self) -> None:
-        """Drop the in-process memo (tests, cold benchmark phases)."""
+        """Forget every trace's artifacts, so the next lookup of each
+        goes to the disk (tests, cold benchmark phases)."""
         with self._lock:
+            self._held.clear()
             self._memo.clear()
 
     # -- layout ----------------------------------------------------------------
@@ -261,24 +270,19 @@ class ArtifactStore:
         records: Optional[int] = None,
         use_disk: Optional[bool] = None,
     ):
-        """Artifact ``name``: memo, then sidecar, then npz, then ``build()``.
+        """Artifact ``name``: sidecar, then npz, then ``build()``.
 
         A loaded entry must carry ``fingerprint`` and have ``records``
         records when those are given; anything else is stale and is
         discarded like a corrupt file.  A build is saved unless the
         disk layer is off (see :func:`disk_enabled`).
         """
-        obj = self.recall(name)
-        if obj is not None:
-            return obj
         path = self.path(name) if disk_enabled(use_disk) else None
-        if path is not None:
-            obj = self._load(path, fingerprint, records)
+        obj = None if path is None else self._load(path, fingerprint, records)
         if obj is None:
             obj = build()
             if path is not None:
                 obj.save(path)
-        self._remember(name, obj)
         return obj
 
     def _load(self, path: Path, fingerprint, records):

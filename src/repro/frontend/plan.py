@@ -240,7 +240,7 @@ class FrontendPlan:
     )
     # ((trace digest, backend_ipc), RecordStream) of the latest
     # ``record_stream`` call: keyed by digest, never by the Trace, so a
-    # memoized plan pins no trace the trace memo has let go.
+    # plan (which its trace holds) points back at no trace.
     _stream: Optional[tuple] = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -254,7 +254,7 @@ class FrontendPlan:
     def mispredict_list(self) -> List[int]:
         # Not cached: one conversion per ``simulate`` costs ~1 ms at 160k
         # records, where a cached list would stay pinned by every plan a
-        # walk or the plan memo keeps.
+        # walk or a trace keeps.
         return self.mispredict.tolist()
 
     @cached_property
@@ -579,13 +579,12 @@ def build_plan(
 # -- caching -------------------------------------------------------------------
 
 
-#: Full-length plans are tens of MB; a sweep only ever needs a handful
-#: of workloads at once.
+#: Full-length plans and their record streams are tens of MB: each
+#: lives only as long as a trace it plans (or a walk) keeps it.
 PLAN_STORE = ArtifactStore(
     "plan",
     FrontendPlan,
     PLAN_ARRAY_FIELDS,
-    memo_cap=8,
     cache_env="REPRO_PLAN_CACHE",
     cache_subdir="plans",
     scalar_meta=True,
@@ -619,17 +618,17 @@ def cached_plan(
     prefetcher: str = "fdp",
     use_disk: Optional[bool] = None,
 ) -> FrontendPlan:
-    """Memoised + disk-cached plan for (trace, frontend config).
+    """``trace``'s plan for a frontend config, cut or kept by the trace.
 
     A trace cut from a walk (``trace.walk``, see
     :mod:`repro.workloads.generator`) shares one plan with every other
     trace of that walk: :data:`_walk_plans` keeps the plan of the walk's
     longest planned trace per frontend config, and a shorter trace's plan is
     :func:`cut_plan` from it, never built, loaded or saved.  Every other
-    plan is served by :data:`PLAN_STORE`; ``use_disk=False`` (or
-    ``REPRO_NO_DISK_CACHE=1``) keeps it in memory.  An entry whose
-    fingerprint mismatches (a PLAN_FORMAT bump, a regenerated trace) is
-    discarded and rebuilt.
+    plan is served by :data:`PLAN_STORE` and kept by the trace, record
+    stream and all; ``use_disk=False`` (or ``REPRO_NO_DISK_CACHE=1``)
+    keeps it off the disk.  An entry whose fingerprint mismatches (a
+    PLAN_FORMAT bump, a regenerated trace) is discarded and rebuilt.
     """
     fingerprint = frontend_fingerprint(trace, machine, prefetcher)
     walk = trace.walk
@@ -641,24 +640,19 @@ def cached_plan(
             if longest.fingerprint == fingerprint:
                 return longest
             return cut_plan(longest, trace, machine)
-    plan = PLAN_STORE.get(
+    plan = PLAN_STORE.for_trace(
+        trace,
         entry_name(trace.name, fingerprint),
         lambda: build_plan(trace, machine, prefetcher),
         fingerprint=fingerprint,
-        records=len(trace),
         use_disk=use_disk,
     )
     if walk is not None:
         with _walk_plans_lock:
             plans = _walk_plans.setdefault(walk, {})
             kept = plans.get(key)
-            superseded = kept is not None and len(kept) < len(plan)
-            if kept is None or superseded:
+            if kept is None or len(kept) < len(plan):
                 plans[key] = plan
-        if superseded:
-            # Every trace ``kept`` served is now cut from ``plan``, so the
-            # store's memo would only pin it.
-            PLAN_STORE.forget(entry_name(kept.trace_name, kept.fingerprint))
     return plan
 
 

@@ -24,8 +24,9 @@ task carries its own (prefetcher, records, machine) configuration, so
 one worker serves any configuration, and each worker keeps a small LRU
 of :class:`SchemeContext` per (workload, records, machine) — the trace
 (memory-mapped from its ``.mmap`` sidecar), the lazily-built oracle and
-the memoised frontend plan are loaded at most once per residency, no
-matter how many schemes the sweep pushes through that workload.
+the plan and pre-pass the trace holds are loaded at most once per
+residency, no matter how many schemes the sweep pushes through that
+workload, and go with the trace (only its walk memo keeps more).
 Pending pairs are dispatched workload-major (sorted by workload, then
 scheme) so consecutive tasks land on whatever worker already has that
 workload resident.
@@ -157,8 +158,8 @@ _FORK = multiprocessing.get_context("fork")
 SweepConfig = Tuple[str, int, MachineParams]
 
 #: This worker's resident contexts by (workload, records, machine), in
-#: LRU order: each trace/plan/oracle is deserialized at most once per
-#: residency.
+#: LRU order: each trace/plan/pre-pass/oracle is deserialized at most
+#: once per residency.
 _WORKER_CONTEXTS: "OrderedDict[tuple, SchemeContext]" = OrderedDict()
 
 #: Resident contexts kept per worker.  The pipelined first round runs
@@ -208,12 +209,12 @@ def _worker_context(
 def _warm_artifacts(
     ctx: SchemeContext, prefetcher: str, machine: MachineParams, prepass: bool
 ) -> None:
-    """Build (memo + disk cache) the artifacts ``ctx``'s pairs share.
+    """Build (and disk-cache) the artifacts ``ctx``'s pairs share.
 
     The frontend plan, so every scheme replays one branch-stack/FDP
     pass (entangling sweeps warm the ``none`` plan their runs take);
     and with ``prepass`` the replacement pre-pass the flat GHRP/Harmony
-    twins consume.
+    twins consume.  ``ctx.trace`` keeps both.
     """
     cached_plan(ctx.trace, machine, plan_kind(prefetcher))
     if prepass:
@@ -240,8 +241,8 @@ def _sweep_worker(
 
     Runs uncached (the parent already filtered cache hits) and returns
     only the scalar measurements — live scheme objects don't cross the
-    process boundary.  The trace/oracle context and the memoised
-    frontend plan persist in the worker across pairs.
+    process boundary.  The context, with its oracle and the plan and
+    pre-pass its trace holds, persists in the worker across pairs.
     """
     prefetcher, records, machine = config
     workload, scheme = pair
@@ -487,7 +488,8 @@ class Runner:
         pair.
 
         At most :data:`CONTEXT_CACHE_CAP` contexts stay resident; the
-        least-recently-used one is dropped beyond that.  Eviction is
+        least-recently-used one, with its trace's artifacts, is dropped
+        beyond that.  Eviction is
         safe because everything a context holds is rebuilt bit-identical
         from the trace/plan disk caches (``tests/test_sweep_bugs.py``
         pins reload correctness), so a long-lived server process pays a

@@ -51,7 +51,8 @@ from repro.workloads.trace import Trace
 
 @dataclass
 class SchemeContext:
-    """Everything a scheme factory may need."""
+    """Everything a scheme factory may need.  The trace holds its plans
+    and pre-pass, so they live as long as the context, as the oracle."""
 
     trace: Trace
     machine: MachineParams = field(default_factory=lambda: DEFAULT_MACHINE)

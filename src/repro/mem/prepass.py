@@ -164,13 +164,11 @@ def build_replacement_prepass(trace: Trace) -> ReplacementPrepass:
 
 
 #: Lives beside the plans (``REPRO_PLAN_CACHE`` applies); the ``pre``
-#: fingerprint prefix keeps the names apart.  A sweep touches a handful
-#: of workloads at once.
+#: fingerprint prefix keeps the names apart.  Its trace keeps it.
 PREPASS_STORE = ArtifactStore(
     "replacement pre-pass",
     ReplacementPrepass,
     PREPASS_ARRAY_FIELDS,
-    memo_cap=8,
     cache_env="REPRO_PLAN_CACHE",
     cache_subdir="plans",
 )
@@ -181,16 +179,16 @@ clear_prepass_memo = PREPASS_STORE.clear_memo
 def cached_replacement_prepass(
     trace: Trace, use_disk: Optional[bool] = None
 ) -> ReplacementPrepass:
-    """Memoised + disk-cached pre-pass for ``trace``.
+    """``trace``'s pre-pass, kept by the trace with its list views.
 
     Served by :data:`PREPASS_STORE`, like
     :func:`repro.frontend.plan.cached_plan`.
     """
     fingerprint = prepass_fingerprint(trace)
-    return PREPASS_STORE.get(
+    return PREPASS_STORE.for_trace(
+        trace,
         entry_name(trace.name, fingerprint),
         lambda: build_replacement_prepass(trace),
         fingerprint=fingerprint,
-        records=len(trace),
         use_disk=use_disk,
     )

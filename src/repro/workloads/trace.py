@@ -52,9 +52,10 @@ class BranchKind:
     CONDITIONAL = (COND_TAKEN, COND_NOT_TAKEN)
 
 
-@dataclass
+@dataclass(eq=False)
 class Trace:
-    """Struct-of-arrays fetch-record trace."""
+    """Struct-of-arrays fetch-record trace; hashed by identity, as the
+    key its artifacts live under (``ArtifactStore.for_trace``)."""
 
     name: str
     blocks: np.ndarray       # int64
@@ -193,7 +194,6 @@ TRACE_STORE = ArtifactStore(
     "trace",
     Trace,
     TRACE_ARRAY_FIELDS,
-    memo_cap=0,
     cache_env="REPRO_TRACE_CACHE",
     cache_subdir="traces",
     scalar_meta=True,

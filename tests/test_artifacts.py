@@ -5,13 +5,15 @@ replacement pre-passes) goes through
 :class:`repro.common.artifacts.ArtifactStore`.  These tests pin what the
 store owes a multi-threaded caller: concurrent cold writers of one key
 never collide on a temp name, a committed sidecar stays visible while
-other writers commit theirs, the memo survives threads racing lookups
-against evictions, a failed write leaves no temp file behind, and the
-npz it writes (deflated at level 1) is a plain ``np.load`` archive.
+other writers commit theirs, an artifact lives as long as a trace
+holds it while threads race lookups, a failed write leaves no temp
+file behind, and the npz it writes (deflated at level 1) is a plain
+``np.load`` archive.
 """
 
 from __future__ import annotations
 
+import gc
 import shutil
 import sys
 import tempfile
@@ -193,10 +195,34 @@ class TestSidecarCommit:
         assert _temps(tmp_path) == []
 
 
-class TestMemo:
-    def test_lookups_racing_evictions_at_cap_one(self):
+class _Toy:
+    """A store artifact: weakly referable, as plans and pre-passes are."""
+
+    def __init__(self, key: str) -> None:
+        self.key = key
+
+
+class _Owner:
+    """A trace stand-in: hashed by identity, weakly referable, sized."""
+
+    def __len__(self) -> int:
+        return 1
+
+
+def _no_build():
+    raise AssertionError("an artifact its trace holds was built again")
+
+
+class TestResidency:
+    def test_lookups_racing_traces_that_come_and_go(self):
+        """Threads race lookups while each drops its trace after one use.
+
+        A trace keeps what it was given (a second lookup never builds),
+        the store never holds more than one artifact per name, and once
+        the traces are gone it holds none.
+        """
         store = ArtifactStore(
-            "toy", object, (), memo_cap=1,
+            "toy", _Toy, (),
             cache_env="REPRO_PLAN_CACHE", cache_subdir="plans",
         )
         keys = ("a", "b", "c")
@@ -204,13 +230,18 @@ class TestMemo:
         def churn():
             for i in range(3000):
                 key = keys[i % len(keys)]
-                assert store.get(key, lambda: key, use_disk=False) == key
-                assert store.memo_size() <= 1
+                owner = _Owner()
+                got = store.for_trace(owner, key, lambda: _Toy(key), use_disk=False)
+                assert got.key == key
+                assert store.for_trace(owner, key, _no_build, use_disk=False) is got
+                assert store.memo_size() <= len(keys)
             return True
 
         results, errors = _hammer(churn, switch_interval=1e-6)
         assert errors == []
         assert results == [True] * THREADS
+        gc.collect()
+        assert store.memo_size() == 0
 
 
 class TestFailedWrites:

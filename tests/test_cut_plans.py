@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import gc
 import os
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -185,11 +186,15 @@ class TestCutEqualsBuild:
         trace = walk.trace(4000)
         longer = cached_plan(trace, MACHINE, "fdp")
         assert plan_mod._walk_plans[walk] == {key: longer}
-        # Planned through the store, as any plan that is not a cut; the
-        # store's memo lets go of the plan the walk no longer keeps.
+        # Planned through the store, as any plan that is not a cut.  The
+        # plan the walk no longer keeps lives only as long as something
+        # else holds it (its own trace went at once).
         assert len(store_gets) == 2
-        assert PLAN_STORE.recall(store_gets[-1]) is longer
-        assert PLAN_STORE.recall(store_gets[0]) is None
+        gone = weakref.ref(short)
+        del short
+        gc.collect()
+        assert gone() is None
+        assert PLAN_STORE.memo_size() == 1
         _assert_equals_build(longer, trace, "fdp")
 
     def test_kept_plans_go_with_their_walk(self, store_gets):

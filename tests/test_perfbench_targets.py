@@ -1,10 +1,11 @@
-"""The traced benchmark run wraps layer functions that still exist.
+"""The benchmark reaches into ``src/`` only through names that exist.
 
 ``perfbench/run.py --trace 1`` wraps the public layer functions named by
 ``perfbench/sweeps.py``'s ``layer_targets()`` in spans, by attribute
 name.  A layer that stops calling (or drops) one of those names breaks
 the traced run or silently reads zero for its layer, and no other test
-runs it.
+runs it.  ``perfbench/common.py`` imports the plan and pre-pass memo
+resets by name before every cold phase.
 """
 
 from __future__ import annotations
@@ -58,3 +59,19 @@ def test_traced_generation_counts_its_records(perfbench, tmp_path, monkeypatch):
     assert layers["frontend.plan_s"] > 0
     names = [span[0] for span in tracer.spans]
     assert names.count("frontend.plan") == 1
+
+
+def test_artifact_memo_resets_resolve(perfbench, tmp_path, monkeypatch):
+    """A rename of ``clear_plan_memo`` or ``clear_prepass_memo`` fails
+    here instead of in the benchmark, whose cold phases call both."""
+    from repro.frontend.plan import PLAN_STORE
+    from repro.mem.prepass import PREPASS_STORE, cached_replacement_prepass
+
+    monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path))
+    common, _sweeps = perfbench
+    trace = get_workload("x264").trace(records=2000)
+    cached_replacement_prepass(trace, use_disk=False)
+    cached_plan(trace, DEFAULT_MACHINE, "fdp", use_disk=False)
+    common.reset_artifact_memos()
+    assert PLAN_STORE.memo_size() == 0
+    assert PREPASS_STORE.memo_size() == 0

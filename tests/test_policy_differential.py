@@ -40,9 +40,11 @@ projected into the ``PlainCacheScheme`` shape) and two twins through
 
 from __future__ import annotations
 
+import gc
 import pickle
 import random
 import shutil
+import weakref
 
 import numpy as np
 import pytest
@@ -722,15 +724,20 @@ class TestBoundedMemos:
         uncapped.finish_trace()
         _assert_same(flat, uncapped, "hawkeye memo cap")
 
-    def test_prepass_memo_bounded(self, monkeypatch, tmp_path):
+    def test_prepass_lives_as_long_as_its_trace(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_PLAN_CACHE", str(tmp_path))
-        monkeypatch.setattr(prepass_mod.PREPASS_STORE, "memo_cap", 2)
         prepass_mod.clear_prepass_memo()
         for records in (500, 600, 700, 800):
             trace = get_workload(WORKLOAD).trace(records=records)
-            prepass_mod.cached_replacement_prepass(trace)
-            assert prepass_mod.PREPASS_STORE.memo_size() <= 2
-        prepass_mod.clear_prepass_memo()
+            pre = prepass_mod.cached_replacement_prepass(trace)
+            assert prepass_mod.cached_replacement_prepass(trace) is pre
+            # The previous trace is gone, and its pre-pass with it.
+            assert prepass_mod.PREPASS_STORE.memo_size() == 1
+        gone = weakref.ref(pre)
+        del trace, pre
+        gc.collect()
+        assert gone() is None
+        assert prepass_mod.PREPASS_STORE.memo_size() == 0
 
 
 def _prepass_path(trace, fingerprint):
