@@ -44,9 +44,11 @@ class BranchStack:
         self._verdicts: Dict[int, bool] = {}
         # List views of the trace arrays: retire/predictable run once per
         # record, and plain-list indexing avoids boxing an ndarray scalar
-        # (and the int() around it) on every call.
-        self._kinds = trace.branch_kind_list
-        self._sites = trace.branch_site_list
+        # (and the int() around it) on every call.  Kinds and sites are
+        # the stack's own, so a plan build leaves no list on the trace
+        # but the block view the engine reads anyway.
+        self._kinds = trace.branch_kind.tolist()
+        self._sites = trace.branch_site.tolist()
         self._blocks = trace.blocks_list
 
     # -- verdicts -------------------------------------------------------------

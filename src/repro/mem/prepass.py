@@ -34,7 +34,7 @@ import numpy as np
 
 from repro.common.artifacts import ArtifactStore, entry_name
 from repro.common.bitops import _GOLDEN64, L1I_SET_BITS, mask
-from repro.workloads.trace import Trace
+from repro.workloads.trace import Trace, interned_list
 
 #: Bump when the array layout or semantics change (invalidates caches).
 PREPASS_FORMAT = 1
@@ -75,19 +75,19 @@ class ReplacementPrepass:
     def __len__(self) -> int:
         return len(self.set_index)
 
-    # -- hot-loop list views (one bulk conversion, as Trace/plans do) -------
+    # -- hot-loop list views (one interned conversion, as Trace does) ------
 
     @cached_property
     def set_index_list(self) -> List[int]:
-        return self.set_index.tolist()
+        return interned_list(self.set_index)
 
     @cached_property
     def ghrp_sig_list(self) -> List[int]:
-        return self.ghrp_sig.tolist()
+        return interned_list(self.ghrp_sig)
 
     @cached_property
     def hawkeye_sig_list(self) -> List[int]:
-        return self.hawkeye_sig.tolist()
+        return interned_list(self.hawkeye_sig)
 
     # -- persistence: the codec entry points PREPASS_STORE calls -------------
 

@@ -98,12 +98,13 @@ class WorkloadProfile:
 #: starts when a trace is generated (a trace-cache miss) and serves
 #: every later length of its profile ahead of the trace cache.  A walk
 #: holds 18 bytes per walked record, which the traces cut from it view,
-#: the frontend plans of its longest trace
-#: (:func:`repro.frontend.plan.cached_plan`), about 50 bytes per record
-#: more, and its program, about 60 bytes per program block.  So the
-#: memo is bounded by its walks' records plus program blocks (see
-#: :func:`_held`), about three full-length walks (the contexts a sweep
-#: worker keeps resident), and by a count.  Traces hold their walk
+#: the ``fdp`` plan of its longest trace with its record stream
+#: (:func:`repro.frontend.plan.cached_plan`), about 53 bytes per record
+#: more (W10 at 160k records, ``tracemalloc``), and its program, about
+#: 60 bytes per program block.  So the memo is bounded by its walks'
+#: records plus program blocks (see :func:`_held`), about three
+#: full-length walks (the contexts a sweep worker keeps resident), and
+#: by a count.  Traces hold their walk
 #: weakly (``trace.walk``), so a walk the memo drops is freed.
 _walks: "OrderedDict[tuple, Walk]" = OrderedDict()
 _WALKS_MAX_RECORDS = 7 * DEFAULT_RECORDS // 2

@@ -52,6 +52,21 @@ class BranchKind:
     CONDITIONAL = (COND_TAKEN, COND_NOT_TAKEN)
 
 
+def interned_list(values: np.ndarray) -> List[int]:
+    """``values.tolist()`` with one boxed int per distinct value.
+
+    Per-record id streams repeat a few thousand values (a W10 trace of
+    160k records touches ~9k blocks and ~600 GHRP signatures), yet
+    ``tolist()`` boxes a fresh int per record: 32 bytes each beside the
+    list's 8-byte slot.  The cached list views of traces and
+    replacement pre-passes are built here, so a resident one holds each
+    value once.
+    """
+    distinct, index = np.unique(values, return_inverse=True)
+    # An object-array gather hands out the very objects it indexes.
+    return distinct.astype(object)[index].tolist()
+
+
 @dataclass(eq=False)
 class Trace:
     """Struct-of-arrays fetch-record trace; hashed by identity, as the
@@ -99,26 +114,27 @@ class Trace:
 
     # -- hot-loop list views --------------------------------------------------
     #
-    # The timing engine, branch stack and prefetchers all index these
-    # arrays once per fetch record; plain-list indexing avoids boxing an
-    # ndarray scalar per access.  Cached so each conversion happens once
-    # per trace no matter how many components share it.
+    # The timing engine and prefetchers index these arrays once per
+    # fetch record; plain-list indexing avoids boxing an ndarray scalar
+    # per access.  Cached so each conversion happens once per trace no
+    # matter how many components share it, and interned (see
+    # ``interned_list``) so a resident trace keeps one int per value.
 
     @cached_property
     def blocks_list(self) -> List[int]:
-        return self.blocks.tolist()
+        return interned_list(self.blocks)
 
     @cached_property
     def instrs_list(self) -> List[int]:
-        return self.instrs.tolist()
+        return interned_list(self.instrs)
 
     @cached_property
     def branch_kind_list(self) -> List[int]:
-        return self.branch_kind.tolist()
+        return interned_list(self.branch_kind)
 
     @cached_property
     def branch_site_list(self) -> List[int]:
-        return self.branch_site.tolist()
+        return interned_list(self.branch_site)
 
     @cached_property
     def digest(self) -> str:

@@ -18,19 +18,25 @@ Two layers are pinned here:
 
 from __future__ import annotations
 
+import dataclasses
 import pickle
+from functools import cached_property
 
 import pytest
 
+from repro.frontend import plan as plan_mod
 from repro.frontend.entangling import EntanglingPrefetcher
 from repro.frontend.plan import build_plan, cached_plan
 from repro.harness.experiment import run_experiment
 from repro.harness.schemes import SchemeContext, make_scheme
 from repro.harness.shards import ledger_for, shards_dir
+from repro.mem import prepass as prepass_mod
+from repro.mem.prepass import ReplacementPrepass
 from repro.uarch import timing
 from repro.uarch.params import DEFAULT_MACHINE
 from repro.uarch.timing import simulate
 from repro.workloads.profiles import get_workload
+from repro.workloads.trace import Trace
 from reference.state import ordered
 
 RECORDS = 6_000
@@ -521,3 +527,65 @@ class TestRepeatRunBoundaries:
         for run in (chunked, watched):
             assert _scalars(run) == _scalars(single)
             assert ordered(run.scheme) == want
+
+
+class TestInternedViewsContract:
+    """Captures do not depend on how the list views box their ints.
+
+    The trace and pre-pass list views share one int object per distinct
+    value; pickle never memoizes ints, so a capture of a run that reads
+    them is byte-identical to one over plain ``tolist()`` views, and
+    shard ledgers written either way resume alike (no ``SHARD_FORMAT``
+    bump).
+    """
+
+    AT = 2_500
+
+    def _capture(self, name, trace) -> dict:
+        captured = []
+        simulate(
+            trace,
+            make_scheme(name, SchemeContext(trace=trace, machine=DEFAULT_MACHINE)),
+            machine=DEFAULT_MACHINE,
+            plan=cached_plan(trace, DEFAULT_MACHINE, "fdp"),
+            checkpoint_every=self.AT,
+            on_checkpoint=lambda s: captured.append(s) or True,
+        )
+        assert captured[0]["next_record"] == self.AT
+        return captured[0]
+
+    @staticmethod
+    def _fresh_artifacts() -> None:
+        plan_mod.clear_plan_memo()
+        prepass_mod.clear_prepass_memo()
+
+    @pytest.mark.parametrize("name", ("ghrp", "acic"))
+    def test_capture_bytes_match_plain_views(self, name, trace, monkeypatch):
+        monkeypatch.setenv("REPRO_NO_DISK_CACHE", "1")
+        self._fresh_artifacts()
+        interned_trace = dataclasses.replace(trace)
+        interned = self._capture(name, interned_trace)
+        views = [("blocks_list", interned_trace.blocks_list, interned_trace.blocks)]
+        if name == "ghrp":
+            pre = prepass_mod.cached_replacement_prepass(interned_trace)
+            views.append(("ghrp_sig_list", pre.ghrp_sig_list, pre.ghrp_sig))
+        for view, values, array in views:
+            assert len({id(x) for x in values}) < len(array) // 2, view
+
+        for cls, names in (
+            (Trace, ("blocks_list", "instrs_list", "branch_kind_list", "branch_site_list")),
+            (ReplacementPrepass, ("set_index_list", "ghrp_sig_list", "hawkeye_sig_list")),
+        ):
+            for view in names:
+                array = view[: -len("_list")]
+                plain = cached_property(lambda self, a=array: getattr(self, a).tolist())
+                plain.__set_name__(cls, view)
+                monkeypatch.setattr(cls, view, plain)
+        self._fresh_artifacts()
+        plain_trace = dataclasses.replace(trace)
+        plain_capture = self._capture(name, plain_trace)
+        assert len({id(x) for x in plain_trace.blocks_list}) > len(trace) // 2
+        self._fresh_artifacts()
+
+        assert plain_capture["counters"] == interned["counters"]
+        assert plain_capture["graph"] == interned["graph"]

@@ -10,15 +10,18 @@ residency each is still derived once, however many schemes run on it.
 from __future__ import annotations
 
 import gc
+import sys
 from collections import Counter
 from functools import cached_property
 
+import numpy as np
 import pytest
 
 from repro.frontend import plan as plan_mod
 from repro.frontend.plan import FrontendPlan
 from repro.harness.runner import (
     _WORKER_CONTEXT_CAP,
+    _WORKER_CONTEXTS,
     _sweep_worker,
     _warm_worker,
     _worker_init,
@@ -129,3 +132,54 @@ def test_timed_repeats_look_the_prepass_up_once(worker, monkeypatch):
     trace = get_workload(WORKLOADS[0]).trace(records=RECORDS)
     measure_scheme(trace, "ghrp", repeats=3)
     assert gets["prepass"] <= 1
+
+
+def _view_bytes(view: list) -> int:
+    """A list view's size: its slots plus each int object it holds."""
+    distinct = {id(x): x for x in view}
+    return sys.getsizeof(view) + sum(map(sys.getsizeof, distinct.values()))
+
+
+@pytest.mark.parametrize("generated", [True, False], ids=["generated", "loaded"])
+def test_contexts_pin_only_interned_views(worker, generated):
+    """Every fig-sweep scheme on every workload: a resident context's
+    trace carries no branch-kind or branch-site list (not even after a
+    cut plan's stats are replayed), and its list views hold each
+    distinct value once."""
+    if not generated:
+        _traces_from_the_store()
+    for workload in WORKLOADS:
+        _warm_worker(CONFIG, workload, True)
+        for scheme in FIG_SWEEP_SCHEMES:
+            _sweep_worker(CONFIG, (workload, scheme))
+    # A shorter length of the last workload: in a worker that generated
+    # it, a plan cut from the walk's, whose stats replay the stack.
+    short = ("fdp", RECORDS // 2, DEFAULT_MACHINE)
+    _sweep_worker(short, (WORKLOADS[-1], "lru"))
+    cut = plan_mod.cached_plan(
+        _WORKER_CONTEXTS[(WORKLOADS[-1], RECORDS // 2, DEFAULT_MACHINE)].trace,
+        DEFAULT_MACHINE,
+        "fdp",
+    )
+    assert callable(cut.stats) is generated
+    assert cut.final_stack_stats.conditional_branches > 0
+
+    assert len(_WORKER_CONTEXTS) == _WORKER_CONTEXT_CAP
+    for key, ctx in _WORKER_CONTEXTS.items():
+        trace = ctx.trace
+        pinned = vars(trace)
+        assert "branch_kind_list" not in pinned, key
+        assert "branch_site_list" not in pinned, key
+        views = [(trace.blocks_list, trace.blocks)]
+        pre = prepass_mod.cached_replacement_prepass(trace)
+        views += [
+            (getattr(pre, name), getattr(pre, name[: -len("_list")]))
+            for name in ("set_index_list", "ghrp_sig_list", "hawkeye_sig_list")
+            if name in vars(pre)
+        ]
+        # 8 B per record plus one int object per distinct value.
+        bound = sum(
+            sys.getsizeof([]) + 8 * len(array) + 32 * len(np.unique(array))
+            for _, array in views
+        )
+        assert sum(_view_bytes(view) for view, _ in views) <= bound, key
