@@ -343,9 +343,10 @@ class ArtifactStore:
         """Load from the npz; raises on any corruption."""
         with np.load(path) as data:
             if self._scalar_meta:
-                meta = {
-                    k: _scalar(data[k]) for k in data.files if k not in self.fields
-                }
+                # Only 0-d members are meta: an undeclared array is one an
+                # older layout of the kind saved, which loading ignores.
+                extras = {k: data[k] for k in data.files if k not in self.fields}
+                meta = {k: _scalar(v) for k, v in extras.items() if v.ndim == 0}
             else:
                 meta = json.loads(bytes(data["meta"]).decode())
             arrays = {f: data[f] for f in self.fields}

@@ -6,12 +6,11 @@ is its fallback base component.
 All predictors share one interface: ``predict(site) -> bool`` then
 ``update(site, taken) -> bool``, which trains on the resolved outcome
 and returns the prediction it trained (what ``predict`` answered just
-before), so a caller counting accuracy looks up once.
+before).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.common.bitops import _GOLDEN64, _MASK64, fold_hash, mask
@@ -19,16 +18,6 @@ from repro.common.bitops import _GOLDEN64, _MASK64, fold_hash, mask
 #: TAGE's global history register width; no table reaches further back.
 _GHR_BITS = 1024
 _GHR_MASK = mask(_GHR_BITS)
-
-
-@dataclass
-class PredictorStats:
-    predictions: int = 0
-    correct: int = 0
-
-    @property
-    def accuracy(self) -> float:
-        return self.correct / self.predictions if self.predictions else 0.0
 
 
 class BimodalPredictor:
@@ -39,7 +28,6 @@ class BimodalPredictor:
         self.counter_max = mask(counter_bits)
         self.threshold = (self.counter_max + 1) // 2
         self.table = [self.threshold] * (1 << table_bits)
-        self.stats = PredictorStats()
 
     def predict(self, site: int) -> bool:
         return self.table[fold_hash(site, self.table_bits)] >= self.threshold
@@ -47,9 +35,6 @@ class BimodalPredictor:
     def update(self, site: int, taken: bool) -> bool:
         idx = fold_hash(site, self.table_bits)
         prediction = self.table[idx] >= self.threshold
-        self.stats.predictions += 1
-        if prediction == taken:
-            self.stats.correct += 1
         if taken:
             if self.table[idx] < self.counter_max:
                 self.table[idx] += 1
@@ -124,7 +109,6 @@ class TagePredictor:
         ]
         self.base = BimodalPredictor(table_bits=12, counter_bits=2)
         self.ghr = 0
-        self.stats = PredictorStats()
         # Lookup order: longest history first.
         self._tables_desc = tuple(range(num_tables - 1, -1, -1))
         self._index_shift = 64 - table_bits
@@ -199,10 +183,7 @@ class TagePredictor:
         else:
             table, idx, entry = -1, -1, None
             prediction = self.base.predict(site)
-        self.stats.predictions += 1
         correct = prediction == taken
-        if correct:
-            self.stats.correct += 1
 
         if entry is not None:
             if taken:

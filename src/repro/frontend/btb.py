@@ -8,17 +8,8 @@ miss in it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.common.bitops import fold_hash, is_power_of_two, log2_exact
 from repro.common.containers import LRUSet
-
-
-@dataclass
-class BTBStats:
-    lookups: int = 0
-    hits: int = 0
-    correct_target: int = 0
 
 
 class BranchTargetBuffer:
@@ -34,24 +25,19 @@ class BranchTargetBuffer:
         self.num_sets = entries // ways
         self._index_bits = log2_exact(self.num_sets)
         self._sets = [LRUSet(ways) for _ in range(self.num_sets)]
-        self.stats = BTBStats()
 
     def _set_for(self, site: int) -> LRUSet:
         return self._sets[fold_hash(site, self._index_bits)]
 
     def predict(self, site: int) -> int | None:
         """Predicted target block for ``site`` (None on BTB miss)."""
-        self.stats.lookups += 1
         line_set = self._set_for(site)
         target = line_set.get(site)
         if target is None and site not in line_set:
             return None
-        self.stats.hits += 1
         line_set.touch(site)
         return target
 
-    def update(self, site: int, target: int, was_correct: bool | None = None) -> None:
+    def update(self, site: int, target: int) -> None:
         """Record the actual target of ``site``."""
-        if was_correct:
-            self.stats.correct_target += 1
         self._set_for(site).insert_mru(site, target)

@@ -27,8 +27,7 @@ numpy arrays:
   record-index spans: the candidates offered while fetch sits at ``i``
   are exactly ``trace.blocks[cand_lo[i]:cand_hi[i]]`` (run-ahead only
   ever walks the future path, so one shared candidate-block array — the
-  trace's own ``blocks`` — backs every span);
-* branch-stack stats snapshots at warmup end and at trace end.
+  trace's own ``blocks`` — backs every span).
 
 :meth:`FrontendPlan.record_stream` derives what the engine's record
 loop reads from a plan and its trace — a de-duplicated probe stream,
@@ -75,15 +74,15 @@ import os
 import threading
 import weakref
 from bisect import bisect_left
-from dataclasses import dataclass, field, replace
-from functools import cached_property, partial
+from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.common.artifacts import ArtifactStore, entry_name, sidecar_path
-from repro.frontend.stack import BranchStack, BranchStackStats
+from repro.frontend.stack import BranchStack
 from repro.uarch.params import MachineParams
 from repro.workloads.trace import BranchKind, Trace
 
@@ -97,22 +96,11 @@ PLAN_ARRAY_FIELDS = (
     "cum_mispredict",
     "cand_lo",
     "cand_hi",
-    "warmup_stats",
-    "final_stats",
-)
-
-#: BranchStackStats fields, in snapshot-array order.
-STATS_FIELDS = (
-    "conditional_branches",
-    "conditional_correct",
-    "btb_transfers",
-    "btb_correct",
-    "mispredicted_transitions",
 )
 
 #: Lazily-computed description of the stack geometry
-#: :class:`BranchStack` is always built with (the harness never
-#: overrides it).  Derived from the live default structures so any
+#: :class:`BranchStack` is always built with (it takes no
+#: overrides).  Derived from the live default structures so any
 #: future change to BTB/TAGE defaults re-keys the plan cache
 #: automatically instead of silently serving stale plans.
 _stack_geometry_cache: Optional[str] = None
@@ -232,12 +220,6 @@ class FrontendPlan:
     cum_mispredict: np.ndarray  # int64, n + 1 (exclusive prefix sums)
     cand_lo: np.ndarray         # int64, n (record-index span starts)
     cand_hi: np.ndarray         # int64, n (half-open span ends)
-    #: The (warmup, final) branch-stack stats snapshots, int64 arrays of
-    #: len(STATS_FIELDS); on a cut plan, until first read, the replay
-    #: that computes them (see :func:`cut_plan`).
-    stats: Union[Tuple[np.ndarray, np.ndarray], Callable[[], tuple]] = field(
-        repr=False, compare=False
-    )
     # ((trace digest, backend_ipc), RecordStream) of the latest
     # ``record_stream`` call: keyed by digest, never by the Trace, so a
     # plan (which its trace holds) points back at no trace.
@@ -282,34 +264,10 @@ class FrontendPlan:
         self._stream = (key, stream)
         return stream
 
-    @property
-    def warmup_stats(self) -> np.ndarray:
-        return self._snapshots()[0]
-
-    @property
-    def final_stats(self) -> np.ndarray:
-        return self._snapshots()[1]
-
-    def _snapshots(self) -> Tuple[np.ndarray, np.ndarray]:
-        stats = self.stats
-        if callable(stats):
-            # Threads racing here each replay the same stats.
-            stats = self.stats = stats()
-        return stats
-
     def mispredicted_after_warmup(self) -> int:
         """Post-warmup mispredicted transitions (what RunResult reports)."""
         n = len(self)
         return int(self.cum_mispredict[n] - self.cum_mispredict[self.warmup_end])
-
-    def _stats_of(self, values: np.ndarray) -> BranchStackStats:
-        return BranchStackStats(**{
-            name: int(v) for name, v in zip(STATS_FIELDS, values)
-        })
-
-    @property
-    def final_stack_stats(self) -> BranchStackStats:
-        return self._stats_of(self.final_stats)
 
     # -- persistence: the codec entry points PLAN_STORE calls ---------------
 
@@ -333,8 +291,6 @@ class FrontendPlan:
             len(arrays["cum_mispredict"]) != n + 1
             or len(arrays["cand_lo"]) != n
             or len(arrays["cand_hi"]) != n
-            or len(arrays["warmup_stats"]) != len(STATS_FIELDS)
-            or len(arrays["final_stats"]) != len(STATS_FIELDS)
         ):
             raise ValueError("inconsistent plan array lengths")
         return cls(
@@ -348,7 +304,6 @@ class FrontendPlan:
             cum_mispredict=arrays["cum_mispredict"],
             cand_lo=arrays["cand_lo"],
             cand_hi=arrays["cand_hi"],
-            stats=(arrays["warmup_stats"], arrays["final_stats"]),
         )
 
     def save(self, path: Path) -> None:
@@ -391,12 +346,6 @@ def frontend_fingerprint(
     return hashlib.sha1(blob.encode()).hexdigest()[:12]
 
 
-def _snapshot(stats: BranchStackStats) -> np.ndarray:
-    return np.array(
-        [getattr(stats, name) for name in STATS_FIELDS], dtype=np.int64
-    )
-
-
 def _finish(
     trace: Trace,
     machine: MachineParams,
@@ -406,8 +355,6 @@ def _finish(
     mispredict: np.ndarray,
     cand_lo: np.ndarray,
     cand_hi: np.ndarray,
-    warmup_stats: np.ndarray,
-    final_stats: np.ndarray,
 ) -> FrontendPlan:
     n = len(trace)
     cum = np.zeros(n + 1, dtype=np.int64)
@@ -423,7 +370,6 @@ def _finish(
         cum_mispredict=cum,
         cand_lo=cand_lo,
         cand_hi=cand_hi,
-        stats=(warmup_stats, final_stats),
     )
 
 
@@ -459,20 +405,14 @@ def build_plan(
     n_events = len(events)
     retire = stack.retire
     predictable = stack.predictable
-    warm: Optional[np.ndarray] = None
 
     if prefetcher == "none":
         # No run-ahead: verdicts are first evaluated at retirement.
         for e in events.tolist():
-            if warm is None and e >= warmup_end:
-                warm = _snapshot(stack.stats)
             if retire(e):
                 mispredict[e] = 1
-        if warm is None:
-            warm = _snapshot(stack.stats)
         return _finish(
-            trace, machine, prefetcher, depth, warmup_end,
-            mispredict, cand_lo, cand_hi, warm, _snapshot(stack.stats),
+            trace, machine, prefetcher, depth, warmup_end, mispredict, cand_lo, cand_hi
         )
 
     events_list = events.tolist()
@@ -512,8 +452,6 @@ def build_plan(
         next_ev = events_list[ev_idx] if ev_idx < n_events else n
         if i == next_ev:
             # Training record: retire (training the stack), then advance.
-            if warm is None and i >= warmup_end:
-                warm = _snapshot(stack.stats)
             if retire(i):
                 mispredict[i] = 1
             ev_idx += 1
@@ -568,11 +506,8 @@ def build_plan(
         cand_lo[ks] = ks + depth
         cand_hi[ks] = ks + depth + 1
 
-    if warm is None:
-        warm = _snapshot(stack.stats)
     return _finish(
-        trace, machine, prefetcher, depth, warmup_end,
-        mispredict, cand_lo, cand_hi, warm, _snapshot(stack.stats),
+        trace, machine, prefetcher, depth, warmup_end, mispredict, cand_lo, cand_hi
     )
 
 
@@ -656,13 +591,6 @@ def cached_plan(
     return plan
 
 
-def _replayed_stats(
-    trace: Trace, machine: MachineParams, prefetcher: str
-) -> Tuple[np.ndarray, np.ndarray]:
-    plan = build_plan(trace, machine, prefetcher)
-    return plan.warmup_stats, plan.final_stats
-
-
 def cut_plan(
     longest: FrontendPlan, trace: Trace, machine: MachineParams
 ) -> FrontendPlan:
@@ -675,12 +603,7 @@ def cut_plan(
     last ``depth`` spans stop at the cut.  Arrays are views of
     ``longest`` (the clipped spans copies).  The record stream, when
     ``longest`` holds one for this machine, is its stream sliced with
-    the clipped tail re-derived.
-
-    The branch-stack stats are not a prefix: a run-ahead ``btb.predict``
-    past the cut refreshes BTB recency, which can change later BTB hits
-    and so ``btb_correct``.  The cut replays them with
-    :func:`build_plan` when they are first read.
+    the clipped tail re-derived.  A cut never builds.
     """
     prefetcher = longest.prefetcher
     n = len(trace)
@@ -703,9 +626,6 @@ def cut_plan(
         cum_mispredict=longest.cum_mispredict[: n + 1],
         cand_lo=cand_lo,
         cand_hi=cand_hi,
-        stats=partial(
-            _replayed_stats, replace(trace), machine, prefetcher
-        ),
     )
     backend_ipc = machine.backend_ipc
     memo = longest._stream

@@ -11,7 +11,6 @@ query, and memoised until retirement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict
 
 from repro.frontend.branch_predictors import TagePredictor
@@ -19,28 +18,12 @@ from repro.frontend.btb import BranchTargetBuffer
 from repro.workloads.trace import BranchKind, Trace
 
 
-@dataclass
-class BranchStackStats:
-    conditional_branches: int = 0
-    conditional_correct: int = 0
-    btb_transfers: int = 0
-    btb_correct: int = 0
-    mispredicted_transitions: int = 0
-
-
 class BranchStack:
     """Trace-driven BTB + TAGE with per-transition verdict memoisation."""
 
-    def __init__(
-        self,
-        trace: Trace,
-        btb: BranchTargetBuffer | None = None,
-        predictor: TagePredictor | None = None,
-    ) -> None:
-        self.trace = trace
-        self.btb = btb or BranchTargetBuffer()
-        self.predictor = predictor or TagePredictor()
-        self.stats = BranchStackStats()
+    def __init__(self, trace: Trace) -> None:
+        self.btb = BranchTargetBuffer()
+        self.predictor = TagePredictor()
         self._verdicts: Dict[int, bool] = {}
         # List views of the trace arrays: retire/predictable run once per
         # record, and plain-list indexing avoids boxing an ndarray scalar
@@ -90,24 +73,14 @@ class BranchStack:
         if kind == BranchKind.SEQUENTIAL:
             return False
         mispredicted = not self.predictable(i)
-        if mispredicted:
-            self.stats.mispredicted_transitions += 1
         site = self._sites[i]
-        target = self._blocks[i]
         if kind == BranchKind.COND_TAKEN:
-            self.stats.conditional_branches += 1
-            if self.predictor.update(site, True):
-                self.stats.conditional_correct += 1
-            self.btb.update(site, target)
+            self.predictor.update(site, True)
+            self.btb.update(site, self._blocks[i])
         elif kind == BranchKind.COND_NOT_TAKEN:
-            self.stats.conditional_branches += 1
-            if not self.predictor.update(site, False):
-                self.stats.conditional_correct += 1
+            self.predictor.update(site, False)
         elif kind in (BranchKind.CALL, BranchKind.INDIRECT):
-            self.stats.btb_transfers += 1
-            if self.btb.predict(site) == target:
-                self.stats.btb_correct += 1
-            self.btb.update(site, target)
+            self.btb.update(site, self._blocks[i])
         # RETURN needs no training.
         self._verdicts.pop(i, None)
         return mispredicted

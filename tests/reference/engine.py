@@ -63,6 +63,7 @@ def simulate_live(
 
     cycles = queue = 0.0
     demand_misses = late_prefetch = prefetches_issued = instructions = 0
+    mispredicted = 0
     base_cycles = 0.0
     base_misses = base_late = base_issued = base_instr = base_mispred = 0
 
@@ -78,7 +79,7 @@ def simulate_live(
             base_late = late_prefetch
             base_issued = prefetches_issued
             base_instr = instructions
-            base_mispred = stack.stats.mispredicted_transitions
+            base_mispred = mispredicted
 
         block = blocks[i]
         n_instr = instr_counts[i]
@@ -86,6 +87,7 @@ def simulate_live(
 
         # Resolve and train the transition that led here; charge flushes.
         if kinds[i] and stack.retire(i):
+            mispredicted += 1
             cycles += penalty
 
         # One front-end cycle per record; the backend drains the queue.
@@ -148,15 +150,13 @@ def simulate_live(
         demand_misses=demand_misses - base_misses,
         late_prefetch_misses=late_prefetch - base_late,
         prefetches_issued=prefetches_issued - base_issued,
-        mispredicted_transitions=(
-            stack.stats.mispredicted_transitions - base_mispred
-        ),
+        mispredicted_transitions=mispredicted - base_mispred,
         scheme=scheme,
     )
 
 
 def live_run(trace: Trace, scheme, prefetcher: str, machine: MachineParams):
-    """``(result, stack)`` of a fresh stack and ``prefetcher`` driving ``scheme``."""
+    """The result of a fresh stack and ``prefetcher`` driving ``scheme``."""
     stack = BranchStack(trace)
     pf = build_prefetcher(prefetcher, trace, stack, machine)
-    return simulate_live(trace, scheme, pf, stack, machine), stack
+    return simulate_live(trace, scheme, pf, stack, machine)

@@ -11,11 +11,9 @@ production builder to it array for array.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
-from repro.frontend.plan import FrontendPlan, _check_kind, _finish, _snapshot
+from repro.frontend.plan import FrontendPlan, _check_kind, _finish
 from repro.frontend.stack import BranchStack
 from repro.uarch.params import MachineParams
 from repro.workloads.trace import Trace
@@ -47,10 +45,7 @@ def build_plan_reference(
     mispredict = np.zeros(n, dtype=np.uint8)
     cand_lo = np.zeros(n, dtype=np.int64)
     cand_hi = np.zeros(n, dtype=np.int64)
-    warm: Optional[np.ndarray] = None
     for i in range(n):
-        if i == warmup_end:
-            warm = _snapshot(stack.stats)
         if kinds[i] and stack.retire(i):
             mispredict[i] = 1
         if fdp is not None:
@@ -58,9 +53,6 @@ def build_plan_reference(
             if out:
                 cand_hi[i] = fdp._ra
                 cand_lo[i] = fdp._ra - len(out)
-    if warm is None:
-        warm = _snapshot(stack.stats)
     return _finish(
-        trace, machine, prefetcher, depth, warmup_end,
-        mispredict, cand_lo, cand_hi, warm, _snapshot(stack.stats),
+        trace, machine, prefetcher, depth, warmup_end, mispredict, cand_lo, cand_hi
     )

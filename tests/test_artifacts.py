@@ -27,6 +27,7 @@ from repro.common import artifacts
 from repro.common.artifacts import ArtifactStore, sidecar_path, write_npz
 from repro.frontend.plan import (
     PLAN_ARRAY_FIELDS,
+    PLAN_STORE,
     FrontendPlan,
     build_plan,
     cached_plan,
@@ -322,6 +323,31 @@ class TestNpzFormat:
         assert loaded.meta() == plan.meta()
         for name in PLAN_ARRAY_FIELDS:
             assert np.array_equal(getattr(loaded, name), getattr(plan, name))
+
+    def test_undeclared_array_member_is_not_meta(self, plan_cache):
+        """An entry with an array member the kind no longer declares (an
+        older layout's, as every committed plan holds) is served from
+        disk as it is: the member is not read as meta, and the entry is
+        neither discarded nor rebuilt."""
+        plan = build_plan(random_trace(47, n=2000), DEFAULT_MACHINE, "fdp")
+        members = {
+            k: np.bytes_(v.encode()) if isinstance(v, str) else np.int64(v)
+            for k, v in plan.meta().items()
+        }
+        members.update((f, getattr(plan, f)) for f in PLAN_ARRAY_FIELDS)
+        members["retired_counts"] = np.arange(5, dtype=np.int64)
+        path = PLAN_STORE.path("entry")
+        write_npz(path, members)
+        before = path.read_bytes()
+        loaded = PLAN_STORE.get(
+            "entry", lambda: pytest.fail("the entry was rebuilt"),
+            fingerprint=plan.fingerprint,
+        )
+        assert loaded.meta() == plan.meta()
+        for name in PLAN_ARRAY_FIELDS:
+            assert np.array_equal(getattr(loaded, name), getattr(plan, name))
+        assert path.read_bytes() == before
+        assert sidecar_path(path).is_dir()
 
     def test_committed_npz_still_reads(self):
         committed = sorted(

@@ -8,8 +8,8 @@ request-entry cut of the W10 walks and of random Figure 11 search
 profiles, and for cuts at the emission limit, that
 :func:`~repro.frontend.plan.cached_plan` serves a cut equal to
 :func:`~repro.frontend.plan.build_plan` of the same trace in every
-field: the arrays, the record stream and the branch-stack stats (which
-the cut replays only when read), without consulting the plan store.
+field, the arrays and the record stream, without consulting the plan
+store.
 The last class pins the same inside a resident sweep pool, against
 scalars from a cold run.
 """
@@ -102,8 +102,6 @@ def _assert_equals_build(plan, trace, kind) -> None:
     assert got.probes == ref.probes
     assert got.deltas == ref.deltas
     assert np.array_equal(got.cum_instrs, ref.cum_instrs)
-    assert np.array_equal(plan.warmup_stats, want.warmup_stats)
-    assert np.array_equal(plan.final_stats, want.final_stats)
 
 
 def _check_cuts(walk: Walk, records: int, lengths, kind, store_gets) -> int:
@@ -123,7 +121,6 @@ def _check_cuts(walk: Walk, records: int, lengths, kind, store_gets) -> int:
         plan = cached_plan(trace, MACHINE, kind)
         if plan is not whole:
             cuts += 1
-            assert callable(plan.stats), "stats are replayed only when read"
             assert plan._stream is not None, "the stream was sliced"
         _assert_equals_build(plan, trace, kind)
     assert store_gets == [], "a cut never goes through the plan store"

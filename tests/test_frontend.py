@@ -103,11 +103,12 @@ class TestBranchStack:
         assert stack.predictable(3)      # same site, same target: hit
 
     def test_retire_counts_mispredictions(self):
-        kinds = [0, BranchKind.INDIRECT]
-        trace = make_trace([1, 2], kinds=kinds, sites=[-1, 3])
+        kinds = [0, BranchKind.INDIRECT, 0, BranchKind.INDIRECT]
+        trace = make_trace([1, 2, 3, 2], kinds=kinds, sites=[-1, 3, -1, 3])
         stack = BranchStack(trace)
-        stack.retire(1)
-        assert stack.stats.mispredicted_transitions == 1
+        assert stack.retire(0) is False  # sequential: nothing to resolve
+        assert stack.retire(1) is True   # cold BTB
+        assert stack.retire(3) is False  # trained to the same target
 
 
 class TestFDP:

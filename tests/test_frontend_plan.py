@@ -54,8 +54,6 @@ PLAN_ARRAYS = (
     "cum_mispredict",
     "cand_lo",
     "cand_hi",
-    "warmup_stats",
-    "final_stats",
 )
 
 
@@ -160,7 +158,7 @@ class TestBuilderEquivalence:
         fast = build_plan(trace, machine, "fdp")
         for name in PLAN_ARRAYS:
             assert np.array_equal(getattr(ref, name), getattr(fast, name)), name
-        live, _ = live_run(trace, "lru", "fdp", machine)
+        live = live_run(trace, "lru", "fdp", machine)
         planned, _ = planned_run(trace, "lru", "fdp", machine)
         assert _scalars(planned) == _scalars(live)
 
@@ -198,17 +196,15 @@ class TestPlannedSimulateEquivalence:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_randomized_traces(self, seed, prefetcher):
         trace = random_trace(seed)
-        live, stack = live_run(trace, "acic", prefetcher)
-        planned, plan = planned_run(trace, "acic", prefetcher)
+        live = live_run(trace, "acic", prefetcher)
+        planned, _ = planned_run(trace, "acic", prefetcher)
         assert _scalars(planned) == _scalars(live)
-        # The plan's final stats snapshot matches the live stack's.
-        assert plan.final_stack_stats == stack.stats
         assert planned.prefetcher_name == prefetcher
 
     @pytest.mark.parametrize("workload", sorted(ALL_WORKLOADS))
     def test_all_workload_profiles(self, workload):
         trace = get_workload(workload).trace(records=3000)
-        live, _ = live_run(trace, "lru", "fdp")
+        live = live_run(trace, "lru", "fdp")
         planned, _ = planned_run(trace, "lru", "fdp")
         assert _scalars(planned) == _scalars(live)
 
@@ -222,7 +218,7 @@ class TestPlannedSimulateEquivalence:
         trace = get_workload("media-streaming").trace(records=20_000)
         plan = build_plan(trace, DEFAULT_MACHINE, "fdp")
         for scheme_name in sorted(available_schemes()):
-            live, _ = live_run(trace, scheme_name, "fdp")
+            live = live_run(trace, scheme_name, "fdp")
             planned = simulate(
                 trace,
                 make_scheme(scheme_name, SchemeContext(trace=trace)),
@@ -234,7 +230,7 @@ class TestPlannedSimulateEquivalence:
     def test_run_experiment_plan_matches_live(self):
         planned = run_experiment("x264", "acic", records=4000)
         trace = get_workload("x264").trace(records=4000)
-        live, _ = live_run(trace, "acic", "fdp")
+        live = live_run(trace, "acic", "fdp")
         assert _scalars(planned.run) == _scalars(live)
 
     def test_entangling_runs_live_on_the_none_plan(self, monkeypatch):
@@ -247,7 +243,7 @@ class TestPlannedSimulateEquivalence:
         result = run_experiment("x264", "lru", prefetcher="entangling", records=2000)
         assert result.run.prefetcher_name == "entangling"
         trace = get_workload("x264").trace(records=2000)
-        live, _ = live_run(trace, "lru", "entangling")
+        live = live_run(trace, "lru", "entangling")
         assert _scalars(result.run) == _scalars(live)
 
     @pytest.mark.parametrize("workload", ["media-streaming", "tpcc"])
@@ -258,14 +254,14 @@ class TestPlannedSimulateEquivalence:
         monkeypatch.setenv("REPRO_NO_DISK_CACHE", "1")
         trace = get_workload(workload).trace(records=4000)
         for scheme_name in ("lru", "opt", "acic", "srrip", "ghrp"):
-            live, _ = live_run(trace, scheme_name, "entangling")
+            live = live_run(trace, scheme_name, "entangling")
             planned, _ = planned_run(trace, scheme_name, "entangling")
             assert _scalars(planned) == _scalars(live), scheme_name
 
     def test_warmup_split_honoured(self):
         trace = random_trace(5, n=1000)
         machine = MachineParams(warmup_fraction=0.5)
-        live, _ = live_run(trace, "lru", "fdp", machine)
+        live = live_run(trace, "lru", "fdp", machine)
         planned, plan = planned_run(trace, "lru", "fdp", machine)
         assert plan.warmup_end == 500
         assert _scalars(planned) == _scalars(live)
@@ -467,7 +463,7 @@ class TestPlanMmapSidecar:
         assert isinstance(loaded.mispredict, np.memmap)
         assert loaded.fingerprint == fresh.fingerprint
         # And the mapped plan drives simulate() identically.
-        live, _ = live_run(trace, "lru", "fdp")
+        live = live_run(trace, "lru", "fdp")
         scheme = make_scheme("lru", SchemeContext(trace=trace))
         mapped = simulate(trace, scheme, machine=DEFAULT_MACHINE, plan=loaded)
         assert _scalars(mapped) == _scalars(live)

@@ -117,7 +117,7 @@ class TestSchemeRegistry:
         )
         assert result.cycles > 0
         assert 0 <= result.demand_misses <= result.accesses
-        reference, _ = live_run(
+        reference = live_run(
             tiny_trace, make_scheme(name, ctx), "fdp", DEFAULT_MACHINE
         )
         assert result.cycles == reference.cycles
@@ -135,7 +135,7 @@ class TestPrefetcherFactory:
                 "tiny", "lru", prefetcher=name, context=ctx, shard_window=0
             )
             assert result.run.prefetcher_name == name
-            reference, _ = live_run(
+            reference = live_run(
                 tiny_trace, make_scheme("lru", ctx), name, DEFAULT_MACHINE
             )
             assert result.run.cycles == reference.cycles, name

@@ -88,7 +88,7 @@ PREPASS_KINDS = ("ghrp", "harmony")
 #: The plain-policy twins; their schedules add never-reused prefetches.
 PLAIN_KINDS = ("lru", "opt")
 
-STATS_FIELDS = (
+POLICY_STAT_FIELDS = (
     "demand_accesses",
     "demand_hits",
     "demand_fills",
@@ -298,7 +298,7 @@ class TestOPTTwin:
         flat.finish_trace()
         stats = ref.icache.stats
         assert stats.bypasses > 0
-        for field in STATS_FIELDS:
+        for field in POLICY_STAT_FIELDS:
             assert getattr(flat.icache.stats, field) == getattr(stats, field)
         _assert_same(flat, ref, "decoupled")
 
@@ -357,7 +357,7 @@ class TestDeferredCounters:
         assert flat.icache.stats.demand_accesses == 0
         flat.finish_trace()
         # ...and exact after the engine's end-of-run hook.
-        for field in STATS_FIELDS:
+        for field in POLICY_STAT_FIELDS:
             assert getattr(flat.icache.stats, field) == getattr(
                 ref.icache.stats, field
             ), field
@@ -390,7 +390,7 @@ class TestDeferredCounters:
         # deltas of its own, so neither counts the first half twice.
         for scheme in (flat, copy):
             scheme.finish_trace()
-            for field in STATS_FIELDS:
+            for field in POLICY_STAT_FIELDS:
                 assert getattr(scheme.icache.stats, field) == getattr(
                     ref.icache.stats, field
                 ), field

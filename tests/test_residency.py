@@ -143,9 +143,9 @@ def _view_bytes(view: list) -> int:
 @pytest.mark.parametrize("generated", [True, False], ids=["generated", "loaded"])
 def test_contexts_pin_only_interned_views(worker, generated):
     """Every fig-sweep scheme on every workload: a resident context's
-    trace carries no branch-kind or branch-site list (not even after a
-    cut plan's stats are replayed), and its list views hold each
-    distinct value once."""
+    trace carries no branch-kind or branch-site list (a cut plan's
+    context included), and its list views hold each distinct value
+    once."""
     if not generated:
         _traces_from_the_store()
     for workload in WORKLOADS:
@@ -153,16 +153,9 @@ def test_contexts_pin_only_interned_views(worker, generated):
         for scheme in FIG_SWEEP_SCHEMES:
             _sweep_worker(CONFIG, (workload, scheme))
     # A shorter length of the last workload: in a worker that generated
-    # it, a plan cut from the walk's, whose stats replay the stack.
+    # it, a plan cut from the walk's.
     short = ("fdp", RECORDS // 2, DEFAULT_MACHINE)
     _sweep_worker(short, (WORKLOADS[-1], "lru"))
-    cut = plan_mod.cached_plan(
-        _WORKER_CONTEXTS[(WORKLOADS[-1], RECORDS // 2, DEFAULT_MACHINE)].trace,
-        DEFAULT_MACHINE,
-        "fdp",
-    )
-    assert callable(cut.stats) is generated
-    assert cut.final_stack_stats.conditional_branches > 0
 
     assert len(_WORKER_CONTEXTS) == _WORKER_CONTEXT_CAP
     for key, ctx in _WORKER_CONTEXTS.items():

@@ -22,11 +22,7 @@ import numpy as np
 import pytest
 
 from repro.common.bitops import fold_hash, mask
-from repro.frontend.branch_predictors import (
-    BimodalPredictor,
-    PredictorStats,
-    TagePredictor,
-)
+from repro.frontend.branch_predictors import BimodalPredictor, TagePredictor
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -66,7 +62,6 @@ class ReferenceTage:
         ]
         self.base = BimodalPredictor(table_bits=12, counter_bits=2)
         self.ghr = 0
-        self.stats = PredictorStats()
 
     def _fold_history(self, length: int, bits: int) -> int:
         """Fold the most recent ``length`` history bits down to ``bits``."""
@@ -107,10 +102,7 @@ class ReferenceTage:
         else:
             table, entry = -1, None
             prediction = self.base.predict(site)
-        self.stats.predictions += 1
         correct = prediction == taken
-        if correct:
-            self.stats.correct += 1
         if entry is not None:
             if taken:
                 if entry.counter < self.counter_max:
@@ -184,8 +176,6 @@ def _assert_same_state(fast: TagePredictor, ref: ReferenceTage) -> None:
                     b.tag, b.counter, b.useful
                 ), (t, i)
     assert fast.base.table == ref.base.table
-    assert vars(fast.base.stats) == vars(ref.base.stats)
-    assert vars(fast.stats) == vars(ref.stats)
 
 
 def _lockstep(fast, ref, stream, check_every: int = 250) -> None:
