@@ -21,31 +21,33 @@ Workers live in a :class:`WorkerPool`: a per-call one that
 ``sweep_pairs`` forks for ``jobs=N``, or a resident one its caller owns
 across sweeps (the sweep service keeps one for its lifetime).  Every
 task carries its own (prefetcher, records, machine) configuration, so
-one worker serves any configuration, and each worker keeps a small LRU
-of :class:`SchemeContext` per (workload, records, machine) — the trace
+one worker serves any configuration, and each worker keeps at most two
+:class:`SchemeContext`, one per (workload, records, machine) — the trace
 (memory-mapped from its ``.mmap`` sidecar), the lazily-built oracle and
 the plan and pre-pass the trace holds are loaded at most once per
 residency, no matter how many schemes the sweep pushes through that
 workload, and go with the trace (only its walk memo keeps more).
 Pending pairs are dispatched workload-major (sorted by workload, then
 scheme) so consecutive tasks land on whatever worker already has that
-workload resident.
+workload resident, and a third context evicts the one dispatch has
+passed (see :data:`_WORKER_CONTEXT_CAP`).
 
 Warming: the parent builds nothing.  The first round of a sweep on a
 per-call pool pipelines a *warm* task one workload ahead of that
 workload's pairs: a worker builds (and disk-caches) the workload's
 trace, frontend plan and, when a pending pair consumes it, replacement
-pre-pass, and keeps the context resident.  When ``warm(w_k)`` completes
-the parent submits ``warm(w_k+1)`` and then ``w_k``'s pairs, so one CPU
-builds the next workload while the others simulate the current one, and
-every other worker mmaps the sidecars the warm wrote instead of redoing
-the work.  A resident pool gets its pairs submitted directly: its
-sweeps are small (a service request's admitted pairs), and a warm round
-trip would hold every pair back behind it.  Sweeps sharing a resident
-pool each keep only a few pairs on it at a time, so a short sweep is
-not queued behind every pair of a long one.  :meth:`Runner.context_for`
-warms through the same helper, so the serial and parallel paths build
-artifacts through one code path.
+pre-pass, keeps the context resident and drops the walk its trace was
+cut from (the pool asks for no other length).  When ``warm(w_k)``
+completes the parent submits ``warm(w_k+1)`` and then ``w_k``'s pairs,
+so one CPU builds the next workload while the others simulate the
+current one, and every other worker mmaps the sidecars the warm wrote
+instead of redoing the work.  A resident pool gets its pairs submitted
+directly: its sweeps are small (a service request's admitted pairs),
+and a warm round trip would hold every pair back behind it.  Sweeps
+sharing a resident pool each keep only a few pairs on it at a time, so
+a short sweep is not queued behind every pair of a long one.
+:meth:`Runner.context_for` warms through the same helper, so the serial
+and parallel paths build artifacts through one code path.
 """
 
 from __future__ import annotations
@@ -76,7 +78,7 @@ from repro.harness.shards import shard_window
 from repro.mem.prepass import PREPASS_SCHEMES, cached_replacement_prepass
 from repro.uarch.params import DEFAULT_MACHINE, MachineParams
 from repro.uarch.timing import RunResult
-from repro.workloads.profiles import get_workload
+from repro.workloads.profiles import forget_walk, get_workload
 
 
 _SCALAR_FIELDS = (
@@ -157,20 +159,21 @@ _FORK = multiprocessing.get_context("fork")
 #: What each task carries: the sweep's ``(prefetcher, records, machine)``.
 SweepConfig = Tuple[str, int, MachineParams]
 
-#: This worker's resident contexts by (workload, records, machine), in
-#: LRU order: each trace/plan/pre-pass/oracle is deserialized at most
-#: once per residency.
-_WORKER_CONTEXTS: "OrderedDict[tuple, SchemeContext]" = OrderedDict()
+#: This worker's resident contexts by (workload, records, machine): each
+#: trace/plan/pre-pass/oracle is deserialized at most once per
+#: residency.
+_WORKER_CONTEXTS: "Dict[tuple, SchemeContext]" = {}
 
-#: Resident contexts kept per worker.  The pipelined first round runs
-#: warms one workload ahead of the pairs, so one worker can hold
-#: ``w_k-1`` (pairs still draining), ``w_k`` (its pairs now running) and
-#: ``w_k+1`` (just warmed) at once; a cap below 3 would evict one of
-#: them and deserialize that trace a second time.  Beyond that, the LRU
-#: bound keeps traces/oracles of long-finished workloads (or of a
-#: service's earlier record counts) from pinning memory for the pool's
-#: lifetime.
-_WORKER_CONTEXT_CAP = 3
+#: Resident contexts kept per worker.  Dispatch is workload-major, and
+#: the pipelined first round puts ``warm(w_k+1)`` and then ``w_k``'s
+#: pairs on the FIFO queue when ``warm(w_k)`` completes, so a worker
+#: that dequeues ``warm(w_k+2)`` or a ``w_k+1`` pair has passed every
+#: ``w_k`` pair: it needs only its current workload and the next one.
+#: A new context therefore evicts the one dispatch has passed, not the
+#: least recently used one, which would be the workload just warmed.  The bound also keeps
+#: traces/oracles of long-finished workloads (or of a service's earlier
+#: record counts) from pinning memory for the pool's lifetime.
+_WORKER_CONTEXT_CAP = 2
 
 
 def _worker_init() -> None:
@@ -188,10 +191,11 @@ def _worker_context(
 ) -> SchemeContext:
     """This worker's resident context for one workload configuration.
 
-    Built at most once per residency: the small LRU bound only evicts a
-    workload the dispatch order has moved past, so the
-    one-deserialization-per-worker property holds for workload-major
-    sweeps while memory stays bounded for arbitrary ones.
+    Built at most once per residency: beyond :data:`_WORKER_CONTEXT_CAP`
+    a new context evicts the one earliest in workload-major dispatch
+    order, which a workload-major sweep has moved past, so the
+    one-deserialization-per-worker property holds for such sweeps while
+    memory stays bounded for arbitrary ones.
     """
     key = (workload, records, machine)
     ctx = _WORKER_CONTEXTS.get(key)
@@ -200,9 +204,12 @@ def _worker_context(
         ctx = SchemeContext(trace=trace, machine=machine)
         _WORKER_CONTEXTS[key] = ctx
         while len(_WORKER_CONTEXTS) > _WORKER_CONTEXT_CAP:
-            _WORKER_CONTEXTS.popitem(last=False)
-    else:
-        _WORKER_CONTEXTS.move_to_end(key)
+            # Pairs go out sorted by workload: the smallest (workload,
+            # records) key is the one dispatch has passed.
+            passed = min(
+                (k for k in _WORKER_CONTEXTS if k != key), key=lambda k: k[:2]
+            )
+            del _WORKER_CONTEXTS[passed]
     return ctx
 
 
@@ -226,12 +233,16 @@ def _warm_worker(config: SweepConfig, workload: str, prepass: bool) -> None:
 
     Builds the trace and the shared artifacts once, writes them to the
     disk caches for the other workers to mmap, and keeps the context
-    resident for the pairs this worker picks up next.  Deliberately
-    does not fire the ``worker`` fault site: its ordinals count pairs.
+    resident for the pairs this worker picks up next.  A per-call pool
+    asks for one length per workload, so the walk the trace was cut
+    from (program, longest plan, record stream) is dropped: the context
+    keeps the trace and the artifacts it holds.  Deliberately does not
+    fire the ``worker`` fault site: its ordinals count pairs.
     """
     prefetcher, records, machine = config
     ctx = _worker_context(workload, records, machine)
     _warm_artifacts(ctx, prefetcher, machine, prepass)
+    forget_walk(get_workload(workload))
 
 
 def _sweep_worker(

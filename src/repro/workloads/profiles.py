@@ -103,9 +103,11 @@ class WorkloadProfile:
 #: more (W10 at 160k records, ``tracemalloc``), and its program, about
 #: 60 bytes per program block.  So the memo is bounded by its walks'
 #: records plus program blocks (see :func:`_held`), about three
-#: full-length walks (the contexts a sweep worker keeps resident), and
-#: by a count.  Traces hold their walk
-#: weakly (``trace.walk``), so a walk the memo drops is freed.
+#: full-length walks, and by a count.  A per-call sweep worker keeps no
+#: walk past its warm (:func:`repro.harness.runner._warm_worker`); the
+#: bound serves processes that cut several lengths of a profile, such as
+#: serial benches and the sweep service's workers.  Traces hold their
+#: walk weakly (``trace.walk``), so a walk the memo drops is freed.
 _walks: "OrderedDict[tuple, Walk]" = OrderedDict()
 _WALKS_MAX_RECORDS = 7 * DEFAULT_RECORDS // 2
 _WALKS_CAP = 16

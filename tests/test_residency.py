@@ -5,13 +5,16 @@ worker's frontend plans (with their record streams) and replacement
 pre-passes (with their list views) live as long as a resident context's
 trace, or a walk its walk memo keeps, and no longer.  Within one
 residency each is still derived once, however many schemes run on it.
+A per-call pool's warm keeps no walk, and its workers hold only the
+contexts their FIFO queue can still reach.
 """
 
 from __future__ import annotations
 
 import gc
+import random
 import sys
-from collections import Counter
+from collections import Counter, deque
 from functools import cached_property
 
 import numpy as np
@@ -19,6 +22,7 @@ import pytest
 
 from repro.frontend import plan as plan_mod
 from repro.frontend.plan import FrontendPlan
+from repro.harness import runner as runner_mod
 from repro.harness.runner import (
     _WORKER_CONTEXT_CAP,
     _WORKER_CONTEXTS,
@@ -30,6 +34,7 @@ from repro.harness.throughput import measure_scheme
 from repro.mem import prepass as prepass_mod
 from repro.mem.prepass import ReplacementPrepass
 from repro.uarch.params import DEFAULT_MACHINE
+from repro.workloads import profiles as profiles_mod
 from repro.workloads.profiles import (
     DATACENTER_WORKLOADS,
     clear_walk_memo,
@@ -90,13 +95,75 @@ def test_worker_keeps_only_its_contexts_and_walks(worker, generated):
 
     for workload in WORKLOADS:
         _warm_worker(CONFIG, workload, True)
+        walk_plans = sum(len(plans) for plans in plan_mod._walk_plans.values())
+        assert walk_plans == 0, workload
         for scheme in ("lru", "ghrp", "harmony"):
             _sweep_worker(CONFIG, (workload, scheme))
-        walk_plans = sum(len(plans) for plans in plan_mod._walk_plans.values())
-        assert live(FrontendPlan) <= _WORKER_CONTEXT_CAP + walk_plans, workload
+        assert live(FrontendPlan) <= _WORKER_CONTEXT_CAP, workload
         assert live(ReplacementPrepass) <= _WORKER_CONTEXT_CAP, workload
-    if not generated:
-        assert walk_plans == 0
+
+
+def _replay_per_call_sweep(workloads, schemes, rng, run) -> None:
+    """Run a two-worker per-call sweep's tasks in an order its FIFO
+    queue allows, as ``run(worker, task)``.
+
+    As in the first round of ``Runner._sweep_parallel``: ``warm(w_1)``
+    goes first, and when ``warm(w_k)`` completes, ``warm(w_k+1)`` and
+    then ``w_k``'s pairs join the queue.  A free worker takes the head
+    of the queue; which busy worker finishes next is drawn from ``rng``.
+    A task runs when it is taken, which orders each worker's own tasks
+    as a pool does and runs every pair after its workload's warm.
+    """
+    queue = deque([("warm", workloads[0])])
+    to_warm = iter(workloads[1:])
+    busy = {}
+    while queue or busy:
+        for worker in (0, 1):
+            if worker not in busy and queue:
+                busy[worker] = queue.popleft()
+                run(worker, busy[worker])
+        kind, workload = busy.pop(rng.choice(sorted(busy)))
+        if kind == "warm":
+            following = next(to_warm, None)
+            if following is not None:
+                queue.append(("warm", following))
+            queue.extend((workload, scheme) for scheme in schemes)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_per_call_workers_hold_what_their_queue_can_reach(
+    worker, monkeypatch, seed
+):
+    """Two workers over the FIFO schedule of a cold per-call sweep: a
+    warm drops its walk, a worker never holds more than the cap, and no
+    worker builds a workload's context twice."""
+    contexts = ({}, {})
+    current = [0]
+    builds: Counter = Counter()
+    context = runner_mod.SchemeContext
+
+    def counted_context(**kwargs):
+        builds[(current[0], kwargs["trace"].name)] += 1
+        return context(**kwargs)
+
+    monkeypatch.setattr(runner_mod, "SchemeContext", counted_context)
+
+    def run(worker_id, task) -> None:
+        current[0] = worker_id
+        monkeypatch.setattr(runner_mod, "_WORKER_CONTEXTS", contexts[worker_id])
+        if task[0] == "warm":
+            profile = get_workload(task[1])
+            _warm_worker(CONFIG, profile.name, True)
+            assert (profile, profile.seed) not in profiles_mod._walks, task
+            assert not plan_mod._walk_plans, task
+        else:
+            _sweep_worker(CONFIG, task)
+        assert len(contexts[worker_id]) <= _WORKER_CONTEXT_CAP, task
+
+    workloads = sorted(WORKLOADS)
+    schemes = sorted(FIG_SWEEP_SCHEMES)
+    _replay_per_call_sweep(workloads, schemes, random.Random(seed), run)
+    assert builds and max(builds.values()) == 1, builds
 
 
 @pytest.mark.parametrize("warmed", [True, False], ids=["warmed", "unwarmed"])
@@ -141,21 +208,30 @@ def _view_bytes(view: list) -> int:
 
 
 @pytest.mark.parametrize("generated", [True, False], ids=["generated", "loaded"])
-def test_contexts_pin_only_interned_views(worker, generated):
+def test_contexts_pin_only_interned_views(worker, monkeypatch, generated):
     """Every fig-sweep scheme on every workload: a resident context's
     trace carries no branch-kind or branch-site list (a cut plan's
     context included), and its list views hold each distinct value
     once."""
     if not generated:
         _traces_from_the_store()
-    for workload in WORKLOADS:
+    for workload in WORKLOADS[:-1]:
         _warm_worker(CONFIG, workload, True)
         for scheme in FIG_SWEEP_SCHEMES:
             _sweep_worker(CONFIG, (workload, scheme))
-    # A shorter length of the last workload: in a worker that generated
-    # it, a plan cut from the walk's.
+    # The last workload runs unwarmed, as in a resident pool, which
+    # keeps the walk of a trace it generates; a shorter length of it
+    # then plans by a cut from the walk's plan, never a build.  A trace
+    # loaded from the store has no walk, so its shorter length builds.
+    for scheme in FIG_SWEEP_SCHEMES:
+        _sweep_worker(CONFIG, (WORKLOADS[-1], scheme))
+    builds = Counter()
+    monkeypatch.setattr(
+        plan_mod, "build_plan", _counted(builds, "plan", plan_mod.build_plan)
+    )
     short = ("fdp", RECORDS // 2, DEFAULT_MACHINE)
     _sweep_worker(short, (WORKLOADS[-1], "lru"))
+    assert builds["plan"] == (0 if generated else 1)
 
     assert len(_WORKER_CONTEXTS) == _WORKER_CONTEXT_CAP
     for key, ctx in _WORKER_CONTEXTS.items():

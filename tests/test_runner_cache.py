@@ -209,9 +209,11 @@ class TestSweep:
         per workload per process, traces served from mmap sidecars.
         ``trace_load_log`` records one (pid, key) line per actual
         trace deserialization; with 5 schemes per workload a per-pair
-        loader would log each workload up to 5x per worker.  Five
-        workloads make the warm-one-ahead pipeline hold three contexts
-        in one worker at a time, which the worker LRU must keep.
+        loader would log each workload up to 5x per worker.  With five
+        workloads the warm-one-ahead pipeline has a worker build a third
+        context while it still holds two: the new one must evict the
+        context dispatch has passed, never the current or the next
+        workload's, so two contexts per worker rebuild nothing.
         """
         trace_cache = tmp_path / "traces"
         monkeypatch.setenv("REPRO_TRACE_CACHE", str(trace_cache))
