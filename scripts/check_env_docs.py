@@ -23,6 +23,11 @@ The gate also fails when ``tests/``, ``benchmarks/``, ``scripts/`` or
 reads: a leftover ``monkeypatch.setenv`` of a deleted switch sets
 nothing, so a differential test built on it would silently compare an
 implementation with itself and still pass.
+
+It is also a ratchet: the gate fails when ``src/`` names more distinct
+``REPRO_*`` variables than :data:`CEILING`.  ``REPRO_*`` names are for
+real operator knobs only, so their count may only go down: a change
+that retires a name lowers the ceiling with it.
 """
 
 from __future__ import annotations
@@ -39,6 +44,9 @@ ENV_RE = re.compile(r"\bREPRO_[A-Z0-9_]+\b")
 #: (possibly with =value inside the backticks).
 TABLE_ROW_RE = re.compile(r"^\|\s*`(REPRO_[A-Z0-9_]+)[^`]*`\s*\|", re.MULTILINE)
 
+
+#: Most distinct ``REPRO_*`` names ``src/`` may name; lower it when one goes.
+CEILING = 13
 
 #: Trees whose ``REPRO_*`` mentions must name a variable src/ reads.
 CONSUMER_DIRS = ("tests", "benchmarks", "scripts", "examples")
@@ -81,6 +89,14 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     problems: list[str] = []
+    if len(source) > CEILING:
+        problems.append(
+            f"src/ names {len(source)} REPRO_* variables, above the "
+            f"ceiling of {CEILING}: retire one (a setting that an API "
+            "or CLI option already covers needs no variable) rather "
+            "than add one; when a name goes, lower CEILING in "
+            "scripts/check_env_docs.py to match"
+        )
     for name in sorted(source):
         if name not in documented:
             problems.append(
@@ -105,9 +121,11 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     print(
         f"env docs fresh: {len(source)} REPRO_* variables in src/ "
-        "all documented in README.md (and none stale or named "
-        "only outside src/)"
+        f"(ceiling {CEILING}) all documented in README.md (and none "
+        "stale or named only outside src/)"
     )
+    if len(source) < CEILING:
+        print(f"lower CEILING in scripts/check_env_docs.py to {len(source)}")
     return 0
 
 

@@ -67,9 +67,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--max-concurrent",
         type=int,
-        default=None,
-        help="simultaneous cold sweeps "
-        "(default: REPRO_SERVICE_CONCURRENCY, or 2)",
+        default=ServiceConfig().max_concurrent_sweeps,
+        help="simultaneous cold sweeps, sharing the --jobs workers "
+        "(default: 2)",
     )
     parser.add_argument(
         "--max-queue",
@@ -87,6 +87,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.jobs < 1:
         parser.error(f"--jobs must be at least 1, got {args.jobs}")
+    if args.max_concurrent < 1:
+        parser.error(
+            f"--max-concurrent must be at least 1, got {args.max_concurrent}"
+        )
 
     config = ServiceConfig(
         records=args.records,

@@ -21,16 +21,19 @@ Workers live in a :class:`WorkerPool`: a per-call one that
 ``sweep_pairs`` forks for ``jobs=N``, or a resident one its caller owns
 across sweeps (the sweep service keeps one for its lifetime).  Every
 task carries its own (prefetcher, records, machine) configuration, so
-one worker serves any configuration, and each worker keeps at most two
-:class:`SchemeContext`, one per (workload, records, machine) — the trace
-(memory-mapped from its ``.mmap`` sidecar), the lazily-built oracle and
-the plan and pre-pass the trace holds are loaded at most once per
-residency, no matter how many schemes the sweep pushes through that
-workload, and go with the trace (only its walk memo keeps more).
-Pending pairs are dispatched workload-major (sorted by workload, then
-scheme) so consecutive tasks land on whatever worker already has that
-workload resident, and a third context evicts the one dispatch has
-passed (see :data:`_WORKER_CONTEXT_CAP`).
+one worker serves any configuration.
+
+Each process keeps one table of resident :class:`SchemeContext`, by
+(workload, records, machine), at most two of them: a pool worker's
+tasks and every :class:`Runner` in a serial process draw on it (see
+:func:`_resident_context`).  A context's trace (memory-mapped from its
+``.mmap`` sidecar), lazily-built oracle and the plan and pre-pass the
+trace holds are loaded at most once per residency, no matter how many
+schemes a sweep pushes through that workload, and go with the trace
+(only its walk memo keeps more).  Pending pairs are dispatched
+workload-major (sorted by workload, then scheme) so consecutive tasks
+land on whatever worker already has that workload resident, and a third
+context evicts the one dispatch has passed.
 
 Warming: the parent builds nothing.  The first round of a sweep on a
 per-call pool pipelines a *warm* task one workload ahead of that
@@ -46,17 +49,18 @@ directly: its sweeps are small (a service request's admitted pairs),
 and a warm round trip would hold every pair back behind it.  Sweeps
 sharing a resident pool each keep only a few pairs on it at a time, so
 a short sweep is not queued behind every pair of a long one.
-:meth:`Runner.context_for` warms through the same helper, so the serial
-and parallel paths build artifacts through one code path.
+:meth:`Runner.context_for` takes its context from the same table and
+warms through the same helper, so the serial and parallel paths build
+artifacts through one code path.
 """
 
 from __future__ import annotations
 
 import json
 import multiprocessing
+import os
 import threading
 import time
-from collections import OrderedDict
 from concurrent.futures import (
     FIRST_COMPLETED,
     Future,
@@ -115,15 +119,6 @@ def _sweep_retries() -> int:
     return env_number("REPRO_SWEEP_RETRIES", 3, 0)
 
 
-#: Resident :class:`SchemeContext` bound per Runner.  Every workload a
-#: Runner touches used to keep its trace/plan/oracle resident forever —
-#: fine for a bench process that exits, a leak in a long-lived server.
-#: 4 is enough that workload-major sweeps and the figure benches (outer
-#: loop over workloads) never thrash, small enough that a server that
-#: has seen every workload holds a handful of traces, not all of them.
-CONTEXT_CACHE_CAP = 4
-
-
 #: Callback invoked by :meth:`Runner.sweep_pairs` after each *freshly
 #: simulated* pair lands in the caches: ``(workload, scheme, result)``.
 #: Cache hits never fire it.
@@ -159,21 +154,37 @@ _FORK = multiprocessing.get_context("fork")
 #: What each task carries: the sweep's ``(prefetcher, records, machine)``.
 SweepConfig = Tuple[str, int, MachineParams]
 
-#: This worker's resident contexts by (workload, records, machine): each
-#: trace/plan/pre-pass/oracle is deserialized at most once per
-#: residency.
-_WORKER_CONTEXTS: "Dict[tuple, SchemeContext]" = {}
+#: This process's resident contexts by (workload, records, machine):
+#: each trace/plan/pre-pass/oracle is deserialized at most once per
+#: residency.  Pool workers and serial runners share it.
+_CONTEXTS: "Dict[tuple, SchemeContext]" = {}
 
-#: Resident contexts kept per worker.  Dispatch is workload-major, and
+#: Resident contexts kept per process.  Dispatch is workload-major, and
 #: the pipelined first round puts ``warm(w_k+1)`` and then ``w_k``'s
 #: pairs on the FIFO queue when ``warm(w_k)`` completes, so a worker
 #: that dequeues ``warm(w_k+2)`` or a ``w_k+1`` pair has passed every
 #: ``w_k`` pair: it needs only its current workload and the next one.
-#: A new context therefore evicts the one dispatch has passed, not the
-#: least recently used one, which would be the workload just warmed.  The bound also keeps
-#: traces/oracles of long-finished workloads (or of a service's earlier
-#: record counts) from pinning memory for the pool's lifetime.
-_WORKER_CONTEXT_CAP = 2
+#: A serial sweep runs its pairs in the same order.  A new context
+#: therefore evicts the one dispatch has passed, not the least recently
+#: used one, which would be the workload just warmed.  The bound also
+#: keeps traces/oracles of long-finished workloads (or of a service's
+#: earlier record counts) from pinning memory for the process's
+#: lifetime.
+_CONTEXT_CAP = 2
+
+#: Sweep-service simulation threads look contexts up concurrently.
+#: Held only for the table's dict operations, never across a build.
+_contexts_lock = threading.Lock()
+
+
+def _new_contexts_lock() -> None:
+    # A fork while another thread holds the lock would hand the child a
+    # lock nobody will release.
+    global _contexts_lock
+    _contexts_lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_new_contexts_lock)
 
 
 def _worker_init() -> None:
@@ -182,34 +193,39 @@ def _worker_init() -> None:
     Fault arrival counters are per-process; a forked worker must count
     its own arrivals, not inherit the parent's.
     """
-    _WORKER_CONTEXTS.clear()
+    _CONTEXTS.clear()
     faults.reset()
 
 
-def _worker_context(
+def _resident_context(
     workload: str, records: int, machine: MachineParams
 ) -> SchemeContext:
-    """This worker's resident context for one workload configuration.
+    """This process's resident context for one workload configuration.
 
-    Built at most once per residency: beyond :data:`_WORKER_CONTEXT_CAP`
-    a new context evicts the one earliest in workload-major dispatch
-    order, which a workload-major sweep has moved past, so the
-    one-deserialization-per-worker property holds for such sweeps while
-    memory stays bounded for arbitrary ones.
+    Built at most once per residency: beyond :data:`_CONTEXT_CAP` a new
+    context evicts the one earliest in workload-major dispatch order,
+    which a workload-major sweep has moved past, so the
+    one-deserialization-per-process property holds for such sweeps while
+    memory stays bounded for arbitrary ones.  Eviction is safe because
+    everything a context holds is rebuilt bit-identical from the
+    trace/plan disk caches (``tests/test_sweep_bugs.py``), so a
+    long-lived process pays a reload, never a wrong answer.  Threads
+    racing to build one context settle on the first one stored.
     """
     key = (workload, records, machine)
-    ctx = _WORKER_CONTEXTS.get(key)
-    if ctx is None:
-        trace = get_workload(workload).trace(records=records)
-        ctx = SchemeContext(trace=trace, machine=machine)
-        _WORKER_CONTEXTS[key] = ctx
-        while len(_WORKER_CONTEXTS) > _WORKER_CONTEXT_CAP:
+    with _contexts_lock:
+        ctx = _CONTEXTS.get(key)
+    if ctx is not None:
+        return ctx
+    trace = get_workload(workload).trace(records=records)
+    built = SchemeContext(trace=trace, machine=machine)
+    with _contexts_lock:
+        ctx = _CONTEXTS.setdefault(key, built)
+        while len(_CONTEXTS) > _CONTEXT_CAP:
             # Pairs go out sorted by workload: the smallest (workload,
             # records) key is the one dispatch has passed.
-            passed = min(
-                (k for k in _WORKER_CONTEXTS if k != key), key=lambda k: k[:2]
-            )
-            del _WORKER_CONTEXTS[passed]
+            passed = min((k for k in _CONTEXTS if k != key), key=lambda k: k[:2])
+            del _CONTEXTS[passed]
     return ctx
 
 
@@ -240,7 +256,7 @@ def _warm_worker(config: SweepConfig, workload: str, prepass: bool) -> None:
     fire the ``worker`` fault site: its ordinals count pairs.
     """
     prefetcher, records, machine = config
-    ctx = _worker_context(workload, records, machine)
+    ctx = _resident_context(workload, records, machine)
     _warm_artifacts(ctx, prefetcher, machine, prepass)
     forget_walk(get_workload(workload))
 
@@ -264,7 +280,7 @@ def _sweep_worker(
         prefetcher=prefetcher,
         records=records,
         machine=machine,
-        context=_worker_context(workload, records, machine),
+        context=_resident_context(workload, records, machine),
     ).run
     return workload, scheme, {k: getattr(run, k) for k in _SCALAR_FIELDS}
 
@@ -400,13 +416,10 @@ class Runner:
         self.prefetcher = prefetcher
         self.machine = machine or DEFAULT_MACHINE
         self.use_disk_cache = disk_enabled(use_disk_cache)
-        self._memory: Dict[Tuple[str, str, str], RunResult] = {}
-        self._contexts: "OrderedDict[str, SchemeContext]" = OrderedDict()
         # sweep()/run() are re-entrant (the sweep service issues them
-        # from several executor threads against one shared Runner);
-        # _memory writes are atomic dict ops, but the context LRU's
-        # build-insert-evict sequence is not, so it takes a lock.
-        self._context_lock = threading.Lock()
+        # from several executor threads against one shared Runner):
+        # _memory writes are atomic dict ops.
+        self._memory: Dict[Tuple[str, str, str], RunResult] = {}
         #: Disk entries discarded as corrupt/stale by :meth:`_load_disk`
         #: over this Runner's lifetime (tests assert on it; a nonzero
         #: value after a clean run means something is mangling the
@@ -490,34 +503,17 @@ class Runner:
             self._store_disk(workload, scheme, result)
 
     def context_for(self, workload: str) -> SchemeContext:
-        """Shared trace/oracle context per workload, LRU-bounded.
+        """This process's resident context for ``workload`` (see
+        :func:`_resident_context`), its frontend plan warmed.
 
-        Building a context also warms the workload's shared artifacts
-        through :func:`_warm_artifacts` — the helper parallel sweeps'
-        warm tasks use — so every scheme simulated against this
-        workload shares one frontend plan instead of redoing it per
-        pair.
-
-        At most :data:`CONTEXT_CACHE_CAP` contexts stay resident; the
-        least-recently-used one, with its trace's artifacts, is dropped
-        beyond that.  Eviction is
-        safe because everything a context holds is rebuilt bit-identical
-        from the trace/plan disk caches (``tests/test_sweep_bugs.py``
-        pins reload correctness), so a long-lived server process pays a
-        reload, never a wrong answer.
+        Warming goes through :func:`_warm_artifacts` — the helper
+        parallel sweeps' warm tasks use — so every scheme simulated
+        against this workload shares one frontend plan instead of
+        redoing it per pair.
         """
-        with self._context_lock:
-            ctx = self._contexts.get(workload)
-            if ctx is not None:
-                self._contexts.move_to_end(workload)
-                return ctx
-            trace = get_workload(workload).trace(records=self.records)
-            ctx = SchemeContext(trace=trace, machine=self.machine)
-            _warm_artifacts(ctx, self.prefetcher, self.machine, prepass=False)
-            self._contexts[workload] = ctx
-            while len(self._contexts) > CONTEXT_CACHE_CAP:
-                self._contexts.popitem(last=False)
-            return ctx
+        ctx = _resident_context(workload, self.records, self.machine)
+        _warm_artifacts(ctx, self.prefetcher, self.machine, prepass=False)
+        return ctx
 
     # -- running ------------------------------------------------------------
 

@@ -6,9 +6,10 @@ not.  A ``POST /sweep`` request is partitioned by the admission table
 of the runner's fingerprinted result cache), in-flight pairs (joined to
 the future some concurrent request already owns) and admitted pairs —
 only the last are queued, through ``Runner.sweep_pairs`` called from a
-small thread pool gated by a semaphore (``REPRO_SERVICE_CONCURRENCY``
-sweeps at a time).  A request whose cold work would exceed ``max_queue``
-pending sweeps is refused with 503 before any simulation starts — the
+small thread pool gated by a semaphore
+(``ServiceConfig.max_concurrent_sweeps`` sweeps at a time).  A request
+whose cold work would exceed ``max_queue`` pending sweeps is refused
+with 503 before any simulation starts — the
 admission-control analogue of ACIC bypassing a line the predictor says
 is not worth caching.
 
@@ -27,10 +28,10 @@ sweeps simulate in the sim thread; sharded sweeps
 drain polls are in-process hooks.  A broken or hung pool is killed and
 replaced by the supervision loop of ``Runner.sweep_pairs``; that
 replacement forks from a sim thread while the event loop and the other
-slot run, so a lock another thread held at that moment (logging, the
-trace store) stays held in the new workers — rare, since it takes a
-crashed or hung worker.  Shutdown stops the workers, so none outlives
-the server.
+slot run, so the module locks those threads take (walk memo, plan and
+artifact stores, context table) are re-created after a fork
+(``tests/test_fork_locks.py``).  Shutdown stops the workers, so none
+outlives the server.
 
 Endpoints::
 
@@ -69,7 +70,6 @@ from dataclasses import dataclass, field
 from threading import Event as ThreadEvent, Thread
 from typing import Dict, List, Optional, Tuple
 
-from repro.common.env import env_number
 from repro.harness.experiment import scaled_records
 from repro.harness.runner import Runner, WorkerPool
 from repro.harness.schemes import available_schemes
@@ -103,19 +103,6 @@ _REASONS = {
 RUNNER_POOL_CAP = 4
 
 
-def _service_concurrency() -> int:
-    """Concurrent ``Runner.sweep_pairs`` calls (REPRO_SERVICE_CONCURRENCY).
-
-    Each slot is one sweeping thread; with a worker pool the slots'
-    sweeps share its ``jobs`` processes.  A sweep keeps at most
-    ``jobs + 1`` pairs on the pool at a time, so with two slots a short
-    request's pairs start after a few of a long request's, not after
-    all of them: a short request overtakes a long one without
-    oversubscribing the machine.
-    """
-    return env_number("REPRO_SERVICE_CONCURRENCY", 2, 1)
-
-
 @dataclass
 class ServiceConfig:
     """Server-side knobs (requests may narrow, never widen, them)."""
@@ -128,14 +115,16 @@ class ServiceConfig:
     #: forked with) and shared by the sim slots; 1 = no pool, sweeps
     #: simulate in the sim thread.
     jobs: int = field(default_factory=lambda: min(2, os.cpu_count() or 1))
-    #: Concurrent sweeps; None = ``REPRO_SERVICE_CONCURRENCY`` (or 2).
-    max_concurrent_sweeps: Optional[int] = None
+    #: Concurrent ``Runner.sweep_pairs`` calls, one sim thread each;
+    #: with a worker pool their sweeps share its ``jobs`` processes.  A
+    #: sweep keeps at most ``jobs + 1`` pairs on the pool at a time, so
+    #: with two slots a short request's pairs start after a few of a
+    #: long request's, not after all of them: a short request overtakes
+    #: a long one without oversubscribing the machine.
+    max_concurrent_sweeps: int = 2
     #: Cold sweeps allowed in flight/queued before requests that would
     #: add more are refused with 503 (warm/joined requests always pass).
     max_queue: int = 8
-
-    def concurrency(self) -> int:
-        return self.max_concurrent_sweeps or _service_concurrency()
 
 
 def _retrieve(future: "asyncio.Future") -> None:
@@ -157,13 +146,19 @@ class SweepService:
 
     def __init__(self, config: Optional[ServiceConfig] = None) -> None:
         self.config = config or ServiceConfig()
+        for name in ("jobs", "max_concurrent_sweeps"):
+            if getattr(self.config, name) < 1:
+                raise ValueError(
+                    f"ServiceConfig.{name} must be at least 1, "
+                    f"got {getattr(self.config, name)}"
+                )
         #: The resident worker pool, forked here before this service's
         #: sim threads exist; None when ``jobs`` is 1.
         self.workers: Optional[WorkerPool] = (
             WorkerPool(self.config.jobs) if self.config.jobs > 1 else None
         )
         self.admission = Admission()
-        slots = self.config.concurrency()
+        slots = self.config.max_concurrent_sweeps
         self._sim_slots = asyncio.Semaphore(slots)
         self._sim_pool = ThreadPoolExecutor(
             max_workers=slots, thread_name_prefix="sweep-sim"
@@ -178,8 +173,8 @@ class SweepService:
         self.draining = False
         #: Runners by (records, prefetcher, machine) configuration, in
         #: LRU order, shared across requests so the in-memory result
-        #: cache and the context LRU are server-wide.  Only the
-        #: event-loop thread mutates this dict.
+        #: cache is server-wide.  Only the event-loop thread mutates
+        #: this dict.
         self._runners: "OrderedDict[Tuple[int, str, str], Runner]" = (
             OrderedDict()
         )
@@ -230,10 +225,12 @@ class SweepService:
     ) -> Runner:
         """The runner for one configuration, from a bounded LRU pool.
 
-        Each runner keeps its contexts and its simulated results in
-        memory, so a new configuration evicts the least recently used
-        runners beyond :data:`RUNNER_POOL_CAP` that have no pairs in
-        flight (so concurrent requests still dedupe).  Warm pairs of an
+        Each runner keeps its simulated results in memory (contexts
+        live in the process's one table, see
+        :func:`repro.harness.runner._resident_context`), so a new
+        configuration evicts the least recently used runners beyond
+        :data:`RUNNER_POOL_CAP` that have no pairs in flight (so
+        concurrent requests still dedupe).  Warm pairs of an
         evicted configuration are then served from the disk result
         cache (re-simulated under ``REPRO_NO_DISK_CACHE=1``).
         """

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.harness.runner import Runner
+from repro.harness.runner import _CONTEXTS, Runner
 from repro.harness.schemes import SchemeContext
 from repro.workloads.generator import WalkParams, generate_trace
 from repro.workloads.program import ProgramShape, build_program
@@ -76,10 +76,11 @@ def committed_cache_untouched(request):
 
 @pytest.fixture(autouse=True)
 def no_resident_walks():
-    """Start each test with an empty walk memo: a walk an earlier test
-    left resident would serve this test's traces ahead of the trace
-    cache it may be testing."""
+    """Start each test with an empty walk memo and context table: a walk
+    or context an earlier test left resident would serve this test's
+    traces ahead of the trace cache it may be testing."""
     clear_walk_memo()
+    _CONTEXTS.clear()
 
 
 @pytest.fixture(scope="session")

@@ -22,7 +22,6 @@ KNOBS = {
     "REPRO_SWEEP_TIMEOUT": (runner._sweep_timeout, 0.0, "2.5", 2.5, "-1"),
     "REPRO_SWEEP_RETRIES": (runner._sweep_retries, 3, "5", 5, "-1"),
     "REPRO_SHARD_WINDOW": (shards.shard_window, 0, "2500", 2500, "-1"),
-    "REPRO_SERVICE_CONCURRENCY": (server._service_concurrency, 2, "3", 3, "0"),
     "REPRO_SCALE": (
         scaled_records,
         DEFAULT_RECORDS,

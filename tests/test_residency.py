@@ -24,8 +24,8 @@ from repro.frontend import plan as plan_mod
 from repro.frontend.plan import FrontendPlan
 from repro.harness import runner as runner_mod
 from repro.harness.runner import (
-    _WORKER_CONTEXT_CAP,
-    _WORKER_CONTEXTS,
+    _CONTEXT_CAP,
+    _CONTEXTS,
     _sweep_worker,
     _warm_worker,
     _worker_init,
@@ -99,8 +99,8 @@ def test_worker_keeps_only_its_contexts_and_walks(worker, generated):
         assert walk_plans == 0, workload
         for scheme in ("lru", "ghrp", "harmony"):
             _sweep_worker(CONFIG, (workload, scheme))
-        assert live(FrontendPlan) <= _WORKER_CONTEXT_CAP, workload
-        assert live(ReplacementPrepass) <= _WORKER_CONTEXT_CAP, workload
+        assert live(FrontendPlan) <= _CONTEXT_CAP, workload
+        assert live(ReplacementPrepass) <= _CONTEXT_CAP, workload
 
 
 def _replay_per_call_sweep(workloads, schemes, rng, run) -> None:
@@ -150,7 +150,7 @@ def test_per_call_workers_hold_what_their_queue_can_reach(
 
     def run(worker_id, task) -> None:
         current[0] = worker_id
-        monkeypatch.setattr(runner_mod, "_WORKER_CONTEXTS", contexts[worker_id])
+        monkeypatch.setattr(runner_mod, "_CONTEXTS", contexts[worker_id])
         if task[0] == "warm":
             profile = get_workload(task[1])
             _warm_worker(CONFIG, profile.name, True)
@@ -158,7 +158,7 @@ def test_per_call_workers_hold_what_their_queue_can_reach(
             assert not plan_mod._walk_plans, task
         else:
             _sweep_worker(CONFIG, task)
-        assert len(contexts[worker_id]) <= _WORKER_CONTEXT_CAP, task
+        assert len(contexts[worker_id]) <= _CONTEXT_CAP, task
 
     workloads = sorted(WORKLOADS)
     schemes = sorted(FIG_SWEEP_SCHEMES)
@@ -233,8 +233,8 @@ def test_contexts_pin_only_interned_views(worker, monkeypatch, generated):
     _sweep_worker(short, (WORKLOADS[-1], "lru"))
     assert builds["plan"] == (0 if generated else 1)
 
-    assert len(_WORKER_CONTEXTS) == _WORKER_CONTEXT_CAP
-    for key, ctx in _WORKER_CONTEXTS.items():
+    assert len(_CONTEXTS) == _CONTEXT_CAP
+    for key, ctx in _CONTEXTS.items():
         trace = ctx.trace
         pinned = vars(trace)
         assert "branch_kind_list" not in pinned, key

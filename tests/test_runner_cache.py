@@ -18,7 +18,7 @@ from collections import Counter
 import pytest
 
 from repro.frontend.plan import PLAN_STORE, clear_plan_memo
-from repro.harness.runner import _SCALAR_FIELDS, Runner
+from repro.harness.runner import _CONTEXTS, _SCALAR_FIELDS, Runner
 from repro.mem.prepass import PREPASS_STORE, clear_prepass_memo
 from repro.workloads.trace import TRACE_STORE
 
@@ -209,11 +209,11 @@ class TestSweep:
         per workload per process, traces served from mmap sidecars.
         ``trace_load_log`` records one (pid, key) line per actual
         trace deserialization; with 5 schemes per workload a per-pair
-        loader would log each workload up to 5x per worker.  With five
-        workloads the warm-one-ahead pipeline has a worker build a third
-        context while it still holds two: the new one must evict the
-        context dispatch has passed, never the current or the next
-        workload's, so two contexts per worker rebuild nothing.
+        loader would log each workload up to 5x per worker, and the
+        parent must log none.  This does not pin which context a third
+        one evicts: on this small grid an LRU table passes too.
+        ``tests/test_residency.py``'s replay of the per-call FIFO
+        schedule is the eviction pin.
         """
         trace_cache = tmp_path / "traces"
         monkeypatch.setenv("REPRO_TRACE_CACHE", str(trace_cache))
@@ -257,7 +257,7 @@ class TestSweep:
         runner = Runner(records=RECORDS, use_disk_cache=True)
         results = runner.sweep(workloads, schemes, jobs=2)
 
-        assert not runner._contexts
+        assert not _CONTEXTS
         for store in (TRACE_STORE, PLAN_STORE, PREPASS_STORE):
             assert store.memo_size() == 0, store.kind
 

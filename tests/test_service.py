@@ -57,7 +57,12 @@ from repro.service.protocol import (
     pair_token,
     parse_sweep_request,
 )
-from repro.service.server import RUNNER_POOL_CAP, ServiceConfig, ServiceThread
+from repro.service.server import (
+    RUNNER_POOL_CAP,
+    ServiceConfig,
+    ServiceThread,
+    SweepService,
+)
 from repro.uarch.params import DEFAULT_MACHINE
 
 RECORDS = 2_000
@@ -518,6 +523,26 @@ class TestServerFaultInjection:
 
 
 REPO = Path(__file__).resolve().parents[1]
+
+
+class TestServiceSizes:
+    """A service size below 1 is refused, never read as a default."""
+
+    @pytest.mark.parametrize("name", ["jobs", "max_concurrent_sweeps"])
+    def test_config_below_one_raises(self, name):
+        with pytest.raises(ValueError, match=f"ServiceConfig.{name}"):
+            SweepService(ServiceConfig(records=RECORDS, **{name: 0}))
+
+    @pytest.mark.parametrize("flag", ["--jobs", "--max-concurrent"])
+    def test_cli_below_one_is_a_usage_error(self, flag):
+        proc = subprocess.run(
+            [sys.executable, str(REPO / "scripts" / "serve_sweeps.py"), flag, "0"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 2
+        assert f"{flag} must be at least 1, got 0" in proc.stderr
 
 
 class TestNoWorkerOutlivesItsServer:

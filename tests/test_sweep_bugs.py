@@ -7,10 +7,12 @@ Three sweep-path bugs, each pinned here:
   bare RuntimeError with the original traceback lost.  Now a
   deterministic worker error fails fast — one attempt, original
   exception chained as ``__cause__``.
-* ``Runner._contexts`` grew without bound: every workload a runner ever
-  touched kept its trace/plan/oracle resident forever.  Now an LRU
-  capped by ``CONTEXT_CACHE_CAP`` (4), and eviction is
-  correctness-free: a rebuilt context reproduces identical scalars.
+* A runner's contexts grew without bound: every workload it ever
+  touched kept its trace/plan/oracle resident forever.  Now every
+  runner and sweep worker of a process draws on one table capped by
+  ``_CONTEXT_CAP`` (2), a new context evicts the one workload-major
+  dispatch has passed, and eviction is correctness-free: a rebuilt
+  context reproduces identical scalars.
 * Every sweep wrote a per-call journal into the results directory,
   even with the disk cache off, and only a resuming sweep that no
   caller ever made removed one, so each interrupted sweep left a file
@@ -29,7 +31,7 @@ import pytest
 from repro.harness import runner as runner_module
 from repro.harness import schemes as schemes_mod
 from repro.common.durable import results_dir
-from repro.harness.runner import _SCALAR_FIELDS, Runner
+from repro.harness.runner import _CONTEXT_CAP, _CONTEXTS, _SCALAR_FIELDS, Runner
 
 RECORDS = 2_000
 
@@ -87,41 +89,53 @@ class TestDeterministicFailuresFailFast:
 
 
 class TestContextCacheBound:
-    def test_lru_keeps_at_most_cap_contexts(self, monkeypatch):
-        monkeypatch.setattr(runner_module, "CONTEXT_CACHE_CAP", 2)
+    def test_keeps_at_most_cap_contexts(self):
         runner = Runner(records=RECORDS, use_disk_cache=False)
-        first = runner.context_for("x264")
-        runner.context_for("gcc")
-        assert set(runner._contexts) == {"x264", "gcc"}
+
+        def resident():
+            assert len(_CONTEXTS) <= _CONTEXT_CAP
+            return {workload for workload, _, _ in _CONTEXTS}
+
+        first = runner.context_for("gcc")
         runner.context_for("media-streaming")
-        assert set(runner._contexts) == {"gcc", "media-streaming"}, (
-            "the least-recently-used context must be evicted at the cap"
+        assert resident() == {"gcc", "media-streaming"}
+        runner.context_for("x264")
+        assert resident() == {"media-streaming", "x264"}, (
+            "a new context must evict the one workload-major dispatch has passed"
         )
-        # Touching a resident workload refreshes it instead of rebuilding.
+        # A resident context is served again, to any runner of the
+        # configuration, instead of being rebuilt.
         again = runner.context_for("media-streaming")
-        assert again is runner._contexts["media-streaming"]
-        assert first is not runner.context_for("x264"), (
+        other = Runner(records=RECORDS, use_disk_cache=False)
+        assert other.context_for("media-streaming") is again
+        assert first is not runner.context_for("gcc"), (
             "an evicted context is rebuilt on next use"
         )
 
     def test_eviction_is_correctness_free(self, monkeypatch):
-        """Results via a cap-1 (thrashing) runner == unbounded results."""
+        """Results via a cap-1 (thrashing) table == results of a table
+        that holds every workload."""
         workloads = ("x264", "gcc", "media-streaming")
+        monkeypatch.setattr(runner_module, "_CONTEXT_CAP", len(workloads))
         reference = Runner(records=RECORDS, use_disk_cache=False)
         expected = {
             k: _scalars(v)
-            for k, v in reference.sweep(workloads, ("lru",)).items()
+            for k, v in reference.sweep(workloads, ("lru", "srrip")).items()
         }
+        assert len(_CONTEXTS) == len(workloads)
 
-        monkeypatch.setattr(runner_module, "CONTEXT_CACHE_CAP", 1)
+        _CONTEXTS.clear()
+        monkeypatch.setattr(runner_module, "_CONTEXT_CAP", 1)
         thrashing = Runner(records=RECORDS, use_disk_cache=False)
         results = thrashing.sweep(workloads, ("lru",))
-        assert {k: _scalars(v) for k, v in results.items()} == expected
-        assert len(thrashing._contexts) == 1
+        assert {k: _scalars(v) for k, v in results.items()} == {
+            k: v for k, v in expected.items() if k[1] == "lru"
+        }
+        assert len(_CONTEXTS) == 1
         # Revisit the first (long-evicted) workload with a new scheme:
         # the reloaded context must reproduce identical physics.
         rebuilt = thrashing.run("x264", "srrip")
-        assert _scalars(rebuilt) == _scalars(reference.run("x264", "srrip"))
+        assert _scalars(rebuilt) == expected[("x264", "srrip")]
 
 
 class TestSweepLeavesOnlyResults:
