@@ -22,6 +22,8 @@ before any thread starts and shared by the sim threads (see
 variable before starting the server: the workers keep the environment
 they were forked with.
 
+The service is built before any thread starts, then served by
+``repro.service.server.run_service`` on the main thread's event loop.
 Shutdown is graceful: SIGTERM (or Ctrl-C) starts a drain — new
 ``/sweep`` requests get 503 while in-flight sweeps run to their next
 shard-ledger boundary (``REPRO_SHARD_WINDOW``; non-sharded sweeps run
@@ -34,12 +36,47 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import signal
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from repro.service.server import ServiceConfig, serve  # noqa: E402
+from repro.service.server import (  # noqa: E402
+    SIZE_FLOORS,
+    ServiceConfig,
+    SweepService,
+    run_service,
+)
+
+
+async def _serve(service: SweepService, host: str, port: int) -> None:
+    """Serve until SIGTERM/SIGINT, then drain; the loop is this thread's."""
+    stop = asyncio.Event()
+
+    def drain() -> None:
+        if not stop.is_set():
+            print(
+                "sweep service draining "
+                f"({service.cold_sweeps} sweeps in flight)...",
+                flush=True,
+            )
+            stop.set()
+
+    loop = asyncio.get_running_loop()
+    for sig in (signal.SIGTERM, signal.SIGINT):
+        loop.add_signal_handler(sig, drain)
+    await run_service(
+        service,
+        host,
+        port,
+        stop,
+        lambda bound: print(
+            f"sweep service listening on http://{bound[0]}:{bound[1]}",
+            flush=True,
+        ),
+    )
+    print("sweep service drained; exiting", flush=True)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -74,43 +111,37 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--max-queue",
         type=int,
-        default=8,
+        default=ServiceConfig().max_queue,
         help="cold sweeps in flight before new cold work is refused (503)",
     )
     parser.add_argument(
         "--drain-timeout",
         type=float,
-        default=30.0,
+        default=ServiceConfig().drain_timeout,
         help="seconds to let in-flight sweeps reach a shard boundary "
         "(or finish) after SIGTERM/SIGINT before exiting",
     )
     args = parser.parse_args(argv)
-    if args.jobs < 1:
-        parser.error(f"--jobs must be at least 1, got {args.jobs}")
-    if args.max_concurrent < 1:
-        parser.error(
-            f"--max-concurrent must be at least 1, got {args.max_concurrent}"
-        )
-
     config = ServiceConfig(
         records=args.records,
         jobs=args.jobs,
         max_concurrent_sweeps=args.max_concurrent,
         max_queue=args.max_queue,
+        drain_timeout=args.drain_timeout,
     )
-    try:
-        asyncio.run(
-            serve(
-                config,
-                host=args.host,
-                port=args.port,
-                drain_timeout=args.drain_timeout,
-            )
-        )
-    except KeyboardInterrupt:
-        # Only reachable where add_signal_handler is unavailable (the
-        # handler path turns SIGINT into a drain, not an exception).
-        print("\nsweep service stopped")
+    for flag, name in (
+        ("--jobs", "jobs"),
+        ("--max-concurrent", "max_concurrent_sweeps"),
+        ("--max-queue", "max_queue"),
+        ("--drain-timeout", "drain_timeout"),
+    ):
+        value, least = getattr(config, name), SIZE_FLOORS[name]
+        if value < least:
+            parser.error(f"{flag} must be at least {least}, got {value}")
+
+    # Built, and its pool forked, before any thread starts.
+    service = SweepService(config)
+    asyncio.run(_serve(service, args.host, args.port))
     print("sweep service exited cleanly", flush=True)
     return 0
 

@@ -81,7 +81,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.common.artifacts import ArtifactStore, entry_name, sidecar_path
+from repro.common.artifacts import ArtifactStore, entry_name
 from repro.frontend.stack import BranchStack
 from repro.uarch.params import MachineParams
 from repro.workloads.trace import BranchKind, Trace
@@ -525,8 +525,6 @@ PLAN_STORE = ArtifactStore(
     scalar_meta=True,
 )
 
-plan_cache_dir = PLAN_STORE.cache_dir
-mmap_sidecar_path = sidecar_path
 clear_plan_memo = PLAN_STORE.clear_memo
 
 #: Per walk (:class:`repro.workloads.generator.Walk`), the plan of its

@@ -17,12 +17,12 @@ Simulation runs off the server's GIL: the service forks a resident
 :class:`~repro.harness.runner.WorkerPool` of ``ServiceConfig.jobs``
 processes when it is built, and every admitted pair of every sweep runs
 there — the sim slots share that one pool, and their threads only wait
-on it and install the results.  :func:`serve` builds the service before
-it starts any thread; :class:`ServiceThread` builds it in the calling
-thread, before its own event-loop thread starts (other threads of the
-host may be running).  Each worker keeps the environment and module
-state it was forked with, so ``REPRO_*`` settings must be in place
-before the service is built.  With ``jobs=1`` there is no pool and
+on it and install the results.  ``scripts/serve_sweeps.py`` builds the
+service before it starts any thread; :class:`ServiceThread` builds it
+in the calling thread, before its own event-loop thread starts (other
+threads of the host may be running).  Each worker keeps the environment
+and module state it was forked with, so ``REPRO_*`` settings must be in
+place before the service is built.  With ``jobs=1`` there is no pool and
 sweeps simulate in the sim thread; sharded sweeps
 (``REPRO_SHARD_WINDOW``) do too, because their progress events and
 drain polls are in-process hooks.  A broken or hung pool is killed and
@@ -45,17 +45,16 @@ one connection per request, ``Connection: close``).  Streaming
 responses use chunked transfer encoding, one JSON line per completed
 pair, so clients watch cold grids fill in pair by pair.
 
-Shutdown is graceful: SIGTERM/SIGINT (foreground :func:`serve`) or
-``ServiceThread.stop()`` flip the service into *draining* — new
-``/sweep`` requests get 503, in-flight sharded sweeps
-(``REPRO_SHARD_WINDOW``) stop at their next window boundary with the
-warm state fsync'd in the shard ledger (:mod:`repro.harness.shards`),
-and the process exits cleanly; a restarted server resumes the drained
-work from the ledgers.
-
-:class:`ServiceThread` hosts a service on a background thread for
-tests, benches and :mod:`scripts.bench_service`;
-``scripts/serve_sweeps.py`` is the foreground entrypoint.
+Both hosts serve through one coroutine, :func:`run_service`:
+``scripts/serve_sweeps.py`` runs it on the main thread and sets its
+stop event on SIGTERM/SIGINT; :class:`ServiceThread` runs it on a
+background thread for tests, benches and :mod:`scripts.bench_service`
+and sets it in ``stop()``.  Shutdown is graceful: the stop flips the
+service into *draining* — new ``/sweep`` requests get 503, in-flight
+sharded sweeps (``REPRO_SHARD_WINDOW``) stop at their next window
+boundary with the warm state fsync'd in the shard ledger
+(:mod:`repro.harness.shards`), and the host exits cleanly; a restarted
+server resumes the drained work from the ledgers.
 """
 
 from __future__ import annotations
@@ -63,12 +62,11 @@ from __future__ import annotations
 import asyncio
 import json
 import os
-import signal
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from threading import Event as ThreadEvent, Thread
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.harness.experiment import scaled_records
 from repro.harness.runner import Runner, WorkerPool
@@ -101,6 +99,10 @@ _REASONS = {
 
 #: Resident runners (see :meth:`SweepService._runner_for`).
 RUNNER_POOL_CAP = 4
+#: The least value of each :class:`ServiceConfig` size.
+SIZE_FLOORS = {
+    "jobs": 1, "max_concurrent_sweeps": 1, "max_queue": 0, "drain_timeout": 0
+}
 
 
 @dataclass
@@ -125,6 +127,9 @@ class ServiceConfig:
     #: Cold sweeps allowed in flight/queued before requests that would
     #: add more are refused with 503 (warm/joined requests always pass).
     max_queue: int = 8
+    #: Seconds a shutdown waits for in-flight sweeps to reach a shard
+    #: boundary (or finish) before failing what is left.
+    drain_timeout: float = 30.0
 
 
 def _retrieve(future: "asyncio.Future") -> None:
@@ -146,10 +151,10 @@ class SweepService:
 
     def __init__(self, config: Optional[ServiceConfig] = None) -> None:
         self.config = config or ServiceConfig()
-        for name in ("jobs", "max_concurrent_sweeps"):
-            if getattr(self.config, name) < 1:
+        for name, least in SIZE_FLOORS.items():
+            if getattr(self.config, name) < least:
                 raise ValueError(
-                    f"ServiceConfig.{name} must be at least 1, "
+                    f"ServiceConfig.{name} must be at least {least}, "
                     f"got {getattr(self.config, name)}"
                 )
         #: The resident worker pool, forked here before this service's
@@ -164,7 +169,7 @@ class SweepService:
             max_workers=slots, thread_name_prefix="sweep-sim"
         )
         #: Cold sweeps scheduled and not yet finished (the 503 gate).
-        self._cold_sweeps = 0
+        self.cold_sweeps = 0
         #: Graceful-shutdown flag: set by :meth:`begin_drain`; every new
         #: ``/sweep`` is then refused with 503, and in-flight sharded
         #: sweeps observe it via their ``should_stop`` poll and stop at
@@ -187,7 +192,7 @@ class SweepService:
         """
         self._sim_pool.shutdown(wait=False, cancel_futures=True)
         if self.workers is not None:
-            self.workers.close(kill=self._cold_sweeps > 0)
+            self.workers.close(kill=self.cold_sweeps > 0)
 
     # -- graceful drain -----------------------------------------------------
 
@@ -195,23 +200,23 @@ class SweepService:
         """Stop admitting; let in-flight work run to a safe stopping point."""
         self.draining = True
 
-    async def shutdown(self, drain_timeout: float = 30.0) -> None:
+    async def shutdown(self) -> None:
         """Drain and close: the SIGTERM path.
 
         Sets :attr:`draining` (new ``/sweep`` requests 503 from then
-        on), then waits up to ``drain_timeout`` seconds for in-flight
-        sweeps to finish — sharded sweeps stop early at their next
-        window boundary with the boundary already fsync'd in the shard
-        ledger, so a restarted server resumes from exactly there.
-        Whatever is still unresolved at the deadline is failed rather
-        than left hanging, and the sim pool is shut down.  The caller
-        keeps serving (and 503ing) while this runs; it closes the
+        on), then waits up to ``ServiceConfig.drain_timeout`` seconds
+        for in-flight sweeps to finish — sharded sweeps stop early at
+        their next window boundary with the boundary already fsync'd in
+        the shard ledger, so a restarted server resumes from exactly
+        there.  Whatever is still unresolved at the deadline is failed
+        rather than left hanging, and the sim pool is shut down.  The
+        caller keeps serving (and 503ing) while this runs; it closes the
         listener afterwards.
         """
         self.begin_drain()
         loop = asyncio.get_running_loop()
-        deadline = loop.time() + drain_timeout
-        while self._cold_sweeps > 0 and loop.time() < deadline:
+        deadline = loop.time() + self.config.drain_timeout
+        while self.cold_sweeps > 0 and loop.time() < deadline:
             await asyncio.sleep(0.05)
         self.admission.fail_all(
             DrainRequested("service-shutdown", 0, 0)
@@ -310,7 +315,7 @@ class SweepService:
             self.admission.stats.errors += 1
             self.admission.fail(runner, admitted, exc)
         finally:
-            self._cold_sweeps -= 1
+            self.cold_sweeps -= 1
 
     # -- request handling ---------------------------------------------------
 
@@ -393,7 +398,7 @@ class SweepService:
                     "draining": self.draining,
                     "stats": self.admission.stats.snapshot(),
                     "in_flight_pairs": self.admission.in_flight(),
-                    "cold_sweeps": self._cold_sweeps,
+                    "cold_sweeps": self.cold_sweeps,
                     "runners": len(self._runners),
                     "pool_replacements": (
                         self.workers.replacements if self.workers else 0
@@ -437,7 +442,7 @@ class SweepService:
         warm, joined, admitted = self.admission.partition(
             runner, request.pairs(), loop
         )
-        if admitted and self._cold_sweeps >= self.config.max_queue:
+        if admitted and self.cold_sweeps >= self.config.max_queue:
             self.admission.abandon(runner, admitted)
             self.admission.stats.rejected += 1
             await self._respond_json(
@@ -446,7 +451,7 @@ class SweepService:
                 {
                     "error": (
                         f"cold-work queue full "
-                        f"({self._cold_sweeps} sweeps in flight, "
+                        f"({self.cold_sweeps} sweeps in flight, "
                         f"max {self.config.max_queue}); retry later"
                     )
                 },
@@ -461,7 +466,7 @@ class SweepService:
             asyncio.Queue() if request.stream and admitted else None
         )
         if admitted:
-            self._cold_sweeps += 1
+            self.cold_sweeps += 1
             asyncio.ensure_future(self._simulate(runner, admitted, events))
         admitted_set = set(admitted)
         sources = {pair: "warm" for pair in warm}
@@ -636,66 +641,29 @@ class SweepService:
         await writer.drain()
 
 
-async def serve(
-    config: Optional[ServiceConfig] = None,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    drain_timeout: float = 30.0,
+async def run_service(
+    service: SweepService,
+    host: str,
+    port: int,
+    stop: asyncio.Event,
+    on_listening: Callable[[Tuple[str, int]], None],
 ) -> None:
-    """Run a service in the current event loop until stopped.
+    """Serve ``service`` on ``host:port`` until ``stop``, then drain it.
 
-    Installs SIGTERM/SIGINT handlers (where the platform supports
-    them): the first signal starts a *graceful drain* — new ``/sweep``
-    requests are refused with 503 while in-flight sweeps run to their
-    next shard boundary (state fsync'd in the shard ledger), then the
-    listener closes and this coroutine returns normally, so the hosting
-    process exits 0.  A restarted server resumes the drained work from
-    the ledgers.  Platforms without ``add_signal_handler`` fall back to
-    serve-until-cancelled (the pre-drain behaviour).
+    ``on_listening`` gets the bound ``(host, port)`` once the listener
+    is up.  When ``stop`` is set, :meth:`SweepService.shutdown` runs
+    with the listener still open, so requests keep getting answers (503
+    for new sweeps) until the last in-flight sweep parks at a ledgered
+    boundary; the listener then closes and the service is closed
+    however this returns.
     """
-    service = SweepService(config)
-    server = await asyncio.start_server(service.handle, host, port)
-    bound = server.sockets[0].getsockname()
-    print(
-        f"sweep service listening on http://{bound[0]}:{bound[1]}", flush=True
-    )
-    loop = asyncio.get_running_loop()
-    stop = asyncio.Event()
-    handled = []
-    for sig in (signal.SIGTERM, signal.SIGINT):
-        try:
-            loop.add_signal_handler(sig, stop.set)
-            handled.append(sig)
-        except (NotImplementedError, RuntimeError):
-            pass  # e.g. non-main thread or unsupported platform
     try:
+        server = await asyncio.start_server(service.handle, host, port)
         async with server:
-            if not handled:
-                await server.serve_forever()
-                return
-            forever = asyncio.ensure_future(server.serve_forever())
-            stopped = asyncio.ensure_future(stop.wait())
-            try:
-                await asyncio.wait(
-                    {forever, stopped}, return_when=asyncio.FIRST_COMPLETED
-                )
-                if stopped.done():
-                    print(
-                        "sweep service draining "
-                        f"({service._cold_sweeps} sweeps in flight)...",
-                        flush=True,
-                    )
-                    # Keep serving while the drain runs: requests still
-                    # get answers (503 for new sweeps) until the last
-                    # in-flight sweep parks at a ledgered boundary.
-                    await service.shutdown(drain_timeout)
-                    print("sweep service drained; exiting", flush=True)
-            finally:
-                for task in (forever, stopped):
-                    task.cancel()
+            on_listening(server.sockets[0].getsockname()[:2])
+            await stop.wait()
+            await service.shutdown()
     finally:
-        for sig in handled:
-            loop.remove_signal_handler(sig)
         service.close()
 
 
@@ -713,12 +681,14 @@ class ServiceThread:
     ``port=0`` default asks the OS for a free one, so parallel test
     runs never collide).
 
-    ``stop()`` performs the same graceful drain as a SIGTERM'd
-    foreground server: in-flight sweeps run to their next shard
-    boundary (ledgered, resumable) instead of being dropped on the
-    floor — the bug this replaced was a stop that closed the sim pool
-    under a live sweep.  ``begin_drain()`` flips the 503 gate without
-    stopping, for tests that drive the drain window explicitly.
+    It serves through :func:`run_service`, as the SIGTERM'd foreground
+    server does, so ``stop()`` performs the same graceful drain:
+    in-flight sweeps run to their next shard boundary (ledgered,
+    resumable) within ``ServiceConfig.drain_timeout`` instead of being
+    dropped on the floor — the bug this replaced was a stop that closed
+    the sim pool under a live sweep.  ``begin_drain()`` flips the 503
+    gate without stopping, for tests that drive the drain window
+    explicitly.
     """
 
     def __init__(
@@ -726,12 +696,10 @@ class ServiceThread:
         config: Optional[ServiceConfig] = None,
         host: str = "127.0.0.1",
         port: int = 0,
-        drain_timeout: float = 30.0,
     ) -> None:
-        self._config = config
+        self._config = config or ServiceConfig()
         self._host = host
         self._port = port
-        self._drain_timeout = drain_timeout
         self.port: Optional[int] = None
         self.service: Optional[SweepService] = None
         self._ready = ThreadEvent()
@@ -763,7 +731,7 @@ class ServiceThread:
     def stop(self) -> None:
         if self._loop is not None and self._stop is not None:
             self._loop.call_soon_threadsafe(self._stop.set)
-        self._thread.join(timeout=30 + self._drain_timeout)
+        self._thread.join(timeout=30 + self._config.drain_timeout)
 
     def __enter__(self) -> "ServiceThread":
         return self.start()
@@ -780,19 +748,11 @@ class ServiceThread:
             self._ready.set()
 
     async def _main(self) -> None:
-        try:
-            server = await asyncio.start_server(
-                self.service.handle, self._host, self._port
-            )
-            self.port = server.sockets[0].getsockname()[1]
-            self._loop = asyncio.get_running_loop()
-            self._stop = asyncio.Event()
+        stop = asyncio.Event()
+
+        def listening(bound: Tuple[str, int]) -> None:
+            self.port = bound[1]
+            self._loop, self._stop = asyncio.get_running_loop(), stop
             self._ready.set()
-            async with server:
-                await self._stop.wait()
-                # Drain before the listener closes: in-flight sweeps
-                # park at their next ledgered shard boundary (or finish)
-                # instead of dying with the thread.
-                await self.service.shutdown(self._drain_timeout)
-        finally:
-            self.service.close()
+
+        await run_service(self.service, self._host, self._port, stop, listening)

@@ -32,7 +32,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.common.artifacts import ArtifactStore, sidecar_path
+from repro.common.artifacts import ArtifactStore
 
 #: The trace's bulk arrays, as the cache stores them.
 TRACE_ARRAY_FIELDS = ("blocks", "instrs", "branch_kind", "branch_site")
@@ -215,9 +215,6 @@ TRACE_STORE = ArtifactStore(
     scalar_meta=True,
     npz_fault_site="trace-npz",
 )
-
-trace_cache_dir = TRACE_STORE.cache_dir
-mmap_sidecar_path = sidecar_path
 
 
 def cached_trace(key: str, builder) -> Trace:

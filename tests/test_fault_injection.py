@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from repro.common import faults
+from repro.common.artifacts import sidecar_path
 from repro.common.faults import (
     FaultInjected,
     FaultPlan,
@@ -30,7 +31,6 @@ from repro.common.durable import results_dir
 from repro.harness import runner as runner_module
 from repro.harness.runner import _SCALAR_FIELDS, Runner, WorkerPool
 from repro.workloads.profiles import clear_walk_memo, get_workload
-from repro.workloads.trace import mmap_sidecar_path
 
 RECORDS = 3_000
 WORKLOADS = ("x264", "gcc")
@@ -406,7 +406,7 @@ class TestFileMangleFaults:
         faults.reset()
         fresh = get_workload("x264").trace(records=RECORDS)
         (npz,) = tmp_path.glob("*.npz")
-        sidecar = mmap_sidecar_path(npz)
+        sidecar = sidecar_path(npz)
         assert (sidecar / "meta.json").read_bytes() == STALE_BYTES
 
         clear_walk_memo()  # read the cache, not the resident walk
@@ -424,7 +424,7 @@ class TestFileMangleFaults:
         fresh = get_workload("x264").trace(records=RECORDS)
         (npz,) = tmp_path.glob("*.npz")
         truncated_size = npz.stat().st_size
-        shutil.rmtree(mmap_sidecar_path(npz))  # make the reload read the npz
+        shutil.rmtree(sidecar_path(npz))  # make the reload read the npz
 
         monkeypatch.delenv("REPRO_FAULT")
         faults.reset()

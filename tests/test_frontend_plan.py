@@ -20,6 +20,7 @@ import shutil
 import numpy as np
 import pytest
 
+from repro.common.artifacts import sidecar_path
 from repro.frontend.entangling import EntanglingPrefetcher
 from repro.frontend.plan import (
     PLAN_FORMAT,
@@ -28,7 +29,6 @@ from repro.frontend.plan import (
     cached_plan,
     clear_plan_memo,
     frontend_fingerprint,
-    mmap_sidecar_path,
 )
 from repro.harness.experiment import run_experiment
 from repro.harness.schemes import SchemeContext, available_schemes, make_scheme
@@ -450,7 +450,7 @@ class TestPlanMmapSidecar:
     def test_save_writes_sidecar_and_load_maps_arrays(self, mmap_plan_cache):
         trace = random_trace(1, n=800)
         fresh = cached_plan(trace, DEFAULT_MACHINE, "fdp")
-        sidecar = mmap_sidecar_path(self._entry(mmap_plan_cache))
+        sidecar = sidecar_path(self._entry(mmap_plan_cache))
         assert sidecar.is_dir()
         assert (sidecar / "meta.json").exists()
 
@@ -471,7 +471,7 @@ class TestPlanMmapSidecar:
     def test_corrupt_sidecar_falls_back_to_npz(self, mmap_plan_cache):
         trace = random_trace(2, n=800)
         fresh = cached_plan(trace, DEFAULT_MACHINE, "fdp")
-        sidecar = mmap_sidecar_path(self._entry(mmap_plan_cache))
+        sidecar = sidecar_path(self._entry(mmap_plan_cache))
         (sidecar / "cand_lo.npy").write_bytes(b"\x93NUMPY garbage")
 
         clear_plan_memo()
@@ -484,7 +484,7 @@ class TestPlanMmapSidecar:
     def test_truncated_array_is_rejected(self, mmap_plan_cache):
         trace = random_trace(3, n=800)
         fresh = cached_plan(trace, DEFAULT_MACHINE, "fdp")
-        sidecar = mmap_sidecar_path(self._entry(mmap_plan_cache))
+        sidecar = sidecar_path(self._entry(mmap_plan_cache))
         mis = sidecar / "mispredict.npy"
         mis.write_bytes(mis.read_bytes()[:-200])
 
@@ -495,7 +495,7 @@ class TestPlanMmapSidecar:
     def test_stale_sidecar_fingerprint_is_discarded(self, mmap_plan_cache):
         trace = random_trace(4, n=800)
         fresh = cached_plan(trace, DEFAULT_MACHINE, "fdp")
-        sidecar = mmap_sidecar_path(self._entry(mmap_plan_cache))
+        sidecar = sidecar_path(self._entry(mmap_plan_cache))
         meta_path = sidecar / "meta.json"
         meta = json.loads(meta_path.read_text())
         meta["fingerprint"] = "0" * 12
@@ -513,7 +513,7 @@ class TestPlanMmapSidecar:
 
         trace = random_trace(5, n=800)
         cached_plan(trace, DEFAULT_MACHINE, "fdp")
-        sidecar = mmap_sidecar_path(self._entry(mmap_plan_cache))
+        sidecar = sidecar_path(self._entry(mmap_plan_cache))
         shutil.rmtree(sidecar)
 
         clear_plan_memo()
@@ -528,7 +528,7 @@ class TestPlanMmapSidecar:
         """A crash between create and write leaves meta.json empty."""
         trace = random_trace(6, n=800)
         fresh = cached_plan(trace, DEFAULT_MACHINE, "fdp")
-        sidecar = mmap_sidecar_path(self._entry(mmap_plan_cache))
+        sidecar = sidecar_path(self._entry(mmap_plan_cache))
         (sidecar / "meta.json").write_bytes(b"")
 
         clear_plan_memo()
@@ -545,7 +545,7 @@ class TestPlanMmapSidecar:
     def test_missing_array_file_is_discarded_and_rebuilt(self, mmap_plan_cache):
         trace = random_trace(7, n=800)
         fresh = cached_plan(trace, DEFAULT_MACHINE, "fdp")
-        sidecar = mmap_sidecar_path(self._entry(mmap_plan_cache))
+        sidecar = sidecar_path(self._entry(mmap_plan_cache))
         (sidecar / "mispredict.npy").unlink()
 
         clear_plan_memo()

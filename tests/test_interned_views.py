@@ -17,6 +17,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.common.artifacts import sidecar_path
 from repro.mem.prepass import (
     PREPASS_STORE,
     ReplacementPrepass,
@@ -28,7 +29,6 @@ from repro.workloads.trace import (
     TRACE_STORE,
     Trace,
     interned_list,
-    mmap_sidecar_path,
 )
 
 RECORDS = 5_000
@@ -100,8 +100,8 @@ def test_store_traces(stores, form):
         pre = PREPASS_STORE.read_npz(pre_npz)
         assert not isinstance(trace.blocks, np.memmap)
     else:
-        trace = TRACE_STORE.read_sidecar(mmap_sidecar_path(npz))
-        pre = PREPASS_STORE.read_sidecar(mmap_sidecar_path(pre_npz))
+        trace = TRACE_STORE.read_sidecar(sidecar_path(npz))
+        pre = PREPASS_STORE.read_sidecar(sidecar_path(pre_npz))
         assert isinstance(trace.blocks, np.memmap)
         assert isinstance(pre.ghrp_sig, np.memmap)
     assert trace.walk is None

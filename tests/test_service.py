@@ -526,23 +526,38 @@ REPO = Path(__file__).resolve().parents[1]
 
 
 class TestServiceSizes:
-    """A service size below 1 is refused, never read as a default."""
+    """A service size below its floor is refused, never read as a default."""
 
     @pytest.mark.parametrize("name", ["jobs", "max_concurrent_sweeps"])
     def test_config_below_one_raises(self, name):
         with pytest.raises(ValueError, match=f"ServiceConfig.{name}"):
             SweepService(ServiceConfig(records=RECORDS, **{name: 0}))
 
-    @pytest.mark.parametrize("flag", ["--jobs", "--max-concurrent"])
-    def test_cli_below_one_is_a_usage_error(self, flag):
+    @pytest.mark.parametrize("name", ["max_queue", "drain_timeout"])
+    def test_config_below_zero_raises(self, name):
+        with pytest.raises(ValueError, match=f"ServiceConfig.{name}"):
+            SweepService(ServiceConfig(records=RECORDS, **{name: -1}))
+
+    @staticmethod
+    def _stderr_of_usage_error(flag, value):
         proc = subprocess.run(
-            [sys.executable, str(REPO / "scripts" / "serve_sweeps.py"), flag, "0"],
+            [sys.executable, str(REPO / "scripts" / "serve_sweeps.py"), flag, value],
             capture_output=True,
             text=True,
             timeout=60,
         )
         assert proc.returncode == 2
-        assert f"{flag} must be at least 1, got 0" in proc.stderr
+        return proc.stderr
+
+    @pytest.mark.parametrize("flag", ["--jobs", "--max-concurrent"])
+    def test_cli_below_one_is_a_usage_error(self, flag):
+        stderr = self._stderr_of_usage_error(flag, "0")
+        assert f"{flag} must be at least 1, got 0" in stderr
+
+    @pytest.mark.parametrize("flag", ["--max-queue", "--drain-timeout"])
+    def test_cli_below_zero_is_a_usage_error(self, flag):
+        stderr = self._stderr_of_usage_error(flag, "-1")
+        assert f"{flag} must be at least 0, got -1" in stderr
 
 
 class TestNoWorkerOutlivesItsServer:
@@ -571,7 +586,7 @@ class TestNoWorkerOutlivesItsServer:
             monkeypatch.setenv("REPRO_FAULT", "worker:hang@1")
         before = _pool_pids()
         svc = ServiceThread(
-            ServiceConfig(records=20_000, jobs=2), drain_timeout=1.0
+            ServiceConfig(records=20_000, jobs=2, drain_timeout=1.0)
         ).start()
         workers = _pool_pids() - before
         client = ServiceClient(port=svc.port)
@@ -598,7 +613,11 @@ class TestNoWorkerOutlivesItsServer:
         not Path("/proc/self/stat").exists(),
         reason="reads children from /proc",
     )
-    def test_sigterm_reaps_every_worker(self, tmp_path):
+    @pytest.mark.parametrize(
+        "sig", [signal.SIGTERM, signal.SIGINT], ids=["SIGTERM", "SIGINT"]
+    )
+    def test_signal_reaps_every_worker(self, sig, tmp_path):
+        """SIGTERM and SIGINT each drain, exit 0 and reap both workers."""
         env = dict(os.environ, REPRO_RESULT_CACHE=str(tmp_path / "results"))
         proc = subprocess.Popen(
             [
@@ -627,8 +646,9 @@ class TestNoWorkerOutlivesItsServer:
             assert response["results"] == _direct()
             workers = _children_of(proc.pid)
             assert len(workers) == 2, workers
-            proc.send_signal(signal.SIGTERM)
+            proc.send_signal(sig)
             assert proc.wait(timeout=60) == 0
+            assert "drained; exiting" in proc.stdout.read()
         finally:
             if proc.poll() is None:
                 proc.kill()

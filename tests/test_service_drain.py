@@ -92,7 +92,7 @@ def _stream_until_drained(client, on_shard_count):
 class TestServiceThreadDrain:
     def test_drain_resumes_identical_after_restart(self, reference):
         with ServiceThread(
-            ServiceConfig(records=RECORDS), drain_timeout=60.0
+            ServiceConfig(records=RECORDS, drain_timeout=60.0)
         ) as svc:
             client = ServiceClient(port=svc.port)
 
@@ -126,7 +126,7 @@ class TestServiceThreadDrain:
         assert ledgers, "drained boundary state must survive the stop"
 
         with ServiceThread(
-            ServiceConfig(records=RECORDS), drain_timeout=60.0
+            ServiceConfig(records=RECORDS, drain_timeout=60.0)
         ) as svc:
             client = ServiceClient(port=svc.port)
             resumed = []

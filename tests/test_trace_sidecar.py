@@ -17,13 +17,9 @@ import shutil
 import numpy as np
 import pytest
 
+from repro.common.artifacts import sidecar_path
 from repro.workloads.profiles import clear_walk_memo, get_workload
-from repro.workloads.trace import (
-    Trace,
-    mmap_sidecar_path,
-    trace_cache_dir,
-    validate_trace,
-)
+from repro.workloads.trace import TRACE_STORE, Trace, validate_trace
 
 RECORDS = 3_000
 WORKLOAD = "x264"
@@ -51,7 +47,7 @@ class TestTraceMmapSidecar:
     def test_save_writes_sidecar_and_cache_load_maps_arrays(self, trace_cache):
         fresh = _build()
         npz = _entry(trace_cache)
-        sidecar = mmap_sidecar_path(npz)
+        sidecar = sidecar_path(npz)
         assert sidecar.is_dir()
         meta = json.loads((sidecar / "meta.json").read_text())
         assert meta["records"] == len(fresh)
@@ -68,7 +64,7 @@ class TestTraceMmapSidecar:
 
     def test_corrupt_sidecar_falls_back_to_npz_and_repairs(self, trace_cache):
         fresh = _build()
-        sidecar = mmap_sidecar_path(_entry(trace_cache))
+        sidecar = sidecar_path(_entry(trace_cache))
         (sidecar / "blocks.npy").write_bytes(b"\x93NUMPY garbage")
 
         loaded = _build()
@@ -79,7 +75,7 @@ class TestTraceMmapSidecar:
 
     def test_truncated_array_is_rejected(self, trace_cache):
         fresh = _build()
-        sidecar = mmap_sidecar_path(_entry(trace_cache))
+        sidecar = sidecar_path(_entry(trace_cache))
         blocks = sidecar / "blocks.npy"
         truncated = np.load(blocks)[: RECORDS // 2]
         np.save(blocks, truncated)
@@ -91,7 +87,7 @@ class TestTraceMmapSidecar:
     def test_stale_sidecar_is_discarded_when_npz_changes(self, trace_cache):
         fresh = _build()
         npz = _entry(trace_cache)
-        sidecar = mmap_sidecar_path(npz)
+        sidecar = sidecar_path(npz)
         # Regenerate the npz with different content under the same key
         # (as a generator change across versions would) while leaving
         # the old sidecar in place.
@@ -116,7 +112,7 @@ class TestTraceMmapSidecar:
     def test_zero_byte_meta_is_discarded_and_rebuilt(self, trace_cache):
         """A crash between create and write leaves meta.json empty."""
         fresh = _build()
-        sidecar = mmap_sidecar_path(_entry(trace_cache))
+        sidecar = sidecar_path(_entry(trace_cache))
         (sidecar / "meta.json").write_bytes(b"")
 
         loaded = _build()
@@ -127,7 +123,7 @@ class TestTraceMmapSidecar:
 
     def test_missing_array_file_is_discarded_and_rebuilt(self, trace_cache):
         fresh = _build()
-        sidecar = mmap_sidecar_path(_entry(trace_cache))
+        sidecar = sidecar_path(_entry(trace_cache))
         (sidecar / "blocks.npy").unlink()
 
         loaded = _build()
@@ -137,7 +133,7 @@ class TestTraceMmapSidecar:
 
     def test_missing_sidecar_is_repaired_from_npz(self, trace_cache):
         fresh = _build()
-        sidecar = mmap_sidecar_path(_entry(trace_cache))
+        sidecar = sidecar_path(_entry(trace_cache))
         shutil.rmtree(sidecar)
 
         loaded = _build()
@@ -147,7 +143,7 @@ class TestTraceMmapSidecar:
 
     def test_cache_dir_override_honoured(self, trace_cache):
         _build()
-        assert trace_cache_dir() == trace_cache
+        assert TRACE_STORE.cache_dir() == trace_cache
         assert any(trace_cache.iterdir())
 
     def test_load_log_counts_deserializations(self, trace_cache, trace_load_log):
