@@ -1,4 +1,4 @@
-"""Extra ablations (DESIGN.md section 5): choices the paper fixes silently.
+"""Extra ablations: choices the paper fixes silently.
 
 * Benefit-of-the-doubt direction for CSHR entries evicted unresolved —
   the paper trains them as victim-won; we compare against training them

@@ -1,6 +1,7 @@
 """Table III: per-application L1i MPKI on the FDP baseline.
 
-Absolute MPKI is accounted per fetch-group trace (DESIGN.md section 2),
+Absolute MPKI is accounted per fetch-group trace (the fluid front-end
+model of :mod:`repro.uarch.timing`),
 so the values sit well below the paper's per-instruction numbers on
 real traces; the *ordering* across applications is the reproduced
 property.

@@ -15,15 +15,18 @@ Usage::
     PYTHONPATH=src python scripts/search_workloads.py --selfcheck
 
 The run is deterministic in (``--seed``, ``--budget``, ``--records``)
-and resumable: every score is journalled (fsync per line) under
-``.cache/search/``, so a killed run replays its prefix instead of
-re-simulating, and a re-run with a larger budget extends the sequence.
+and resumable: every scored pair is an fsynced entry of the result
+cache (``.cache/results/``, keyed by workload, scheme, prefetcher,
+records and machine), so a killed run finds its prefix warm instead of
+re-simulating it, and a re-run with a larger budget extends the
+sequence.  With ``REPRO_NO_DISK_CACHE=1`` nothing survives the process
+and a killed run re-simulates.
 
 ``--selfcheck`` (the CI smoke) runs a tiny search against isolated
 caches and asserts the subsystem's contracts end-to-end: determinism,
-journal resume after a simulated kill, shrink termination, registry
-round-trip through ``get_workload``, and score reproduction on a fresh
-re-simulation.
+resume from the result cache after a simulated kill, shrink
+termination, registry round-trip through ``get_workload``, and score
+reproduction on a fresh re-simulation.
 
 ``--ratchet-fig11`` re-measures the Figure 11 grid share (the ten
 datacenter workloads at the bench record count) and writes it into
@@ -69,10 +72,6 @@ def main(argv=None) -> int:
         help="max fresh scores the shrinker may spend per winner",
     )
     parser.add_argument(
-        "--journal", type=Path, default=None,
-        help="journal path (default: .cache/search/<space>.s<seed>.r<records>.journal)",
-    )
-    parser.add_argument(
         "--save", action="store_true",
         help="persist shrunk winners into profiles/found/",
     )
@@ -108,13 +107,12 @@ def main(argv=None) -> int:
         top=args.top,
         save=args.save,
         update_ratchet=args.update_ratchet,
-        journal_path=args.journal,
     )
     report = run_search(config, log=print)
     print(
         f"\nscored {config.budget} samples "
         f"({report.simulated} simulated, {report.replayed} replayed from "
-        f"{config.resolved_journal_path()})"
+        f"the result cache)"
     )
     best = report.best
     if best is not None:
@@ -170,7 +168,6 @@ def selfcheck() -> int:
         ("REPRO_RESULT_CACHE", "results"),
         ("REPRO_TRACE_CACHE", "traces"),
         ("REPRO_PLAN_CACHE", "plans"),
-        ("REPRO_SEARCH_DIR", "search"),
         ("REPRO_FOUND_PROFILES", "found"),
     ):
         os.environ[var] = str(tmp / sub)
@@ -188,15 +185,15 @@ def selfcheck() -> int:
         shrink_evaluations=12, top=1,
     )
 
-    # 1. a killed search resumes from its journal: the first (smaller)
-    #    run stands in for the pre-kill prefix.
+    # 1. a killed search resumes from the result cache: the first
+    #    (smaller) run stands in for the pre-kill prefix.
     first = run_search(SearchConfig(budget=2, **{k: v for k, v in base.items() if k != "budget"}, shrink=False))
     assert first.simulated == 2 and first.replayed == 0, (
         first.simulated, first.replayed)
     resumed = run_search(SearchConfig(shrink=False, **base))
     assert resumed.replayed == 2 and resumed.simulated == 2, (
         resumed.simulated, resumed.replayed)
-    print("selfcheck: journal resume ok (2 replayed, 2 fresh)")
+    print("selfcheck: result-cache resume ok (2 replayed, 2 fresh)")
 
     # 2. determinism: a full re-run replays everything with equal scores.
     rerun = run_search(SearchConfig(shrink=False, **base))

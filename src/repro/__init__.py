@@ -13,9 +13,9 @@ Quick start::
 
     from repro import run_experiment
     result = run_experiment("media-streaming", "acic")
-    print(result.mpki, result.speedup)
+    print(result.mpki, result.ipc)
 
-See README.md and DESIGN.md for the full tour.
+See README.md and ARCHITECTURE.md for the full tour.
 """
 
 from typing import Any

@@ -13,8 +13,8 @@ Three small primitives every crash-safe writer in the harness shares:
   written, flushed and fsynced before :meth:`AppendLog.append`
   returns, so it survives a SIGKILL; :meth:`AppendLog.entries` skips a
   torn last line (a kill mid-append), junk and non-dict lines.  The
-  search journal and the shard-ledger index are thin users that add
-  their own entry validation and lifecycle.
+  shard-ledger index is its one user and adds its own entry validation
+  and lifecycle.
 """
 
 from __future__ import annotations

@@ -11,7 +11,6 @@ from repro.harness.schemes import (
     SchemeContext,
     available_schemes,
     make_scheme,
-    scheme_needs_oracle,
 )
 from repro.harness.tables import format_table, reduction_table, speedup_table
 
@@ -26,7 +25,6 @@ __all__ = [
     "SchemeContext",
     "available_schemes",
     "make_scheme",
-    "scheme_needs_oracle",
     "format_table",
     "reduction_table",
     "speedup_table",

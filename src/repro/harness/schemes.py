@@ -70,18 +70,16 @@ class SchemeContext:
 SchemeFactory = Callable[[SchemeContext], object]
 
 _REGISTRY: Dict[str, SchemeFactory] = {}
-_NEEDS_ORACLE: Dict[str, bool] = {}
 _DESCRIPTIONS: Dict[str, str] = {}
 
 
-def register(name: str, description: str, needs_oracle: bool = False):
+def register(name: str, description: str):
     """Decorator adding a factory to the registry."""
 
     def wrap(factory: SchemeFactory) -> SchemeFactory:
         if name in _REGISTRY:
             raise ValueError(f"duplicate scheme name {name!r}")
         _REGISTRY[name] = factory
-        _NEEDS_ORACLE[name] = needs_oracle
         _DESCRIPTIONS[name] = description
         return factory
 
@@ -103,10 +101,6 @@ def make_scheme(name: str, context: SchemeContext):
 def available_schemes() -> Dict[str, str]:
     """Mapping of scheme name -> one-line description."""
     return dict(_DESCRIPTIONS)
-
-
-def scheme_needs_oracle(name: str) -> bool:
-    return _NEEDS_ORACLE.get(name, False)
 
 
 # -- plain replacement policies ------------------------------------------------
@@ -141,7 +135,7 @@ def _ghrp(ctx: SchemeContext):
     return FlatGHRPScheme(ctx.l1i_config)
 
 
-@register("opt", "Belady OPT oracle replacement", needs_oracle=True)
+@register("opt", "Belady OPT oracle replacement")
 def _opt(ctx: SchemeContext):
     return FlatOPTScheme(ctx.l1i_config, ctx.oracle)
 
@@ -195,13 +189,12 @@ def _access_count(ctx: SchemeContext):
     return AccessCountBypassScheme(ctx.l1i_config)
 
 
-@register("opt-bypass", "i-Filter + oracle admission", needs_oracle=True)
+@register("opt-bypass", "i-Filter + oracle admission")
 def _opt_bypass(ctx: SchemeContext):
     return OPTBypassScheme(ctx.l1i_config, ctx.oracle)
 
 
-@register("random-bypass", "i-Filter + 60%-accurate random admission",
-          needs_oracle=True)
+@register("random-bypass", "i-Filter + 60%-accurate random admission")
 def _random_bypass(ctx: SchemeContext):
     return RandomBypassScheme(ctx.l1i_config, ctx.oracle, accuracy=0.6)
 
@@ -213,8 +206,7 @@ def _acic(ctx: SchemeContext):
     return FlatACICScheme(ctx.l1i_config)
 
 
-@register("acic-audit", "ACIC with oracle decision auditing (Fig 12a/13)",
-          needs_oracle=True)
+@register("acic-audit", "ACIC with oracle decision auditing (Fig 12a/13)")
 def _acic_audit(ctx: SchemeContext):
     return FlatACICScheme(ctx.l1i_config, audit_oracle=ctx.oracle)
 

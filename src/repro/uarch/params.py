@@ -4,7 +4,8 @@ The paper's core model is Sunny-Cove-like: 6-wide fetch with a 24-entry
 fetch target queue, 60-entry decode queue, 352-entry ROB, TAGE + 8K BTB,
 32 KB/8-way L1i (4 cycles), 512 KB L2 (15), 2 MB L3 (35), DDR4-3200.
 
-Our timing model is front-end-centric (DESIGN.md section 2): each fetch
+Our timing model is front-end-centric (the fluid model of
+:mod:`repro.uarch.timing`): each fetch
 record costs one front-end cycle; i-cache misses stall fetch for the
 hierarchy latency minus whatever the decode-queue backlog lets the
 backend hide; mispredicted branches flush the pipe.  The parameters

@@ -1,14 +1,15 @@
 """The front-end timing engine.
 
-A fluid-model decoupled front-end (DESIGN.md section 2): fetch delivers
-one record per cycle into the decode queue; the backend drains
-``backend_ipc`` instructions per cycle; i-cache misses stall fetch for
-the hierarchy latency minus what the queue backlog hides; mispredicted
-branches flush; prefetchers (FDP run-ahead or entangling) inject fills
-through the MSHR file.  One record loop serves every run: branch flushes
-and FDP candidates come from a precomputed frontend plan, and the
-entangling prefetcher, the one frontend part that depends on the
-scheme, runs live on the ``none`` plan.
+A fluid-model decoupled front-end: fetch delivers one record per cycle
+into the decode queue; the backend drains ``backend_ipc`` instructions
+per cycle; i-cache misses stall fetch for the hierarchy latency minus
+what the queue backlog hides; mispredicted branches flush; prefetchers
+(FDP run-ahead or entangling) inject fills through the MSHR file.  Only
+the front end, where an i-cache policy acts, is modelled in detail; the
+backend is a constant-rate drain.  One record loop serves every run:
+branch flushes and FDP candidates come from a precomputed frontend
+plan, and the entangling prefetcher, the one frontend part that
+depends on the scheme, runs live on the ``none`` plan.
 
 The engine is scheme-agnostic: anything implementing the L1I scheme
 protocol (``lookup`` / ``fill`` / ``prefetch_fill`` / ``contains``) can

@@ -2,7 +2,8 @@
 
 The paper evaluates on QEMU full-system traces of 10 datacenter
 applications and 5 SPEC2017 codes; this package substitutes calibrated
-synthetic equivalents (see DESIGN.md section 2 for the argument).
+synthetic equivalents (the argument is in the module docstring of
+:mod:`repro.workloads.profiles`).
 """
 
 from repro.workloads.generator import WalkParams, generate_trace

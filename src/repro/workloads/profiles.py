@@ -18,9 +18,12 @@ application's published front-end character:
   neo4j) or far beyond it (TPC-C, wikipedia).
 
 The absolute paper numbers came from QEMU traces of the real
-applications; our profiles are *calibrated synthetics* — see DESIGN.md
-for the substitution argument.  Paper MPKI values are recorded per
-profile so benches can print paper-vs-measured side by side.
+applications; our profiles are *calibrated synthetics*.  They
+reproduce the front-end character listed above — the part of a program
+an i-cache admission policy reacts to — not the applications' code, so
+the reproduced claims are orderings and ratios across applications,
+not absolute values.  Paper MPKI values are recorded per profile so
+benches can print paper-vs-measured side by side.
 """
 
 from __future__ import annotations
@@ -405,7 +408,7 @@ def register_workload(profile: WorkloadProfile) -> WorkloadProfile:
     The calibrated table names are reserved — shadowing ``tpcc`` with a
     different shape would poison every cache keyed by workload name.
     Re-registering the same name is allowed (idempotent by design: the
-    search re-registers candidates on journal replay).
+    search re-registers a candidate each time it scores it).
     """
     if profile.name in ALL_WORKLOADS:
         raise ValueError(

@@ -16,8 +16,6 @@ searches it:
   values with stable, tracked reprs;
 * :mod:`shrink` — a terminating greedy shrinker that reduces a winning
   spec to a *minimal* profile still reproducing its score direction;
-* :mod:`journal` — an fsync'd JSON-lines journal making a search
-  resumable after a kill;
 * :mod:`registry` — the scenario registry: found profiles persist as
   first-class tracked workloads under ``profiles/found/`` (loaded by
   :func:`repro.workloads.profiles.get_workload`) plus the ratchet file
@@ -28,10 +26,9 @@ searches it:
 Scoring goes through :mod:`repro.harness.scoring`, i.e. the ordinary
 ``Runner`` machinery: candidate results land in the fingerprinted
 result cache, so re-scoring a previously-seen spec is warm in any
-process.
+process — which is also how a killed search resumes.
 """
 
-from repro.workloads.search.journal import SearchJournal
 from repro.workloads.search.registry import (
     found_profiles_dir,
     load_found_profiles,
@@ -51,7 +48,6 @@ __all__ = [
     "FIG11_SPACE",
     "ProfileSpace",
     "ProfileSpec",
-    "SearchJournal",
     "ShrinkResult",
     "found_profiles_dir",
     "get_space",

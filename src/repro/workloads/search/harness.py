@@ -2,12 +2,15 @@
 
 One search run is a pure function of (space, seed, budget, records):
 sample *i* of the deterministic sequence is drawn from its own
-``(seed, i)``-derived RNG, each sample is scored through the caching
-Runner (three pairs — lru/acic/opt — keyed by the spec's fingerprinted
-workload name), and every score is journalled to an fsync'd JSON-lines
-file.  Kill the process at any point and a re-run with the same
-arguments replays the journal instead of re-simulating; a re-run with
-a *larger* budget extends the same sequence.
+``(seed, i)``-derived RNG, and each sample is scored through the
+caching Runner (three pairs — lru/acic/opt — keyed by the spec's
+fingerprinted workload name, the prefetcher, the record count and the
+machine fingerprint).  The result cache is the search's only resume
+path: its entries are fsynced as they are written, so a re-run after
+a kill finds the scored prefix warm instead of re-simulating it, and a
+re-run with a *larger* budget extends the same sequence.  Without the
+disk cache (``REPRO_NO_DISK_CACHE=1``) nothing survives the process
+and a killed search re-simulates.
 
 Winners (share of OPT's reduction recovered by ACIC at or above
 ``min_share``) are shrunk to minimal reproducing specs and optionally
@@ -21,8 +24,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.harness.runner import Runner
-from repro.harness.scoring import ScoreCard, score_profile
-from repro.workloads.search.journal import SearchJournal, default_journal_path
+from repro.harness.scoring import SCORE_SCHEMES, ScoreCard, score_profile
 from repro.workloads.search.registry import (
     read_ratchet,
     save_found_profile,
@@ -40,7 +42,6 @@ class SearchConfig:
     seed: int = 0
     records: int = 20_000
     space: str = FIG11_SPACE.name
-    prefetcher: str = "fdp"
     #: A sample is a *winner* when ACIC recovers at least this share of
     #: OPT's MPKI reduction on its trace; winners get shrunk.  The
     #: shrink predicate re-uses the same bar, so a shrunk profile still
@@ -51,12 +52,6 @@ class SearchConfig:
     top: int = 3
     save: bool = False
     update_ratchet: bool = False
-    journal_path: Optional[Path] = None
-
-    def resolved_journal_path(self) -> Path:
-        if self.journal_path is not None:
-            return Path(self.journal_path)
-        return default_journal_path(self.space, self.seed, self.records)
 
 
 @dataclass
@@ -91,115 +86,92 @@ class SearchReport:
         return max(self.samples, key=lambda pair: pair[1].share)
 
 
-def _card_from_entry(entry: Dict[str, object]) -> ScoreCard:
-    score = dict(entry["score"])
-    return ScoreCard(
-        workload=str(score["workload"]),
-        records=int(score["records"]),
-        prefetcher=str(score["prefetcher"]),
-        baseline_mpki=float(score["baseline_mpki"]),
-        reductions={k: float(v) for k, v in dict(score["reductions"]).items()},
-        share=float(score["share"]),
-    )
-
-
 def run_search(
     config: SearchConfig,
     runner: Optional[Runner] = None,
     log: Optional[Callable[[str], None]] = None,
 ) -> SearchReport:
-    """Execute one (resumable, deterministic) search run."""
+    """Execute one (resumable, deterministic) search run.
+
+    The default runner simulates ``config.records`` records with FDP on
+    the default machine; pass ``runner`` for another prefetcher or
+    machine.  A spec counts as ``replayed`` when the runner's caches
+    already hold all three of its pairs, and as ``simulated`` otherwise.
+    """
     say = log or (lambda message: None)
     space = get_space(config.space)
     if runner is None:
-        runner = Runner(records=config.records, prefetcher=config.prefetcher)
+        runner = Runner(records=config.records)
     if runner.records != config.records:
         raise ValueError(
             f"runner simulates {runner.records} records, config wants "
             f"{config.records}"
         )
     report = SearchReport(config=config)
-    journal = SearchJournal(config.resolved_journal_path())
-    replayed = {
-        fingerprint: entry
-        for fingerprint, entry in journal.replay().items()
-        if entry.get("score", {}).get("records") == config.records
-        and entry.get("score", {}).get("prefetcher") == config.prefetcher
-    }
 
-    def score(spec: ProfileSpec, kind: str) -> ScoreCard:
-        entry = replayed.get(spec.fingerprint)
-        if entry is not None:
+    def score(spec: ProfileSpec) -> ScoreCard:
+        name = spec.workload_name
+        if all(runner.cached(name, s) is not None for s in SCORE_SCHEMES):
             report.replayed += 1
-            return _card_from_entry(entry)
-        card = score_profile(runner, spec.build())
-        report.simulated += 1
-        entry = {
-            "fingerprint": spec.fingerprint,
-            "kind": kind,
-            "spec": spec.to_jsonable(),
-            "score": card.to_jsonable(),
-        }
-        journal.record(entry)
-        replayed[spec.fingerprint] = entry
-        return card
+        else:
+            report.simulated += 1
+        return score_profile(runner, spec.build())
 
-    with journal:
-        # -- sample ----------------------------------------------------------
-        for index in range(config.budget):
-            spec = space.sample(config.seed, index)
-            card = score(spec, kind="sample")
-            report.samples.append((spec, card))
-            say(
-                f"[{index + 1:>3}/{config.budget}] {spec.workload_name} "
-                f"share={card.share:.3f} "
-                f"(acic {card.reductions.get('acic', 0.0):+.2f} / "
-                f"opt {card.reductions.get('opt', 0.0):+.2f} MPKI)"
-            )
-
-        # -- rank ------------------------------------------------------------
-        ranked = sorted(
-            report.samples, key=lambda pair: pair[1].share, reverse=True
-        )
-        report.winners = [
-            (spec, card)
-            for spec, card in ranked[: config.top]
-            if card.share >= config.min_share
-        ]
+    # -- sample --------------------------------------------------------------
+    for index in range(config.budget):
+        spec = space.sample(config.seed, index)
+        card = score(spec)
+        report.samples.append((spec, card))
         say(
-            f"{len(report.winners)} winner(s) at share >= "
-            f"{config.min_share:.2f} out of {config.budget} samples"
+            f"[{index + 1:>3}/{config.budget}] {spec.workload_name} "
+            f"share={card.share:.3f} "
+            f"(acic {card.reductions.get('acic', 0.0):+.2f} / "
+            f"opt {card.reductions.get('opt', 0.0):+.2f} MPKI)"
         )
 
-        # -- shrink ----------------------------------------------------------
-        if config.shrink:
-            seen: set = set()
-            for spec, card in report.winners:
-                result = shrink_spec(
-                    spec,
-                    lambda s: score(s, kind="shrink").share >= config.min_share,
-                    max_evaluations=config.shrink_evaluations,
+    # -- rank ----------------------------------------------------------------
+    ranked = sorted(
+        report.samples, key=lambda pair: pair[1].share, reverse=True
+    )
+    report.winners = [
+        (spec, card)
+        for spec, card in ranked[: config.top]
+        if card.share >= config.min_share
+    ]
+    say(
+        f"{len(report.winners)} winner(s) at share >= "
+        f"{config.min_share:.2f} out of {config.budget} samples"
+    )
+
+    # -- shrink --------------------------------------------------------------
+    if config.shrink:
+        seen: set = set()
+        for spec, card in report.winners:
+            result = shrink_spec(
+                spec,
+                lambda s: score(s).share >= config.min_share,
+                max_evaluations=config.shrink_evaluations,
+            )
+            final_card = score(result.spec)
+            say(
+                f"shrunk {spec.workload_name} -> "
+                f"{result.spec.workload_name} in {result.steps} steps "
+                f"({result.evaluations} evaluations), share "
+                f"{card.share:.3f} -> {final_card.share:.3f}"
+            )
+            if result.spec.fingerprint in seen:
+                continue
+            seen.add(result.spec.fingerprint)
+            report.shrunk.append(
+                ShrinkRecord(
+                    original=spec,
+                    original_card=card,
+                    spec=result.spec,
+                    card=final_card,
+                    steps=result.steps,
+                    evaluations=result.evaluations,
                 )
-                final_card = score(result.spec, kind="shrink")
-                say(
-                    f"shrunk {spec.workload_name} -> "
-                    f"{result.spec.workload_name} in {result.steps} steps "
-                    f"({result.evaluations} evaluations), share "
-                    f"{card.share:.3f} -> {final_card.share:.3f}"
-                )
-                if result.spec.fingerprint in seen:
-                    continue
-                seen.add(result.spec.fingerprint)
-                report.shrunk.append(
-                    ShrinkRecord(
-                        original=spec,
-                        original_card=card,
-                        spec=result.spec,
-                        card=final_card,
-                        steps=result.steps,
-                        evaluations=result.evaluations,
-                    )
-                )
+            )
 
     # -- persist -------------------------------------------------------------
     if config.save:

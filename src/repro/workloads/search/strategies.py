@@ -12,8 +12,9 @@ strategies plus a builder that turns a drawn value assignment into a
 RNG in fixed knob order, so ``space.draw(random.Random(seed))`` is a
 pure function of the seed.  The drawn assignment is captured as a
 :class:`ProfileSpec` — immutable, JSON-serializable, content-
-fingerprinted — which is the unit the search journal records, the
-shrinker rewrites and the scenario registry persists.
+fingerprinted — which is the unit the search scores (its fingerprint
+names the result-cache entries), the shrinker rewrites and the
+scenario registry persists.
 
 Floats are *quantized* onto explicit grids: every representable value
 is ``lo + k*step`` for an integer ``k``, so specs serialize to exact
@@ -333,8 +334,8 @@ class ProfileSpace:
 
         Each sample owns an independent RNG derived from (seed, index),
         so sample *i* is the same spec no matter how many earlier
-        samples were skipped by a journal replay — the property that
-        makes a killed search resumable without drift.
+        samples a resumed run finds in the result cache — the property
+        that makes a killed search resumable without drift.
         """
         return self.draw(random.Random((seed << 24) ^ (index * 2654435761)))
 

@@ -1,12 +1,12 @@
-"""The durable-file primitives under the result cache, the search
-journal and the shard ledger (``repro.common.durable``).
+"""The durable-file primitives under the result cache and the shard
+ledger (``repro.common.durable``).
 
 ``AppendLog`` is pinned directly here: one fsync per append, replay
 that skips torn, junk and non-dict lines, appends after a reopen that
 keep what was there, and ``remove``.  ``write_atomic`` is pinned for
 its rename and opt-in fsync, and the result cache for using it: one
-fsync per freshly simulated pair, none on a hit.  The search-journal
-and ledger test files remain the integration check for the logs.
+fsync per freshly simulated pair, none on a hit.  The ledger test
+file remains the integration check for the log.
 """
 
 from __future__ import annotations

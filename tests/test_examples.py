@@ -1,22 +1,37 @@
 """Every script in ``examples/`` runs to completion.
 
-The examples are the library's public face, so each one runs in a
-subprocess with every disk cache redirected to a temporary directory
+The examples are the library's public face, so each one — and the
+quick start in the ``repro`` package docstring — runs in a subprocess with every disk cache redirected to a temporary directory
 and switched off: it must exit 0 and leave the repository's ``.cache/``
 exactly as it found it.
 """
 
 from __future__ import annotations
 
+import ast
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 EXAMPLES = sorted((ROOT / "examples").glob("*.py"))
+#: The package docstring, whose "Quick start::" block runs as a script.
+PACKAGE_INIT = ROOT / "src" / "repro" / "__init__.py"
+
+
+def _script(path: Path, tmp_path: Path) -> Path:
+    """``path`` itself, or the package quick start written to a file."""
+    if path != PACKAGE_INIT:
+        return path
+    doc = ast.get_docstring(ast.parse(path.read_text()))
+    block = doc.split("Quick start::", 1)[1].split("\n\n")[1]
+    script = tmp_path / "package_quickstart.py"
+    script.write_text(textwrap.dedent(block))
+    return script
 
 
 def _cache_listing():
@@ -28,7 +43,11 @@ def _cache_listing():
     )
 
 
-@pytest.mark.parametrize("script", EXAMPLES, ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "script",
+    EXAMPLES + [PACKAGE_INIT],
+    ids=lambda p: "repro-docstring" if p == PACKAGE_INIT else p.name,
+)
 def test_example_runs(script, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -39,7 +58,7 @@ def test_example_runs(script, tmp_path):
     env["REPRO_NO_DISK_CACHE"] = "1"
     before = _cache_listing()
     proc = subprocess.run(
-        [sys.executable, str(script)],
+        [sys.executable, str(_script(script, tmp_path))],
         cwd=tmp_path,
         env=env,
         capture_output=True,

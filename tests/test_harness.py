@@ -10,7 +10,6 @@ from repro.harness.schemes import (
     SchemeContext,
     available_schemes,
     make_scheme,
-    scheme_needs_oracle,
 )
 from repro.harness.tables import format_table, reduction_table, speedup_table
 from repro.uarch.params import DEFAULT_MACHINE, MachineParams
@@ -96,10 +95,15 @@ class TestSchemeRegistry:
                   "acic-tag7", "acic-tag27"):
             assert v in names
 
-    def test_oracle_flags(self):
-        assert scheme_needs_oracle("opt")
-        assert scheme_needs_oracle("opt-bypass")
-        assert not scheme_needs_oracle("lru")
+    def test_oracle_flags(self, tiny_trace):
+        """Exactly the oracle schemes build their context's oracle."""
+        built = set()
+        for name in available_schemes():
+            ctx = SchemeContext(trace=tiny_trace)
+            make_scheme(name, ctx)
+            if ctx._oracle is not None:
+                built.add(name)
+        assert built == {"opt", "opt-bypass", "random-bypass", "acic-audit"}
 
     def test_unknown_scheme_raises(self, tiny_trace):
         ctx = SchemeContext(trace=tiny_trace)

@@ -1,17 +1,19 @@
 """End-to-end contracts of the workload-search harness.
 
 Everything runs against tiny record counts and fully isolated cache /
-journal / registry directories (per-test ``tmp_path``), so these are
-real searches — sampling, scoring through the Runner, journalling,
-shrinking, persisting — just very small ones.
+registry directories (per-test ``tmp_path``), so these are real
+searches — sampling, scoring through the Runner, resuming from its
+result cache, shrinking, persisting — just very small ones.
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
+from repro.harness import runner as runner_module
 from repro.harness.runner import Runner
-from repro.harness.scoring import score_workload
+from repro.harness.scoring import score_profile, score_workload
 from repro.workloads import profiles as profiles_module
 from repro.workloads.profiles import (
     get_workload,
@@ -19,13 +21,13 @@ from repro.workloads.profiles import (
     reload_found_workloads,
 )
 from repro.workloads.search.harness import SearchConfig, run_search
-from repro.workloads.search.journal import SearchJournal, default_journal_path
 from repro.workloads.search.registry import (
     load_found_entry,
     load_found_profiles,
     read_ratchet,
     save_found_profile,
 )
+from repro.uarch.params import DEFAULT_MACHINE
 from repro.workloads.search.strategies import FIG11_SPACE
 
 RECORDS = 1_500
@@ -37,7 +39,6 @@ def isolated(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_RESULT_CACHE", str(tmp_path / "results"))
     monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path / "traces"))
     monkeypatch.setenv("REPRO_PLAN_CACHE", str(tmp_path / "plans"))
-    monkeypatch.setenv("REPRO_SEARCH_DIR", str(tmp_path / "search"))
     monkeypatch.setenv("REPRO_FOUND_PROFILES", str(tmp_path / "found"))
     monkeypatch.delenv("REPRO_NO_DISK_CACHE", raising=False)
     reload_found_workloads()
@@ -56,35 +57,6 @@ def _config(**overrides) -> SearchConfig:
     return SearchConfig(**base)
 
 
-class TestJournal:
-    def test_record_requires_fingerprint(self, tmp_path):
-        journal = SearchJournal(tmp_path / "j.journal")
-        with pytest.raises(ValueError):
-            journal.record({"score": {}})
-
-    def test_torn_trailing_line_is_skipped(self, tmp_path):
-        path = tmp_path / "j.journal"
-        with SearchJournal(path) as journal:
-            journal.record({"fingerprint": "aaa", "score": {"share": 1.0}})
-            journal.record({"fingerprint": "bbb", "score": {"share": 2.0}})
-        text = path.read_text()
-        path.write_text(text + '{"fingerprint": "ccc", "sco')  # torn write
-        entries = SearchJournal(path).replay()
-        assert set(entries) == {"aaa", "bbb"}
-
-    def test_later_entries_win(self, tmp_path):
-        path = tmp_path / "j.journal"
-        with SearchJournal(path) as journal:
-            journal.record({"fingerprint": "aaa", "score": {"share": 1.0}})
-            journal.record({"fingerprint": "aaa", "score": {"share": 3.0}})
-        assert SearchJournal(path).replay()["aaa"]["score"]["share"] == 3.0
-
-    def test_default_path_honours_env(self, isolated):
-        path = default_journal_path("fig11-v1", 17, RECORDS)
-        assert str(path).startswith(str(isolated / "search"))
-        assert path.name == f"fig11-v1.s17.r{RECORDS}.journal"
-
-
 class TestResume:
     def test_scored_candidates_keep_no_walk(self, isolated):
         """Each candidate is scored at one length: its walk (and the
@@ -95,8 +67,9 @@ class TestResume:
     def test_killed_run_resumes_without_resimulating(self, isolated):
         first = run_search(_config(budget=2))
         assert (first.simulated, first.replayed) == (2, 0)
-        # the journal survives "the kill" (it is plain JSONL on disk);
-        # a larger-budget rerun replays the prefix and extends it.
+        # the result cache survives "the kill" (its entries are fsynced
+        # files); a larger-budget rerun finds the prefix warm and
+        # extends it.
         resumed = run_search(_config(budget=3))
         assert (resumed.simulated, resumed.replayed) == (1, 2)
         assert resumed.samples[:2] == first.samples
@@ -115,12 +88,36 @@ class TestResume:
         other = run_search(_config(records=2 * RECORDS))
         assert other.replayed == 0 and other.simulated == 3
 
+    def test_other_machine_resimulates_every_spec(self, isolated):
+        """Scores are keyed by the machine: a search on another machine
+        replays none of the default machine's cards."""
+        run_search(_config(budget=2))
+        machine = replace(DEFAULT_MACHINE, mshr_entries=2)
+        runner = Runner(records=RECORDS, machine=machine)
+        other = run_search(_config(budget=2), runner=runner)
+        assert (other.simulated, other.replayed) == (2, 0)
+        direct = Runner(records=RECORDS, machine=machine, use_disk_cache=False)
+        assert [c for _, c in other.samples] == [
+            score_profile(direct, s.build()) for s, _ in other.samples
+        ]
+
 
 class TestDeterminism:
-    def test_search_is_deterministic_across_journals(self, isolated):
-        one = run_search(_config(journal_path=isolated / "a.journal"))
-        two = run_search(_config(journal_path=isolated / "b.journal"))
-        assert (two.simulated, two.replayed) == (one.simulated, one.replayed)
+    def test_fresh_result_cache_resimulates_identically(
+        self, isolated, monkeypatch
+    ):
+        one = run_search(_config())
+        monkeypatch.setenv("REPRO_RESULT_CACHE", str(isolated / "fresh"))
+        calls = []
+        real = runner_module.run_experiment
+        monkeypatch.setattr(
+            runner_module,
+            "run_experiment",
+            lambda *a, **k: calls.append(a) or real(*a, **k),
+        )
+        two = run_search(_config())
+        assert (two.simulated, two.replayed) == (3, 0)
+        assert len(calls) == 3 * len(two.samples)
         assert [
             (s.fingerprint, c.share) for s, c in one.samples
         ] == [(s.fingerprint, c.share) for s, c in two.samples]

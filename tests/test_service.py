@@ -397,7 +397,6 @@ class TestServer:
             raise ValueError("poisoned scheme factory")
 
         monkeypatch.setitem(schemes_mod._REGISTRY, "poisoned", poisoned)
-        monkeypatch.setitem(schemes_mod._NEEDS_ORACLE, "poisoned", False)
         monkeypatch.setitem(
             schemes_mod._DESCRIPTIONS, "poisoned", "always fails (test only)"
         )

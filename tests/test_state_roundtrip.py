@@ -33,7 +33,6 @@ from repro.harness.schemes import (
     SchemeContext,
     available_schemes,
     make_scheme,
-    scheme_needs_oracle,
 )
 from repro.mem.hierarchy import MemoryHierarchy
 from repro.mem.mshr import MSHRFile
@@ -210,7 +209,9 @@ def test_oracle_is_external_not_state(setup):
     to this run's trace and the fresh scheme's own oracle."""
     trace, context, plans = setup
     for name, live in EXTERNAL_CASES:
-        assert scheme_needs_oracle(name) != live
+        fresh = SchemeContext(trace=trace)
+        make_scheme(name, fresh)
+        assert (fresh._oracle is not None) != live
         state = _capture_at(setup, name, 900, live)
         recorder = _Recorder(
             state["graph"], {"trace": trace, "oracle": context.oracle}

@@ -62,7 +62,6 @@ def poisoned_scheme(tmp_path, monkeypatch):
         raise ValueError("poisoned scheme factory")
 
     monkeypatch.setitem(schemes_mod._REGISTRY, "poisoned", factory)
-    monkeypatch.setitem(schemes_mod._NEEDS_ORACLE, "poisoned", False)
     monkeypatch.setitem(
         schemes_mod._DESCRIPTIONS, "poisoned", "always fails (test only)"
     )
