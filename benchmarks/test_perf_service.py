@@ -12,6 +12,7 @@ from __future__ import annotations
 import time
 from concurrent.futures import ThreadPoolExecutor
 
+import pytest
 from bench_support import once
 
 from repro.harness.runner import _SCALAR_FIELDS, Runner
@@ -23,6 +24,14 @@ RECORDS = 4_000
 WORKLOADS = ("x264", "gcc")
 SCHEMES = ("lru", "srrip")
 WARM_REQUESTS = 100
+
+
+@pytest.fixture(autouse=True)
+def _isolated_artifacts(tmp_path, monkeypatch):
+    """A pool's warm saves a walk and plan past the length asked, which
+    the committed caches do not hold: keep them out of the repo."""
+    for var in ("REPRO_TRACE_CACHE", "REPRO_PLAN_CACHE"):
+        monkeypatch.setenv(var, str(tmp_path / var.lower()))
 
 
 def _expected():

@@ -16,20 +16,25 @@ Usage::
 
 The run is deterministic in (``--seed``, ``--budget``, ``--records``)
 and resumable: every scored pair is an fsynced entry of the result
-cache (``.cache/results/``, keyed by workload, scheme, prefetcher,
-records and machine), so a killed run finds its prefix warm instead of
-re-simulating it, and a re-run with a larger budget extends the
-sequence.  With ``REPRO_NO_DISK_CACHE=1`` nothing survives the process
-and a killed run re-simulates.
+cache, keyed by workload, scheme, prefetcher, records and machine, so
+a killed run finds its prefix warm instead of re-simulating it, and a
+re-run with a larger budget extends the sequence.  With
+``REPRO_NO_DISK_CACHE=1`` nothing survives the process and a killed
+run re-simulates.  A search keeps its results, traces and plans under
+the ignored ``.cache/search/`` (``results/``, ``traces/``, ``plans/``),
+not in the tracked ``.cache/`` directories, unless ``REPRO_RESULT_CACHE``,
+``REPRO_TRACE_CACHE`` or ``REPRO_PLAN_CACHE`` point elsewhere.
 
 ``--selfcheck`` (the CI smoke) runs a tiny search against isolated
-caches and asserts the subsystem's contracts end-to-end: determinism,
+caches in a temp directory, which it removes whether it passes or
+fails, and asserts the subsystem's contracts end-to-end: determinism,
 resume from the result cache after a simulated kill, shrink
 termination, registry round-trip through ``get_workload``, and score
 reproduction on a fresh re-simulation.
 
 ``--ratchet-fig11`` re-measures the Figure 11 grid share (the ten
-datacenter workloads at the bench record count) and writes it into
+datacenter workloads at the bench record count, read from the committed
+``.cache/results``) and writes it into
 ``profiles/found/RATCHET.json`` as the floor
 ``benchmarks/test_fig11_mpki.py`` asserts against.
 """
@@ -38,12 +43,20 @@ from __future__ import annotations
 
 import argparse
 import os
+import shutil
 import sys
 import tempfile
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO / "src"))
+
+#: Where a search keeps each cache, under the ignored ``.cache/search/``.
+SEARCH_CACHES = {
+    "REPRO_RESULT_CACHE": REPO / ".cache" / "search" / "results",
+    "REPRO_TRACE_CACHE": REPO / ".cache" / "search" / "traces",
+    "REPRO_PLAN_CACHE": REPO / ".cache" / "search" / "plans",
+}
 
 
 def main(argv=None) -> int:
@@ -94,6 +107,8 @@ def main(argv=None) -> int:
     if args.ratchet_fig11:
         return ratchet_fig11()
 
+    for var, path in SEARCH_CACHES.items():
+        os.environ.setdefault(var, str(path))
     from repro.workloads.search.harness import SearchConfig, run_search
 
     config = SearchConfig(
@@ -162,8 +177,18 @@ def ratchet_fig11() -> int:
 
 
 def selfcheck() -> int:
-    """CI smoke: tiny search, isolated caches, end-to-end assertions."""
+    """CI smoke: tiny search, isolated caches, end-to-end assertions.
+
+    The caches live in a temp directory, removed however the check ends.
+    """
     tmp = Path(tempfile.mkdtemp(prefix="search-selfcheck-"))
+    try:
+        return _selfcheck(tmp)
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+
+
+def _selfcheck(tmp: Path) -> int:
     for var, sub in (
         ("REPRO_RESULT_CACHE", "results"),
         ("REPRO_TRACE_CACHE", "traces"),

@@ -41,6 +41,7 @@ a profiler can wrap.
 
 from __future__ import annotations
 
+import glob
 import hashlib
 import json
 import os
@@ -51,7 +52,7 @@ import threading
 import weakref
 import zipfile
 from pathlib import Path
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -221,19 +222,22 @@ class ArtifactStore:
         self,
         trace,
         name: str,
-        build: Callable[[], object],
+        build: Optional[Callable[[], object]],
         fingerprint: Optional[str] = None,
         use_disk: Optional[bool] = None,
     ):
         """Artifact ``name`` derived from ``trace``, kept while it lives.
 
         The copy a live trace with equal content holds (the fingerprint
-        in ``name`` hashes the trace's digest), else :meth:`get`.
+        in ``name`` hashes the trace's digest), else :meth:`get`; None
+        when that finds nothing to load and has no ``build``.
         """
         with self._lock:
             obj = self._memo.get(name)
         if obj is None:
             obj = self.get(name, build, fingerprint, len(trace), use_disk)
+            if obj is None:
+                return None
         with self._lock:
             # Racing threads settle on the first artifact stored.
             obj = self._memo.setdefault(name, obj)
@@ -260,12 +264,29 @@ class ArtifactStore:
     def path(self, name: str) -> Path:
         return self.cache_dir() / f"{name}.npz"
 
+    def names(self, prefix: str) -> List[str]:
+        """The names of the saved entries that start with ``prefix``."""
+        pattern = f"{glob.escape(prefix)}*.npz"
+        return sorted(path.stem for path in self.cache_dir().glob(pattern))
+
+    def has_meta(self, name: str, key: str) -> bool:
+        """Whether entry ``name`` was saved with the metadata ``key``,
+        read from the npz's directory alone (nothing is decompressed).
+        Only a kind with one member per metadata key can be asked."""
+        if not self._scalar_meta:
+            raise TypeError(f"{self.kind} entries keep their metadata in one member")
+        try:
+            with zipfile.ZipFile(self.path(name)) as archive:
+                return f"{key}.npy" in archive.namelist()
+        except (OSError, zipfile.BadZipFile):
+            return False
+
     # -- lookup ----------------------------------------------------------------
 
     def get(
         self,
         name: str,
-        build: Callable[[], object],
+        build: Optional[Callable[[], object]],
         fingerprint: Optional[str] = None,
         records: Optional[int] = None,
         use_disk: Optional[bool] = None,
@@ -275,11 +296,12 @@ class ArtifactStore:
         A loaded entry must carry ``fingerprint`` and have ``records``
         records when those are given; anything else is stale and is
         discarded like a corrupt file.  A build is saved unless the
-        disk layer is off (see :func:`disk_enabled`).
+        disk layer is off (see :func:`disk_enabled`).  Without a
+        ``build``, a miss returns None.
         """
         path = self.path(name) if disk_enabled(use_disk) else None
         obj = None if path is None else self._load(path, fingerprint, records)
-        if obj is None:
+        if obj is None and build is not None:
             obj = build()
             if path is not None:
                 obj.save(path)

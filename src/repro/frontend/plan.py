@@ -557,11 +557,15 @@ def cached_plan(
     :mod:`repro.workloads.generator`) shares one plan with every other
     trace of that walk: :data:`_walk_plans` keeps the plan of the walk's
     longest planned trace per frontend config, and a shorter trace's plan is
-    :func:`cut_plan` from it, never built, loaded or saved.  Every other
-    plan is served by :data:`PLAN_STORE` and kept by the trace, record
-    stream and all; ``use_disk=False`` (or ``REPRO_NO_DISK_CACHE=1``)
-    keeps it off the disk.  An entry whose fingerprint mismatches (a
-    PLAN_FORMAT bump, a regenerated trace) is discarded and rebuilt.
+    :func:`cut_plan` from it, never built, loaded or saved.  A walk
+    resumed from a saved trace (``walk.saved``) that has planned nothing
+    yet takes the plan saved with that trace as its longest, when the
+    store holds one, and derives that plan's record stream for the cuts
+    to slice.  Every other plan is served by :data:`PLAN_STORE`
+    and kept by the trace, record stream and all; ``use_disk=False`` (or
+    ``REPRO_NO_DISK_CACHE=1``) keeps it off the disk.  An entry whose
+    fingerprint mismatches (a PLAN_FORMAT bump, a regenerated trace) is
+    discarded and rebuilt.
     """
     fingerprint = frontend_fingerprint(trace, machine, prefetcher)
     walk = trace.walk
@@ -569,6 +573,20 @@ def cached_plan(
         key = (prefetcher, _run_ahead(machine, prefetcher))
         with _walk_plans_lock:
             longest = _walk_plans.get(walk, {}).get(key)
+        saved = walk.saved
+        if longest is None and saved is not None and len(saved) > len(trace):
+            saved_fingerprint = frontend_fingerprint(saved, machine, prefetcher)
+            longest = PLAN_STORE.for_trace(
+                saved,
+                entry_name(saved.name, saved_fingerprint),
+                None,
+                fingerprint=saved_fingerprint,
+                use_disk=use_disk,
+            )
+            if longest is not None:
+                # With its record stream, which the cut plans slice.
+                longest.record_stream(saved, machine.backend_ipc)
+                longest = _keep_walk_plan(walk, key, longest)
         if longest is not None and len(longest) >= len(trace):
             if longest.fingerprint == fingerprint:
                 return longest
@@ -581,12 +599,19 @@ def cached_plan(
         use_disk=use_disk,
     )
     if walk is not None:
-        with _walk_plans_lock:
-            plans = _walk_plans.setdefault(walk, {})
-            kept = plans.get(key)
-            if kept is None or len(kept) < len(plan):
-                plans[key] = plan
+        _keep_walk_plan(walk, key, plan)
     return plan
+
+
+def _keep_walk_plan(walk, key: tuple, plan: FrontendPlan) -> FrontendPlan:
+    """Keep ``plan`` as ``walk``'s longest for ``key`` unless a longer
+    one is kept; returns the one kept."""
+    with _walk_plans_lock:
+        plans = _walk_plans.setdefault(walk, {})
+        kept = plans.get(key)
+        if kept is None or len(kept) < len(plan):
+            plans[key] = kept = plan
+    return kept
 
 
 def cut_plan(

@@ -35,18 +35,25 @@ workload-major (sorted by workload, then scheme) so consecutive tasks
 land on whatever worker already has that workload resident, and a third
 context evicts the one dispatch has passed.
 
-Warming: the parent builds nothing.  The first round of a sweep on a
-per-call pool pipelines a *warm* task one workload ahead of that
-workload's pairs: a worker builds (and disk-caches) the workload's
-trace, frontend plan and, when a pending pair consumes it, replacement
-pre-pass, keeps the context resident and drops the walk its trace was
-cut from (the pool asks for no other length).  When ``warm(w_k)``
-completes the parent submits ``warm(w_k+1)`` and then ``w_k``'s pairs,
-so one CPU builds the next workload while the others simulate the
-current one, and every other worker mmaps the sidecars the warm wrote
-instead of redoing the work.  A resident pool gets its pairs submitted
-directly: its sweeps are small (a service request's admitted pairs),
-and a warm round trip would hold every pair back behind it.  Sweeps
+Warming: the parent builds nothing; a pool builds a workload through
+one *warm* task (:func:`_warm_worker`).  A worker builds (and
+disk-caches) the workload's trace, saved with its walk's state, its
+frontend plan and, when a pending pair consumes it, its replacement
+pre-pass, and keeps the context resident; every other worker mmaps the
+sidecars the warm wrote instead of redoing the work, or resumes the
+saved walk for another length.  The first round of a sweep on a
+per-call pool pipelines warms one workload ahead of that workload's
+pairs: when ``warm(w_k)`` completes the parent submits ``warm(w_k+1)``
+and then ``w_k``'s pairs, so one CPU builds the next workload while the
+others simulate the current one; its warms drop the walk (the pool asks
+for no other length).  A resident pool is warmed by its owner whenever a
+sweep asks a workload for a length no warm has covered yet
+(:meth:`WorkerPool.warm`): the warm loads the length when the trace
+cache holds it, and otherwise walks and plans :data:`WARM_AHEAD` past it
+and keeps the walk, so every length up to its longest trace is then cut,
+never rebuilt.  The sweep service awaits those warms
+before a sweep takes its sim slot, so the sweep itself submits its
+pairs directly.  Sweeps
 sharing a resident pool each keep only a few pairs on it at a time, so
 a short sweep is not queued behind every pair of a long one.
 :meth:`Runner.context_for` takes its context from the same table and
@@ -172,6 +179,18 @@ _CONTEXTS: "Dict[tuple, SchemeContext]" = {}
 #: lifetime.
 _CONTEXT_CAP = 2
 
+#: How far past the length asked a resident pool's warm walks and
+#: plans a workload the trace cache lacks, as a fraction of it.  A plan
+#: cannot be extended, only rebuilt whole, so a later request up to this
+#: much longer is then cut from the warmed walk and plan instead of
+#: warming (and planning) the workload again; the price is this
+#: fraction more walk and plan per warm.  It pays off for traffic whose
+#: lengths per workload stay within it of the first length asked, as
+#: ``perfbench``'s ``service-mix`` cold requests do (20001-23999
+#: records, so each workload's first warm covers all its later ones);
+#: traffic spread wider warms again once per step.
+WARM_AHEAD = 0.25
+
 #: Sweep-service simulation threads look contexts up concurrently.
 #: Held only for the table's dict operations, never across a build.
 _contexts_lock = threading.Lock()
@@ -244,21 +263,44 @@ def _warm_artifacts(
         cached_replacement_prepass(ctx.trace)
 
 
-def _warm_worker(config: SweepConfig, workload: str, prepass: bool) -> None:
-    """Warm ``workload`` in a resident worker.
+def _warm_worker(
+    config: SweepConfig,
+    workload: str,
+    prepass: bool,
+    ahead: Optional[int] = None,
+) -> Tuple[int, int]:
+    """Warm ``workload`` in a pool worker: the one way a pool builds it.
 
     Builds the trace and the shared artifacts once, writes them to the
-    disk caches for the other workers to mmap, and keeps the context
-    resident for the pairs this worker picks up next.  A per-call pool
-    asks for one length per workload, so the walk the trace was cut
-    from (program, longest plan, record stream) is dropped: the context
-    keeps the trace and the artifacts it holds.  Deliberately does not
-    fire the ``worker`` fault site: its ordinals count pairs.
+    disk caches for the other workers to mmap (the trace with its walk's
+    state, for them to resume), and keeps the context resident for the
+    pairs this worker picks up next.  A per-call pool asks for one
+    length per workload, so its warm drops the walk the trace was cut
+    from (program, longest plan, record stream): the context keeps the
+    trace and the artifacts it holds.  A resident pool's warm (see
+    :meth:`WorkerPool.warm`) keeps the walk and, unless the length asked
+    is there without walking (in the trace cache, or cut from this
+    worker's walk), first walks and plans the workload to ``ahead``
+    records, saving both: every length up to ``ahead`` is then cut from
+    that walk and plan, in this worker or in one that resumes the saved
+    walk.  Returns the shortest and longest length it made that cheap.
+    Deliberately does not fire the ``worker`` fault site: its ordinals
+    count pairs.
     """
     prefetcher, records, machine = config
+    profile = get_workload(workload)
+    covered = (records, records)
+    if ahead is not None and not profile.has_trace(records):
+        longest = profile.trace(records=ahead)
+        # With its record stream, which the cut plans slice.
+        plan = cached_plan(longest, machine, plan_kind(prefetcher))
+        plan.record_stream(longest, machine.backend_ipc)
+        covered = (0, len(longest))
     ctx = _resident_context(workload, records, machine)
     _warm_artifacts(ctx, prefetcher, machine, prepass)
-    forget_walk(get_workload(workload))
+    if ahead is None:
+        forget_walk(profile)
+    return covered
 
 
 def _sweep_worker(
@@ -299,7 +341,8 @@ class WorkerPool:
     clock for the whole pool: :meth:`stalled_for` is the time since any
     task on it last finished (or since it was forked, or went from idle
     to busy).  The supervision loop (:meth:`Runner._sweep_parallel`)
-    declares the pool hung on that clock, not on its own sweep's
+    and the sweep service's wait on a :meth:`warm` declare the pool hung
+    on that clock (:meth:`progress_deadline`), not on their own tasks'
     completions, so a sweep queued behind a sibling's long grid does not
     mistake a busy pool for a hung one.  It kills and replaces a broken
     or hung pool through :meth:`replace`; sweeps that share a pool and
@@ -314,6 +357,8 @@ class WorkerPool:
         self.replacements = 0
         self._lock = threading.Lock()
         self._closed = False
+        #: :meth:`warm` tasks by (workload, prefetcher, machine).
+        self._warms: Dict[tuple, List[Future]] = {}
         self._clock = threading.Lock()
         #: Tasks submitted through :meth:`submit` and not yet finished.
         self.busy = 0
@@ -354,10 +399,61 @@ class WorkerPool:
             if not future.cancelled():
                 self._progress = time.monotonic()
 
+    def warm(
+        self, config: SweepConfig, workload: str, prepass: bool
+    ) -> Future:
+        """What a caller about to run ``workload``'s pairs at ``config``
+        waits on: the pool's warm (:func:`_warm_worker`), one task at a
+        time per workload and frontend config.
+
+        A done warm covers the lengths it made cheap: the length it was
+        asked for when the trace cache held it, else every length up to
+        its longest trace, whose walk state and plan the caches hold, so
+        every worker cuts that length from the walk it holds or resumes.
+        Such a warm is returned done.  A warm in flight is returned as
+        is; the caller asks again once it is done, so two lengths of one
+        workload are never built side by side.  Else a new warm goes
+        out, walking and planning :data:`WARM_AHEAD` past ``config``'s
+        records unless the trace cache holds them.  A failed warm is
+        forgotten, as is every warm when the pool is replaced.  Raises
+        as :meth:`submit` does when the executor is broken or shut down.
+        """
+        prefetcher, records, machine = config
+        key = (workload, prefetcher, machine)
+        with self._lock:
+            # Each walked warm reaches past every earlier one, so a
+            # workload keeps few: one per stored length asked, and one
+            # per WARM_AHEAD step of its longest length.
+            warms = self._warms[key] = [
+                future
+                for future in self._warms.get(key, ())
+                if not future.done()
+                or (not future.cancelled() and future.exception() is None)
+            ]
+            for future in warms:
+                if not future.done():
+                    return future
+                shortest, longest = future.result()
+                if shortest <= records <= longest:
+                    return future
+            ahead = records + int(records * WARM_AHEAD)
+            future = self.submit(
+                self.executor, _warm_worker, config, workload, prepass, ahead
+            )
+            warms.append(future)
+        return future
+
     def stalled_for(self) -> float:
         """Seconds since the pool last made progress; 0 while idle."""
         with self._clock:
             return time.monotonic() - self._progress if self.busy else 0.0
+
+    def progress_deadline(self) -> Optional[float]:
+        """Seconds left before the pool counts as hung, 0 once it does;
+        None without a deadline (``REPRO_SWEEP_TIMEOUT`` unset or 0).
+        Whoever waits on the pool and sees 0 replaces it."""
+        timeout = _sweep_timeout()
+        return max(0.0, timeout - self.stalled_for()) if timeout > 0 else None
 
     def replace(self, broken: ProcessPoolExecutor) -> bool:
         """Kill ``broken`` and fork its successor, unless that is done.
@@ -375,6 +471,7 @@ class WorkerPool:
                 return False
             _kill_pool_workers(broken)
             broken.shutdown(wait=False)
+            self._warms.clear()  # they went with the killed workers
             self.executor = self._fork()
             self.replacements += 1
             return True
@@ -515,6 +612,20 @@ class Runner:
         _warm_artifacts(ctx, self.prefetcher, self.machine, prepass=False)
         return ctx
 
+    def warm(
+        self, pool: WorkerPool, pairs: Iterable[Tuple[str, str]]
+    ) -> List[Future]:
+        """``pool``'s warm of each workload of ``pairs``, at this
+        runner's configuration (see :meth:`WorkerPool.warm`), building
+        the replacement pre-pass where a pair consumes it."""
+        pairs = list(pairs)
+        config: SweepConfig = (self.prefetcher, self.records, self.machine)
+        prepass = {w for w, s in pairs if s in PREPASS_SCHEMES}
+        return [
+            pool.warm(config, workload, workload in prepass)
+            for workload in dict.fromkeys(w for w, _ in pairs)
+        ]
+
     # -- running ------------------------------------------------------------
 
     def _run(
@@ -627,10 +738,13 @@ class Runner:
 
         ``pool`` runs every uncached pair in a resident
         :class:`WorkerPool` the caller owns, however few there are;
-        ``jobs`` is then unused.  Without one, ``jobs`` > 1 forks a
-        per-call pool of that many workers (default: the ``REPRO_JOBS``
-        environment variable, falling back to serial) for two or more
-        uncached pairs.  Each worker keeps a per-workload
+        ``jobs`` is then unused.  A caller that wants the pairs'
+        workloads walked and planned once for the pool warms them first
+        (:meth:`warm`); otherwise each worker builds what it lacks.
+        Without one, ``jobs`` > 1 forks a per-call pool of that many
+        workers (default: the ``REPRO_JOBS`` environment variable,
+        falling back to serial) for two or more uncached pairs.  Each
+        worker keeps a per-workload
         :class:`SchemeContext` alive across pairs, and pending pairs are
         dispatched workload-major so consecutive tasks reuse whatever a
         worker already has resident.  The parent builds no artifact: on
@@ -725,10 +839,11 @@ class Runner:
         workload ahead of the pairs: it submits ``warm(w_1)``, and when
         ``warm(w_k)`` completes it submits ``warm(w_k+1)`` and then
         ``w_k``'s pairs, still workload-major.  A resident pool
-        (``shared``) serves concurrent sweeps: they submit pairs
-        directly, with no warm round trip, and each keeps at most
-        ``pool.jobs + 1`` pairs on the pool at a time, feeding the next
-        as one finishes.  The executor runs tasks first-in, first-out,
+        (``shared``) serves concurrent sweeps: its owner warms their
+        workloads beforehand (:meth:`WorkerPool.warm`), so they submit
+        pairs directly, and each keeps at most ``pool.jobs + 1`` pairs
+        on the pool at a time, feeding the next as one finishes.  The
+        executor runs tasks first-in, first-out,
         so that bound lets a short sweep's pairs start after at most a
         few of a long sweep's, not after all of them.  Every round after
         the first submits directly too; a worker rebuilds whatever
@@ -769,7 +884,6 @@ class Runner:
         an attempt: that sweep's pairs pay for the replacement.  A pool
         closed under the sweep fails it at once.
         """
-        timeout = _sweep_timeout()
         retries = _sweep_retries()
         config: SweepConfig = (self.prefetcher, self.records, self.machine)
         prepass_workloads = {w for w, s in pending if s in PREPASS_SCHEMES}
@@ -842,15 +956,11 @@ class Runner:
                 while remaining and not broken:
                     done, _ = wait(
                         remaining,
-                        timeout=(
-                            max(0.0, timeout - pool.stalled_for())
-                            if timeout > 0
-                            else None
-                        ),
+                        timeout=pool.progress_deadline(),
                         return_when=FIRST_COMPLETED,
                     )
                     if not done:
-                        if pool.stalled_for() >= timeout:
+                        if pool.progress_deadline() == 0:
                             broken = True  # progress deadline exceeded
                             break
                         continue  # the pool progressed on other work

@@ -17,21 +17,33 @@ Simulation runs off the server's GIL: the service forks a resident
 :class:`~repro.harness.runner.WorkerPool` of ``ServiceConfig.jobs``
 processes when it is built, and every admitted pair of every sweep runs
 there — the sim slots share that one pool, and their threads only wait
-on it and install the results.  ``scripts/serve_sweeps.py`` builds the
-service before it starts any thread; :class:`ServiceThread` builds it
-in the calling thread, before its own event-loop thread starts (other
+on it and install the results.  Before a cold sweep takes a sim slot,
+its request awaits the pool's warm of each admitted workload whose
+length no warm has covered: one task at a time per workload, shared by
+concurrent requests and counted as the request's cold work.  The warm
+loads that length when the trace cache holds it; otherwise it walks (or
+grows) and plans the workload a little past it in one worker, which
+keeps the walk, and saves the trace with the walk's state and the plan,
+and every shorter length is then cut from them, in that worker or in
+one that resumes the saved walk (a worker whose own walk is shorter
+resumes the longer saved one).  So no length is walked or planned by
+both workers, or inside a slot.  ``scripts/serve_sweeps.py`` builds
+the service before it starts any thread; :class:`ServiceThread` builds
+it in the calling thread, before its own event-loop thread starts (other
 threads of the host may be running).  Each worker keeps the environment
 and module state it was forked with, so ``REPRO_*`` settings must be in
 place before the service is built.  With ``jobs=1`` there is no pool and
 sweeps simulate in the sim thread; sharded sweeps
-(``REPRO_SHARD_WINDOW``) do too, because their progress events and
-drain polls are in-process hooks.  A broken or hung pool is killed and
-replaced by the supervision loop of ``Runner.sweep_pairs``; that
-replacement forks from a sim thread while the event loop and the other
-slot run, so the module locks those threads take (walk memo, plan and
-artifact stores, context table) are re-created after a fork
-(``tests/test_fork_locks.py``).  Shutdown stops the workers, so none
-outlives the server.
+(``REPRO_SHARD_WINDOW``) do too, because their progress events and drain
+polls are in-process hooks, and warm nothing in the pool.  A broken or
+hung pool is killed and replaced by the supervision loop of
+``Runner.sweep_pairs``, or by a request's wait on a warm, both on the
+pool's progress deadline (``REPRO_SWEEP_TIMEOUT``).  That replacement
+forks from a sim thread or a helper thread while the event loop and
+the slots run, so the module locks those threads take (walk memo, plan
+and artifact stores, context table) are re-created after a fork
+(``tests/test_fork_locks.py``).  Shutdown stops the
+workers, so none outlives the server.
 
 Endpoints::
 
@@ -64,14 +76,16 @@ import json
 import os
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from threading import Event as ThreadEvent, Thread
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.common.faults import FaultInjected
 from repro.harness.experiment import scaled_records
 from repro.harness.runner import Runner, WorkerPool
 from repro.harness.schemes import available_schemes
-from repro.harness.shards import DrainRequested
+from repro.harness.shards import DrainRequested, shard_window
 from repro.service.admission import Admission, Pair
 from repro.service.protocol import (
     MAX_BODY_BYTES,
@@ -122,7 +136,9 @@ class ServiceConfig:
     #: sweep keeps at most ``jobs + 1`` pairs on the pool at a time, so
     #: with two slots a short request's pairs start after a few of a
     #: long request's, not after all of them: a short request overtakes
-    #: a long one without oversubscribing the machine.
+    #: a long one without oversubscribing the machine.  A request's pool
+    #: warms run before its sweep takes a slot, so a first-time
+    #: workload's build holds none: it overlaps the sweeps in the slots.
     max_concurrent_sweeps: int = 2
     #: Cold sweeps allowed in flight/queued before requests that would
     #: add more are refused with 503 (warm/joined requests always pass).
@@ -295,6 +311,8 @@ class SweepService:
                 )
 
         try:
+            if self.workers is not None and shard_window() <= 0:
+                await self._warm(runner, admitted)
             async with self._sim_slots:
                 results = await loop.run_in_executor(
                     self._sim_pool,
@@ -316,6 +334,47 @@ class SweepService:
             self.admission.fail(runner, admitted, exc)
         finally:
             self.cold_sweeps -= 1
+
+    async def _warm(self, runner: Runner, admitted: List[Pair]) -> None:
+        """Await the pool's warms of the admitted workloads, before the
+        sweep takes a sim slot.
+
+        A workload is built only by a warm, when no warm has covered the
+        length asked (:meth:`~repro.harness.runner.WorkerPool.warm`),
+        and concurrent requests share it; so no length is walked or
+        planned by both workers, and none while its sweep holds a slot.
+        The wait runs on the pool's progress deadline, as a sweep's
+        supervision does: a pool that makes no progress within it is
+        killed and replaced here.  A warm that raises an injected fault,
+        dies with its pool or is cut short that way leaves its pairs to
+        build what they need (the sweep replaces a broken pool); any
+        other failure is deterministic and fails the request.
+        """
+        pool = self.workers
+        while True:
+            executor = pool.executor
+            try:
+                warms = runner.warm(pool, admitted)
+            except (BrokenProcessPool, RuntimeError):
+                return  # the executor is broken or shut down: the sweep sees it
+            waiting = {asyncio.wrap_future(f) for f in warms if not f.done()}
+            if not waiting:
+                return
+            while waiting:
+                done, waiting = await asyncio.wait(
+                    waiting, timeout=pool.progress_deadline()
+                )
+                if not done and pool.progress_deadline() == 0:
+                    # Its warms fail with BrokenProcessPool; the fork
+                    # stays off the event loop.
+                    await asyncio.to_thread(pool.replace, executor)
+                    return
+                for future in done:
+                    error = future.exception()
+                    if isinstance(error, (FaultInjected, BrokenProcessPool)):
+                        return
+                    if error is not None:
+                        raise error
 
     # -- request handling ---------------------------------------------------
 

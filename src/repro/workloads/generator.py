@@ -36,14 +36,20 @@ possibly mid-request.  Nothing else depends on ``T``, so a trace of any
 length is a prefix of the program's one walk for that seed: :class:`Walk`
 keeps that walk, grows it request by request on demand (resuming from
 its last request entry) and serves each length as a cut of it.
+
+A walk's growth state (:meth:`Walk.state`) saved with a trace that ends
+where the walk does lets another process continue that walk
+(:meth:`Walk.resume`): it cuts every shorter length from the saved
+records and grows past them without walking from record 0.
 """
 
 from __future__ import annotations
 
+import json
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -156,7 +162,11 @@ class Walk:
     def __init__(
         self, program: SyntheticProgram, params: WalkParams, seed: int
     ) -> None:
-        self.program = program
+        #: None for a resumed walk until it first grows.
+        self.program: Optional[SyntheticProgram] = program
+        self._build_program: Optional[Callable[[], SyntheticProgram]] = None
+        #: The trace a resumed walk was resumed from, else None.
+        self.saved: Optional[Trace] = None
         self.params = params
         self.seed = seed
         self.rng = random.Random(seed)
@@ -188,18 +198,93 @@ class Walk:
     def __len__(self) -> int:
         return len(self._columns[0])
 
+    # -- saved state ----------------------------------------------------------
+
+    def _snapshot(self) -> tuple:
+        """The state the next record is walked from: RNG state, group,
+        cold cursor, pending branch kind and site."""
+        return (
+            self.rng.getstate(),
+            self._group,
+            self._cold_cursor,
+            self._pending_kind,
+            self._pending_site,
+        )
+
+    def _restore(self, snapshot: tuple) -> None:
+        state, self._group, self._cold_cursor, kind, site = snapshot
+        self.rng.setstate(state)
+        self._pending_kind, self._pending_site = kind, site
+
+    def state(self) -> str:
+        """This walk's growth state, as JSON: its request entries, the
+        snapshots at its last entry and at its end, and whether it is cut
+        off.  Saved with a trace that ends where the walk does, it lets
+        :meth:`resume` continue the walk from that trace."""
+        return json.dumps(
+            {
+                "entries": self._entries,
+                "entry": self._entry_state,
+                "end": self._snapshot(),
+                "cut_off": self._cut_off,
+            }
+        )
+
+    @classmethod
+    def resume(
+        cls,
+        trace: Trace,
+        params: WalkParams,
+        build_program: Callable[[], SyntheticProgram],
+    ) -> "Walk":
+        """The walk ``trace`` was saved from, continued.
+
+        ``trace`` carries the walk's :meth:`state` (``trace.walk_state``)
+        and ends where the walk did.  Its arrays are the resumed walk's
+        records, so every length they cover is cut without walking;
+        ``build_program`` runs only when the walk first grows.  The walk
+        keeps ``trace`` as :attr:`saved`, so the plan saved with it serves
+        as the walk's longest plan (see
+        :func:`repro.frontend.plan.cached_plan`).  Raises ``ValueError``
+        when the state is missing or malformed.
+        """
+        try:
+            state = json.loads(trace.walk_state)
+            entries = [int(i) for i in state["entries"]]
+            entry, end = (_snapshot_of(state[k]) for k in ("entry", "end"))
+            cut_off = bool(state["cut_off"])
+        except (TypeError, ValueError, KeyError, IndexError) as exc:
+            raise ValueError(
+                f"trace {trace.name!r} carries no usable walk state"
+            ) from exc
+        walk = cls.__new__(cls)
+        walk.program, walk._build_program = None, build_program
+        walk.saved = trace
+        walk.params, walk.seed = params, trace.seed
+        walk.rng = random.Random()
+        walk._columns = (
+            trace.blocks, trace.instrs, trace.branch_kind, trace.branch_site
+        )
+        walk.blocks, walk.instrs, walk.kinds, walk.sites = [], [], [], []
+        walk._restore(end)
+        walk._entries = entries
+        walk._entry_state = entry
+        walk._cut_off = cut_off
+        walk._limit = 0
+        return walk
+
     # -- growth ---------------------------------------------------------------
 
     def _grow(self, records: int) -> None:
         """Walk on until the first request entry at or past ``records``,
         or until its emission limit (the walk is then cut off)."""
+        if self.program is None:
+            self.program = self._build_program()
         if self._cut_off:
             # Re-walk the cut-off request from its entry.
             start = self._entries.pop()
             self._columns = tuple(c[:start] for c in self._columns)
-            state, self._group, self._cold_cursor, kind, site = self._entry_state
-            self.rng.setstate(state)
-            self._pending_kind, self._pending_site = kind, site
+            self._restore(self._entry_state)
             self._cut_off = False
         self._limit = emission_limit(records) - len(self)
         try:
@@ -235,6 +320,11 @@ class Walk:
             return min(n, limit) if n >= records else None
         # The last request runs past ``n``, so past any limit <= n.
         return limit if n >= limit else None
+
+    def covers(self, records: int) -> bool:
+        """Whether the trace of ``records`` records is cut without
+        growing the walk."""
+        return self._end(records) is not None
 
     def trace(self, records: int, name: str = "synthetic") -> Trace:
         """The trace of ``records`` records: a prefix of this walk,
@@ -427,13 +517,7 @@ class Walk:
             # Note each request entry and the state it starts from, so a
             # walk cut off inside this request resumes from here.
             self._entries.append(base + len(self.blocks))
-            self._entry_state = (
-                rng.getstate(),
-                self._group,
-                self._cold_cursor,
-                self._pending_kind,
-                self._pending_site,
-            )
+            self._entry_state = self._snapshot()
             if n_groups > 1 and rng.random() >= params.request_self_transition:
                 # Leave the current type; pick uniformly among the others.
                 offset = rng.randrange(n_groups - 1)
@@ -492,6 +576,18 @@ class Walk:
                             int((rng.random() ** 1.5) * len(program.hot_ids))
                         ]
                         self._walk_function(hot, depth=0)
+
+
+def _snapshot_of(saved: list) -> tuple:
+    """A :meth:`Walk._snapshot` read back from its JSON form."""
+    (version, internal, gauss), group, cold_cursor, kind, site = saved
+    return (
+        (int(version), tuple(int(w) for w in internal), gauss),
+        int(group),
+        int(cold_cursor),
+        int(kind),
+        int(site),
+    )
 
 
 def generate_trace(

@@ -36,7 +36,7 @@ from typing import Dict, Optional
 
 from repro.workloads.generator import Walk, WalkParams, generate_trace
 from repro.workloads.program import ProgramShape, build_program
-from repro.workloads.trace import Trace, cached_trace
+from repro.workloads.trace import TRACE_STORE, Trace
 
 #: Default trace length (fetch records); scaled by REPRO_SCALE at run time.
 DEFAULT_RECORDS = 160_000
@@ -63,49 +63,114 @@ class WorkloadProfile:
         Every length is a prefix of one walk per (profile, seed): it
         ends at the first request entry at or past ``records`` (or at
         the walk's emission limit), see :mod:`repro.workloads.generator`.
-        :data:`_walks` sits in front of the disk: when it holds a walk
-        for (profile, seed), the trace is cut from it (growing the walk
-        if needed) and the trace cache is neither read nor written.
-        Otherwise the trace comes from :func:`cached_trace`, whose miss
-        generates it on a new walk that stays resident.  A cut trace
-        carries its walk, so its frontend plan is cut from the walk's
-        too (see :func:`repro.frontend.plan.cached_plan`).
+        :data:`_walks` sits in front of the disk: a length the walk it
+        holds for (profile, seed) covers is cut from it, and the trace
+        cache is neither read nor written.  Otherwise the trace cache's
+        entry for the length is loaded; on a miss the trace is cut from
+        the longer of the resident walk and the longest walk saved in
+        the trace cache (resumed, see :meth:`_resume`), grown first if
+        it is too short, or else from a new walk; that walk stays
+        resident.  A trace the walk was started or grown for is saved,
+        with the walk's state when it ends where the walk does, for
+        other processes to resume; a cut of a resumed walk is not saved
+        (any process resumes the same walk).  A cut trace carries its walk,
+        so its frontend plan is cut from the walk's too (see
+        :func:`repro.frontend.plan.cached_plan`).
         """
         records = records or self.walk.target_records
         seed = self.seed if seed is None else seed
         memo_key = (self, seed)
         with _walks_lock:
             walk = _walks.get(memo_key)
-            if walk is not None:
+            if walk is not None and walk.covers(records):
                 trace = walk.trace(records, self.name)
                 _keep_walk(memo_key, walk)
                 return trace
-
-        def build() -> Trace:
-            params = replace(self.walk, target_records=records)
-            with _walks_lock:
-                walk = _walks.get(memo_key)
-                if walk is None:
-                    program = build_program(self.shape, seed=seed)
-                    walk = Walk(program, params, seed + 1)
+        trace = self._saved_trace(records, seed)
+        if trace is not None:
+            return trace
+        with _walks_lock:
+            walk = _walks.get(memo_key)
+            if walk is None or not walk.covers(records):
+                walk = self._resume(seed, longer_than=walk) or walk
+            if walk is not None:
+                grew = not walk.covers(records)
+                trace = walk.trace(records, self.name)
+            else:
+                grew = True
+                params = replace(self.walk, target_records=records)
+                program = build_program(self.shape, seed=seed)
+                walk = Walk(program, params, seed + 1)
                 trace = generate_trace(
-                    walk.program, params, seed=seed + 1, name=self.name, walk=walk
+                    program, params, seed=seed + 1, name=self.name, walk=walk
                 )
-                _keep_walk(memo_key, walk)
-                return trace
+            if grew and len(trace) == len(walk):
+                trace.walk_state = walk.state()
+            _keep_walk(memo_key, walk)
+        if grew:
+            trace.save(TRACE_STORE.path(self._key(records, seed)))
+        return trace
 
-        return cached_trace(f"{self.name}-r{records}-s{seed}", build)
+    def has_trace(self, records: int, seed: Optional[int] = None) -> bool:
+        """Whether :meth:`trace` serves this length without walking: cut
+        from this process's resident walk, or loaded from the trace
+        cache."""
+        seed = self.seed if seed is None else seed
+        with _walks_lock:
+            walk = _walks.get((self, seed))
+            if walk is not None and walk.covers(records):
+                return True
+        return self._saved_trace(records, seed) is not None
+
+    def _saved_trace(self, records: int, seed: int) -> Optional[Trace]:
+        """The trace cache's entry for this length, loaded, or None."""
+        return TRACE_STORE.get(self._key(records, seed), None, use_disk=True)
+
+    def _key(self, records: int, seed: int) -> str:
+        """The trace cache's name for the trace of ``records`` records."""
+        return f"{self.name}-r{records}-s{seed}"
+
+    def _resume(self, seed: int, longer_than: Optional[Walk]) -> Optional[Walk]:
+        """The longest walk saved with a trace of this profile, resumed
+        (see :meth:`Walk.resume`), or None when the trace cache holds
+        none longer than ``longer_than``.  Its program is built only if
+        it has to grow."""
+        prefix, suffix = f"{self.name}-r", f"-s{seed}"
+        saved = []
+        for name in TRACE_STORE.names(prefix):
+            records = name[len(prefix) :].removesuffix(suffix)
+            if records.isdigit() and name == self._key(int(records), seed):
+                saved.append((int(records), name))
+        floor = 0 if longer_than is None else len(longer_than)
+        for records, name in sorted(saved, reverse=True):
+            if records <= floor:
+                break
+            if not TRACE_STORE.has_meta(name, "walk"):
+                continue
+            # None when the store discarded the entry as corrupt.
+            trace = TRACE_STORE.get(name, None, use_disk=True)
+            if trace is None or len(trace) <= floor:
+                continue
+            try:
+                return Walk.resume(
+                    trace, self.walk, lambda: build_program(self.shape, seed=seed)
+                )
+            except ValueError:
+                continue
+        return None
 
 
 #: Per-process walk memo, by (profile, seed), in LRU order.  A walk
-#: starts when a trace is generated (a trace-cache miss) and serves
-#: every later length of its profile ahead of the trace cache.  A walk
-#: holds 18 bytes per walked record, which the traces cut from it view,
+#: starts when a trace is built (a trace-cache miss): a saved walk
+#: resumed, or a new one.  It serves every later length of its profile
+#: ahead of the trace cache.  A walk holds 18 bytes per walked record,
+#: which the traces cut from it view,
 #: the ``fdp`` plan of its longest trace with its record stream
 #: (:func:`repro.frontend.plan.cached_plan`), about 53 bytes per record
 #: more (W10 at 160k records, ``tracemalloc``), and its program, about
-#: 60 bytes per program block.  So the memo is bounded by its walks'
-#: records plus program blocks (see :func:`_held`), about three
+#: 60 bytes per program block (a resumed walk builds it only to grow).
+#: So the memo is bounded by its walks' records plus program blocks
+#: (see :func:`_held`), about three
 #: full-length walks, and by a count.  A per-call sweep worker keeps no
 #: walk past its warm (:func:`repro.harness.runner._warm_worker`); the
 #: bound serves processes that cut several lengths of a profile, such as
@@ -135,7 +200,8 @@ def forget_walk(profile: "WorkloadProfile", seed: Optional[int] = None) -> None:
 def _held(walk: Walk) -> int:
     """What ``walk`` holds, counted in walked records: a program block
     costs about what a walked record and its plans do."""
-    return len(walk) + walk.program.total_blocks
+    program = walk.program
+    return len(walk) + (0 if program is None else program.total_blocks)
 
 
 def _keep_walk(key: tuple, walk: Walk) -> None:

@@ -18,7 +18,10 @@ cached on disk under ``.cache/traces`` by :data:`TRACE_STORE` (see
 sidecar, so repeated bench runs do not regenerate them and resident
 sweep workers share one page cache per workload.  A process that keeps
 a profile's walk resident (see :mod:`repro.workloads.profiles`) cuts
-that profile's traces from it ahead of this cache, and saves none.
+that profile's traces from it ahead of this cache, and saves none.  A
+generated trace that ends where its walk does is saved with the walk's
+growth state (``walk_state``, one JSON meta member), so a process
+without that walk can resume it instead of walking from record 0.
 """
 
 from __future__ import annotations
@@ -80,6 +83,11 @@ class Trace:
     seed: int = 0
     # A weak reference to the walk this trace was cut from (see ``walk``).
     _walk: Optional[weakref.ref] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    #: The JSON growth state of the walk this trace ends, saved with it
+    #: (see :meth:`repro.workloads.generator.Walk.state`), else None.
+    walk_state: Optional[str] = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -186,11 +194,16 @@ class Trace:
     # -- persistence: the codec entry points TRACE_STORE calls --------------
 
     def meta(self) -> dict:
-        return {"name": self.name, "seed": self.seed}
+        meta = {"name": self.name, "seed": self.seed}
+        if self.walk_state is not None:
+            meta["walk"] = self.walk_state
+        return meta
 
     @classmethod
     def from_parts(cls, meta: dict, arrays: dict) -> "Trace":
-        return cls(name=str(meta["name"]), seed=int(meta["seed"]), **arrays)
+        trace = cls(name=str(meta["name"]), seed=int(meta["seed"]), **arrays)
+        trace.walk_state = meta.get("walk")
+        return trace
 
     def save(self, path: Path) -> None:
         TRACE_STORE.save(self, path)
@@ -215,11 +228,6 @@ TRACE_STORE = ArtifactStore(
     scalar_meta=True,
     npz_fault_site="trace-npz",
 )
-
-
-def cached_trace(key: str, builder) -> Trace:
-    """Trace ``key`` from :data:`TRACE_STORE`, built and saved on a miss."""
-    return TRACE_STORE.get(key, builder, use_disk=True)
 
 
 #: Expected array dtypes (the generator's contract with the simulator).

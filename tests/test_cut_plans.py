@@ -227,6 +227,34 @@ class TestCutEqualsBuild:
         assert len(store_gets) == 1
 
 
+class TestResumedWalkPlans:
+    def test_resumed_walk_cuts_the_saved_plan(
+        self, tmp_path, monkeypatch, store_gets
+    ):
+        """A walk resumed from a saved trace plans a shorter cut from the
+        plan saved with that trace: one store lookup, no build."""
+        monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path / "traces"))
+        monkeypatch.setenv("REPRO_PLAN_CACHE", str(tmp_path / "plans"))
+        monkeypatch.delenv("REPRO_NO_DISK_CACHE")
+        profile = replace(get_workload("x264"), name="resumed-plans")
+        saved = profile.trace(records=6000)
+        cached_plan(saved, MACHINE, "fdp")
+        clear_walk_memo()
+        clear_plan_memo()
+        builds = []
+        monkeypatch.setattr(
+            plan_mod,
+            "build_plan",
+            lambda *a, **k: builds.append(a) or build_plan(*a, **k),
+        )
+        store_gets.clear()
+        trace = profile.trace(records=4000)
+        assert trace.walk.saved is not None
+        plan = cached_plan(trace, MACHINE, "fdp")
+        assert builds == [] and len(store_gets) == 1
+        _assert_equals_build(plan, trace, "fdp")
+
+
 def _scalars(result) -> dict:
     return {k: getattr(result, k) for k in _SCALAR_FIELDS}
 

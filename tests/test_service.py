@@ -13,6 +13,8 @@ The acceptance properties this file pins:
   hung connection;
 * a sweep that genuinely fails turns into an HTTP 500 / stream error
   event with the in-flight table left clean;
+* a resident pool walks and plans a cold workload once, in its warm,
+  and a warm that fails transiently leaves the response unchanged;
 * no resident pool worker outlives its server.
 
 Each server test runs on both execution paths: ``TestServer`` against a
@@ -24,8 +26,8 @@ every ``REPRO_*`` variable before its server starts; tests that patch
 code in-process run on ``jobs=1`` only, beside a pool-path twin that
 checks the same property from outside.
 
-Every test runs against an isolated temporary result cache, so the
-repo's ``.cache/results`` is never written.
+Every test runs against isolated temporary result, trace and plan
+caches, so the repo's ``.cache/`` is never written.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ import pytest
 
 import repro.harness.runner as runner_mod
 from repro.common import faults
+from repro.frontend import plan as plan_mod
 from repro.harness import schemes as schemes_mod
 from repro.harness.runner import _SCALAR_FIELDS, Runner
 from repro.service.client import ServiceClient, ServiceError
@@ -64,6 +67,7 @@ from repro.service.server import (
     SweepService,
 )
 from repro.uarch.params import DEFAULT_MACHINE
+from repro.workloads import profiles as profiles_mod
 
 RECORDS = 2_000
 WORKLOADS = ("x264", "gcc")
@@ -72,8 +76,11 @@ SCHEMES = ("lru", "srrip")
 
 @pytest.fixture(autouse=True)
 def _isolated_result_cache(tmp_path, monkeypatch):
-    """Every test gets its own results dir; the repo cache stays clean."""
-    monkeypatch.setenv("REPRO_RESULT_CACHE", str(tmp_path / "results"))
+    """Every test gets its own results, traces and plans dirs; the repo
+    cache stays clean (a pool's warm saves a walk and plan past the
+    length asked, which the committed caches do not hold)."""
+    for var in ("REPRO_RESULT_CACHE", "REPRO_TRACE_CACHE", "REPRO_PLAN_CACHE"):
+        monkeypatch.setenv(var, str(tmp_path / var.lower()))
 
 
 def _scalars(result):
@@ -519,6 +526,223 @@ class TestServerFaultInjection:
             second = ServiceClient(port=svc.port).sweep(WORKLOADS, SCHEMES)
         assert second["results"] == expected
         assert set(second["sources"].values()) == {"simulated"}
+
+
+#: Set before a pool forks: the file ``_slow_warm`` touches when it starts.
+_WARM_STARTED: Path = Path()
+_real_warm_worker = runner_mod._warm_worker
+
+
+def _faulty_warm(config, workload, prepass, ahead):
+    raise faults.FaultInjected(f"injected into the warm of {workload}")
+
+
+def _dying_warm(config, workload, prepass, ahead):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _slow_warm(config, workload, prepass, ahead):
+    _WARM_STARTED.touch()
+    time.sleep(1.0)
+    return _real_warm_worker(config, workload, prepass, ahead)
+
+
+class TestPoolWarm:
+    """A resident pool warms each cold workload once, outside the slot.
+
+    Patches go in before the pool forks, so its workers inherit them.
+    """
+
+    SCHEMES = ("lru", "acic", "opt", "srrip")
+
+    @pytest.fixture(autouse=True)
+    def plan_disk_on(self, monkeypatch):
+        monkeypatch.delenv("REPRO_NO_DISK_CACHE", raising=False)
+
+    def test_cold_workload_is_walked_and_planned_once_per_pool(
+        self, tmp_path, monkeypatch
+    ):
+        """Both workers simulate pairs of one cold request, but only the
+        warm walks the workload from record 0 and builds its plan: the
+        other worker loads what the warm saved."""
+        log = tmp_path / "builds.log"
+        log.touch()
+
+        def logged(event, fn):
+            def wrapper(*args, **kwargs):
+                with open(log, "a") as fh:
+                    fh.write(f"{os.getpid()} {event}\n")
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        records, longer = 8000, 16000  # past the first warm's slack
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                profiles_mod,
+                "generate_trace",
+                logged("walk", profiles_mod.generate_trace),
+            )
+            patch.setattr(
+                plan_mod, "build_plan", logged("plan", plan_mod.build_plan)
+            )
+            with ServiceThread(ServiceConfig(records=records, jobs=2)) as svc:
+                client = ServiceClient(port=svc.port)
+                response = client.sweep(["gcc"], self.SCHEMES)
+                first = log.read_text().split()
+                grown = client.sweep(["gcc"], self.SCHEMES, records=longer)
+        assert response["results"] == _direct(["gcc"], self.SCHEMES, records)
+        assert grown["results"] == _direct(["gcc"], self.SCHEMES, longer)
+        assert first[1::2] == ["walk", "plan"], (
+            "one walk from record 0 and one plan build per pool, the "
+            "request's trace and plan cut from them"
+        )
+        assert first[0] == first[2], "both by the warming worker"
+        events = log.read_text().split()
+        assert events[len(first) + 1 :: 2] == ["plan"], (
+            "a longer length grows the walk and builds one plan, which "
+            "the other worker resumes and loads"
+        )
+
+    def test_pool_warms_each_uncovered_length_once(self):
+        """One warm at a time per workload: a warm in flight is shared,
+        a done one covers every length up to its longest trace's, which
+        runs ``WARM_AHEAD`` past the length asked, and only a longer
+        length sends another."""
+        pool = runner_mod.WorkerPool(2)
+        try:
+            config = ("fdp", 3000, DEFAULT_MACHINE)
+            first = pool.warm(config, "x264", False)
+            assert pool.warm(("fdp", 9000, DEFAULT_MACHINE), "x264", False) is first
+            shortest, warmed = first.result(timeout=60)
+            assert shortest == 0
+            assert warmed >= 3000 + int(3000 * runner_mod.WARM_AHEAD)
+            for records in (1000, 3000, warmed):
+                covered = pool.warm(("fdp", records, DEFAULT_MACHINE), "x264", False)
+                assert covered is first
+            longer = pool.warm(("fdp", warmed + 1, DEFAULT_MACHINE), "x264", False)
+            assert longer is not first and longer.result(timeout=60)[1] > warmed
+            assert pool.warm(config, "x264", False) in (first, longer)
+            other = pool.warm(config, "gcc", False)
+            assert other not in (first, longer)
+            other.result(timeout=60)
+            pool.replace(pool.executor)
+            assert pool.warm(config, "x264", False) is not longer, (
+                "a replaced pool forgets its warms"
+            )
+        finally:
+            pool.close()
+
+    def test_warm_of_a_stored_length_loads_it(self, tmp_path, monkeypatch):
+        """A length the trace cache holds (as the committed bench length
+        is) is warmed by loading it and its plan: nothing is walked or
+        planned, nothing past it is saved, and the warm covers only it.
+        (A call of either builder fails the warm, and is logged.)"""
+        records = 3000
+        Runner(records=records).context_for("x264")  # saves trace and plan
+        runner_mod._CONTEXTS.clear()
+        profiles_mod.clear_walk_memo()
+        plan_mod.clear_plan_memo()
+        gc.collect()
+        saved = sorted(p.name for p in tmp_path.rglob("*.npz"))
+        calls = tmp_path / "calls.log"
+        calls.touch()
+
+        def called(name):
+            def record(*args, **kwargs):
+                with open(calls, "a") as fh:
+                    fh.write(f"{name}\n")
+                raise AssertionError(f"{name} was called")
+
+            return record
+
+        monkeypatch.setattr(profiles_mod, "generate_trace", called("walk"))
+        monkeypatch.setattr(plan_mod, "build_plan", called("plan"))
+        pool = runner_mod.WorkerPool(2)
+        try:
+            config = ("fdp", records, DEFAULT_MACHINE)
+            warm = pool.warm(config, "x264", False)
+            assert warm.result(timeout=60) == (records, records)
+            assert pool.warm(config, "x264", False) is warm
+        finally:
+            pool.close()
+        assert calls.read_text() == ""
+        assert sorted(p.name for p in tmp_path.rglob("*.npz")) == saved
+
+    def test_hung_warm_is_replaced_on_the_progress_deadline(
+        self, tmp_path, monkeypatch
+    ):
+        """A warm that wedges while saving its trace: the request's wait
+        on it kills and replaces the pool on ``REPRO_SWEEP_TIMEOUT``,
+        and the pairs, run on the new pool, answer identically."""
+        monkeypatch.setenv("REPRO_SWEEP_TIMEOUT", "2")
+        monkeypatch.setenv("REPRO_FAULT", "trace-npz:hang@1")
+        monkeypatch.setenv("REPRO_FAULT_ONCE", str(tmp_path / "latch"))
+        faults.reset()
+        try:
+            started = time.monotonic()
+            with ServiceThread(ServiceConfig(records=RECORDS, jobs=2)) as svc:
+                client = ServiceClient(port=svc.port)
+                response = client.sweep(WORKLOADS, SCHEMES)
+                replacements = client.health()["pool_replacements"]
+            took = time.monotonic() - started
+        finally:
+            monkeypatch.delenv("REPRO_FAULT")
+            faults.reset()
+        assert response["results"] == _direct()
+        assert set(response["sources"].values()) == {"simulated"}
+        assert replacements == 1
+        assert took < faults.HANG_SECONDS / 2, "waited out the hang"
+
+    @pytest.mark.parametrize(
+        "warm", [_faulty_warm, _dying_warm], ids=["fault", "dead-pool"]
+    )
+    def test_failed_warm_leaves_the_response_identical(self, warm, monkeypatch):
+        """A warm that raises an injected fault or takes its pool down:
+        the pairs build what they need, and a dead pool is replaced."""
+        monkeypatch.setattr(runner_mod, "_warm_worker", warm)
+        with ServiceThread(ServiceConfig(records=RECORDS, jobs=2)) as svc:
+            client = ServiceClient(port=svc.port)
+            response = client.sweep(WORKLOADS, SCHEMES)
+            replacements = client.health()["pool_replacements"]
+        assert response["results"] == _direct()
+        assert set(response["sources"].values()) == {"simulated"}
+        assert replacements == (1 if warm is _dying_warm else 0)
+
+    def test_sharded_sweep_submits_no_warm(self, monkeypatch):
+        """A sharded sweep simulates in the sim thread, so the pool
+        warms nothing for it."""
+        monkeypatch.setenv("REPRO_SHARD_WINDOW", "500")
+        warms = []
+        monkeypatch.setattr(
+            runner_mod.WorkerPool, "warm", lambda *args: warms.append(args)
+        )
+        with ServiceThread(ServiceConfig(records=RECORDS, jobs=2)) as svc:
+            response = ServiceClient(port=svc.port).sweep(WORKLOADS, SCHEMES)
+        assert response["results"] == _direct()
+        assert warms == []
+
+    def test_warm_in_flight_is_cold_work_for_drain(self, tmp_path, monkeypatch):
+        """A stop while a request waits on its warm drains it: the warm,
+        then the sweep, run to completion before the service closes."""
+        monkeypatch.setattr(sys.modules[__name__], "_WARM_STARTED", tmp_path / "warm")
+        monkeypatch.setattr(runner_mod, "_warm_worker", _slow_warm)
+        svc = ServiceThread(ServiceConfig(records=RECORDS, jobs=2)).start()
+        client = ServiceClient(port=svc.port)
+        responses = []
+        request = threading.Thread(
+            target=lambda: responses.append(client.sweep(WORKLOADS, SCHEMES))
+        )
+        request.start()
+        deadline = time.monotonic() + 30
+        while not _WARM_STARTED.exists():
+            assert time.monotonic() < deadline, "the warm never started"
+            time.sleep(0.005)
+        assert client.health()["cold_sweeps"] == 1
+        svc.stop()
+        request.join(timeout=60)
+        assert not svc._thread.is_alive()
+        assert [r["results"] for r in responses] == [_direct()]
 
 
 REPO = Path(__file__).resolve().parents[1]

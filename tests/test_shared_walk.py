@@ -7,10 +7,11 @@ serves every length as a cut of one walk, growing it on demand.  These
 tests pin that the cuts equal fresh single-length walks whatever order
 the lengths are asked in, across the emission limit and across threads,
 that a profile's resident walk serves its traces ahead of the trace
-cache, and that the committed ``.cache/traces`` entries obey the same
-prefix property, as the committed ``.cache/plans`` entries obey its
-plan twin (a plan of a shorter trace is the longest plan cut, see
-``test_cut_plans.py``).
+cache, that a walk resumed from a saved trace (the growth state saved
+with it) cuts the same traces as one uninterrupted walk, and that the
+committed ``.cache/traces`` entries obey the same prefix property, as
+the committed ``.cache/plans`` entries obey its plan twin (a plan of a
+shorter trace is the longest plan cut, see ``test_cut_plans.py``).
 """
 
 from __future__ import annotations
@@ -25,7 +26,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.common.artifacts import sidecar_path
 from repro.workloads import profiles
 from repro.workloads.generator import (
     Walk,
@@ -35,7 +38,8 @@ from repro.workloads.generator import (
 )
 from repro.workloads.profiles import get_workload
 from repro.workloads.program import ProgramShape, build_program
-from repro.workloads.trace import TRACE_ARRAY_FIELDS, TRACE_STORE
+from repro.workloads.search.strategies import FIG11_SPACE
+from repro.workloads.trace import TRACE_ARRAY_FIELDS, TRACE_STORE, Trace
 
 SHAPE = ProgramShape(
     hot_functions=8,
@@ -126,6 +130,114 @@ class TestWalkCuts:
             assert not getattr(trace, field).flags.writeable
 
 
+#: Walks the resume property draws from: Figure 11 search profiles.
+RESUME_PROFILES = [FIG11_SPACE.sample(seed=41, index=i).build() for i in range(6)]
+_resume_programs: dict = {}
+
+
+def _resume_program(index: int):
+    program = _resume_programs.get(index)
+    if program is None:
+        profile = RESUME_PROFILES[index]
+        program = _resume_programs[index] = build_program(
+            profile.shape, seed=profile.seed
+        )
+    return program
+
+
+def _saved_and_loaded(directory: Path, walk: Walk, records: int, sidecar: bool):
+    """Cut ``walk`` at ``records``, save the trace with the walk's state
+    as a generating profile does, and load it back through the store's
+    sidecar or npz codec."""
+    trace = walk.trace(records, "resumable")
+    assert len(trace) == len(walk), "a generated trace ends where its walk does"
+    trace.walk_state = walk.state()
+    path = directory / f"resumable-{len(list(directory.glob('*.npz')))}.npz"
+    TRACE_STORE.save(trace, path)
+    loaded = Trace.load_mmap(sidecar_path(path)) if sidecar else Trace.load(path)
+    assert loaded.walk_state == trace.walk_state
+    return trace, loaded
+
+
+class TestResumedWalks:
+    """A walk resumed from a saved trace is the walk that saved it: it
+    cuts the same traces as one uninterrupted walk below, at and past
+    the saved length, and builds its program only to grow."""
+
+    @settings(
+        max_examples=16,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        index=st.integers(0, len(RESUME_PROFILES) - 1),
+        saved_at=st.integers(300, 6000),
+        below=st.lists(st.integers(1, 6000), max_size=3),
+        past=st.lists(st.integers(1, 12000), min_size=1, max_size=3),
+        sidecar=st.booleans(),
+    )
+    def test_fig11_walks_resume_bit_identical(
+        self, tmp_path, index, saved_at, below, past, sidecar
+    ):
+        profile = RESUME_PROFILES[index]
+        program = _resume_program(index)
+        seed = profile.seed + 1
+        saved, loaded = _saved_and_loaded(
+            tmp_path, Walk(program, profile.walk, seed), saved_at, sidecar
+        )
+        built = []
+        resumed = Walk.resume(
+            loaded, profile.walk, lambda: built.append(index) or program
+        )
+        assert resumed.saved is loaded
+        whole = Walk(program, profile.walk, seed)  # uninterrupted
+        for records in [n for n in below if n <= saved_at] + [saved_at]:
+            _assert_same(
+                resumed.trace(records, "resumable"),
+                whole.trace(records, "resumable"),
+            )
+        assert built == [] and resumed.program is None, (
+            "cuts at or below the saved length walk nothing"
+        )
+        for records in [len(saved) + n for n in past] + below:
+            _assert_same(
+                resumed.trace(records, "resumable"),
+                whole.trace(records, "resumable"),
+            )
+        assert built == [index], "growing builds the program once"
+
+    @pytest.mark.parametrize("sidecar", [True, False], ids=["sidecar", "npz"])
+    def test_walk_cut_off_at_its_limit_resumes(self, program, tmp_path, sidecar):
+        """A walk saved while cut off mid-request by the emission limit
+        re-walks that request from its entry when it grows."""
+        saved, loaded = _saved_and_loaded(
+            tmp_path, Walk(program, LONG_REQUESTS, SEED), 2500, sidecar
+        )
+        assert len(saved) == emission_limit(2500)
+        resumed = Walk.resume(loaded, LONG_REQUESTS, lambda: program)
+        for records in (1000, 2500, 4000, 17000, 40000, 100):
+            _assert_same(
+                resumed.trace(records), _fresh(program, LONG_REQUESTS, records)
+            )
+
+    def test_state_round_trips(self, program, tmp_path):
+        """Every field the next growth reads comes back as saved."""
+        walk = Walk(program, WALK, SEED)
+        _, loaded = _saved_and_loaded(tmp_path, walk, 3000, sidecar=True)
+        resumed = Walk.resume(loaded, WALK, lambda: program)
+        for name in ("_entries", "_entry_state", "_cut_off", "seed"):
+            assert getattr(resumed, name) == getattr(walk, name), name
+        assert resumed._snapshot() == walk._snapshot()
+        assert len(resumed) == len(walk)
+
+    @pytest.mark.parametrize("state", [None, "", "{}", '{"entries": []}'])
+    def test_unusable_state_raises(self, program, state):
+        trace = Walk(program, WALK, SEED).trace(500)
+        trace.walk_state = state
+        with pytest.raises(ValueError, match="no usable walk state"):
+            Walk.resume(trace, WALK, lambda: program)
+
+
 class TestProfileWalkMemo:
     @pytest.fixture()
     def profile(self, request, tmp_path, monkeypatch):
@@ -161,7 +273,7 @@ class TestProfileWalkMemo:
         self, profile, tmp_path, store_gets
     ):
         profile.trace(records=3000)  # starts the walk
-        profile.trace(records=5000)
+        profile.trace(records=2000)  # a cut of it
         name = f"{profile.name}-r3000-s{profile.seed}"
         assert store_gets == [name]
         assert [p.name for p in tmp_path.glob("*.npz")] == [f"{name}.npz"]
@@ -172,16 +284,22 @@ class TestProfileWalkMemo:
     def test_resident_walk_serves_ahead_of_the_store(
         self, profile, tmp_path, store_gets, records, grows
     ):
-        """A resident walk cuts the trace without reading or writing the
-        trace cache, growing first when the length needs it."""
+        """A resident walk cuts a length it covers without reading or
+        writing the trace cache.  A length it must grow for goes through
+        the store first (an entry for it, a longer saved walk), and the
+        trace it grew for is saved with the walk's state."""
         profile.trace(records=3000)  # starts the walk
         walk = profiles._walks[(profile, profile.seed)]
         walked = len(walk)
-        files = sorted(tmp_path.rglob("*"))
+        before = {p.name for p in tmp_path.glob("*.npz")}
         store_gets.clear()
         trace = profile.trace(records=records)
-        assert store_gets == []
-        assert sorted(tmp_path.rglob("*")) == files
+        name = f"{profile.name}-r{records}-s{profile.seed}"
+        assert store_gets == ([name] if grows else [])
+        saved = {p.name for p in tmp_path.glob("*.npz")} - before
+        assert saved == ({f"{name}.npz"} if grows else set())
+        if grows:
+            assert TRACE_STORE.read_npz(tmp_path / f"{name}.npz").walk_state
         assert (len(walk) > walked) is grows
         assert trace.walk is walk
         assert trace.digest == self._fresh(profile, records).digest
@@ -196,6 +314,77 @@ class TestProfileWalkMemo:
         assert loaded.walk is None
         assert (profile, profile.seed) not in profiles._walks
         assert loaded.digest == first.digest
+
+    def test_miss_resumes_the_longest_saved_walk(
+        self, profile, store_gets, monkeypatch
+    ):
+        """Without a resident walk, a trace-cache miss resumes the
+        longest walk saved with a trace: a shorter length is cut from it
+        and a longer one grows it, and neither walks from record 0."""
+        profile.trace(records=3000)
+        profiles.clear_walk_memo()
+        longest = profile.trace(records=6000)  # resumes r3000 and grows
+        assert longest.walk.saved is not None
+        profiles.clear_walk_memo()
+        calls = []
+        for name in ("generate_trace", "build_program"):
+            real = getattr(profiles, name)
+            monkeypatch.setattr(
+                profiles,
+                name,
+                lambda *a, _name=name, _real=real, **k: calls.append(_name)
+                or _real(*a, **k),
+            )
+        store_gets.clear()
+        shorter = profile.trace(records=4500)
+        key = f"{profile.name}-r{{}}-s{profile.seed}"
+        assert store_gets == [key.format(4500), key.format(6000)]
+        walk = shorter.walk
+        assert len(walk.saved) == len(longest) and walk.program is None
+        assert calls == []
+        _assert_same(shorter, self._fresh(profile, 4500))
+        grown = profile.trace(records=9000)
+        assert calls == ["build_program"], "growing builds the program only"
+        assert grown.walk is walk
+        _assert_same(grown, self._fresh(profile, 9000))
+
+    def test_short_resident_walk_resumes_a_longer_saved_one(
+        self, profile, tmp_path, monkeypatch
+    ):
+        """A resident walk too short for a length gives way to a longer
+        walk saved in the trace cache (another process grew it): the
+        length is cut from that walk and its saved plan, not walked or
+        planned again."""
+        profile.trace(records=3000)  # the resident walk
+        program = build_program(profile.shape, seed=profile.seed)
+        elsewhere = Walk(program, profile.walk, profile.seed + 1)
+        saved = elsewhere.trace(8000, profile.name)
+        saved.walk_state = elsewhere.state()
+        saved.save(tmp_path / f"{profile.name}-r8000-s{profile.seed}.npz")
+        calls = []
+        for name in ("generate_trace", "build_program"):
+            monkeypatch.setattr(profiles, name, lambda *a, _n=name, **k: calls.append(_n))
+        trace = profile.trace(records=6000)
+        assert calls == []
+        assert trace.walk.saved is not None and len(trace.walk.saved) == len(saved)
+        assert profiles._walks[(profile, profile.seed)] is trace.walk
+        _assert_same(trace, self._fresh(profile, 6000))
+
+    def test_saves_only_what_a_walk_grew_for(self, profile, tmp_path):
+        """A generated or grown trace is saved with its walk's state; a
+        cut the resumed walk already covers is not saved at all."""
+        profile.trace(records=3000)
+        profiles.clear_walk_memo()
+        profile.trace(records=2000)  # a cut of the resumed walk
+        profiles.clear_walk_memo()
+        profile.trace(records=5000)  # grows the resumed walk
+        states = {
+            path.name: TRACE_STORE.read_npz(path).walk_state
+            for path in tmp_path.glob("*.npz")
+        }
+        key = f"{profile.name}-r{{}}-s{profile.seed}.npz"
+        assert sorted(states) == sorted(key.format(n) for n in (3000, 5000))
+        assert None not in states.values()
 
     def test_memo_is_bounded_by_what_walks_hold(self, profile, monkeypatch):
         """Walks beyond the bound on walked records plus program blocks

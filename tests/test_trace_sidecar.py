@@ -1,7 +1,7 @@
 """Trace mmap-sidecar tests, mirroring the plan-sidecar suite.
 
 Traces get the same uncompressed ``.mmap/`` sidecars frontend plans
-have: ``cached_trace`` serves them through ``np.load(mmap_mode="r")``
+have: the trace store serves them through ``np.load(mmap_mode="r")``
 so resident sweep workers share one page cache per workload.  A sidecar
 is only trusted while the ``.npz`` it was derived from still matches
 the size/sha1 recorded in its ``meta.json``; anything corrupt, stale or
