@@ -19,11 +19,12 @@ fails the bench.
 one warm request (every pair served from cache, zero simulations), one
 streamed request (event-per-pair protocol), then two more cold requests
 that exercise the shared workload walk: one at ``records + 1`` (the
-same traces, cut from a walk the server now shares between lengths)
-and one at ``4 * records`` (the walk resumes).  Everything is verified,
-the traces also against each other (every length is the longest trace
-cut at its first request entry at or past that length); exit non-zero
-on any mismatch.  Traces and plans go to temporary caches too, so the
+same traces, cut from a walk the server now shares between lengths,
+so their results are reused) and one at ``4 * records`` (the walk
+resumes; nothing is reused).  Everything is verified, the traces also
+against each other (every length is the longest trace cut at its first
+request entry at or past that length) and the ``reused`` counts against
+the traces; exit non-zero on any mismatch.  Traces and plans go to temporary caches too, so the
 repo's ``.cache`` is never written.  The timing numbers are printed for
 humans but never asserted — machine speed must not fail CI.
 """
@@ -89,12 +90,17 @@ def _verify_walk_cuts(
     at a request entry) and the ``4 * records`` request resumes it.
     Each response must match a direct sweep, and every length's trace
     must be the longest one cut at its first request entry at or past
-    that length.
+    that length.  Results follow traces: the ``records + 1`` request
+    must count as ``reused`` exactly its pairs whose trace is the
+    ``records`` trace, and the ``4 * records`` request none.
     """
     problems = []
     counts = (records, records + 1, 4 * records)
+    reused = {}
     for count in counts[1:]:
+        before = client.health()["stats"]["reused"]
         response = client.sweep(workloads, schemes, records=count)
+        reused[count] = response["stats"]["reused"] - before
         expected = Runner(records=count, use_disk_cache=False).sweep(
             workloads, schemes
         )
@@ -102,20 +108,29 @@ def _verify_walk_cuts(
             f"records={count} {p}"
             for p in _verify(response, expected, want_source="simulated")
         ]
+    shared = 0
     for workload in workloads:
         profile = get_workload(workload)
         entry_site = build_program(profile.shape, seed=profile.seed).dispatch_site
         longest = profile.trace(records=counts[-1])
+        digests = []
         for count in counts:
             entries = np.flatnonzero(longest.branch_site[count:] == entry_site)
             end = count + int(entries[0]) if len(entries) else len(longest)
             cut = replace(longest.slice(0, end), name=profile.name)
             trace = profile.trace(records=count)
+            digests.append(trace.digest)
             if len(trace) < count or trace.digest != cut.digest:
                 problems.append(
                     f"{workload}@{count}: not the r{counts[-1]} trace cut at "
                     f"its first request entry at or past {count}"
                 )
+        shared += len(schemes) * (digests[1] == digests[0])
+    for count, want in ((counts[1], shared), (counts[2], 0)):
+        if reused[count] != want:
+            problems.append(
+                f"records={count}: {reused[count]} pairs reused, expected {want}"
+            )
     return problems
 
 
@@ -209,7 +224,8 @@ def main(argv: list[str] | None = None) -> int:
                     "service responses scalar-identical to direct "
                     "Runner.sweep (cold, warm, streamed, and cold at "
                     f"{args.records + 1} and {4 * args.records} records "
-                    "from the shared walk)"
+                    "from the shared walk, reusing the results of shared "
+                    "traces)"
                 )
                 return 0
 

@@ -7,7 +7,11 @@ the LRU/OPT baselines.  The runner caches:
   for figure-specific statistics);
 * **on disk** — the scalar measurements as JSON under
   ``.cache/results``, keyed by (workload, scheme, prefetcher, records,
-  machine fingerprint), so separate pytest invocations don't resimulate.
+  machine fingerprint), so separate pytest invocations don't resimulate;
+  and under ``.cache/results/by-trace``, keyed by (trace digest, scheme,
+  prefetcher, machine fingerprint), so a length that cuts a trace
+  another length has simulated is answered without simulating (see
+  :func:`_run_pair`).
 
 Set ``REPRO_NO_DISK_CACHE=1`` to disable the disk layer (tests do).
 
@@ -56,9 +60,10 @@ before a sweep takes its sim slot, so the sweep itself submits its
 pairs directly.  Sweeps
 sharing a resident pool each keep only a few pairs on it at a time, so
 a short sweep is not queued behind every pair of a long one.
-:meth:`Runner.context_for` takes its context from the same table and
-warms through the same helper, so the serial and parallel paths build
-artifacts through one code path.
+A serial :class:`Runner` answers its pairs through the helper a pool
+worker uses (:func:`_run_pair`), on a context from the same table, so
+the serial and parallel paths build artifacts and reuse results through
+one code path.
 """
 
 from __future__ import annotations
@@ -126,9 +131,10 @@ def _sweep_retries() -> int:
     return env_number("REPRO_SWEEP_RETRIES", 3, 0)
 
 
-#: Callback invoked by :meth:`Runner.sweep_pairs` after each *freshly
-#: simulated* pair lands in the caches: ``(workload, scheme, result)``.
-#: Cache hits never fire it.
+#: Callback invoked by :meth:`Runner.sweep_pairs` after each pair it
+#: answered lands in the caches: ``(workload, scheme, result)``.  A
+#: pair is answered by a simulation or by a trace-keyed entry (see
+#: :func:`_run_pair`); records-keyed cache hits never fire it.
 ResultCallback = Callable[[str, str, RunResult], None]
 
 #: Per-shard progress callback for windowed (``REPRO_SHARD_WINDOW``)
@@ -303,28 +309,115 @@ def _warm_worker(
     return covered
 
 
-def _sweep_worker(
-    config: SweepConfig, pair: Tuple[str, str]
-) -> Tuple[str, str, Dict[str, object]]:
-    """Simulate one (workload, scheme) pair in a resident worker process.
+def _scalars(run: RunResult) -> Dict[str, object]:
+    return {k: getattr(run, k) for k in _SCALAR_FIELDS}
 
-    Runs uncached (the parent already filtered cache hits) and returns
-    only the scalar measurements — live scheme objects don't cross the
-    process boundary.  The context, with its oracle and the plan and
-    pre-pass its trace holds, persists in the worker across pairs.
+
+def _read_entry(
+    path: Path, workload: str, scheme: str, prefetcher: str
+) -> Tuple[Optional[RunResult], int]:
+    """A result-cache entry for one pair, and how many it rejected.
+
+    The one loader for both kinds of entry, records-keyed and
+    trace-keyed.  A missing or unreadable file is a plain miss (``(None,
+    0)``).  An entry that does not parse, lacks a scalar field or names
+    another (workload, scheme, prefetcher) is unlinked and counted:
+    ``(None, 1)``.
+    """
+    try:
+        payload = json.loads(path.read_text())
+        result = RunResult(**{k: payload[k] for k in _SCALAR_FIELDS})
+    except FileNotFoundError:
+        # Plain cache miss (or another worker won an unlink race).
+        return None, 0
+    except OSError:
+        # Concurrent sweep workers can catch an entry mid-write or
+        # mid-unlink; treat any unreadable file as a miss without
+        # destroying what the writer may still be producing.
+        return None, 0
+    except (ValueError, KeyError, TypeError):
+        result = None
+    if result is not None and (
+        result.workload, result.scheme_name, result.prefetcher_name
+    ) == (workload, scheme, prefetcher):
+        return result, 0
+    path.unlink(missing_ok=True)
+    return None, 1
+
+
+def _trace_entry_path(
+    digest: str, scheme: str, prefetcher: str, machine: MachineParams
+) -> Path:
+    """Where the result of ``scheme`` on the trace of ``digest`` lives."""
+    name = f"{digest}.{scheme}.{prefetcher}.{machine.fingerprint()}.json"
+    return results_dir() / "by-trace" / name
+
+
+def _run_pair(
+    workload: str,
+    scheme: str,
+    config: SweepConfig,
+    disk: bool,
+    **hooks,
+) -> Tuple[RunResult, bool, int]:
+    """Answer one pair no records-keyed entry holds: from its trace's
+    result, or by simulating it.
+
+    The one way a pair is simulated, in a pool worker
+    (:func:`_sweep_worker`) and in a serial :meth:`Runner._run`.  With
+    ``disk``, once the trace is cut and before its plan is built, the
+    pair's *trace-keyed* entry is read: (trace digest, scheme,
+    prefetcher, machine fingerprint).  The key is exact, since a run
+    reads only its trace (its plan, warmup split, oracle and pre-pass
+    all derive from it), its scheme, its prefetcher and its machine; so
+    every length that cuts the same trace from the walk shares it.  A
+    hit returns the stored scalars.  A fresh result writes the entry
+    (without fsync: the records-keyed entry the caller writes is the
+    sweep's durable record, and a torn trace-keyed entry is rejected as
+    a miss).  ``hooks`` go to :func:`run_experiment`.  Returns the
+    result, whether a trace-keyed entry answered it, and how many
+    entries the read rejected.
     """
     prefetcher, records, machine = config
-    workload, scheme = pair
-    faults.fire("worker")
+    ctx = _resident_context(workload, records, machine)
+    path = None
+    rejects = 0
+    if disk:
+        path = _trace_entry_path(ctx.trace.digest, scheme, prefetcher, machine)
+        stored, rejects = _read_entry(path, workload, scheme, prefetcher)
+        if stored is not None:
+            return stored, True, rejects
     run = run_experiment(
         workload,
         scheme,
         prefetcher=prefetcher,
         records=records,
         machine=machine,
-        context=_resident_context(workload, records, machine),
+        context=ctx,
+        **hooks,
     ).run
-    return workload, scheme, {k: getattr(run, k) for k in _SCALAR_FIELDS}
+    if path is not None:
+        write_atomic(path, json.dumps(_scalars(run)).encode())
+    return run, False, rejects
+
+
+def _sweep_worker(
+    config: SweepConfig, pair: Tuple[str, str], disk: bool = False
+) -> Tuple[str, str, Dict[str, object], bool, int]:
+    """Answer one (workload, scheme) pair in a resident worker process.
+
+    The parent already filtered records-keyed cache hits; ``disk`` is
+    its ``Runner.use_disk_cache``, which turns the trace-keyed entries
+    of :func:`_run_pair` on.  Returns only the scalar measurements —
+    live scheme objects don't cross the process boundary — with whether
+    a trace-keyed entry answered the pair and how many entries it
+    rejected.  The context, with its oracle and the plan and pre-pass
+    its trace holds, persists in the worker across pairs.
+    """
+    workload, scheme = pair
+    faults.fire("worker")
+    run, reused, rejects = _run_pair(workload, scheme, config, disk)
+    return workload, scheme, _scalars(run), reused, rejects
 
 
 class WorkerPool:
@@ -517,11 +610,16 @@ class Runner:
         # from several executor threads against one shared Runner):
         # _memory writes are atomic dict ops.
         self._memory: Dict[Tuple[str, str, str], RunResult] = {}
-        #: Disk entries discarded as corrupt/stale by :meth:`_load_disk`
-        #: over this Runner's lifetime (tests assert on it; a nonzero
-        #: value after a clean run means something is mangling the
-        #: results cache).
+        #: Disk entries, records- or trace-keyed, discarded as corrupt
+        #: or naming another pair (:func:`_read_entry`) over this
+        #: Runner's lifetime, in this process or its pool's workers
+        #: (tests assert on it; a nonzero value after a clean run means
+        #: something is mangling the results cache).
         self.disk_cache_rejects = 0
+        #: Pairs this Runner found in no records-keyed entry that a
+        #: trace-keyed entry answered (see :func:`_run_pair`): another
+        #: length had already simulated the trace they cut.
+        self.reused: Set[Tuple[str, str]] = set()
 
     # -- caching ------------------------------------------------------------
 
@@ -537,34 +635,20 @@ class Runner:
         return results_dir() / name
 
     def _load_disk(self, workload: str, scheme: str) -> Optional[RunResult]:
-        path = self._disk_path(workload, scheme)
-        try:
-            payload = json.loads(path.read_text())
-            return RunResult(
-                **{k: payload[k] for k in _SCALAR_FIELDS}
-            )
-        except FileNotFoundError:
-            # Plain cache miss (or another worker won an unlink race).
-            return None
-        except OSError:
-            # Concurrent sweep workers can catch an entry mid-write or
-            # mid-unlink; treat any unreadable file as a miss without
-            # destroying what the writer may still be producing.
-            return None
-        except (json.JSONDecodeError, KeyError, TypeError):
-            self.disk_cache_rejects += 1
-            path.unlink(missing_ok=True)
-            return None
+        result, rejects = _read_entry(
+            self._disk_path(workload, scheme), workload, scheme, self.prefetcher
+        )
+        self.disk_cache_rejects += rejects
+        return result
 
     def _store_disk(self, workload: str, scheme: str, run: RunResult) -> None:
         # Write-then-rename so concurrent readers never observe a
         # partial entry (and never mistake one for corruption), fsynced
         # before the rename: the entry is the sweep's durable record
         # that this pair is done.
-        payload = {k: getattr(run, k) for k in _SCALAR_FIELDS}
         write_atomic(
             self._disk_path(workload, scheme),
-            json.dumps(payload).encode(),
+            json.dumps(_scalars(run)).encode(),
             fsync=True,
         )
 
@@ -592,12 +676,23 @@ class Runner:
         return self._cached(workload, scheme)
 
     def _admit(
-        self, workload: str, scheme: str, result: RunResult, *, allow_disk: bool = True
-    ) -> None:
-        """Install a fresh result in the memory layer and, if allowed, on disk."""
+        self,
+        workload: str,
+        scheme: str,
+        answer: Tuple[RunResult, bool, int],
+        *,
+        allow_disk: bool = True,
+    ) -> RunResult:
+        """Install the result :func:`_run_pair` answered in the memory
+        layer and, if allowed, on disk, and count how it was answered."""
+        result, reused, rejects = answer
+        self.disk_cache_rejects += rejects
+        if reused:
+            self.reused.add((workload, scheme))
         self._memory[self._key(workload, scheme)] = result
         if allow_disk and self.use_disk_cache:
             self._store_disk(workload, scheme, result)
+        return result
 
     def context_for(self, workload: str) -> SchemeContext:
         """This process's resident context for ``workload`` (see
@@ -652,13 +747,11 @@ class Runner:
         cached = self._cached(workload, scheme, allow_disk=allow_disk)
         if cached is not None and (allow_disk or cached.scheme is not None):
             return cached
-        result = run_experiment(
+        answer = _run_pair(
             workload,
             scheme,
-            prefetcher=self.prefetcher,
-            records=self.records,
-            machine=self.machine,
-            context=self.context_for(workload),
+            (self.prefetcher, self.records, self.machine),
+            allow_disk and self.use_disk_cache,
             on_shard=(
                 None
                 if on_shard is None
@@ -667,9 +760,8 @@ class Runner:
                 )
             ),
             should_stop=should_stop,
-        ).run
-        self._admit(workload, scheme, result, allow_disk=allow_disk)
-        return result
+        )
+        return self._admit(workload, scheme, answer, allow_disk=allow_disk)
 
     def run(
         self,
@@ -757,10 +849,12 @@ class Runner:
         and workers only return scalar measurements, which the parent
         installs in both cache layers.
 
-        ``on_result`` is called in the sweeping thread after each
-        *freshly simulated* pair has been admitted to the caches — the
-        sweep service uses it to stream per-pair progress and resolve
-        in-flight dedup futures; cache hits never fire it.
+        ``on_result`` is called in the sweeping thread after each pair
+        the sweep answered (simulated, or from the trace-keyed entry of
+        another length that cuts the same trace) has been admitted to
+        the caches — the sweep service uses it to stream per-pair
+        progress and resolve in-flight dedup futures; records-keyed
+        cache hits never fire it.
 
         Crash safety (``tests/test_fault_injection.py`` pins recovered
         sweeps scalar-identical to undisturbed ones): dead workers (the
@@ -928,7 +1022,7 @@ class Runner:
             def feed() -> None:
                 """Submit released pairs, in order, up to the cap."""
                 while ready and len(remaining) - len(warms) < cap:
-                    future = submit(_sweep_worker, ready[0])
+                    future = submit(_sweep_worker, ready[0], self.use_disk_cache)
                     if future is None:
                         return
                     futures[future] = ready.pop(0)
@@ -987,7 +1081,9 @@ class Runner:
                         else:
                             pair = futures[future]
                             try:
-                                workload, scheme, scalars = future.result()
+                                (
+                                    workload, scheme, scalars, reused, rejects
+                                ) = future.result()
                             except BrokenProcessPool as exc:
                                 broken = True
                                 last_exc[pair] = exc
@@ -998,8 +1094,11 @@ class Runner:
                             except Exception as exc:
                                 fatal = (f"pair {pair}", exc)
                             else:
-                                result = RunResult(**scalars)
-                                self._admit(workload, scheme, result)
+                                result = self._admit(
+                                    workload,
+                                    scheme,
+                                    (RunResult(**scalars), reused, rejects),
+                                )
                                 if on_result is not None:
                                     on_result(workload, scheme, result)
                         if fatal is not None:

@@ -12,7 +12,11 @@ first branch that applies:
   that job's future, so N concurrent clients asking for the same grid
   cost one simulation;
 * **admitted** — genuinely cold: this request owns it and queues it
-  through ``Runner.sweep_pairs``.
+  through ``Runner.sweep_pairs``.  Its response reports it
+  ``simulated``: the sweep answered it, by a simulation, by a
+  trace-keyed result entry (another length had already simulated the
+  trace this length cuts; counted as ``reused``) or by a records-keyed
+  entry that landed after admission.
 
 The table is event-loop confined: :meth:`Admission.partition` runs on
 the server's loop with no ``await`` inside, so two requests arriving
@@ -48,6 +52,9 @@ class ServiceStats:
     warm_hits: int = 0
     dedup_hits: int = 0
     admitted: int = 0
+    #: Admitted pairs a trace-keyed result entry answered: another
+    #: length had already simulated the trace they cut.
+    reused: int = 0
     errors: int = 0
 
     def snapshot(self) -> Dict[str, int]:
@@ -115,11 +122,14 @@ class Admission:
     def resolve(
         self, runner: Runner, workload: str, scheme: str, result: RunResult
     ) -> None:
-        """Complete one admitted pair (idempotent)."""
+        """Complete one admitted pair (idempotent), counting it as
+        reused when a trace-keyed entry answered it."""
         key = self._key(runner, (workload, scheme))
         future = self._inflight.pop(key, None)
         if future is not None and not future.done():
             future.set_result(result)
+            if (workload, scheme) in runner.reused:
+                self.stats.reused += 1
 
     def fail(
         self, runner: Runner, pairs: Iterable[Pair], exc: BaseException

@@ -18,6 +18,13 @@ A non-streaming response is one JSON object::
      "sources": {"x264::lru": "warm"|"inflight"|"simulated", ...},
      "stats":   {<service counters>}}
 
+A pair's source is ``warm`` when the result cache held it at admission,
+``inflight`` when it joined a concurrent request's pair, and
+``simulated`` when this request admitted it: its sweep then answered it
+by a simulation or from a result cache layer, the trace-keyed entry of
+another length that cuts the same trace included (the ``reused``
+counter of ``stats`` counts those).
+
 A streaming response (``"stream": true``) is chunked
 ``application/x-ndjson`` — one JSON object per line, results in
 completion order so clients see cold-pair progress as it happens::

@@ -143,12 +143,13 @@ class TestResultCacheFsync:
             runner.context_for(workload)  # artifact writes happen first
         del inodes[:]
         runner.sweep_pairs(self.PAIRS, jobs=jobs)
-        entries = sorted(p.stat().st_ino for p in tmp_path.iterdir())
+        entries = sorted(p.stat().st_ino for p in tmp_path.glob("*.json"))
         assert len(entries) == len(self.PAIRS)
         assert sorted(inodes) == entries, (
             "each fresh pair's result entry is fsynced exactly once, "
-            "and nothing else is"
+            "and nothing else is (trace-keyed entries included)"
         )
+        assert len(list((tmp_path / "by-trace").iterdir())) == len(self.PAIRS)
 
         del inodes[:]
         warm = Runner(records=2_000, use_disk_cache=True)

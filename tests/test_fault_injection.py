@@ -380,9 +380,14 @@ class TestCrashedSweepRerun:
         assert survivors, "some pairs completed before the crash"
         assert survivors != pairs, "the crash cut the sweep short"
         leftovers = sorted(p.suffix for p in results_dir().iterdir())
-        assert leftovers == [".json"] * len(survivors), (
+        assert leftovers == [""] + [".json"] * len(survivors), (
             "only finished result entries may survive a crash"
         )
+        # The trace-keyed entries workers wrote: at least one per
+        # survivor (a worker may finish a pair the parent never admits).
+        by_trace = [p.suffix for p in (results_dir() / "by-trace").iterdir()]
+        assert by_trace == [".json"] * len(by_trace)
+        assert len(by_trace) >= len(survivors)
 
         monkeypatch.delenv("REPRO_FAULT", raising=False)
         monkeypatch.delenv("REPRO_SWEEP_RETRIES", raising=False)
