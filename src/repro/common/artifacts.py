@@ -103,8 +103,7 @@ def write_npz(path: str | Path, members: Dict[str, object]) -> None:
     The archive is what ``np.savez_compressed`` writes (one ``.npy``
     member per key, so ``np.load`` reads it) except for the level:
     ``savez_compressed`` uses zlib's default 6, which on 160k-record
-    artifacts takes 2-5x as long for a file 10-65% smaller, and a cold
-    sweep pays every write serially before its workers start.
+    artifacts takes 2-5x as long for a file 10-65% smaller.
     """
     with zipfile.ZipFile(
         path, "w", compression=zipfile.ZIP_DEFLATED, compresslevel=1

@@ -17,7 +17,7 @@ benefit of the doubt: the controller treats the victim as the winner.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import Dict, List
 
 
 @dataclass
@@ -37,7 +37,9 @@ class FlatCSHR:
 
     Each set is a pair of parallel flat lists (victim tags, contender
     tags) kept in insertion order — no per-entry object allocation, no
-    attribute walks during the search.  This class holds the geometry,
+    attribute walks during the search — beside a count of each tag in
+    the two lists, so a fetch whose tag waits in no entry costs one dict
+    probe, not two list scans.  This class holds the geometry,
     the tag lists and the stats; the operations on them live fused into
     the ACIC controller (:class:`repro.core.flat.FlatACICScheme`): the
     insert in ``_admission_decision``, the search in ``lookup`` and
@@ -67,4 +69,6 @@ class FlatCSHR:
         # Parallel flat lists per set, FIFO order (index 0 = oldest).
         self._victim_tags: List[List[int]] = [[] for _ in range(sets)]
         self._contender_tags: List[List[int]] = [[] for _ in range(sets)]
+        # Per set, tag -> its entries in both lists (absent when none).
+        self._tag_counts: List[Dict[int, int]] = [{} for _ in range(sets)]
         self.stats = CSHRStats()

@@ -21,10 +21,10 @@ The per-record work is fused into one ``lookup`` body with no
 intermediate method dispatch:
 
 * CSHR comparisons resolve against :class:`~repro.core.cshr.FlatCSHR`'s
-  parallel tag lists, guarded by a C-speed membership test so the common
-  no-match transition costs two small list scans (``lookup`` and
+  parallel tag lists, guarded by its per-set tag counts so the common
+  no-match transition costs one dict probe (``lookup`` and
   ``_resolve_matches`` are the only CSHR search, ``_admission_decision``
-  the only CSHR insert);
+  the only CSHR insert; both keep the counts);
 * the i-Filter probe is the backing dict's pop/reinsert, inlined;
 * the i-cache probe reaches the per-set line dicts directly (the i-cache
   policy is LRU, whose on-hit callback is a declared no-op);
@@ -46,7 +46,7 @@ registered-variant grid.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.common.bitops import L1I_SET_BITS, mask
 from repro.core.cshr import FlatCSHR
@@ -113,6 +113,15 @@ class ACICStats:
         return self.victims_admitted / self.victims_considered
 
 
+def _uncount(counts: Dict[int, int], tag: int) -> None:
+    """Take one entry of ``tag`` out of a CSHR set's tag counts."""
+    left = counts[tag] - 1
+    if left:
+        counts[tag] = left
+    else:
+        del counts[tag]
+
+
 class FlatACICScheme:
     """Admission-controlled instruction cache (the paper's contribution)."""
 
@@ -170,6 +179,7 @@ class FlatACICScheme:
         self._ic_ways = self.config.ways
         self._cshr_vt = self.cshr._victim_tags
         self._cshr_ct = self.cshr._contender_tags
+        self._cshr_counts = self.cshr._tag_counts
         self._cshr_stats = self.cshr.stats
         self._cshr_shift = self.cshr._set_shift
         self._cshr_ways = self.cshr.ways
@@ -178,34 +188,33 @@ class FlatACICScheme:
 
     # -- CSHR resolution (cold half) -------------------------------------------
 
-    def _resolve_matches(self, vt, ct, tag: int, cycle: int) -> None:
-        """Settle the matched entries of one CSHR set (tag is known present).
+    def _resolve_matches(self, si: int, tag: int, cycle: int) -> None:
+        """Settle the matched entries of CSHR set ``si`` (tag is known present).
 
         Training order matches the readable reference: the victim match
-        (at most one) first, then contender matches in entry order.
+        (the oldest entry whose victim tag matches, at most one) first,
+        then contender matches in entry order.
         """
-        victim_found = False
-        contender_victims = []
-        new_vt = []
-        new_ct = []
-        for i, v in enumerate(vt):
-            c = ct[i]
-            if not victim_found and v == tag:
-                victim_found = True
-            elif c == tag:
-                contender_victims.append(v)
-            else:
-                new_vt.append(v)
-                new_ct.append(c)
-        if not victim_found and not contender_victims:
-            return
-        vt[:] = new_vt
-        ct[:] = new_ct
+        vt = self._cshr_vt[si]
+        ct = self._cshr_ct[si]
+        counts = self._cshr_counts[si]
         stats = self._cshr_stats
         train = self.predictor.train
-        if victim_found:
+        if tag in vt:
+            i = vt.index(tag)
+            del vt[i]
+            _uncount(counts, tag)
+            _uncount(counts, ct.pop(i))
             stats.victim_resolutions += 1
             train(tag, True, cycle)
+        contender_victims = []
+        while tag in ct:
+            i = ct.index(tag)
+            del ct[i]
+            victim = vt.pop(i)
+            _uncount(counts, tag)
+            _uncount(counts, victim)
+            contender_victims.append(victim)
         if contender_victims:
             stats.contender_resolutions += len(contender_victims)
             for v in contender_victims:
@@ -269,16 +278,22 @@ class FlatACICScheme:
         si = (victim & self._ic_set_mask) >> self._cshr_shift
         vt = self._cshr_vt[si]
         ct = self._cshr_ct[si]
+        counts = self._cshr_counts[si]
         cshr_stats = self._cshr_stats
         cshr_stats.inserts += 1
         evicted = None
         if len(vt) >= self._cshr_ways:
             evicted = vt.pop(0)
-            ct.pop(0)
+            _uncount(counts, evicted)
+            _uncount(counts, ct.pop(0))
             cshr_stats.unresolved_evictions += 1
         cshr_tag_mask = self._cshr_tag_mask
-        vt.append((victim >> L1I_SET_BITS) & cshr_tag_mask)
-        ct.append((contender >> L1I_SET_BITS) & cshr_tag_mask)
+        victim_tag = (victim >> L1I_SET_BITS) & cshr_tag_mask
+        contender_tag = (contender >> L1I_SET_BITS) & cshr_tag_mask
+        vt.append(victim_tag)
+        ct.append(contender_tag)
+        counts[victim_tag] = counts.get(victim_tag, 0) + 1
+        counts[contender_tag] = counts.get(contender_tag, 0) + 1
         if evicted is not None and self.unresolved_policy != "none":
             self.predictor.train(
                 evicted, self.unresolved_policy == "victim", cycle
@@ -291,12 +306,9 @@ class FlatACICScheme:
         if block != self._last_resolved_block:
             self._last_resolved_block = block
             si = (block & self._ic_set_mask) >> self._cshr_shift
-            vt = self._cshr_vt[si]
-            if vt:
-                ct = self._cshr_ct[si]
-                tag = (block >> L1I_SET_BITS) & self._cshr_tag_mask
-                if tag in vt or tag in ct:
-                    self._resolve_matches(vt, ct, tag, cycle)
+            tag = (block >> L1I_SET_BITS) & self._cshr_tag_mask
+            if tag in self._cshr_counts[si]:
+                self._resolve_matches(si, tag, cycle)
         if_lines = self._if_lines
         if if_lines is not None:
             if_stats = self._if_stats

@@ -26,7 +26,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, List, Tuple
+from typing import Deque, List, Set, Tuple
 
 from repro.common.bitops import _GOLDEN64, _MASK64, fold_hash, mask
 
@@ -95,6 +95,9 @@ class TwoLevelAdmissionPredictor(AdmissionPredictor):
         self._queues: List[Deque[Tuple[int, bool]]] = [
             deque() for _ in range(1 << history_bits)
         ]
+        #: The PT entries whose queue holds an update: the ones a drain
+        #: visits.
+        self._queued: Set[int] = set()
         # Hot-path precomputation: the fold_hash shift (inlined in
         # predict/train) and the earliest ready cycle among the queue
         # heads, so predict walks the queues only once an update is due.
@@ -115,12 +118,16 @@ class TwoLevelAdmissionPredictor(AdmissionPredictor):
 
         One update per PT entry retires per cycle; our event-driven
         caller may advance many cycles between calls, so we drain every
-        ready update.  Afterwards ``_next_due`` is the earliest head left.
+        ready update, visiting only the entries with a queued one.
+        Afterwards ``_next_due`` is the earliest head left.
         """
         pt = self.pt
         counter_max = self.counter_max
+        queues = self._queues
+        queued = self._queued
         next_due = _NEVER
-        for idx, queue in enumerate(self._queues):
+        for idx in list(queued):
+            queue = queues[idx]
             while queue and queue[0][0] <= now:
                 _, up = queue.popleft()
                 value = pt[idx]
@@ -129,7 +136,9 @@ class TwoLevelAdmissionPredictor(AdmissionPredictor):
                         pt[idx] = value + 1
                 elif value > 0:
                     pt[idx] = value - 1
-            if queue and queue[0][0] < next_due:
+            if not queue:
+                queued.discard(idx)
+            elif queue[0][0] < next_due:
                 next_due = queue[0][0]
         self._next_due = next_due
 
@@ -166,8 +175,10 @@ class TwoLevelAdmissionPredictor(AdmissionPredictor):
                 # Visibility delayed by the HRT-then-PT pipeline plus any
                 # queue backlog (one retire per cycle per entry).
                 ready = now + self.update_latency + len(queue)
-                if not queue and ready < self._next_due:
-                    self._next_due = ready  # a new queue head
+                if not queue:
+                    self._queued.add(history)
+                    if ready < self._next_due:
+                        self._next_due = ready  # a new queue head
                 queue.append((ready, victim_won))
         # History shifts after its value was handed to the PT updater.
         self.hrt[hrt_index] = (

@@ -16,10 +16,13 @@ the LRU/OPT baselines.  The runner caches:
 Set ``REPRO_NO_DISK_CACHE=1`` to disable the disk layer (tests do).
 
 ``sweep`` can fan uncached pairs out across worker processes
-(``jobs=N`` or the ``REPRO_JOBS`` environment variable): workers
-simulate and return the scalar measurements, the parent stores them in
-both cache layers.  Cache hits are resolved in the parent and never
-fork a worker, so a warm sweep costs the same as before.
+(``jobs=N`` or the ``REPRO_JOBS`` environment variable): a worker
+answers a pair, writes both of its disk entries and returns the scalar
+measurements, which the parent installs in the memory layer.  Whoever
+answers a pair writes its entries, a pool worker or a serial runner
+alike (see :func:`_run_pair`), so the parent of a parallel sweep writes
+no result file.  Cache hits are resolved in the parent and never fork a
+worker, so a warm sweep costs the same as before.
 
 Workers live in a :class:`WorkerPool`: a per-call one that
 ``sweep_pairs`` forks for ``jobs=N``, or a resident one its caller owns
@@ -345,12 +348,33 @@ def _read_entry(
     return None, 1
 
 
+def _entry_path(workload: str, scheme: str, config: SweepConfig) -> Path:
+    """Where the records-keyed result of one pair at ``config`` lives."""
+    prefetcher, records, machine = config
+    name = (
+        f"{workload}.{scheme}.{prefetcher}"
+        f".r{records}.{machine.fingerprint()}.json"
+    )
+    return results_dir() / name
+
+
 def _trace_entry_path(
     digest: str, scheme: str, prefetcher: str, machine: MachineParams
 ) -> Path:
     """Where the result of ``scheme`` on the trace of ``digest`` lives."""
     name = f"{digest}.{scheme}.{prefetcher}.{machine.fingerprint()}.json"
     return results_dir() / "by-trace" / name
+
+
+def _write_entry(path: Path, run: RunResult, fsync: bool = False) -> None:
+    """Write ``run``'s scalars as the result entry at ``path``.
+
+    Write-then-rename, so concurrent readers never observe a partial
+    entry (and never mistake one for corruption); ``fsync`` flushes it
+    before the rename, for the records-keyed entry that is the sweep's
+    durable record of a finished pair.
+    """
+    write_atomic(path, json.dumps(_scalars(run)).encode(), fsync=fsync)
 
 
 def _run_pair(
@@ -363,7 +387,7 @@ def _run_pair(
     """Answer one pair no records-keyed entry holds: from its trace's
     result, or by simulating it.
 
-    The one way a pair is simulated, in a pool worker
+    The one way a pair is answered, in a pool worker
     (:func:`_sweep_worker`) and in a serial :meth:`Runner._run`.  With
     ``disk``, once the trace is cut and before its plan is built, the
     pair's *trace-keyed* entry is read: (trace digest, scheme,
@@ -372,33 +396,36 @@ def _run_pair(
     all derive from it), its scheme, its prefetcher and its machine; so
     every length that cuts the same trace from the walk shares it.  A
     hit returns the stored scalars.  A fresh result writes the entry
-    (without fsync: the records-keyed entry the caller writes is the
-    sweep's durable record, and a torn trace-keyed entry is rejected as
-    a miss).  ``hooks`` go to :func:`run_experiment`.  Returns the
-    result, whether a trace-keyed entry answered it, and how many
-    entries the read rejected.
+    without fsync (a torn trace-keyed entry is rejected as a miss).
+    Either way the pair's records-keyed entry is then written and
+    fsync'd before this returns: it is the sweep's durable record that
+    the pair is done, so it exists before the caller installs the
+    result or reports it.  ``hooks`` go to :func:`run_experiment`.
+    Returns the result, whether a trace-keyed entry answered it, and how
+    many entries the read rejected.
     """
     prefetcher, records, machine = config
     ctx = _resident_context(workload, records, machine)
-    path = None
-    rejects = 0
+    run, rejects = None, 0
     if disk:
         path = _trace_entry_path(ctx.trace.digest, scheme, prefetcher, machine)
-        stored, rejects = _read_entry(path, workload, scheme, prefetcher)
-        if stored is not None:
-            return stored, True, rejects
-    run = run_experiment(
-        workload,
-        scheme,
-        prefetcher=prefetcher,
-        records=records,
-        machine=machine,
-        context=ctx,
-        **hooks,
-    ).run
-    if path is not None:
-        write_atomic(path, json.dumps(_scalars(run)).encode())
-    return run, False, rejects
+        run, rejects = _read_entry(path, workload, scheme, prefetcher)
+    reused = run is not None
+    if not reused:
+        run = run_experiment(
+            workload,
+            scheme,
+            prefetcher=prefetcher,
+            records=records,
+            machine=machine,
+            context=ctx,
+            **hooks,
+        ).run
+        if disk:
+            _write_entry(path, run)
+    if disk:
+        _write_entry(_entry_path(workload, scheme, config), run, fsync=True)
+    return run, reused, rejects
 
 
 def _sweep_worker(
@@ -407,8 +434,9 @@ def _sweep_worker(
     """Answer one (workload, scheme) pair in a resident worker process.
 
     The parent already filtered records-keyed cache hits; ``disk`` is
-    its ``Runner.use_disk_cache``, which turns the trace-keyed entries
-    of :func:`_run_pair` on.  Returns only the scalar measurements —
+    its ``Runner.use_disk_cache``, which turns the disk entries of
+    :func:`_run_pair` on: this worker reads the trace-keyed one and
+    writes both.  Returns only the scalar measurements —
     live scheme objects don't cross the process boundary — with whether
     a trace-keyed entry answered the pair and how many entries it
     rejected.  The context, with its oracle and the plan and pre-pass
@@ -627,12 +655,9 @@ class Runner:
         return (workload, scheme, self.prefetcher)
 
     def _disk_path(self, workload: str, scheme: str) -> Path:
-        fingerprint = self.machine.fingerprint()
-        name = (
-            f"{workload}.{scheme}.{self.prefetcher}"
-            f".r{self.records}.{fingerprint}.json"
+        return _entry_path(
+            workload, scheme, (self.prefetcher, self.records, self.machine)
         )
-        return results_dir() / name
 
     def _load_disk(self, workload: str, scheme: str) -> Optional[RunResult]:
         result, rejects = _read_entry(
@@ -640,17 +665,6 @@ class Runner:
         )
         self.disk_cache_rejects += rejects
         return result
-
-    def _store_disk(self, workload: str, scheme: str, run: RunResult) -> None:
-        # Write-then-rename so concurrent readers never observe a
-        # partial entry (and never mistake one for corruption), fsynced
-        # before the rename: the entry is the sweep's durable record
-        # that this pair is done.
-        write_atomic(
-            self._disk_path(workload, scheme),
-            json.dumps(_scalars(run)).encode(),
-            fsync=True,
-        )
 
     def _cached(
         self, workload: str, scheme: str, *, allow_disk: bool = True
@@ -676,22 +690,15 @@ class Runner:
         return self._cached(workload, scheme)
 
     def _admit(
-        self,
-        workload: str,
-        scheme: str,
-        answer: Tuple[RunResult, bool, int],
-        *,
-        allow_disk: bool = True,
+        self, workload: str, scheme: str, answer: Tuple[RunResult, bool, int]
     ) -> RunResult:
-        """Install the result :func:`_run_pair` answered in the memory
-        layer and, if allowed, on disk, and count how it was answered."""
+        """Install the result :func:`_run_pair` answered (and wrote to
+        disk) in the memory layer, and count how it was answered."""
         result, reused, rejects = answer
         self.disk_cache_rejects += rejects
         if reused:
             self.reused.add((workload, scheme))
         self._memory[self._key(workload, scheme)] = result
-        if allow_disk and self.use_disk_cache:
-            self._store_disk(workload, scheme, result)
         return result
 
     def context_for(self, workload: str) -> SchemeContext:
@@ -761,7 +768,7 @@ class Runner:
             ),
             should_stop=should_stop,
         )
-        return self._admit(workload, scheme, answer, allow_disk=allow_disk)
+        return self._admit(workload, scheme, answer)
 
     def run(
         self,
@@ -847,7 +854,7 @@ class Runner:
         after all of them.  Cache hits never reach a worker.  Results
         are identical to the serial sweep: the engine is deterministic
         and workers only return scalar measurements, which the parent
-        installs in both cache layers.
+        installs in the memory layer (the worker wrote the disk layer).
 
         ``on_result`` is called in the sweeping thread after each pair
         the sweep answered (simulated, or from the trace-keyed entry of
@@ -866,9 +873,11 @@ class Runner:
         (anything other than a dead pool or an injected fault) raises
         immediately, with the worker's original exception chained as
         ``__cause__``.  Every finished pair is in the result cache
-        (fsynced) before ``on_result`` fires, so recovering from a
-        crashed sweep is rerunning it: finished pairs are served from
-        disk and only the rest are simulated — with
+        before ``on_result`` fires: the process that answered it, pool
+        worker or this one, wrote and fsync'd its records-keyed entry
+        before handing the result back (see :func:`_run_pair`).  So
+        recovering from a crashed sweep is rerunning it: finished pairs
+        are served from disk and only the rest are simulated — with
         ``REPRO_SHARD_WINDOW``, a pair that died mid-run restarts from
         its last shard-ledger boundary.  Without the disk cache nothing
         survives the process.

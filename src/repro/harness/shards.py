@@ -69,7 +69,11 @@ from repro.common.faults import fire
 #: placeholder globals instead of persistent ids.
 #: Format 4: the GHRP, Harmony and OPT twins pickle their own state,
 #: not a readable policy object.
-SHARD_FORMAT = 4
+#: Format 5: ACIC's CSHR keeps per-set tag counts beside its tag lists
+#: (``FlatCSHR._tag_counts``, aliased as ``FlatACICScheme._cshr_counts``)
+#: and its predictor the set of queued PT entries (``_queued``).
+#: ``tests/test_shards.py`` pins the captured layout to this number.
+SHARD_FORMAT = 5
 
 #: How many boundary-state files a ledger keeps: the newest (normal
 #: resume) and its predecessor (fallback when the newest is mangled).

@@ -28,7 +28,7 @@ single-threaded invariant, not a lock.
 from __future__ import annotations
 
 import asyncio
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Tuple
 
 from repro.harness.runner import Runner
@@ -58,7 +58,9 @@ class ServiceStats:
     errors: int = 0
 
     def snapshot(self) -> Dict[str, int]:
-        return asdict(self)
+        # Every attribute is a counter field: a shallow copy is asdict's
+        # result without its per-field deep copy.
+        return dict(vars(self))
 
 
 class Admission:

@@ -59,14 +59,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields as dataclass_fields, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.harness.experiment import PREFETCHERS
 from repro.harness.runner import _SCALAR_FIELDS
 from repro.harness.schemes import available_schemes
 from repro.uarch.params import DEFAULT_MACHINE, MachineParams
 from repro.uarch.timing import RunResult
-from repro.workloads.profiles import known_workload_names
+from repro.workloads.profiles import workload_table
 
 #: Maximum request body the server will read (64 KiB is ~3000 pairs —
 #: far beyond any sane grid; anything larger is rejected up front).
@@ -109,7 +109,11 @@ class SweepRequest:
         )
 
 
-def _names(payload: Dict[str, object], key: str, known, kind: str) -> Tuple[str, ...]:
+def _names(
+    payload: Dict[str, object], key: str, known: Mapping[str, object], kind: str
+) -> Tuple[str, ...]:
+    """The request's list under ``key``, each name a key of ``known``
+    (whose names are listed, sorted, only in the error)."""
     value = payload.get(key)
     if (
         not isinstance(value, list)
@@ -165,10 +169,10 @@ def parse_sweep_request(raw: bytes) -> SweepRequest:
             f"known: {sorted(_ALLOWED_KEYS)}"
         )
 
-    # known_workload_names() includes the committed search discoveries
+    # workload_table() includes the committed search discoveries
     # (profiles/found/), so clients can sweep them like any calibrated
     # workload.
-    workloads = _names(payload, "workloads", known_workload_names(), "workload")
+    workloads = _names(payload, "workloads", workload_table(), "workload")
     schemes = _names(payload, "schemes", available_schemes(), "scheme")
 
     records = payload.get("records")

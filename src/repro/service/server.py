@@ -74,6 +74,7 @@ from __future__ import annotations
 import asyncio
 import json
 import os
+import re
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -113,6 +114,10 @@ _REASONS = {
 
 #: Resident runners (see :meth:`SweepService._runner_for`).
 RUNNER_POOL_CAP = 4
+
+#: The blank line that ends a request head: CRLF or bare-LF line ends.
+_BLANK_LINE = re.compile(rb"\r?\n\r?\n")
+
 #: The least value of each :class:`ServiceConfig` size.
 SIZE_FLOORS = {
     "jobs": 1, "max_concurrent_sweeps": 1, "max_queue": 0, "drain_timeout": 0
@@ -410,19 +415,28 @@ class SweepService:
     async def _read_request(
         self, reader: asyncio.StreamReader
     ) -> Optional[Tuple[str, str, Dict[str, str], bytes]]:
-        request_line = await reader.readline()
-        if not request_line:
-            return None  # connection opened and closed without a request
-        parts = request_line.decode("latin-1").split()
+        # The request line and headers in one read, not one per line.
+        try:
+            received = await reader.readuntil(b"\r\n\r\n")
+        except asyncio.IncompleteReadError as exc:
+            if not exc.partial:
+                return None  # connection opened and closed without a request
+            # The client closed its side with no CRLF blank line sent:
+            # its lines end in bare LF, or it sent no blank line at all.
+            # (A bare-LF client is served once it closes its side.)
+            received = exc.partial
+        # The head ends at the first blank line; what follows it is the
+        # start of the body.
+        head, *rest = _BLANK_LINE.split(received, 1)
+        sent = rest[0] if rest else b""
+        request_line, *lines = head.decode("latin-1").split("\n")
+        parts = request_line.split()
         if len(parts) != 3:
             raise _HttpError(400, "malformed request line")
         method, target, _version = parts
         headers: Dict[str, str] = {}
-        while True:
-            line = await reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
+        for line in lines:
+            name, _, value = line.partition(":")
             headers[name.strip().lower()] = value.strip()
         try:
             length = int(headers.get("content-length", "0") or "0")
@@ -432,7 +446,9 @@ class SweepService:
             raise _HttpError(
                 413, f"request body exceeds {MAX_BODY_BYTES} bytes"
             )
-        body = await reader.readexactly(length) if length else b""
+        body = sent[:length]
+        if len(body) < length:
+            body += await reader.readexactly(length - len(body))
         return method, target, headers, body
 
     async def _route(

@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 
 from repro.mem.cache import CacheConfig
 from repro.mem.hierarchy import HierarchyConfig
@@ -50,8 +51,12 @@ class MachineParams:
         Used wherever derived data depends on the *whole* machine —
         sweep-result cache entries and shard ledgers.  Frontend plans deliberately use the
         narrower :func:`repro.frontend.plan.frontend_fingerprint`
-        instead.
+        instead.  Computed once per instance: every field is frozen.
         """
+        return self._fingerprint
+
+    @cached_property
+    def _fingerprint(self) -> str:
         blob = json.dumps(asdict(self), sort_keys=True, default=str)
         return hashlib.sha1(blob.encode()).hexdigest()[:10]
 

@@ -30,9 +30,9 @@ from __future__ import annotations
 
 import os
 import threading
-from collections import OrderedDict
+from collections import ChainMap, OrderedDict
 from dataclasses import dataclass, replace
-from typing import Dict, Optional
+from typing import Dict, Mapping, Optional
 
 from repro.workloads.generator import Walk, WalkParams, generate_trace
 from repro.workloads.program import ProgramShape, build_program
@@ -501,21 +501,29 @@ def reload_found_workloads() -> Dict[str, WorkloadProfile]:
     return found_workloads()
 
 
+def _workload_tables():
+    """The tables that resolve a workload name, in lookup order:
+    calibrated, registered, then found (loaded only when reached)."""
+    yield ALL_WORKLOADS
+    yield _REGISTERED_WORKLOADS
+    yield found_workloads()
+
+
+def workload_table() -> Mapping[str, WorkloadProfile]:
+    """Every resolvable profile by name, as one view over the tables:
+    no copy, no sort."""
+    return ChainMap(*_workload_tables())
+
+
 def known_workload_names() -> tuple:
     """Every resolvable workload name (calibrated + registered + found)."""
-    return tuple(
-        sorted({**ALL_WORKLOADS, **_REGISTERED_WORKLOADS, **found_workloads()})
-    )
+    return tuple(sorted(workload_table()))
 
 
 def get_workload(name: str) -> WorkloadProfile:
     """Look up a profile by name with a helpful error."""
-    profile = (
-        ALL_WORKLOADS.get(name)
-        or _REGISTERED_WORKLOADS.get(name)
-        or found_workloads().get(name)
-    )
-    if profile is None:
-        known = ", ".join(known_workload_names())
-        raise KeyError(f"unknown workload {name!r}; known: {known}") from None
-    return profile
+    for table in _workload_tables():
+        if name in table:
+            return table[name]
+    known = ", ".join(known_workload_names())
+    raise KeyError(f"unknown workload {name!r}; known: {known}") from None

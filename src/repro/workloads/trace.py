@@ -63,10 +63,18 @@ def interned_list(values: np.ndarray) -> List[int]:
     ``tolist()`` boxes a fresh int per record: 32 bytes each beside the
     list's 8-byte slot.  The cached list views of traces and
     replacement pre-passes are built here, so a resident one holds each
-    value once.
+    value once.  When every integer from the minimum to the maximum
+    fits in a table no longer than the array (blocks, signatures and set
+    indices at production lengths), the values are gathered from that
+    table in O(n); otherwise from ``np.unique``'s sorted distinct values.
     """
-    distinct, index = np.unique(values, return_inverse=True)
     # An object-array gather hands out the very objects it indexes.
+    if len(values):
+        lo = int(values.min())
+        span = int(values.max()) - lo
+        if span < len(values):
+            return np.arange(lo, lo + span + 1).astype(object)[values - lo].tolist()
+    distinct, index = np.unique(values, return_inverse=True)
     return distinct.astype(object)[index].tolist()
 
 

@@ -27,6 +27,7 @@ require bit-for-bit agreement —
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -226,6 +227,34 @@ class TestScheduleDifferential:
         assert stats.contender_resolutions > 0
         assert stats.unresolved_evictions > 0
         assert naive.cshr.stats == stats
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_tag_counts_track_the_entries(self, seed):
+        """Each CSHR set's tag counts, which ``lookup`` probes instead
+        of scanning the tag lists, equal the multiset of the set's
+        victim and contender tags after every operation: so after every
+        insert, unresolved eviction and resolution of both kinds."""
+        flat = FlatACICScheme(
+            icache_config=TINY_ICACHE,
+            ifilter_slots=4,
+            cshr=FlatCSHR(entries=16, sets=4, tag_bits=5, icache_set_bits=3),
+        )
+        cshr = flat.cshr
+        doubled = 0
+        for op, block, t in random_schedule(seed, blocks=4096):
+            if op == "contains":
+                flat.contains(block)
+            else:
+                getattr(flat, op)(block, t, t)
+            for vt, ct, counts in zip(
+                cshr._victim_tags, cshr._contender_tags, cshr._tag_counts
+            ):
+                assert counts == Counter(vt + ct), (op, block, t)
+                doubled += any(n > 1 for n in counts.values())
+        stats = cshr.stats
+        assert stats.inserts and stats.unresolved_evictions
+        assert stats.victim_resolutions and stats.contender_resolutions
+        assert doubled, "no set ever held one tag twice"
 
     @pytest.mark.parametrize("seed", range(3))
     def test_audit_mode(self, seed):

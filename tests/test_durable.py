@@ -121,17 +121,27 @@ class TestResultCacheFsync:
     PAIRS = (("x264", "lru"), ("x264", "srrip"), ("gcc", "lru"))
 
     @pytest.fixture()
-    def inodes(self, monkeypatch):
-        """Inodes of the files ``os.fsync`` is called on."""
-        synced = []
+    def inodes(self, tmp_path_factory, monkeypatch):
+        """The log of the inodes ``os.fsync`` is called on, one a line.
+
+        A file, not a list: the sweep workers a ``jobs=2`` sweep forks
+        inherit the recording ``fsync`` and write their entries there.
+        """
+        log = tmp_path_factory.mktemp("fsyncs") / "inodes"
+        log.touch()
         real = os.fsync
 
         def recording(fd):
-            synced.append(os.fstat(fd).st_ino)
+            with open(log, "a") as fh:
+                fh.write(f"{os.fstat(fd).st_ino}\n")
             real(fd)
 
         monkeypatch.setattr(durable.os, "fsync", recording)
-        return synced
+        return log
+
+    @staticmethod
+    def synced(log):
+        return sorted(int(line) for line in log.read_text().split())
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_one_fsync_per_fresh_pair_none_on_hit(
@@ -141,21 +151,21 @@ class TestResultCacheFsync:
         runner = Runner(records=2_000, use_disk_cache=True)
         for workload in {w for w, _ in self.PAIRS}:
             runner.context_for(workload)  # artifact writes happen first
-        del inodes[:]
+        inodes.write_text("")
         runner.sweep_pairs(self.PAIRS, jobs=jobs)
         entries = sorted(p.stat().st_ino for p in tmp_path.glob("*.json"))
         assert len(entries) == len(self.PAIRS)
-        assert sorted(inodes) == entries, (
+        assert self.synced(inodes) == entries, (
             "each fresh pair's result entry is fsynced exactly once, "
             "and nothing else is (trace-keyed entries included)"
         )
         assert len(list((tmp_path / "by-trace").iterdir())) == len(self.PAIRS)
 
-        del inodes[:]
+        inodes.write_text("")
         warm = Runner(records=2_000, use_disk_cache=True)
         warm.sweep_pairs(self.PAIRS, jobs=jobs)
         warm.run(*self.PAIRS[0])
-        assert inodes == [], "cache hits write nothing"
+        assert self.synced(inodes) == [], "cache hits write nothing"
 
 
 def test_results_dir_honours_env(tmp_path, monkeypatch):

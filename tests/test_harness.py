@@ -1,5 +1,10 @@
 """Tests for the timing engine, scheme registry, runner and tables."""
 
+import dataclasses
+import hashlib
+import json
+import pickle
+
 import numpy as np
 import pytest
 
@@ -152,6 +157,40 @@ class TestPrefetcherFactory:
                 "tiny", "lru", prefetcher="bogus",
                 context=SchemeContext(trace=tiny_trace),
             )
+
+
+class TestMachineFingerprint:
+    """``fingerprint()`` is computed once per instance, and stays the
+    content hash of its fields."""
+
+    @staticmethod
+    def fresh_hash(machine):
+        blob = json.dumps(dataclasses.asdict(machine), sort_keys=True, default=str)
+        return hashlib.sha1(blob.encode()).hexdigest()[:10]
+
+    def test_equals_a_fresh_hash_of_the_fields(self):
+        for machine in (DEFAULT_MACHINE, MachineParams(backend_ipc=3.5)):
+            assert machine.fingerprint() == self.fresh_hash(machine)
+            assert machine.fingerprint() == machine.fingerprint()
+
+    def test_replace_hashes_the_new_fields(self):
+        DEFAULT_MACHINE.fingerprint()  # memoized on the original
+        wider = dataclasses.replace(DEFAULT_MACHINE, fetch_width=8)
+        assert wider.fingerprint() != DEFAULT_MACHINE.fingerprint()
+        assert wider.fingerprint() == self.fresh_hash(wider)
+        same = dataclasses.replace(DEFAULT_MACHINE)
+        assert same.fingerprint() == DEFAULT_MACHINE.fingerprint()
+
+    def test_survives_pickling(self):
+        machine = MachineParams(mshr_entries=8)
+        machine.fingerprint()
+        for copy in (
+            pickle.loads(pickle.dumps(machine)),
+            pickle.loads(pickle.dumps(MachineParams(mshr_entries=8))),
+        ):
+            assert copy == machine and hash(copy) == hash(machine)
+            assert copy.fingerprint() == machine.fingerprint()
+            assert copy.fingerprint() == self.fresh_hash(copy)
 
 
 class TestScaledRecords:

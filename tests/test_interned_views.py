@@ -134,8 +134,17 @@ def test_copies(stores, copy):
         [-6, 257, 257, -6],           # just outside it
         [2**62, -(2**62), 2**62, 5],  # the ends of the int64 range
         [10**6 + 3, 10**6, 10**6 + 3, 10**6 + 1],
+        # Spans shorter than the array: gathered from a table of the span.
+        list(range(-3, 5)) * 2,
+        [2**62 + 1, 2**62, 2**62 + 1],
     ],
 )
 def test_interned_list_edges(values):
     array = np.array(values, dtype=np.int64)
+    assert_interned(interned_list(array), array)
+
+
+def test_interned_list_of_unsigned_bytes():
+    """The table path offsets by the minimum without leaving the dtype."""
+    array = np.array([255, 253, 254, 255, 253], dtype=np.uint8)
     assert_interned(interned_list(array), array)

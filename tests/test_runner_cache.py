@@ -18,7 +18,8 @@ from collections import Counter
 import pytest
 
 from repro.frontend.plan import PLAN_STORE, clear_plan_memo
-from repro.harness.runner import _CONTEXTS, _SCALAR_FIELDS, Runner
+from repro.harness import runner as runner_module
+from repro.harness.runner import _CONTEXTS, _SCALAR_FIELDS, Runner, _write_entry
 from repro.mem.prepass import PREPASS_STORE, clear_prepass_memo
 from repro.workloads.trace import TRACE_STORE
 
@@ -120,7 +121,9 @@ class TestDiskCacheRoundTrip:
             }
         )
         with pytest.raises(TypeError):
-            runner._store_disk(WORKLOAD, "broken", broken)
+            _write_entry(
+                runner._disk_path(WORKLOAD, "broken"), broken, fsync=True
+            )
         assert not list(cache_dir.glob("*.tmp"))
 
     def test_threads_storing_one_pair_never_share_a_temp(self, cache_dir):
@@ -136,7 +139,9 @@ class TestDiskCacheRoundTrip:
             barrier.wait()
             try:
                 for _ in range(50):
-                    runner._store_disk(WORKLOAD, "lru", run)
+                    _write_entry(
+                        runner._disk_path(WORKLOAD, "lru"), run, fsync=True
+                    )
             except Exception as exc:
                 errors.append(exc)
 
@@ -187,6 +192,39 @@ class TestSweep:
         again = runner.sweep(self.WORKLOADS, self.SCHEMES, jobs=2)
         assert all(again[k] is results[k] for k in results)
         # Disk layer: one JSON entry per pair.
+        assert len(list(cache_dir.glob("*.json"))) == len(results)
+
+    def test_workers_write_the_entries_before_the_parent_reports(
+        self, cache_dir, monkeypatch
+    ):
+        """The worker that answers a pair writes its result entries: by
+        the time ``on_result`` fires in the parent, the pair's
+        records-keyed entry exists and parses, and the parent has made
+        no result write of its own."""
+        parent = os.getpid()
+        parent_writes = []
+        real = runner_module.write_atomic
+
+        def recording(path, data, fsync=False):
+            if os.getpid() == parent:
+                parent_writes.append(path)
+            real(path, data, fsync=fsync)
+
+        # Patched before the fork, so the workers write through it too.
+        monkeypatch.setattr(runner_module, "write_atomic", recording)
+        runner = Runner(records=RECORDS, use_disk_cache=True)
+        reported = []
+
+        def on_result(workload, scheme, result):
+            entry = json.loads(runner._disk_path(workload, scheme).read_text())
+            assert entry == _scalars(result)
+            reported.append((workload, scheme))
+
+        results = runner.sweep(
+            self.WORKLOADS, self.SCHEMES, jobs=2, on_result=on_result
+        )
+        assert sorted(reported) == sorted(results)
+        assert parent_writes == []
         assert len(list(cache_dir.glob("*.json"))) == len(results)
 
     def test_warm_sweep_uses_disk_without_forking(self, cache_dir):

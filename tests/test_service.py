@@ -39,6 +39,7 @@ import multiprocessing
 import os
 import random
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -195,6 +196,69 @@ def thread_service():
 
 def _pool_pids() -> set:
     return {p.pid for p in multiprocessing.active_children()}
+
+
+def _raw_request(port: int, sent: bytes) -> bytes:
+    """Send ``sent`` on a fresh connection, close the sending side and
+    return everything the server answers."""
+    with socket.create_connection(("127.0.0.1", port), timeout=60) as sock:
+        sock.sendall(sent)
+        sock.shutdown(socket.SHUT_WR)
+        received = []
+        while chunk := sock.recv(65536):
+            received.append(chunk)
+    return b"".join(received)
+
+
+def _status(response: bytes) -> int:
+    return int(response.split(b" ", 2)[1])
+
+
+class TestRequestHead:
+    """The request head is read in one ``readuntil`` of the CRLF blank
+    line; a client that closes its side before sending one is still
+    answered from what it sent."""
+
+    def test_crlf_head(self, thread_service):
+        response = _raw_request(
+            thread_service.port, b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+        )
+        assert _status(response) == 200
+
+    def test_bare_lf_head(self, thread_service):
+        response = _raw_request(
+            thread_service.port, b"GET /healthz HTTP/1.1\nHost: x\n\n"
+        )
+        assert _status(response) == 200
+
+    def test_bare_lf_head_with_body(self, thread_service):
+        body = json.dumps(
+            {"workloads": ["x264"], "schemes": ["lru"]}
+        ).encode()
+        response = _raw_request(
+            thread_service.port,
+            b"POST /sweep HTTP/1.1\nContent-Length: %d\n\n%s" % (len(body), body),
+        )
+        assert _status(response) == 200
+        payload = json.loads(response.split(b"\r\n\r\n", 1)[1])
+        assert payload["results"] == _direct(("x264",), ("lru",))
+
+    def test_head_without_blank_line_is_routed(self, thread_service):
+        response = _raw_request(
+            thread_service.port, b"GET /healthz HTTP/1.1\r\nHost: x\r\n"
+        )
+        assert _status(response) == 200
+
+    def test_truncated_body_is_dropped(self, thread_service):
+        response = _raw_request(
+            thread_service.port,
+            b"POST /sweep HTTP/1.1\nContent-Length: 100\n\n{}",
+        )
+        assert response == b""
+
+    def test_malformed_request_line_is_400(self, thread_service):
+        response = _raw_request(thread_service.port, b"GET /healthz\n\n")
+        assert _status(response) == 400
 
 
 class TestServer:

@@ -6,6 +6,9 @@ Three layers:
   fsync'd JSONL + state files, tolerates torn tails, falls back past
   truncated/stale/foreign entries instead of trusting them, prunes to
   the fallback horizon, and deletes everything on ``finish``;
+* the **state layout** — what a boundary state pickles is pinned to
+  ``SHARD_FORMAT``, so a layout change cannot reach a ledger written
+  before it without a format bump;
 * the **harness** — ``run_experiment(shard_window=...)`` stitches a
   windowed run scalar-identical to a single pass for *every registered
   scheme*, across awkward window sizes, resumes a drained run from its
@@ -20,16 +23,20 @@ The command-line entry point, ``scripts/run_sharded.py``, is pinned in
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
+from functools import cached_property
 
 import pytest
 
 from repro.common import faults
 from repro.common.artifacts import entry_name
-from repro.frontend.plan import clear_plan_memo, frontend_fingerprint
+from repro.frontend.entangling import EntanglingPrefetcher
+from repro.frontend.plan import cached_plan, clear_plan_memo, frontend_fingerprint
 from repro.harness.experiment import run_experiment
 from repro.harness.runner import Runner
-from repro.harness.schemes import SchemeContext, available_schemes
+from repro.harness.schemes import SchemeContext, available_schemes, make_scheme
 from repro.harness.shards import (
     SHARD_FORMAT,
     DrainRequested,
@@ -39,6 +46,7 @@ from repro.harness.shards import (
     shard_window,
     shards_dir,
 )
+from repro.uarch import timing
 from repro.uarch.params import DEFAULT_MACHINE
 from repro.workloads.profiles import get_workload
 
@@ -252,6 +260,108 @@ class TestShardLedger:
         ledger.record(_state(100))
         ledger.close()
         assert not [p for p in ledger.dir.iterdir() if ".tmp" in p.name]
+
+
+def _layout(graph, trace) -> set:
+    """``(class, attribute names)`` of every project object in ``graph``.
+
+    Walks instance attributes and container items.  The trace and the
+    next-use oracle are pickled by reference, so their layout is not
+    the state's; attributes a ``cached_property`` fills are caches an
+    unpickled object recomputes, so they are left out too.
+    """
+    layout, seen, stack = set(), set(), [graph]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or obj is trace:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, dict):
+            stack.extend(obj.values())
+            continue
+        if isinstance(obj, (list, tuple, set, frozenset)):
+            stack.extend(obj)
+            continue
+        cls = type(obj)
+        if not cls.__module__.startswith("repro.") or isinstance(
+            obj, timing.NextUseOracle
+        ):
+            continue
+        attrs = {
+            name: value
+            for name, value in getattr(obj, "__dict__", {}).items()
+            if not isinstance(getattr(cls, name, None), cached_property)
+        }
+        for klass in cls.__mro__:
+            for name in getattr(klass, "__slots__", ()):
+                if hasattr(obj, name):
+                    attrs[name] = getattr(obj, name)
+        layout.add((f"{cls.__module__}.{cls.__qualname__}", tuple(sorted(attrs))))
+        stack.extend(attrs.values())
+    return layout
+
+
+class TestStateLayout:
+    """A ledger's boundary states unpickle straight into the engine's
+    collaborators, so a state written by code with another attribute
+    layout breaks the resumed run (an ``AttributeError`` at its first
+    record).  ``ShardLedger.latest`` discards states of another
+    ``SHARD_FORMAT``: the layout of every scheme's capture (and of the
+    live entangling prefetcher's) is pinned here to the format.  When
+    this fails, bump ``SHARD_FORMAT``, say in its comment what changed,
+    and pin the new digest under the new format.
+    """
+
+    #: SHARD_FORMAT -> digest of the captured layout.
+    LAYOUTS = {5: "bab5bd363aab143a"}
+    AT = 2_000
+
+    def _graph(self, trace, scheme, **kwargs):
+        captured = []
+        timing.simulate(
+            trace,
+            scheme,
+            machine=DEFAULT_MACHINE,
+            checkpoint_every=self.AT,
+            on_checkpoint=lambda state: captured.append(state) or True,
+            **kwargs,
+        )
+        return timing._GraphUnpickler(
+            io.BytesIO(captured[0]["graph"]), trace, scheme
+        ).load()
+
+    def test_layout_is_pinned_to_the_format(self, trace, context):
+        layout = set()
+        for name in sorted(available_schemes()):
+            scheme = make_scheme(name, context)
+            plan = cached_plan(trace, DEFAULT_MACHINE, "fdp")
+            layout |= _layout(self._graph(trace, scheme, plan=plan), trace)
+        scheme = make_scheme("lru", context)
+        layout |= _layout(
+            self._graph(
+                trace,
+                scheme,
+                plan=cached_plan(trace, DEFAULT_MACHINE, "none"),
+                prefetcher=EntanglingPrefetcher(trace),
+            ),
+            trace,
+        )
+        digest = hashlib.sha1(repr(sorted(layout)).encode()).hexdigest()[:16]
+        assert SHARD_FORMAT in self.LAYOUTS, "pin the layout of the new format"
+        assert digest == self.LAYOUTS[SHARD_FORMAT], (
+            f"the captured state layout changed (digest {digest}): bump "
+            "SHARD_FORMAT so older ledgers are discarded, then pin it"
+        )
+
+    def test_acic_layout_names_the_format_5_attributes(self, trace, context):
+        """The attributes that made format 5 are in an ACIC capture."""
+        graph = self._graph(
+            trace,
+            make_scheme("acic", context),
+            plan=cached_plan(trace, DEFAULT_MACHINE, "fdp"),
+        )
+        attrs = {name for _, names in _layout(graph, trace) for name in names}
+        assert {"_tag_counts", "_cshr_counts", "_queued"} <= attrs
 
 
 class TestShardedStitching:
